@@ -3,24 +3,29 @@ family, the potential comparability check, and the equilibrium-measure QP
 with an exact brute-force oracle.
 
 All rectangles in the instance are a short prefix followed by a run of
-zeros, so the instance code carries them as (prefix, x_extra, y_extra)
-triples and evaluates the common-ancestor kernel from that structure; the
-largest admissible n would otherwise need paths tens of thousands of
-characters long.  The structured kernel agrees with the generic one by
-construction and is cross-checked in the test suite.
+zeros, so the instance code carries them as (j, x_extra, y_extra) triples
+and evaluates the common-ancestor kernel from that structure; the largest
+admissible n would otherwise need paths tens of thousands of characters
+long.  The prefix of q_jk is the M-bit form of j, so two distinct prefixes
+share M - bit_length(j1 ^ j2) leading bits, and any one prefix shares t < M
+leading bits with exactly 2^(M-1-t) others.  The class-summed kernel and
+the potentials are assembled from those counts rather than rectangle by
+rectangle, and every kernel entry is an exact integer.  The
+structured kernel is cross-checked against the generic one in the test
+suite.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .trees import BiNode, NodeAddress, ResourceError, Scalar, SparseFn
-from .hardy import PointMeasure, kernel, potential
+from .trees import BiNode, NodeAddress, ResourceError
+from .hardy import PointMeasure, kernel
 
 ADMISSIBLE_N = (4, 16, 256, 65536)
 _MATERIALIZE_N = 256          # largest n whose family is kept as real BiNodes
@@ -43,23 +48,6 @@ class _Rect:
         )
 
 
-def _prefix_lcp(a: str, b: str) -> int:
-    # equal-length prefixes within one instance
-    for i, (ca, cb) in enumerate(zip(a, b)):
-        if ca != cb:
-            return i
-    return len(a)
-
-
-def _rect_kernel(a: _Rect, b: _Rect) -> int:
-    """Common-ancestor count for two structured rectangles."""
-    if a.prefix == b.prefix:
-        m = len(a.prefix)
-        return (m + min(a.x_extra, b.x_extra) + 1) * (m + min(a.y_extra, b.y_extra) + 1)
-    t = _prefix_lcp(a.prefix, b.prefix)
-    return (t + 1) * (t + 1)
-
-
 @dataclass
 class BitreeInstance:
     """The family F = {q_jk} and the atomic measure nu at scale n = 2^s."""
@@ -69,22 +57,39 @@ class BitreeInstance:
     M: int
     delta: Fraction
     lam: Fraction
-    rects: list[_Rect]                      # full family, j-major order
-    atom_rects: list[_Rect]                 # the omega_j corner squares
+    extras: list[tuple[int, int]]           # (x_extra, y_extra) of q_jk, k = 0..s
     atom_mass: Fraction
     potentials: list[Fraction]              # potential(nu, q_1k), k = 0..s
-    symmetry_classes: list[list[int]]       # one class per k
+    symmetry_classes: list[range]           # class k: the indices of q_jk, every j
     inclusion: str                          # "full" or "partial"
+    rects: Optional[list[_Rect]] = None     # full family, j-major order, small n
+    atom_rects: Optional[list[_Rect]] = None  # the omega_j corner squares, small n
     nu: Optional[PointMeasure] = None       # materialized for small n
     family: Optional[list[BiNode]] = None   # materialized for small n
 
     @property
+    def count(self) -> int:
+        """The number n/s = 2^M of prefixes j."""
+        return self.n // self.s
+
+    @property
     def family_size(self) -> int:
-        return len(self.rects)
+        return self.count * len(self.extras)
 
 
-def _rect_potential(atoms: Sequence[_Rect], mass: Fraction, q: _Rect) -> Fraction:
-    return mass * sum(_rect_kernel(q, w) for w in atoms)
+def _kernel_block(M: int, j1, x1, y1, j2, x2, y2) -> np.ndarray:
+    """Common-ancestor counts of rectangles (prefix j, x_extra, y_extra),
+    broadcast over the arguments.  Prefixes are the M-bit forms of j, so two
+    distinct ones share M - bit_length(j1 ^ j2) leading bits."""
+    same = (M + np.minimum(x1, x2) + 1) * (M + np.minimum(y1, y2) + 1)
+    lcp = M - np.frexp(np.bitwise_xor(j1, j2))[1]  # frexp's exponent of an int is its bit length
+    return np.where(np.equal(j1, j2), same, (lcp + 1) ** 2)
+
+
+def _lcp_weight(M: int) -> int:
+    """Sum of (lcp + 1)^2 over the prefixes other than a given one: exactly
+    2^(M-1-t) of them share t < M leading bits with it."""
+    return sum(2 ** (M - 1 - t) * (t + 1) ** 2 for t in range(M))
 
 
 def build_instance(n: int) -> BitreeInstance:
@@ -99,40 +104,38 @@ def build_instance(n: int) -> BitreeInstance:
     delta = Fraction(count, n * n)
     assert delta == Fraction(1, n * s)
 
-    prefixes = [format(j, f"0{M}b") for j in range(count)]
-    atom_rects = [_Rect(p, n, n) for p in prefixes]
     extras = [(-(-n // 2 ** k), 2 ** k) for k in range(s + 1)]
-    rects = [_Rect(p, xe, ye) for p in prefixes for xe, ye in extras]
-
-    potentials = [_rect_potential(atom_rects, atom_mass, rects[k]) for k in range(s + 1)]
+    # The atoms are the rectangles (j, n, n) and no extra exceeds n, so the
+    # atom sharing q_1k's prefix contributes (M + xe + 1)(M + ye + 1).
+    far = _lcp_weight(M)
+    potentials = [atom_mass * ((M + xe + 1) * (M + ye + 1) + far) for xe, ye in extras]
     lam = max(potentials) / 4
     ratio = max(potentials) / min(potentials)
     inclusion = "full" if ratio <= 2 else "partial"
-    classes = [[j * (s + 1) + k for j in range(count)] for k in range(s + 1)]
+    classes = [range(k, count * (s + 1), s + 1) for k in range(s + 1)]
 
-    nu = family = None
-    if n <= _MATERIALIZE_N:
-        nu = PointMeasure.of((w.to_binode(), atom_mass) for w in atom_rects)
-        family = [r.to_binode() for r in rects]
-
-    return BitreeInstance(
-        n=n, s=s, M=M, delta=delta, lam=lam,
-        rects=rects, atom_rects=atom_rects, atom_mass=atom_mass,
+    inst = BitreeInstance(
+        n=n, s=s, M=M, delta=delta, lam=lam, extras=extras, atom_mass=atom_mass,
         potentials=potentials, symmetry_classes=classes, inclusion=inclusion,
-        nu=nu, family=family,
     )
+    if n <= _MATERIALIZE_N:
+        prefixes = [format(j, f"0{M}b") for j in range(count)]
+        inst.atom_rects = [_Rect(p, n, n) for p in prefixes]
+        inst.rects = [_Rect(p, xe, ye) for p in prefixes for xe, ye in extras]
+        inst.nu = PointMeasure.of((w.to_binode(), atom_mass) for w in inst.atom_rects)
+        inst.family = [r.to_binode() for r in inst.rects]
+    return inst
 
 
 def check_lemma_g(inst: BitreeInstance) -> dict:
-    """Potentials Ig(q_1k) for all k, cross-checked at j = 2, with the
-    comparability ratio and the n-normalized interval."""
+    """Potentials Ig(q_1k) for all k, cross-checked at j = 2 by a sum over
+    the atoms, with the comparability ratio and the n-normalized interval."""
     values = inst.potentials
-    if inst.family_size > inst.s + 1:  # more than one j available
-        other = [
-            _rect_potential(inst.atom_rects, inst.atom_mass,
-                            inst.rects[(inst.s + 1) + k])
-            for k in range(inst.s + 1)
-        ]
+    if inst.count > 1:  # more than one j available
+        xe, ye = np.array(inst.extras).T
+        per_atom = _kernel_block(inst.M, 1, xe[:, None], ye[:, None],
+                                 np.arange(inst.count), inst.n, inst.n)
+        other = [inst.atom_mass * int(row) for row in per_atom.sum(axis=1)]
         symmetric = other == values
     else:
         symmetric = True
@@ -160,7 +163,7 @@ class EquilibriumResult:
     converged: bool
     energy: float = 0.0
 
-    def rho_full(self, classes: list[list[int]]) -> np.ndarray:
+    def rho_full(self, classes: Sequence[Sequence[int]]) -> np.ndarray:
         out = np.zeros(sum(len(c) for c in classes))
         for t, members in zip(self.rho, classes):
             out[members] = t
@@ -209,13 +212,20 @@ def _solve_reduced_qp(S: np.ndarray, b: np.ndarray, tol: float, max_iters: int) 
     )
 
 
-def _reduced_matrix(kernel_fn, items, classes: list[list[int]]) -> tuple[np.ndarray, np.ndarray]:
-    """Class-summed kernel S[c1][c2] = sum over the two orbits of K.
+def _symmetrized(S: np.ndarray, classes: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
+    """The assembled class-summed kernel and the class sizes.  Symmetry of
+    the matrix is asserted, which fails loudly on a wrong partition."""
+    if not np.allclose(S, S.T, rtol=1e-12, atol=0.0):
+        raise ValueError("symmetry_classes are not kernel orbits (asymmetric reduced kernel)")
+    S = (S + S.T) / 2.0
+    b = np.array([float(len(c)) for c in classes])
+    return S, b
 
-    Uses one representative row per class (valid because the classes are
-    kernel orbits); symmetry of the assembled matrix is asserted, which
-    fails loudly on a wrong partition.
-    """
+
+def _reduced_matrix(kernel_fn, items, classes: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
+    """Class-summed kernel S[c1][c2] = sum over the two orbits of K, from
+    one representative row per class (valid when the classes are kernel
+    orbits)."""
     m = len(classes)
     S = np.zeros((m, m))
     for c1, members1 in enumerate(classes):
@@ -223,11 +233,30 @@ def _reduced_matrix(kernel_fn, items, classes: list[list[int]]) -> tuple[np.ndar
         for c2, members2 in enumerate(classes):
             row = sum(kernel_fn(rep, items[j]) for j in members2)
             S[c1, c2] = len(members1) * row
-    if not np.allclose(S, S.T, rtol=1e-12, atol=0.0):
-        raise ValueError("symmetry_classes are not kernel orbits (asymmetric reduced kernel)")
-    S = (S + S.T) / 2.0
-    b = np.array([float(len(c)) for c in classes])
-    return S, b
+    return _symmetrized(S, classes)
+
+
+def _instance_matrix(inst: BitreeInstance, use_symmetry: bool) -> tuple[np.ndarray, np.ndarray]:
+    """The instance's class-summed kernel, assembled from the lcp counts.
+
+    With symmetry, class k holds q_jk for every j.  Row (j = 0, k1) summed
+    over class k2 is the same-prefix term plus the lcp weight of the other
+    prefixes, and each of the 2^M rows of class k1 sums to the same value.
+    Without it, the full kernel over the family in j-major order.  Entries
+    stay below 2^53 at every admissible n, so the float matrix is exact.
+    """
+    xe, ye = np.array(inst.extras).T
+    if use_symmetry:
+        same = _kernel_block(inst.M, 0, xe[:, None], ye[:, None], 0, xe, ye)
+        S = inst.count * (same + _lcp_weight(inst.M))
+        return _symmetrized(S.astype(float), inst.symmetry_classes)
+    if inst.family_size > _NO_SYMMETRY_MAX_FAMILY:
+        raise ResourceError(
+            f"family of size {inst.family_size} requires the symmetry reduction")
+    j = np.repeat(np.arange(inst.count), len(xe))
+    x, y = np.tile(xe, inst.count), np.tile(ye, inst.count)
+    S = _kernel_block(inst.M, j[:, None], x[:, None], y[:, None], j, x, y)
+    return _symmetrized(S.astype(float), [[i] for i in range(inst.family_size)])
 
 
 def capacity_qp(
@@ -251,14 +280,7 @@ def capacity_qp_instance(
     use_symmetry: bool = True,
 ) -> EquilibriumResult:
     """Capacity of the instance family through the structured kernel."""
-    if use_symmetry:
-        classes = inst.symmetry_classes
-    else:
-        if inst.family_size > _NO_SYMMETRY_MAX_FAMILY:
-            raise ResourceError(
-                f"family of size {inst.family_size} requires the symmetry reduction")
-        classes = [[i] for i in range(inst.family_size)]
-    S, b = _reduced_matrix(_rect_kernel, inst.rects, classes)
+    S, b = _instance_matrix(inst, use_symmetry)
     return _solve_reduced_qp(S, b, tol, max_iters)
 
 

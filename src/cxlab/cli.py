@@ -87,6 +87,8 @@ def _cmd_cex(args) -> int:
 
 
 def _cmd_capacity(args) -> int:
+    if args.oracle and args.n.bit_length() > 12:  # the j = 1 subfamily has s + 1 members
+        raise ResourceError("oracle comparison limited to families of 12")
     inst = cap.build_instance(args.n)
     eq = cap.capacity_qp_instance(
         inst, tol=args.tol, max_iters=args.max_iters,
@@ -105,11 +107,7 @@ def _cmd_capacity(args) -> int:
     if eq.converged:
         payload["d2"] = cap.report_d2(inst, eq)
     if args.oracle:
-        reps = inst.rects[: inst.s + 1]
-        if len(reps) > 12:
-            raise ResourceError("oracle comparison limited to families of 12")
-        family = [r.to_binode() for r in reps] if inst.family is None \
-            else inst.family[: inst.s + 1]
+        family = inst.family[: inst.s + 1]
         exact = cap.capacity_bruteforce(family)
         approx = cap.capacity_qp(family, tol=args.tol, max_iters=args.max_iters)
         rel = abs(approx.cap - float(exact)) / float(exact)
@@ -235,7 +233,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_cex.add_argument("--depth", type=int, default=10)
     p_cex.add_argument("--budget", type=int, default=1000)
     p_cex.add_argument("--seed", type=int, default=0)
-    p_cex.add_argument("--mode", choices=(EXACT, FLOAT), default=EXACT)
     p_cex.add_argument("--out")
     p_cex.set_defaults(fn=_cmd_cex)
 

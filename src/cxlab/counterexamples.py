@@ -170,6 +170,10 @@ def gen_cex_increasing(N: int, p: Scalar = 2, seed: Optional[int] = None) -> tup
     if N < 1:
         raise ValueError("N must be positive")
     lhs = sum_gp_levels(N, p)
+    # 2^p (r^N - 1) with r = (2^p + 1)/2^p is exact for integral p only;
+    # non-integral p repeats the level sum.
+    pi = _as_int(p)
+    closed = lhs if pi is None else 2 ** pi * (Fraction(2 ** pi + 1, 2 ** pi) ** N - 1)
     lam = N
     rhs = lam  # g(root) = 1
     d = TreeDomain(N)
@@ -180,7 +184,7 @@ def gen_cex_increasing(N: int, p: Scalar = 2, seed: Optional[int] = None) -> tup
         lhs=lhs, rhs=rhs, holds=lhs <= rhs,
         witness=None if lhs <= rhs else NodeAddress(""),
         mode=EXACT if _as_int(p) is not None else FLOAT, seed=seed,
-        extra={"closed_form_check": sum_gp_levels(N, p)},
+        extra={"closed_form_check": closed},
     )
     inst = CexInstance("cex_increasing", d, {"N": N, "p": p}, g=g)
     return inst, report
@@ -192,19 +196,17 @@ def sum_ifg_p_direct(N: int, p: Scalar) -> Scalar:
 
     A node at level i with leading-zero count a < i contributes
     (a+1)^p 2^(-ap) (1 + 2^-p)^(i-a-1) in total over its zero-bit counts;
-    the all-zero node contributes (i+1)^p 2^(-ip).
+    the all-zero node contributes (i+1)^p 2^(-ip).  With the order of
+    summation swapped, leading-zero count a carries the weight
+    1 + sum_{e < N-a-1} r^e with r = 1 + 2^-p, which grows by one geometric
+    term per step of a downward.
     """
-    exact = _as_int(p) is not None
-    total = Fraction(0) if exact else 0.0
-    one_plus = Fraction(2 ** _as_int(p) + 1, 2 ** _as_int(p)) if exact \
-        else 1.0 + 2.0 ** -float(p)
-    for i in range(N):
-        total += _pow(i + 1, p) * _pow(_half_pow(i), p)
-        inner = Fraction(1) if exact else 1.0
-        for a in range(i - 1, -1, -1):
-            # inner = (1 + 2^-p)^(i-a-1), built from the deepest a upward
-            total += _pow(a + 1, p) * _pow(_half_pow(a), p) * inner
-            inner *= one_plus
+    r = 1 + _pow(_half_pow(1), p)
+    total, weight, term = 0, 1, 1
+    for a in range(N - 1, -1, -1):
+        total += _pow(a + 1, p) * _pow(_half_pow(a), p) * weight
+        weight += term
+        term *= r
     return total
 
 

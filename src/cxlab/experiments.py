@@ -118,6 +118,8 @@ def run_verify_suite(
 ) -> list[LemmaReport]:
     if name not in _TRIALS:
         raise ValueError(f"unknown verify suite {name!r} (one of {VERIFY_NAMES})")
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     d = TreeDomain(depth)
     fn = _TRIALS[name]
     out = []

@@ -10,7 +10,8 @@ from cxlab.hardy import atoms_fn
 from cxlab.capacity import (
     ADMISSIBLE_N,
     EquilibriumResult,
-    _rect_kernel,
+    _instance_matrix,
+    _reduced_matrix,
     build_instance,
     capacity_bruteforce,
     capacity_qp,
@@ -54,9 +55,31 @@ class TestBuildInstance:
 
     def test_structured_kernel_matches_generic(self):
         inst = build_instance(16)
-        for a_r, a in zip(inst.rects, inst.family):
-            for b_r, b in zip(inst.rects, inst.family):
-                assert _rect_kernel(a_r, b_r) == kernel(a, b)
+        S, _ = _instance_matrix(inst, use_symmetry=False)
+        for i, a in enumerate(inst.family):
+            for j, b in enumerate(inst.family):
+                assert S[i, j] == kernel(a, b)
+
+    @pytest.mark.parametrize("use_symmetry", [True, False])
+    @pytest.mark.parametrize("n", [4, 16, 256])
+    def test_instance_matrix_matches_pairwise(self, n, use_symmetry):
+        inst = build_instance(n)
+        classes = inst.symmetry_classes if use_symmetry \
+            else [[i] for i in range(inst.family_size)]
+        S, b = _instance_matrix(inst, use_symmetry)
+        S_pair, b_pair = _reduced_matrix(kernel, inst.family, classes)
+        assert np.array_equal(S, S_pair)
+        assert np.array_equal(b, b_pair)
+
+    def test_large_instance_potentials_match_pairwise(self):
+        inst = build_instance(65536)
+        assert inst.rects is None and inst.family is None
+        assert inst.family_size == 4096 * 17
+        prefixes = [format(j, "012b") for j in range(inst.count)]
+        for (xe, ye), value in zip(inst.extras, inst.potentials):
+            total = sum(_pairwise_kernel(prefixes[0], xe, ye, w, inst.n, inst.n)
+                        for w in prefixes)
+            assert value == inst.atom_mass * total
 
     def test_structured_potentials_match_generic(self):
         inst = build_instance(16)
@@ -66,6 +89,16 @@ class TestBuildInstance:
     def test_lambda_from_potentials(self):
         inst = build_instance(16)
         assert inst.lam == max(inst.potentials) / 4
+
+
+def _pairwise_kernel(pa: str, xa: int, ya: int, pb: str, xb: int, yb: int) -> int:
+    """Common-ancestor count of the rectangles pa + 0^xa x pa + 0^ya and
+    pb + 0^xb x pb + 0^yb, with pa and pb of equal length."""
+    if pa == pb:
+        m = len(pa)
+        return (m + min(xa, xb) + 1) * (m + min(ya, yb) + 1)
+    t = next(i for i, (ca, cb) in enumerate(zip(pa, pb)) if ca != cb)
+    return (t + 1) * (t + 1)
 
 
 class TestLemmaG:

@@ -19,6 +19,11 @@ class TestVerify:
         assert payload["failures"] == 0
         assert payload["trials"] == 20
 
+    @pytest.mark.parametrize("trials", ["0", "-3"])
+    def test_trials_below_one_is_usage_error(self, capsys, trials):
+        assert main(["verify", "inter", "--trials", trials]) == 2
+        assert "trials must be at least 1" in capsys.readouterr().err
+
     def test_unknown_suite_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:
             main(["verify", "nope"])
@@ -50,6 +55,11 @@ class TestCex:
                             "--depth", "6", "--budget", "50", "--seed", "1")
         assert code == 0
 
+    def test_mode_flag_removed(self):
+        with pytest.raises(SystemExit) as exc:
+            main(["cex", "direct", "--N", "30", "--mode", "float"])
+        assert exc.value.code == 2
+
     def test_bad_p_is_usage_error(self, capsys):
         code = main(["cex", "p-less-2", "--k", "4", "--p", "3"])
         assert code == 2
@@ -62,6 +72,24 @@ class TestCapacity:
         payload = json.loads(out)
         assert payload["converged"]
         assert payload["oracle"]["rel_error"] <= 1e-6
+
+    def test_n65536(self, capsys):
+        code, out = run_cli(capsys, "capacity", "--n", "65536")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["converged"]
+        assert payload["lemma_g"]["symmetric_j"]
+        assert len(payload["rho"]) == 17
+
+    def test_oracle_bound_checked_before_build(self, capsys, monkeypatch):
+        from cxlab import capacity
+
+        def no_build(n):
+            raise AssertionError("build_instance called")
+
+        monkeypatch.setattr(capacity, "build_instance", no_build)
+        assert main(["capacity", "--n", "65536", "--oracle"]) == 3
+        assert "limited to families of 12" in capsys.readouterr().err
 
     def test_invalid_n_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:
@@ -118,6 +146,14 @@ class TestRun:
         second = next((tmp_path / "r2").glob("*.json")).read_bytes()
         assert first.replace(b"r1", b"r2") == second or _strip_runtime(first) == _strip_runtime(second)
         capsys.readouterr()
+
+    def test_zero_trials_cell_is_usage_error(self, capsys, tmp_path):
+        cfg = tmp_path / "zero.json"
+        cfg.write_text(json.dumps({"experiment": "verify-inter",
+                                   "grid": {"trials": [0]},
+                                   "out": str(tmp_path / "reports")}))
+        assert main(["run", str(cfg)]) == 2
+        assert "trials must be at least 1" in capsys.readouterr().err
 
     def test_missing_grid_is_usage_error(self, capsys, tmp_path):
         cfg = tmp_path / "bad.json"

@@ -46,6 +46,36 @@ class TestClosedForms:
         assert sum_ifg_p_direct(N, 2) == brute
 
 
+def _sum_ifg_p_double_loop(N, p):
+    """sum_ifg_p_direct summed level by level, O(N^2): the oracle for the
+    O(N) form."""
+    exact = isinstance(p, int)
+    total = Fraction(0) if exact else 0.0
+    one_plus = Fraction(2 ** p + 1, 2 ** p) if exact else 1.0 + 2.0 ** -p
+    for i in range(N):
+        total += (i + 1) ** p * Fraction(1, 2 ** i) ** p if exact \
+            else (i + 1) ** p * 2.0 ** (-i * p)
+        inner = Fraction(1) if exact else 1.0
+        for a in range(i - 1, -1, -1):
+            total += ((a + 1) ** p * Fraction(1, 2 ** a) ** p if exact
+                      else (a + 1) ** p * 2.0 ** (-a * p)) * inner
+            inner *= one_plus
+    return total
+
+
+class TestSumIfgPDirect:
+    @pytest.mark.parametrize("p", [1, 2, 3, 4])
+    def test_matches_double_loop_exactly(self, p):
+        for N in (1, 2, 3, 5, 10, 25, 40):
+            assert sum_ifg_p_direct(N, p) == _sum_ifg_p_double_loop(N, p)
+
+    @pytest.mark.parametrize("p", [1.5, 2.5])
+    def test_matches_double_loop_in_floats(self, p):
+        for N in (1, 2, 3, 5, 10, 25, 40, 60):
+            assert sum_ifg_p_direct(N, p) == pytest.approx(
+                _sum_ifg_p_double_loop(N, p), rel=1e-12)
+
+
 class TestCexIncreasing:
     def test_n20_report(self):
         _, report = gen_cex_increasing(20, 2)
@@ -57,6 +87,12 @@ class TestCexIncreasing:
     def test_small_n_holds(self):
         _, report = gen_cex_increasing(1, 2)
         assert report.lhs == 1 and report.holds
+
+    @pytest.mark.parametrize("p", [1, 2, 3, 4, 2.5])
+    def test_closed_form_check_equals_level_sum(self, p):
+        for N in (1, 7, 30):
+            _, report = gen_cex_increasing(N, p)
+            assert report.extra["closed_form_check"] == report.lhs
 
     def test_large_n_not_materialized(self):
         inst, report = gen_cex_increasing(1000, 2)
