@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import sys
 from pathlib import Path
@@ -17,7 +18,6 @@ from pathlib import Path
 from .trees import EXACT, FLOAT, PreconditionError, ResourceError
 from .lemmas import scalar_repr
 from . import capacity as cap
-from . import counterexamples as cex
 from . import experiments
 
 EXIT_OK = 0
@@ -36,128 +36,61 @@ def _json_default(v):
     return r
 
 
+def _dumps(payload: dict) -> str:
+    return json.dumps(payload, indent=2, sort_keys=True, default=_json_default) + "\n"
+
+
 def _emit(payload: dict, out: str | None) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True, default=_json_default)
+    text = _dumps(payload)
     if out:
-        Path(out).write_text(text + "\n")
-    print(text)
+        Path(out).write_text(text)
+    print(text, end="")
 
 
-def _cmd_verify(args) -> int:
-    reports = experiments.run_verify_suite(
-        args.which, trials=args.trials, depth=args.depth, seed=args.seed,
-        mode=args.mode)
-    failures = experiments.suite_failures(reports)
-    payload = {
-        "suite": args.which, "trials": len(reports), "failures": len(failures),
-        "params": {"depth": args.depth, "seed": args.seed, "mode": args.mode},
-        "reports": [r.to_dict() for r in (failures or reports[:1])],
-    }
-    _emit(payload, args.out)
-    return EXIT_OK if not failures else EXIT_UNEXPECTED
+def _write_csv(path, rows: list[dict]) -> None:
+    with open(path, "w", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=sorted({k for r in rows for k in r}))
+        writer.writeheader()
+        writer.writerows({k: scalar_repr(v) for k, v in r.items()} for r in rows)
 
 
-def _cmd_cex(args) -> int:
-    which = args.which
-    if which == "p-less-2":
-        _, report = cex.gen_cex_p_less_2(args.k, args.p, seed=args.seed)
-        ok = float(report.lhs) >= float(report.extra["lower_bound"])
-        _emit(report.to_dict(), args.out)
-        return EXIT_OK if ok else EXIT_UNEXPECTED
-    if which == "increasing":
-        _, report = cex.gen_cex_increasing(args.N, args.p, seed=args.seed)
-        _emit(report.to_dict(), args.out)
-        return EXIT_OK
-    if which == "direct":
-        _, report = cex.gen_cex_direct(args.N, args.p, seed=args.seed)
-        _emit(report.to_dict(), args.out)
-        return EXIT_OK
-    if which == "new23":
-        audits = cex.gen_cex_new23(args.N, args.p, seed=args.seed)
-        _emit({k: a.to_dict() for k, a in audits.items()}, args.out)
-        ok = all(a.boundary_argmax_ok for a in audits.values())
-        return EXIT_OK if ok else EXIT_UNEXPECTED
-    if which == "search-new23":
-        report = cex.search_new23(args.p, args.depth, args.budget, args.seed)
-        _emit(report.to_dict(), args.out)
-        if args.p <= 2 and report.ratio is not None:
-            return EXIT_OK if float(report.ratio) <= 1 + 1e-9 else EXIT_UNEXPECTED
-        return EXIT_OK
-    raise ValueError(which)
+def _experiment(args) -> str:
+    """The registry entry that a verify, cex or capacity command runs."""
+    if args.command == "capacity":
+        return "capacity"
+    return args.which if args.which == "search-new23" else f"{args.command}-{args.which}"
 
 
-def _cmd_capacity(args) -> int:
-    if args.oracle and args.n.bit_length() > 12:  # the j = 1 subfamily has s + 1 members
-        raise ResourceError("oracle comparison limited to families of 12")
-    inst = cap.build_instance(args.n)
-    eq = cap.capacity_qp_instance(
-        inst, tol=args.tol, max_iters=args.max_iters,
-        use_symmetry=not args.no_symmetry)
-    lemma = cap.check_lemma_g(inst)
-    payload = {
-        "n": args.n,
-        "lemma_g": lemma,
-        "converged": eq.converged,
-        "kkt_max_violation": eq.kkt_max_violation,
-        "iterations": eq.iterations,
-        "cap": eq.cap,
-        "rho": list(eq.rho),
-    }
-    ok = eq.converged
-    if eq.converged:
-        payload["d2"] = cap.report_d2(inst, eq)
-    if args.oracle:
-        family = inst.family[: inst.s + 1]
-        exact = cap.capacity_bruteforce(family)
-        approx = cap.capacity_qp(family, tol=args.tol, max_iters=args.max_iters)
-        rel = abs(approx.cap - float(exact)) / float(exact)
-        payload["oracle"] = {"bruteforce": exact, "qp": approx.cap, "rel_error": rel}
-        ok = ok and rel <= 1e-6
-    _emit(payload, args.out)
-    return EXIT_OK if ok else EXIT_UNEXPECTED
+def _flags(args, experiment: str) -> dict:
+    """The given flags that are parameters of the experiment."""
+    names = experiments.cell_params(experiment, {})
+    return {k: v for k, v in vars(args).items() if k in names}
+
+
+def _cmd_cell(args) -> int:
+    name = _experiment(args)
+    result = experiments.run_cell(name, _flags(args, name))
+    _emit(result.payload, getattr(args, "out", None))
+    return EXIT_OK if result.expected_ok else EXIT_UNEXPECTED
 
 
 def _cmd_report(args) -> int:
-    rows = []
-    ok = True
-    for n in args.n:
-        inst = cap.build_instance(n)
-        eq = cap.capacity_qp_instance(inst, tol=args.tol, max_iters=args.max_iters)
-        ok = ok and eq.converged
-        if not eq.converged:
-            rows.append({"n": n, "converged": False,
-                         "kkt_max_violation": eq.kkt_max_violation})
-            continue
-        row = cap.report_d2(inst, eq)
-        row["converged"] = True
-        rows.append(row)
+    flags = _flags(args, "capacity")
+    results = [experiments.run_cell("capacity", {**flags, "n": n})
+               for n in getattr(args, "n", None) or (16, 256)]
+    rows = [{**r["d2"], "converged": True} if r["converged"] else
+            {"n": r["n"], "converged": False, "kkt_max_violation": r["kkt_max_violation"]}
+            for r in (result.payload for result in results)]
     payload = {"table": rows}
     caps = [r["cap"] for r in rows if r.get("converged")]
     ratios = [float(r["delta_over_lambda"]) for r in rows if r.get("converged")]
     if len(caps) >= 2:
         payload["cap_spread"] = max(caps) / min(caps)
         payload["ratio_spread"] = max(ratios) / min(ratios)
-    _emit(payload, args.out)
-    if args.csv:
-        with open(args.csv, "w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=sorted({k for r in rows for k in r}))
-            writer.writeheader()
-            for r in rows:
-                writer.writerow({k: scalar_repr(v) for k, v in r.items()})
-    return EXIT_OK if ok else EXIT_UNEXPECTED
-
-
-def _iter_grid(grid: dict):
-    keys = sorted(grid)
-    def rec(i, acc):
-        if i == len(keys):
-            yield dict(acc)
-            return
-        k = keys[i]
-        for v in grid[k]:
-            acc[k] = v
-            yield from rec(i + 1, acc)
-    yield from rec(0, {})
+    _emit(payload, getattr(args, "out", None))
+    if getattr(args, "csv", None):
+        _write_csv(args.csv, rows)
+    return EXIT_OK if all(result.expected_ok for result in results) else EXIT_UNEXPECTED
 
 
 def _cmd_run(args) -> int:
@@ -172,37 +105,35 @@ def _cmd_run(args) -> int:
             return EXIT_USAGE
     experiment = config["experiment"]
     grid = config["grid"]
-    if not grid or any(not v for v in grid.values()):
-        print("error: grid must be nonempty", file=sys.stderr)
+    if not (isinstance(grid, dict) and grid
+            and all(isinstance(v, list) and v for v in grid.values())):
+        print("error: grid must map parameter names to nonempty lists", file=sys.stderr)
         return EXIT_USAGE
-    mode = config.get("mode", EXACT)
-    if mode not in (EXACT, FLOAT):
-        print(f"error: invalid mode {mode!r}", file=sys.stderr)
+    if config.get("mode", EXACT) not in (EXACT, FLOAT):
+        print(f"error: invalid mode {config['mode']!r}", file=sys.stderr)
         return EXIT_USAGE
-    seed = int(config.get("seed", 0))
-    tol = config.get("tol")
+    defaults = experiments.cell_params(experiment, {})
+    shared = {k: config[k] for k in ("mode", "seed", "tol")
+              if k in defaults and config.get(k) is not None}
+    keys = sorted(grid)
+    cells = [dict(zip(keys, values)) for values in itertools.product(*(grid[k] for k in keys))]
+    for cell in cells:  # reject a bad parameter before any cell runs
+        experiments.cell_params(experiment, {**shared, **cell})
     out_dir = Path(config.get("out", "reports"))
     out_dir.mkdir(parents=True, exist_ok=True)
 
     rows, all_ok = [], True
-    for i, params in enumerate(_iter_grid(grid)):
-        result = experiments.run_cell(experiment, params, mode, seed, tol)
+    for cell in cells:
+        result = experiments.run_cell(experiment, {**shared, **cell})
         all_ok = all_ok and result.expected_ok
-        cell_payload = {
-            "experiment": experiment, "cell": params,
+        name = "-".join(f"{k}={cell[k]}" for k in keys)
+        (out_dir / f"{experiment}-{name}.json").write_text(_dumps({
+            "experiment": experiment, "cell": cell,
             "runtime_ms": result.runtime_ms, "expected_ok": result.expected_ok,
             "result": result.payload,
-        }
-        name = "-".join(f"{k}={params[k]}" for k in sorted(params)) or f"cell{i}"
-        (out_dir / f"{experiment}-{name}.json").write_text(
-            json.dumps(cell_payload, indent=2, sort_keys=True, default=_json_default) + "\n")
-        rows.append(result.row)
-    fieldnames = sorted({k for r in rows for k in r})
-    with open(out_dir / f"{experiment}.csv", "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fieldnames)
-        writer.writeheader()
-        for r in rows:
-            writer.writerow(r)
+        }))
+        rows.append({**cell, **result.row})
+    _write_csv(out_dir / f"{experiment}.csv", rows)
     print(f"{experiment}: {len(rows)} cells, expected outcomes "
           f"{'all met' if all_ok else 'NOT met'}; reports in {out_dir}")
     return EXIT_OK if all_ok else EXIT_UNEXPECTED
@@ -215,45 +146,48 @@ def build_parser() -> argparse.ArgumentParser:
                     "on dyadic trees and bi-trees.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_verify = sub.add_parser("verify", help="run a seeded property suite")
-    p_verify.add_argument("which", choices=experiments.VERIFY_NAMES)
-    p_verify.add_argument("--trials", type=int, default=100)
-    p_verify.add_argument("--depth", type=int, default=8)
-    p_verify.add_argument("--seed", type=int, default=0)
-    p_verify.add_argument("--mode", choices=(EXACT, FLOAT), default=EXACT)
-    p_verify.add_argument("--out")
-    p_verify.set_defaults(fn=_cmd_verify)
+    # a flag not given is left out, so the registry entry's default applies
+    unset = {"argument_default": argparse.SUPPRESS}
 
-    p_cex = sub.add_parser("cex", help="generate a counterexample report")
+    p_verify = sub.add_parser("verify", help="run a seeded property suite", **unset)
+    p_verify.add_argument("which", choices=experiments.VERIFY_NAMES)
+    p_verify.add_argument("--trials", type=int)
+    p_verify.add_argument("--depth", type=int)
+    p_verify.add_argument("--seed", type=int)
+    p_verify.add_argument("--mode", choices=(EXACT, FLOAT))
+    p_verify.add_argument("--out")
+    p_verify.set_defaults(fn=_cmd_cell)
+
+    p_cex = sub.add_parser("cex", help="generate a counterexample report", **unset)
     p_cex.add_argument("which", choices=(
         "p-less-2", "increasing", "direct", "new23", "search-new23"))
-    p_cex.add_argument("--k", type=int, default=4)
-    p_cex.add_argument("--N", type=int, default=10)
-    p_cex.add_argument("--p", type=float, default=2.0)
-    p_cex.add_argument("--depth", type=int, default=10)
-    p_cex.add_argument("--budget", type=int, default=1000)
-    p_cex.add_argument("--seed", type=int, default=0)
+    p_cex.add_argument("--k", type=int)
+    p_cex.add_argument("--N", type=int)
+    p_cex.add_argument("--p", type=float)
+    p_cex.add_argument("--depth", type=int)
+    p_cex.add_argument("--budget", type=int)
+    p_cex.add_argument("--seed", type=int)
     p_cex.add_argument("--out")
-    p_cex.set_defaults(fn=_cmd_cex)
+    p_cex.set_defaults(fn=_cmd_cell)
 
-    p_cap = sub.add_parser("capacity", help="solve the capacity QP for one n")
+    p_cap = sub.add_parser("capacity", help="solve the capacity QP for one n", **unset)
     p_cap.add_argument("--n", type=int, required=True, choices=cap.ADMISSIBLE_N)
-    p_cap.add_argument("--tol", type=float, default=1e-10)
-    p_cap.add_argument("--max-iters", type=int, default=200000)
+    p_cap.add_argument("--tol", type=float)
+    p_cap.add_argument("--max-iters", type=int)
     p_cap.add_argument("--no-symmetry", action="store_true")
     p_cap.add_argument("--oracle", action="store_true",
                        help="cross-check against the exact brute-force oracle "
                             "on the j=1 subfamily")
     p_cap.add_argument("--out")
-    p_cap.set_defaults(fn=_cmd_capacity)
+    p_cap.set_defaults(fn=_cmd_cell)
 
     p_rep = sub.add_parser("report", help="emit aggregate report tables")
     rep_sub = p_rep.add_subparsers(dest="report_kind", required=True)
-    p_d2 = rep_sub.add_parser("d2", help="the capacity refutation table")
+    p_d2 = rep_sub.add_parser("d2", help="the capacity refutation table", **unset)
     p_d2.add_argument("--n", type=int, action="append", choices=cap.ADMISSIBLE_N,
                       help="instance sizes (default: 16 256)")
-    p_d2.add_argument("--tol", type=float, default=1e-10)
-    p_d2.add_argument("--max-iters", type=int, default=200000)
+    p_d2.add_argument("--tol", type=float)
+    p_d2.add_argument("--max-iters", type=int)
     p_d2.add_argument("--csv")
     p_d2.add_argument("--out")
     p_d2.set_defaults(fn=_cmd_report)
@@ -265,14 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if getattr(args, "command", None) == "cex":
-        # integer p stays exact
-        if args.p == int(args.p):
-            args.p = int(args.p)
-    if getattr(args, "report_kind", None) == "d2" and not args.n:
-        args.n = [16, 256]
+    args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
     except ResourceError as exc:

@@ -24,6 +24,7 @@ from .trees import (
     SparseFn,
     TreeDomain,
     _as_int,
+    _pow,
 )
 from .hardy import hardy_up_table
 from .lemmas import LemmaReport, verify_new23
@@ -43,13 +44,6 @@ class CexInstance:
     params: dict
     f: Optional[SparseFn] = None
     g: Optional[SparseFn] = None
-
-
-def _pow(v, e):
-    ei = _as_int(e)
-    if ei is not None and not isinstance(v, float):
-        return v ** ei
-    return float(v) ** float(e)
 
 
 def _half_pow(i: int) -> Fraction:
@@ -169,6 +163,8 @@ def gen_cex_increasing(N: int, p: Scalar = 2, seed: Optional[int] = None) -> tup
     lhs is the full-tree sum of g^p, rhs = N * g^(p-1)(root) = N."""
     if N < 1:
         raise ValueError("N must be positive")
+    if p < 1:
+        raise ValueError("p must be at least 1")
     lhs = sum_gp_levels(N, p)
     # 2^p (r^N - 1) with r = (2^p + 1)/2^p is exact for integral p only;
     # non-integral p repeats the level sum.
@@ -215,6 +211,8 @@ def gen_cex_direct(N: int, p: Scalar = 2, seed: Optional[int] = None) -> tuple[C
     full-tree sum of (If g)^p with delta^(p-1) lambda sum f^p, delta = 2."""
     if N < 2:
         raise ValueError("N must be at least 2")
+    if p < 1:
+        raise ValueError("p must be at least 1")
     lhs = sum_ifg_p_direct(N, p)
     delta, lam, sum_fp = 2, N, N
     rhs = _pow(delta, p - 1) * lam * sum_fp

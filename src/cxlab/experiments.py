@@ -2,22 +2,32 @@
 
 Each verify suite draws instances from the generators in randgen, runs one
 lemma verifier per trial, and returns the reports; a suite "passes" when
-every non-degenerate report holds.  Counterexample and capacity experiments
-are wrapped with the expected-outcome flag used for exit-status semantics.
+every non-degenerate report holds.
+
+EXPERIMENTS is the one registry behind the verify, cex and capacity
+commands, report d2 and `cxlab run`.  It maps each experiment name to a
+runner whose keyword parameters and defaults are the experiment's, and
+which returns the payload the command prints, a CSV row and whether the
+outcome matched the theory.  Every expected-outcome rule lives in a runner
+here.
 """
 
 from __future__ import annotations
 
+import functools
+import inspect
+import math
 import random
 import time
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
-from .trees import EXACT, SparseFn, TreeDomain
+from .trees import EXACT, ResourceError, Scalar, SparseFn, TreeDomain
 from .structure import ExponentPair, special_form_g
 from .lemmas import (
     LemmaReport,
     build_phi,
+    scalar_repr,
     verify_I2_positive,
     verify_gest,
     verify_inter,
@@ -135,93 +145,147 @@ def suite_failures(reports: list[LemmaReport]) -> list[LemmaReport]:
 
 @dataclass
 class CellResult:
-    """One experiment-grid cell: parameters, the emitted payload, a flat CSV
-    row, and whether the outcome matched the expectation."""
+    """One experiment cell: the payload its single command prints, a flat
+    CSV row of the verdict, and whether the outcome matched the expectation."""
 
-    params: dict
     payload: dict
     row: dict
     expected_ok: bool
     runtime_ms: float = 0.0
 
 
-def _report_row(params: dict, report: LemmaReport) -> dict:
-    from .lemmas import scalar_repr
-    row = {k: scalar_repr(v) for k, v in params.items()}
-    row.update(lhs=scalar_repr(report.lhs), rhs=scalar_repr(report.rhs),
-               ratio=scalar_repr(report.ratio), holds=report.holds)
-    return row
+def _exponent(p: float) -> Scalar:
+    """p, as an int when integral so that the construction stays exact."""
+    if not math.isfinite(p):
+        raise ValueError(f"p must be finite, got {p}")
+    return int(p) if p.is_integer() else p
 
 
-def run_cell(experiment: str, params: dict, mode: str, seed: int,
-             tol: Optional[float] = None) -> CellResult:
-    """Execute one grid cell of a named experiment."""
+def _row(report: LemmaReport) -> dict:
+    return {"lhs": scalar_repr(report.lhs), "rhs": scalar_repr(report.rhs),
+            "ratio": scalar_repr(report.ratio), "holds": report.holds}
+
+
+def _report_cell(report: LemmaReport, expected_ok: bool = True) -> CellResult:
+    return CellResult(report.to_dict(), _row(report), expected_ok)
+
+
+def _verify(suite: str, trials: int = 100, depth: int = 8, seed: int = 0,
+            mode: str = EXACT) -> CellResult:
+    reports = run_verify_suite(suite, trials=trials, depth=depth, seed=seed, mode=mode)
+    failures = suite_failures(reports)
+    payload = {
+        "suite": suite, "trials": len(reports), "failures": len(failures),
+        "params": {"depth": depth, "seed": seed, "mode": mode},
+        "reports": [r.to_dict() for r in (failures or reports[:1])],
+    }
+    return CellResult(payload, _row((failures or reports)[0]), not failures)
+
+
+def _cex_p_less_2(k: int = 4, p: float = 2.0, seed: int = 0) -> CellResult:
+    _, report = cex.gen_cex_p_less_2(k, _exponent(p), seed=seed)
+    return _report_cell(report, float(report.lhs) >= float(report.extra["lower_bound"]))
+
+
+def _cex_increasing(N: int = 10, p: float = 2.0, seed: int = 0) -> CellResult:
+    return _report_cell(cex.gen_cex_increasing(N, _exponent(p), seed=seed)[1])
+
+
+def _cex_direct(N: int = 10, p: float = 2.0, seed: int = 0) -> CellResult:
+    return _report_cell(cex.gen_cex_direct(N, _exponent(p), seed=seed)[1])
+
+
+def _cex_new23(N: int = 10, p: float = 2.0, seed: int = 0) -> CellResult:
+    audits = cex.gen_cex_new23(N, _exponent(p), seed=seed)
+    first = audits["halving"]
+    row = {"lhs": float(first.total_ifp_g), "rhs": float(first.lemma_rhs),
+           "ratio": float(first.total_ifp_g) / float(first.lemma_rhs),
+           "holds": first.lemma_holds}
+    return CellResult({name: audit.to_dict() for name, audit in audits.items()}, row,
+                      all(audit.boundary_argmax_ok for audit in audits.values()))
+
+
+def _search_new23(p: float = 2.0, depth: int = 10, budget: int = 1000,
+                  seed: int = 0) -> CellResult:
+    p = _exponent(p)
+    report = cex.search_new23(p, depth, budget, seed)
+    # no violation exists for p <= 2
+    return _report_cell(report, p > 2 or report.ratio is None
+                        or float(report.ratio) <= 1 + 1e-9)
+
+
+def _capacity(n: int = 16, tol: float = 1e-10, max_iters: int = 200000,
+              no_symmetry: bool = False, oracle: bool = False) -> CellResult:
+    if oracle and n.bit_length() > 12:  # the j = 1 subfamily has s + 1 members
+        raise ResourceError("oracle comparison limited to families of 12")
+    inst = cap.build_instance(n)
+    eq = cap.capacity_qp_instance(inst, tol=tol, max_iters=max_iters,
+                                  use_symmetry=not no_symmetry)
+    payload = {
+        "n": n,
+        "lemma_g": cap.check_lemma_g(inst),
+        "converged": eq.converged,
+        "kkt_max_violation": eq.kkt_max_violation,
+        "iterations": eq.iterations,
+        "cap": eq.cap,
+        "rho": list(eq.rho),
+    }
+    ok = eq.converged
+    if eq.converged:
+        payload["d2"] = cap.report_d2(inst, eq)
+    if oracle:
+        family = inst.family[: inst.s + 1]
+        exact = cap.capacity_bruteforce(family)
+        approx = cap.capacity_qp(family, tol=tol, max_iters=max_iters)
+        rel = abs(approx.cap - float(exact)) / float(exact)
+        payload["oracle"] = {"bruteforce": exact, "qp": approx.cap, "rel_error": rel}
+        ok = ok and rel <= 1e-6
+    ratio = float(inst.delta / inst.lam)
+    row = {"lhs": eq.cap, "rhs": ratio, "ratio": eq.cap / ratio, "holds": eq.converged}
+    return CellResult(payload, row, ok)
+
+
+# An experiment's parameters and their defaults are its runner's keyword parameters.
+EXPERIMENTS: dict[str, Callable[..., CellResult]] = {
+    **{f"verify-{suite}": functools.partial(_verify, suite) for suite in VERIFY_NAMES},
+    "cex-p-less-2": _cex_p_less_2,
+    "cex-increasing": _cex_increasing,
+    "cex-direct": _cex_direct,
+    "cex-new23": _cex_new23,
+    "search-new23": _search_new23,
+    "capacity": _capacity,
+}
+_DEFAULTS = {name: {k: v.default for k, v in inspect.signature(run).parameters.items()}
+             for name, run in EXPERIMENTS.items()}
+
+
+def cell_params(experiment: str, params: dict) -> dict:
+    """The runner's defaults overridden by params, each value cast to the
+    type of its default; ValueError for an unknown experiment, an unknown
+    parameter or a value that does not cast (a fractional int included)."""
+    if experiment not in EXPERIMENTS:
+        raise ValueError(f"unknown experiment {experiment!r} (one of {', '.join(EXPERIMENTS)})")
+    out = dict(_DEFAULTS[experiment])
+    unknown = sorted(set(params) - set(out))
+    if unknown:
+        raise ValueError(f"{experiment} has no parameter {', '.join(unknown)} "
+                         f"(its parameters: {', '.join(out)})")
+    for k, v in params.items():
+        try:
+            if type(out[k]) is int and isinstance(v, float) and not v.is_integer():
+                raise ValueError  # int() would truncate it
+            out[k] = type(out[k])(v)
+        except (TypeError, ValueError, OverflowError):
+            raise ValueError(f"{experiment}: {k} must be {type(out[k]).__name__}, "
+                             f"got {v!r}") from None
+    return out
+
+
+def run_cell(experiment: str, params: dict) -> CellResult:
+    """Run one cell of a registered experiment; parameters not given take
+    the runner's defaults."""
+    full = cell_params(experiment, params)
     t0 = time.perf_counter()
-    if experiment.startswith("verify-"):
-        name = experiment[len("verify-"):]
-        reports = run_verify_suite(
-            name, trials=int(params.get("trials", 100)),
-            depth=int(params.get("depth", 8)), seed=seed, mode=mode)
-        failures = suite_failures(reports)
-        worst = failures[0] if failures else reports[0]
-        payload = {"trials": len(reports), "failures": len(failures),
-                   "sample": worst.to_dict()}
-        result = CellResult(params, payload, _report_row(params, worst),
-                            expected_ok=not failures)
-    elif experiment == "cex-p-less-2":
-        k, p = int(params["k"]), params["p"]
-        _, report = cex.gen_cex_p_less_2(k, p, seed=seed)
-        bound_ok = float(report.lhs) >= float(report.extra["lower_bound"])
-        payload = report.to_dict()
-        result = CellResult(params, payload, _report_row(params, report), bound_ok)
-    elif experiment == "cex-increasing":
-        _, report = cex.gen_cex_increasing(int(params["N"]), params.get("p", 2), seed=seed)
-        result = CellResult(params, report.to_dict(), _report_row(params, report), True)
-    elif experiment == "cex-direct":
-        _, report = cex.gen_cex_direct(int(params["N"]), params.get("p", 2), seed=seed)
-        result = CellResult(params, report.to_dict(), _report_row(params, report), True)
-    elif experiment == "cex-new23":
-        audits = cex.gen_cex_new23(int(params["N"]), params["p"], seed=seed)
-        payload = {name: audit.to_dict() for name, audit in audits.items()}
-        first = audits["halving"]
-        row = {**{k: str(v) for k, v in params.items()},
-               "lhs": float(first.total_ifp_g), "rhs": float(first.lemma_rhs),
-               "ratio": float(first.total_ifp_g) / float(first.lemma_rhs),
-               "holds": first.lemma_holds}
-        ok = all(a.boundary_argmax_ok for a in audits.values())
-        result = CellResult(params, payload, row, ok)
-    elif experiment == "search-new23":
-        p = params["p"]
-        report = cex.search_new23(
-            p, int(params.get("depth", 10)), int(params.get("budget", 1000)), seed)
-        ok = True
-        if float(p) <= 2 and report.ratio is not None:
-            ok = float(report.ratio) <= 1 + 1e-9
-        result = CellResult(params, report.to_dict(), _report_row(params, report), ok)
-    elif experiment == "capacity":
-        n = int(params["n"])
-        inst = cap.build_instance(n)
-        eq = cap.capacity_qp_instance(inst, tol=tol or 1e-10,
-                                      max_iters=int(params.get("max_iters", 200000)))
-        lemma = cap.check_lemma_g(inst)
-        payload = {
-            "lemma_g": {k: _scalar(v) for k, v in lemma.items()},
-            "d2": {k: _scalar(v) for k, v in cap.report_d2(inst, eq).items()}
-            if eq.converged else None,
-            "converged": eq.converged,
-            "kkt_max_violation": eq.kkt_max_violation,
-        }
-        row = {"n": n, "lhs": eq.cap, "rhs": float(inst.delta / inst.lam),
-               "ratio": eq.cap / float(inst.delta / inst.lam), "holds": eq.converged}
-        result = CellResult(params, payload, row, eq.converged)
-    else:
-        raise ValueError(f"unknown experiment {experiment!r}")
+    result = EXPERIMENTS[experiment](**full)
     result.runtime_ms = (time.perf_counter() - t0) * 1000.0
     return result
-
-
-def _scalar(v):
-    from .lemmas import scalar_repr
-    if isinstance(v, (list, tuple)):
-        return [scalar_repr(x) for x in v]
-    return scalar_repr(v)

@@ -10,7 +10,6 @@ with coordinate depths in the hundreds stay cheap.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .trees import (
@@ -21,6 +20,7 @@ from .trees import (
     Scalar,
     SparseFn,
     lcp_len,
+    _zero,
 )
 
 
@@ -64,7 +64,7 @@ def _check_same_domain(f: SparseFn, a: Node) -> None:
 def eval_hardy_up(f: SparseFn, a: Node) -> Scalar:
     """If(a): the sum of f over all ancestors of a, inclusive."""
     _check_same_domain(f, a)
-    acc = Fraction(0) if f.mode == "exact" else 0.0
+    acc = _zero(f.mode)
     for node, v in f.items():
         if _is_ancestor(node, a):
             acc += v
@@ -78,7 +78,7 @@ def eval_hardy_down(g: SparseFn, a: Node) -> Scalar:
     materialization.
     """
     _check_same_domain(g, a)
-    acc = Fraction(0) if g.mode == "exact" else 0.0
+    acc = _zero(g.mode)
     for node, v in g.items():
         if _is_ancestor(a, node):
             acc += v
@@ -93,7 +93,7 @@ def hardy_up_table(f: SparseFn, nodes: Iterable[NodeAddress]) -> dict[NodeAddres
     """
     if f.kind != "tree":
         raise DomainError("hardy_up_table expects a tree function")
-    zero = Fraction(0) if f.mode == "exact" else 0.0
+    zero = _zero(f.mode)
     values = {n.path: v for n, v in f.items()}
     memo: dict[str, Scalar] = {}
 

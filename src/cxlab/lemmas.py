@@ -9,7 +9,6 @@ makes reports canonical and comparable across instance sizes.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
@@ -25,10 +24,11 @@ from .trees import (
     TreeDomain,
     format_node,
     _as_int,
+    _pow,
+    _zero,
 )
 from .hardy import (
     ancestor_closure,
-    eval_hardy_down,
     eval_hardy_up,
     hardy_up_table,
 )
@@ -91,18 +91,6 @@ def scalar_repr(v):
     if isinstance(v, (list, tuple)):
         return [scalar_repr(x) for x in v]
     return v
-
-
-def _zero(mode: str) -> Scalar:
-    return Fraction(0) if mode == EXACT else 0.0
-
-
-def _pow(v: Scalar, e: Scalar) -> Scalar:
-    """v**e, exact when the exponent is integral and v is exact."""
-    ei = _as_int(e)
-    if ei is not None and not isinstance(v, float):
-        return v ** ei
-    return float(v) ** float(e)
 
 
 def max_hardy_up_on(f: SparseFn, nodes) -> Scalar:

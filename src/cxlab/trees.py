@@ -272,10 +272,10 @@ class SparseFn:
 
     def __call__(self, node: Node) -> Scalar:
         self._check_node(node)
-        return self._values.get(node, Fraction(0) if self.mode == EXACT else 0.0)
+        return self._values.get(node, _zero(self.mode))
 
     def get(self, node: Node) -> Scalar:
-        return self._values.get(node, Fraction(0) if self.mode == EXACT else 0.0)
+        return self._values.get(node, _zero(self.mode))
 
     def support(self) -> list[Node]:
         return list(self._values)
@@ -290,8 +290,7 @@ class SparseFn:
         return bool(self._values)
 
     def total(self) -> Scalar:
-        return sum(self._values.values(),
-                   Fraction(0) if self.mode == EXACT else 0.0)
+        return sum(self._values.values(), _zero(self.mode))
 
     def scale(self, t: Scalar) -> "SparseFn":
         t = _coerce(t, self.mode)
@@ -337,3 +336,18 @@ def _as_int(e: Scalar) -> int | None:
     if isinstance(e, float) and e.is_integer():
         return int(e)
     return None
+
+
+_FRACTION_ZERO = Fraction(0)  # immutable, so one instance serves every caller
+
+
+def _zero(mode: str) -> Scalar:
+    return _FRACTION_ZERO if mode == EXACT else 0.0
+
+
+def _pow(v: Scalar, e: Scalar) -> Scalar:
+    """v**e, exact when the exponent is integral and v is exact."""
+    ei = _as_int(e)
+    if ei is not None and not isinstance(v, float):
+        return v ** ei
+    return float(v) ** float(e)

@@ -64,6 +64,16 @@ class TestCex:
         code = main(["cex", "p-less-2", "--k", "4", "--p", "3"])
         assert code == 2
 
+    @pytest.mark.parametrize("which", ["increasing", "direct"])
+    def test_negative_p_is_usage_error(self, capsys, which):
+        assert main(["cex", which, "--N", "5", "--p", "-1"]) == 2
+        assert "p must be at least 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("p", ["inf", "1e400", "nan"])
+    def test_non_finite_p_is_usage_error(self, capsys, p):
+        assert main(["cex", "direct", "--N", "5", "--p", p]) == 2
+        assert "p must be finite" in capsys.readouterr().err
+
 
 class TestCapacity:
     def test_n16_with_oracle(self, capsys):
@@ -104,6 +114,14 @@ class TestCapacity:
         payload = json.loads(out)
         assert payload["table"][0]["n"] == 16
         assert csv_path.exists()
+
+    def test_report_d2_not_converged(self, capsys):
+        code, out = run_cli(capsys, "report", "d2", "--n", "256", "--tol", "0",
+                            "--max-iters", "10")
+        assert code == 1
+        row, = json.loads(out)["table"]
+        assert set(row) == {"n", "converged", "kkt_max_violation"}
+        assert row["n"] == 256 and row["converged"] is False
 
 
 class TestRun:
@@ -154,6 +172,60 @@ class TestRun:
                                    "out": str(tmp_path / "reports")}))
         assert main(["run", str(cfg)]) == 2
         assert "trials must be at least 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("config", [
+        {"experiment": "cex-direct", "grid": {"N": 5}},
+        {"experiment": "cex-direct", "grid": {"N": []}},
+        {"experiment": "cex-direct", "grid": {"n": [5]}},
+        {"experiment": "capacity", "grid": {"n": [4], "bogus": [1]}},
+        {"experiment": "cex-direct", "grid": {"N": [5, "five"]}},
+        {"experiment": "cex-direct", "grid": {"N": [5, 5.7]}},
+        {"experiment": "nope", "grid": {"N": [5]}},
+    ])
+    def test_bad_grid_rejected_before_any_cell(self, capsys, tmp_path, config):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps({**config, "out": str(tmp_path / "reports")}))
+        assert main(["run", str(cfg)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "reports").exists()
+
+    @pytest.mark.parametrize("experiment, grid, config, argv", [
+        ("verify-inter", {"trials": [5], "depth": [4]}, {"seed": 3},
+         "verify inter --trials 5 --depth 4 --seed 3"),
+        ("cex-increasing", {"N": [20], "p": [2.0]}, {}, "cex increasing --N 20 --p 2"),
+        ("cex-direct", {"p": [3]}, {}, "cex direct --p 3"),
+        ("search-new23", {"p": [1.5], "depth": [6], "budget": [50]}, {"seed": 1},
+         "cex search-new23 --p 1.5 --depth 6 --budget 50 --seed 1"),
+        ("capacity", {"n": [16], "oracle": [True]}, {"tol": None},
+         "capacity --n 16 --oracle"),
+    ])
+    def test_cell_result_is_command_output(self, capsys, tmp_path, experiment, grid,
+                                           config, argv):
+        code, out = run_cli(capsys, *argv.split())
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"experiment": experiment, "grid": grid, **config,
+                                   "out": str(tmp_path / "r")}))
+        assert main(["run", str(cfg)]) == code
+        cell, = (tmp_path / "r").glob("*.json")
+        assert json.loads(cell.read_text())["result"] == json.loads(out)
+        capsys.readouterr()
+
+    def test_tol_zero_is_honoured(self, capsys, tmp_path):
+        cfg = tmp_path / "tol.json"
+        results = []
+        for tol in (None, 0):
+            cfg.write_text(json.dumps({"experiment": "capacity", "tol": tol,
+                                       "grid": {"n": [256], "max_iters": [60]},
+                                       "out": str(tmp_path / f"r{tol}")}))
+            code = main(["run", str(cfg)])
+            cell, = (tmp_path / f"r{tol}").glob("*.json")
+            results.append((code, json.loads(cell.read_text())["result"]))
+        capsys.readouterr()
+        (code_default, default), (code_zero, zero) = results
+        assert code_default == 0 and default["iterations"] == 50 and "d2" in default
+        # the float residual at n = 256 stays above zero: the solve runs to max_iters
+        assert code_zero == 1 and zero["iterations"] == 60
+        assert not zero["converged"] and "d2" not in zero
 
     def test_missing_grid_is_usage_error(self, capsys, tmp_path):
         cfg = tmp_path / "bad.json"

@@ -119,6 +119,12 @@ class TestCexDirect:
         table = hardy_up_table(g, f.support())
         assert max(table.values()) == 2 - Fraction(1, 2 ** (N - 1))
 
+    @pytest.mark.parametrize("gen", [gen_cex_direct, gen_cex_increasing])
+    @pytest.mark.parametrize("p", [-1, 0, 0.5])
+    def test_p_below_one_rejected(self, gen, p):
+        with pytest.raises(ValueError, match="p must be at least 1"):
+            gen(5, p)
+
 
 class TestCexPLess2:
     def test_support_layout(self):
