@@ -24,12 +24,18 @@ from cxlab.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
 
-# the README examples (phi cut to 50 trials, the search to a budget of 1000)
-# and the larger instances the benchmark runs
+# the README examples (phi cut to 50 trials, the search to a budget of 1000),
+# the other verify suites and the larger instances the benchmark runs
 COMMANDS = {
     "verify-phi": "verify phi --trials 50 --depth 8 --seed 7",
     "verify-new23": "verify new23 --trials 200 --mode exact",
     "verify-inter-float": "verify inter --mode float",
+    "verify-l1linf": "verify l1linf --mode exact",
+    "verify-i2pos": "verify i2pos --mode exact",
+    "verify-i2pos-float": "verify i2pos --mode float",
+    "verify-linf": "verify linf --mode exact",
+    "verify-linf-float": "verify linf --mode float",
+    "verify-gest": "verify gest --mode exact",
     "cex-increasing": "cex increasing --N 20 --p 2",
     "cex-direct": "cex direct --N 40 --p 2",
     "cex-p-less-2": "cex p-less-2 --k 5 --p 1.5",
