@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import itertools
 import json
 import sys
@@ -139,6 +140,7 @@ def _cmd_run(args) -> int:
     return EXIT_OK if all_ok else EXIT_UNEXPECTED
 
 
+@functools.cache  # built once per process; parse_args keeps no state between calls
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cxlab",

@@ -12,7 +12,6 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb
 from typing import Optional
 
 from .trees import (
@@ -26,7 +25,7 @@ from .trees import (
     _as_int,
     _pow,
 )
-from .hardy import hardy_up_table
+from .hardy import _down_paths, _up_paths, hardy_up_table
 from .lemmas import LemmaReport, verify_new23
 
 _MAX_CEX_K = 8          # support of the p<2 instance grows like 2^(2k)
@@ -145,16 +144,6 @@ def sum_gp_levels(N: int, p: Scalar) -> Scalar:
     for _ in range(N):
         total += level
         level *= r
-    return total
-
-
-def sum_gp_binomial(N: int, p: Scalar) -> Scalar:
-    """Independent form of the same sum: level i contributes
-    sum_j C(i,j) 2^(-jp) over the number j of zero bits."""
-    total = Fraction(0) if _as_int(p) is not None else 0.0
-    for i in range(N):
-        for j in range(i + 1):
-            total += comb(i, j) * _pow(_half_pow(j), p)
     return total
 
 
@@ -400,10 +389,6 @@ def gen_cex_new23(N: int, p: Scalar, seed: Optional[int] = None) -> dict[str, Va
 # Randomized search for power-sum lemma violations.
 # ---------------------------------------------------------------------------
 
-def _prefixes(path: str) -> list[str]:
-    return [path[:i] for i in range(len(path) + 1)]
-
-
 def _random_increasing_paths(rng: random.Random, depth: int, cap: int) -> dict[str, float]:
     out: dict[str, float] = {}
     frontier = [("", rng.uniform(0.5, 1.0))]
@@ -433,25 +418,13 @@ def _random_f_paths(rng: random.Random, depth: int, g_paths: list[str]) -> dict[
 
 def _fast_new23_ratio(gv: dict[str, float], fv: dict[str, float], p: float):
     """(lhs, rhs) of the power-sum inequality on plain path dicts."""
-    if_memo: dict[str, float] = {"": fv.get("", 0.0)}
-    for path in sorted(gv, key=len):
-        if path in if_memo:
-            continue
-        for q in _prefixes(path):
-            if q not in if_memo:
-                if_memo[q] = if_memo[q[:-1]] + fv.get(q, 0.0)
-    lhs = sum(if_memo[path] ** p * val for path, val in gv.items())
-
+    i_f = _up_paths(fv, gv, 0.0)
+    lhs = sum(i_f[path] ** p * val for path, val in gv.items())
     inter = gv.keys() & fv.keys()
     if not inter:
         return lhs, 0.0
-    need = {q for b in inter for q in _prefixes(b)}
-    istar = dict.fromkeys(need, 0.0)
-    for path, val in gv.items():
-        for q in _prefixes(path):
-            if q in istar:
-                istar[q] += val
-    sup = max(sum(istar[q] for q in _prefixes(b)) for b in inter)
+    iistar = _up_paths(_down_paths(gv, 0.0), inter, 0.0)
+    sup = max(iistar[b] for b in inter)
     rhs = sup * sum(v ** p for v in fv.values())
     return lhs, rhs
 

@@ -75,9 +75,7 @@ def _trial_phi(rng, d, mode, seed) -> LemmaReport:
         v = randgen.dyadic(rng)
         if v > 0:
             entries[n] = v
-    f = SparseFn.tree(entries, EXACT)
-    if mode != EXACT:
-        f = f.to_float()
+    f = SparseFn.tree(entries, mode)
     _, report = build_phi(w, g, f, lam, delta, d, seed=seed)
     return report
 

@@ -1,10 +1,15 @@
 """Hardy operators on trees and bi-trees.
 
 I sums up the graph (over ancestors, inclusive of the evaluation node),
-its adjoint I* sums down the graph (over descendants, inclusive).  For atomic
-measures the potential II* is evaluated through the common-ancestor kernel
-(lcp_x + 1)(lcp_y + 1), never by materializing ancestor sets, so instances
-with coordinate depths in the hundreds stay cheap.
+its adjoint I* sums down the graph (over descendants, inclusive).  This
+module is the only place that evaluates If, I*g and II*g = I(I*g).  On the
+tree two sweeps over path-keyed dicts do it: _up_paths gives If at every
+prefix of the requested paths (root first), _down_paths gives I*g at every
+prefix of supp g (in support order), and II*g is the one fed into the
+other.  On the bi-tree, II* of an atomic measure is evaluated through the
+common-ancestor kernel (lcp_x + 1)(lcp_y + 1), never by materializing
+ancestor sets, so instances with coordinate depths in the hundreds stay
+cheap.  eval_hardy_up and eval_hardy_down are the support-scan references.
 """
 
 from __future__ import annotations
@@ -85,39 +90,64 @@ def eval_hardy_down(g: SparseFn, a: Node) -> Scalar:
     return acc
 
 
-def hardy_up_table(f: SparseFn, nodes: Iterable[NodeAddress]) -> dict[NodeAddress, Scalar]:
-    """If at every requested tree node, via memoized parent recursion.
+def _up_paths(values: dict[str, Scalar], paths: Iterable[str],
+              zero: Scalar) -> dict[str, Scalar]:
+    """I of a path-keyed function at every prefix of the given paths.
 
-    Cost is proportional to the number of distinct prefixes of the requested
-    paths, so ancestor-closed supports (the common case here) are linear.
+    Each path walks up to its deepest prefix already known, then down again,
+    adding a value only where the function is supported; every sum runs
+    root first.  Cost is proportional to the number of distinct prefixes, so
+    ancestor-closed node sets (the common case here) are linear.
     """
+    memo = {"": values.get("", zero)}
+    for path in paths:
+        i = len(path)
+        while path[:i] not in memo:
+            i -= 1
+        acc = memo[path[:i]]
+        for j in range(i + 1, len(path) + 1):
+            q = path[:j]
+            v = values.get(q)
+            if v is not None:
+                acc = acc + v
+            memo[q] = acc
+    return memo
+
+
+def _down_paths(values: dict[str, Scalar], zero: Scalar) -> dict[str, Scalar]:
+    """I* of a path-keyed function at every prefix of its support, each sum
+    taken in support order."""
+    out: dict[str, Scalar] = {}
+    for path, v in values.items():
+        for i in range(len(path) + 1):
+            q = path[:i]
+            out[q] = out.get(q, zero) + v
+    return out
+
+
+def hardy_up_table(f: SparseFn, nodes: Iterable[NodeAddress]) -> dict[NodeAddress, Scalar]:
+    """If at every requested tree node, in one sweep over their paths."""
     if f.kind != "tree":
         raise DomainError("hardy_up_table expects a tree function")
-    zero = _zero(f.mode)
-    values = {n.path: v for n, v in f.items()}
-    memo: dict[str, Scalar] = {}
+    nodes = list(nodes)
+    up = _up_paths({n.path: v for n, v in f.items()}, (n.path for n in nodes), _zero(f.mode))
+    return {n: up[n.path] for n in nodes}
 
-    def up(path: str) -> Scalar:
-        got = memo.get(path)
-        if got is not None:
-            return got
-        # iterative ancestor walk: find the deepest memoized prefix
-        stack = []
-        p = path
-        while p not in memo:
-            stack.append(p)
-            if not p:
-                memo[""] = values.get("", zero)
-                break
-            p = p[:-1]
-        while stack:
-            q = stack.pop()
-            if q in memo:
-                continue
-            memo[q] = memo[q[:-1]] + values.get(q, zero)
-        return memo[path]
 
-    return {n: up(n.path) for n in nodes}
+def _iistar_at(g: SparseFn, nodes: Iterable[Node]) -> dict[Node, Scalar]:
+    """II*g = I(I*g) at every given node of g's domain.
+
+    On the tree, the I sweep over the I* sweep; on the bi-tree, the
+    potential of g's atoms through the common-ancestor kernel.
+    """
+    nodes = list(nodes)
+    if g.kind == "tree":
+        zero = _zero(g.mode)
+        down = _down_paths({n.path: v for n, v in g.items()}, zero)
+        up = _up_paths(down, (n.path for n in nodes), zero)
+        return {n: up[n.path] for n in nodes}
+    m = PointMeasure.of(g.items())
+    return {n: potential(m, n) for n in nodes}
 
 
 def potential(m: PointMeasure, a: BiNode) -> Scalar:
@@ -149,14 +179,6 @@ def energy(m: PointMeasure) -> Scalar:
 def kernel(a: BiNode, b: BiNode) -> int:
     """Number of common ancestors of two bi-tree nodes (rectangle count)."""
     return (lcp_len(a.x.path, b.x.path) + 1) * (lcp_len(a.y.path, b.y.path) + 1)
-
-
-def atoms_fn(m: PointMeasure, mode: str = "exact") -> SparseFn:
-    """The measure as a bi-tree SparseFn of atom masses."""
-    out: dict[BiNode, Scalar] = {}
-    for node, mass in m.atoms:
-        out[node] = out.get(node, 0) + mass
-    return SparseFn.bitree(out, mode)
 
 
 def rectangle_mass_fn(m: PointMeasure, mode: str = "exact") -> SparseFn:

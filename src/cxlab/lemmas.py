@@ -28,6 +28,7 @@ from .trees import (
     _zero,
 )
 from .hardy import (
+    _iistar_at,
     ancestor_closure,
     eval_hardy_up,
     hardy_up_table,
@@ -93,6 +94,14 @@ def scalar_repr(v):
     return v
 
 
+def _holds(lhs: Scalar, rhs: Scalar) -> bool:
+    """lhs <= rhs, exactly unless a side is a float; then with a relative
+    tolerance of 1e-12."""
+    if isinstance(lhs, float) or isinstance(rhs, float):
+        return float(lhs) <= float(rhs) * (1 + 1e-12)
+    return lhs <= rhs
+
+
 def max_hardy_up_on(f: SparseFn, nodes) -> Scalar:
     """max of If over the given tree nodes (0 for an empty collection)."""
     nodes = list(nodes)
@@ -111,36 +120,14 @@ def max_hardy_up_tree(f: SparseFn) -> Scalar:
     return max_hardy_up_on(f, list(f.support()) + [NodeAddress("")])
 
 
-def _iistar_cache(g: SparseFn):
-    """Memoized II*g on tree nodes: sum of I*g over the ancestors."""
-    istar: dict[str, Scalar] = {}
-    supp = list(g.items())
-
-    def istar_at(path: str) -> Scalar:
-        got = istar.get(path)
-        if got is None:
-            got = sum((v for n, v in supp if n.path.startswith(path)), _zero(g.mode))
-            istar[path] = got
-        return got
-
-    def iistar(node: NodeAddress) -> Scalar:
-        p = node.path
-        return sum((istar_at(p[:i]) for i in range(len(p) + 1)), _zero(g.mode))
-
-    return iistar
-
-
-def _iistar_bitree(g: SparseFn, node) -> Scalar:
-    """II*g at a bi-tree node by scanning support per containing rectangle."""
-    acc = _zero(g.mode)
-    for xp_len in range(node.x.depth + 1):
-        for yp_len in range(node.y.depth + 1):
-            xp = node.x.path[:xp_len]
-            yp = node.y.path[:yp_len]
-            for n, v in g.items():
-                if n.x.path.startswith(xp) and n.y.path.startswith(yp):
-                    acc += v
-    return acc
+def _sup_iistar(g: SparseFn, nodes) -> tuple[Scalar, Optional[Node]]:
+    """max of II*g over the given nodes and the first node attaining it;
+    (0, None) for an empty collection."""
+    best, arg = _zero(g.mode), None
+    for x, v in _iistar_at(g, nodes).items():
+        if v > best:
+            best, arg = v, x
+    return best, arg
 
 
 def sup_iistar_refined(g: SparseFn, f: SparseFn) -> tuple[Scalar, Optional[Node]]:
@@ -150,50 +137,28 @@ def sup_iistar_refined(g: SparseFn, f: SparseFn) -> tuple[Scalar, Optional[Node]
     same value of I(I*g 1_{supp f}), which the proof bounds by II*g there;
     support points of g with no f-supported ancestor contribute zero.
     """
-    if g.kind == "tree":
-        f_paths = {n.path for n in f.support()}
-        iistar = _iistar_cache(g)
-        best, arg = _zero(g.mode), None
-        for x in g.support():
-            p = x.path
-            anc = None
-            for i in range(len(p), -1, -1):
-                if p[:i] in f_paths:
-                    anc = NodeAddress(p[:i])
-                    break
-            if anc is None:
-                continue
-            v = iistar(anc)
-            if v > best:
-                best, arg = v, anc
-        return best, arg
-    # bi-tree: no maximum principle, use the plain support sup of II*g
-    best, arg = _zero(g.mode), None
+    if g.kind != "tree":
+        # bi-tree: no maximum principle, use the plain support sup of II*g
+        return _sup_iistar(g, g.support())
+    f_paths = {n.path for n in f.support()}
+    ancestors = []
     for x in g.support():
-        v = _iistar_bitree(g, x)
-        if v > best:
-            best, arg = v, x
-    return best, arg
+        p = x.path
+        for i in range(len(p), -1, -1):
+            if p[:i] in f_paths:
+                ancestors.append(NodeAddress(p[:i]))
+                break
+    return _sup_iistar(g, ancestors)
 
 
 def sup_iistar_intersection(g: SparseFn, f: SparseFn) -> tuple[Scalar, Optional[Node]]:
     """sup of II*g over supp g intersected with supp f (tree only)."""
-    inter = set(g.support()) & set(f.support())
-    iistar = _iistar_cache(g)
-    best, arg = _zero(g.mode), None
-    for x in inter:
-        v = iistar(x)
-        if v > best:
-            best, arg = v, x
-    return best, arg
+    return _sup_iistar(g, set(g.support()) & set(f.support()))
 
 
 def sup_iistar_support(g: SparseFn) -> Scalar:
     """The coarser sup of II*g over supp g, reported for comparison."""
-    if g.kind == "tree":
-        iistar = _iistar_cache(g)
-        return max((iistar(x) for x in g.support()), default=_zero(g.mode))
-    return max((_iistar_bitree(g, x) for x in g.support()), default=_zero(g.mode))
+    return _sup_iistar(g, g.support())[0]
 
 
 def verify_supadditive_l1linf(
@@ -381,14 +346,10 @@ def verify_new23(
     sup, arg = sup_iistar_intersection(g, f)
     sum_fp = sum((_pow(v, p) for _, v in f.items()), _zero(f.mode))
     rhs = sup * sum_fp
-    if isinstance(lhs, float) or isinstance(rhs, float):
-        holds = float(lhs) <= float(rhs) * (1 + 1e-12)
-    else:
-        holds = lhs <= rhs
     return LemmaReport(
         name="new23",
         params={"p": p, "sup_iistar": sup},
-        lhs=lhs, rhs=rhs, holds=holds,
+        lhs=lhs, rhs=rhs, holds=_holds(lhs, rhs),
         witness=arg, mode=g.mode if _as_int(p) is not None else FLOAT, seed=seed,
         extra={
             "coarse_sup": sup_iistar_support(g),
@@ -409,10 +370,7 @@ def verify_gest(
     lam = max_hardy_up_on(g, g.support())
     lhs = sum((_pow(v, p) for n, v in g.items() if gamma.contains(n)), _zero(g.mode))
     rhs = lam * _pow(g.get(gamma), p - 1)
-    if isinstance(lhs, float) or isinstance(rhs, float):
-        holds = float(lhs) <= float(rhs) * (1 + 1e-12)
-    else:
-        holds = lhs <= rhs
+    holds = _holds(lhs, rhs)
     return LemmaReport(
         name="gest",
         params={"p": p, "lambda": lam, "gamma": format_node(gamma)},

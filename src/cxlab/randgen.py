@@ -38,8 +38,7 @@ def random_superadditive(
             for bit, v in (("0", left), ("1", right)):
                 if v > 0:
                     frontier.append((path + bit, v))
-    fn = SparseFn.tree(entries, mode)
-    return fn if mode == EXACT else fn.to_float()
+    return SparseFn.tree(entries, mode)
 
 
 def random_increasing(
@@ -56,8 +55,7 @@ def random_increasing(
                 v = value * dyadic(rng)
                 if v > 0 and rng.random() < 0.8:
                     frontier.append((path + bit, v))
-    fn = SparseFn.tree(entries, mode)
-    return fn if mode == EXACT else fn.to_float()
+    return SparseFn.tree(entries, mode)
 
 
 def random_sparse(
@@ -68,15 +66,13 @@ def random_sparse(
         v = dyadic(rng)
         if v > 0:
             entries[NodeAddress(random_path(rng, d.max_depth))] = v
-    fn = SparseFn.tree(entries, mode)
-    return fn if mode == EXACT else fn.to_float()
+    return SparseFn.tree(entries, mode)
 
 
 def random_weight(rng: random.Random, nodes, mode: str = EXACT) -> SparseFn:
     """A weight in {1/4 .. 4} on the given nodes (dyadic steps)."""
     entries = {n: Fraction(rng.randint(1, 16), 4) for n in nodes}
-    fn = SparseFn.tree(entries, mode)
-    return fn if mode == EXACT else fn.to_float()
+    return SparseFn.tree(entries, mode)
 
 
 def random_point_measure(
@@ -101,30 +97,3 @@ def random_special_form_measure(
     to special_form_g yields a g whose power g^(p-1) is superadditive.
     """
     return rectangle_mass_fn(random_point_measure(rng, levels_x, levels_y, max_atoms))
-
-
-def random_bitree_sparse(
-    rng: random.Random, levels_x: int, levels_y: int, max_support: int = 10,
-    mode: str = EXACT,
-) -> SparseFn:
-    entries: dict[BiNode, Fraction] = {}
-    for _ in range(rng.randint(1, max_support)):
-        v = dyadic(rng)
-        if v > 0:
-            node = BiNode(
-                NodeAddress(random_path(rng, levels_x - 1)),
-                NodeAddress(random_path(rng, levels_y - 1)),
-            )
-            entries[node] = v
-    fn = SparseFn.bitree(entries, mode)
-    return fn if mode == EXACT else fn.to_float()
-
-
-def random_family(rng: random.Random, max_members: int = 6, max_depth: int = 3) -> list[BiNode]:
-    members = []
-    for _ in range(rng.randint(1, max_members)):
-        members.append(BiNode(
-            NodeAddress(random_path(rng, max_depth)),
-            NodeAddress(random_path(rng, max_depth)),
-        ))
-    return members

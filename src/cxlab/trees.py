@@ -102,11 +102,6 @@ def lcp_len(a: str, b: str) -> int:
     return lo
 
 
-def lcp_depth(a: NodeAddress, b: NodeAddress) -> int:
-    """Depth of the deepest common ancestor; common-ancestor count is this + 1."""
-    return lcp_len(a.path, b.path)
-
-
 @dataclass(frozen=True)
 class BiNode:
     """A dyadic rectangle: a pair of tree addresses, one per coordinate."""

@@ -27,7 +27,8 @@ from cxlab.capacity import (
 )
 from cxlab.experiments import run_verify_suite, suite_failures
 from cxlab.trees import binode
-from cxlab import randgen
+
+from helpers import random_family
 
 SEED = 20230917
 
@@ -97,7 +98,7 @@ def test_acceptance_5_capacity_oracle():
     ok = True
     worst = 0.0
     for _ in range(50):
-        family = randgen.random_family(rng, max_members=6, max_depth=3)
+        family = random_family(rng, max_members=6, max_depth=3)
         exact = float(capacity_bruteforce(family))
         eq = capacity_qp(family)
         rel = abs(eq.cap - exact) / exact

@@ -6,7 +6,6 @@ import pytest
 
 from cxlab.trees import BiTreeDomain, NodeAddress, ResourceError, binode
 from cxlab.hardy import PointMeasure, energy, eval_hardy_down, kernel, potential
-from cxlab.hardy import atoms_fn
 from cxlab.capacity import (
     ADMISSIBLE_N,
     EquilibriumResult,
@@ -20,6 +19,8 @@ from cxlab.capacity import (
     report_d2,
 )
 from cxlab import randgen
+
+from helpers import atoms_fn, random_family
 
 
 class TestBuildInstance:
@@ -146,7 +147,7 @@ class TestCapacityQP:
     def test_oracle_equivalence_random(self):
         rng = random.Random(99)
         for _ in range(25):
-            family = randgen.random_family(rng)
+            family = random_family(rng)
             exact = float(capacity_bruteforce(family))
             eq = capacity_qp(family)
             assert eq.converged
@@ -155,8 +156,8 @@ class TestCapacityQP:
     def test_monotone_in_family(self):
         rng = random.Random(101)
         for _ in range(20):
-            family = randgen.random_family(rng, max_members=5)
-            extra = randgen.random_family(rng, max_members=1)
+            family = random_family(rng, max_members=5)
+            extra = random_family(rng, max_members=1)
             small = float(capacity_bruteforce(family))
             big = float(capacity_bruteforce(family + extra))
             assert big >= small - 1e-12

@@ -115,6 +115,14 @@ class TestCapacity:
         assert payload["table"][0]["n"] == 16
         assert csv_path.exists()
 
+    def test_report_d2_twice_in_one_process(self, capsys):
+        # the parser is built once per process; --n must not pile up across calls
+        for _ in range(2):
+            code, out = run_cli(capsys, "report", "d2", "--n", "16")
+            assert code == 0
+            row, = json.loads(out)["table"]
+            assert row["n"] == 16
+
     def test_report_d2_not_converged(self, capsys):
         code, out = run_cli(capsys, "report", "d2", "--n", "256", "--tol", "0",
                             "--max-iters", "10")

@@ -1,9 +1,10 @@
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
-from cxlab.trees import NodeAddress, ResourceError, SparseFn, TreeDomain
+from cxlab.trees import NodeAddress, ResourceError, SparseFn, TreeDomain, _as_int, _pow
 from cxlab.hardy import eval_hardy_down, hardy_up_table
 from cxlab.lemmas import verify_new23
 from cxlab.counterexamples import (
@@ -15,10 +16,19 @@ from cxlab.counterexamples import (
     gen_cex_p_less_2,
     leftmost_path_fn,
     search_new23,
-    sum_gp_binomial,
     sum_gp_levels,
     sum_ifg_p_direct,
 )
+
+
+def sum_gp_binomial(N, p):
+    """Independent form of sum_gp_levels: level i contributes
+    sum_j C(i,j) 2^(-jp) over the number j of zero bits."""
+    total = Fraction(0) if _as_int(p) is not None else 0.0
+    for i in range(N):
+        for j in range(i + 1):
+            total += comb(i, j) * _pow(Fraction(1, 2 ** j), p)
+    return total
 
 
 class TestClosedForms:
@@ -230,10 +240,13 @@ class TestSearchNew23:
         r = search_new23(4, 10, 2000, seed=7)
         assert float(r.ratio) > 1
 
-    def test_best_matches_full_verifier(self):
-        r = search_new23(4, 8, 500, seed=1)
-        assert r.name == "search_new23"
-        assert "best_trial" in r.params
+    @pytest.mark.parametrize("p", [1.5, 2, 3, 4])
+    def test_best_matches_full_verifier(self, p):
+        for seed in range(6):
+            r = search_new23(p, 8, 500, seed=seed)
+            assert r.name == "search_new23"
+            assert "best_trial" in r.params
+            assert r.params["best_fast_ratio"] == pytest.approx(r.lhs / r.rhs, rel=1e-12)
 
     def test_depth_budget(self):
         with pytest.raises(ResourceError):

@@ -7,7 +7,6 @@ from cxlab.trees import BiTreeDomain, NodeAddress, ROOT, SparseFn, TreeDomain, b
 from cxlab.hardy import (
     PointMeasure,
     ancestor_closure,
-    atoms_fn,
     energy,
     eval_hardy_down,
     eval_hardy_up,
@@ -17,6 +16,9 @@ from cxlab.hardy import (
     rectangle_mass_fn,
 )
 from cxlab import randgen
+from cxlab.counterexamples import build_cex_p_less_2_functions
+
+from helpers import atoms_fn
 
 
 def brute_hardy_up(f, a):
@@ -59,9 +61,21 @@ class TestHardyTree:
         rng = random.Random(2)
         f = randgen.random_sparse(rng, d, max_support=20)
         nodes = list(d.nodes())
-        table = hardy_up_table(f, nodes)
+        table = hardy_up_table(f, d.nodes())  # a generator, read once
+        assert list(table) == nodes
         for a in nodes:
             assert table[a] == eval_hardy_up(f, a)
+
+    def test_table_on_264_level_paths(self):
+        # f = 2^-depth on a full 9-generation tree and on the 256-step
+        # left-child paths below it, so If = 2 - 2^-depth on all of supp f
+        _, f, _ = build_cex_p_less_2_functions(8)
+        table = hardy_up_table(f, f.support())
+        assert max(a.depth for a in table) == 264
+        for a, v in table.items():
+            assert v == 2 - Fraction(1, 2 ** a.depth)
+        deepest = NodeAddress("0" * 264)
+        assert table[deepest] == brute_hardy_up(f, deepest)
 
     def test_up_is_monotone_down_paths(self):
         d = TreeDomain(6)

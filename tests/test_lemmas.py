@@ -18,6 +18,7 @@ from cxlab.lemmas import (
     build_phi,
     sup_iistar_intersection,
     sup_iistar_refined,
+    sup_iistar_support,
     verify_I2_positive,
     verify_gest,
     verify_inter,
@@ -26,6 +27,8 @@ from cxlab.lemmas import (
     verify_supadditive_l1linf,
 )
 from cxlab import randgen
+
+from helpers import iistar_bitree_scan, random_bitree_sparse
 
 
 def brute_iistar(g, node):
@@ -45,6 +48,27 @@ class TestSupRefinements:
             assert sup == brute
             if arg is not None:
                 assert brute_iistar(g, arg) == sup
+
+    def test_support_sup_matches_bruteforce(self):
+        d = TreeDomain(7)
+        rng = random.Random(33)
+        for _ in range(50):
+            g = randgen.random_sparse(rng, d)
+            brute = max(brute_iistar(g, n) for n in g.support())
+            assert sup_iistar_support(g) == brute
+
+    def test_bitree_sups_match_rectangle_scan(self):
+        rng = random.Random(34)
+        for _ in range(40):
+            f = random_bitree_sparse(rng, 4, 5)
+            g = random_bitree_sparse(rng, 4, 5)
+            best, arg = Fraction(0), None
+            for x in g.support():
+                v = iistar_bitree_scan(g, x)
+                if v > best:
+                    best, arg = v, x
+            assert sup_iistar_refined(g, f) == (best, arg)
+            assert sup_iistar_support(g) == best
 
     def test_refined_sup_matches_bruteforce(self):
         d = TreeDomain(7)
@@ -110,8 +134,8 @@ class TestI2Positive:
 
     def test_bitree_instance(self):
         rng = random.Random(42)
-        f = randgen.random_bitree_sparse(rng, 3, 3)
-        g = randgen.random_bitree_sparse(rng, 3, 3)
+        f = random_bitree_sparse(rng, 3, 3)
+        g = random_bitree_sparse(rng, 3, 3)
         r = verify_I2_positive(f, g, None)
         assert r.holds
 

@@ -15,7 +15,6 @@ from cxlab.trees import (
     TreeDomain,
     binode,
     format_node,
-    lcp_depth,
     lcp_len,
     parse_node,
 )
@@ -56,7 +55,10 @@ class TestLcp:
         assert lcp_len(b, a) == want
 
     def test_lcp_depth(self):
-        assert lcp_depth(NodeAddress("0011"), NodeAddress("0010")) == 3
+        # the lcp of two paths is the depth of the nodes' deepest common ancestor
+        a, b = NodeAddress("0011"), NodeAddress("0010")
+        common = [q for q in a.ancestors() if q.contains(b)]
+        assert lcp_len(a.path, b.path) == max(q.depth for q in common) == 3
 
 
 class TestBiNode:
