@@ -54,7 +54,7 @@ class TestSupRefinements:
         rng = random.Random(33)
         for _ in range(50):
             g = randgen.random_sparse(rng, d)
-            brute = max(brute_iistar(g, n) for n in g.support())
+            brute = max((brute_iistar(g, n) for n in g.support()), default=Fraction(0))
             assert sup_iistar_support(g) == brute
 
     def test_bitree_sups_match_rectangle_scan(self):
