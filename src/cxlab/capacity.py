@@ -161,13 +161,6 @@ class EquilibriumResult:
     kkt_max_violation: float
     iterations: int
     converged: bool
-    energy: float = 0.0
-
-    def rho_full(self, classes: Sequence[Sequence[int]]) -> np.ndarray:
-        out = np.zeros(sum(len(c) for c in classes))
-        for t, members in zip(self.rho, classes):
-            out[members] = t
-        return out
 
 
 def _kkt_violation(S: np.ndarray, b: np.ndarray, t: np.ndarray) -> float:
@@ -208,7 +201,6 @@ def _solve_reduced_qp(S: np.ndarray, b: np.ndarray, tol: float, max_iters: int) 
     return EquilibriumResult(
         rho=t, class_sizes=b.copy(), cap=cap,
         kkt_max_violation=viol, iterations=it, converged=viol <= tol,
-        energy=float(t @ S @ t),
     )
 
 

@@ -62,23 +62,27 @@ def _experiment(args) -> str:
     return args.which if args.which == "search-new23" else f"{args.command}-{args.which}"
 
 
-def _flags(args, experiment: str) -> dict:
-    """The given flags that are parameters of the experiment."""
-    names = experiments.cell_params(experiment, {})
-    return {k: v for k, v in vars(args).items() if k in names}
+# parsed arguments that name the command or its output files, not a parameter
+_NOT_PARAMETERS = frozenset({"command", "which", "report_kind", "fn", "out", "csv"})
+
+
+def _flags(args) -> dict:
+    """Every given flag but the outputs; run_cell rejects a flag that is not
+    a parameter of the experiment."""
+    return {k: v for k, v in vars(args).items() if k not in _NOT_PARAMETERS}
 
 
 def _cmd_cell(args) -> int:
     name = _experiment(args)
-    result = experiments.run_cell(name, _flags(args, name))
+    result = experiments.run_cell(name, _flags(args))
     _emit(result.payload, getattr(args, "out", None))
     return EXIT_OK if result.expected_ok else EXIT_UNEXPECTED
 
 
 def _cmd_report(args) -> int:
-    flags = _flags(args, "capacity")
-    results = [experiments.run_cell("capacity", {**flags, "n": n})
-               for n in getattr(args, "n", None) or (16, 256)]
+    flags = _flags(args)
+    sizes = flags.pop("n", None) or (16, 256)  # a list of sizes, not one n
+    results = [experiments.run_cell("capacity", {**flags, "n": n}) for n in sizes]
     rows = [{**r["d2"], "converged": True} if r["converged"] else
             {"n": r["n"], "converged": False, "kkt_max_violation": r["kkt_max_violation"]}
             for r in (result.payload for result in results)]

@@ -1,18 +1,22 @@
 """Exact generators for the single-tree counterexamples, plus a randomized
 search for further witnesses.
 
-The large-N constructions are never materialized: their sums collapse to
-per-level aggregates (binomial counts over the number of zero bits in a
-path), evaluated exactly in rational arithmetic for integer exponents.
+No construction is materialized; each report is a sum over generations
+and levels.  The p < 2 terms depend only on a node's generation or on its
+step along a tail.  The large-N sums collapse to per-level aggregates
+(binomial counts over the number of zero bits in a path), evaluated exactly
+in rational arithmetic for integer exponents.  tests/helpers.py builds the
+instances node by node, as the oracle for these sums.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
+from typing import Callable, Iterator, Optional
 
 from .trees import (
     EXACT,
@@ -25,24 +29,13 @@ from .trees import (
     _as_int,
     _pow,
 )
-from .hardy import _down_paths, _up_paths, hardy_up_table
+# hardy_up_table is not called here; the binding stays because the bench's
+# self-test checks that its tracer wraps it in this module too.
+from .hardy import _down_paths, _up_paths, hardy_up_table  # noqa: F401
 from .lemmas import LemmaReport, verify_new23
 
-_MAX_CEX_K = 8          # support of the p<2 instance grows like 2^(2k)
+_MAX_CEX_K = 8          # the p<2 sums take ~4^k terms
 _MAX_SEARCH_DEPTH = 14
-_MATERIALIZE_LEVELS = 12
-
-
-@dataclass
-class CexInstance:
-    """A generated counterexample instance; f and g are materialized only
-    when the tree is small enough to hold in memory."""
-
-    name: str
-    domain: TreeDomain
-    params: dict
-    f: Optional[SparseFn] = None
-    g: Optional[SparseFn] = None
 
 
 def _half_pow(i: int) -> Fraction:
@@ -53,45 +46,41 @@ def _half_pow(i: int) -> Fraction:
 # The p < 2 counterexample: diagonal decay then single-path propagation.
 # ---------------------------------------------------------------------------
 
-def build_cex_p_less_2_functions(k: int) -> tuple[TreeDomain, SparseFn, SparseFn]:
-    """g = 2^-i on all of generation i <= k, then 2^-k pushed to left children
-    only; f = 2^-i on supp g."""
-    levels = k + 2 ** k + 1
-    d = TreeDomain(levels)
-    g_entries: dict[NodeAddress, Fraction] = {}
-    f_entries: dict[NodeAddress, Fraction] = {}
-    frontier = [""]
+def _p_less_2_terms(k: int, at_generation: Callable[[int], float],
+                    at_tail_step: Callable[[int], float]) -> Iterator[float]:
+    """One term per node of the p < 2 instance, in the order its nodes are
+    built: generation i = 0..k (2^i nodes each), then the tail steps
+    t = 1..2^k below each of the 2^k generation-k nodes."""
+    tail = [at_tail_step(t) for t in range(1, 2 ** k + 1)]
     for i in range(k + 1):
-        for path in frontier:
-            node = NodeAddress(path)
-            g_entries[node] = _half_pow(i)
-            f_entries[node] = _half_pow(i)
-        if i < k:
-            frontier = [p + b for p in frontier for b in "01"]
-    for path in frontier:  # generation-k nodes, value kept on left children
-        for t in range(1, 2 ** k + 1):
-            node = NodeAddress(path + "0" * t)
-            g_entries[node] = _half_pow(k)
-            f_entries[node] = _half_pow(k + t)
-    return d, SparseFn.tree(f_entries), SparseFn.tree(g_entries)
+        yield from itertools.repeat(at_generation(i), 2 ** i)
+    for _ in range(2 ** k):
+        yield from tail
 
 
-def gen_cex_p_less_2(k: int, p: Scalar, seed: Optional[int] = None) -> tuple[CexInstance, LemmaReport]:
+def gen_cex_p_less_2(k: int, p: Scalar, seed: Optional[int] = None) -> LemmaReport:
+    """g = 2^-i on all of generation i <= k, then 2^-k pushed t = 1..2^k
+    steps down the left children of each generation-k node; f = 2^-i on
+    generation i and 2^-(k+t) on the tail.  So If = 2 - 2^-depth on supp g,
+    and I g peaks at 3 - 2^-k at the ends of the tails."""
     if k < 2:
         raise ValueError("k must be at least 2")
     if not 1 < p < 2:
         raise ValueError("this construction targets 1 < p < 2")
     if k > _MAX_CEX_K:
         raise ResourceError(
-            f"support size ~2^{2 * k} = {2 ** (2 * k)} exceeds the budget (k <= {_MAX_CEX_K})")
-    d, f, g = build_cex_p_less_2_functions(k)
-    table = hardy_up_table(f, g.support())
-    sum_ifg_p = sum(_pow(table[n] * v, p) for n, v in g.items())
-    sum_fp = sum(_pow(v, p) for _, v in f.items())
+            f"the float sums take ~4^{k} = {4 ** k} terms, beyond the budget "
+            f"(k <= {_MAX_CEX_K})")
+    pf = float(p)
+    # one term at a time, in node order, so the totals round as over the built instance
+    sum_ifg_p = sum(_p_less_2_terms(
+        k, lambda i: ((2 - 2.0 ** -i) * 2.0 ** -i) ** pf,
+        lambda t: ((2 - 2.0 ** -(k + t)) * 2.0 ** -k) ** pf))
+    sum_fp = sum(_p_less_2_terms(
+        k, lambda i: (2.0 ** -i) ** pf, lambda t: (2.0 ** -(k + t)) ** pf))
     delta = lam = 3
     rhs = _pow(delta, p - 1) * lam * sum_fp
-    ig_table = hardy_up_table(g, g.support())
-    report = LemmaReport(
+    return LemmaReport(
         name="cex_p_less_2",
         params={"k": k, "p": p, "delta": delta, "lambda": lam},
         lhs=sum_ifg_p, rhs=rhs, holds=sum_ifg_p <= rhs,
@@ -99,34 +88,14 @@ def gen_cex_p_less_2(k: int, p: Scalar, seed: Optional[int] = None) -> tuple[Cex
         extra={
             "lower_bound": 2.0 ** ((2 - float(p)) * k),
             "sum_fp": sum_fp,
-            "max_Ig": max(ig_table.values()),
+            "max_Ig": 3 - _half_pow(k),
         },
     )
-    inst = CexInstance("cex_p_less_2", d, {"k": k, "p": p}, f=f, g=g)
-    return inst, report
 
 
 # ---------------------------------------------------------------------------
 # The increasing-but-subadditive construction: halve left, keep right.
 # ---------------------------------------------------------------------------
-
-def doubling_g_fn(N: int) -> SparseFn:
-    """The halve-left/keep-right g on all levels 0..N-1: value 2^-(zero bits)."""
-    if N > _MATERIALIZE_LEVELS:
-        raise ResourceError(f"refusing to materialize 2^{N}-1 nodes")
-    entries = {}
-    frontier = [""]
-    for _ in range(N):
-        for path in frontier:
-            entries[NodeAddress(path)] = _half_pow(path.count("0"))
-        frontier = [p + b for p in frontier for b in "01"]
-    return SparseFn.tree(entries)
-
-
-def leftmost_path_fn(N: int) -> SparseFn:
-    """f = 1 on the leftmost root-to-leaf path."""
-    return SparseFn.tree({NodeAddress("0" * i): Fraction(1) for i in range(N)})
-
 
 def sum_gp_levels(N: int, p: Scalar) -> Scalar:
     """Sum over levels 0..N-1 of g^p via the per-level ratio (2^p+1)/2^p.
@@ -147,7 +116,7 @@ def sum_gp_levels(N: int, p: Scalar) -> Scalar:
     return total
 
 
-def gen_cex_increasing(N: int, p: Scalar = 2, seed: Optional[int] = None) -> tuple[CexInstance, LemmaReport]:
+def gen_cex_increasing(N: int, p: Scalar = 2, seed: Optional[int] = None) -> LemmaReport:
     """The children-power-sum inequality at the root for the doubling g:
     lhs is the full-tree sum of g^p, rhs = N * g^(p-1)(root) = N."""
     if N < 1:
@@ -161,9 +130,7 @@ def gen_cex_increasing(N: int, p: Scalar = 2, seed: Optional[int] = None) -> tup
     closed = lhs if pi is None else 2 ** pi * (Fraction(2 ** pi + 1, 2 ** pi) ** N - 1)
     lam = N
     rhs = lam  # g(root) = 1
-    d = TreeDomain(N)
-    g = doubling_g_fn(N) if N <= _MATERIALIZE_LEVELS else None
-    report = LemmaReport(
+    return LemmaReport(
         name="cex_increasing",
         params={"N": N, "p": p, "lambda": lam, "gamma": ""},
         lhs=lhs, rhs=rhs, holds=lhs <= rhs,
@@ -171,8 +138,6 @@ def gen_cex_increasing(N: int, p: Scalar = 2, seed: Optional[int] = None) -> tup
         mode=EXACT if _as_int(p) is not None else FLOAT, seed=seed,
         extra={"closed_form_check": closed},
     )
-    inst = CexInstance("cex_increasing", d, {"N": N, "p": p}, g=g)
-    return inst, report
 
 
 def sum_ifg_p_direct(N: int, p: Scalar) -> Scalar:
@@ -195,7 +160,7 @@ def sum_ifg_p_direct(N: int, p: Scalar) -> Scalar:
     return total
 
 
-def gen_cex_direct(N: int, p: Scalar = 2, seed: Optional[int] = None) -> tuple[CexInstance, LemmaReport]:
+def gen_cex_direct(N: int, p: Scalar = 2, seed: Optional[int] = None) -> LemmaReport:
     """The direct violation with f = 1 on the leftmost path: compares the
     full-tree sum of (If g)^p with delta^(p-1) lambda sum f^p, delta = 2."""
     if N < 2:
@@ -205,9 +170,7 @@ def gen_cex_direct(N: int, p: Scalar = 2, seed: Optional[int] = None) -> tuple[C
     lhs = sum_ifg_p_direct(N, p)
     delta, lam, sum_fp = 2, N, N
     rhs = _pow(delta, p - 1) * lam * sum_fp
-    d = TreeDomain(N)
-    small = N <= _MATERIALIZE_LEVELS
-    report = LemmaReport(
+    return LemmaReport(
         name="cex_direct",
         params={"N": N, "p": p, "delta": delta, "lambda": lam},
         lhs=lhs, rhs=rhs, holds=lhs <= rhs,
@@ -218,12 +181,6 @@ def gen_cex_direct(N: int, p: Scalar = 2, seed: Optional[int] = None) -> tuple[C
             "delta_measured": 2 - _half_pow(N - 1),
         },
     )
-    inst = CexInstance(
-        "cex_direct", d, {"N": N, "p": p},
-        f=leftmost_path_fn(N) if small else None,
-        g=doubling_g_fn(N) if small else None,
-    )
-    return inst, report
 
 
 # ---------------------------------------------------------------------------

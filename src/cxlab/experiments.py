@@ -180,20 +180,20 @@ def _verify(suite: str, trials: int = 100, depth: int = 8, seed: int = 0,
     return CellResult(payload, _row((failures or reports)[0]), not failures)
 
 
-def _cex_p_less_2(k: int = 4, p: float = 2.0, seed: int = 0) -> CellResult:
-    _, report = cex.gen_cex_p_less_2(k, _exponent(p), seed=seed)
+def _cex_p_less_2(k: int = 4, p: float = 1.5, seed: int = 0) -> CellResult:
+    report = cex.gen_cex_p_less_2(k, _exponent(p), seed=seed)
     return _report_cell(report, float(report.lhs) >= float(report.extra["lower_bound"]))
 
 
 def _cex_increasing(N: int = 10, p: float = 2.0, seed: int = 0) -> CellResult:
-    return _report_cell(cex.gen_cex_increasing(N, _exponent(p), seed=seed)[1])
+    return _report_cell(cex.gen_cex_increasing(N, _exponent(p), seed=seed))
 
 
 def _cex_direct(N: int = 10, p: float = 2.0, seed: int = 0) -> CellResult:
-    return _report_cell(cex.gen_cex_direct(N, _exponent(p), seed=seed)[1])
+    return _report_cell(cex.gen_cex_direct(N, _exponent(p), seed=seed))
 
 
-def _cex_new23(N: int = 10, p: float = 2.0, seed: int = 0) -> CellResult:
+def _cex_new23(N: int = 10, p: float = 4.0, seed: int = 0) -> CellResult:
     audits = cex.gen_cex_new23(N, _exponent(p), seed=seed)
     first = audits["halving"]
     row = {"lhs": float(first.total_ifp_g), "rhs": float(first.lemma_rhs),

@@ -28,7 +28,7 @@ from cxlab.capacity import (
 from cxlab.experiments import run_verify_suite, suite_failures
 from cxlab.trees import binode
 
-from helpers import random_family
+from helpers import build_cex_p_less_2_functions, random_family
 
 SEED = 20230917
 
@@ -62,7 +62,7 @@ def test_acceptance_1_true_lemma_suites():
 def test_acceptance_2_closed_form_sum_g2():
     identity = all(
         sum_gp_levels(N, 2) == 4 * (Fraction(5, 4) ** N - 1) for N in range(1, 26))
-    _, report = gen_cex_increasing(20, 2)
+    report = gen_cex_increasing(20, 2)
     ratio_ok = report.ratio == report.lhs / 20 and report.ratio > 17
     _verdict(2, "sum g^2 = 4((5/4)^N - 1) for N=1..25 and N=20 ratio > 17",
              identity and ratio_ok)
@@ -74,8 +74,9 @@ def test_acceptance_3_p_less_2_counterexample():
     increasing = True
     bounds = True
     for k in (3, 4, 5, 6):
-        inst, report = gen_cex_p_less_2(k, p, seed=SEED)
-        r = verify_inter(inst.f, inst.g, p, inst.domain, seed=SEED)
+        report = gen_cex_p_less_2(k, p, seed=SEED)
+        d, f, g = build_cex_p_less_2_functions(k)
+        r = verify_inter(f, g, p, d, seed=SEED)
         if prev is not None and not float(r.ratio) > float(prev):
             increasing = False
         prev = r.ratio
@@ -86,7 +87,7 @@ def test_acceptance_3_p_less_2_counterexample():
 
 
 def test_acceptance_4_direct_counterexample():
-    _, report = gen_cex_direct(40, 2, seed=SEED)
+    report = gen_cex_direct(40, 2, seed=SEED)
     ok = (report.params["delta"] == 2 and report.params["lambda"] == 40
           and report.extra["sum_fp"] == 40 and float(report.ratio) > 9)
     _verdict(4, f"N=40 direct instance ratio {float(report.ratio):.2f} > 9 "

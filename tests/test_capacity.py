@@ -20,7 +20,7 @@ from cxlab.capacity import (
 )
 from cxlab import randgen
 
-from helpers import atoms_fn, random_family
+from helpers import atoms_fn, random_family, rho_full
 
 
 class TestBuildInstance:
@@ -181,11 +181,11 @@ class TestEquilibrium:
         inst = build_instance(n)
         eq = capacity_qp_instance(inst, tol=1e-10)
         assert eq.converged
-        rho_full = eq.rho_full(inst.symmetry_classes)
+        rho = rho_full(eq, inst.symmetry_classes)
         mu = PointMeasure.of(
-            (q, m) for q, m in zip(inst.family, rho_full) if m > 0)
+            (q, m) for q, m in zip(inst.family, rho) if m > 0)
         # potential >= 1 - tol on the family, = 1 +- tol on the support
-        for q, m in zip(inst.family, rho_full):
+        for q, m in zip(inst.family, rho):
             v = float(potential(mu, q))
             assert v >= 1 - 1e-8
             if m > 0:
@@ -198,8 +198,8 @@ class TestEquilibrium:
         # sum over all rectangles of (I* mu)^2 equals the energy, exactly
         inst = build_instance(4)
         eq = capacity_qp_instance(inst, tol=1e-12)
-        rho_full = eq.rho_full(inst.symmetry_classes)
-        masses = [Fraction(m).limit_denominator(10 ** 12) for m in rho_full]
+        masses = [Fraction(m).limit_denominator(10 ** 12)
+                  for m in rho_full(eq, inst.symmetry_classes)]
         mu = PointMeasure.of(
             (q, m) for q, m in zip(inst.family, masses) if m > 0)
         nu = atoms_fn(mu)

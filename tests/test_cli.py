@@ -3,6 +3,7 @@ import json
 import pytest
 
 from cxlab.cli import main
+from cxlab.experiments import EXPERIMENTS, run_cell
 
 
 def run_cli(capsys, *argv):
@@ -73,6 +74,23 @@ class TestCex:
     def test_non_finite_p_is_usage_error(self, capsys, p):
         assert main(["cex", "direct", "--N", "5", "--p", p]) == 2
         assert "p must be finite" in capsys.readouterr().err
+
+    def test_flag_the_experiment_lacks_is_usage_error(self, capsys):
+        assert main(["cex", "direct", "--N", "5", "--k", "7", "--budget", "3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "has no parameter budget, k" in captured.err
+
+    def test_out_is_not_a_parameter(self, capsys, tmp_path):
+        path = tmp_path / "direct.json"
+        code, out = run_cli(capsys, "cex", "direct", "--N", "5", "--out", str(path))
+        assert code == 0
+        assert path.read_text() == out
+
+
+@pytest.mark.parametrize("name", [n for n in EXPERIMENTS if not n.startswith("verify-")])
+def test_registry_defaults_are_valid(name):
+    assert run_cell(name, {}).expected_ok
 
 
 class TestCapacity:

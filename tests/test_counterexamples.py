@@ -8,17 +8,16 @@ from cxlab.trees import NodeAddress, ResourceError, SparseFn, TreeDomain, _as_in
 from cxlab.hardy import eval_hardy_down, hardy_up_table
 from cxlab.lemmas import verify_new23
 from cxlab.counterexamples import (
-    build_cex_p_less_2_functions,
-    doubling_g_fn,
     gen_cex_direct,
     gen_cex_increasing,
     gen_cex_new23,
     gen_cex_p_less_2,
-    leftmost_path_fn,
     search_new23,
     sum_gp_levels,
     sum_ifg_p_direct,
 )
+
+from helpers import build_cex_p_less_2_functions, doubling_g_fn, leftmost_path_fn
 
 
 def sum_gp_binomial(N, p):
@@ -88,37 +87,36 @@ class TestSumIfgPDirect:
 
 class TestCexIncreasing:
     def test_n20_report(self):
-        _, report = gen_cex_increasing(20, 2)
+        report = gen_cex_increasing(20, 2)
         assert report.lhs == 4 * (Fraction(5, 4) ** 20 - 1)
         assert report.rhs == 20
         assert not report.holds
         assert report.ratio > 17
 
     def test_small_n_holds(self):
-        _, report = gen_cex_increasing(1, 2)
+        report = gen_cex_increasing(1, 2)
         assert report.lhs == 1 and report.holds
 
     @pytest.mark.parametrize("p", [1, 2, 3, 4, 2.5])
     def test_closed_form_check_equals_level_sum(self, p):
         for N in (1, 7, 30):
-            _, report = gen_cex_increasing(N, p)
+            report = gen_cex_increasing(N, p)
             assert report.extra["closed_form_check"] == report.lhs
 
     def test_large_n_not_materialized(self):
-        inst, report = gen_cex_increasing(1000, 2)
-        assert inst.g is None
+        report = gen_cex_increasing(1000, 2)
         assert report.lhs == sum_gp_levels(1000, 2)
 
 
 class TestCexDirect:
     def test_n40_exceeds_nine(self):
-        _, report = gen_cex_direct(40, 2)
+        report = gen_cex_direct(40, 2)
         assert report.rhs == 2 * 40 * 40
         assert float(report.ratio) > 9
         assert not report.holds
 
     def test_delta_measured(self):
-        _, report = gen_cex_direct(10, 2)
+        report = gen_cex_direct(10, 2)
         assert report.extra["delta_measured"] == 2 - Fraction(1, 2 ** 9)
 
     def test_materialized_delta(self):
@@ -150,6 +148,19 @@ class TestCexPLess2:
         assert all(g.get(n) == Fraction(1, 2 ** k) for n in deep)
         assert set(f.support()) == set(g.support())
 
+    @pytest.mark.parametrize("k", range(2, 8))
+    def test_closed_form_matches_built_instance(self, k):
+        d, f, g = build_cex_p_less_2_functions(k)
+        if_table = hardy_up_table(f, g.support())
+        max_ig = max(hardy_up_table(g, g.support()).values())
+        for p in (1.1, 1.5, 1.9):
+            report = gen_cex_p_less_2(k, p)
+            sum_fp = sum(_pow(v, p) for _, v in f.items())
+            assert report.lhs == sum(_pow(if_table[n] * v, p) for n, v in g.items())
+            assert report.extra["sum_fp"] == sum_fp
+            assert report.rhs == _pow(3, p - 1) * 3 * sum_fp
+            assert report.extra["max_Ig"] == max_ig
+
     def test_boundary_ig(self):
         k = 4
         d, f, g = build_cex_p_less_2_functions(k)
@@ -158,7 +169,7 @@ class TestCexPLess2:
 
     def test_lower_bound_exact(self):
         for k in (3, 4, 5):
-            _, report = gen_cex_p_less_2(k, 1.5)
+            report = gen_cex_p_less_2(k, 1.5)
             assert float(report.lhs) >= 2.0 ** (0.5 * k)
 
     def test_resource_budget(self):

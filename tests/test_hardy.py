@@ -16,9 +16,8 @@ from cxlab.hardy import (
     rectangle_mass_fn,
 )
 from cxlab import randgen
-from cxlab.counterexamples import build_cex_p_less_2_functions
 
-from helpers import atoms_fn
+from helpers import atoms_fn, build_cex_p_less_2_functions
 
 
 def brute_hardy_up(f, a):

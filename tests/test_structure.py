@@ -11,10 +11,11 @@ from cxlab.structure import (
     is_superadditive,
     special_form_g,
 )
-from cxlab.counterexamples import build_cex_p_less_2_functions, doubling_g_fn
 from cxlab.hardy import PointMeasure, rectangle_mass_fn
 from cxlab.trees import BiNode
 from cxlab import randgen
+
+from helpers import build_cex_p_less_2_functions, doubling_g_fn
 
 
 class TestExponentPair:
