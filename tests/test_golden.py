@@ -28,6 +28,7 @@ GOLDEN = Path(__file__).parent / "golden"
 # the other verify suites and the larger instances the benchmark runs
 COMMANDS = {
     "verify-phi": "verify phi --trials 50 --depth 8 --seed 7",
+    "verify-phi-float": "verify phi --trials 50 --depth 8 --seed 7 --mode float",
     "verify-new23": "verify new23 --trials 200 --mode exact",
     "verify-inter-float": "verify inter --mode float",
     "verify-l1linf": "verify l1linf --mode exact",
