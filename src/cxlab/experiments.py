@@ -24,6 +24,7 @@ from typing import Callable
 
 from .trees import EXACT, ResourceError, Scalar, SparseFn, TreeDomain
 from .structure import ExponentPair, special_form_g
+from .hardy import hardy_up_table
 from .lemmas import (
     LemmaReport,
     build_phi,
@@ -63,9 +64,9 @@ def _trial_i2pos(rng, d, mode, seed) -> LemmaReport:
 
 def _trial_phi(rng, d, mode, seed) -> LemmaReport:
     g = randgen.random_superadditive(rng, d, mode=mode)
-    w = randgen.random_weight(rng, d.nodes(), mode=mode)
-    from .hardy import hardy_up_table
-    iwg = hardy_up_table(w.mul(g), d.nodes())
+    nodes = list(d.nodes())
+    w = randgen.random_weight(rng, nodes, mode=mode)
+    iwg = hardy_up_table(w.mul(g), nodes)
     values = sorted(iwg.values())
     delta = values[len(values) * 2 // 5]
     lam = 4 * delta
@@ -76,7 +77,7 @@ def _trial_phi(rng, d, mode, seed) -> LemmaReport:
         if v > 0:
             entries[n] = v
     f = SparseFn.tree(entries, mode)
-    _, report = build_phi(w, g, f, lam, delta, d, seed=seed)
+    _, report = build_phi(w, g, f, lam, delta, d, seed=seed, iwg=iwg)
     return report
 
 

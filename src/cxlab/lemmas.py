@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
 from typing import Optional
 
 from .trees import (
@@ -207,40 +208,54 @@ def verify_I2_positive(f: SparseFn, g: SparseFn, d, seed: Optional[int] = None) 
 
 def build_phi(
     w: SparseFn, g: SparseFn, f: SparseFn, lam: Scalar, delta: Scalar,
-    d: TreeDomain, seed: Optional[int] = None,
+    d: TreeDomain, seed: Optional[int] = None, iwg: Optional[dict] = None,
 ) -> tuple[SparseFn, LemmaReport]:
     """The indicator-weighted majorant phi and its two proof-traced checks.
 
     phi(a) = (1/lambda) [delta < I(wg)(a) <= 2 lambda] I(wf)(a) g(a);
     check (a): I(w phi) >= (1/4) I(wf) on {lambda/2 < I(wg) <= 2 lambda};
     check (b): sum w phi^2 <= 2 (delta/lambda) sum w f^2.
+
+    iwg is I(wg) at every node of d, when the caller has already swept it;
+    swept here when None.  On an enumerated domain its keys, in order, are
+    the nodes check (a) visits.  A table that lacks a node read here raises
+    ValueError.
     """
     ok, witness = is_superadditive(g, d)
     if not ok:
         raise PreconditionError("g is not superadditive", witness)
     if lam < 4 * delta:
         raise PreconditionError(f"lambda >= 4*delta required (lambda={lam}, delta={delta})")
-    wg = w.mul(g)
     wf = w.mul(f)
 
-    if d.levels <= _ENUM_LEVELS:
-        check_nodes = list(d.nodes())
-    else:
-        base = list(wg.support()) + list(wf.support())
+    if d.levels > _ENUM_LEVELS:
+        base = list(w.mul(g).support()) + list(wf.support())
         check_nodes = ancestor_closure(base)
         check_nodes += [c for n in check_nodes for c in d.children(n)]
         check_nodes = list(dict.fromkeys(check_nodes))
+    elif iwg is None:
+        check_nodes = list(d.nodes())
+    elif len(iwg) != d.node_count:
+        raise ValueError(f"iwg holds {len(iwg)} nodes, the domain has {d.node_count}")
+    else:
+        check_nodes = list(iwg)
 
-    iwg = hardy_up_table(wg, set(check_nodes) | set(f.support()) | set(g.support()))
+    if iwg is None:
+        iwg = hardy_up_table(w.mul(g), set(check_nodes) | set(f.support()) | set(g.support()))
+    else:
+        for node in chain(check_nodes, f.support(), g.support()):
+            if node not in iwg:
+                raise ValueError(f"iwg lacks I(wg) at {format_node(node)}")
     for node in f.support():
         if iwg[node] > delta:
             raise PreconditionError("supp f must lie inside {I(wg) <= delta}", node)
 
     iwf = hardy_up_table(wf, set(check_nodes) | set(g.support()))
     inv_lam = Fraction(1, 1) / lam if g.mode == EXACT else 1.0 / float(lam)
+    two_lam, half_lam = 2 * lam, lam / 2
     phi_entries = {}
     for node, gv in g.items():
-        if delta < iwg[node] <= 2 * lam:
+        if delta < iwg[node] <= two_lam:
             val = inv_lam * iwf[node] * gv
             if val != 0:
                 phi_entries[node] = val
@@ -249,14 +264,17 @@ def build_phi(
     wphi = w.mul(phi)
     iwphi = hardy_up_table(wphi, check_nodes)
 
+    # a float ratio is compared with a float: 1/4 is exact in binary, and a
+    # Fraction compared with a float first converts the float to a Fraction
+    lower = PHI_LOWER_CONST if g.mode == EXACT else float(PHI_LOWER_CONST)
     a_ok, a_witness = True, None
     worst_a = None
     for node in check_nodes:
-        if lam / 2 < iwg[node] <= 2 * lam and iwf[node] > 0:
+        if half_lam < iwg[node] <= two_lam and iwf[node] > 0:
             r = iwphi[node] / iwf[node]
             if worst_a is None or r < worst_a:
                 worst_a = r
-            if r < PHI_LOWER_CONST:
+            if r < lower:
                 a_ok, a_witness = False, node
 
     sum_wphi2 = sum((w.get(n) * v * v for n, v in phi.items()), _zero(g.mode))

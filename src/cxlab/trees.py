@@ -218,9 +218,8 @@ class BiTreeDomain:
 
 def _coerce(value: Scalar, mode: str) -> Scalar:
     if mode == EXACT:
-        if isinstance(value, float):
-            value = Fraction(value)
-        return Fraction(value)
+        # a Fraction is immutable, so one that is already exact is kept as is
+        return value if type(value) is Fraction else Fraction(value)
     return float(value)
 
 

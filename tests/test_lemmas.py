@@ -5,6 +5,7 @@ import pytest
 
 from cxlab.trees import (
     EXACT,
+    FLOAT,
     NodeAddress,
     PreconditionError,
     ROOT,
@@ -26,7 +27,7 @@ from cxlab.lemmas import (
     verify_new23,
     verify_supadditive_l1linf,
 )
-from cxlab import randgen
+from cxlab import experiments, lemmas, randgen
 
 from helpers import iistar_bitree_scan, random_bitree_sparse
 
@@ -142,24 +143,26 @@ class TestI2Positive:
 
 class TestBuildPhi:
     @staticmethod
-    def _instance(levels=5, seed=51):
+    def _instance(levels=5, seed=51, mode=EXACT):
+        """An instance with f = 1/2 on the whole sublevel set {I(wg) <= delta},
+        and the I(wg) table over d that picked delta."""
         d = TreeDomain(levels)
         rng = random.Random(seed)
-        g = randgen.random_superadditive(rng, d)
-        w = randgen.random_weight(rng, d.nodes())
+        g = randgen.random_superadditive(rng, d, mode=mode)
+        w = randgen.random_weight(rng, d.nodes(), mode=mode)
         iwg = hardy_up_table(w.mul(g), d.nodes())
         values = sorted(iwg.values())
         delta = values[len(values) // 2]
         lam = 4 * delta
-        f = SparseFn.tree({n: Fraction(1, 2) for n, v in iwg.items() if v <= delta})
-        return d, w, g, f, lam, delta
+        f = SparseFn.tree({n: Fraction(1, 2) for n, v in iwg.items() if v <= delta}, mode)
+        return d, w, g, f, lam, delta, iwg
 
     def test_constants_are_quarter_and_two(self):
         assert PHI_LOWER_CONST == Fraction(1, 4)
         assert PHI_ENERGY_CONST == 2
 
     def test_unit_weight_instance(self):
-        d, _, g, f, lam, delta = self._instance()
+        d, _, g, f, lam, delta, _ = self._instance()
         w = SparseFn.tree({n: 1 for n in d.nodes()})
         iwg = hardy_up_table(w.mul(g), d.nodes())
         values = sorted(iwg.values())
@@ -179,21 +182,61 @@ class TestBuildPhi:
             build_phi(w, g, f, 100, 1, d)
 
     def test_rejects_small_lambda(self):
-        d, w, g, f, lam, delta = self._instance()
+        d, w, g, f, lam, delta, _ = self._instance()
         with pytest.raises(PreconditionError):
             build_phi(w, g, f, 3 * delta, delta, d)
 
     def test_rejects_f_outside_sublevel_set(self):
-        d, w, g, f, lam, delta = self._instance()
-        deep = NodeAddress("0" * d.max_depth)
-        bad = SparseFn.tree(dict(list(f.items()) + [(deep, Fraction(1))]))
-        iwg = hardy_up_table(w.mul(g), [deep])
-        if iwg[deep] > delta:
-            with pytest.raises(PreconditionError):
-                build_phi(w, g, bad, lam, delta, d)
+        d, w, g, f, lam, delta, iwg = self._instance()
+        top = max(iwg, key=iwg.get)
+        assert iwg[top] > delta
+        bad = SparseFn.tree(dict(list(f.items()) + [(top, Fraction(1))]))
+        with pytest.raises(PreconditionError):
+            build_phi(w, g, bad, lam, delta, d)
+        with pytest.raises(PreconditionError):
+            build_phi(w, g, bad, lam, delta, d, iwg=iwg)
+
+    @pytest.mark.parametrize("mode", [EXACT, FLOAT])
+    def test_given_table_matches_own_sweep(self, mode):
+        banded = 0
+        for seed in range(20):
+            d, w, g, f, lam, delta, iwg = self._instance(levels=8, seed=seed, mode=mode)
+            phi, report = build_phi(w, g, f, lam, delta, d)
+            phi_t, report_t = build_phi(w, g, f, lam, delta, d, iwg=iwg)
+            assert dict(phi_t.items()) == dict(phi.items())
+            assert report_t.to_dict() == report.to_dict()
+            banded += report.extra["worst_lower_ratio"] is not None and bool(phi)
+        assert banded > 0  # some instance has a nonzero phi and a node for check (a)
+
+    def test_table_missing_a_node_rejected(self):
+        # enumerated domain: the table must hold every node of d
+        d, w, g, f, lam, delta, iwg = self._instance()
+        gone = next(n for n in iwg if n not in set(f.support()) | set(g.support()))
+        with pytest.raises(ValueError, match="iwg"):
+            build_phi(w, g, f, lam, delta, d, iwg={n: v for n, v in iwg.items() if n != gone})
+        # beyond the enumeration cutoff only the nodes read are required
+        d, w, g, f, lam, delta, iwg = self._instance(levels=13)
+        _, report = build_phi(w, g, f, lam, delta, d)
+        assert build_phi(w, g, f, lam, delta, d, iwg=iwg)[1].to_dict() == report.to_dict()
+        gone = f.support()[-1]
+        with pytest.raises(ValueError, match="iwg"):
+            build_phi(w, g, f, lam, delta, d, iwg={n: v for n, v in iwg.items() if n != gone})
+
+    def test_phi_trial_sweeps_three_times(self, monkeypatch):
+        calls = []
+
+        def counted(fn, nodes):
+            calls.append(fn)
+            return hardy_up_table(fn, nodes)
+
+        monkeypatch.setattr(lemmas, "hardy_up_table", counted)
+        monkeypatch.setattr(experiments, "hardy_up_table", counted)
+        experiments.run_verify_suite("phi", trials=1, depth=8, seed=0, mode=EXACT)
+        # I(wg) once for the trial's delta, then I(wf) and I(w phi) in build_phi
+        assert len(calls) == 3
 
     def test_phi_supported_in_band(self):
-        d, w, g, f, lam, delta = self._instance()
+        d, w, g, f, lam, delta, _ = self._instance()
         phi, report = build_phi(w, g, f, lam, delta, d)
         assert report.holds
         iwg = hardy_up_table(w.mul(g), phi.support())

@@ -111,7 +111,8 @@ class TestTreeDomain:
 
 class TestSparseFn:
     def test_exact_coercion_and_zero_drop(self):
-        f = SparseFn.tree({ROOT: Fraction(1, 2), NodeAddress("0"): 0})
+        f = SparseFn.tree({ROOT: Fraction(1, 2), NodeAddress("0"): 0,
+                           NodeAddress("1"): Fraction(0)})
         assert len(f) == 1
         assert f(ROOT) == Fraction(1, 2)
         assert f(NodeAddress("1")) == 0
@@ -120,6 +121,8 @@ class TestSparseFn:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             SparseFn.tree({ROOT: -1})
+        with pytest.raises(ValueError):
+            SparseFn.tree({ROOT: Fraction(-1, 2)})
 
     def test_domain_kind_enforced(self):
         with pytest.raises(DomainError):
