@@ -1,7 +1,8 @@
 """Golden outputs: the exit code, stdout and written files of the README CLI
 examples and of one `run` config per experiment family, byte for byte.
 
-    PYTHONPATH=src python tests/test_golden.py     (rewrites tests/golden/)
+    PYTHONPATH=src python tests/test_golden.py          (rewrites tests/golden/)
+    PYTHONPATH=src python tests/test_golden.py NAME...  (rewrites those only)
 
 Rewrite the files only for an intended output change, and name the change
 in CHANGES.md.  A run cell's runtime_ms is stripped, since it is a timing.
@@ -41,6 +42,9 @@ COMMANDS = {
     "cex-direct": "cex direct --N 40 --p 2",
     "cex-p-less-2": "cex p-less-2 --k 5 --p 1.5",
     "cex-new23": "cex new23 --N 100 --p 4",
+    "cex-new23-1000-p5": "cex new23 --N 1000 --p 5",
+    "cex-new23-998-p3.5": "cex new23 --N 998 --p 3.5",
+    "cex-increasing-1000-p4": "cex increasing --N 1000 --p 4",
     "cex-search-new23": "cex search-new23 --p 4 --depth 10 --budget 1000 --seed 7",
     "capacity-16-oracle": "capacity --n 16 --oracle",
     "capacity-16-no-symmetry": "capacity --n 16 --no-symmetry",
@@ -97,8 +101,13 @@ def test_golden(name, tmp_path):
 
 
 if __name__ == "__main__":
+    names = sys.argv[1:] or list({**COMMANDS, **RUNS})
+    unknown = [n for n in names if n not in COMMANDS and n not in RUNS]
+    if unknown:
+        print(f"unknown golden name(s): {', '.join(unknown)}", file=sys.stderr)
+        sys.exit(2)
     GOLDEN.mkdir(exist_ok=True)
-    for name in {**COMMANDS, **RUNS}:
+    for name in names:
         with tempfile.TemporaryDirectory() as tmp:
             (GOLDEN / f"{name}.txt").write_text(render(name, Path(tmp)))
     sys.exit(0)
