@@ -4,9 +4,13 @@ search for further witnesses.
 No construction is materialized; each report is a sum over generations
 and levels.  The p < 2 terms depend only on a node's generation or on its
 step along a tail.  The large-N sums collapse to per-level aggregates
-(binomial counts over the number of zero bits in a path), evaluated exactly
-in rational arithmetic for integer exponents.  tests/helpers.py builds the
-instances node by node, as the oracle for these sums.
+(binomial counts over the number of zero bits in a path).  For integer
+exponents they are exact: each sum runs over int numerators above one
+power-of-two denominator, and the reported Fraction is built once at the
+end, so no addition pays for a gcd of 1000- to 4000-bit integers.  Float
+mode rounds the same numerators once, as float(Fraction) would.
+tests/helpers.py builds the instances node by node, and keeps the
+step-by-step Fraction sums, as the oracles for these sums.
 """
 
 from __future__ import annotations
@@ -36,6 +40,7 @@ from .lemmas import LemmaReport, verify_new23
 
 _MAX_CEX_K = 8          # the p<2 sums take ~4^k terms
 _MAX_SEARCH_DEPTH = 14
+_MAX_NEW23_FLOAT_N = 1024   # the ones variant rounds 2^(N-1) to a float
 
 
 def _half_pow(i: int) -> Fraction:
@@ -104,12 +109,14 @@ def sum_gp_levels(N: int, p: Scalar) -> Scalar:
     """
     pi = _as_int(p)
     if pi is not None:
-        r = Fraction(2 ** pi + 1, 2 ** pi)
-        level = Fraction(1)
-        total = Fraction(0)
-    else:
-        r = (2.0 ** float(p) + 1.0) / 2.0 ** float(p)
-        level, total = 1.0, 0.0
+        # sum_m (2^p+1)^m / 2^(pm) as one numerator over 2^(pN)
+        two_p, total, level = 2 ** pi, 0, 1
+        for _ in range(N):
+            total = (total + level) * two_p
+            level *= two_p + 1
+        return Fraction(total, two_p ** N)
+    r = (2.0 ** float(p) + 1.0) / 2.0 ** float(p)
+    level, total = 1.0, 0.0
     for _ in range(N):
         total += level
         level *= r
@@ -151,6 +158,16 @@ def sum_ifg_p_direct(N: int, p: Scalar) -> Scalar:
     1 + sum_{e < N-a-1} r^e with r = 1 + 2^-p, which grows by one geometric
     term per step of a downward.
     """
+    pi = _as_int(p)
+    if pi is not None:
+        # one numerator over 2^(p(N-1)): at step a the weight and the term
+        # carry the factor 2^(p(N-1-a)), and term = (2^p+1)^(N-1-a)
+        two_p, total, weight, term = 2 ** pi, 0, 1, 1
+        for a in range(N - 1, -1, -1):
+            total += (a + 1) ** pi * weight
+            weight = (weight + term) * two_p
+            term *= two_p + 1
+        return Fraction(total, two_p ** (N - 1)) if N else 0
     r = 1 + _pow(_half_pow(1), p)
     total, weight, term = 0, 1, 1
     for a in range(N - 1, -1, -1):
@@ -240,86 +257,95 @@ def _audit_variant(variant: str, N: int, p: Scalar) -> VariantAudit:
     exact = _as_int(p) is not None
     pi = _as_int(p)
 
-    # path quantities, k = 1..N (u_1 = root, u_N = the left-most boundary node)
+    # Path quantities at u_k, k = 1..N (u_1 = root, u_N = the left-most
+    # boundary node), as integer numerators over one denominator den:
+    # g = 2^-k and I*g = 2^-(k-1) - 2^-N for halving (den = 2^N); g = 1 and
+    # I*g = 2^(N-k+1) - 1 for ones (den = 1).  L sums k^p against lw: g on
+    # the path for halving (off-path values vanish), and for ones the
+    # 2^(N-k) nodes of leading-zero count k - 1 in the whole tree.
+    lw = [2 ** (N - k) for k in range(1, N + 1)]
+    istar = [2 * w - 1 for w in lw]
     if variant == "halving":
-        g_path = [_half_pow(k) for k in range(1, N + 1)]
-        istar = [Fraction(1, 2 ** (k - 1)) - _half_pow(N) for k in range(1, N + 1)]
-        # off-path values vanish, so L is the path sum
-        L = sum(_pow(k, p) * g_path[k - 1] for k in range(1, N + 1))
+        g_path, den = lw, 2 ** N
     elif variant == "ones":
-        g_path = [Fraction(1)] * N
-        istar = [Fraction(2 ** (N - k + 1) - 1) for k in range(1, N + 1)]
-        # whole-tree sum: 2^(N-1-a) nodes have leading-zero count a
-        L = sum(_pow(a + 1, p) * Fraction(2 ** (N - 1 - a)) for a in range(N))
+        g_path, den = [1] * N, 1
     else:
         raise ValueError(f"unknown variant {variant!r}")
-
-    iistar = []
-    acc = Fraction(0)
-    for v in istar:
-        acc += v
-        iistar.append(acc)
-    sup = iistar[-1]
+    iistar = list(itertools.accumulate(istar))
     # II* along the path is a running sum of non-negative I* values, so the
     # maximum sits at the boundary node u_N, where g is non-zero.
     boundary_ok = all(iistar[i] <= iistar[i + 1] for i in range(N - 1)) and g_path[-1] > 0
 
-    if not exact:
-        def f(x):
+    # k^p, k^(p-1) and k^(p-2) for k = 0..N: ints for integral p
+    pw, pw1, pw2 = ([_pow(k, e) for k in range(N + 1)] for e in (p, p - 1, p - 2))
+
+    if exact:
+        def q(num):
+            return Fraction(num, den)
+
+        L = q(sum(pw[k] * lw[k - 1] for k in range(1, N + 1)))
+    else:
+        def q(num):
+            return num
+
+        def fl(num):
+            # float(Fraction(num, den)), with overflow read as inf
             try:
-                return float(x)
+                return num / den
             except OverflowError:
                 return math.inf
-        g_path = [f(x) for x in g_path]
-        istar = [f(x) for x in istar]
-        iistar = [f(x) for x in iistar]
-        sup = f(sup)
-        L = f(L)
+        g_path = [fl(x) for x in g_path]
+        istar = [fl(x) for x in istar]
+        iistar = [fl(x) for x in iistar]
+        L = sum(pw[k] * fl(lw[k - 1]) for k in range(1, N + 1))
 
+    # The steps below take the numerators in exact mode and q() puts them
+    # over den; float mode runs the same expressions on the rounded values.
+    sup = q(iistar[-1])
     steps: list[AuditStep] = []
 
-    S1 = sum(_pow(k, p) * g_path[k - 1] for k in range(2, N + 1))
+    S1 = q(sum(pw[k] * g_path[k - 1] for k in range(2, N + 1)))
     steps.append(AuditStep("series_lower_bound", L, S1, L >= S1,
                            "L >= sum_{k>=2} k^p g(u_k)"))
 
-    dev = max(abs(g_path[k - 1] - (istar[k - 1] - istar[k - 2])) for k in range(2, N + 1))
+    dev = q(max(abs(g_path[k - 1] - (istar[k - 1] - istar[k - 2])) for k in range(2, N + 1)))
     steps.append(AuditStep("g_telescope", dev, 0, dev == 0,
                            "printed identity g(u_k) = I*g(u_k) - I*g(u_{k-1})"))
 
-    S2 = sum(istar[k - 1] * (_pow(k, p) - _pow(k - 1, p)) for k in range(2, N + 1))
+    S2 = q(sum(istar[k - 1] * (pw[k] - pw[k - 1]) for k in range(2, N + 1)))
     steps.append(AuditStep("abel_1", S1, S2, S1 == S2,
                            "printed Abel summation (equality claim)"))
 
     const = Fraction(pi, 2 ** (pi - 1)) if exact else float(p) / 2.0 ** (float(p) - 1.0)
-    S3 = sum(istar[k - 1] * _pow(k, p - 1) for k in range(2, N + 1))
+    S3 = q(sum(istar[k - 1] * pw1[k] for k in range(2, N + 1)))
     steps.append(AuditStep("power_diff_bound", S2, const * S3, S2 >= const * S3,
                            "k^p - (k-1)^p >= (p/2^(p-1)) k^(p-1)"))
 
-    dev2 = max(abs(istar[k - 1] - (iistar[k - 1] - iistar[k - 2])) for k in range(2, N + 1))
+    dev2 = q(max(abs(istar[k - 1] - (iistar[k - 1] - iistar[k - 2])) for k in range(2, N + 1)))
     steps.append(AuditStep("istar_telescope", dev2, 0, dev2 == 0,
                            "I*g(u_k) = II*g(u_k) - II*g(u_{k-1})"))
 
-    star = iistar[N - 1] * _pow(N, p - 1) - iistar[0] - sum(
-        iistar[k - 1] * (_pow(k + 1, p - 1) - _pow(k, p - 1)) for k in range(1, N))
+    star = q(iistar[N - 1] * pw1[N] - iistar[0] - sum(
+        iistar[k - 1] * (pw1[k + 1] - pw1[k]) for k in range(1, N)))
     steps.append(AuditStep("abel_2_star", S3, star, S3 == star,
                            "the (*) expression"))
 
-    tele = sum(_pow(k + 1, p - 1) - _pow(k, p - 1) for k in range(1, N))
-    star_lb = sup * _pow(N, p - 1) - iistar[0] - sup * tele
+    tele = sum(pw1[k + 1] - pw1[k] for k in range(1, N))
+    star_lb = q(iistar[-1] * pw1[N] - iistar[0] - iistar[-1] * tele)
     steps.append(AuditStep("star_bound", star, star_lb, star >= star_lb,
                            "(*) bounded below via ||II*g||_inf (m taken as 1)"))
 
-    pow_sum = sum(_pow(k, p - 2) for k in range(1, N))
+    pow_sum = sum(pw2[k] for k in range(1, N))
     deriv_rhs = ((pi - 1) if exact else (float(p) - 1.0)) * pow_sum
     steps.append(AuditStep("derivative_bound", tele, deriv_rhs, tele <= deriv_rhs,
                            "printed (k+1)^(p-1) - k^(p-1) <= (p-1) k^(p-2)"))
 
-    integral_rhs = (_pow(N - 1, p - 1) - 1) / ((pi - 1) if exact else (float(p) - 1.0))
+    integral_rhs = (pw1[N - 1] - 1) / ((pi - 1) if exact else (float(p) - 1.0))
     steps.append(AuditStep("integral_bound", pow_sum, integral_rhs,
                            pow_sum <= integral_rhs,
                            "printed sum k^(p-2) <= ((N-1)^(p-1) - 1)/(p-1)"))
 
-    final_rhs = const * sup * (_pow(N, p - 1) - _pow(N - 1, p - 1))
+    final_rhs = const * sup * (pw1[N] - pw1[N - 1])
     steps.append(AuditStep("final_claim", L, final_rhs, L >= final_rhs,
                            "the chain's asserted lower bound on L"))
 
@@ -339,6 +365,10 @@ def gen_cex_new23(N: int, p: Scalar, seed: Optional[int] = None) -> dict[str, Va
         raise ValueError("N must be at least 3")
     if p <= 2:
         raise ValueError("the audited chain targets p > 2")
+    if _as_int(p) is None and N > _MAX_NEW23_FLOAT_N:
+        raise ResourceError(
+            f"a non-integral p rounds the weight 2^(N-1) to a float, which "
+            f"overflows beyond N = {_MAX_NEW23_FLOAT_N}")
     return {v: _audit_variant(v, N, p) for v in ("halving", "ones")}
 
 

@@ -20,6 +20,7 @@ import math
 import random
 import time
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable
 
 from .trees import EXACT, ResourceError, Scalar, SparseFn, TreeDomain
@@ -67,10 +68,18 @@ def _trial_phi(rng, d, mode, seed) -> LemmaReport:
     nodes = list(d.nodes())
     w = randgen.random_weight(rng, nodes, mode=mode)
     iwg = hardy_up_table(w.mul(g), nodes)
-    values = sorted(iwg.values())
-    delta = values[len(values) * 2 // 5]
+    if mode == EXACT:
+        # rank by integer numerators over one common denominator, not by
+        # Fraction compares
+        den = math.lcm(*(v.denominator for v in iwg.values()))
+        keys = {n: v.numerator * (den // v.denominator) for n, v in iwg.items()}
+        cut = sorted(keys.values())[len(keys) * 2 // 5]
+        delta = Fraction(cut, den)
+        candidates = [n for n, k in keys.items() if k <= cut]
+    else:
+        delta = sorted(iwg.values())[len(iwg) * 2 // 5]
+        candidates = [n for n, v in iwg.items() if v <= delta]
     lam = 4 * delta
-    candidates = [n for n, v in iwg.items() if v <= delta]
     entries = {}
     for n in rng.sample(candidates, k=min(len(candidates), rng.randint(1, 6))):
         v = randgen.dyadic(rng)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 from typing import Sequence
@@ -9,11 +10,12 @@ from typing import Sequence
 import numpy as np
 
 from cxlab.capacity import EquilibriumResult
-from cxlab.counterexamples import _half_pow
+from cxlab.counterexamples import AuditStep, VariantAudit, _half_pow
 from cxlab.hardy import PointMeasure
 from cxlab.randgen import dyadic, random_path
 from cxlab.trees import (
-    EXACT, BiNode, NodeAddress, ResourceError, Scalar, SparseFn, TreeDomain, _zero,
+    EXACT, BiNode, NodeAddress, ResourceError, Scalar, SparseFn, TreeDomain, _as_int,
+    _pow, _zero,
 )
 
 _MATERIALIZE_LEVELS = 12
@@ -117,3 +119,117 @@ def doubling_g_fn(N: int) -> SparseFn:
 def leftmost_path_fn(N: int) -> SparseFn:
     """f = 1 on the leftmost root-to-leaf path."""
     return SparseFn.tree({NodeAddress("0" * i): Fraction(1) for i in range(N)})
+
+
+# The counterexample sums in plain Fraction arithmetic, one rational step at
+# a time: the oracles for the integer-numerator forms in cxlab.counterexamples.
+
+def sum_gp_levels_fraction(N: int, p: Scalar) -> Scalar:
+    """Sum over levels 0..N-1 of g^p via the per-level ratio (2^p+1)/2^p."""
+    pi = _as_int(p)
+    if pi is not None:
+        r = Fraction(2 ** pi + 1, 2 ** pi)
+        level = Fraction(1)
+        total = Fraction(0)
+    else:
+        r = (2.0 ** float(p) + 1.0) / 2.0 ** float(p)
+        level, total = 1.0, 0.0
+    for _ in range(N):
+        total += level
+        level *= r
+    return total
+
+
+def sum_ifg_p_direct_fraction(N: int, p: Scalar) -> Scalar:
+    """Full-tree sum of (If g)^p for f = 1 on the leftmost path and the
+    doubling g, over (level, leading-zero count)."""
+    r = 1 + _pow(_half_pow(1), p)
+    total, weight, term = 0, 1, 1
+    for a in range(N - 1, -1, -1):
+        total += _pow(a + 1, p) * _pow(_half_pow(a), p) * weight
+        weight += term
+        term *= r
+    return total
+
+
+def audit_variant_fraction(variant: str, N: int, p: Scalar) -> VariantAudit:
+    """The p > 2 chain audit with every path value a Fraction; float mode
+    rounds the path values once, then runs the float steps."""
+    exact = _as_int(p) is not None
+    pi = _as_int(p)
+
+    if variant == "halving":
+        g_path = [_half_pow(k) for k in range(1, N + 1)]
+        istar = [Fraction(1, 2 ** (k - 1)) - _half_pow(N) for k in range(1, N + 1)]
+        L = sum(_pow(k, p) * g_path[k - 1] for k in range(1, N + 1))
+    elif variant == "ones":
+        g_path = [Fraction(1)] * N
+        istar = [Fraction(2 ** (N - k + 1) - 1) for k in range(1, N + 1)]
+        L = sum(_pow(a + 1, p) * Fraction(2 ** (N - 1 - a)) for a in range(N))
+    else:
+        raise ValueError(f"unknown variant {variant!r}")
+
+    iistar = []
+    acc = Fraction(0)
+    for v in istar:
+        acc += v
+        iistar.append(acc)
+    sup = iistar[-1]
+    boundary_ok = all(iistar[i] <= iistar[i + 1] for i in range(N - 1)) and g_path[-1] > 0
+
+    if not exact:
+        def f(x):
+            try:
+                return float(x)
+            except OverflowError:
+                return math.inf
+        g_path = [f(x) for x in g_path]
+        istar = [f(x) for x in istar]
+        iistar = [f(x) for x in iistar]
+        sup = f(sup)
+        L = f(L)
+
+    steps: list[AuditStep] = []
+    S1 = sum(_pow(k, p) * g_path[k - 1] for k in range(2, N + 1))
+    steps.append(AuditStep("series_lower_bound", L, S1, L >= S1,
+                           "L >= sum_{k>=2} k^p g(u_k)"))
+    dev = max(abs(g_path[k - 1] - (istar[k - 1] - istar[k - 2])) for k in range(2, N + 1))
+    steps.append(AuditStep("g_telescope", dev, 0, dev == 0,
+                           "printed identity g(u_k) = I*g(u_k) - I*g(u_{k-1})"))
+    S2 = sum(istar[k - 1] * (_pow(k, p) - _pow(k - 1, p)) for k in range(2, N + 1))
+    steps.append(AuditStep("abel_1", S1, S2, S1 == S2,
+                           "printed Abel summation (equality claim)"))
+    const = Fraction(pi, 2 ** (pi - 1)) if exact else float(p) / 2.0 ** (float(p) - 1.0)
+    S3 = sum(istar[k - 1] * _pow(k, p - 1) for k in range(2, N + 1))
+    steps.append(AuditStep("power_diff_bound", S2, const * S3, S2 >= const * S3,
+                           "k^p - (k-1)^p >= (p/2^(p-1)) k^(p-1)"))
+    dev2 = max(abs(istar[k - 1] - (iistar[k - 1] - iistar[k - 2])) for k in range(2, N + 1))
+    steps.append(AuditStep("istar_telescope", dev2, 0, dev2 == 0,
+                           "I*g(u_k) = II*g(u_k) - II*g(u_{k-1})"))
+    star = iistar[N - 1] * _pow(N, p - 1) - iistar[0] - sum(
+        iistar[k - 1] * (_pow(k + 1, p - 1) - _pow(k, p - 1)) for k in range(1, N))
+    steps.append(AuditStep("abel_2_star", S3, star, S3 == star,
+                           "the (*) expression"))
+    tele = sum(_pow(k + 1, p - 1) - _pow(k, p - 1) for k in range(1, N))
+    star_lb = sup * _pow(N, p - 1) - iistar[0] - sup * tele
+    steps.append(AuditStep("star_bound", star, star_lb, star >= star_lb,
+                           "(*) bounded below via ||II*g||_inf (m taken as 1)"))
+    pow_sum = sum(_pow(k, p - 2) for k in range(1, N))
+    deriv_rhs = ((pi - 1) if exact else (float(p) - 1.0)) * pow_sum
+    steps.append(AuditStep("derivative_bound", tele, deriv_rhs, tele <= deriv_rhs,
+                           "printed (k+1)^(p-1) - k^(p-1) <= (p-1) k^(p-2)"))
+    integral_rhs = (_pow(N - 1, p - 1) - 1) / ((pi - 1) if exact else (float(p) - 1.0))
+    steps.append(AuditStep("integral_bound", pow_sum, integral_rhs,
+                           pow_sum <= integral_rhs,
+                           "printed sum k^(p-2) <= ((N-1)^(p-1) - 1)/(p-1)"))
+    final_rhs = const * sup * (_pow(N, p - 1) - _pow(N - 1, p - 1))
+    steps.append(AuditStep("final_claim", L, final_rhs, L >= final_rhs,
+                           "the chain's asserted lower bound on L"))
+
+    lemma_rhs = sup * N
+    return VariantAudit(
+        variant=variant, N=N, p=p,
+        total_ifp_g=L, sup_iistar=sup, sum_fp=N, lemma_rhs=lemma_rhs,
+        lemma_holds=L <= lemma_rhs, boundary_argmax_ok=boundary_ok,
+        steps=steps,
+    )

@@ -44,6 +44,11 @@ class TestCex:
         code = main(["cex", "p-less-2", "--k", "9", "--p", "1.5"])
         assert code == 3
 
+    def test_new23_non_integral_p_beyond_float_range_exits_3(self, capsys):
+        code = main(["cex", "new23", "--N", "1025", "--p", "2.5"])
+        assert code == 3
+        assert "N = 1024" in capsys.readouterr().err
+
     def test_new23_audit(self, capsys):
         code, out = run_cli(capsys, "cex", "new23", "--N", "10", "--p", "4")
         assert code == 0

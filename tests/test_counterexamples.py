@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 from math import comb
@@ -6,8 +7,9 @@ import pytest
 
 from cxlab.trees import NodeAddress, ResourceError, SparseFn, TreeDomain, _as_int, _pow
 from cxlab.hardy import eval_hardy_down, hardy_up_table
-from cxlab.lemmas import verify_new23
+from cxlab.lemmas import scalar_repr, verify_new23
 from cxlab.counterexamples import (
+    _audit_variant,
     gen_cex_direct,
     gen_cex_increasing,
     gen_cex_new23,
@@ -17,7 +19,14 @@ from cxlab.counterexamples import (
     sum_ifg_p_direct,
 )
 
-from helpers import build_cex_p_less_2_functions, doubling_g_fn, leftmost_path_fn
+from helpers import (
+    audit_variant_fraction,
+    build_cex_p_less_2_functions,
+    doubling_g_fn,
+    leftmost_path_fn,
+    sum_gp_levels_fraction,
+    sum_ifg_p_direct_fraction,
+)
 
 
 def sum_gp_binomial(N, p):
@@ -233,6 +242,46 @@ class TestNew23Audit:
     def test_rejects_small_p(self):
         with pytest.raises(ValueError):
             gen_cex_new23(10, 2)
+
+
+class TestIntegerSumsMatchFractionOracles:
+    """The integer-numerator sums print what step-by-step Fraction
+    arithmetic prints, NaN outputs of float mode included (ones at
+    N = 1000, p = 3.5: II*g overflows and inf - inf reads NaN)."""
+
+    NS = (3, 4, 10, 100, 1000)
+    PS = (2.01, 2.5, 3, 3.5, 4, 4.0, 5)
+
+    @staticmethod
+    def _text(audit):
+        return json.dumps(audit.to_dict(), default=scalar_repr)
+
+    @pytest.mark.parametrize("p", PS)
+    @pytest.mark.parametrize("N", NS)
+    def test_audit_variants(self, N, p):
+        for variant in ("halving", "ones"):
+            assert self._text(_audit_variant(variant, N, p)) == \
+                self._text(audit_variant_fraction(variant, N, p)), variant
+
+    @pytest.mark.parametrize("p", PS)
+    @pytest.mark.parametrize("N", NS)
+    def test_level_sums(self, N, p):
+        assert repr(sum_gp_levels(N, p)) == repr(sum_gp_levels_fraction(N, p))
+        assert repr(sum_ifg_p_direct(N, p)) == repr(sum_ifg_p_direct_fraction(N, p))
+
+
+class TestNew23FloatRange:
+    def test_largest_non_integral_n_runs(self):
+        for audit in gen_cex_new23(1024, 2.5).values():
+            assert audit.N == 1024
+
+    @pytest.mark.parametrize("p", [2.5, 3.5])
+    def test_beyond_float_range_rejected(self, p):
+        with pytest.raises(ResourceError, match="N = 1024"):
+            gen_cex_new23(1025, p)
+
+    def test_integral_p_not_bounded(self):
+        assert gen_cex_new23(1025, 3)["ones"].N == 1025
 
 
 class TestSearchNew23:
