@@ -218,7 +218,8 @@ def audit_variant_fraction(variant: str, N: int, p: Scalar) -> VariantAudit:
     deriv_rhs = ((pi - 1) if exact else (float(p) - 1.0)) * pow_sum
     steps.append(AuditStep("derivative_bound", tele, deriv_rhs, tele <= deriv_rhs,
                            "printed (k+1)^(p-1) - k^(p-1) <= (p-1) k^(p-2)"))
-    integral_rhs = (_pow(N - 1, p - 1) - 1) / ((pi - 1) if exact else (float(p) - 1.0))
+    integral_rhs = (Fraction(_pow(N - 1, p - 1) - 1, pi - 1) if exact
+                    else (_pow(N - 1, p - 1) - 1) / (float(p) - 1.0))
     steps.append(AuditStep("integral_bound", pow_sum, integral_rhs,
                            pow_sum <= integral_rhs,
                            "printed sum k^(p-2) <= ((N-1)^(p-1) - 1)/(p-1)"))
