@@ -153,8 +153,10 @@ def sup_iistar_refined(g: SparseFn, f: SparseFn) -> tuple[Scalar, Optional[Node]
 
 
 def sup_iistar_intersection(g: SparseFn, f: SparseFn) -> tuple[Scalar, Optional[Node]]:
-    """sup of II*g over supp g intersected with supp f (tree only)."""
-    return _sup_iistar(g, set(g.support()) & set(f.support()))
+    """sup of II*g over supp g intersected with supp f (tree only); nodes
+    are visited in supp g order, so a tie keeps the first in that order."""
+    f_support = set(f.support())
+    return _sup_iistar(g, [x for x in g.support() if x in f_support])
 
 
 def sup_iistar_support(g: SparseFn) -> Scalar:
@@ -228,29 +230,36 @@ def build_phi(
         raise PreconditionError(f"lambda >= 4*delta required (lambda={lam}, delta={delta})")
     wf = w.mul(f)
 
+    # On an enumerated domain check_nodes already holds supp g (the
+    # superadditivity check keeps supp g inside d), so I(wf) is swept over
+    # check_nodes as they are; the support closure may miss supp g.
     if d.levels > _ENUM_LEVELS:
         base = list(w.mul(g).support()) + list(wf.support())
         check_nodes = ancestor_closure(base)
         check_nodes += [c for n in check_nodes for c in d.children(n)]
         check_nodes = list(dict.fromkeys(check_nodes))
+        wf_nodes = set(check_nodes) | set(g.support())
     elif iwg is None:
-        check_nodes = list(d.nodes())
+        check_nodes = wf_nodes = list(d.nodes())
     elif len(iwg) != d.node_count:
         raise ValueError(f"iwg holds {len(iwg)} nodes, the domain has {d.node_count}")
     else:
-        check_nodes = list(iwg)
+        check_nodes = wf_nodes = list(iwg)
 
     if iwg is None:
         iwg = hardy_up_table(w.mul(g), set(check_nodes) | set(f.support()) | set(g.support()))
     else:
-        for node in chain(check_nodes, f.support(), g.support()):
+        read = chain(f.support(), g.support())
+        if d.levels > _ENUM_LEVELS:  # else the check nodes are the table's keys
+            read = chain(check_nodes, read)
+        for node in read:
             if node not in iwg:
                 raise ValueError(f"iwg lacks I(wg) at {format_node(node)}")
     for node in f.support():
         if iwg[node] > delta:
             raise PreconditionError("supp f must lie inside {I(wg) <= delta}", node)
 
-    iwf = hardy_up_table(wf, set(check_nodes) | set(g.support()))
+    iwf = hardy_up_table(wf, wf_nodes)
     inv_lam = Fraction(1, 1) / lam if g.mode == EXACT else 1.0 / float(lam)
     two_lam, half_lam = 2 * lam, lam / 2
     phi_entries = {}
@@ -270,8 +279,10 @@ def build_phi(
     a_ok, a_witness = True, None
     worst_a = None
     for node in check_nodes:
-        if half_lam < iwg[node] <= two_lam and iwf[node] > 0:
-            r = iwphi[node] / iwf[node]
+        # I(wf) >= 0, so its truth is "> 0", and it is zero at most nodes
+        wf_v = iwf[node]
+        if wf_v and half_lam < iwg[node] <= two_lam:
+            r = iwphi[node] / wf_v
             if worst_a is None or r < worst_a:
                 worst_a = r
             if r < lower:

@@ -69,9 +69,15 @@ def random_sparse(
     return SparseFn.tree(entries, mode)
 
 
+# k/4 for k = 0..16, in each scalar mode
+_QUARTERS = tuple(Fraction(k, 4) for k in range(17))
+_QUARTERS_FLOAT = tuple(k / 4 for k in range(17))
+
+
 def random_weight(rng: random.Random, nodes, mode: str = EXACT) -> SparseFn:
     """A weight in {1/4 .. 4} on the given nodes (dyadic steps)."""
-    entries = {n: Fraction(rng.randint(1, 16), 4) for n in nodes}
+    quarters = _QUARTERS if mode == EXACT else _QUARTERS_FLOAT
+    entries = {n: quarters[rng.randint(1, 16)] for n in nodes}
     return SparseFn.tree(entries, mode)
 
 

@@ -8,6 +8,7 @@ coordinate paths are prefixes of a's (smaller = deeper).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Union
@@ -148,6 +149,24 @@ def parse_node(text: str) -> Node:
     return NodeAddress(text)
 
 
+def _bfs_generate(levels: int) -> Iterator[NodeAddress]:
+    frontier = [""]
+    for _ in range(levels):
+        for p in frontier:
+            yield NodeAddress(p)
+        frontier = [p + b for p in frontier for b in "01"]
+
+
+# Domains of up to this many levels share one breadth-first tuple per depth:
+# at most 2^13 - 2 nodes over all twelve depths, built on first use.
+_CACHED_LEVELS = 12
+
+
+@functools.cache
+def _bfs_nodes(levels: int) -> tuple[NodeAddress, ...]:
+    return tuple(_bfs_generate(levels))
+
+
 @dataclass(frozen=True)
 class TreeDomain:
     """A full binary tree with node levels 0..levels-1 (2^levels - 1 nodes)."""
@@ -181,14 +200,16 @@ class TreeDomain:
         return [a.child(0), a.child(1)]
 
     def nodes(self) -> Iterator[NodeAddress]:
-        """All nodes in breadth-first order.  Only for small domains."""
+        """All nodes in breadth-first order.  Only for small domains.
+
+        Up to _CACHED_LEVELS levels the order is built once per depth and
+        shared; above that the nodes are generated afresh on each call.
+        """
         if self.levels > 20:
             raise ResourceError(f"refusing to enumerate 2^{self.levels}-1 nodes")
-        frontier = [""]
-        for _ in range(self.levels):
-            for p in frontier:
-                yield NodeAddress(p)
-            frontier = [p + b for p in frontier for b in "01"]
+        if self.levels <= _CACHED_LEVELS:
+            return iter(_bfs_nodes(self.levels))
+        return _bfs_generate(self.levels)
 
     def leaves(self) -> Iterator[NodeAddress]:
         for a in self.nodes():
@@ -241,18 +262,32 @@ class SparseFn:
         self.kind = kind
         self.mode = mode
         self._values: dict[Node, Scalar] = {}
-        if entries:
-            for node, v in entries.items():
+        if not entries:
+            return
+        # The sign is read from an exact value's numerator and from a float
+        # itself, not through Fraction compares; a float NaN passes both tests.
+        want = BiNode if kind == "bitree" else NodeAddress
+        exact = mode == EXACT
+        values = self._values
+        for node, v in entries.items():
+            if type(node) is not want and not isinstance(node, want):
                 self._check_node(node)
-                v = _coerce(v, mode)
-                if v < 0:
-                    raise ValueError(f"negative value {v} at {format_node(node)}")
-                if v != 0:
-                    self._values[node] = v
+            if exact:
+                if type(v) is not Fraction:
+                    v = Fraction(v)
+                sign = v.numerator
+            else:
+                if type(v) is not float:
+                    v = float(v)
+                sign = v
+            if sign < 0:
+                raise ValueError(f"negative value {v} at {format_node(node)}")
+            if sign:
+                values[node] = v
 
     def _check_node(self, node: Node) -> None:
         want = BiNode if self.kind == "bitree" else NodeAddress
-        if not isinstance(node, want):
+        if type(node) is not want and not isinstance(node, want):
             raise DomainError(
                 f"{type(node).__name__} is not a {self.kind} node")
 

@@ -69,6 +69,13 @@ def iistar_bitree_scan(g: SparseFn, node: BiNode) -> Scalar:
     return acc
 
 
+def tree_nodes_bfs(levels: int) -> list[NodeAddress]:
+    """Every node of the levels-level tree, depth by depth, each depth in
+    the order of its paths read as binary numbers."""
+    return [NodeAddress(format(i, f"0{k}b") if k else "")
+            for k in range(levels) for i in range(2 ** k)]
+
+
 def rho_full(eq: EquilibriumResult, classes: Sequence[Sequence[int]]) -> np.ndarray:
     """The equilibrium mass of every family member, from one mass per class."""
     out = np.zeros(sum(len(c) for c in classes))

@@ -15,6 +15,7 @@ import io
 import json
 import os
 import re
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -24,6 +25,7 @@ import pytest
 from cxlab.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 # the README examples (phi cut to 50 trials, the search to a budget of 1000),
 # the other verify suites and the larger instances the benchmark runs
@@ -98,6 +100,21 @@ def render(name: str, workdir: Path) -> str:
 @pytest.mark.parametrize("name", sorted({**COMMANDS, **RUNS}))
 def test_golden(name, tmp_path):
     assert render(name, tmp_path) == (GOLDEN / f"{name}.txt").read_text()
+
+
+@pytest.mark.parametrize("hashseed", ["1", "2"])
+@pytest.mark.parametrize("name", ["verify-linf", "verify-new23"])
+def test_golden_independent_of_hash_seed(name, hashseed, tmp_path):
+    """The witnesses of these suites do not follow set order: a fresh
+    interpreter under another hash seed prints the same golden."""
+    env = {**os.environ, "PYTHONHASHSEED": hashseed,
+           "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+    argv = COMMANDS[name].split()
+    out = subprocess.run([sys.executable, "-m", "cxlab.cli", *argv], cwd=tmp_path, env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.stderr == ""
+    text = f"$ cxlab {' '.join(argv)}\nexit {out.returncode}\n{out.stdout}"
+    assert text == (GOLDEN / f"{name}.txt").read_text()
 
 
 if __name__ == "__main__":

@@ -50,6 +50,15 @@ class TestSupRefinements:
             if arg is not None:
                 assert brute_iistar(g, arg) == sup
 
+    def test_intersection_tie_keeps_first_in_g_order(self):
+        # II*g = 3 at both children; the witness follows supp g, not f or hashing
+        left, right = NodeAddress("0"), NodeAddress("1")
+        for order in ((left, right), (right, left)):
+            g = SparseFn.tree({n: 1 for n in order})
+            for f_order in (order, order[::-1]):
+                f = SparseFn.tree({n: 1 for n in f_order})
+                assert sup_iistar_intersection(g, f) == (3, order[0])
+
     def test_support_sup_matches_bruteforce(self):
         d = TreeDomain(7)
         rng = random.Random(33)

@@ -1,5 +1,7 @@
-import pytest
+import math
 from fractions import Fraction
+
+import pytest
 
 from cxlab.trees import (
     BIROOT,
@@ -18,6 +20,8 @@ from cxlab.trees import (
     lcp_len,
     parse_node,
 )
+
+from helpers import tree_nodes_bfs
 
 
 class TestNodeAddress:
@@ -98,9 +102,17 @@ class TestTreeDomain:
         assert NodeAddress("01") in d
         assert NodeAddress("011") not in d
 
+    @pytest.mark.parametrize("levels", range(1, 14))
+    def test_nodes_breadth_first(self, levels):
+        # 1..12 levels read a shared tuple, 13 the generator; both twice
+        d = TreeDomain(levels)
+        want = tree_nodes_bfs(levels)
+        assert list(d.nodes()) == want
+        assert list(d.nodes()) == want
+
     def test_enumeration_budget(self):
         with pytest.raises(ResourceError):
-            list(TreeDomain(21).nodes())
+            TreeDomain(21).nodes()  # on the call, before any node is read
 
     def test_bitree_enumeration(self):
         bd = BiTreeDomain(2, 3)
@@ -117,6 +129,41 @@ class TestSparseFn:
         assert f(ROOT) == Fraction(1, 2)
         assert f(NodeAddress("1")) == 0
         assert isinstance(f.get(NodeAddress("1")), Fraction)
+
+    @pytest.mark.parametrize("mode", [EXACT, FLOAT])
+    def test_non_tree_keys_rejected(self, mode):
+        for key in (BIROOT, "01"):
+            with pytest.raises(DomainError, match=f"{type(key).__name__} is not a tree node"):
+                SparseFn.tree({key: 1}, mode)
+
+    @pytest.mark.parametrize("mode,text", [(EXACT, "-1/2"), (FLOAT, "-0.5")])
+    def test_negative_message(self, mode, text):
+        for v in (Fraction(-1, 2), -0.5):
+            with pytest.raises(ValueError) as info:
+                SparseFn.tree({ROOT: 1, NodeAddress("01"): v}, mode)
+            assert str(info.value) == f"negative value {text} at 01"
+
+    @pytest.mark.parametrize("mode", [EXACT, FLOAT])
+    def test_zeros_dropped(self, mode):
+        zeros = (0, 0.0, -0.0, Fraction(0))
+        f = SparseFn.tree({NodeAddress("0" * i): z for i, z in enumerate(zeros)}, mode)
+        assert len(f) == 0 and not f
+
+    def test_exact_coercion_of_int_and_float(self):
+        f = SparseFn.tree({ROOT: 3, NodeAddress("0"): 0.1, NodeAddress("1"): Fraction(1, 3)})
+        assert [(type(v), v) for _, v in f.items()] == [
+            (Fraction, Fraction(3)), (Fraction, Fraction(0.1)), (Fraction, Fraction(1, 3))]
+        assert f.get(NodeAddress("0")) != Fraction(1, 10)  # the binary value, not 1/10
+
+    def test_float_coercion(self):
+        f = SparseFn.tree({ROOT: 3, NodeAddress("1"): Fraction(1, 3)}, FLOAT)
+        assert [(type(v), v) for _, v in f.items()] == [(float, 3.0), (float, 1 / 3)]
+
+    def test_nan_kept_in_float_mode_only(self):
+        f = SparseFn.tree({ROOT: math.nan}, FLOAT)
+        assert len(f) == 1 and math.isnan(f.get(ROOT))
+        with pytest.raises(ValueError):
+            SparseFn.tree({ROOT: math.nan})
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
