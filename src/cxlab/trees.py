@@ -158,7 +158,7 @@ def _bfs_generate(levels: int) -> Iterator[NodeAddress]:
 
 
 # Domains of up to this many levels share one breadth-first tuple per depth:
-# at most 2^13 - 2 nodes over all twelve depths, built on first use.
+# 8,178 nodes over all twelve depths, each tuple built on first use.
 _CACHED_LEVELS = 12
 
 
@@ -202,7 +202,7 @@ class TreeDomain:
     def nodes(self) -> Iterator[NodeAddress]:
         """All nodes in breadth-first order.  Only for small domains.
 
-        Up to _CACHED_LEVELS levels the order is built once per depth and
+        Up to 12 levels the order is built once per depth and
         shared; above that the nodes are generated afresh on each call.
         """
         if self.levels > 20:
