@@ -28,10 +28,15 @@ GOLDEN = Path(__file__).parent / "golden"
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 # the README examples (phi cut to 50 trials, the search to a budget of 1000),
-# the other verify suites and the larger instances the benchmark runs
+# the other verify suites, phi on both sides of the 12-level enumeration
+# cutoff and the larger instances the benchmark runs
 COMMANDS = {
     "verify-phi": "verify phi --trials 50 --depth 8 --seed 7",
     "verify-phi-float": "verify phi --trials 50 --depth 8 --seed 7 --mode float",
+    "verify-phi-12": "verify phi --depth 12 --trials 20 --seed 7",
+    "verify-phi-12-float": "verify phi --depth 12 --trials 20 --seed 7 --mode float",
+    "verify-phi-13": "verify phi --depth 13 --trials 10 --seed 7",
+    "verify-phi-13-float": "verify phi --depth 13 --trials 10 --seed 7 --mode float",
     "verify-new23": "verify new23 --trials 200 --mode exact",
     "verify-inter-float": "verify inter --mode float",
     "verify-l1linf": "verify l1linf --mode exact",
