@@ -23,9 +23,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from .trees import EXACT, ResourceError, Scalar, SparseFn, TreeDomain
+from .trees import ENUM_LEVELS, EXACT, ResourceError, Scalar, SparseFn, TreeDomain
 from .structure import ExponentPair, special_form_g
-from .hardy import hardy_up_table
+from .hardy import _up_heap
 from .lemmas import (
     LemmaReport,
     build_phi,
@@ -63,22 +63,37 @@ def _trial_i2pos(rng, d, mode, seed) -> LemmaReport:
     return verify_I2_positive(f, g, d, seed=seed)
 
 
-def _trial_phi(rng, d, mode, seed) -> LemmaReport:
+def _phi_instance(rng, d, mode):
+    """The phi trial's instance: w, g, f, lambda, delta, and I(wg) at every
+    node of d as a heap list and the denominator of its entries.
+
+    Node i of d.nodes() has weight quarters[i]/4 and heap position i + 1,
+    so I(wg) is swept over int numerators over 4 lcm(denominators of g) in
+    exact mode, and over the float products g w in float mode.
+    """
     g = randgen.random_superadditive(rng, d, mode=mode)
     nodes = list(d.nodes())
-    w = randgen.random_weight(rng, nodes, mode=mode)
-    iwg = hardy_up_table(w.mul(g), nodes)
+    w, quarters = randgen.random_quarter_weight(rng, nodes, mode)
+    den = 1
     if mode == EXACT:
-        # rank by integer numerators over one common denominator, not by
-        # Fraction compares
-        den = math.lcm(*(v.denominator for v in iwg.values()))
-        keys = {n: v.numerator * (den // v.denominator) for n, v in iwg.items()}
-        cut = sorted(keys.values())[len(keys) * 2 // 5]
-        delta = Fraction(cut, den)
-        candidates = [n for n, k in keys.items() if k <= cut]
+        for _, v in g.items():
+            den = math.lcm(den, v.denominator)
+        up = [0] * (len(nodes) + 1)
+        for n, v in g.items():
+            k = d.heap_index(n)
+            up[k] = quarters[k - 1] * v.numerator * (den // v.denominator)
+        den *= 4
     else:
-        delta = sorted(iwg.values())[len(iwg) * 2 // 5]
-        candidates = [n for n, v in iwg.items() if v <= delta]
+        up = [0.0] * (len(nodes) + 1)
+        for n, v in g.items():
+            k = d.heap_index(n)
+            up[k] = v * (quarters[k - 1] / 4)
+    _up_heap(up)
+    # rank by integer numerators in exact mode, not by Fraction compares
+    keys = up[1:]
+    cut = sorted(keys)[len(keys) * 2 // 5]
+    delta = Fraction(cut, den) if mode == EXACT else cut
+    candidates = [n for n, k in zip(nodes, keys) if k <= cut]
     lam = 4 * delta
     entries = {}
     for n in rng.sample(candidates, k=min(len(candidates), rng.randint(1, 6))):
@@ -86,6 +101,13 @@ def _trial_phi(rng, d, mode, seed) -> LemmaReport:
         if v > 0:
             entries[n] = v
     f = SparseFn.tree(entries, mode)
+    return w, g, f, lam, delta, (up, den)
+
+
+def _trial_phi(rng, d, mode, seed) -> LemmaReport:
+    w, g, f, lam, delta, iwg = _phi_instance(rng, d, mode)
+    if d.levels > ENUM_LEVELS:  # build_phi sweeps the support closure there
+        iwg = None
     _, report = build_phi(w, g, f, lam, delta, d, seed=seed, iwg=iwg)
     return report
 

@@ -6,7 +6,10 @@ module is the only place that evaluates If, I*g and II*g = I(I*g).  On the
 tree two sweeps over path-keyed dicts do it: _up_paths gives If at every
 prefix of the requested paths (root first), _down_paths gives I*g at every
 prefix of supp g (in support order), and II*g is the one fed into the
-other.  On the bi-tree, II* of an atomic measure is evaluated through the
+other.  On a whole enumerated tree _up_heap gives If at every node of a
+list in heap order (node (depth, bits) at (1 << depth) | bits), one add per
+node, over int numerators in exact mode.  On the bi-tree, II* of an atomic
+measure is evaluated through the
 common-ancestor kernel (lcp_x + 1)(lcp_y + 1), never by materializing
 ancestor sets, so instances with coordinate depths in the hundreds stay
 cheap.  eval_hardy_up and eval_hardy_down are the support-scan references.
@@ -14,16 +17,19 @@ cheap.  eval_hardy_up and eval_hardy_down are the support-scan references.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .trees import (
+    EXACT,
     BiNode,
     DomainError,
     Node,
     NodeAddress,
     Scalar,
     SparseFn,
+    TreeDomain,
     lcp_len,
     _zero,
 )
@@ -123,6 +129,37 @@ def _down_paths(values: dict[str, Scalar], zero: Scalar) -> dict[str, Scalar]:
             q = path[:i]
             out[q] = out.get(q, zero) + v
     return out
+
+
+def _heap_values(f: SparseFn, d: TreeDomain) -> tuple[list, int]:
+    """f at every node of d in heap order, a list of 2^levels entries with
+    entry 0 unused, and the denominator its entries are over: int numerators
+    over the lcm of f's denominators in exact mode, floats over 1 in float
+    mode.  A node outside d raises DomainError."""
+    items = [(d.heap_index(n), v) for n, v in f.items()]
+    if f.mode != EXACT:
+        up = [0.0] * (1 << d.levels)
+        for k, v in items:
+            up[k] = v
+        return up, 1
+    den = 1
+    for _, v in items:
+        den = math.lcm(den, v.denominator)
+    up = [0] * (1 << d.levels)
+    for k, v in items:
+        up[k] = v.numerator * (den // v.denominator)
+    return up, den
+
+
+def _up_heap(up: list) -> list:
+    """I in place over a tree function held in heap order (entry 0 unused).
+
+    Each entry gains its parent's finished sum, parents first, so every sum
+    runs root first as in _up_paths and a float sum rounds the same way.
+    """
+    for k in range(2, len(up)):
+        up[k] += up[k >> 1]
+    return up
 
 
 def hardy_up_table(f: SparseFn, nodes: Iterable[NodeAddress]) -> dict[NodeAddress, Scalar]:

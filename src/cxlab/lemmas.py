@@ -9,12 +9,13 @@ makes reports canonical and comparable across instance sizes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain
 from typing import Optional
 
 from .trees import (
+    ENUM_LEVELS,
     EXACT,
     FLOAT,
     Node,
@@ -29,7 +30,9 @@ from .trees import (
     _zero,
 )
 from .hardy import (
+    _heap_values,
     _iistar_at,
+    _up_heap,
     ancestor_closure,
     eval_hardy_up,
     hardy_up_table,
@@ -41,11 +44,6 @@ from .structure import check_power_superadditive, is_increasing, is_superadditiv
 # chain closes with 2*lambda*delta/lambda^2.
 PHI_LOWER_CONST = Fraction(1, 4)
 PHI_ENERGY_CONST = 2
-
-# Full-domain enumeration cutoff for the phi checks; larger domains fall back
-# to the support closure (both sides of the checks are constant below it).
-_ENUM_LEVELS = 12
-
 
 @dataclass
 class LemmaReport:
@@ -210,7 +208,7 @@ def verify_I2_positive(f: SparseFn, g: SparseFn, d, seed: Optional[int] = None) 
 
 def build_phi(
     w: SparseFn, g: SparseFn, f: SparseFn, lam: Scalar, delta: Scalar,
-    d: TreeDomain, seed: Optional[int] = None, iwg: Optional[dict] = None,
+    d: TreeDomain, seed: Optional[int] = None, iwg: Optional[tuple[list, int]] = None,
 ) -> tuple[SparseFn, LemmaReport]:
     """The indicator-weighted majorant phi and its two proof-traced checks.
 
@@ -218,43 +216,131 @@ def build_phi(
     check (a): I(w phi) >= (1/4) I(wf) on {lambda/2 < I(wg) <= 2 lambda};
     check (b): sum w phi^2 <= 2 (delta/lambda) sum w f^2.
 
-    iwg is I(wg) at every node of d, when the caller has already swept it;
-    swept here when None.  On an enumerated domain its keys, in order, are
-    the nodes check (a) visits.  A table that lacks a node read here raises
-    ValueError.
+    w, g and f share one scalar mode.  On a domain of at most ENUM_LEVELS
+    levels check (a) visits every node and the three I sweeps run over
+    lists in heap order.  There iwg, when the caller has already swept
+    I(wg), is that list and the denominator of its entries, as
+    hardy._heap_values and _up_heap give them; swept here when None.  A
+    list of the wrong length raises ValueError, and so does a table for a
+    larger domain, where check (a) visits the support closure instead.
     """
+    if not w.mode == g.mode == f.mode:
+        raise ValueError(f"w, g and f must share one scalar mode "
+                         f"(got {w.mode}, {g.mode}, {f.mode})")
     ok, witness = is_superadditive(g, d)
     if not ok:
         raise PreconditionError("g is not superadditive", witness)
     if lam < 4 * delta:
         raise PreconditionError(f"lambda >= 4*delta required (lambda={lam}, delta={delta})")
-    wf = w.mul(f)
-
-    # On an enumerated domain check_nodes already holds supp g (the
-    # superadditivity check keeps supp g inside d), so I(wf) is swept over
-    # check_nodes as they are; the support closure may miss supp g.
-    if d.levels > _ENUM_LEVELS:
-        base = list(w.mul(g).support()) + list(wf.support())
-        check_nodes = ancestor_closure(base)
-        check_nodes += [c for n in check_nodes for c in d.children(n)]
-        check_nodes = list(dict.fromkeys(check_nodes))
-        wf_nodes = set(check_nodes) | set(g.support())
-    elif iwg is None:
-        check_nodes = wf_nodes = list(d.nodes())
-    elif len(iwg) != d.node_count:
-        raise ValueError(f"iwg holds {len(iwg)} nodes, the domain has {d.node_count}")
+    if d.levels <= ENUM_LEVELS:
+        phi, a_ok, a_witness, worst_a = _phi_heap(w, g, f, lam, delta, d, iwg)
+    elif iwg is not None:
+        raise ValueError(f"iwg is taken on domains of at most {ENUM_LEVELS} levels")
     else:
-        check_nodes = wf_nodes = list(iwg)
+        phi, a_ok, a_witness, worst_a = _phi_closure(w, g, f, lam, delta, d)
 
+    sum_wphi2 = sum((w.get(n) * v * v for n, v in phi.items()), _zero(g.mode))
+    sum_wf2 = sum((w.get(n) * v * v for n, v in f.items()), _zero(g.mode))
+    b_rhs = PHI_ENERGY_CONST * delta * sum_wf2 / lam
+    b_ok = sum_wphi2 <= b_rhs
+
+    report = LemmaReport(
+        name="build_phi",
+        params={"lambda": lam, "delta": delta},
+        lhs=sum_wphi2, rhs=b_rhs, holds=a_ok and b_ok,
+        witness=a_witness, mode=g.mode, seed=seed,
+        extra={
+            "lower_check_ok": a_ok,
+            "energy_check_ok": b_ok,
+            "worst_lower_ratio": worst_a,
+            "lower_const": PHI_LOWER_CONST,
+            "energy_const": PHI_ENERGY_CONST,
+        },
+    )
+    return phi, report
+
+
+def _phi_heap(w, g, f, lam, delta, d, iwg):
+    """phi and check (a) over every node of an enumerated domain: phi, whether
+    check (a) holds, its last failing node and its least ratio.
+
+    Each I is one _up_heap sweep.  In exact mode the entries are int
+    numerators, each table over its own denominator; a threshold t is read
+    as floor(t den), since an integer n exceeds t iff it exceeds floor(t),
+    and ratios are compared by cross-multiplying.
+    """
+    size = 1 << d.levels
     if iwg is None:
-        iwg = hardy_up_table(w.mul(g), set(check_nodes) | set(f.support()) | set(g.support()))
+        iwg = _heap_values(w.mul(g), d)
+        _up_heap(iwg[0])
+    elif len(iwg[0]) != size:
+        raise ValueError(f"iwg holds {len(iwg[0])} heap entries, the domain needs {size}")
+    up_wg, den_wg = iwg
+    exact = g.mode == EXACT
+    if exact:
+        delta_t, half_t, two_t = (math.floor(Fraction(t) * den_wg)
+                                  for t in (delta, lam / 2, 2 * lam))
     else:
-        read = chain(f.support(), g.support())
-        if d.levels > _ENUM_LEVELS:  # else the check nodes are the table's keys
-            read = chain(check_nodes, read)
-        for node in read:
-            if node not in iwg:
-                raise ValueError(f"iwg lacks I(wg) at {format_node(node)}")
+        delta_t, half_t, two_t = delta, lam / 2, 2 * lam
+    for node in f.support():
+        if up_wg[d.heap_index(node)] > delta_t:
+            raise PreconditionError("supp f must lie inside {I(wg) <= delta}", node)
+
+    up_wf, den_wf = _heap_values(w.mul(f), d)
+    _up_heap(up_wf)
+    inv_lam = Fraction(1, 1) / lam if exact else 1.0 / float(lam)
+    phi_entries = {}
+    for node, gv in g.items():
+        k = d.heap_index(node)
+        # phi is zero where I(wf) is
+        if up_wf[k] and delta_t < up_wg[k] <= two_t:
+            val = inv_lam * (Fraction(up_wf[k], den_wf) if exact else up_wf[k]) * gv
+            if val != 0:
+                phi_entries[node] = val
+    phi = SparseFn.tree(phi_entries, g.mode)
+
+    up_wphi, den_wphi = _heap_values(w.mul(phi), d)
+    _up_heap(up_wphi)
+    a_ok, a_k, worst_k, worst_a = True, None, None, None
+    if exact:
+        # the ratio at k is (up_wphi[k] / den_wphi) / (up_wf[k] / den_wf)
+        lower_wphi = PHI_LOWER_CONST.denominator * den_wf
+        lower_wf = PHI_LOWER_CONST.numerator * den_wphi
+        for k, wf_k in enumerate(up_wf):
+            # I(wf) >= 0, so its truth is "> 0", and it is zero at most nodes
+            if wf_k and half_t < up_wg[k] <= two_t:
+                wphi_k = up_wphi[k]
+                if worst_k is None or wphi_k * up_wf[worst_k] < up_wphi[worst_k] * wf_k:
+                    worst_k = k
+                if wphi_k * lower_wphi < lower_wf * wf_k:
+                    a_ok, a_k = False, k
+        if worst_k is not None:
+            worst_a = Fraction(up_wphi[worst_k] * den_wf, up_wf[worst_k] * den_wphi)
+    else:
+        lower = float(PHI_LOWER_CONST)
+        for k, wf_k in enumerate(up_wf):
+            if wf_k and half_t < up_wg[k] <= two_t:
+                r = up_wphi[k] / wf_k
+                if worst_a is None or r < worst_a:
+                    worst_a = r
+                if r < lower:
+                    a_ok, a_k = False, k
+    # a heap position's binary digits after the leading 1 are its path
+    a_witness = None if a_k is None else NodeAddress(bin(a_k)[3:])
+    return phi, a_ok, a_witness, worst_a
+
+
+def _phi_closure(w, g, f, lam, delta, d):
+    """phi and check (a) beyond the enumeration cutoff, where check (a)
+    visits the ancestor closure of supp wg and supp wf and its children;
+    returned as _phi_heap returns them."""
+    wf = w.mul(f)
+    base = list(w.mul(g).support()) + list(wf.support())
+    check_nodes = ancestor_closure(base)
+    check_nodes += [c for n in check_nodes for c in d.children(n)]
+    check_nodes = list(dict.fromkeys(check_nodes))
+    wf_nodes = set(check_nodes) | set(g.support())
+    iwg = hardy_up_table(w.mul(g), set(check_nodes) | set(f.support()) | set(g.support()))
     for node in f.support():
         if iwg[node] > delta:
             raise PreconditionError("supp f must lie inside {I(wg) <= delta}", node)
@@ -287,26 +373,7 @@ def build_phi(
                 worst_a = r
             if r < lower:
                 a_ok, a_witness = False, node
-
-    sum_wphi2 = sum((w.get(n) * v * v for n, v in phi.items()), _zero(g.mode))
-    sum_wf2 = sum((w.get(n) * v * v for n, v in f.items()), _zero(g.mode))
-    b_rhs = PHI_ENERGY_CONST * delta * sum_wf2 / lam
-    b_ok = sum_wphi2 <= b_rhs
-
-    report = LemmaReport(
-        name="build_phi",
-        params={"lambda": lam, "delta": delta},
-        lhs=sum_wphi2, rhs=b_rhs, holds=a_ok and b_ok,
-        witness=a_witness, mode=g.mode, seed=seed,
-        extra={
-            "lower_check_ok": a_ok,
-            "energy_check_ok": b_ok,
-            "worst_lower_ratio": worst_a,
-            "lower_const": PHI_LOWER_CONST,
-            "energy_const": PHI_ENERGY_CONST,
-        },
-    )
-    return phi, report
+    return phi, a_ok, a_witness, worst_a
 
 
 def verify_inter(

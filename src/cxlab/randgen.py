@@ -74,11 +74,21 @@ _QUARTERS = tuple(Fraction(k, 4) for k in range(17))
 _QUARTERS_FLOAT = tuple(k / 4 for k in range(17))
 
 
+def random_quarter_weight(
+    rng: random.Random, nodes, mode: str = EXACT,
+) -> tuple[SparseFn, list[int]]:
+    """A weight in {1/4 .. 4} on the given nodes (dyadic steps), and its
+    numerators over 4 in node order: one randint(1, 16) per node."""
+    randint = rng.randint
+    numerators = [randint(1, 16) for _ in nodes]
+    quarters = _QUARTERS if mode == EXACT else _QUARTERS_FLOAT
+    w = SparseFn.tree({n: quarters[k] for n, k in zip(nodes, numerators)}, mode)
+    return w, numerators
+
+
 def random_weight(rng: random.Random, nodes, mode: str = EXACT) -> SparseFn:
     """A weight in {1/4 .. 4} on the given nodes (dyadic steps)."""
-    quarters = _QUARTERS if mode == EXACT else _QUARTERS_FLOAT
-    entries = {n: quarters[rng.randint(1, 16)] for n in nodes}
-    return SparseFn.tree(entries, mode)
+    return random_quarter_weight(rng, list(nodes), mode)[0]
 
 
 def random_point_measure(

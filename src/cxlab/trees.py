@@ -157,9 +157,11 @@ def _bfs_generate(levels: int) -> Iterator[NodeAddress]:
         frontier = [p + b for p in frontier for b in "01"]
 
 
-# Domains of up to this many levels share one breadth-first tuple per depth:
-# 8,178 nodes over all twelve depths, each tuple built on first use.
-_CACHED_LEVELS = 12
+# Domains of up to this many levels are enumerated: they share one
+# breadth-first tuple per depth (8,178 nodes over all twelve depths, each
+# tuple built on first use), and the phi checks run over every node of them
+# in heap order.  Larger domains fall back to support closures.
+ENUM_LEVELS = 12
 
 
 @functools.cache
@@ -202,14 +204,23 @@ class TreeDomain:
     def nodes(self) -> Iterator[NodeAddress]:
         """All nodes in breadth-first order.  Only for small domains.
 
-        Up to 12 levels the order is built once per depth and
+        Up to ENUM_LEVELS levels the order is built once per depth and
         shared; above that the nodes are generated afresh on each call.
         """
         if self.levels > 20:
             raise ResourceError(f"refusing to enumerate 2^{self.levels}-1 nodes")
-        if self.levels <= _CACHED_LEVELS:
+        if self.levels <= ENUM_LEVELS:
             return iter(_bfs_nodes(self.levels))
         return _bfs_generate(self.levels)
+
+    def heap_index(self, a: NodeAddress) -> int:
+        """a's position in heap order, (1 << depth) | bits with the root at 1.
+
+        nodes() lists position k at index k - 1, so a list of 2^levels
+        entries holds a function on the domain with entry 0 unused.
+        """
+        self.require(a)
+        return int("1" + a.path, 2)
 
     def leaves(self) -> Iterator[NodeAddress]:
         for a in self.nodes():

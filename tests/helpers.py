@@ -9,13 +9,15 @@ from typing import Sequence
 
 import numpy as np
 
+from cxlab import lemmas, randgen
 from cxlab.capacity import EquilibriumResult
 from cxlab.counterexamples import AuditStep, VariantAudit, _half_pow
-from cxlab.hardy import PointMeasure
+from cxlab.hardy import PointMeasure, hardy_up_table
 from cxlab.randgen import dyadic, random_path
+from cxlab.structure import is_superadditive
 from cxlab.trees import (
-    EXACT, BiNode, NodeAddress, ResourceError, Scalar, SparseFn, TreeDomain, _as_int,
-    _pow, _zero,
+    ENUM_LEVELS, EXACT, BiNode, NodeAddress, PreconditionError, ResourceError, Scalar,
+    SparseFn, TreeDomain, _as_int, _pow, _zero,
 )
 
 _MATERIALIZE_LEVELS = 12
@@ -241,3 +243,88 @@ def audit_variant_fraction(variant: str, N: int, p: Scalar) -> VariantAudit:
         lemma_holds=L <= lemma_rhs, boundary_argmax_ok=boundary_ok,
         steps=steps,
     )
+
+
+# The phi construction over NodeAddress-keyed dicts: the oracles for the heap
+# sweeps of cxlab.lemmas.build_phi and cxlab.experiments._phi_instance.
+
+def phi_instance_dict(rng: random.Random, d: TreeDomain, mode: str = EXACT):
+    """The phi trial's w, g, f, lambda and delta, drawn as the trial draws
+    them, with I(wg) swept over a NodeAddress dict and ranked as scalars."""
+    g = randgen.random_superadditive(rng, d, mode=mode)
+    nodes = list(d.nodes())
+    w = randgen.random_weight(rng, nodes, mode=mode)
+    iwg = hardy_up_table(w.mul(g), nodes)
+    delta = sorted(iwg.values())[len(iwg) * 2 // 5]
+    candidates = [n for n, v in iwg.items() if v <= delta]
+    entries = {}
+    for n in rng.sample(candidates, k=min(len(candidates), rng.randint(1, 6))):
+        v = dyadic(rng)
+        if v > 0:
+            entries[n] = v
+    return w, g, SparseFn.tree(entries, mode), 4 * delta, delta
+
+
+def build_phi_dict(
+    w: SparseFn, g: SparseFn, f: SparseFn, lam: Scalar, delta: Scalar,
+    d: TreeDomain, seed=None,
+):
+    """build_phi on an enumerated domain, every I a hardy_up_table dict and
+    check (a) a walk over d.nodes()."""
+    assert d.levels <= ENUM_LEVELS
+    ok, witness = is_superadditive(g, d)
+    if not ok:
+        raise PreconditionError("g is not superadditive", witness)
+    if lam < 4 * delta:
+        raise PreconditionError(f"lambda >= 4*delta required (lambda={lam}, delta={delta})")
+    wf = w.mul(f)
+    check_nodes = list(d.nodes())
+    iwg = hardy_up_table(w.mul(g), set(check_nodes) | set(f.support()) | set(g.support()))
+    for node in f.support():
+        if iwg[node] > delta:
+            raise PreconditionError("supp f must lie inside {I(wg) <= delta}", node)
+
+    iwf = hardy_up_table(wf, check_nodes)
+    inv_lam = Fraction(1, 1) / lam if g.mode == EXACT else 1.0 / float(lam)
+    two_lam, half_lam = 2 * lam, lam / 2
+    phi_entries = {}
+    for node, gv in g.items():
+        if delta < iwg[node] <= two_lam:
+            val = inv_lam * iwf[node] * gv
+            if val != 0:
+                phi_entries[node] = val
+    phi = SparseFn.tree(phi_entries, g.mode)
+
+    iwphi = hardy_up_table(w.mul(phi), check_nodes)
+    lower = lemmas.PHI_LOWER_CONST  # read at call time, so a test may patch it
+    if g.mode != EXACT:
+        lower = float(lower)
+    a_ok, a_witness = True, None
+    worst_a = None
+    for node in check_nodes:
+        wf_v = iwf[node]
+        if wf_v and half_lam < iwg[node] <= two_lam:
+            r = iwphi[node] / wf_v
+            if worst_a is None or r < worst_a:
+                worst_a = r
+            if r < lower:
+                a_ok, a_witness = False, node
+
+    sum_wphi2 = sum((w.get(n) * v * v for n, v in phi.items()), _zero(g.mode))
+    sum_wf2 = sum((w.get(n) * v * v for n, v in f.items()), _zero(g.mode))
+    b_rhs = lemmas.PHI_ENERGY_CONST * delta * sum_wf2 / lam
+    b_ok = sum_wphi2 <= b_rhs
+    report = lemmas.LemmaReport(
+        name="build_phi",
+        params={"lambda": lam, "delta": delta},
+        lhs=sum_wphi2, rhs=b_rhs, holds=a_ok and b_ok,
+        witness=a_witness, mode=g.mode, seed=seed,
+        extra={
+            "lower_check_ok": a_ok,
+            "energy_check_ok": b_ok,
+            "worst_lower_ratio": worst_a,
+            "lower_const": lemmas.PHI_LOWER_CONST,
+            "energy_const": lemmas.PHI_ENERGY_CONST,
+        },
+    )
+    return phi, report

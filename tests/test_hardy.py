@@ -3,9 +3,13 @@ from fractions import Fraction
 
 import pytest
 
-from cxlab.trees import BiTreeDomain, NodeAddress, ROOT, SparseFn, TreeDomain, binode
+from cxlab.trees import (
+    EXACT, FLOAT, BiTreeDomain, DomainError, NodeAddress, ROOT, SparseFn, TreeDomain, binode,
+)
 from cxlab.hardy import (
     PointMeasure,
+    _heap_values,
+    _up_heap,
     ancestor_closure,
     energy,
     eval_hardy_down,
@@ -64,6 +68,41 @@ class TestHardyTree:
         assert list(table) == nodes
         for a in nodes:
             assert table[a] == eval_hardy_up(f, a)
+
+    @pytest.mark.parametrize("mode", [EXACT, FLOAT])
+    def test_heap_sweep_matches_pointwise(self, mode):
+        rng = random.Random(6)
+        for levels in range(1, 13):
+            d = TreeDomain(levels)
+            fns = [SparseFn.tree({}, mode)]
+            fns += [randgen.random_sparse(rng, d, mode=mode) for _ in range(3)]
+            for f in fns:
+                up, den = _heap_values(f, d)
+                assert len(up) == 2 ** levels
+                _up_heap(up)
+                for k, a in enumerate(d.nodes(), start=1):
+                    v = Fraction(up[k], den) if mode == EXACT else up[k]
+                    assert type(v) is type(eval_hardy_up(f, a))
+                    assert v == eval_hardy_up(f, a)
+
+    def test_heap_sweep_rounds_as_table(self):
+        # non-dyadic floats on every node: each sum rounds, and the heap
+        # sweep takes the roundings of the root-first dict sweep
+        rng = random.Random(7)
+        d = TreeDomain(9)
+        nodes = list(d.nodes())
+        f = SparseFn.tree({a: rng.random() / 3 for a in nodes if rng.random() < 0.7},
+                          FLOAT)
+        up, _ = _heap_values(f, d)
+        _up_heap(up)
+        table = hardy_up_table(f, nodes)
+        assert up[1:] == [table[a] for a in nodes]
+        assert len(set(up)) > len(nodes) // 2
+
+    def test_heap_values_outside_domain(self):
+        f = SparseFn.tree({NodeAddress("000"): 1})
+        with pytest.raises(DomainError):
+            _heap_values(f, TreeDomain(3))
 
     def test_table_on_264_level_paths(self):
         # f = 2^-depth on a full 9-generation tree and on the 256-step

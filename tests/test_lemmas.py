@@ -12,7 +12,7 @@ from cxlab.trees import (
     SparseFn,
     TreeDomain,
 )
-from cxlab.hardy import eval_hardy_down, hardy_up_table
+from cxlab.hardy import _heap_values, _up_heap, eval_hardy_down, hardy_up_table
 from cxlab.lemmas import (
     PHI_ENERGY_CONST,
     PHI_LOWER_CONST,
@@ -29,7 +29,7 @@ from cxlab.lemmas import (
 )
 from cxlab import experiments, lemmas, randgen
 
-from helpers import iistar_bitree_scan, random_bitree_sparse
+from helpers import build_phi_dict, iistar_bitree_scan, phi_instance_dict, random_bitree_sparse
 
 
 def brute_iistar(g, node):
@@ -195,6 +195,12 @@ class TestBuildPhi:
         with pytest.raises(PreconditionError):
             build_phi(w, g, f, 3 * delta, delta, d)
 
+    @staticmethod
+    def _heap_table(w, g, d):
+        """I(wg) over d as the heap list and denominator build_phi takes."""
+        up, den = _heap_values(w.mul(g), d)
+        return _up_heap(up), den
+
     def test_rejects_f_outside_sublevel_set(self):
         d, w, g, f, lam, delta, iwg = self._instance()
         top = max(iwg, key=iwg.get)
@@ -203,46 +209,145 @@ class TestBuildPhi:
         with pytest.raises(PreconditionError):
             build_phi(w, g, bad, lam, delta, d)
         with pytest.raises(PreconditionError):
-            build_phi(w, g, bad, lam, delta, d, iwg=iwg)
+            build_phi(w, g, bad, lam, delta, d, iwg=self._heap_table(w, g, d))
+
+    def test_rejects_mixed_modes(self):
+        d, w, g, f, lam, delta, _ = self._instance()
+        with pytest.raises(ValueError, match="mode"):
+            build_phi(w.to_float(), g, f, lam, delta, d)
 
     @pytest.mark.parametrize("mode", [EXACT, FLOAT])
     def test_given_table_matches_own_sweep(self, mode):
+        # the trial's table, swept from quarter numerators, and the table of
+        # an instance whose f fills the whole sublevel set
+        d = TreeDomain(8)
         banded = 0
         for seed in range(20):
-            d, w, g, f, lam, delta, iwg = self._instance(levels=8, seed=seed, mode=mode)
-            phi, report = build_phi(w, g, f, lam, delta, d)
-            phi_t, report_t = build_phi(w, g, f, lam, delta, d, iwg=iwg)
-            assert dict(phi_t.items()) == dict(phi.items())
-            assert report_t.to_dict() == report.to_dict()
-            banded += report.extra["worst_lower_ratio"] is not None and bool(phi)
+            w, g, f, lam, delta, iwg = experiments._phi_instance(random.Random(seed), d, mode)
+            instances = [(w, g, f, lam, delta, iwg)]
+            _, w, g, f, lam, delta, _ = self._instance(levels=8, seed=seed, mode=mode)
+            instances.append((w, g, f, lam, delta, self._heap_table(w, g, d)))
+            for w, g, f, lam, delta, iwg in instances:
+                phi, report = build_phi(w, g, f, lam, delta, d)
+                phi_t, report_t = build_phi(w, g, f, lam, delta, d, iwg=iwg)
+                assert dict(phi_t.items()) == dict(phi.items())
+                assert report_t.to_dict() == report.to_dict()
+                banded += report.extra["worst_lower_ratio"] is not None and bool(phi)
         assert banded > 0  # some instance has a nonzero phi and a node for check (a)
 
     def test_table_missing_a_node_rejected(self):
-        # enumerated domain: the table must hold every node of d
-        d, w, g, f, lam, delta, iwg = self._instance()
-        gone = next(n for n in iwg if n not in set(f.support()) | set(g.support()))
+        # enumerated domain: the table holds one entry per heap position
+        d, w, g, f, lam, delta, _ = self._instance()
+        up, den = self._heap_table(w, g, d)
+        for short in (up[:-1], up + [up[-1]]):
+            with pytest.raises(ValueError, match="iwg"):
+                build_phi(w, g, f, lam, delta, d, iwg=(short, den))
+        # beyond the enumeration cutoff check (a) visits the support closure,
+        # and no table is taken
+        d, w, g, f, lam, delta, _ = self._instance(levels=13)
+        build_phi(w, g, f, lam, delta, d)
         with pytest.raises(ValueError, match="iwg"):
-            build_phi(w, g, f, lam, delta, d, iwg={n: v for n, v in iwg.items() if n != gone})
-        # beyond the enumeration cutoff only the nodes read are required
-        d, w, g, f, lam, delta, iwg = self._instance(levels=13)
-        _, report = build_phi(w, g, f, lam, delta, d)
-        assert build_phi(w, g, f, lam, delta, d, iwg=iwg)[1].to_dict() == report.to_dict()
-        gone = f.support()[-1]
-        with pytest.raises(ValueError, match="iwg"):
-            build_phi(w, g, f, lam, delta, d, iwg={n: v for n, v in iwg.items() if n != gone})
+            build_phi(w, g, f, lam, delta, d, iwg=self._heap_table(w, g, d))
 
     def test_phi_trial_sweeps_three_times(self, monkeypatch):
-        calls = []
+        dict_sweeps, heap_sweeps = [], []
 
-        def counted(fn, nodes):
-            calls.append(fn)
+        def counted_dict(fn, nodes):
+            dict_sweeps.append(fn)
             return hardy_up_table(fn, nodes)
 
-        monkeypatch.setattr(lemmas, "hardy_up_table", counted)
-        monkeypatch.setattr(experiments, "hardy_up_table", counted)
-        experiments.run_verify_suite("phi", trials=1, depth=8, seed=0, mode=EXACT)
-        # I(wg) once for the trial's delta, then I(wf) and I(w phi) in build_phi
-        assert len(calls) == 3
+        def counted_heap(up):
+            heap_sweeps.append(len(up))
+            return _up_heap(up)
+
+        monkeypatch.setattr(lemmas, "hardy_up_table", counted_dict)
+        monkeypatch.setattr(lemmas, "_up_heap", counted_heap)
+        monkeypatch.setattr(experiments, "_up_heap", counted_heap)
+        for mode in (EXACT, FLOAT):
+            experiments.run_verify_suite("phi", trials=1, depth=8, seed=0, mode=mode)
+        # I(wg) once for the trial's delta, then I(wf) and I(w phi) in
+        # build_phi, each over the 255 nodes in heap order
+        assert dict_sweeps == []
+        assert heap_sweeps == [256] * 6
+
+    @pytest.mark.parametrize("mode", [EXACT, FLOAT])
+    def test_heap_matches_dict_oracle(self, mode):
+        # the trial's instances, drawn and ranked over dicts, at depth 8 and
+        # 12; and instances whose f fills the sublevel set, where phi is
+        # mostly nonzero and check (a) has nodes to visit
+        cases = [(8, seed) for seed in range(300)] + [(12, seed) for seed in range(3)]
+        banded = 0
+        for levels, seed in cases:
+            d = TreeDomain(levels)
+            key = f"oracle:{levels}:{seed}"
+            w, g, f, lam, delta = phi_instance_dict(random.Random(key), d, mode)
+            phi_o, report_o = build_phi_dict(w, g, f, lam, delta, d, seed=seed)
+            phi, report = build_phi(w, g, f, lam, delta, d, seed=seed)
+            assert [(n, type(v), v) for n, v in phi.items()] == \
+                [(n, type(v), v) for n, v in phi_o.items()]
+            assert report.to_dict() == report_o.to_dict()
+            trial = experiments._trial_phi(random.Random(key), d, mode, seed)
+            assert trial.to_dict() == report_o.to_dict()
+        for levels, seed in [(8, seed) for seed in range(40)] + [(12, 0), (12, 1)]:
+            d, w, g, f, lam, delta, _ = self._instance(levels=levels, seed=seed, mode=mode)
+            phi_o, report_o = build_phi_dict(w, g, f, lam, delta, d)
+            phi, report = build_phi(w, g, f, lam, delta, d)
+            assert [(n, type(v), v) for n, v in phi.items()] == \
+                [(n, type(v), v) for n, v in phi_o.items()]
+            assert report.to_dict() == report_o.to_dict()
+            banded += report.extra["worst_lower_ratio"] is not None
+        assert banded > 0
+
+    @pytest.mark.parametrize("mode", [EXACT, FLOAT])
+    def test_failing_lower_check_matches_oracle(self, mode, monkeypatch):
+        # the lemma's 1/4 always holds, so raise the bar until check (a)
+        # fails: the witness is the last failing node in breadth-first order
+        failed = 0
+        for const in (Fraction(1), Fraction(3, 2), Fraction(5, 2)):
+            monkeypatch.setattr(lemmas, "PHI_LOWER_CONST", const)
+            for seed in range(30):
+                d, w, g, f, lam, delta, _ = self._instance(levels=6, seed=seed, mode=mode)
+                report_o = build_phi_dict(w, g, f, lam, delta, d)[1]
+                report = build_phi(w, g, f, lam, delta, d)[1]
+                assert report.to_dict() == report_o.to_dict()
+                failed += not report.extra["lower_check_ok"]
+        assert failed > 0
+        # a bar equal to the least ratio is met: check (a) is strict
+        tied = 0
+        for seed in range(30):
+            d, w, g, f, lam, delta, _ = self._instance(levels=6, seed=seed, mode=mode)
+            monkeypatch.setattr(lemmas, "PHI_LOWER_CONST", PHI_LOWER_CONST)
+            worst = build_phi(w, g, f, lam, delta, d)[1].extra["worst_lower_ratio"]
+            if worst is None:
+                continue
+            monkeypatch.setattr(lemmas, "PHI_LOWER_CONST", Fraction(worst))
+            report = build_phi(w, g, f, lam, delta, d)[1]
+            assert report.extra["lower_check_ok"]
+            assert report.to_dict() == build_phi_dict(w, g, f, lam, delta, d)[1].to_dict()
+            tied += 1
+        assert tied > 0
+
+    def test_thresholds_just_below_table_values(self):
+        # delta, lambda/2 and 2 lambda a third of the table's last bit below
+        # an I(wg) value: the node at that value is above the threshold
+        checked = 0
+        for seed in range(6):
+            d, w, g, _, _, _, iwg = self._instance(levels=6, seed=seed)
+            values = sorted(set(iwg.values()))
+            den = max(v.denominator for v in values)
+            below = [v - Fraction(1, 3 * den) for v in values]
+            for i in range(0, len(values), 3):
+                for lam in (4 * below[i], 2 * below[-1 - i], below[-1 - i] / 2):
+                    delta = below[i]
+                    if lam < 4 * delta:
+                        continue
+                    f = SparseFn.tree({n: Fraction(1, 2) for n, v in iwg.items() if v <= delta})
+                    phi_o, report_o = build_phi_dict(w, g, f, lam, delta, d)
+                    phi, report = build_phi(w, g, f, lam, delta, d)
+                    assert dict(phi.items()) == dict(phi_o.items())
+                    assert report.to_dict() == report_o.to_dict()
+                    checked += 1
+        assert checked > 20
 
     def test_phi_supported_in_band(self):
         d, w, g, f, lam, delta, _ = self._instance()

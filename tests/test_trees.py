@@ -8,6 +8,7 @@ from cxlab.trees import (
     BiNode,
     BiTreeDomain,
     DomainError,
+    ENUM_LEVELS,
     EXACT,
     FLOAT,
     NodeAddress,
@@ -109,6 +110,18 @@ class TestTreeDomain:
         want = tree_nodes_bfs(levels)
         assert list(d.nodes()) == want
         assert list(d.nodes()) == want
+
+    def test_heap_index_is_bfs_position(self):
+        for levels in range(1, ENUM_LEVELS + 1):
+            d = TreeDomain(levels)
+            for i, a in enumerate(d.nodes()):
+                assert d.heap_index(a) == i + 1
+
+    def test_heap_index_outside_domain(self):
+        d = TreeDomain(3)
+        assert d.heap_index(NodeAddress("11")) == 7
+        with pytest.raises(DomainError):
+            d.heap_index(NodeAddress("000"))
 
     def test_enumeration_budget(self):
         with pytest.raises(ResourceError):
