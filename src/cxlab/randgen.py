@@ -77,8 +77,8 @@ _QUARTERS_FLOAT = tuple(k / 4 for k in range(17))
 def random_quarter_weight(
     rng: random.Random, nodes, mode: str = EXACT,
 ) -> tuple[SparseFn, list[int]]:
-    """A weight in {1/4 .. 4} on the given nodes (dyadic steps), and its
-    numerators over 4 in node order: one randint(1, 16) per node."""
+    """A weight in {1/4 .. 4} on a sequence of nodes (dyadic steps), and
+    its numerators over 4 in node order: one randint(1, 16) per node."""
     randint = rng.randint
     numerators = [randint(1, 16) for _ in nodes]
     quarters = _QUARTERS if mode == EXACT else _QUARTERS_FLOAT
