@@ -54,6 +54,7 @@ COMMANDS = {
     "cex-increasing-1000-p4": "cex increasing --N 1000 --p 4",
     "cex-search-new23": "cex search-new23 --p 4 --depth 10 --budget 1000 --seed 7",
     "capacity-16-oracle": "capacity --n 16 --oracle",
+    "capacity-256-oracle": "capacity --n 256 --oracle",
     "capacity-16-no-symmetry": "capacity --n 16 --no-symmetry",
     "capacity-65536": "capacity --n 65536",
     "report-d2": "report d2 --csv d2.csv",
