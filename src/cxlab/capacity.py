@@ -3,10 +3,12 @@ family, the potential comparability check, and the equilibrium-measure QP
 with an exact brute-force oracle.
 
 All rectangles in the instance are a short prefix followed by a run of
-zeros, so the instance code carries them as (j, x_extra, y_extra) triples
-and evaluates the common-ancestor kernel from that structure; the largest
-admissible n would otherwise need paths tens of thousands of characters
-long.  The prefix of q_jk is the M-bit form of j, so two distinct prefixes
+zeros, so the instance holds each one only as a (j, x_extra, y_extra)
+triple, the atoms of nu included, and evaluates the common-ancestor kernel
+from that structure; the largest admissible n would otherwise need paths
+tens of thousands of characters long.  BiNodes are built only for the
+small subfamily that the brute-force oracle checks (`prefix_members`).
+The prefix of q_jk is the M-bit form of j, so two distinct prefixes
 share M - bit_length(j1 ^ j2) leading bits, and any one prefix shares t < M
 leading bits with exactly 2^(M-1-t) others.  The class-summed kernel and
 the potentials are assembled from those counts rather than rectangle by
@@ -25,32 +27,19 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .trees import BiNode, NodeAddress, ResourceError
-from .hardy import PointMeasure, kernel
+from .hardy import kernel
 
 ADMISSIBLE_N = (4, 16, 256, 65536)
-_MATERIALIZE_N = 256          # largest n whose family is kept as real BiNodes
 _BRUTEFORCE_MAX = 12
 _NO_SYMMETRY_MAX_FAMILY = 2000
 
 
-@dataclass(frozen=True)
-class _Rect:
-    """A dyadic rectangle whose two paths are `prefix` + a run of zeros."""
-
-    prefix: str
-    x_extra: int
-    y_extra: int
-
-    def to_binode(self) -> BiNode:
-        return BiNode(
-            NodeAddress(self.prefix + "0" * self.x_extra),
-            NodeAddress(self.prefix + "0" * self.y_extra),
-        )
-
-
 @dataclass
 class BitreeInstance:
-    """The family F = {q_jk} and the atomic measure nu at scale n = 2^s."""
+    """The family F = {q_jk} and the atomic measure nu at scale n = 2^s,
+    held as triples: q_jk is (j, *extras[k]) for j = 0..count-1, and nu puts
+    atom_mass on each corner square omega_j = (j, n, n).  No rectangle is
+    built as a BiNode; `prefix_members` builds one prefix's on demand."""
 
     n: int
     s: int
@@ -62,10 +51,6 @@ class BitreeInstance:
     potentials: list[Fraction]              # potential(nu, q_1k), k = 0..s
     symmetry_classes: list[range]           # class k: the indices of q_jk, every j
     inclusion: str                          # "full" or "partial"
-    rects: Optional[list[_Rect]] = None     # full family, j-major order, small n
-    atom_rects: Optional[list[_Rect]] = None  # the omega_j corner squares, small n
-    nu: Optional[PointMeasure] = None       # materialized for small n
-    family: Optional[list[BiNode]] = None   # materialized for small n
 
     @property
     def count(self) -> int:
@@ -114,17 +99,19 @@ def build_instance(n: int) -> BitreeInstance:
     inclusion = "full" if ratio <= 2 else "partial"
     classes = [range(k, count * (s + 1), s + 1) for k in range(s + 1)]
 
-    inst = BitreeInstance(
+    return BitreeInstance(
         n=n, s=s, M=M, delta=delta, lam=lam, extras=extras, atom_mass=atom_mass,
         potentials=potentials, symmetry_classes=classes, inclusion=inclusion,
     )
-    if n <= _MATERIALIZE_N:
-        prefixes = [format(j, f"0{M}b") for j in range(count)]
-        inst.atom_rects = [_Rect(p, n, n) for p in prefixes]
-        inst.rects = [_Rect(p, xe, ye) for p in prefixes for xe, ye in extras]
-        inst.nu = PointMeasure.of((w.to_binode(), atom_mass) for w in inst.atom_rects)
-        inst.family = [r.to_binode() for r in inst.rects]
-    return inst
+
+
+def prefix_members(inst: BitreeInstance, j: int) -> list[BiNode]:
+    """The s + 1 rectangles q_jk, k = 0..s, as BiNodes: the M-bit form of j
+    followed by x_extra and by y_extra zeros.  Each path is n + M bits long
+    at k = 0, so a caller bounds n before building them."""
+    prefix = format(j, f"0{inst.M}b")
+    return [BiNode(NodeAddress(prefix + "0" * xe), NodeAddress(prefix + "0" * ye))
+            for xe, ye in inst.extras]
 
 
 def check_lemma_g(inst: BitreeInstance) -> dict:
@@ -196,7 +183,6 @@ def _solve_reduced_qp(S: np.ndarray, b: np.ndarray, tol: float, max_iters: int) 
                     if _kkt_violation(S, b, cand) < _kkt_violation(S, b, t):
                         t = cand
             viol = _kkt_violation(S, b, t)
-    viol = _kkt_violation(S, b, t)
     cap = float(b @ t)
     return EquilibriumResult(
         rho=t, class_sizes=b.copy(), cap=cap,
@@ -212,20 +198,6 @@ def _symmetrized(S: np.ndarray, classes: Sequence[Sequence[int]]) -> tuple[np.nd
     S = (S + S.T) / 2.0
     b = np.array([float(len(c)) for c in classes])
     return S, b
-
-
-def _reduced_matrix(kernel_fn, items, classes: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
-    """Class-summed kernel S[c1][c2] = sum over the two orbits of K, from
-    one representative row per class (valid when the classes are kernel
-    orbits)."""
-    m = len(classes)
-    S = np.zeros((m, m))
-    for c1, members1 in enumerate(classes):
-        rep = items[members1[0]]
-        for c2, members2 in enumerate(classes):
-            row = sum(kernel_fn(rep, items[j]) for j in members2)
-            S[c1, c2] = len(members1) * row
-    return _symmetrized(S, classes)
 
 
 def _instance_matrix(inst: BitreeInstance, use_symmetry: bool) -> tuple[np.ndarray, np.ndarray]:
@@ -253,16 +225,15 @@ def _instance_matrix(inst: BitreeInstance, use_symmetry: bool) -> tuple[np.ndarr
 
 def capacity_qp(
     family: Sequence[BiNode],
-    symmetry_classes: Optional[list[list[int]]] = None,
     tol: float = 1e-10,
     max_iters: int = 200000,
 ) -> EquilibriumResult:
-    """Dual capacity QP over an explicit rectangle family."""
+    """Dual capacity QP over an explicit rectangle family, on the
+    member-by-member kernel matrix (every entry an exact int)."""
     if not family:
         raise ValueError("family must be nonempty")
-    classes = symmetry_classes or [[i] for i in range(len(family))]
-    S, b = _reduced_matrix(kernel, list(family), classes)
-    return _solve_reduced_qp(S, b, tol, max_iters)
+    S = np.array([[float(kernel(a, b)) for b in family] for a in family])
+    return _solve_reduced_qp(S, np.ones(len(family)), tol, max_iters)
 
 
 def capacity_qp_instance(

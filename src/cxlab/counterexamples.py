@@ -359,7 +359,7 @@ def _audit_variant(variant: str, N: int, p: Scalar) -> VariantAudit:
     )
 
 
-def gen_cex_new23(N: int, p: Scalar, seed: Optional[int] = None) -> dict[str, VariantAudit]:
+def gen_cex_new23(N: int, p: Scalar) -> dict[str, VariantAudit]:
     """Audit both constructions (half-on-left-path g and g = 1) against the
     power-sum lemma, checking every printed chain step numerically."""
     if N < 3:

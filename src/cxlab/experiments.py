@@ -225,8 +225,8 @@ def _cex_direct(N: int = 10, p: float = 2.0, seed: int = 0) -> CellResult:
     return _report_cell(cex.gen_cex_direct(N, _exponent(p), seed=seed))
 
 
-def _cex_new23(N: int = 10, p: float = 4.0, seed: int = 0) -> CellResult:
-    audits = cex.gen_cex_new23(N, _exponent(p), seed=seed)
+def _cex_new23(N: int = 10, p: float = 4.0) -> CellResult:
+    audits = cex.gen_cex_new23(N, _exponent(p))
     first = audits["halving"]
     row = {"lhs": float(first.total_ifp_g), "rhs": float(first.lemma_rhs),
            "ratio": float(first.total_ifp_g) / float(first.lemma_rhs),
@@ -264,7 +264,7 @@ def _capacity(n: int = 16, tol: float = 1e-10, max_iters: int = 200000,
     if eq.converged:
         payload["d2"] = cap.report_d2(inst, eq)
     if oracle:
-        family = inst.family[: inst.s + 1]
+        family = cap.prefix_members(inst, 0)
         exact = cap.capacity_bruteforce(family)
         approx = cap.capacity_qp(family, tol=tol, max_iters=max_iters)
         rel = abs(approx.cap - float(exact)) / float(exact)

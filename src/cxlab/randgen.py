@@ -86,11 +86,6 @@ def random_quarter_weight(
     return w, numerators
 
 
-def random_weight(rng: random.Random, nodes, mode: str = EXACT) -> SparseFn:
-    """A weight in {1/4 .. 4} on the given nodes (dyadic steps)."""
-    return random_quarter_weight(rng, list(nodes), mode)[0]
-
-
 def random_point_measure(
     rng: random.Random, levels_x: int, levels_y: int, max_atoms: int = 5,
 ) -> PointMeasure:

@@ -10,7 +10,7 @@ from typing import Sequence
 import numpy as np
 
 from cxlab import lemmas, randgen
-from cxlab.capacity import EquilibriumResult
+from cxlab.capacity import EquilibriumResult, _symmetrized
 from cxlab.counterexamples import AuditStep, VariantAudit, _half_pow
 from cxlab.hardy import PointMeasure, hardy_up_table
 from cxlab.randgen import dyadic, random_path
@@ -76,6 +76,48 @@ def tree_nodes_bfs(levels: int) -> list[NodeAddress]:
     the order of its paths read as binary numbers."""
     return [NodeAddress(format(i, f"0{k}b") if k else "")
             for k in range(levels) for i in range(2 ** k)]
+
+
+# The capacity family F_n built rectangle by rectangle from its definition:
+# the references for the (j, x_extra, y_extra) triples of cxlab.capacity.
+
+def _capacity_shape(n: int) -> tuple[int, int, int]:
+    """s, n/s and M for n = 2^s with n/s = 2^M."""
+    s = n.bit_length() - 1
+    return s, n // s, (n // s).bit_length() - 1
+
+
+def _zero_run_rect(prefix: str, x_zeros: int, y_zeros: int) -> BiNode:
+    return BiNode(NodeAddress(prefix + "0" * x_zeros), NodeAddress(prefix + "0" * y_zeros))
+
+
+def bitree_family(n: int) -> list[BiNode]:
+    """F_n in j-major order: q_jk, j < n/s, k = 0..s, is the M-bit form of j
+    followed by ceil(n/2^k) zeros in x and 2^k zeros in y."""
+    s, count, M = _capacity_shape(n)
+    return [_zero_run_rect(format(j, f"0{M}b"), -(-n // 2 ** k), 2 ** k)
+            for j in range(count) for k in range(s + 1)]
+
+
+def bitree_atoms(n: int) -> PointMeasure:
+    """nu: mass 1/n^2 at each corner square omega_j = (j, n, n), j < n/s."""
+    _, count, M = _capacity_shape(n)
+    return PointMeasure.of((_zero_run_rect(format(j, f"0{M}b"), n, n), Fraction(1, n * n))
+                           for j in range(count))
+
+
+def _reduced_matrix(kernel_fn, items, classes: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
+    """Class-summed kernel S[c1][c2] = sum over the two orbits of K, from
+    one representative row per class (valid when the classes are kernel
+    orbits)."""
+    m = len(classes)
+    S = np.zeros((m, m))
+    for c1, members1 in enumerate(classes):
+        rep = items[members1[0]]
+        for c2, members2 in enumerate(classes):
+            row = sum(kernel_fn(rep, items[j]) for j in members2)
+            S[c1, c2] = len(members1) * row
+    return _symmetrized(S, classes)
 
 
 def rho_full(eq: EquilibriumResult, classes: Sequence[Sequence[int]]) -> np.ndarray:
@@ -253,7 +295,7 @@ def phi_instance_dict(rng: random.Random, d: TreeDomain, mode: str = EXACT):
     them, with I(wg) swept over a NodeAddress dict and ranked as scalars."""
     g = randgen.random_superadditive(rng, d, mode=mode)
     nodes = list(d.nodes())
-    w = randgen.random_weight(rng, nodes, mode=mode)
+    w = randgen.random_quarter_weight(rng, nodes, mode)[0]
     iwg = hardy_up_table(w.mul(g), nodes)
     delta = sorted(iwg.values())[len(iwg) * 2 // 5]
     candidates = [n for n, v in iwg.items() if v <= delta]

@@ -4,23 +4,25 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from cxlab.trees import BiTreeDomain, NodeAddress, ResourceError, binode
+from cxlab.trees import BiNode, BiTreeDomain, NodeAddress, ResourceError, binode
 from cxlab.hardy import PointMeasure, energy, eval_hardy_down, kernel, potential
 from cxlab.capacity import (
     ADMISSIBLE_N,
     EquilibriumResult,
     _instance_matrix,
-    _reduced_matrix,
     build_instance,
     capacity_bruteforce,
     capacity_qp,
     capacity_qp_instance,
     check_lemma_g,
+    prefix_members,
     report_d2,
 )
 from cxlab import randgen
 
-from helpers import atoms_fn, random_family, rho_full
+from helpers import (
+    _reduced_matrix, atoms_fn, bitree_atoms, bitree_family, random_family, rho_full,
+)
 
 
 class TestBuildInstance:
@@ -32,33 +34,35 @@ class TestBuildInstance:
     @pytest.mark.parametrize("n", [4, 16, 256])
     def test_norm_and_containment(self, n):
         inst = build_instance(n)
-        assert inst.nu.total_mass() == inst.delta
+        nu, family = bitree_atoms(n), bitree_family(n)
+        assert nu.total_mass() == inst.delta
         assert inst.delta * inst.n * inst.s == 1
+        assert len(nu) == inst.count and len(family) == inst.family_size
         # every q_jk contains its corner omega_j
-        count = inst.n // inst.s
-        for j in range(count):
-            omega = inst.atom_rects[j].to_binode()
+        for j, (omega, mass) in enumerate(nu.atoms):
+            assert mass == inst.atom_mass
             for k in range(inst.s + 1):
-                q = inst.family[j * (inst.s + 1) + k]
+                q = family[j * (inst.s + 1) + k]
                 assert q.contains(omega)
 
     def test_n16_shape(self):
         inst = build_instance(16)
         assert inst.s == 4 and inst.M == 2
-        assert len(inst.nu) == 4
+        assert inst.count == 4 and len(bitree_atoms(16)) == 4
         assert inst.atom_mass == Fraction(1, 256)
         assert inst.delta == Fraction(1, 64)
 
     def test_potential_at_root_is_delta(self):
         for n in (4, 16):
             inst = build_instance(n)
-            assert potential(inst.nu, binode("", "")) == inst.delta
+            assert potential(bitree_atoms(n), binode("", "")) == inst.delta
 
     def test_structured_kernel_matches_generic(self):
         inst = build_instance(16)
         S, _ = _instance_matrix(inst, use_symmetry=False)
-        for i, a in enumerate(inst.family):
-            for j, b in enumerate(inst.family):
+        family = bitree_family(16)
+        for i, a in enumerate(family):
+            for j, b in enumerate(family):
                 assert S[i, j] == kernel(a, b)
 
     @pytest.mark.parametrize("use_symmetry", [True, False])
@@ -68,13 +72,12 @@ class TestBuildInstance:
         classes = inst.symmetry_classes if use_symmetry \
             else [[i] for i in range(inst.family_size)]
         S, b = _instance_matrix(inst, use_symmetry)
-        S_pair, b_pair = _reduced_matrix(kernel, inst.family, classes)
+        S_pair, b_pair = _reduced_matrix(kernel, bitree_family(n), classes)
         assert np.array_equal(S, S_pair)
         assert np.array_equal(b, b_pair)
 
     def test_large_instance_potentials_match_pairwise(self):
         inst = build_instance(65536)
-        assert inst.rects is None and inst.family is None
         assert inst.family_size == 4096 * 17
         prefixes = [format(j, "012b") for j in range(inst.count)]
         for (xe, ye), value in zip(inst.extras, inst.potentials):
@@ -84,12 +87,40 @@ class TestBuildInstance:
 
     def test_structured_potentials_match_generic(self):
         inst = build_instance(16)
+        nu, family = bitree_atoms(16), bitree_family(16)
         for k in range(inst.s + 1):
-            assert inst.potentials[k] == potential(inst.nu, inst.family[k])
+            assert inst.potentials[k] == potential(nu, family[k])
 
     def test_lambda_from_potentials(self):
         inst = build_instance(16)
         assert inst.lam == max(inst.potentials) / 4
+
+    @pytest.mark.parametrize("n", ADMISSIBLE_N)
+    def test_builds_no_node(self, n, monkeypatch):
+        """The instance holds its rectangles as triples only."""
+        built = []
+        for cls in (BiNode, NodeAddress):
+            init = cls.__init__
+
+            def counting(self, *args, _init=init, **kwargs):
+                built.append(type(self).__name__)
+                _init(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, "__init__", counting)
+        build_instance(n)
+        assert built == []
+        binode("0", "1")  # the count does see a construction
+        assert built.count("BiNode") == 1
+
+
+class TestPrefixMembers:
+    @pytest.mark.parametrize("n", [4, 16, 256])
+    def test_matches_definition(self, n):
+        inst = build_instance(n)
+        family = bitree_family(n)
+        for j in range(inst.count):
+            block = family[j * (inst.s + 1):(j + 1) * (inst.s + 1)]
+            assert prefix_members(inst, j) == block
 
 
 def _pairwise_kernel(pa: str, xa: int, ya: int, pb: str, xb: int, yb: int) -> int:
@@ -182,10 +213,11 @@ class TestEquilibrium:
         eq = capacity_qp_instance(inst, tol=1e-10)
         assert eq.converged
         rho = rho_full(eq, inst.symmetry_classes)
+        family = bitree_family(n)
         mu = PointMeasure.of(
-            (q, m) for q, m in zip(inst.family, rho) if m > 0)
+            (q, m) for q, m in zip(family, rho) if m > 0)
         # potential >= 1 - tol on the family, = 1 +- tol on the support
-        for q, m in zip(inst.family, rho):
+        for q, m in zip(family, rho):
             v = float(potential(mu, q))
             assert v >= 1 - 1e-8
             if m > 0:
@@ -201,7 +233,7 @@ class TestEquilibrium:
         masses = [Fraction(m).limit_denominator(10 ** 12)
                   for m in rho_full(eq, inst.symmetry_classes)]
         mu = PointMeasure.of(
-            (q, m) for q, m in zip(inst.family, masses) if m > 0)
+            (q, m) for q, m in zip(bitree_family(4), masses) if m > 0)
         nu = atoms_fn(mu)
         depth = inst.M + inst.n + 1
         total = sum(eval_hardy_down(nu, q) ** 2

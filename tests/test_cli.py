@@ -86,6 +86,12 @@ class TestCex:
         assert captured.out == ""
         assert "has no parameter budget, k" in captured.err
 
+    def test_new23_takes_no_seed(self, capsys):
+        assert main(["cex", "new23", "--N", "10", "--p", "4", "--seed", "3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "cex-new23 has no parameter seed" in captured.err
+
     def test_out_is_not_a_parameter(self, capsys, tmp_path):
         path = tmp_path / "direct.json"
         code, out = run_cli(capsys, "cex", "direct", "--N", "5", "--out", str(path))

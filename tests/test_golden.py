@@ -108,6 +108,12 @@ def test_golden(name, tmp_path):
     assert render(name, tmp_path) == (GOLDEN / f"{name}.txt").read_text()
 
 
+def test_every_golden_file_is_checked():
+    """A golden file outside the two tables would never be compared."""
+    assert not set(COMMANDS) & set(RUNS)
+    assert {path.stem for path in GOLDEN.glob("*.txt")} == set(COMMANDS) | set(RUNS)
+
+
 @pytest.mark.parametrize("hashseed", ["1", "2"])
 @pytest.mark.parametrize("name", ["verify-linf", "verify-new23"])
 def test_golden_independent_of_hash_seed(name, hashseed, tmp_path):

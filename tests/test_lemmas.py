@@ -158,7 +158,7 @@ class TestBuildPhi:
         d = TreeDomain(levels)
         rng = random.Random(seed)
         g = randgen.random_superadditive(rng, d, mode=mode)
-        w = randgen.random_weight(rng, d.nodes(), mode=mode)
+        w = randgen.random_quarter_weight(rng, list(d.nodes()), mode)[0]
         iwg = hardy_up_table(w.mul(g), d.nodes())
         values = sorted(iwg.values())
         delta = values[len(values) // 2]

@@ -11,7 +11,7 @@ from cxlab.trees import EXACT, FLOAT, TreeDomain
 def test_random_weight_draws_quarters(mode):
     nodes = list(TreeDomain(5).nodes())
     for seed in range(51):
-        w = randgen.random_weight(random.Random(seed), nodes, mode)
+        w = randgen.random_quarter_weight(random.Random(seed), nodes, mode)[0]
         rng = random.Random(seed)
         want = [Fraction(rng.randint(1, 16), 4) for _ in nodes]
         if mode == FLOAT:
