@@ -117,9 +117,9 @@ def _cmd_run(args) -> int:
     if config.get("mode", EXACT) not in (EXACT, FLOAT):
         print(f"error: invalid mode {config['mode']!r}", file=sys.stderr)
         return EXIT_USAGE
-    defaults = experiments.cell_params(experiment, {})
-    shared = {k: config[k] for k in ("mode", "seed", "tol")
-              if k in defaults and config.get(k) is not None}
+    # a shared key the experiment does not take is a usage error, as its
+    # flag is on the command line; a null one is left out
+    shared = {k: config[k] for k in ("mode", "seed", "tol") if config.get(k) is not None}
     keys = sorted(grid)
     cells = [dict(zip(keys, values)) for values in itertools.product(*(grid[k] for k in keys))]
     for cell in cells:  # reject a bad parameter before any cell runs

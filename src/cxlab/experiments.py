@@ -25,7 +25,7 @@ from typing import Callable
 
 from .trees import ENUM_LEVELS, EXACT, ResourceError, Scalar, SparseFn, TreeDomain
 from .structure import ExponentPair, special_form_g
-from .hardy import _up_heap
+from .hardy import _heap_values, _up_heap
 from .lemmas import (
     LemmaReport,
     build_phi,
@@ -68,26 +68,19 @@ def _phi_instance(rng, d, mode):
     node of d as a heap list and the denominator of its entries.
 
     Node i of d.nodes() has weight quarters[i]/4 and heap position i + 1,
-    so I(wg) is swept over int numerators over 4 lcm(denominators of g) in
-    exact mode, and over the float products g w in float mode.
+    so I(wg) is swept over g's int numerators times quarters[i], over 4
+    times their denominator, in exact mode, and over the float products
+    g w in float mode.
     """
     g = randgen.random_superadditive(rng, d, mode=mode)
     nodes = list(d.nodes())
     w, quarters = randgen.random_quarter_weight(rng, nodes, mode)
-    den = 1
+    up, den = _heap_values(g, d)
     if mode == EXACT:
-        for _, v in g.items():
-            den = math.lcm(den, v.denominator)
-        up = [0] * (len(nodes) + 1)
-        for n, v in g.items():
-            k = d.heap_index(n)
-            up[k] = quarters[k - 1] * v.numerator * (den // v.denominator)
+        up[1:] = [q * v for q, v in zip(quarters, up[1:])]
         den *= 4
     else:
-        up = [0.0] * (len(nodes) + 1)
-        for n, v in g.items():
-            k = d.heap_index(n)
-            up[k] = v * (quarters[k - 1] / 4)
+        up[1:] = [v * (q / 4) for q, v in zip(quarters, up[1:])]
     _up_heap(up)
     # rank by integer numerators in exact mode, not by Fraction compares
     keys = up[1:]

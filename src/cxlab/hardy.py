@@ -8,8 +8,10 @@ prefix of the requested paths (root first), _down_paths gives I*g at every
 prefix of supp g (in support order), and II*g is the one fed into the
 other.  On a whole enumerated tree _up_heap gives If at every node of a
 list in heap order (node (depth, bits) at (1 << depth) | bits), one add per
-node, over int numerators in exact mode.  On the bi-tree, II* of an atomic
-measure is evaluated through the
+node.  Every tree sweep runs on the values trees._path_values gives: int
+numerators over one denominator in exact mode, so a Fraction is built only
+for a value handed out, and the floats themselves in float mode.  On the
+bi-tree, II* of an atomic measure is evaluated through the
 common-ancestor kernel (lcp_x + 1)(lcp_y + 1), never by materializing
 ancestor sets, so instances with coordinate depths in the hundreds stay
 cheap.  eval_hardy_up and eval_hardy_down are the support-scan references.
@@ -17,8 +19,8 @@ cheap.  eval_hardy_up and eval_hardy_down are the support-scan references.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .trees import (
@@ -31,6 +33,7 @@ from .trees import (
     SparseFn,
     TreeDomain,
     lcp_len,
+    _path_values,
     _zero,
 )
 
@@ -133,21 +136,13 @@ def _down_paths(values: dict[str, Scalar], zero: Scalar) -> dict[str, Scalar]:
 
 def _heap_values(f: SparseFn, d: TreeDomain) -> tuple[list, int]:
     """f at every node of d in heap order, a list of 2^levels entries with
-    entry 0 unused, and the denominator its entries are over: int numerators
-    over the lcm of f's denominators in exact mode, floats over 1 in float
-    mode.  A node outside d raises DomainError."""
-    items = [(d.heap_index(n), v) for n, v in f.items()]
-    if f.mode != EXACT:
-        up = [0.0] * (1 << d.levels)
-        for k, v in items:
-            up[k] = v
-        return up, 1
-    den = 1
-    for _, v in items:
-        den = math.lcm(den, v.denominator)
-    up = [0] * (1 << d.levels)
-    for k, v in items:
-        up[k] = v.numerator * (den // v.denominator)
+    entry 0 unused, and the denominator its entries are over, as
+    _path_values gives them.  A node outside d raises DomainError."""
+    values, den = _path_values(f)
+    up = [0 if f.mode == EXACT else 0.0] * (1 << d.levels)
+    # values holds f's entries in f's order
+    for n, v in zip(f.support(), values.values()):
+        up[d.heap_index(n)] = v
     return up, den
 
 
@@ -167,8 +162,20 @@ def hardy_up_table(f: SparseFn, nodes: Iterable[NodeAddress]) -> dict[NodeAddres
     if f.kind != "tree":
         raise DomainError("hardy_up_table expects a tree function")
     nodes = list(nodes)
-    up = _up_paths({n.path: v for n, v in f.items()}, (n.path for n in nodes), _zero(f.mode))
-    return {n: up[n.path] for n in nodes}
+    values, den = _path_values(f)
+    if f.mode != EXACT:
+        up = _up_paths(values, (n.path for n in nodes), 0.0)
+        return {n: up[n.path] for n in nodes}
+    up = _up_paths(values, (n.path for n in nodes), 0)
+    return {n: Fraction(up[n.path], den) for n in nodes}
+
+
+def _iistar_paths(g: SparseFn, paths: Iterable[str]) -> tuple[dict[str, Scalar], int]:
+    """II*g = I(I*g) at every prefix of the given paths of g's tree, and the
+    denominator the values are over, as _path_values gives them."""
+    values, den = _path_values(g)
+    zero = 0 if g.mode == EXACT else 0.0
+    return _up_paths(_down_paths(values, zero), paths, zero), den
 
 
 def _iistar_at(g: SparseFn, nodes: Iterable[Node]) -> dict[Node, Scalar]:
@@ -179,10 +186,10 @@ def _iistar_at(g: SparseFn, nodes: Iterable[Node]) -> dict[Node, Scalar]:
     """
     nodes = list(nodes)
     if g.kind == "tree":
-        zero = _zero(g.mode)
-        down = _down_paths({n.path: v for n, v in g.items()}, zero)
-        up = _up_paths(down, (n.path for n in nodes), zero)
-        return {n: up[n.path] for n in nodes}
+        up, den = _iistar_paths(g, (n.path for n in nodes))
+        if g.mode != EXACT:
+            return {n: up[n.path] for n in nodes}
+        return {n: Fraction(up[n.path], den) for n in nodes}
     m = PointMeasure.of(g.items())
     return {n: potential(m, n) for n in nodes}
 

@@ -32,6 +32,7 @@ from .trees import (
 from .hardy import (
     _heap_values,
     _iistar_at,
+    _iistar_paths,
     _up_heap,
     ancestor_closure,
     eval_hardy_up,
@@ -119,26 +120,38 @@ def max_hardy_up_tree(f: SparseFn) -> Scalar:
     return max_hardy_up_on(f, list(f.support()) + [NodeAddress("")])
 
 
-def _sup_iistar(g: SparseFn, nodes) -> tuple[Scalar, Optional[Node]]:
-    """max of II*g over the given nodes and the first node attaining it;
-    (0, None) for an empty collection."""
-    best, arg = _zero(g.mode), None
-    for x, v in _iistar_at(g, nodes).items():
-        if v > best:
-            best, arg = v, x
-    return best, arg
+def _sup_iistar(g: SparseFn, *node_lists) -> list[tuple[Scalar, Optional[Node]]]:
+    """For each given collection of nodes, the max of II*g over it and the
+    first node attaining it; (0, None) for an empty collection.
 
-
-def sup_iistar_refined(g: SparseFn, f: SparseFn) -> tuple[Scalar, Optional[Node]]:
-    """sup of II*g with the ancestor-walk refinement toward supp f.
-
-    For every support node of g the deepest f-supported ancestor carries the
-    same value of I(I*g 1_{supp f}), which the proof bounds by II*g there;
-    support points of g with no f-supported ancestor contribute zero.
+    One sweep serves every collection.  On the tree the max is taken on the
+    swept values, int numerators in exact mode, and one Fraction is built
+    for it.
     """
+    node_lists = [list(nodes) for nodes in node_lists]
+    if g.kind == "tree":
+        up, den = _iistar_paths(g, (x.path for nodes in node_lists for x in nodes))
+        values = [[up[x.path] for x in nodes] for nodes in node_lists]
+    else:
+        up, den = _iistar_at(g, {x: None for nodes in node_lists for x in nodes}), 1
+        values = [[up[x] for x in nodes] for nodes in node_lists]
+    exact = g.mode == EXACT
+    out = []
+    for nodes, vals in zip(node_lists, values):
+        best, arg = (0 if exact else 0.0), None
+        for x, v in zip(nodes, vals):
+            if v > best:
+                best, arg = v, x
+        out.append((Fraction(best, den) if exact else best, arg))
+    return out
+
+
+def _refined_nodes(g: SparseFn, f: SparseFn) -> list[Node]:
+    """The nodes of the refined sup: for every support node of g its deepest
+    f-supported ancestor, skipping support nodes with none.  On the bi-tree,
+    which has no maximum principle, supp g itself."""
     if g.kind != "tree":
-        # bi-tree: no maximum principle, use the plain support sup of II*g
-        return _sup_iistar(g, g.support())
+        return g.support()
     f_paths = {n.path for n in f.support()}
     ancestors = []
     for x in g.support():
@@ -147,19 +160,35 @@ def sup_iistar_refined(g: SparseFn, f: SparseFn) -> tuple[Scalar, Optional[Node]
             if p[:i] in f_paths:
                 ancestors.append(NodeAddress(p[:i]))
                 break
-    return _sup_iistar(g, ancestors)
+    return ancestors
+
+
+def _intersection_nodes(g: SparseFn, f: SparseFn) -> list[Node]:
+    """supp g intersected with supp f, in supp g order."""
+    f_support = set(f.support())
+    return [x for x in g.support() if x in f_support]
+
+
+def sup_iistar_refined(g: SparseFn, f: SparseFn) -> tuple[Scalar, Optional[Node]]:
+    """sup of II*g with the ancestor-walk refinement toward supp f.
+
+    For every support node of g the deepest f-supported ancestor carries the
+    same value of I(I*g 1_{supp f}), which the proof bounds by II*g there;
+    support points of g with no f-supported ancestor contribute zero.  On
+    the bi-tree this is the plain support sup of II*g.
+    """
+    return _sup_iistar(g, _refined_nodes(g, f))[0]
 
 
 def sup_iistar_intersection(g: SparseFn, f: SparseFn) -> tuple[Scalar, Optional[Node]]:
     """sup of II*g over supp g intersected with supp f (tree only); nodes
     are visited in supp g order, so a tie keeps the first in that order."""
-    f_support = set(f.support())
-    return _sup_iistar(g, [x for x in g.support() if x in f_support])
+    return _sup_iistar(g, _intersection_nodes(g, f))[0]
 
 
 def sup_iistar_support(g: SparseFn) -> Scalar:
     """The coarser sup of II*g over supp g, reported for comparison."""
-    return _sup_iistar(g, g.support())[0]
+    return _sup_iistar(g, g.support())[0][0]
 
 
 def verify_supadditive_l1linf(
@@ -194,7 +223,7 @@ def verify_I2_positive(f: SparseFn, g: SparseFn, d, seed: Optional[int] = None) 
         lhs = sum((table[n] ** 2 * v for n, v in g.items()), _zero(g.mode))
     else:
         lhs = sum((eval_hardy_up(f, n) ** 2 * v for n, v in g.items()), _zero(g.mode))
-    sup, arg = sup_iistar_refined(g, f)
+    (sup, arg), (coarse, _) = _sup_iistar(g, _refined_nodes(g, f), g.support())
     sum_f2 = sum((v * v for _, v in f.items()), _zero(f.mode))
     rhs = sup * sum_f2
     return LemmaReport(
@@ -202,7 +231,7 @@ def verify_I2_positive(f: SparseFn, g: SparseFn, d, seed: Optional[int] = None) 
         params={"sup_iistar": sup},
         lhs=lhs, rhs=rhs, holds=lhs <= rhs,
         witness=arg, mode=g.mode, seed=seed,
-        extra={"coarse_sup": sup_iistar_support(g)},
+        extra={"coarse_sup": coarse},
     )
 
 
@@ -439,7 +468,7 @@ def verify_new23(
         raise ValueError("p must be at least 1")
     table = hardy_up_table(f, g.support())
     lhs = sum((_pow(table[n], p) * v for n, v in g.items()), _zero(g.mode))
-    sup, arg = sup_iistar_intersection(g, f)
+    (sup, arg), (coarse, _) = _sup_iistar(g, _intersection_nodes(g, f), g.support())
     sum_fp = sum((_pow(v, p) for _, v in f.items()), _zero(f.mode))
     rhs = sup * sum_fp
     return LemmaReport(
@@ -448,7 +477,7 @@ def verify_new23(
         lhs=lhs, rhs=rhs, holds=_holds(lhs, rhs),
         witness=arg, mode=g.mode if _as_int(p) is not None else FLOAT, seed=seed,
         extra={
-            "coarse_sup": sup_iistar_support(g),
+            "coarse_sup": coarse,
             "increasing": is_increasing(g, d)[0],
             "superadditive": is_superadditive(g, d)[0],
         },

@@ -9,7 +9,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .trees import BiNode, EXACT, NodeAddress, SparseFn, TreeDomain
+from .trees import BiNode, EXACT, NodeAddress, Scalar, SparseFn, TreeDomain
 from .hardy import PointMeasure, rectangle_mass_fn
 
 
@@ -22,19 +22,30 @@ def random_path(rng: random.Random, max_depth: int) -> str:
     return "".join(rng.choice("01") for _ in range(depth))
 
 
+def _entry(num: int, den: int, mode: str) -> Scalar:
+    """num/den as the mode's scalar; an int quotient is correctly rounded, so
+    a float equals the float of the Fraction."""
+    return Fraction(num, den) if mode == EXACT else num / den
+
+
 def random_superadditive(
     rng: random.Random, d: TreeDomain, max_support: int = 30, mode: str = EXACT,
 ) -> SparseFn:
-    """Top-down construction: each node's children sum to at most its value."""
-    entries: dict[NodeAddress, Fraction] = {}
-    frontier = [("", Fraction(rng.randint(1, 16), 16))]
+    """Top-down construction: each node's children sum to at most its value.
+
+    A child total is its parent times a/16 and the left child that total
+    times b/16 (a, b drawn as dyadic draws them), so a value at depth k is an
+    int numerator over 16^(2k+1).
+    """
+    entries: dict[NodeAddress, Scalar] = {}
+    frontier = [("", rng.randint(1, 16))]
     while frontier and len(entries) < max_support:
-        path, value = frontier.pop(rng.randrange(len(frontier)))
-        entries[NodeAddress(path)] = value
+        path, num = frontier.pop(rng.randrange(len(frontier)))
+        entries[NodeAddress(path)] = _entry(num, 16 ** (2 * len(path) + 1), mode)
         if len(path) < d.max_depth and rng.random() < 0.75:
-            child_total = value * dyadic(rng)
-            left = child_total * dyadic(rng)
-            right = child_total - left
+            child_total = num * rng.randint(0, 16)
+            left = child_total * rng.randint(0, 16)
+            right = child_total * 16 - left
             for bit, v in (("0", left), ("1", right)):
                 if v > 0:
                     frontier.append((path + bit, v))
@@ -44,15 +55,19 @@ def random_superadditive(
 def random_increasing(
     rng: random.Random, d: TreeDomain, max_support: int = 30, mode: str = EXACT,
 ) -> SparseFn:
-    """Top-down construction: each child value is at most its parent's."""
-    entries: dict[NodeAddress, Fraction] = {}
-    frontier = [("", Fraction(rng.randint(1, 16), 16))]
+    """Top-down construction: each child value is at most its parent's.
+
+    A child value is its parent's times a/16 (a drawn as dyadic draws it), so
+    a value at depth k is an int numerator over 16^(k+1).
+    """
+    entries: dict[NodeAddress, Scalar] = {}
+    frontier = [("", rng.randint(1, 16))]
     while frontier and len(entries) < max_support:
-        path, value = frontier.pop(rng.randrange(len(frontier)))
-        entries[NodeAddress(path)] = value
+        path, num = frontier.pop(rng.randrange(len(frontier)))
+        entries[NodeAddress(path)] = _entry(num, 16 ** (len(path) + 1), mode)
         if len(path) < d.max_depth and rng.random() < 0.75:
             for bit in "01":
-                v = value * dyadic(rng)
+                v = num * rng.randint(0, 16)
                 if v > 0 and rng.random() < 0.8:
                     frontier.append((path + bit, v))
     return SparseFn.tree(entries, mode)

@@ -20,6 +20,7 @@ from .trees import (
     SparseFn,
     TreeDomain,
     _as_int,
+    _path_values,
 )
 
 FLOAT_REL_TOL = 1e-9
@@ -53,19 +54,22 @@ def is_superadditive(g: SparseFn, d: TreeDomain) -> tuple[bool, Optional[NodeAdd
     """Check g(beta) >= sum over children of g; returns a witness on failure.
 
     Only parents of support nodes can violate the inequality, so one pass
-    over the support suffices.
+    over the support suffices.  The values are compared as _path_values
+    gives them, int numerators in exact mode.
     """
     if g.kind != "tree":
         raise ValueError("is_superadditive expects a tree function")
-    parents: set[NodeAddress] = set()
-    for node in g.support():
-        d.require(node)
-        if node.depth > 0:
-            parents.add(node.parent())
-    for beta in sorted(parents, key=lambda n: (n.depth, n.path)):
-        child_sum = g.get(beta.child(0)) + g.get(beta.child(1))
-        if g.get(beta) < child_sum - _tol_for(g, child_sum):
-            return False, beta
+    values, _ = _path_values(g)
+    parents: set[str] = set()
+    for path in values:
+        if len(path) > d.max_depth:
+            d.require(NodeAddress(path))
+        if path:
+            parents.add(path[:-1])
+    for path in sorted(parents, key=lambda p: (len(p), p)):
+        child_sum = values.get(path + "0", 0) + values.get(path + "1", 0)
+        if values.get(path, 0) < child_sum - _tol_for(g, child_sum):
+            return False, NodeAddress(path)
     return True, None
 
 
@@ -73,13 +77,15 @@ def is_increasing(g: SparseFn, d: TreeDomain) -> tuple[bool, Optional[NodeAddres
     """Check g is non-decreasing toward the root; witness is the offending child."""
     if g.kind != "tree":
         raise ValueError("is_increasing expects a tree function")
-    for node in sorted(g.support(), key=lambda n: (n.depth, n.path)):
-        d.require(node)
-        if node.depth == 0:
+    values, _ = _path_values(g)
+    for path in sorted(values, key=lambda p: (len(p), p)):
+        if len(path) > d.max_depth:
+            d.require(NodeAddress(path))
+        if not path:
             continue
-        v = g.get(node)
-        if g.get(node.parent()) < v - _tol_for(g, v):
-            return False, node
+        v = values[path]
+        if values.get(path[:-1], 0) < v - _tol_for(g, v):
+            return False, NodeAddress(path)
     return True, None
 
 

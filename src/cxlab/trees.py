@@ -9,6 +9,7 @@ coordinate paths are prefixes of a's (smaller = deeper).
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Union
@@ -77,6 +78,10 @@ class NodeAddress:
 
     def __le__(self, other: "NodeAddress") -> bool:
         return other.contains(self)
+
+    def __hash__(self) -> int:
+        # the path's own hash, not the generated hash of the tuple (path,)
+        return hash(self.path)
 
     def __str__(self) -> str:
         return self.path or "(root)"
@@ -365,6 +370,19 @@ class SparseFn:
 
     def __repr__(self) -> str:
         return f"SparseFn({self.kind}, {len(self._values)} entries, {self.mode})"
+
+
+def _path_values(f: SparseFn) -> tuple[dict[str, Scalar], int]:
+    """A tree function as a dict from paths to values, in f's order, and the
+    denominator the values are over: int numerators over the lcm of f's
+    denominators in exact mode, the floats themselves over 1 in float mode."""
+    if f.mode != EXACT:
+        return {n.path: v for n, v in f.items()}, 1
+    items = f.items()
+    den = 1
+    for _, v in items:
+        den = math.lcm(den, v.denominator)
+    return {n.path: v.numerator * (den // v.denominator) for n, v in items}, den
 
 
 def _as_int(e: Scalar) -> int | None:

@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -14,7 +14,7 @@ from cxlab.capacity import EquilibriumResult, _symmetrized
 from cxlab.counterexamples import AuditStep, VariantAudit, _half_pow
 from cxlab.hardy import PointMeasure, hardy_up_table
 from cxlab.randgen import dyadic, random_path
-from cxlab.structure import is_superadditive
+from cxlab.structure import _tol_for
 from cxlab.trees import (
     ENUM_LEVELS, EXACT, BiNode, NodeAddress, PreconditionError, ResourceError, Scalar,
     SparseFn, TreeDomain, _as_int, _pow, _zero,
@@ -314,7 +314,7 @@ def build_phi_dict(
     """build_phi on an enumerated domain, every I a hardy_up_table dict and
     check (a) a walk over d.nodes()."""
     assert d.levels <= ENUM_LEVELS
-    ok, witness = is_superadditive(g, d)
+    ok, witness = is_superadditive_nodes(g, d)
     if not ok:
         raise PreconditionError("g is not superadditive", witness)
     if lam < 4 * delta:
@@ -370,3 +370,74 @@ def build_phi_dict(
         },
     )
     return phi, report
+
+
+# The generators and structure predicates over Fractions and NodeAddress
+# keys: the oracles for the int-numerator forms in cxlab.randgen and
+# cxlab.structure.
+
+def random_superadditive_fraction(
+    rng: random.Random, d: TreeDomain, max_support: int = 30, mode: str = EXACT,
+) -> SparseFn:
+    """randgen.random_superadditive, each child total and left child a
+    Fraction product."""
+    entries: dict[NodeAddress, Fraction] = {}
+    frontier = [("", Fraction(rng.randint(1, 16), 16))]
+    while frontier and len(entries) < max_support:
+        path, value = frontier.pop(rng.randrange(len(frontier)))
+        entries[NodeAddress(path)] = value
+        if len(path) < d.max_depth and rng.random() < 0.75:
+            child_total = value * dyadic(rng)
+            left = child_total * dyadic(rng)
+            right = child_total - left
+            for bit, v in (("0", left), ("1", right)):
+                if v > 0:
+                    frontier.append((path + bit, v))
+    return SparseFn.tree(entries, mode)
+
+
+def random_increasing_fraction(
+    rng: random.Random, d: TreeDomain, max_support: int = 30, mode: str = EXACT,
+) -> SparseFn:
+    """randgen.random_increasing, each child value a Fraction product."""
+    entries: dict[NodeAddress, Fraction] = {}
+    frontier = [("", Fraction(rng.randint(1, 16), 16))]
+    while frontier and len(entries) < max_support:
+        path, value = frontier.pop(rng.randrange(len(frontier)))
+        entries[NodeAddress(path)] = value
+        if len(path) < d.max_depth and rng.random() < 0.75:
+            for bit in "01":
+                v = value * dyadic(rng)
+                if v > 0 and rng.random() < 0.8:
+                    frontier.append((path + bit, v))
+    return SparseFn.tree(entries, mode)
+
+
+def is_superadditive_nodes(g: SparseFn, d: TreeDomain) -> tuple[bool, Optional[NodeAddress]]:
+    """structure.is_superadditive, reading g node by node."""
+    if g.kind != "tree":
+        raise ValueError("is_superadditive expects a tree function")
+    parents: set[NodeAddress] = set()
+    for node in g.support():
+        d.require(node)
+        if node.depth > 0:
+            parents.add(node.parent())
+    for beta in sorted(parents, key=lambda n: (n.depth, n.path)):
+        child_sum = g.get(beta.child(0)) + g.get(beta.child(1))
+        if g.get(beta) < child_sum - _tol_for(g, child_sum):
+            return False, beta
+    return True, None
+
+
+def is_increasing_nodes(g: SparseFn, d: TreeDomain) -> tuple[bool, Optional[NodeAddress]]:
+    """structure.is_increasing, reading g node by node."""
+    if g.kind != "tree":
+        raise ValueError("is_increasing expects a tree function")
+    for node in sorted(g.support(), key=lambda n: (n.depth, n.path)):
+        d.require(node)
+        if node.depth == 0:
+            continue
+        v = g.get(node)
+        if g.get(node.parent()) < v - _tol_for(g, v):
+            return False, node
+    return True, None

@@ -166,7 +166,6 @@ class TestRun:
         config = {
             "experiment": "cex-increasing",
             "grid": {"N": [3, 20], "p": [2]},
-            "mode": "exact",
             "seed": 7,
             "out": str(tmp_path / "reports"),
         }
@@ -187,7 +186,6 @@ class TestRun:
         config = {
             "experiment": "cex-direct",
             "grid": {"N": [6], "p": [2]},
-            "mode": "exact",
             "seed": 1,
             "out": str(tmp_path / "r1"),
         }
@@ -225,6 +223,28 @@ class TestRun:
         assert main(["run", str(cfg)]) == 2
         assert capsys.readouterr().err.startswith("error: ")
         assert not (tmp_path / "reports").exists()
+
+    @pytest.mark.parametrize("config, unknown", [
+        ({"experiment": "cex-new23", "grid": {"N": [10]}, "seed": 3}, "seed"),
+        ({"experiment": "capacity", "grid": {"n": [4]}, "seed": 3, "mode": "float"},
+         "mode, seed"),
+        ({"experiment": "cex-increasing", "grid": {"N": [3]}, "mode": "exact"}, "mode"),
+    ])
+    def test_shared_key_the_experiment_lacks_is_usage_error(self, capsys, tmp_path,
+                                                            config, unknown):
+        cfg = tmp_path / "shared.json"
+        cfg.write_text(json.dumps({**config, "out": str(tmp_path / "reports")}))
+        assert main(["run", str(cfg)]) == 2
+        assert f"has no parameter {unknown} " in capsys.readouterr().err
+        assert not (tmp_path / "reports").exists()
+
+    def test_null_shared_key_is_left_out(self, capsys, tmp_path):
+        cfg = tmp_path / "null.json"
+        cfg.write_text(json.dumps({"experiment": "cex-new23", "grid": {"N": [10]},
+                                   "seed": None, "tol": None,
+                                   "out": str(tmp_path / "reports")}))
+        assert main(["run", str(cfg)]) == 0
+        capsys.readouterr()
 
     @pytest.mark.parametrize("experiment, grid, config, argv", [
         ("verify-inter", {"trials": [5], "depth": [4]}, {"seed": 3},

@@ -115,9 +115,11 @@ def test_every_golden_file_is_checked():
 
 
 @pytest.mark.parametrize("hashseed", ["1", "2"])
-@pytest.mark.parametrize("name", ["verify-linf", "verify-new23"])
+@pytest.mark.parametrize("name", ["verify-linf", "verify-new23", "verify-l1linf", "verify-i2pos",
+                                  "verify-gest", "verify-phi-13"])
 def test_golden_independent_of_hash_seed(name, hashseed, tmp_path):
-    """The witnesses of these suites do not follow set order: a fresh
+    """The witnesses of these suites do not follow set or dict order over
+    node hashes (verify-phi-13 runs the set-heavy support closure): a fresh
     interpreter under another hash seed prints the same golden."""
     env = {**os.environ, "PYTHONHASHSEED": hashseed,
            "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}

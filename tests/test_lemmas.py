@@ -12,7 +12,9 @@ from cxlab.trees import (
     SparseFn,
     TreeDomain,
 )
-from cxlab.hardy import _heap_values, _up_heap, eval_hardy_down, hardy_up_table
+from cxlab.hardy import (
+    _heap_values, _iistar_at, _up_heap, eval_hardy_down, eval_hardy_up, hardy_up_table,
+)
 from cxlab.lemmas import (
     PHI_ENERGY_CONST,
     PHI_LOWER_CONST,
@@ -27,7 +29,7 @@ from cxlab.lemmas import (
     verify_new23,
     verify_supadditive_l1linf,
 )
-from cxlab import experiments, lemmas, randgen
+from cxlab import experiments, hardy, lemmas, randgen
 
 from helpers import build_phi_dict, iistar_bitree_scan, phi_instance_dict, random_bitree_sparse
 
@@ -66,6 +68,67 @@ class TestSupRefinements:
             g = randgen.random_sparse(rng, d)
             brute = max((brute_iistar(g, n) for n in g.support()), default=Fraction(0))
             assert sup_iistar_support(g) == brute
+
+    def test_non_dyadic_sweeps_match_support_scans(self):
+        # values over 3, 5 and 7: the int sweeps run over their lcm
+        d = TreeDomain(6)
+        nodes = list(d.nodes())
+        rng = random.Random(35)
+
+        def non_dyadic():
+            return SparseFn.tree({n: Fraction(rng.randint(1, 30), rng.choice((3, 5, 7)))
+                                  for n in rng.sample(nodes, rng.randint(1, 15))})
+
+        for _ in range(30):
+            f, g = non_dyadic(), non_dyadic()
+            table = hardy_up_table(f, nodes)
+            iistar = _iistar_at(g, nodes)
+            for a in nodes:
+                assert type(table[a]) is Fraction and table[a] == eval_hardy_up(f, a)
+                assert type(iistar[a]) is Fraction and iistar[a] == brute_iistar(g, a)
+            inter = [x for x in g.support() if x in set(f.support())]
+            best, arg = Fraction(0), None
+            for x in inter:
+                if brute_iistar(g, x) > best:
+                    best, arg = brute_iistar(g, x), x
+            assert sup_iistar_intersection(g, f) == (best, arg)
+            assert sup_iistar_support(g) == max(brute_iistar(g, x) for x in g.support())
+            f_paths = {n.path for n in f.support()}
+            best, arg = Fraction(0), None
+            for x in g.support():
+                anc = next((NodeAddress(x.path[:i]) for i in range(x.depth, -1, -1)
+                            if x.path[:i] in f_paths), None)
+                if anc is not None and brute_iistar(g, anc) > best:
+                    best, arg = brute_iistar(g, anc), anc
+            assert sup_iistar_refined(g, f) == (best, arg)
+
+    @pytest.mark.parametrize("mode", [EXACT, FLOAT])
+    def test_shared_sweep_matches_separate_sups(self, mode):
+        # verify_new23 and verify_I2_positive take both of their sups from one sweep
+        d = TreeDomain(8)
+        rng = random.Random(36)
+        for _ in range(60):
+            g = randgen.random_increasing(rng, d, mode=mode)
+            f = randgen.random_sparse(rng, d, mode=mode)
+            coarse = sup_iistar_support(g)
+            for report, (sup, arg) in (
+                    (verify_new23(f, g, 2, d), sup_iistar_intersection(g, f)),
+                    (verify_I2_positive(f, g, d), sup_iistar_refined(g, f))):
+                got = (report.params["sup_iistar"], report.witness, report.extra["coarse_sup"])
+                assert [(type(v), v) for v in got] == \
+                    [(type(v), v) for v in (sup, arg, coarse)]
+
+    def test_exact_sweeps_run_on_ints(self, monkeypatch):
+        seen = {"_up_paths": [], "_down_paths": []}
+        for name in seen:
+            def spy(values, *args, _name=name, _fn=getattr(hardy, name)):
+                seen[_name].extend(type(v) for v in (*values.values(), args[-1]))
+                return _fn(values, *args)
+            monkeypatch.setattr(hardy, name, spy)
+        for suite in ("l1linf", "i2pos", "inter", "linf", "new23", "gest"):
+            experiments.run_verify_suite(suite, trials=20, depth=8, seed=1, mode=EXACT)
+        assert len(seen["_up_paths"]) > 200 and len(seen["_down_paths"]) > 200
+        assert set(seen["_up_paths"]) == set(seen["_down_paths"]) == {int}
 
     def test_bitree_sups_match_rectangle_scan(self):
         rng = random.Random(34)

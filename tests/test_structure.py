@@ -3,8 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from cxlab.trees import NodeAddress, ROOT, SparseFn, TreeDomain
+from cxlab.trees import FLOAT, NodeAddress, ROOT, SparseFn, TreeDomain
 from cxlab.structure import (
+    FLOAT_REL_TOL,
     ExponentPair,
     check_power_superadditive,
     is_increasing,
@@ -15,7 +16,22 @@ from cxlab.hardy import PointMeasure, rectangle_mass_fn
 from cxlab.trees import BiNode
 from cxlab import randgen
 
-from helpers import build_cex_p_less_2_functions, doubling_g_fn
+from helpers import (
+    build_cex_p_less_2_functions,
+    doubling_g_fn,
+    is_increasing_nodes,
+    is_superadditive_nodes,
+)
+
+PREDICATES = [(is_superadditive, is_superadditive_nodes), (is_increasing, is_increasing_nodes)]
+
+
+def _outcome(predicate, g, d):
+    """(ok, witness), or the type and message of the ValueError raised."""
+    try:
+        return predicate(g, d)
+    except ValueError as exc:
+        return type(exc), str(exc)
 
 
 class TestExponentPair:
@@ -68,6 +84,75 @@ class TestSuperadditive:
         g = SparseFn.tree({ROOT: 1, NodeAddress("01"): Fraction(2)})
         ok, witness = is_increasing(g, d)
         assert not ok and witness == NodeAddress("01")
+
+
+@pytest.mark.parametrize("predicate, oracle", PREDICATES)
+class TestPredicatesMatchNodeOracles:
+    def test_generated_functions(self, predicate, oracle):
+        d = TreeDomain(8)
+        rng = random.Random(4)
+        seen = set()
+        for mode in ("exact", FLOAT):
+            for _ in range(150):
+                for gen in (randgen.random_superadditive, randgen.random_increasing,
+                            randgen.random_sparse):
+                    g = gen(rng, d, mode=mode)
+                    want = oracle(g, d)
+                    assert predicate(g, d) == want
+                    seen.add(want[0])
+        assert seen == {True, False}
+
+    def test_non_dyadic_fractions(self, predicate, oracle):
+        d = TreeDomain(5)
+        nodes = list(d.nodes())
+        rng = random.Random(5)
+        seen = set()
+        for _ in range(400):
+            g = SparseFn.tree({n: Fraction(rng.randint(0, 30), rng.choice((3, 5, 7)))
+                               for n in rng.sample(nodes, rng.randint(1, 12))})
+            want = oracle(g, d)
+            assert predicate(g, d) == want
+            seen.add(want[0])
+        assert seen == {True, False}
+
+    @pytest.mark.parametrize("scale", [1.0, 1e3])
+    @pytest.mark.parametrize("rel, holds", [(0.9, True), (1.1, False)])
+    def test_floats_at_the_tolerance(self, predicate, oracle, scale, rel, holds):
+        # the children (or the child) exceed the parent by rel tolerances
+        d = TreeDomain(3)
+        excess = rel * FLOAT_REL_TOL * scale
+        if predicate is is_superadditive:
+            entries = {ROOT: scale, NodeAddress("0"): scale / 2,
+                       NodeAddress("1"): scale / 2 + excess}
+        else:
+            entries = {ROOT: scale, NodeAddress("1"): scale + excess}
+        g = SparseFn.tree(entries, FLOAT)
+        want = (True, None) if holds else (False, ROOT if predicate is is_superadditive
+                                           else NodeAddress("1"))
+        assert oracle(g, d) == want
+        assert predicate(g, d) == want
+
+    @pytest.mark.parametrize("values", [
+        {"00000": 1},
+        # is_superadditive reports the first such node in support order,
+        # is_increasing the first in (depth, path) order
+        {"": 1, "0": Fraction(1, 2), "111111": Fraction(1, 7), "1": Fraction(1, 2),
+         "01011": Fraction(1, 6)},
+        {"111": 1, "": 1, "0": 1, "1": 1, "000": 1},
+        # is_increasing fails at "0" before it reaches the deep node
+        {"": 1, "0": 2, "1111": 1},
+    ])
+    def test_out_of_domain_nodes(self, predicate, oracle, values):
+        d = TreeDomain(3)
+        g = SparseFn.tree({NodeAddress(p): v for p, v in values.items()})
+        want = _outcome(oracle, g, d)
+        assert _outcome(predicate, g, d) == want
+
+    def test_bitree_function_rejected(self, predicate, oracle):
+        m = SparseFn.bitree({BiNode(ROOT, ROOT): 1})
+        want = _outcome(oracle, m, TreeDomain(3))
+        assert want[0] is ValueError
+        assert _outcome(predicate, m, TreeDomain(3)) == want
 
 
 class TestSpecialForm:

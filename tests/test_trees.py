@@ -20,6 +20,7 @@ from cxlab.trees import (
     format_node,
     lcp_len,
     parse_node,
+    _path_values,
 )
 
 from helpers import tree_nodes_bfs
@@ -48,6 +49,19 @@ class TestNodeAddress:
         assert NodeAddress("01") <= ROOT
         assert not NodeAddress("01") <= NodeAddress("010")
         assert not NodeAddress("00") <= NodeAddress("01")
+
+    def test_hash_is_the_path_hash(self):
+        paths = ("", "0", "1", "01", "0110" * 20)
+        for p in paths:
+            assert hash(NodeAddress(p)) == hash(p)
+        # an equal hash does not make a node equal to its path
+        assert NodeAddress("01") != "01" and "01" != NodeAddress("01")
+        table = {NodeAddress(p): p for p in paths}
+        nodes = set(table)
+        for p in paths:
+            assert table[NodeAddress(p)] == p and NodeAddress(p) in nodes
+            assert p not in table and p not in nodes
+        assert NodeAddress("10") not in nodes
 
 
 class TestLcp:
@@ -211,3 +225,18 @@ class TestSparseFn:
         f = SparseFn.tree({ROOT: Fraction(1, 3)}).to_float()
         assert f.mode == FLOAT
         assert f.get(ROOT) == pytest.approx(1 / 3)
+
+
+class TestPathValues:
+    def test_exact_numerators_over_the_lcm(self):
+        f = SparseFn.tree({NodeAddress("01"): Fraction(1, 6), ROOT: Fraction(3, 4),
+                           NodeAddress("1"): Fraction(2, 5), NodeAddress("0"): 7})
+        values, den = _path_values(f)
+        assert den == 60
+        assert list(values.items()) == [("01", 10), ("", 45), ("1", 24), ("0", 420)]
+        assert all(type(v) is int for v in values.values())
+
+    def test_float_values_over_one(self):
+        f = SparseFn.tree({NodeAddress("1"): 0.1, ROOT: 2.5}, FLOAT)
+        assert _path_values(f) == ({"1": 0.1, "": 2.5}, 1)
+        assert _path_values(SparseFn.tree({})) == ({}, 1)
