@@ -51,9 +51,9 @@ from .capacity import (
     EquilibriumResult,
     build_instance,
     capacity_bruteforce,
-    capacity_qp,
-    capacity_qp_instance,
     check_lemma_g,
+    equilibrium,
+    prefix_capacity,
     report_d2,
 )
 

@@ -1,6 +1,7 @@
 """The bi-tree capacity experiment: the atomic measure nu, the rectangle
-family, the potential comparability check, and the equilibrium-measure QP
-with an exact brute-force oracle.
+family, the potential comparability check, and the equilibrium measure of
+the capacity QP in closed form with an exact certificate, plus an exact
+brute-force oracle.
 
 All rectangles in the instance are a short prefix followed by a run of
 zeros, so the instance holds each one only as a (j, x_extra, y_extra)
@@ -19,7 +20,10 @@ suite.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -49,7 +53,6 @@ class BitreeInstance:
     extras: list[tuple[int, int]]           # (x_extra, y_extra) of q_jk, k = 0..s
     atom_mass: Fraction
     potentials: list[Fraction]              # potential(nu, q_1k), k = 0..s
-    symmetry_classes: list[range]           # class k: the indices of q_jk, every j
     inclusion: str                          # "full" or "partial"
 
     @property
@@ -97,11 +100,10 @@ def build_instance(n: int) -> BitreeInstance:
     lam = max(potentials) / 4
     ratio = max(potentials) / min(potentials)
     inclusion = "full" if ratio <= 2 else "partial"
-    classes = [range(k, count * (s + 1), s + 1) for k in range(s + 1)]
 
     return BitreeInstance(
         n=n, s=s, M=M, delta=delta, lam=lam, extras=extras, atom_mass=atom_mass,
-        potentials=potentials, symmetry_classes=classes, inclusion=inclusion,
+        potentials=potentials, inclusion=inclusion,
     )
 
 
@@ -138,113 +140,110 @@ def check_lemma_g(inst: BitreeInstance) -> dict:
     }
 
 
-@dataclass
-class EquilibriumResult:
-    """Equilibrium measure of the capacity QP, one mass per symmetry class."""
-
-    rho: np.ndarray
-    class_sizes: np.ndarray
-    cap: float
-    kkt_max_violation: float
-    iterations: int
-    converged: bool
-
-
-def _kkt_violation(S: np.ndarray, b: np.ndarray, t: np.ndarray) -> float:
-    r = (S @ t) / b - 1.0
-    on = t > 0
-    viol = float(np.max(np.abs(r[on]))) if on.any() else 0.0
-    off = ~on
-    if off.any():
-        viol = max(viol, float(np.max(np.maximum(0.0, -r[off]))))
-    return viol
-
-
-def _solve_reduced_qp(S: np.ndarray, b: np.ndarray, tol: float, max_iters: int) -> EquilibriumResult:
-    """minimize (1/2) t'St - b't over t >= 0 by projected gradient with a
-    periodic active-set polish; grad/b - 1 is the per-member KKT residual."""
-    step = 1.0 / float(S.sum(axis=1).max())
-    t = np.zeros(len(b))
-    viol = _kkt_violation(S, b, t)
-    it = 0
-    while it < max_iters and viol > tol:
-        t = np.maximum(0.0, t - step * (S @ t - b))
-        it += 1
-        if it % 50 == 0 or it == max_iters:
-            active = t > 0
-            if active.any():
-                try:
-                    x = np.linalg.solve(S[np.ix_(active, active)], b[active])
-                except np.linalg.LinAlgError:
-                    x = None
-                if x is not None and (x >= 0).all():
-                    cand = np.zeros_like(t)
-                    cand[active] = x
-                    if _kkt_violation(S, b, cand) < _kkt_violation(S, b, t):
-                        t = cand
-            viol = _kkt_violation(S, b, t)
-    cap = float(b @ t)
-    return EquilibriumResult(
-        rho=t, class_sizes=b.copy(), cap=cap,
-        kkt_max_violation=viol, iterations=it, converged=viol <= tol,
-    )
-
-
-def _symmetrized(S: np.ndarray, classes: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
-    """The assembled class-summed kernel and the class sizes.  Symmetry of
-    the matrix is asserted, which fails loudly on a wrong partition."""
-    if not np.allclose(S, S.T, rtol=1e-12, atol=0.0):
-        raise ValueError("symmetry_classes are not kernel orbits (asymmetric reduced kernel)")
-    S = (S + S.T) / 2.0
-    b = np.array([float(len(c)) for c in classes])
-    return S, b
-
-
-def _instance_matrix(inst: BitreeInstance, use_symmetry: bool) -> tuple[np.ndarray, np.ndarray]:
-    """The instance's class-summed kernel, assembled from the lcp counts.
-
-    With symmetry, class k holds q_jk for every j.  Row (j = 0, k1) summed
-    over class k2 is the same-prefix term plus the lcp weight of the other
-    prefixes, and each of the 2^M rows of class k1 sums to the same value.
-    Without it, the full kernel over the family in j-major order.  Entries
-    stay below 2^53 at every admissible n, so the float matrix is exact.
-    """
+def _class_kernel(inst: BitreeInstance) -> list[list[int]]:
+    """S = count (A + far J), the kernel summed over the classes: class k
+    holds q_jk for every j.  Row (j = 0, k1) summed over class k2 is the
+    same-prefix count A[k1][k2] plus the lcp weight far of the other
+    prefixes, and each of the count rows of class k1 sums to the same value."""
     xe, ye = np.array(inst.extras).T
-    if use_symmetry:
-        same = _kernel_block(inst.M, 0, xe[:, None], ye[:, None], 0, xe, ye)
-        S = inst.count * (same + _lcp_weight(inst.M))
-        return _symmetrized(S.astype(float), inst.symmetry_classes)
-    if inst.family_size > _NO_SYMMETRY_MAX_FAMILY:
-        raise ResourceError(
-            f"family of size {inst.family_size} requires the symmetry reduction")
+    same = _kernel_block(inst.M, 0, xe[:, None], ye[:, None], 0, xe, ye)
+    far, count = _lcp_weight(inst.M), inst.count
+    return [[count * (v + far) for v in row] for row in same.tolist()]
+
+
+def _member_kernel(inst: BitreeInstance) -> np.ndarray:
+    """The kernel over the whole family, member by member in j-major order."""
+    xe, ye = np.array(inst.extras).T
     j = np.repeat(np.arange(inst.count), len(xe))
     x, y = np.tile(xe, inst.count), np.tile(ye, inst.count)
-    S = _kernel_block(inst.M, j[:, None], x[:, None], y[:, None], j, x, y)
-    return _symmetrized(S.astype(float), [[i] for i in range(inst.family_size)])
+    return _kernel_block(inst.M, j[:, None], x[:, None], y[:, None], j, x, y)
 
 
-def capacity_qp(
-    family: Sequence[BiNode],
-    tol: float = 1e-10,
-    max_iters: int = 200000,
-) -> EquilibriumResult:
-    """Dual capacity QP over an explicit rectangle family, on the
-    member-by-member kernel matrix (every entry an exact int)."""
-    if not family:
-        raise ValueError("family must be nonempty")
-    S = np.array([[float(kernel(a, b)) for b in family] for a in family])
-    return _solve_reduced_qp(S, np.ones(len(family)), tol, max_iters)
+def _green_solve(inst: BitreeInstance) -> tuple[list[int], list[Fraction]]:
+    """D_k and y = A^-1 1 for the same-prefix kernel A[k1][k2] = a_min b_max,
+    with a_k = M + 2^k + 1 increasing and b_k = M + ceil(n/2^k) + 1
+    decreasing.  A is a one-pair (Green's) matrix, so its inverse T is
+    tridiagonal (Gantmacher and Krein, Oscillation Matrices and Kernels):
+    with D_k = a_{k+1} b_k - a_k b_{k+1}, T_{k,k+1} = T_{k+1,k} = -1/D_k,
+    T_00 = a_1/(a_0 D_0), T_ss = b_{s-1}/(b_s D_{s-1}) and, between them,
+    T_kk = (a_{k+1} b_{k-1} - a_{k-1} b_{k+1})/(D_{k-1} D_k).  y_k is the
+    sum of row k, taken over the row's common denominator."""
+    s = inst.s
+    a = [inst.M + ye + 1 for _, ye in inst.extras]
+    b = [inst.M + xe + 1 for xe, _ in inst.extras]
+    D = [a[k + 1] * b[k] - a[k] * b[k + 1] for k in range(s)]
+    y = ([Fraction(a[1] - a[0], a[0] * D[0])]
+         + [Fraction(a[k + 1] * b[k - 1] - a[k - 1] * b[k + 1] - D[k - 1] - D[k],
+                     D[k - 1] * D[k]) for k in range(1, s)]
+         + [Fraction(b[s - 1] - b[s], b[s] * D[s - 1])])
+    return D, y
 
 
-def capacity_qp_instance(
-    inst: BitreeInstance,
-    tol: float = 1e-10,
-    max_iters: int = 200000,
-    use_symmetry: bool = True,
-) -> EquilibriumResult:
-    """Capacity of the instance family through the structured kernel."""
-    S, b = _instance_matrix(inst, use_symmetry)
-    return _solve_reduced_qp(S, b, tol, max_iters)
+def prefix_capacity(inst: BitreeInstance) -> Fraction:
+    """The closed-form capacity of one prefix's s + 1 rectangles
+    (`prefix_members`): their kernel is A, so it is sum(A^-1 1)."""
+    return sum(_green_solve(inst)[1])
+
+
+@dataclass
+class EquilibriumResult:
+    """The equilibrium measure of the capacity QP, one mass per rectangle
+    of each class, and its certificate."""
+
+    rho: list[Fraction]              # the mass on q_jk, the same for every j
+    cap: Fraction
+    failed_check: Optional[str]      # None when the certificate holds
+    kkt_max_violation: float         # max over rows of |(S rho)_i / b_i - 1|
+
+    @property
+    def certified(self) -> bool:
+        return self.failed_check is None
+
+
+def _certificate(D: list[int], rho: list[Fraction], S: list[list[int]],
+                 b: int) -> tuple[Optional[str], float]:
+    """The first failed check of D_k > 0, rho > 0 and S rho = b (b the same
+    in every row), decided over ints with rho as numerators over one
+    denominator, and the largest relative residual of S rho = b.  Column k
+    of S is the sum of the kernel's columns that carry the mass rho_k.
+
+    The kernel is a Gram matrix (of common-ancestor indicators), and so is
+    its class-summed form; both are positive semidefinite.  So rho >= 0
+    with S rho = b satisfies the KKT conditions of the convex QP
+    min (1/2) t'St - b't over t >= 0, which are then sufficient: a passing
+    certificate proves rho optimal."""
+    den = functools.reduce(math.lcm, (r.denominator for r in rho))
+    num = [r.numerator * (den // r.denominator) for r in rho]
+    want = b * den
+    residual = max(abs(sum(map(operator.mul, row, num)) - want) for row in S)
+    checks = (("D_k > 0", min(D) > 0), ("rho > 0", min(num) > 0), ("S rho = b", residual == 0))
+    failed = next((name for name, ok in checks if not ok), None)
+    return failed, float(Fraction(residual, want))
+
+
+def equilibrium(inst: BitreeInstance, use_symmetry: bool = True) -> EquilibriumResult:
+    """The capacity QP's optimum in closed form, certified.
+
+    The class-summed kernel is S = count (A + far J) with b = count 1, so
+    by the Sherman-Morrison formula rho = y / (1 + far sum(y)) solves
+    S rho = b, where y = A^-1 1, and cap = count sum(y) / (1 + far sum(y)).
+    Without symmetry the same rho, repeated for every prefix, is checked
+    against every row of the member-by-member kernel instead.
+    """
+    if not use_symmetry and inst.family_size > _NO_SYMMETRY_MAX_FAMILY:
+        raise ResourceError(
+            f"family of size {inst.family_size} requires the symmetry reduction")
+    D, y = _green_solve(inst)
+    total = sum(y)
+    t = 1 + _lcp_weight(inst.M) * total
+    rho = [v / t for v in y]
+    if use_symmetry:
+        failed, violation = _certificate(D, rho, _class_kernel(inst), inst.count)
+    else:  # every member row, its columns summed per class (exact in int64)
+        K = _member_kernel(inst)
+        per_class = K.reshape(len(K), inst.count, inst.s + 1).sum(axis=1)
+        failed, violation = _certificate(D, rho, per_class.tolist(), 1)
+    return EquilibriumResult(rho, inst.count * total / t, failed, violation)
 
 
 def _solve_exact(A: list[list[Fraction]], b: list[Fraction]) -> Optional[list[Fraction]]:
@@ -296,22 +295,20 @@ def capacity_bruteforce(family: Sequence[BiNode]) -> Fraction:
 def report_d2(inst: BitreeInstance, eq: EquilibriumResult) -> dict:
     """One table row of the refutation: cap(F_n) stays bounded below while
     delta/lambda shrinks like 1/log n."""
-    if not eq.converged:
-        raise ValueError(
-            f"equilibrium not converged (kkt residual {eq.kkt_max_violation:.3e})")
+    if not eq.certified:
+        raise ValueError(f"equilibrium not certified: {eq.failed_check} fails")
     ratio = inst.delta / inst.lam
     s = inst.s
     band = range(s // 2, 3 * s // 4 + 1)
-    band_mean = float(np.mean([eq.rho[k] for k in band]))
+    band_mean = sum(eq.rho[k] for k in band) / len(band)
     return {
         "n": inst.n,
         "delta": inst.delta,
         "lambda": inst.lam,
         "delta_over_lambda": ratio,
-        "cap": eq.cap,
-        "cap_over_ratio": eq.cap / float(ratio),
-        "band_mean_rho_times_n": inst.n * band_mean,
+        "cap": float(eq.cap),
+        "cap_over_ratio": float(eq.cap / ratio),
+        "band_mean_rho_times_n": float(inst.n * band_mean),
         "kkt_max_violation": eq.kkt_max_violation,
-        "iterations": eq.iterations,
         "inclusion": inst.inclusion,
     }

@@ -84,7 +84,8 @@ def _cmd_report(args) -> int:
     sizes = flags.pop("n", None) or (16, 256)  # a list of sizes, not one n
     results = [experiments.run_cell("capacity", {**flags, "n": n}) for n in sizes]
     rows = [{**r["d2"], "converged": True} if r["converged"] else
-            {"n": r["n"], "converged": False, "kkt_max_violation": r["kkt_max_violation"]}
+            {"n": r["n"], "converged": False, "failed_check": r["failed_check"],
+             "kkt_max_violation": r["kkt_max_violation"]}
             for r in (result.payload for result in results)]
     payload = {"table": rows}
     caps = [r["cap"] for r in rows if r.get("converged")]
@@ -114,12 +115,12 @@ def _cmd_run(args) -> int:
             and all(isinstance(v, list) and v for v in grid.values())):
         print("error: grid must map parameter names to nonempty lists", file=sys.stderr)
         return EXIT_USAGE
-    if config.get("mode", EXACT) not in (EXACT, FLOAT):
-        print(f"error: invalid mode {config['mode']!r}", file=sys.stderr)
-        return EXIT_USAGE
-    # a shared key the experiment does not take is a usage error, as its
-    # flag is on the command line; a null one is left out
+    # a null shared key is left out; one the experiment does not take is a
+    # usage error, as its flag is on the command line (no experiment takes tol)
     shared = {k: config[k] for k in ("mode", "seed", "tol") if config.get(k) is not None}
+    if shared.get("mode", EXACT) not in (EXACT, FLOAT):
+        print(f"error: invalid mode {shared['mode']!r}", file=sys.stderr)
+        return EXIT_USAGE
     keys = sorted(grid)
     cells = [dict(zip(keys, values)) for values in itertools.product(*(grid[k] for k in keys))]
     for cell in cells:  # reject a bad parameter before any cell runs
@@ -176,11 +177,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_cex.add_argument("--out")
     p_cex.set_defaults(fn=_cmd_cell)
 
-    p_cap = sub.add_parser("capacity", help="solve the capacity QP for one n", **unset)
+    p_cap = sub.add_parser("capacity", help="the certified capacity of F_n for one n", **unset)
     p_cap.add_argument("--n", type=int, required=True, choices=cap.ADMISSIBLE_N)
-    p_cap.add_argument("--tol", type=float)
-    p_cap.add_argument("--max-iters", type=int)
-    p_cap.add_argument("--no-symmetry", action="store_true")
+    p_cap.add_argument("--no-symmetry", action="store_true",
+                       help="certify against the member-by-member kernel")
     p_cap.add_argument("--oracle", action="store_true",
                        help="cross-check against the exact brute-force oracle "
                             "on the j=1 subfamily")
@@ -192,8 +192,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_d2 = rep_sub.add_parser("d2", help="the capacity refutation table", **unset)
     p_d2.add_argument("--n", type=int, action="append", choices=cap.ADMISSIBLE_N,
                       help="instance sizes (default: 16 256)")
-    p_d2.add_argument("--tol", type=float)
-    p_d2.add_argument("--max-iters", type=int)
     p_d2.add_argument("--csv")
     p_d2.add_argument("--out")
     p_d2.set_defaults(fn=_cmd_report)

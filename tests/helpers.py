@@ -4,15 +4,15 @@ from __future__ import annotations
 
 import math
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
 import numpy as np
 
-from cxlab import lemmas, randgen
-from cxlab.capacity import EquilibriumResult, _symmetrized
+from cxlab import capacity, lemmas, randgen
 from cxlab.counterexamples import AuditStep, VariantAudit, _half_pow
-from cxlab.hardy import PointMeasure, hardy_up_table
+from cxlab.hardy import PointMeasure, hardy_up_table, kernel
 from cxlab.randgen import dyadic, random_path
 from cxlab.structure import _tol_for
 from cxlab.trees import (
@@ -106,10 +106,17 @@ def bitree_atoms(n: int) -> PointMeasure:
                            for j in range(count))
 
 
+def symmetry_classes(n: int) -> list[range]:
+    """Class k of F_n: the j-major indices of q_jk for every prefix j."""
+    s, count, _ = _capacity_shape(n)
+    return [range(k, count * (s + 1), s + 1) for k in range(s + 1)]
+
+
 def _reduced_matrix(kernel_fn, items, classes: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
     """Class-summed kernel S[c1][c2] = sum over the two orbits of K, from
-    one representative row per class (valid when the classes are kernel
-    orbits)."""
+    one representative row per class, and the class sizes.  Symmetry of the
+    result is asserted, which fails loudly on classes that are not kernel
+    orbits."""
     m = len(classes)
     S = np.zeros((m, m))
     for c1, members1 in enumerate(classes):
@@ -117,15 +124,82 @@ def _reduced_matrix(kernel_fn, items, classes: Sequence[Sequence[int]]) -> tuple
         for c2, members2 in enumerate(classes):
             row = sum(kernel_fn(rep, items[j]) for j in members2)
             S[c1, c2] = len(members1) * row
-    return _symmetrized(S, classes)
+    assert np.array_equal(S, S.T), "the classes are not kernel orbits"
+    return S, np.array([float(len(c)) for c in classes])
 
 
-def rho_full(eq: EquilibriumResult, classes: Sequence[Sequence[int]]) -> np.ndarray:
+def rho_full(rho: Sequence, classes: Sequence[Sequence[int]]) -> list:
     """The equilibrium mass of every family member, from one mass per class."""
-    out = np.zeros(sum(len(c) for c in classes))
-    for t, members in zip(eq.rho, classes):
-        out[members] = t
+    out = [None] * sum(len(c) for c in classes)
+    for t, members in zip(rho, classes):
+        for i in members:
+            out[i] = t
     return out
+
+
+def perturb_closed_form(monkeypatch, edit) -> None:
+    """Make capacity's closed form hand edit(D, y) to its certificate."""
+    solve = capacity._green_solve
+    monkeypatch.setattr(capacity, "_green_solve", lambda inst: edit(*solve(inst)))
+
+
+# The float reference for the capacity QP: projected gradient with a
+# periodic active-set polish, on any kernel matrix.
+
+_QP_TOL = 1e-10
+_QP_MAX_ITERS = 200000
+
+
+@dataclass
+class QPResult:
+    rho: np.ndarray
+    cap: float
+    converged: bool
+
+
+def _kkt_violation(S: np.ndarray, b: np.ndarray, t: np.ndarray) -> float:
+    r = (S @ t) / b - 1.0
+    on = t > 0
+    viol = float(np.max(np.abs(r[on]))) if on.any() else 0.0
+    off = ~on
+    if off.any():
+        viol = max(viol, float(np.max(np.maximum(0.0, -r[off]))))
+    return viol
+
+
+def solve_qp(S: np.ndarray, b: np.ndarray) -> QPResult:
+    """minimize (1/2) t'St - b't over t >= 0 by projected gradient with a
+    periodic active-set polish; grad/b - 1 is the per-member KKT residual."""
+    step = 1.0 / float(S.sum(axis=1).max())
+    t = np.zeros(len(b))
+    viol = _kkt_violation(S, b, t)
+    it = 0
+    while it < _QP_MAX_ITERS and viol > _QP_TOL:
+        t = np.maximum(0.0, t - step * (S @ t - b))
+        it += 1
+        if it % 50 == 0 or it == _QP_MAX_ITERS:
+            active = t > 0
+            if active.any():
+                try:
+                    x = np.linalg.solve(S[np.ix_(active, active)], b[active])
+                except np.linalg.LinAlgError:
+                    x = None
+                if x is not None and (x >= 0).all():
+                    cand = np.zeros_like(t)
+                    cand[active] = x
+                    if _kkt_violation(S, b, cand) < _kkt_violation(S, b, t):
+                        t = cand
+            viol = _kkt_violation(S, b, t)
+    return QPResult(rho=t, cap=float(b @ t), converged=viol <= _QP_TOL)
+
+
+def capacity_qp(family: Sequence[BiNode]) -> QPResult:
+    """The float capacity QP over an explicit rectangle family, on the
+    member-by-member kernel matrix (every entry an exact int)."""
+    if not family:
+        raise ValueError("family must be nonempty")
+    S = np.array([[float(kernel(a, b)) for b in family] for a in family])
+    return solve_qp(S, np.ones(len(family)))
 
 
 # The counterexample instances, built node by node: the oracles for the

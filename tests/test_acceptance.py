@@ -1,7 +1,7 @@
 """Acceptance gate: one test per criterion, each printing a PASS/FAIL line.
 
 Numeric thresholds marked "frozen" were computed once from the exact
-closed forms / converged solves and pinned here.
+closed forms / certified solves and pinned here.
 """
 
 import random
@@ -20,15 +20,14 @@ from cxlab.counterexamples import (
 from cxlab.capacity import (
     build_instance,
     capacity_bruteforce,
-    capacity_qp,
-    capacity_qp_instance,
     check_lemma_g,
+    equilibrium,
     report_d2,
 )
 from cxlab.experiments import run_verify_suite, suite_failures
 from cxlab.trees import binode
 
-from helpers import build_cex_p_less_2_functions, random_family
+from helpers import build_cex_p_less_2_functions, capacity_qp, random_family
 
 SEED = 20230917
 
@@ -36,7 +35,6 @@ SEED = 20230917
 LEMMA_G_C1 = 2.4          # n * Ig lower bound, both n in {16, 256}
 LEMMA_G_C2 = 7.8          # n * Ig upper bound
 EQ_E_C0 = 0.08            # n * mean rho_k over the middle band
-KKT_TOL = 1e-8
 
 
 def _verdict(num: int, desc: str, ok: bool) -> None:
@@ -123,8 +121,8 @@ def test_acceptance_6_refutation_table():
         inst = build_instance(n)
         ok = ok and inst.delta == Fraction(1, n * inst.s)          # (i)
         lemma[n] = check_lemma_g(inst)
-        eq = capacity_qp_instance(inst, tol=1e-10)
-        ok = ok and eq.converged and eq.kkt_max_violation <= KKT_TOL  # (iii)
+        eq = equilibrium(inst)
+        ok = ok and eq.certified and eq.kkt_max_violation == 0     # (iii)
         rows[n] = report_d2(inst, eq)
     for n in (16, 256):                                            # (ii)
         ok = ok and LEMMA_G_C1 <= float(lemma[n]["n_min"])

@@ -6,22 +6,25 @@ import pytest
 
 from cxlab.trees import BiNode, BiTreeDomain, NodeAddress, ResourceError, binode
 from cxlab.hardy import PointMeasure, energy, eval_hardy_down, kernel, potential
+from cxlab import capacity
 from cxlab.capacity import (
     ADMISSIBLE_N,
-    EquilibriumResult,
-    _instance_matrix,
+    _class_kernel,
+    _green_solve,
+    _member_kernel,
     build_instance,
     capacity_bruteforce,
-    capacity_qp,
-    capacity_qp_instance,
     check_lemma_g,
+    equilibrium,
+    prefix_capacity,
     prefix_members,
     report_d2,
 )
 from cxlab import randgen
 
 from helpers import (
-    _reduced_matrix, atoms_fn, bitree_atoms, bitree_family, random_family, rho_full,
+    _reduced_matrix, atoms_fn, bitree_atoms, bitree_family, capacity_qp,
+    perturb_closed_form, random_family, rho_full, solve_qp, symmetry_classes,
 )
 
 
@@ -59,22 +62,23 @@ class TestBuildInstance:
 
     def test_structured_kernel_matches_generic(self):
         inst = build_instance(16)
-        S, _ = _instance_matrix(inst, use_symmetry=False)
+        S = _member_kernel(inst)
         family = bitree_family(16)
         for i, a in enumerate(family):
             for j, b in enumerate(family):
-                assert S[i, j] == kernel(a, b)
+                assert S[i][j] == kernel(a, b)
 
     @pytest.mark.parametrize("use_symmetry", [True, False])
     @pytest.mark.parametrize("n", [4, 16, 256])
     def test_instance_matrix_matches_pairwise(self, n, use_symmetry):
         inst = build_instance(n)
-        classes = inst.symmetry_classes if use_symmetry \
+        classes = symmetry_classes(n) if use_symmetry \
             else [[i] for i in range(inst.family_size)]
-        S, b = _instance_matrix(inst, use_symmetry)
+        S = _class_kernel(inst) if use_symmetry else _member_kernel(inst)
         S_pair, b_pair = _reduced_matrix(kernel, bitree_family(n), classes)
-        assert np.array_equal(S, S_pair)
-        assert np.array_equal(b, b_pair)
+        assert np.array_equal(np.array(S), S_pair)
+        # b is count per class with symmetry, 1 per member without
+        assert set(b_pair) == {inst.count if use_symmetry else 1}
 
     def test_large_instance_potentials_match_pairwise(self):
         inst = build_instance(65536)
@@ -150,6 +154,8 @@ class TestLemmaG:
 
 
 class TestCapacityQP:
+    """The exact brute-force oracle against the float reference QP."""
+
     @pytest.mark.parametrize("a", range(4))
     @pytest.mark.parametrize("b", range(4))
     def test_single_node_forced(self, a, b):
@@ -198,11 +204,73 @@ class TestCapacityQP:
         with pytest.raises(ResourceError):
             capacity_bruteforce(family)
 
-    def test_non_convergence_flagged(self):
+
+class TestClosedForm:
+    @pytest.mark.parametrize("n", ADMISSIBLE_N)
+    def test_tridiagonal_inverse(self, n):
+        """y = A^-1 1 for A[k1][k2] = a_min b_max, and every D_k > 0."""
+        inst = build_instance(n)
+        D, y = _green_solve(inst)
+        assert len(D) == inst.s and min(D) > 0
+        xe, ye = np.array(inst.extras).T
+        A = capacity._kernel_block(inst.M, 0, xe[:, None], ye[:, None], 0, xe, ye).tolist()
+        assert [sum(a * v for a, v in zip(row, y)) for row in A] == [1] * (inst.s + 1)
+
+    @pytest.mark.parametrize("n", ADMISSIBLE_N)
+    def test_certified(self, n):
+        inst = build_instance(n)
+        eq = equilibrium(inst)
+        assert eq.certified and eq.failed_check is None
+        assert eq.kkt_max_violation == 0.0
+        assert all(r > 0 for r in eq.rho)
+        assert eq.cap == inst.count * sum(eq.rho)
+        S = _class_kernel(inst)
+        assert [sum(a * r for a, r in zip(row, eq.rho)) for row in S] == \
+            [inst.count] * (inst.s + 1)
+
+    @pytest.mark.parametrize("n", [4, 16, 256])
+    def test_matches_float_reference(self, n):
+        S, b = _reduced_matrix(kernel, bitree_family(n), symmetry_classes(n))
+        ref = solve_qp(S, b)
+        eq = equilibrium(build_instance(n))
+        assert ref.converged
+        assert float(eq.cap) == pytest.approx(ref.cap, rel=1e-12)
+        assert [float(r) for r in eq.rho] == pytest.approx(list(ref.rho), rel=1e-9)
+
+    @pytest.mark.parametrize("n", [4, 16, 256])
+    def test_prefix_capacity_is_bruteforce(self, n):
+        inst = build_instance(n)
+        assert prefix_capacity(inst) == capacity_bruteforce(prefix_members(inst, 0))
+
+    def test_n16_values(self):
         inst = build_instance(16)
-        eq = capacity_qp_instance(inst, tol=0.0, max_iters=3)
-        assert not eq.converged
-        with pytest.raises(ValueError):
+        assert equilibrium(inst).cap == Fraction(139, 1458)
+        assert prefix_capacity(inst) == Fraction(139, 4998)
+
+    @pytest.mark.parametrize("n", [4, 16, 256])
+    def test_member_kernel_certifies_the_same_rho(self, n):
+        inst = build_instance(n)
+        eq, full = equilibrium(inst), equilibrium(inst, use_symmetry=False)
+        assert full.certified and full.kkt_max_violation == 0.0
+        assert (full.rho, full.cap) == (eq.rho, eq.cap)
+
+    def test_no_symmetry_family_bound(self):
+        with pytest.raises(ResourceError):
+            equilibrium(build_instance(65536), use_symmetry=False)
+
+    @pytest.mark.parametrize("use_symmetry", [True, False])
+    @pytest.mark.parametrize("edit, failed", [
+        (lambda D, y: ([-d for d in D], y), "D_k > 0"),
+        (lambda D, y: (D, y[:-1] + [-y[-1]]), "rho > 0"),
+        (lambda D, y: (D, [y[0] * (1 + Fraction(1, 10 ** 9))] + y[1:]), "S rho = b"),
+    ])
+    def test_each_check_can_fail(self, monkeypatch, edit, failed, use_symmetry):
+        perturb_closed_form(monkeypatch, edit)
+        inst = build_instance(16)
+        eq = equilibrium(inst, use_symmetry=use_symmetry)
+        assert not eq.certified and eq.failed_check == failed
+        assert (eq.kkt_max_violation > 0) == (failed != "D_k > 0")
+        with pytest.raises(ValueError, match=failed):
             report_d2(inst, eq)
 
 
@@ -210,35 +278,25 @@ class TestEquilibrium:
     @pytest.mark.parametrize("n", [4, 16])
     def test_kkt_conditions(self, n):
         inst = build_instance(n)
-        eq = capacity_qp_instance(inst, tol=1e-10)
-        assert eq.converged
-        rho = rho_full(eq, inst.symmetry_classes)
+        eq = equilibrium(inst)
+        rho = rho_full(eq.rho, symmetry_classes(n))
         family = bitree_family(n)
-        mu = PointMeasure.of(
-            (q, m) for q, m in zip(family, rho) if m > 0)
-        # potential >= 1 - tol on the family, = 1 +- tol on the support
-        for q, m in zip(family, rho):
-            v = float(potential(mu, q))
-            assert v >= 1 - 1e-8
-            if m > 0:
-                assert v == pytest.approx(1.0, abs=1e-8)
+        mu = PointMeasure.of(zip(family, rho))
+        # the potential is exactly 1 on the family, and the family is the support
+        assert all(potential(mu, q) == 1 for q in family)
         # cap = total mass = energy at equilibrium
-        assert eq.cap == pytest.approx(float(mu.total_mass()), rel=1e-12)
-        assert eq.cap == pytest.approx(float(energy(mu)), rel=1e-8)
+        assert eq.cap == mu.total_mass() == energy(mu)
 
     def test_primal_dual_identity(self):
         # sum over all rectangles of (I* mu)^2 equals the energy, exactly
         inst = build_instance(4)
-        eq = capacity_qp_instance(inst, tol=1e-12)
-        masses = [Fraction(m).limit_denominator(10 ** 12)
-                  for m in rho_full(eq, inst.symmetry_classes)]
-        mu = PointMeasure.of(
-            (q, m) for q, m in zip(bitree_family(4), masses) if m > 0)
+        eq = equilibrium(inst)
+        mu = PointMeasure.of(zip(bitree_family(4), rho_full(eq.rho, symmetry_classes(4))))
         nu = atoms_fn(mu)
         depth = inst.M + inst.n + 1
         total = sum(eval_hardy_down(nu, q) ** 2
                     for q in BiTreeDomain(depth, depth).nodes())
-        assert total == energy(mu)
+        assert total == energy(mu) == eq.cap
 
     def test_energy_psd(self):
         rng = random.Random(7)
@@ -247,32 +305,32 @@ class TestEquilibrium:
             assert energy(m) >= 0
 
     def test_symmetry_of_rho(self):
+        """The float QP on the member-by-member kernel, with no symmetry
+        assumed, finds the closed form's rho on every prefix."""
         inst = build_instance(16)
-        eq = capacity_qp_instance(inst, tol=1e-10, use_symmetry=False)
-        assert eq.converged
-        rho = eq.rho
-        s = inst.s
-        for k in range(s + 1):
-            per_j = [rho[j * (s + 1) + k] for j in range(inst.n // s)]
-            assert np.ptp(per_j) <= 1e-8
+        S = np.array(_member_kernel(inst), dtype=float)
+        ref = solve_qp(S, np.ones(len(S)))
+        assert ref.converged
+        want = [float(r) for r in equilibrium(inst).rho] * inst.count
+        assert list(ref.rho) == pytest.approx(want, rel=1e-8)
 
 
 class TestReportD2:
     def test_table_row(self):
         inst = build_instance(16)
-        eq = capacity_qp_instance(inst)
-        row = report_d2(inst, eq)
+        row = report_d2(inst, equilibrium(inst))
         assert row["n"] == 16
         assert row["delta"] == Fraction(1, 64)
         assert row["delta_over_lambda"] == inst.delta / inst.lam
         assert row["cap"] > 0
         assert row["band_mean_rho_times_n"] > 0
+        assert "iterations" not in row
 
     def test_refutation_signal(self):
         rows = []
         for n in (16, 256):
             inst = build_instance(n)
-            rows.append(report_d2(inst, capacity_qp_instance(inst)))
+            rows.append(report_d2(inst, equilibrium(inst)))
         caps = [r["cap"] for r in rows]
         ratios = [float(r["delta_over_lambda"]) for r in rows]
         assert max(caps) / min(caps) <= 2

@@ -1,9 +1,13 @@
 import json
+from fractions import Fraction
 
 import pytest
 
+from cxlab import capacity
 from cxlab.cli import main
 from cxlab.experiments import EXPERIMENTS, run_cell
+
+from helpers import perturb_closed_form
 
 
 def run_cli(capsys, *argv):
@@ -110,7 +114,8 @@ class TestCapacity:
         assert code == 0
         payload = json.loads(out)
         assert payload["converged"]
-        assert payload["oracle"]["rel_error"] <= 1e-6
+        assert payload["oracle"]["bruteforce"] == "139/4998"
+        assert payload["oracle"]["rel_error"] == 0.0
 
     def test_n65536(self, capsys):
         code, out = run_cli(capsys, "capacity", "--n", "65536")
@@ -119,10 +124,10 @@ class TestCapacity:
         assert payload["converged"]
         assert payload["lemma_g"]["symmetric_j"]
         assert len(payload["rho"]) == 17
+        assert float(Fraction(payload["cap_exact"])) == payload["cap"]
+        assert "iterations" not in payload and "iterations" not in payload["d2"]
 
     def test_oracle_bound_checked_before_build(self, capsys, monkeypatch):
-        from cxlab import capacity
-
         def no_build(n):
             raise AssertionError("build_instance called")
 
@@ -152,13 +157,47 @@ class TestCapacity:
             row, = json.loads(out)["table"]
             assert row["n"] == 16
 
-    def test_report_d2_not_converged(self, capsys):
-        code, out = run_cli(capsys, "report", "d2", "--n", "256", "--tol", "0",
-                            "--max-iters", "10")
+    @pytest.mark.parametrize("argv", [["capacity", "--n", "16", "--tol", "1e-8"],
+                                      ["capacity", "--n", "16", "--max-iters", "5"],
+                                      ["report", "d2", "--max-iters", "5"],
+                                      ["report", "d2", "--tol", "0"]])
+    def test_solver_knobs_are_gone(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("n", [4, 16, 256])
+    def test_no_symmetry_repeats_the_symmetric_rho(self, capsys, n):
+        _, sym = run_cli(capsys, "capacity", "--n", str(n))
+        code, full = run_cli(capsys, "capacity", "--n", str(n), "--no-symmetry")
+        sym, full = json.loads(sym), json.loads(full)
+        assert code == 0
+        assert full["rho"] == sym["rho"] * (len(full["rho"]) // len(sym["rho"]))
+        assert len(full["rho"]) == n // (n.bit_length() - 1) * len(sym["rho"])
+        assert {k: full[k] for k in ("cap", "cap_exact", "d2", "lemma_g")} == \
+            {k: sym[k] for k in ("cap", "cap_exact", "d2", "lemma_g")}
+
+    @pytest.mark.parametrize("argv", [["capacity", "--n", "256"],
+                                      ["capacity", "--n", "16", "--no-symmetry"],
+                                      ["capacity", "--n", "16", "--oracle"]])
+    def test_failed_certificate(self, capsys, monkeypatch, argv):
+        perturb_closed_form(monkeypatch, lambda D, y: (D, [y[0] * 2] + y[1:]))
+        code, out = run_cli(capsys, *argv)
+        payload = json.loads(out)
+        assert code == 1
+        assert payload["converged"] is False and payload["failed_check"] == "S rho = b"
+        assert payload["kkt_max_violation"] > 0
+        assert "d2" not in payload
+
+    def test_report_d2_failed_certificate(self, capsys, monkeypatch):
+        perturb_closed_form(monkeypatch, lambda D, y: (D, [-v for v in y]))
+        code, out = run_cli(capsys, "report", "d2", "--n", "256")
         assert code == 1
         row, = json.loads(out)["table"]
-        assert set(row) == {"n", "converged", "kkt_max_violation"}
-        assert row["n"] == 256 and row["converged"] is False
+        assert row == {"n": 256, "converged": False, "failed_check": "rho > 0",
+                       "kkt_max_violation": row["kkt_max_violation"]}
+        assert row["kkt_max_violation"] > 0
 
 
 class TestRun:
@@ -229,6 +268,7 @@ class TestRun:
         ({"experiment": "capacity", "grid": {"n": [4]}, "seed": 3, "mode": "float"},
          "mode, seed"),
         ({"experiment": "cex-increasing", "grid": {"N": [3]}, "mode": "exact"}, "mode"),
+        ({"experiment": "capacity", "grid": {"n": [16]}, "tol": 1e-8}, "tol"),
     ])
     def test_shared_key_the_experiment_lacks_is_usage_error(self, capsys, tmp_path,
                                                             config, unknown):
@@ -241,7 +281,7 @@ class TestRun:
     def test_null_shared_key_is_left_out(self, capsys, tmp_path):
         cfg = tmp_path / "null.json"
         cfg.write_text(json.dumps({"experiment": "cex-new23", "grid": {"N": [10]},
-                                   "seed": None, "tol": None,
+                                   "mode": None, "seed": None, "tol": None,
                                    "out": str(tmp_path / "reports")}))
         assert main(["run", str(cfg)]) == 0
         capsys.readouterr()
@@ -266,23 +306,6 @@ class TestRun:
         cell, = (tmp_path / "r").glob("*.json")
         assert json.loads(cell.read_text())["result"] == json.loads(out)
         capsys.readouterr()
-
-    def test_tol_zero_is_honoured(self, capsys, tmp_path):
-        cfg = tmp_path / "tol.json"
-        results = []
-        for tol in (None, 0):
-            cfg.write_text(json.dumps({"experiment": "capacity", "tol": tol,
-                                       "grid": {"n": [256], "max_iters": [60]},
-                                       "out": str(tmp_path / f"r{tol}")}))
-            code = main(["run", str(cfg)])
-            cell, = (tmp_path / f"r{tol}").glob("*.json")
-            results.append((code, json.loads(cell.read_text())["result"]))
-        capsys.readouterr()
-        (code_default, default), (code_zero, zero) = results
-        assert code_default == 0 and default["iterations"] == 50 and "d2" in default
-        # the float residual at n = 256 stays above zero: the solve runs to max_iters
-        assert code_zero == 1 and zero["iterations"] == 60
-        assert not zero["converged"] and "d2" not in zero
 
     def test_missing_grid_is_usage_error(self, capsys, tmp_path):
         cfg = tmp_path / "bad.json"

@@ -73,7 +73,7 @@ RUNS = {
     "run-cex-new23": {"experiment": "cex-new23", "grid": {"N": [10], "p": [2.5, 4]}},
     "run-search-new23": {"experiment": "search-new23",
                          "grid": {"p": [1.5, 4], "depth": [6], "budget": [50]}, "seed": 1},
-    "run-capacity": {"experiment": "capacity", "grid": {"n": [4, 16]}, "tol": None},
+    "run-capacity": {"experiment": "capacity", "grid": {"n": [4, 16]}},
 }
 
 _RUNTIME = re.compile(r',\n  "runtime_ms": [^\n]*')
