@@ -29,7 +29,8 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 
 # the README examples (phi cut to 50 trials, the search to a budget of 1000),
 # the other verify suites, phi on both sides of the 12-level enumeration
-# cutoff and the larger instances the benchmark runs
+# cutoff, the larger instances the benchmark runs, and two searches: one
+# whose best ratio is a rounding tie at p = 2 and one at the depth cap
 COMMANDS = {
     "verify-phi": "verify phi --trials 50 --depth 8 --seed 7",
     "verify-phi-float": "verify phi --trials 50 --depth 8 --seed 7 --mode float",
@@ -53,6 +54,8 @@ COMMANDS = {
     "cex-new23-998-p3.5": "cex new23 --N 998 --p 3.5",
     "cex-increasing-1000-p4": "cex increasing --N 1000 --p 4",
     "cex-search-new23": "cex search-new23 --p 4 --depth 10 --budget 1000 --seed 7",
+    "cex-search-new23-p2-tie": "cex search-new23 --p 2 --depth 10 --budget 2000 --seed 3",
+    "cex-search-new23-depth-14": "cex search-new23 --p 1.25 --depth 14 --budget 300 --seed 11",
     "capacity-16-oracle": "capacity --n 16 --oracle",
     "capacity-256-oracle": "capacity --n 256 --oracle",
     "capacity-16-no-symmetry": "capacity --n 16 --no-symmetry",
