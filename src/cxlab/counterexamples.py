@@ -35,11 +35,12 @@ from .trees import (
 )
 # hardy_up_table is not called here; the binding stays because the bench's
 # self-test checks that its tracer wraps it in this module too.
-from .hardy import _down_paths, _up_paths, hardy_up_table  # noqa: F401
+from .hardy import hardy_up_table  # noqa: F401
 from .lemmas import LemmaReport, verify_new23
 
 _MAX_CEX_K = 8          # the p<2 sums take ~4^k terms
 _MAX_SEARCH_DEPTH = 14
+_MAX_SEARCH_BUDGET = 10 ** 6  # tens of seconds at ~40 us per trial
 _MAX_NEW23_FLOAT_N = 1024   # the ones variant rounds 2^(N-1) to a float
 
 
@@ -377,42 +378,99 @@ def gen_cex_new23(N: int, p: Scalar) -> dict[str, VariantAudit]:
 # Randomized search for power-sum lemma violations.
 # ---------------------------------------------------------------------------
 
+def _below(bits: Callable[[int], int], n: int) -> int:
+    """A draw from range(n) for n > 0, made as random.Random._randbelow makes
+    it: getrandbits(n.bit_length()) until the result is below n.  So it takes
+    the same bits as randrange(n), and as randint and choice over n values,
+    which add to or index with that draw."""
+    k = n.bit_length()
+    r = bits(k)
+    while r >= n:
+        r = bits(k)
+    return r
+
+
+def _random_bits(bits: Callable[[int], int], n: int) -> str:
+    """n path bits, each drawn as choice("01") draws it: _below(bits, 2),
+    inlined, as this is the search's most frequent draw."""
+    out = ""
+    for _ in range(n):
+        r = bits(2)
+        while r > 1:
+            r = bits(2)
+        out += "01"[r]
+    return out
+
+
 def _random_increasing_paths(rng: random.Random, depth: int, cap: int) -> dict[str, float]:
+    """Up to cap values of a random increasing g, keyed by path.  A node
+    enters after its parent, so supp g is ancestor-closed and listed parents
+    first."""
+    bits, rand = rng.getrandbits, rng.random
     out: dict[str, float] = {}
-    frontier = [("", rng.uniform(0.5, 1.0))]
+    frontier = [("", 0.5 + 0.5 * rand())]  # uniform(0.5, 1.0)
     while frontier and len(out) < cap:
-        path, value = frontier.pop(rng.randrange(len(frontier)))
+        path, value = frontier.pop(_below(bits, len(frontier)))
         out[path] = value
         if len(path) < depth:
             for bit in "01":
-                if rng.random() < 0.7:
-                    frontier.append((path + bit, value * rng.random()))
+                if rand() < 0.7:
+                    frontier.append((path + bit, value * rand()))
     return out
 
 
 def _random_f_paths(rng: random.Random, depth: int, g_paths: list[str]) -> dict[str, float]:
+    """1 to 8 random f values, keyed by path; half the paths extend a node
+    of g."""
+    bits, rand = rng.getrandbits, rng.random
     out: dict[str, float] = {}
-    for _ in range(rng.randint(1, 8)):
-        if g_paths and rng.random() < 0.5:
-            base = rng.choice(g_paths)
-            extra = "".join(rng.choice("01") for _ in range(rng.randint(0, depth - len(base)))) \
-                if len(base) < depth else ""
-            path = base + extra
+    for _ in range(1 + _below(bits, 8)):  # randint(1, 8)
+        if g_paths and rand() < 0.5:
+            base = g_paths[_below(bits, len(g_paths))]
+            room = depth - len(base)
+            path = base + _random_bits(bits, _below(bits, room + 1)) if room > 0 else base
         else:
-            path = "".join(rng.choice("01") for _ in range(rng.randint(0, depth)))
-        out[path] = rng.uniform(0.05, 1.0)
+            path = _random_bits(bits, _below(bits, depth + 1))
+        out[path] = 0.05 + 0.95 * rand()  # uniform(0.05, 1.0)
     return out
 
 
 def _fast_new23_ratio(gv: dict[str, float], fv: dict[str, float], p: float):
-    """(lhs, rhs) of the power-sum inequality on plain path dicts."""
-    i_f = _up_paths(fv, gv, 0.0)
-    lhs = sum(i_f[path] ** p * val for path, val in gv.items())
+    """(lhs, rhs) of the power-sum inequality on plain path dicts, for supp g
+    ancestor-closed and listed parents first; (0.0, 0.0) when supp f and
+    supp g are disjoint.
+
+    Only f's values on the intersection reach If on supp g, and II*g is
+    taken only on the intersection, so I*g is needed only at its prefixes.
+    Each sum makes the additions of hardy._up_paths and _down_paths in their
+    order (If and II*g root first, I*g in supp g order), so every float
+    rounds as in those sweeps."""
     inter = gv.keys() & fv.keys()
     if not inter:
-        return lhs, 0.0
-    iistar = _up_paths(_down_paths(gv, 0.0), inter, 0.0)
-    sup = max(iistar[b] for b in inter)
+        return 0.0, 0.0
+    i_f: dict[str, float] = {}
+    for path in gv:
+        acc = i_f[path[:-1]] if path else 0.0
+        if path in inter:
+            acc += fv[path]
+        i_f[path] = acc
+    # a node with no f above it adds 0.0, which changes no sum
+    lhs = sum(a ** p * val for a, val in zip(i_f.values(), gv.values()) if a)
+    # I*g at the intersection's prefixes, a prefix-closed set: a path's
+    # prefixes leave it at the first one outside
+    down = {b[:i]: 0.0 for b in inter for i in range(len(b) + 1)}
+    for path, val in gv.items():
+        for i in range(len(path) + 1):
+            q = path[:i]
+            if q not in down:
+                break
+            down[q] += val
+    sup = 0.0
+    for b in inter:
+        acc = 0.0
+        for i in range(len(b) + 1):
+            acc += down[b[:i]]
+        sup = max(sup, acc)
     rhs = sup * sum(v ** p for v in fv.values())
     return lhs, rhs
 
@@ -422,14 +480,20 @@ def search_new23(p: Scalar, depth: int, budget: int, seed: int) -> LemmaReport:
     largest lhs/rhs, re-evaluated through the full verifier."""
     if p < 1:
         raise ValueError("p must be at least 1")
+    if depth < 0:
+        raise ValueError("depth must be non-negative")
     if depth > _MAX_SEARCH_DEPTH:
         raise ResourceError(f"search depth capped at {_MAX_SEARCH_DEPTH}")
     if budget < 1:
         raise ValueError("budget must be positive")
+    if budget > _MAX_SEARCH_BUDGET:
+        raise ResourceError(f"search budget capped at {_MAX_SEARCH_BUDGET}")
     pf = float(p)
+    # each trial reseeds one generator, so trial t draws as Random(f"{seed}:{t}")
+    rng = random.Random()
     best_ratio, best_trial = -1.0, None
     for trial in range(budget):
-        rng = random.Random(f"{seed}:{trial}")
+        rng.seed(f"{seed}:{trial}")
         gv = _random_increasing_paths(rng, depth, cap=12)
         fv = _random_f_paths(rng, depth, list(gv))
         lhs, rhs = _fast_new23_ratio(gv, fv, pf)
@@ -444,7 +508,7 @@ def search_new23(p: Scalar, depth: int, budget: int, seed: int) -> LemmaReport:
             name="search_new23", params={"p": p, "depth": depth, "budget": budget},
             lhs=0.0, rhs=0.0, holds=True, mode=FLOAT, seed=seed, degenerate=True,
         )
-    rng = random.Random(f"{seed}:{best_trial}")
+    rng.seed(f"{seed}:{best_trial}")
     gv = _random_increasing_paths(rng, depth, cap=12)
     fv = _random_f_paths(rng, depth, list(gv))
     d = TreeDomain(depth + 1)

@@ -12,11 +12,11 @@ import numpy as np
 
 from cxlab import capacity, lemmas, randgen
 from cxlab.counterexamples import AuditStep, VariantAudit, _half_pow
-from cxlab.hardy import PointMeasure, hardy_up_table, kernel
+from cxlab.hardy import PointMeasure, _down_paths, _up_paths, hardy_up_table, kernel
 from cxlab.randgen import dyadic, random_path
 from cxlab.structure import _tol_for
 from cxlab.trees import (
-    ENUM_LEVELS, EXACT, BiNode, NodeAddress, PreconditionError, ResourceError, Scalar,
+    ENUM_LEVELS, EXACT, FLOAT, BiNode, NodeAddress, PreconditionError, ResourceError, Scalar,
     SparseFn, TreeDomain, _as_int, _pow, _zero,
 )
 
@@ -515,3 +515,81 @@ def is_increasing_nodes(g: SparseFn, d: TreeDomain) -> tuple[bool, Optional[Node
         if g.get(node.parent()) < v - _tol_for(g, v):
             return False, node
     return True, None
+
+
+# The search_new23 trial through the stdlib draws (randrange, randint,
+# choice, uniform, one Random per trial) and the full-tree sweeps of
+# cxlab.hardy: the oracles for the getrandbits draws and the
+# intersection-only ratio in cxlab.counterexamples.
+
+def _random_increasing_paths(rng: random.Random, depth: int, cap: int) -> dict[str, float]:
+    out: dict[str, float] = {}
+    frontier = [("", rng.uniform(0.5, 1.0))]
+    while frontier and len(out) < cap:
+        path, value = frontier.pop(rng.randrange(len(frontier)))
+        out[path] = value
+        if len(path) < depth:
+            for bit in "01":
+                if rng.random() < 0.7:
+                    frontier.append((path + bit, value * rng.random()))
+    return out
+
+
+def _random_f_paths(rng: random.Random, depth: int, g_paths: list[str]) -> dict[str, float]:
+    out: dict[str, float] = {}
+    for _ in range(rng.randint(1, 8)):
+        if g_paths and rng.random() < 0.5:
+            base = rng.choice(g_paths)
+            extra = "".join(rng.choice("01") for _ in range(rng.randint(0, depth - len(base)))) \
+                if len(base) < depth else ""
+            path = base + extra
+        else:
+            path = "".join(rng.choice("01") for _ in range(rng.randint(0, depth)))
+        out[path] = rng.uniform(0.05, 1.0)
+    return out
+
+
+def _fast_new23_ratio(gv: dict[str, float], fv: dict[str, float], p: float):
+    """(lhs, rhs) of the power-sum inequality on plain path dicts."""
+    i_f = _up_paths(fv, gv, 0.0)
+    lhs = sum(i_f[path] ** p * val for path, val in gv.items())
+    inter = gv.keys() & fv.keys()
+    if not inter:
+        return lhs, 0.0
+    iistar = _up_paths(_down_paths(gv, 0.0), inter, 0.0)
+    sup = max(iistar[b] for b in inter)
+    rhs = sup * sum(v ** p for v in fv.values())
+    return lhs, rhs
+
+
+def search_new23_stdlib(p: Scalar, depth: int, budget: int, seed: int) -> lemmas.LemmaReport:
+    """search_new23 over the trial oracles above, without its bound checks."""
+    pf = float(p)
+    best_ratio, best_trial = -1.0, None
+    for trial in range(budget):
+        rng = random.Random(f"{seed}:{trial}")
+        gv = _random_increasing_paths(rng, depth, cap=12)
+        fv = _random_f_paths(rng, depth, list(gv))
+        lhs, rhs = _fast_new23_ratio(gv, fv, pf)
+        if rhs <= 0.0:
+            continue
+        ratio = lhs / rhs
+        if ratio > best_ratio:
+            best_ratio, best_trial = ratio, trial
+
+    if best_trial is None:
+        return lemmas.LemmaReport(
+            name="search_new23", params={"p": p, "depth": depth, "budget": budget},
+            lhs=0.0, rhs=0.0, holds=True, mode=FLOAT, seed=seed, degenerate=True,
+        )
+    rng = random.Random(f"{seed}:{best_trial}")
+    gv = _random_increasing_paths(rng, depth, cap=12)
+    fv = _random_f_paths(rng, depth, list(gv))
+    d = TreeDomain(depth + 1)
+    g = SparseFn.tree({NodeAddress(k): v for k, v in gv.items()}, FLOAT)
+    f = SparseFn.tree({NodeAddress(k): v for k, v in fv.items()}, FLOAT)
+    report = lemmas.verify_new23(f, g, float(p), d, seed=seed)
+    report.name = "search_new23"
+    report.params.update({"depth": depth, "budget": budget, "best_trial": best_trial,
+                          "best_fast_ratio": best_ratio})
+    return report

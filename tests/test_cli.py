@@ -65,6 +65,18 @@ class TestCex:
                             "--depth", "6", "--budget", "50", "--seed", "1")
         assert code == 0
 
+    def test_search_negative_depth_is_usage_error(self, capsys):
+        assert main(["cex", "search-new23", "--depth", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "depth must be non-negative" in captured.err
+
+    def test_search_budget_resource_exit(self, capsys):
+        assert main(["cex", "search-new23", "--budget", "1000000000"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "search budget capped at 1000000" in captured.err
+
     def test_mode_flag_removed(self):
         with pytest.raises(SystemExit) as exc:
             main(["cex", "direct", "--N", "30", "--mode", "float"])

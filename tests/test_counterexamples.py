@@ -8,6 +8,7 @@ import pytest
 from cxlab.trees import NodeAddress, ResourceError, SparseFn, TreeDomain, _as_int, _pow
 from cxlab.hardy import eval_hardy_down, hardy_up_table
 from cxlab.lemmas import scalar_repr, verify_new23
+from cxlab import counterexamples as cex
 from cxlab.counterexamples import (
     _audit_variant,
     gen_cex_direct,
@@ -19,6 +20,7 @@ from cxlab.counterexamples import (
     sum_ifg_p_direct,
 )
 
+import helpers
 from helpers import (
     audit_variant_fraction,
     build_cex_p_less_2_functions,
@@ -315,3 +317,91 @@ class TestSearchNew23:
     def test_depth_budget(self):
         with pytest.raises(ResourceError):
             search_new23(2, 15, 10, seed=0)
+
+    @pytest.fixture
+    def no_draws(self, monkeypatch):
+        def drew(*args):
+            raise AssertionError("the search drew before rejecting its arguments")
+        monkeypatch.setattr(cex, "_random_increasing_paths", drew)
+
+    def test_negative_depth_rejected_before_any_draw(self, no_draws):
+        # _below(bits, 0) would never return, so this check must come first
+        with pytest.raises(ValueError, match="depth"):
+            search_new23(2, -1, 10, seed=0)
+
+    def test_trial_budget_bounded_before_any_trial(self, no_draws):
+        with pytest.raises(ResourceError, match=str(cex._MAX_SEARCH_BUDGET)):
+            search_new23(4, 10, cex._MAX_SEARCH_BUDGET + 1, seed=0)
+
+
+# The search's getrandbits draws and intersection-only ratio against the
+# stdlib draws and full-tree sweeps they replace (tests/helpers.py).
+
+SEARCH_DEPTHS = [0, 1, 2, 5, 10, 14]
+SEARCH_PS = [1, 1.25, 1.5, 2, 3, 4, 7.5]
+
+
+def _trial(module, seed, trial, depth):
+    rng = random.Random(f"{seed}:{trial}")
+    gv = module._random_increasing_paths(rng, depth, cap=12)
+    fv = module._random_f_paths(rng, depth, list(gv))
+    return gv, fv, rng.getstate()
+
+
+class TestSearchDraws:
+    def test_below_is_randrange(self):
+        """_below draws as CPython's Random._randbelow: a change to that
+        shows here first."""
+        for n in range(1, 71):
+            rng, ref = random.Random(n), random.Random(n)
+            assert [cex._below(rng.getrandbits, n) for _ in range(50)] == \
+                [ref.randrange(n) for _ in range(50)]
+            assert rng.getstate() == ref.getstate()
+
+    @pytest.mark.parametrize("n", [0, 1, 7, 30])
+    def test_random_bits_are_choices(self, n):
+        rng, ref = random.Random(n), random.Random(n)
+        assert cex._random_bits(rng.getrandbits, n) == "".join(ref.choice("01") for _ in range(n))
+        assert rng.getstate() == ref.getstate()
+
+    @pytest.mark.parametrize("depth", SEARCH_DEPTHS)
+    def test_trial_draws_match_stdlib(self, depth):
+        for trial in range(2000):
+            gv, fv, state = _trial(cex, 5, trial, depth)
+            ref_g, ref_f, ref_state = _trial(helpers, 5, trial, depth)
+            assert list(gv.items()) == list(ref_g.items())
+            assert list(fv.items()) == list(ref_f.items())
+            assert state == ref_state
+
+    def test_reseeded_generator_draws_as_fresh_one(self):
+        rng = random.Random()
+        for trial in range(50):
+            rng.seed(f"9:{trial}")
+            gv = cex._random_increasing_paths(rng, 10, cap=12)
+            fv = cex._random_f_paths(rng, 10, list(gv))
+            ref_g, ref_f, ref_state = _trial(cex, 9, trial, 10)
+            assert list(gv.items()) == list(ref_g.items())
+            assert list(fv.items()) == list(ref_f.items())
+            assert rng.getstate() == ref_state
+
+    @pytest.mark.parametrize("depth", SEARCH_DEPTHS)
+    def test_ratio_matches_full_sweeps(self, depth):
+        disjoint = 0
+        for trial in range(300):
+            gv, fv, _ = _trial(helpers, 2, trial, depth)
+            for p in SEARCH_PS:
+                lhs, rhs = cex._fast_new23_ratio(gv, fv, float(p))
+                ref_lhs, ref_rhs = helpers._fast_new23_ratio(gv, fv, float(p))
+                if gv.keys() & fv.keys():
+                    assert (repr(lhs), repr(rhs)) == (repr(ref_lhs), repr(ref_rhs))
+                else:
+                    disjoint += 1
+                    assert rhs == ref_rhs == 0.0
+        assert depth < 2 or disjoint > 0
+
+    @pytest.mark.parametrize("p", [1, 1.5, 2, 4, 7.5])
+    @pytest.mark.parametrize("depth", [0, 3, 10, 14])
+    def test_search_matches_stdlib_loop(self, p, depth):
+        for seed in (0, 7):
+            assert search_new23(p, depth, 150, seed).to_dict() == \
+                helpers.search_new23_stdlib(p, depth, 150, seed).to_dict()
