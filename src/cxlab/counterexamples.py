@@ -420,8 +420,6 @@ def _random_increasing_paths(rng: random.Random, depth: int, cap: int) -> dict[s
 
 
 def _random_f_paths(rng: random.Random, depth: int, g_paths: list[str]) -> dict[str, float]:
-    """1 to 8 random f values, keyed by path; half the paths extend a node
-    of g."""
     bits, rand = rng.getrandbits, rng.random
     out: dict[str, float] = {}
     for _ in range(1 + _below(bits, 8)):  # randint(1, 8)

@@ -373,17 +373,6 @@ class TestSearchDraws:
             assert list(fv.items()) == list(ref_f.items())
             assert state == ref_state
 
-    def test_reseeded_generator_draws_as_fresh_one(self):
-        rng = random.Random()
-        for trial in range(50):
-            rng.seed(f"9:{trial}")
-            gv = cex._random_increasing_paths(rng, 10, cap=12)
-            fv = cex._random_f_paths(rng, 10, list(gv))
-            ref_g, ref_f, ref_state = _trial(cex, 9, trial, 10)
-            assert list(gv.items()) == list(ref_g.items())
-            assert list(fv.items()) == list(ref_f.items())
-            assert rng.getstate() == ref_state
-
     @pytest.mark.parametrize("depth", SEARCH_DEPTHS)
     def test_ratio_matches_full_sweeps(self, depth):
         disjoint = 0
