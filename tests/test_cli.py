@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from cxlab import capacity
+from cxlab import counterexamples as cex
 from cxlab.cli import main
 from cxlab.experiments import EXPERIMENTS, run_cell
 
@@ -65,13 +66,21 @@ class TestCex:
                             "--depth", "6", "--budget", "50", "--seed", "1")
         assert code == 0
 
-    def test_search_negative_depth_is_usage_error(self, capsys):
+    @pytest.fixture
+    def no_draws(self, monkeypatch):
+        """Without its bound checks the search would never return at these
+        arguments; this makes it fail at once instead."""
+        def drew(*args):
+            raise AssertionError("the search drew before rejecting its arguments")
+        monkeypatch.setattr(cex, "_random_increasing_paths", drew)
+
+    def test_search_negative_depth_is_usage_error(self, capsys, no_draws):
         assert main(["cex", "search-new23", "--depth", "-1"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "depth must be non-negative" in captured.err
 
-    def test_search_budget_resource_exit(self, capsys):
+    def test_search_budget_resource_exit(self, capsys, no_draws):
         assert main(["cex", "search-new23", "--budget", "1000000000"]) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
