@@ -13,9 +13,8 @@ The prefix of q_jk is the M-bit form of j, so two distinct prefixes
 share M - bit_length(j1 ^ j2) leading bits, and any one prefix shares t < M
 leading bits with exactly 2^(M-1-t) others.  The class-summed kernel and
 the potentials are assembled from those counts rather than rectangle by
-rectangle, and every kernel entry is an exact integer.  The
-structured kernel is cross-checked against the generic one in the test
-suite.
+rectangle, and every kernel entry is a plain int from `_common_ancestors`,
+which the test suite cross-checks against the generic kernel.
 """
 
 from __future__ import annotations
@@ -27,8 +26,6 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
-
-import numpy as np
 
 from .trees import BiNode, NodeAddress, ResourceError
 from .hardy import kernel
@@ -65,13 +62,26 @@ class BitreeInstance:
         return self.count * len(self.extras)
 
 
-def _kernel_block(M: int, j1, x1, y1, j2, x2, y2) -> np.ndarray:
-    """Common-ancestor counts of rectangles (prefix j, x_extra, y_extra),
-    broadcast over the arguments.  Prefixes are the M-bit forms of j, so two
-    distinct ones share M - bit_length(j1 ^ j2) leading bits."""
-    same = (M + np.minimum(x1, x2) + 1) * (M + np.minimum(y1, y2) + 1)
-    lcp = M - np.frexp(np.bitwise_xor(j1, j2))[1]  # frexp's exponent of an int is its bit length
-    return np.where(np.equal(j1, j2), same, (lcp + 1) ** 2)
+def _common_ancestors(M: int, j1: int, x1: int, y1: int, j2: int, x2: int, y2: int) -> int:
+    """Common-ancestor count of the rectangles (prefix j, x_extra, y_extra): two
+    distinct M-bit prefixes share M - bit_length(j1 ^ j2) bits, whatever the extras."""
+    if j1 != j2:
+        t = M + 1 - (j1 ^ j2).bit_length()
+        return t * t
+    # (M + min(x1, x2) + 1)(M + min(y1, y2) + 1), without min's call overhead
+    return (M + 1 + (x1 if x1 < x2 else x2)) * (M + 1 + (y1 if y1 < y2 else y2))
+
+
+def _same_prefix(inst: BitreeInstance) -> list[list[int]]:
+    """A[k1][k2], the kernel between q_jk1 and q_jk2 of one prefix j."""
+    return [[_common_ancestors(inst.M, 0, x1, y1, 0, x2, y2) for x2, y2 in inst.extras]
+            for x1, y1 in inst.extras]
+
+
+def _far(inst: BitreeInstance, j: int) -> int:
+    """The kernel between prefix j and each other prefix, summed term by term."""
+    M = inst.M
+    return sum([_common_ancestors(M, j, 0, 0, j2, 0, 0) for j2 in range(inst.count) if j2 != j])
 
 
 def _lcp_weight(M: int) -> int:
@@ -93,10 +103,10 @@ def build_instance(n: int) -> BitreeInstance:
     assert delta == Fraction(1, n * s)
 
     extras = [(-(-n // 2 ** k), 2 ** k) for k in range(s + 1)]
-    # The atoms are the rectangles (j, n, n) and no extra exceeds n, so the
-    # atom sharing q_1k's prefix contributes (M + xe + 1)(M + ye + 1).
+    # the atom omega_j = (j, n, n) of q_jk's own prefix, then the other atoms
     far = _lcp_weight(M)
-    potentials = [atom_mass * ((M + xe + 1) * (M + ye + 1) + far) for xe, ye in extras]
+    potentials = [atom_mass * (_common_ancestors(M, 0, xe, ye, 0, n, n) + far)
+                  for xe, ye in extras]
     lam = max(potentials) / 4
     ratio = max(potentials) / min(potentials)
     inclusion = "full" if ratio <= 2 else "partial"
@@ -117,17 +127,12 @@ def prefix_members(inst: BitreeInstance, j: int) -> list[BiNode]:
 
 
 def check_lemma_g(inst: BitreeInstance) -> dict:
-    """Potentials Ig(q_1k) for all k, cross-checked at j = 2 by a sum over
-    the atoms, with the comparability ratio and the n-normalized interval."""
+    """Potentials Ig(q_jk) for all k, cross-checked at j = 1 by a direct sum
+    over the atoms, with the comparability ratio and the n-normalized interval."""
     values = inst.potentials
-    if inst.count > 1:  # more than one j available
-        xe, ye = np.array(inst.extras).T
-        per_atom = _kernel_block(inst.M, 1, xe[:, None], ye[:, None],
-                                 np.arange(inst.count), inst.n, inst.n)
-        other = [inst.atom_mass * int(row) for row in per_atom.sum(axis=1)]
-        symmetric = other == values
-    else:
-        symmetric = True
+    M, n, far = inst.M, inst.n, _far(inst, 1)
+    other = [inst.atom_mass * (_common_ancestors(M, 1, xe, ye, 1, n, n) + far)
+             for xe, ye in inst.extras]
     lo, hi = min(values), max(values)
     return {
         "n": inst.n,
@@ -135,7 +140,7 @@ def check_lemma_g(inst: BitreeInstance) -> dict:
         "min": lo, "max": hi,
         "n_min": inst.n * lo, "n_max": inst.n * hi,
         "ratio": hi / lo,
-        "symmetric_j": symmetric,
+        "symmetric_j": other == values,
         "inclusion": inst.inclusion,
     }
 
@@ -145,18 +150,17 @@ def _class_kernel(inst: BitreeInstance) -> list[list[int]]:
     holds q_jk for every j.  Row (j = 0, k1) summed over class k2 is the
     same-prefix count A[k1][k2] plus the lcp weight far of the other
     prefixes, and each of the count rows of class k1 sums to the same value."""
-    xe, ye = np.array(inst.extras).T
-    same = _kernel_block(inst.M, 0, xe[:, None], ye[:, None], 0, xe, ye)
     far, count = _lcp_weight(inst.M), inst.count
-    return [[count * (v + far) for v in row] for row in same.tolist()]
+    return [[count * (v + far) for v in row] for row in _same_prefix(inst)]
 
 
-def _member_kernel(inst: BitreeInstance) -> np.ndarray:
-    """The kernel over the whole family, member by member in j-major order."""
-    xe, ye = np.array(inst.extras).T
-    j = np.repeat(np.arange(inst.count), len(xe))
-    x, y = np.tile(xe, inst.count), np.tile(ye, inst.count)
-    return _kernel_block(inst.M, j[:, None], x[:, None], y[:, None], j, x, y)
+def _member_rows(inst: BitreeInstance) -> list[list[int]]:
+    """Each member row, j-major, its columns summed per class: row (j, k1)
+    over class k2 is A[k1][k2] plus _far(inst, j), as the kernel between
+    distinct prefixes does not depend on the extras."""
+    A = _same_prefix(inst)
+    return [[v + far for v in row] for far in (_far(inst, j) for j in range(inst.count))
+            for row in A]
 
 
 def _green_solve(inst: BitreeInstance) -> tuple[list[int], list[Fraction]]:
@@ -237,12 +241,8 @@ def equilibrium(inst: BitreeInstance, use_symmetry: bool = True) -> EquilibriumR
     total = sum(y)
     t = 1 + _lcp_weight(inst.M) * total
     rho = [v / t for v in y]
-    if use_symmetry:
-        failed, violation = _certificate(D, rho, _class_kernel(inst), inst.count)
-    else:  # every member row, its columns summed per class (exact in int64)
-        K = _member_kernel(inst)
-        per_class = K.reshape(len(K), inst.count, inst.s + 1).sum(axis=1)
-        failed, violation = _certificate(D, rho, per_class.tolist(), 1)
+    S, b = (_class_kernel(inst), inst.count) if use_symmetry else (_member_rows(inst), 1)
+    failed, violation = _certificate(D, rho, S, b)
     return EquilibriumResult(rho, inst.count * total / t, failed, violation)
 
 

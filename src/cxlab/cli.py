@@ -103,24 +103,24 @@ def _cmd_run(args) -> int:
     try:
         config = json.loads(Path(args.config).read_text())
     except (OSError, json.JSONDecodeError) as exc:
-        print(f"error: cannot read config: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError(f"cannot read config: {exc}") from exc
+    if not isinstance(config, dict):
+        raise ValueError("config must be a JSON object")
     for key in ("experiment", "grid"):
         if key not in config:
-            print(f"error: config missing {key!r}", file=sys.stderr)
-            return EXIT_USAGE
+            raise ValueError(f"config missing {key!r}")
+    if not isinstance(config.get("out", ""), str):
+        raise ValueError("config 'out' must be a string")
     experiment = config["experiment"]
     grid = config["grid"]
     if not (isinstance(grid, dict) and grid
             and all(isinstance(v, list) and v for v in grid.values())):
-        print("error: grid must map parameter names to nonempty lists", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError("grid must map parameter names to nonempty lists")
     # a null shared key is left out; one the experiment does not take is a
     # usage error, as its flag is on the command line (no experiment takes tol)
     shared = {k: config[k] for k in ("mode", "seed", "tol") if config.get(k) is not None}
     if shared.get("mode", EXACT) not in (EXACT, FLOAT):
-        print(f"error: invalid mode {shared['mode']!r}", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError(f"invalid mode {shared['mode']!r}")
     keys = sorted(grid)
     cells = [dict(zip(keys, values)) for values in itertools.product(*(grid[k] for k in keys))]
     for cell in cells:  # reject a bad parameter before any cell runs

@@ -128,6 +128,23 @@ def _reduced_matrix(kernel_fn, items, classes: Sequence[Sequence[int]]) -> tuple
     return S, np.array([float(len(c)) for c in classes])
 
 
+def kernel_block(M: int, j1, x1, y1, j2, x2, y2) -> np.ndarray:
+    """Common-ancestor counts of rectangles (prefix j, x_extra, y_extra),
+    broadcast over the arguments.  Prefixes are the M-bit forms of j, so two
+    distinct ones share M - bit_length(j1 ^ j2) leading bits."""
+    same = (M + np.minimum(x1, x2) + 1) * (M + np.minimum(y1, y2) + 1)
+    lcp = M - np.frexp(np.bitwise_xor(j1, j2))[1]  # frexp's exponent of an int is its bit length
+    return np.where(np.equal(j1, j2), same, (lcp + 1) ** 2)
+
+
+def member_kernel(inst: capacity.BitreeInstance) -> np.ndarray:
+    """The kernel over the whole family, member by member in j-major order."""
+    xe, ye = np.array(inst.extras).T
+    j = np.repeat(np.arange(inst.count), len(xe))
+    x, y = np.tile(xe, inst.count), np.tile(ye, inst.count)
+    return kernel_block(inst.M, j[:, None], x[:, None], y[:, None], j, x, y)
+
+
 def rho_full(rho: Sequence, classes: Sequence[Sequence[int]]) -> list:
     """The equilibrium mass of every family member, from one mass per class."""
     out = [None] * sum(len(c) for c in classes)

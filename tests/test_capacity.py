@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -6,12 +7,12 @@ import pytest
 
 from cxlab.trees import BiNode, BiTreeDomain, NodeAddress, ResourceError, binode
 from cxlab.hardy import PointMeasure, energy, eval_hardy_down, kernel, potential
-from cxlab import capacity
 from cxlab.capacity import (
     ADMISSIBLE_N,
     _class_kernel,
+    _common_ancestors,
     _green_solve,
-    _member_kernel,
+    _member_rows,
     build_instance,
     capacity_bruteforce,
     check_lemma_g,
@@ -23,8 +24,8 @@ from cxlab.capacity import (
 from cxlab import randgen
 
 from helpers import (
-    _reduced_matrix, atoms_fn, bitree_atoms, bitree_family, capacity_qp,
-    perturb_closed_form, random_family, rho_full, solve_qp, symmetry_classes,
+    _reduced_matrix, atoms_fn, bitree_atoms, bitree_family, capacity_qp, kernel_block,
+    member_kernel, perturb_closed_form, random_family, rho_full, solve_qp, symmetry_classes,
 )
 
 
@@ -62,11 +63,14 @@ class TestBuildInstance:
 
     def test_structured_kernel_matches_generic(self):
         inst = build_instance(16)
-        S = _member_kernel(inst)
+        triples = [(j, xe, ye) for j in range(inst.count) for xe, ye in inst.extras]
+        ref = member_kernel(inst)
         family = bitree_family(16)
         for i, a in enumerate(family):
             for j, b in enumerate(family):
-                assert S[i][j] == kernel(a, b)
+                entry = _common_ancestors(inst.M, *triples[i], *triples[j])
+                assert type(entry) is int
+                assert entry == ref[i][j] == kernel(a, b)
 
     @pytest.mark.parametrize("use_symmetry", [True, False])
     @pytest.mark.parametrize("n", [4, 16, 256])
@@ -74,8 +78,12 @@ class TestBuildInstance:
         inst = build_instance(n)
         classes = symmetry_classes(n) if use_symmetry \
             else [[i] for i in range(inst.family_size)]
-        S = _class_kernel(inst) if use_symmetry else _member_kernel(inst)
         S_pair, b_pair = _reduced_matrix(kernel, bitree_family(n), classes)
+        if use_symmetry:
+            S = _class_kernel(inst)
+        else:  # each member row of the pairwise kernel, its columns summed per class
+            S = _member_rows(inst)
+            S_pair = S_pair.reshape(len(S_pair), inst.count, inst.s + 1).sum(axis=1)
         assert np.array_equal(np.array(S), S_pair)
         # b is count per class with symmetry, 1 per member without
         assert set(b_pair) == {inst.count if use_symmetry else 1}
@@ -152,6 +160,17 @@ class TestLemmaG:
         assert report["n_min"] == Fraction(625, 256)
         assert report["n_max"] == Fraction(1975, 256)
 
+    @pytest.mark.parametrize("n", [16, 65536])
+    def test_cross_check_can_fail(self, n):
+        """The cross-check sums over the atoms itself, so one wrong
+        potential shows."""
+        inst = build_instance(n)
+        assert check_lemma_g(inst)["symmetric_j"]
+        values = list(inst.potentials)
+        values[inst.s // 2] += inst.atom_mass
+        report = check_lemma_g(dataclasses.replace(inst, potentials=values))
+        assert not report["symmetric_j"]
+
 
 class TestCapacityQP:
     """The exact brute-force oracle against the float reference QP."""
@@ -213,7 +232,7 @@ class TestClosedForm:
         D, y = _green_solve(inst)
         assert len(D) == inst.s and min(D) > 0
         xe, ye = np.array(inst.extras).T
-        A = capacity._kernel_block(inst.M, 0, xe[:, None], ye[:, None], 0, xe, ye).tolist()
+        A = kernel_block(inst.M, 0, xe[:, None], ye[:, None], 0, xe, ye).tolist()
         assert [sum(a * v for a, v in zip(row, y)) for row in A] == [1] * (inst.s + 1)
 
     @pytest.mark.parametrize("n", ADMISSIBLE_N)
@@ -308,7 +327,7 @@ class TestEquilibrium:
         """The float QP on the member-by-member kernel, with no symmetry
         assumed, finds the closed form's rho on every prefix."""
         inst = build_instance(16)
-        S = np.array(_member_kernel(inst), dtype=float)
+        S = np.array(member_kernel(inst), dtype=float)
         ref = solve_qp(S, np.ones(len(S)))
         assert ref.converged
         want = [float(r) for r in equilibrium(inst).rho] * inst.count

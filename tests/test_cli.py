@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -284,6 +288,20 @@ class TestRun:
         assert capsys.readouterr().err.startswith("error: ")
         assert not (tmp_path / "reports").exists()
 
+    @pytest.mark.parametrize("config", [
+        5,
+        "experiment grid",
+        {"experiment": "capacity", "grid": {"n": [4]}, "out": 5},
+    ])
+    def test_malformed_config_rejected_before_any_cell(self, capsys, tmp_path,
+                                                       monkeypatch, config):
+        monkeypatch.chdir(tmp_path)  # a default out dir would land here
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps(config))
+        assert main(["run", str(cfg)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert [p.name for p in tmp_path.iterdir()] == ["bad.json"]
+
     @pytest.mark.parametrize("config, unknown", [
         ({"experiment": "cex-new23", "grid": {"N": [10]}, "seed": 3}, "seed"),
         ({"experiment": "capacity", "grid": {"n": [4]}, "seed": 3, "mode": "float"},
@@ -341,3 +359,22 @@ def _strip_runtime(raw: bytes) -> dict:
     payload = json.loads(raw)
     payload.pop("runtime_ms", None)
     return payload
+
+
+def test_commands_import_no_numpy():
+    """The package runs on the standard library alone: a fresh interpreter
+    runs the capacity commands without loading numpy."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    script = (
+        "import contextlib, io, sys\n"
+        "import cxlab, cxlab.cli\n"
+        "for argv in (['capacity', '--n', '256', '--no-symmetry'],\n"
+        "             ['capacity', '--n', '65536'], ['report', 'd2']):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert cxlab.cli.main(argv) == 0, argv\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))\n"
+    )
+    out = subprocess.run([sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": str(src)},
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "[]\n"
