@@ -40,12 +40,15 @@ COMMANDS = {
     "verify-phi-13-float": "verify phi --depth 13 --trials 10 --seed 7 --mode float",
     "verify-new23": "verify new23 --trials 200 --mode exact",
     "verify-inter-float": "verify inter --mode float",
+    "verify-new23-float": "verify new23 --trials 200 --mode float",
     "verify-l1linf": "verify l1linf --mode exact",
+    "verify-l1linf-float": "verify l1linf --mode float",
     "verify-i2pos": "verify i2pos --mode exact",
     "verify-i2pos-float": "verify i2pos --mode float",
     "verify-linf": "verify linf --mode exact",
     "verify-linf-float": "verify linf --mode float",
     "verify-gest": "verify gest --mode exact",
+    "verify-gest-float": "verify gest --mode float",
     "cex-increasing": "cex increasing --N 20 --p 2",
     "cex-direct": "cex direct --N 40 --p 2",
     "cex-p-less-2": "cex p-less-2 --k 5 --p 1.5",
