@@ -109,8 +109,9 @@ def _cmd_run(args) -> int:
     for key in ("experiment", "grid"):
         if key not in config:
             raise ValueError(f"config missing {key!r}")
-    if not isinstance(config.get("out", ""), str):
-        raise ValueError("config 'out' must be a string")
+    for key in ("experiment", "out"):
+        if not isinstance(config.get(key, ""), str):
+            raise ValueError(f"config {key!r} must be a string")
     experiment = config["experiment"]
     grid = config["grid"]
     if not (isinstance(grid, dict) and grid

@@ -37,6 +37,7 @@ from .trees import (
 # self-test checks that its tracer wraps it in this module too.
 from .hardy import hardy_up_table  # noqa: F401
 from .lemmas import LemmaReport, verify_new23
+from .randgen import _below, _random_bits
 
 _MAX_CEX_K = 8          # the p<2 sums take ~4^k terms
 _MAX_SEARCH_DEPTH = 14
@@ -254,7 +255,17 @@ class VariantAudit:
         }
 
 
-def _audit_variant(variant: str, N: int, p: Scalar) -> VariantAudit:
+def _power_tables(N: int, p: Scalar) -> list[list]:
+    """k^p, k^(p-1) and k^(p-2) for k = 0..N, as _pow gives them: ints for
+    integral p, else float(k) ** float(e)."""
+    pi = _as_int(p)
+    if pi is not None:
+        return [[k ** e for k in range(N + 1)] for e in (pi, pi - 1, pi - 2)]
+    return [[float(k) ** float(e) for k in range(N + 1)] for e in (p, p - 1, p - 2)]
+
+
+def _audit_variant(variant: str, N: int, p: Scalar, tables: list[list]) -> VariantAudit:
+    """One variant's audit; tables are _power_tables(N, p)."""
     exact = _as_int(p) is not None
     pi = _as_int(p)
 
@@ -277,8 +288,7 @@ def _audit_variant(variant: str, N: int, p: Scalar) -> VariantAudit:
     # maximum sits at the boundary node u_N, where g is non-zero.
     boundary_ok = all(iistar[i] <= iistar[i + 1] for i in range(N - 1)) and g_path[-1] > 0
 
-    # k^p, k^(p-1) and k^(p-2) for k = 0..N: ints for integral p
-    pw, pw1, pw2 = ([_pow(k, e) for k in range(N + 1)] for e in (p, p - 1, p - 2))
+    pw, pw1, pw2 = tables
 
     if exact:
         def q(num):
@@ -371,36 +381,13 @@ def gen_cex_new23(N: int, p: Scalar) -> dict[str, VariantAudit]:
         raise ResourceError(
             f"a non-integral p rounds the weight 2^(N-1) to a float, which "
             f"overflows beyond N = {_MAX_NEW23_FLOAT_N}")
-    return {v: _audit_variant(v, N, p) for v in ("halving", "ones")}
+    tables = _power_tables(N, p)
+    return {v: _audit_variant(v, N, p, tables) for v in ("halving", "ones")}
 
 
 # ---------------------------------------------------------------------------
 # Randomized search for power-sum lemma violations.
 # ---------------------------------------------------------------------------
-
-def _below(bits: Callable[[int], int], n: int) -> int:
-    """A draw from range(n) for n > 0, made as random.Random._randbelow makes
-    it: getrandbits(n.bit_length()) until the result is below n.  So it takes
-    the same bits as randrange(n), and as randint and choice over n values,
-    which add to or index with that draw."""
-    k = n.bit_length()
-    r = bits(k)
-    while r >= n:
-        r = bits(k)
-    return r
-
-
-def _random_bits(bits: Callable[[int], int], n: int) -> str:
-    """n path bits, each drawn as choice("01") draws it: _below(bits, 2),
-    inlined, as this is the search's most frequent draw."""
-    out = ""
-    for _ in range(n):
-        r = bits(2)
-        while r > 1:
-            r = bits(2)
-        out += "01"[r]
-    return out
-
 
 def _random_increasing_paths(rng: random.Random, depth: int, cap: int) -> dict[str, float]:
     """Up to cap values of a random increasing g, keyed by path.  A node

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import functools
 import inspect
+import itertools
 import math
 import random
 import time
@@ -38,16 +39,20 @@ from .lemmas import (
     verify_supadditive_l1linf,
 )
 from . import randgen
+from .randgen import _below
 from . import counterexamples as cex
 from . import capacity as cap
 
 VERIFY_NAMES = ("l1linf", "i2pos", "phi", "inter", "linf", "new23", "gest")
 _NEW23_PS = (1, 1.5, 2)
+# k/4 for k = 0..16, in each scalar mode
+_QUARTERS = tuple(Fraction(k, 4) for k in range(17))
+_QUARTERS_FLOAT = tuple(k / 4 for k in range(17))
 
 
 def _pick(rng: random.Random, items):
     items = sorted(items, key=str)
-    return items[rng.randrange(len(items))]
+    return items[_below(rng.getrandbits, len(items))]
 
 
 def _trial_l1linf(rng, d, mode, seed) -> LemmaReport:
@@ -70,11 +75,13 @@ def _phi_instance(rng, d, mode):
     Node i of d.nodes() has weight quarters[i]/4 and heap position i + 1,
     so I(wg) is swept over g's int numerators times quarters[i], over 4
     times their denominator, in exact mode, and over the float products
-    g w in float mode.
+    g w in float mode.  A weight is drawn for every node, but w holds only
+    those on supp g, in g's order, then on the rest of supp f: the nodes
+    build_phi reads it on.
     """
     g = randgen.random_superadditive(rng, d, mode=mode)
     nodes = list(d.nodes())
-    w, quarters = randgen.random_quarter_weight(rng, nodes, mode)
+    quarters = randgen.random_quarters(rng, len(nodes))
     up, den = _heap_values(g, d)
     if mode == EXACT:
         up[1:] = [q * v for q, v in zip(quarters, up[1:])]
@@ -89,11 +96,14 @@ def _phi_instance(rng, d, mode):
     candidates = [n for n, k in zip(nodes, keys) if k <= cut]
     lam = 4 * delta
     entries = {}
-    for n in rng.sample(candidates, k=min(len(candidates), rng.randint(1, 6))):
+    for n in rng.sample(candidates, k=min(len(candidates), 1 + _below(rng.getrandbits, 6))):
         v = randgen.dyadic(rng)
         if v > 0:
             entries[n] = v
     f = SparseFn.tree(entries, mode)
+    weights = _QUARTERS if mode == EXACT else _QUARTERS_FLOAT
+    w = SparseFn.tree({n: weights[quarters[d.heap_index(n) - 1]]
+                       for n in itertools.chain(g.support(), f.support())}, mode)
     return w, g, f, lam, delta, (up, den)
 
 
@@ -120,7 +130,7 @@ def _trial_linf(rng, d, mode, seed) -> LemmaReport:
 def _trial_new23(rng, d, mode, seed) -> LemmaReport:
     g = randgen.random_increasing(rng, d, mode=mode)
     f = randgen.random_sparse(rng, d, mode=mode)
-    p = _NEW23_PS[rng.randrange(len(_NEW23_PS))]
+    p = _NEW23_PS[_below(rng.getrandbits, len(_NEW23_PS))]
     return verify_new23(f, g, p, d, seed=seed)
 
 

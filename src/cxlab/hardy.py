@@ -19,6 +19,7 @@ cheap.  eval_hardy_up and eval_hardy_down are the support-scan references.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -231,14 +232,32 @@ def rectangle_mass_fn(m: PointMeasure, mode: str = "exact") -> SparseFn:
     Supported on the (finite) set of rectangles that contain at least one
     atom and have both coordinates among atom-path prefixes; this is the
     measure-theoretic reading of "m(gamma x beta')" used by the special-form
-    construction.
+    construction.  The masses are added on (x path, y path) keys, as int
+    numerators over the lcm of their denominators when every mass is exact,
+    and as the masses themselves, in atom order, when one is a float.
     """
-    out: dict[BiNode, Scalar] = {}
-    for node, mass in m.atoms:
-        for x in node.x.ancestors():
-            for y in node.y.ancestors():
-                q = BiNode(x, y)
-                out[q] = out.get(q, 0) + mass
+    atoms = m.atoms
+    den = None
+    if not any(isinstance(mass, float) for _, mass in atoms):
+        den = 1
+        for _, mass in atoms:
+            den = math.lcm(den, mass.denominator)
+    sums: dict[tuple[str, str], Scalar] = {}
+    for node, mass in atoms:
+        if den is not None:
+            mass = mass.numerator * (den // mass.denominator)
+        xp, yp = node.x.path, node.y.path
+        ys = [yp[:j] for j in range(len(yp) + 1)]
+        for i in range(len(xp) + 1):
+            x = xp[:i]
+            for y in ys:
+                sums[x, y] = sums.get((x, y), 0) + mass
+    addr = {path: NodeAddress(path) for path in {path for key in sums for path in key}}
+    out = {}
+    for (x, y), v in sums.items():
+        if den is not None:
+            v = Fraction(v, den) if mode == EXACT else v / den
+        out[BiNode(addr[x], addr[y])] = v
     return SparseFn.bitree(out, mode)
 
 

@@ -245,9 +245,11 @@ def build_phi(
     check (a): I(w phi) >= (1/4) I(wf) on {lambda/2 < I(wg) <= 2 lambda};
     check (b): sum w phi^2 <= 2 (delta/lambda) sum w f^2.
 
-    w, g and f share one scalar mode.  On a domain of at most ENUM_LEVELS
-    levels check (a) visits every node and the three I sweeps run over
-    lists in heap order.  There iwg, when the caller has already swept
+    w, g and f share one scalar mode.  w is read only on supp g and supp f
+    (phi lies inside supp g), so a w that holds no other node gives the same
+    phi and report.  On a domain of at most ENUM_LEVELS levels check (a)
+    visits every node and the three I sweeps run over lists in heap
+    order.  There iwg, when the caller has already swept
     I(wg), is that list and the denominator of its entries, as
     hardy._heap_values and _up_heap give them; swept here when None.  A
     list of the wrong length raises ValueError, and so does a table for a

@@ -9,6 +9,7 @@ children are all zero satisfy the inequalities trivially.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -100,14 +101,22 @@ def special_form_g(m: SparseFn, beta: NodeAddress, pq: ExponentPair) -> SparseFn
         raise ValueError("special_form_g expects a bi-tree function m")
     e = pq.q - 1
     e_int = _as_int(e)
-    exact_ok = m.mode == EXACT and e_int is not None
-    out: dict[NodeAddress, Scalar] = {}
     beta_path = beta.path
-    for node, v in m.items():
-        if beta_path.startswith(node.y.path):  # beta' = node.y contains beta
-            term = v ** e_int if exact_ok else float(v) ** float(e)
-            out[node.x] = out.get(node.x, 0) + term
-    return SparseFn.tree(out, EXACT if exact_ok else "float")
+    # beta' = node.y contains beta
+    picked = [(node.x, v) for node, v in m.items() if beta_path.startswith(node.y.path)]
+    out: dict[NodeAddress, Scalar] = {}
+    if m.mode == EXACT and e_int is not None:
+        # int numerators over den, to the power e over den^e
+        den = 1
+        for _, v in picked:
+            den = math.lcm(den, v.denominator)
+        for x, v in picked:
+            out[x] = out.get(x, 0) + (v.numerator * (den // v.denominator)) ** e_int
+        den **= e_int
+        return SparseFn.tree({x: Fraction(s, den) for x, s in out.items()}, EXACT)
+    for x, v in picked:
+        out[x] = out.get(x, 0) + float(v) ** float(e)
+    return SparseFn.tree(out, "float")
 
 
 def check_power_superadditive(

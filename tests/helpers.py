@@ -10,11 +10,11 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from cxlab import capacity, lemmas, randgen
+from cxlab import capacity, lemmas
 from cxlab.counterexamples import AuditStep, VariantAudit, _half_pow
 from cxlab.hardy import PointMeasure, _down_paths, _up_paths, hardy_up_table, kernel
 from cxlab.randgen import dyadic, random_path
-from cxlab.structure import _tol_for
+from cxlab.structure import ExponentPair, _tol_for
 from cxlab.trees import (
     ENUM_LEVELS, EXACT, FLOAT, BiNode, NodeAddress, PreconditionError, ResourceError, Scalar,
     SparseFn, TreeDomain, _as_int, _pow, _zero,
@@ -383,16 +383,17 @@ def audit_variant_fraction(variant: str, N: int, p: Scalar) -> VariantAudit:
 
 def phi_instance_dict(rng: random.Random, d: TreeDomain, mode: str = EXACT):
     """The phi trial's w, g, f, lambda and delta, drawn as the trial draws
-    them, with I(wg) swept over a NodeAddress dict and ranked as scalars."""
-    g = randgen.random_superadditive(rng, d, mode=mode)
+    them through the stdlib, with w on every node of d and I(wg) swept over
+    a NodeAddress dict and ranked as scalars."""
+    g = random_superadditive_fraction(rng, d, mode=mode)
     nodes = list(d.nodes())
-    w = randgen.random_quarter_weight(rng, nodes, mode)[0]
+    w = random_quarter_weight(rng, nodes, mode)[0]
     iwg = hardy_up_table(w.mul(g), nodes)
     delta = sorted(iwg.values())[len(iwg) * 2 // 5]
     candidates = [n for n, v in iwg.items() if v <= delta]
     entries = {}
     for n in rng.sample(candidates, k=min(len(candidates), rng.randint(1, 6))):
-        v = dyadic(rng)
+        v = dyadic_stdlib(rng)
         if v > 0:
             entries[n] = v
     return w, g, SparseFn.tree(entries, mode), 4 * delta, delta
@@ -463,9 +464,96 @@ def build_phi_dict(
     return phi, report
 
 
-# The generators and structure predicates over Fractions and NodeAddress
-# keys: the oracles for the int-numerator forms in cxlab.randgen and
-# cxlab.structure.
+# The generators as the stdlib's randint, randrange and choice draw them,
+# over Fractions, and the rectangle masses and special form over BiNode keys
+# and Fraction sums: the oracles for the getrandbits draws of cxlab.randgen
+# and cxlab.experiments, and for the int-numerator sums of
+# cxlab.hardy.rectangle_mass_fn and cxlab.structure.special_form_g.
+
+def dyadic_stdlib(rng: random.Random, den: int = 16, lo: int = 0, hi: int = 16) -> Fraction:
+    return Fraction(rng.randint(lo, hi), den)
+
+
+def random_path_stdlib(rng: random.Random, max_depth: int) -> str:
+    depth = rng.randint(0, max_depth)
+    return "".join(rng.choice("01") for _ in range(depth))
+
+
+def below_stdlib(bits, n: int) -> int:
+    """randgen._below through randrange on the generator bits is bound to."""
+    return bits.__self__.randrange(n)
+
+
+def random_sparse_stdlib(
+    rng: random.Random, d: TreeDomain, max_support: int = 12, mode: str = EXACT,
+) -> SparseFn:
+    entries: dict[NodeAddress, Fraction] = {}
+    for _ in range(rng.randint(1, max_support)):
+        v = dyadic_stdlib(rng)
+        if v > 0:
+            entries[NodeAddress(random_path_stdlib(rng, d.max_depth))] = v
+    return SparseFn.tree(entries, mode)
+
+
+def random_quarters_stdlib(rng: random.Random, count: int) -> list[int]:
+    return [rng.randint(1, 16) for _ in range(count)]
+
+
+def random_quarter_weight(
+    rng: random.Random, nodes, mode: str = EXACT,
+) -> tuple[SparseFn, list[int]]:
+    """A weight in {1/4 .. 4} on a sequence of nodes (dyadic steps), and
+    its numerators over 4 in node order: one randint(1, 16) per node."""
+    numerators = random_quarters_stdlib(rng, len(nodes))
+    w = SparseFn.tree({n: Fraction(k, 4) for n, k in zip(nodes, numerators)}, mode)
+    return w, numerators
+
+
+def random_point_measure_stdlib(
+    rng: random.Random, levels_x: int, levels_y: int, max_atoms: int = 5,
+) -> PointMeasure:
+    atoms = []
+    for _ in range(rng.randint(1, max_atoms)):
+        node = BiNode(
+            NodeAddress(random_path_stdlib(rng, levels_x - 1)),
+            NodeAddress(random_path_stdlib(rng, levels_y - 1)),
+        )
+        atoms.append((node, Fraction(rng.randint(1, 16), 16)))
+    return PointMeasure.of(atoms)
+
+
+def rectangle_mass_fn_binode(m: PointMeasure, mode: str = EXACT) -> SparseFn:
+    """hardy.rectangle_mass_fn, one BiNode per (atom, rectangle) and the
+    masses added as they are."""
+    out: dict[BiNode, Scalar] = {}
+    for node, mass in m.atoms:
+        for x in node.x.ancestors():
+            for y in node.y.ancestors():
+                q = BiNode(x, y)
+                out[q] = out.get(q, 0) + mass
+    return SparseFn.bitree(out, mode)
+
+
+def random_special_form_measure_stdlib(
+    rng: random.Random, levels_x: int, levels_y: int, max_atoms: int = 5,
+) -> SparseFn:
+    return rectangle_mass_fn_binode(
+        random_point_measure_stdlib(rng, levels_x, levels_y, max_atoms))
+
+
+def special_form_g_fraction(m: SparseFn, beta: NodeAddress, pq: ExponentPair) -> SparseFn:
+    """structure.special_form_g, each exact term a Fraction power."""
+    e = pq.q - 1
+    e_int = _as_int(e)
+    exact_ok = m.mode == EXACT and e_int is not None
+    out: dict[NodeAddress, Scalar] = {}
+    for node, v in m.items():
+        if beta.path.startswith(node.y.path):
+            term = v ** e_int if exact_ok else float(v) ** float(e)
+            out[node.x] = out.get(node.x, 0) + term
+    return SparseFn.tree(out, EXACT if exact_ok else FLOAT)
+
+
 
 def random_superadditive_fraction(
     rng: random.Random, d: TreeDomain, max_support: int = 30, mode: str = EXACT,
@@ -478,8 +566,8 @@ def random_superadditive_fraction(
         path, value = frontier.pop(rng.randrange(len(frontier)))
         entries[NodeAddress(path)] = value
         if len(path) < d.max_depth and rng.random() < 0.75:
-            child_total = value * dyadic(rng)
-            left = child_total * dyadic(rng)
+            child_total = value * dyadic_stdlib(rng)
+            left = child_total * dyadic_stdlib(rng)
             right = child_total - left
             for bit, v in (("0", left), ("1", right)):
                 if v > 0:
@@ -498,7 +586,7 @@ def random_increasing_fraction(
         entries[NodeAddress(path)] = value
         if len(path) < d.max_depth and rng.random() < 0.75:
             for bit in "01":
-                v = value * dyadic(rng)
+                v = value * dyadic_stdlib(rng)
                 if v > 0 and rng.random() < 0.8:
                     frontier.append((path + bit, v))
     return SparseFn.tree(entries, mode)
@@ -610,3 +698,16 @@ def search_new23_stdlib(p: Scalar, depth: int, budget: int, seed: int) -> lemmas
     report.params.update({"depth": depth, "budget": budget, "best_trial": best_trial,
                           "best_fast_ratio": best_ratio})
     return report
+
+
+# cxlab.randgen's generators by name, as the stdlib draws them
+STDLIB_RANDGEN = {
+    "dyadic": dyadic_stdlib,
+    "random_path": random_path_stdlib,
+    "random_superadditive": random_superadditive_fraction,
+    "random_increasing": random_increasing_fraction,
+    "random_sparse": random_sparse_stdlib,
+    "random_quarters": random_quarters_stdlib,
+    "random_point_measure": random_point_measure_stdlib,
+    "random_special_form_measure": random_special_form_measure_stdlib,
+}

@@ -292,6 +292,8 @@ class TestRun:
         5,
         "experiment grid",
         {"experiment": "capacity", "grid": {"n": [4]}, "out": 5},
+        {"experiment": ["capacity"], "grid": {"n": [4]}},
+        {"experiment": {"name": "capacity"}, "grid": {"n": [4]}},
     ])
     def test_malformed_config_rejected_before_any_cell(self, capsys, tmp_path,
                                                        monkeypatch, config):

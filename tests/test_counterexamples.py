@@ -11,6 +11,7 @@ from cxlab.lemmas import scalar_repr, verify_new23
 from cxlab import counterexamples as cex
 from cxlab.counterexamples import (
     _audit_variant,
+    _power_tables,
     gen_cex_direct,
     gen_cex_increasing,
     gen_cex_new23,
@@ -262,9 +263,18 @@ class TestIntegerSumsMatchFractionOracles:
     @pytest.mark.parametrize("p", PS)
     @pytest.mark.parametrize("N", NS)
     def test_audit_variants(self, N, p):
+        tables = _power_tables(N, p)
         for variant in ("halving", "ones"):
-            assert _audit_text(_audit_variant(variant, N, p)) == \
+            assert _audit_text(_audit_variant(variant, N, p, tables)) == \
                 _audit_text(audit_variant_fraction(variant, N, p)), variant
+
+    @pytest.mark.parametrize("p", PS + (Fraction(7, 2), 50.5))
+    @pytest.mark.parametrize("N", NS)
+    def test_power_tables_are_pow(self, N, p):
+        """Each entry is what _pow gives, type included."""
+        for table, e in zip(_power_tables(N, p), (p, p - 1, p - 2)):
+            want = [_pow(k, e) for k in range(N + 1)]
+            assert [(type(v), v) for v in table] == [(type(v), v) for v in want]
 
     @pytest.mark.parametrize("p", PS)
     @pytest.mark.parametrize("N", NS)
@@ -325,7 +335,8 @@ class TestSearchNew23:
         monkeypatch.setattr(cex, "_random_increasing_paths", drew)
 
     def test_negative_depth_rejected_before_any_draw(self, no_draws):
-        # _below(bits, 0) would never return, so this check must come first
+        # _below(bits, 0) would raise without naming the depth, so this check
+        # must come first
         with pytest.raises(ValueError, match="depth"):
             search_new23(2, -1, 10, seed=0)
 
@@ -349,21 +360,6 @@ def _trial(module, seed, trial, depth):
 
 
 class TestSearchDraws:
-    def test_below_is_randrange(self):
-        """_below draws as CPython's Random._randbelow: a change to that
-        shows here first."""
-        for n in range(1, 71):
-            rng, ref = random.Random(n), random.Random(n)
-            assert [cex._below(rng.getrandbits, n) for _ in range(50)] == \
-                [ref.randrange(n) for _ in range(50)]
-            assert rng.getstate() == ref.getstate()
-
-    @pytest.mark.parametrize("n", [0, 1, 7, 30])
-    def test_random_bits_are_choices(self, n):
-        rng, ref = random.Random(n), random.Random(n)
-        assert cex._random_bits(rng.getrandbits, n) == "".join(ref.choice("01") for _ in range(n))
-        assert rng.getstate() == ref.getstate()
-
     @pytest.mark.parametrize("depth", SEARCH_DEPTHS)
     def test_trial_draws_match_stdlib(self, depth):
         for trial in range(2000):

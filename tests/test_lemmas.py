@@ -31,7 +31,10 @@ from cxlab.lemmas import (
 )
 from cxlab import experiments, hardy, lemmas, randgen
 
-from helpers import build_phi_dict, iistar_bitree_scan, phi_instance_dict, random_bitree_sparse
+from helpers import (
+    build_phi_dict, iistar_bitree_scan, phi_instance_dict, random_bitree_sparse,
+    random_quarter_weight,
+)
 
 
 def brute_iistar(g, node):
@@ -221,7 +224,7 @@ class TestBuildPhi:
         d = TreeDomain(levels)
         rng = random.Random(seed)
         g = randgen.random_superadditive(rng, d, mode=mode)
-        w = randgen.random_quarter_weight(rng, list(d.nodes()), mode)[0]
+        w = random_quarter_weight(rng, list(d.nodes()), mode)[0]
         iwg = hardy_up_table(w.mul(g), d.nodes())
         values = sorted(iwg.values())
         delta = values[len(values) // 2]
