@@ -22,9 +22,10 @@ import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import attrgetter
 from typing import Callable
 
-from .trees import ENUM_LEVELS, EXACT, ResourceError, Scalar, SparseFn, TreeDomain
+from .trees import EXACT, ResourceError, Scalar, SparseFn, TreeDomain, heap_node
 from .structure import ExponentPair, special_form_g
 from .hardy import _heap_values, _up_heap
 from .lemmas import (
@@ -51,7 +52,7 @@ _QUARTERS_FLOAT = tuple(k / 4 for k in range(17))
 
 
 def _pick(rng: random.Random, items):
-    items = sorted(items, key=str)
+    items = sorted(items, key=attrgetter("path"))
     return items[_below(rng.getrandbits, len(items))]
 
 
@@ -72,16 +73,18 @@ def _phi_instance(rng, d, mode):
     """The phi trial's instance: w, g, f, lambda, delta, and I(wg) at every
     node of d as a heap list and the denominator of its entries.
 
-    Node i of d.nodes() has weight quarters[i]/4 and heap position i + 1,
-    so I(wg) is swept over g's int numerators times quarters[i], over 4
-    times their denominator, in exact mode, and over the float products
-    g w in float mode.  A weight is drawn for every node, but w holds only
-    those on supp g, in g's order, then on the rest of supp f: the nodes
-    build_phi reads it on.
+    The node at heap position k has weight quarters[k - 1]/4, so I(wg) is
+    swept over g's int numerators times quarters[k - 1], over 4 times their
+    denominator, in exact mode, and over the float products g w in float
+    mode.  f is drawn on heap positions, and a NodeAddress is built only for
+    a sampled one.  A weight is drawn for every node, but w holds only those
+    on supp g, in g's order, then on the rest of supp f: the nodes build_phi
+    reads it on.  A domain of more than 20 levels raises ResourceError
+    before any draw.
     """
+    d.require_enumerable()
     g = randgen.random_superadditive(rng, d, mode=mode)
-    nodes = list(d.nodes())
-    quarters = randgen.random_quarters(rng, len(nodes))
+    quarters = randgen.random_quarters(rng, d.node_count)
     up, den = _heap_values(g, d)
     if mode == EXACT:
         up[1:] = [q * v for q, v in zip(quarters, up[1:])]
@@ -93,13 +96,13 @@ def _phi_instance(rng, d, mode):
     keys = up[1:]
     cut = sorted(keys)[len(keys) * 2 // 5]
     delta = Fraction(cut, den) if mode == EXACT else cut
-    candidates = [n for n, k in zip(nodes, keys) if k <= cut]
+    candidates = [k for k, key in enumerate(keys, 1) if key <= cut]
     lam = 4 * delta
     entries = {}
-    for n in rng.sample(candidates, k=min(len(candidates), 1 + _below(rng.getrandbits, 6))):
+    for k in rng.sample(candidates, k=min(len(candidates), 1 + _below(rng.getrandbits, 6))):
         v = randgen.dyadic(rng)
         if v > 0:
-            entries[n] = v
+            entries[heap_node(k)] = v
     f = SparseFn.tree(entries, mode)
     weights = _QUARTERS if mode == EXACT else _QUARTERS_FLOAT
     w = SparseFn.tree({n: weights[quarters[d.heap_index(n) - 1]]
@@ -109,8 +112,6 @@ def _phi_instance(rng, d, mode):
 
 def _trial_phi(rng, d, mode, seed) -> LemmaReport:
     w, g, f, lam, delta, iwg = _phi_instance(rng, d, mode)
-    if d.levels > ENUM_LEVELS:  # build_phi sweeps the support closure there
-        iwg = None
     _, report = build_phi(w, g, f, lam, delta, d, seed=seed, iwg=iwg)
     return report
 
@@ -297,7 +298,8 @@ _DEFAULTS = {name: {k: v.default for k, v in inspect.signature(run).parameters.i
 def cell_params(experiment: str, params: dict) -> dict:
     """The runner's defaults overridden by params, each value cast to the
     type of its default; ValueError for an unknown experiment, an unknown
-    parameter or a value that does not cast (a fractional int included)."""
+    parameter or a value that does not cast (a fractional int included).
+    A bool parameter takes only a bool, and no other parameter takes one."""
     if experiment not in EXPERIMENTS:
         raise ValueError(f"unknown experiment {experiment!r} (one of {', '.join(EXPERIMENTS)})")
     out = dict(_DEFAULTS[experiment])
@@ -306,12 +308,15 @@ def cell_params(experiment: str, params: dict) -> dict:
         raise ValueError(f"{experiment} has no parameter {', '.join(unknown)} "
                          f"(its parameters: {', '.join(out)})")
     for k, v in params.items():
+        want = type(out[k])
         try:
-            if type(out[k]) is int and isinstance(v, float) and not v.is_integer():
+            if (want is bool) != (type(v) is bool):
+                raise ValueError  # bool("false") is True, and int(True) is 1
+            if want is int and isinstance(v, float) and not v.is_integer():
                 raise ValueError  # int() would truncate it
-            out[k] = type(out[k])(v)
+            out[k] = want(v)
         except (TypeError, ValueError, OverflowError):
-            raise ValueError(f"{experiment}: {k} must be {type(out[k]).__name__}, "
+            raise ValueError(f"{experiment}: {k} must be {want.__name__}, "
                              f"got {v!r}") from None
     return out
 

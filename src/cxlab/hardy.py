@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .trees import (
     EXACT,
@@ -138,7 +138,9 @@ def _down_paths(values: dict[str, Scalar], zero: Scalar) -> dict[str, Scalar]:
 def _heap_values(f: SparseFn, d: TreeDomain) -> tuple[list, int]:
     """f at every node of d in heap order, a list of 2^levels entries with
     entry 0 unused, and the denominator its entries are over, as
-    _path_values gives them.  A node outside d raises DomainError."""
+    _path_values gives them.  A node outside d raises DomainError, and a
+    domain of more than 20 levels ResourceError, before the list is built."""
+    d.require_enumerable()
     values, den = _path_values(f)
     up = [0 if f.mode == EXACT else 0.0] * (1 << d.levels)
     # values holds f's entries in f's order
@@ -260,12 +262,3 @@ def rectangle_mass_fn(m: PointMeasure, mode: str = "exact") -> SparseFn:
         out[BiNode(addr[x], addr[y])] = v
     return SparseFn.bitree(out, mode)
 
-
-def ancestor_closure(nodes: Sequence[NodeAddress]) -> list[NodeAddress]:
-    """All distinct prefixes of the given tree paths, sorted by depth."""
-    seen: set[str] = set()
-    for n in nodes:
-        p = n.path
-        for i in range(len(p) + 1):
-            seen.add(p[:i])
-    return [NodeAddress(p) for p in sorted(seen, key=lambda s: (len(s), s))]

@@ -15,7 +15,6 @@ from fractions import Fraction
 from typing import Optional
 
 from .trees import (
-    ENUM_LEVELS,
     EXACT,
     FLOAT,
     Node,
@@ -25,6 +24,7 @@ from .trees import (
     SparseFn,
     TreeDomain,
     format_node,
+    heap_node,
     _as_int,
     _pow,
     _zero,
@@ -34,7 +34,6 @@ from .hardy import (
     _iistar_at,
     _iistar_paths,
     _up_heap,
-    ancestor_closure,
     eval_hardy_up,
     hardy_up_table,
 )
@@ -169,28 +168,6 @@ def _intersection_nodes(g: SparseFn, f: SparseFn) -> list[Node]:
     return [x for x in g.support() if x in f_support]
 
 
-def sup_iistar_refined(g: SparseFn, f: SparseFn) -> tuple[Scalar, Optional[Node]]:
-    """sup of II*g with the ancestor-walk refinement toward supp f.
-
-    For every support node of g the deepest f-supported ancestor carries the
-    same value of I(I*g 1_{supp f}), which the proof bounds by II*g there;
-    support points of g with no f-supported ancestor contribute zero.  On
-    the bi-tree this is the plain support sup of II*g.
-    """
-    return _sup_iistar(g, _refined_nodes(g, f))[0]
-
-
-def sup_iistar_intersection(g: SparseFn, f: SparseFn) -> tuple[Scalar, Optional[Node]]:
-    """sup of II*g over supp g intersected with supp f (tree only); nodes
-    are visited in supp g order, so a tie keeps the first in that order."""
-    return _sup_iistar(g, _intersection_nodes(g, f))[0]
-
-
-def sup_iistar_support(g: SparseFn) -> Scalar:
-    """The coarser sup of II*g over supp g, reported for comparison."""
-    return _sup_iistar(g, g.support())[0][0]
-
-
 def verify_supadditive_l1linf(
     g: SparseFn, h: SparseFn, gamma: NodeAddress, d: TreeDomain,
     seed: Optional[int] = None,
@@ -247,13 +224,12 @@ def build_phi(
 
     w, g and f share one scalar mode.  w is read only on supp g and supp f
     (phi lies inside supp g), so a w that holds no other node gives the same
-    phi and report.  On a domain of at most ENUM_LEVELS levels check (a)
-    visits every node and the three I sweeps run over lists in heap
-    order.  There iwg, when the caller has already swept
-    I(wg), is that list and the denominator of its entries, as
-    hardy._heap_values and _up_heap give them; swept here when None.  A
-    list of the wrong length raises ValueError, and so does a table for a
-    larger domain, where check (a) visits the support closure instead.
+    phi and report.  The three I sweeps run over lists in heap order and
+    check (a) visits every node, so a domain of more than 20 levels raises
+    ResourceError.  iwg, when the caller has already swept I(wg), is that
+    list and the denominator of its entries, as hardy._heap_values and
+    _up_heap give them; swept here when None.  A list of the wrong length
+    raises ValueError.
     """
     if not w.mode == g.mode == f.mode:
         raise ValueError(f"w, g and f must share one scalar mode "
@@ -263,12 +239,7 @@ def build_phi(
         raise PreconditionError("g is not superadditive", witness)
     if lam < 4 * delta:
         raise PreconditionError(f"lambda >= 4*delta required (lambda={lam}, delta={delta})")
-    if d.levels <= ENUM_LEVELS:
-        phi, a_ok, a_witness, worst_a = _phi_heap(w, g, f, lam, delta, d, iwg)
-    elif iwg is not None:
-        raise ValueError(f"iwg is taken on domains of at most {ENUM_LEVELS} levels")
-    else:
-        phi, a_ok, a_witness, worst_a = _phi_closure(w, g, f, lam, delta, d)
+    phi, a_ok, a_witness, worst_a = _phi_heap(w, g, f, lam, delta, d, iwg)
 
     sum_wphi2 = sum((w.get(n) * v * v for n, v in phi.items()), _zero(g.mode))
     sum_wf2 = sum((w.get(n) * v * v for n, v in f.items()), _zero(g.mode))
@@ -292,8 +263,8 @@ def build_phi(
 
 
 def _phi_heap(w, g, f, lam, delta, d, iwg):
-    """phi and check (a) over every node of an enumerated domain: phi, whether
-    check (a) holds, its last failing node and its least ratio.
+    """phi and check (a) over every node of d: phi, whether check (a)
+    holds, its last failing node in heap order and its least ratio.
 
     Each I is one _up_heap sweep.  In exact mode the entries are int
     numerators, each table over its own denominator; a threshold t is read
@@ -356,54 +327,7 @@ def _phi_heap(w, g, f, lam, delta, d, iwg):
                     worst_a = r
                 if r < lower:
                     a_ok, a_k = False, k
-    # a heap position's binary digits after the leading 1 are its path
-    a_witness = None if a_k is None else NodeAddress(bin(a_k)[3:])
-    return phi, a_ok, a_witness, worst_a
-
-
-def _phi_closure(w, g, f, lam, delta, d):
-    """phi and check (a) beyond the enumeration cutoff, where check (a)
-    visits the ancestor closure of supp wg and supp wf and its children;
-    returned as _phi_heap returns them."""
-    wf = w.mul(f)
-    base = list(w.mul(g).support()) + list(wf.support())
-    check_nodes = ancestor_closure(base)
-    check_nodes += [c for n in check_nodes for c in d.children(n)]
-    check_nodes = list(dict.fromkeys(check_nodes))
-    wf_nodes = set(check_nodes) | set(g.support())
-    iwg = hardy_up_table(w.mul(g), set(check_nodes) | set(f.support()) | set(g.support()))
-    for node in f.support():
-        if iwg[node] > delta:
-            raise PreconditionError("supp f must lie inside {I(wg) <= delta}", node)
-
-    iwf = hardy_up_table(wf, wf_nodes)
-    inv_lam = Fraction(1, 1) / lam if g.mode == EXACT else 1.0 / float(lam)
-    two_lam, half_lam = 2 * lam, lam / 2
-    phi_entries = {}
-    for node, gv in g.items():
-        if delta < iwg[node] <= two_lam:
-            val = inv_lam * iwf[node] * gv
-            if val != 0:
-                phi_entries[node] = val
-    phi = SparseFn.tree(phi_entries, g.mode)
-
-    wphi = w.mul(phi)
-    iwphi = hardy_up_table(wphi, check_nodes)
-
-    # a float ratio is compared with a float: 1/4 is exact in binary, and a
-    # Fraction compared with a float first converts the float to a Fraction
-    lower = PHI_LOWER_CONST if g.mode == EXACT else float(PHI_LOWER_CONST)
-    a_ok, a_witness = True, None
-    worst_a = None
-    for node in check_nodes:
-        # I(wf) >= 0, so its truth is "> 0", and it is zero at most nodes
-        wf_v = iwf[node]
-        if wf_v and half_lam < iwg[node] <= two_lam:
-            r = iwphi[node] / wf_v
-            if worst_a is None or r < worst_a:
-                worst_a = r
-            if r < lower:
-                a_ok, a_witness = False, node
+    a_witness = None if a_k is None else heap_node(a_k)
     return phi, a_ok, a_witness, worst_a
 
 
@@ -449,7 +373,7 @@ def verify_linf(f: SparseFn, g: SparseFn, d: TreeDomain, seed: Optional[int] = N
         val = table[node] * v
         if val > lhs:
             lhs, arg = val, node
-    sup, sup_arg = sup_iistar_intersection(g, f)
+    sup, sup_arg = _sup_iistar(g, _intersection_nodes(g, f))[0]
     f_max = max((v for _, v in f.items()), default=_zero(f.mode))
     rhs = sup * f_max
     return LemmaReport(

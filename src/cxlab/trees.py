@@ -8,7 +8,6 @@ coordinate paths are prefixes of a's (smaller = deeper).
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -154,24 +153,10 @@ def parse_node(text: str) -> Node:
     return NodeAddress(text)
 
 
-def _bfs_generate(levels: int) -> Iterator[NodeAddress]:
-    frontier = [""]
-    for _ in range(levels):
-        for p in frontier:
-            yield NodeAddress(p)
-        frontier = [p + b for p in frontier for b in "01"]
-
-
-# Domains of up to this many levels are enumerated: they share one
-# breadth-first tuple per depth (8,178 nodes over all twelve depths, each
-# tuple built on first use), and the phi checks run over every node of them
-# in heap order.  Larger domains fall back to support closures.
-ENUM_LEVELS = 12
-
-
-@functools.cache
-def _bfs_nodes(levels: int) -> tuple[NodeAddress, ...]:
-    return tuple(_bfs_generate(levels))
+def heap_node(k: int) -> NodeAddress:
+    """The node at heap position k (root at 1), the inverse of
+    TreeDomain.heap_index: k's binary digits after the leading 1."""
+    return NodeAddress(bin(k)[3:])
 
 
 @dataclass(frozen=True)
@@ -206,17 +191,17 @@ class TreeDomain:
             return []
         return [a.child(0), a.child(1)]
 
-    def nodes(self) -> Iterator[NodeAddress]:
-        """All nodes in breadth-first order.  Only for small domains.
-
-        Up to ENUM_LEVELS levels the order is built once per depth and
-        shared; above that the nodes are generated afresh on each call.
-        """
+    def require_enumerable(self) -> None:
+        """Raise ResourceError above 20 levels, where no function is taken at
+        every node: the bound of nodes() and of every heap-ordered sweep."""
         if self.levels > 20:
             raise ResourceError(f"refusing to enumerate 2^{self.levels}-1 nodes")
-        if self.levels <= ENUM_LEVELS:
-            return iter(_bfs_nodes(self.levels))
-        return _bfs_generate(self.levels)
+
+    def nodes(self) -> Iterator[NodeAddress]:
+        """All nodes in breadth-first (heap) order, generated afresh on each
+        call; ResourceError on the call above 20 levels."""
+        self.require_enumerable()
+        return map(heap_node, range(1, 1 << self.levels))
 
     def heap_index(self, a: NodeAddress) -> int:
         """a's position in heap order, (1 << depth) | bits with the root at 1.

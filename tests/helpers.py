@@ -16,7 +16,7 @@ from cxlab.hardy import PointMeasure, _down_paths, _up_paths, hardy_up_table, ke
 from cxlab.randgen import dyadic, random_path
 from cxlab.structure import ExponentPair, _tol_for
 from cxlab.trees import (
-    ENUM_LEVELS, EXACT, FLOAT, BiNode, NodeAddress, PreconditionError, ResourceError, Scalar,
+    EXACT, FLOAT, BiNode, Node, NodeAddress, PreconditionError, ResourceError, Scalar,
     SparseFn, TreeDomain, _as_int, _pow, _zero,
 )
 
@@ -378,6 +378,31 @@ def audit_variant_fraction(variant: str, N: int, p: Scalar) -> VariantAudit:
     )
 
 
+# The sups of II*g that only the tests read, each one sweep of
+# cxlab.lemmas._sup_iistar over its node list.
+
+def sup_iistar_refined(g: SparseFn, f: SparseFn) -> tuple[Scalar, Optional[Node]]:
+    """sup of II*g with the ancestor-walk refinement toward supp f.
+
+    For every support node of g the deepest f-supported ancestor carries the
+    same value of I(I*g 1_{supp f}), which the proof bounds by II*g there;
+    support points of g with no f-supported ancestor contribute zero.  On
+    the bi-tree this is the plain support sup of II*g.
+    """
+    return lemmas._sup_iistar(g, lemmas._refined_nodes(g, f))[0]
+
+
+def sup_iistar_intersection(g: SparseFn, f: SparseFn) -> tuple[Scalar, Optional[Node]]:
+    """sup of II*g over supp g intersected with supp f (tree only); nodes
+    are visited in supp g order, so a tie keeps the first in that order."""
+    return lemmas._sup_iistar(g, lemmas._intersection_nodes(g, f))[0]
+
+
+def sup_iistar_support(g: SparseFn) -> Scalar:
+    """The coarser sup of II*g over supp g, reported for comparison."""
+    return lemmas._sup_iistar(g, g.support())[0][0]
+
+
 # The phi construction over NodeAddress-keyed dicts: the oracles for the heap
 # sweeps of cxlab.lemmas.build_phi and cxlab.experiments._phi_instance.
 
@@ -403,9 +428,8 @@ def build_phi_dict(
     w: SparseFn, g: SparseFn, f: SparseFn, lam: Scalar, delta: Scalar,
     d: TreeDomain, seed=None,
 ):
-    """build_phi on an enumerated domain, every I a hardy_up_table dict and
-    check (a) a walk over d.nodes()."""
-    assert d.levels <= ENUM_LEVELS
+    """build_phi with every I a hardy_up_table dict and check (a) a walk
+    over d.nodes()."""
     ok, witness = is_superadditive_nodes(g, d)
     if not ok:
         raise PreconditionError("g is not superadditive", witness)

@@ -1,12 +1,16 @@
-"""The benchmark's capacity checks run on the CLI's output.
+"""The benchmark's checks run on the program.
 
 bench/checks.py recomputes what the benchmark's capacity commands print by
-routes of its own; it is loaded here by path and only read.  An output
-change that its checks would reject then fails here first.
+routes of its own, and bench/selftest.py checks the tracer and that every
+check rejects a perturbed output; both are loaded here by path and only
+read.  An output change that the checks would reject, or a binding the
+tracer needs that a change removed, then fails here first.
 """
 
 import importlib.util
 import json
+import os
+import sys
 from pathlib import Path
 
 import pytest
@@ -14,10 +18,17 @@ import pytest
 from cxlab.capacity import _NO_SYMMETRY_MAX_FAMILY, ADMISSIBLE_N
 from cxlab.cli import main
 
-_SPEC = importlib.util.spec_from_file_location(
-    "bench_checks", Path(__file__).resolve().parent.parent / "bench" / "checks.py")
-checks = importlib.util.module_from_spec(_SPEC)
-_SPEC.loader.exec_module(checks)
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _load(name: str, path: Path):
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+checks = _load("bench_checks", ROOT / "bench" / "checks.py")
 
 
 def _run(capsys, *argv) -> dict:
@@ -50,3 +61,19 @@ def test_check_oracle(capsys, n):
 def test_check_report_d2(capsys):
     out = _run(capsys, "report", "d2")
     assert checks.check_report_d2(out, [16, 256]) is None
+
+
+def test_bench_selftest_in_process(monkeypatch):
+    """selftest.py's in-process checks: the tracer wraps and restores the
+    bindings it names and counts the same work each round, and each
+    correctness check rejects a perturbed output at toy sizes."""
+    monkeypatch.chdir(ROOT)  # selftest finds the sources from the working directory
+    monkeypatch.setattr(sys, "path", list(sys.path))  # it prepends src and bench
+    cpus = os.sched_getaffinity(0)  # the bench's rounds move the process between CPUs
+    try:
+        selftest = _load("bench_selftest", ROOT / "bench" / "selftest.py")
+        selftest.test_tracer()
+        selftest.test_checks_reject_perturbed_outputs()
+    finally:
+        os.sched_setaffinity(0, cpus)
+    assert selftest.FAILURES == []

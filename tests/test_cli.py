@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from cxlab import capacity
+from cxlab import capacity, randgen
 from cxlab import counterexamples as cex
 from cxlab.cli import main
 from cxlab.experiments import EXPERIMENTS, run_cell
@@ -38,6 +38,16 @@ class TestVerify:
         with pytest.raises(SystemExit) as exc:
             main(["verify", "nope"])
         assert exc.value.code == 2
+
+    def test_phi_beyond_twenty_levels_is_resource_exit(self, capsys, monkeypatch):
+        # refused before the trial's first draw, not after a 2^21-node trial
+        def drew(*args, **kwargs):
+            raise AssertionError("the phi trial drew before checking its bound")
+        monkeypatch.setattr(randgen, "random_superadditive", drew)
+        assert main(["verify", "phi", "--depth", "21", "--trials", "1"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "2^21" in captured.err
 
 
 class TestCex:
@@ -294,6 +304,10 @@ class TestRun:
         {"experiment": "capacity", "grid": {"n": [4]}, "out": 5},
         {"experiment": ["capacity"], "grid": {"n": [4]}},
         {"experiment": {"name": "capacity"}, "grid": {"n": [4]}},
+        # a bool parameter takes only a JSON bool, and no other one takes a bool
+        {"experiment": "capacity", "grid": {"n": [16], "no_symmetry": ["false"]}},
+        {"experiment": "capacity", "grid": {"n": [16], "oracle": [1]}},
+        {"experiment": "verify-phi", "grid": {"trials": [True]}},
     ])
     def test_malformed_config_rejected_before_any_cell(self, capsys, tmp_path,
                                                        monkeypatch, config):

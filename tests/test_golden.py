@@ -28,9 +28,9 @@ GOLDEN = Path(__file__).parent / "golden"
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 # the README examples (phi cut to 50 trials, the search to a budget of 1000),
-# the other verify suites, phi on both sides of the 12-level enumeration
-# cutoff, the larger instances the benchmark runs, and two searches: one
-# whose best ratio is a rounding tie at p = 2 and one at the depth cap
+# the other verify suites, phi at 12 and 13 levels, the larger instances the
+# benchmark runs, and two searches: one whose best ratio is a rounding tie
+# at p = 2 and one at the depth cap
 COMMANDS = {
     "verify-phi": "verify phi --trials 50 --depth 8 --seed 7",
     "verify-phi-float": "verify phi --trials 50 --depth 8 --seed 7 --mode float",
@@ -125,8 +125,8 @@ def test_every_golden_file_is_checked():
                                   "verify-gest", "verify-phi-13"])
 def test_golden_independent_of_hash_seed(name, hashseed, tmp_path):
     """The witnesses of these suites do not follow set or dict order over
-    node hashes (verify-phi-13 runs the set-heavy support closure): a fresh
-    interpreter under another hash seed prints the same golden."""
+    node hashes: a fresh interpreter under another hash seed prints the
+    same golden."""
     env = {**os.environ, "PYTHONHASHSEED": hashseed,
            "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
     argv = COMMANDS[name].split()

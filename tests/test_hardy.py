@@ -10,7 +10,6 @@ from cxlab.hardy import (
     PointMeasure,
     _heap_values,
     _up_heap,
-    ancestor_closure,
     energy,
     eval_hardy_down,
     eval_hardy_up,
@@ -189,8 +188,3 @@ class TestPotential:
         assert r.get(binode("00", "1")) == Fraction(1, 2)
         assert r.get(binode("1", "")) == 0
 
-
-def test_ancestor_closure():
-    nodes = [NodeAddress("010"), NodeAddress("00")]
-    got = [n.path for n in ancestor_closure(nodes)]
-    assert got == ["", "0", "00", "01", "010"]

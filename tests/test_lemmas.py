@@ -9,6 +9,7 @@ from cxlab.trees import (
     NodeAddress,
     PreconditionError,
     ROOT,
+    ResourceError,
     SparseFn,
     TreeDomain,
 )
@@ -19,9 +20,6 @@ from cxlab.lemmas import (
     PHI_ENERGY_CONST,
     PHI_LOWER_CONST,
     build_phi,
-    sup_iistar_intersection,
-    sup_iistar_refined,
-    sup_iistar_support,
     verify_I2_positive,
     verify_gest,
     verify_inter,
@@ -33,7 +31,7 @@ from cxlab import experiments, hardy, lemmas, randgen
 
 from helpers import (
     build_phi_dict, iistar_bitree_scan, phi_instance_dict, random_bitree_sparse,
-    random_quarter_weight,
+    random_quarter_weight, sup_iistar_intersection, sup_iistar_refined, sup_iistar_support,
 )
 
 
@@ -301,19 +299,32 @@ class TestBuildPhi:
                 banded += report.extra["worst_lower_ratio"] is not None and bool(phi)
         assert banded > 0  # some instance has a nonzero phi and a node for check (a)
 
-    def test_table_missing_a_node_rejected(self):
-        # enumerated domain: the table holds one entry per heap position
-        d, w, g, f, lam, delta, _ = self._instance()
+    @pytest.mark.parametrize("levels", [5, 13])
+    def test_table_missing_a_node_rejected(self, levels):
+        # the table holds one entry per heap position, at every depth
+        d, w, g, f, lam, delta, _ = self._instance(levels=levels)
         up, den = self._heap_table(w, g, d)
+        phi, report = build_phi(w, g, f, lam, delta, d)
+        phi_t, report_t = build_phi(w, g, f, lam, delta, d, iwg=(up, den))
+        assert dict(phi_t.items()) == dict(phi.items())
+        assert report_t.to_dict() == report.to_dict()
         for short in (up[:-1], up + [up[-1]]):
             with pytest.raises(ValueError, match="iwg"):
                 build_phi(w, g, f, lam, delta, d, iwg=(short, den))
-        # beyond the enumeration cutoff check (a) visits the support closure,
-        # and no table is taken
-        d, w, g, f, lam, delta, _ = self._instance(levels=13)
-        build_phi(w, g, f, lam, delta, d)
-        with pytest.raises(ValueError, match="iwg"):
-            build_phi(w, g, f, lam, delta, d, iwg=self._heap_table(w, g, d))
+
+    def test_beyond_twenty_levels_is_a_resource_error(self, monkeypatch):
+        # refused before any heap list is allocated
+        def no_list(f, d):
+            raise AssertionError("a heap list was built")
+
+        d = TreeDomain(21)
+        g = SparseFn.tree({ROOT: 1})
+        f = SparseFn.tree({NodeAddress("0" * 20): Fraction(1, 2)})
+        with pytest.raises(ResourceError, match="2\\^21"):
+            build_phi(g, g, f, 4, 1, d)
+        monkeypatch.setattr(hardy, "_path_values", no_list)
+        with pytest.raises(ResourceError):
+            hardy._heap_values(g, d)
 
     def test_phi_trial_sweeps_three_times(self, monkeypatch):
         dict_sweeps, heap_sweeps = [], []
@@ -338,10 +349,11 @@ class TestBuildPhi:
 
     @pytest.mark.parametrize("mode", [EXACT, FLOAT])
     def test_heap_matches_dict_oracle(self, mode):
-        # the trial's instances, drawn and ranked over dicts, at depth 8 and
-        # 12; and instances whose f fills the sublevel set, where phi is
-        # mostly nonzero and check (a) has nodes to visit
-        cases = [(8, seed) for seed in range(300)] + [(12, seed) for seed in range(3)]
+        # the trial's instances, drawn and ranked over dicts, at 8, 12 and
+        # 13 levels; and instances whose f fills the sublevel set, where phi
+        # is mostly nonzero and check (a) has nodes to visit
+        cases = ([(8, seed) for seed in range(300)] + [(12, seed) for seed in range(3)]
+                 + [(13, seed) for seed in range(2)])
         banded = 0
         for levels, seed in cases:
             d = TreeDomain(levels)
@@ -354,7 +366,7 @@ class TestBuildPhi:
             assert report.to_dict() == report_o.to_dict()
             trial = experiments._trial_phi(random.Random(key), d, mode, seed)
             assert trial.to_dict() == report_o.to_dict()
-        for levels, seed in [(8, seed) for seed in range(40)] + [(12, 0), (12, 1)]:
+        for levels, seed in [(8, seed) for seed in range(40)] + [(12, 0), (12, 1), (13, 0)]:
             d, w, g, f, lam, delta, _ = self._instance(levels=levels, seed=seed, mode=mode)
             phi_o, report_o = build_phi_dict(w, g, f, lam, delta, d)
             phi, report = build_phi(w, g, f, lam, delta, d)

@@ -198,9 +198,9 @@ def test_suites_match_stdlib_draws(suite, mode, monkeypatch):
 @pytest.mark.parametrize("levels", [8, 13])
 def test_build_phi_reads_w_only_on_supp_g_and_f(levels, mode):
     """phi and its report are the same with w on every node of d and with w
-    restricted to supp g and supp f (heap sweeps at 8 levels, the support
-    closure at 13): on the trial's instances, and on instances whose f is
-    1/2 on a whole sublevel set {I(wg) <= delta}, where phi is nonzero."""
+    restricted to supp g and supp f, at 8 and 13 levels: on the trial's
+    instances, and on instances whose f is 1/2 on a whole sublevel set
+    {I(wg) <= delta}, where phi is nonzero."""
     d = TreeDomain(levels)
     nodes = list(d.nodes())
     nonzero = shrunk = 0

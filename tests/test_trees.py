@@ -8,7 +8,6 @@ from cxlab.trees import (
     BiNode,
     BiTreeDomain,
     DomainError,
-    ENUM_LEVELS,
     EXACT,
     FLOAT,
     NodeAddress,
@@ -18,6 +17,7 @@ from cxlab.trees import (
     TreeDomain,
     binode,
     format_node,
+    heap_node,
     lcp_len,
     parse_node,
     _path_values,
@@ -119,17 +119,18 @@ class TestTreeDomain:
 
     @pytest.mark.parametrize("levels", range(1, 14))
     def test_nodes_breadth_first(self, levels):
-        # 1..12 levels read a shared tuple, 13 the generator; both twice
+        # generated afresh on each call
         d = TreeDomain(levels)
         want = tree_nodes_bfs(levels)
         assert list(d.nodes()) == want
         assert list(d.nodes()) == want
 
     def test_heap_index_is_bfs_position(self):
-        for levels in range(1, ENUM_LEVELS + 1):
+        for levels in range(1, 13):
             d = TreeDomain(levels)
             for i, a in enumerate(d.nodes()):
                 assert d.heap_index(a) == i + 1
+                assert heap_node(i + 1) == a
 
     def test_heap_index_outside_domain(self):
         d = TreeDomain(3)
@@ -138,8 +139,10 @@ class TestTreeDomain:
             d.heap_index(NodeAddress("000"))
 
     def test_enumeration_budget(self):
-        with pytest.raises(ResourceError):
-            TreeDomain(21).nodes()  # on the call, before any node is read
+        TreeDomain(20).require_enumerable()
+        for check in (TreeDomain(21).require_enumerable, TreeDomain(21).nodes):
+            with pytest.raises(ResourceError):
+                check()  # on the call, before any node is read
 
     def test_bitree_enumeration(self):
         bd = BiTreeDomain(2, 3)
