@@ -4,7 +4,6 @@ generators, and the bi-tree capacity experiment."""
 
 from .trees import (
     BiNode,
-    BiTreeDomain,
     DomainError,
     NodeAddress,
     PreconditionError,
@@ -12,13 +11,10 @@ from .trees import (
     SparseFn,
     TreeDomain,
     format_node,
-    parse_node,
 )
 from .hardy import (
     PointMeasure,
     energy,
-    eval_hardy_down,
-    eval_hardy_up,
     kernel,
     potential,
 )

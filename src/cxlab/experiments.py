@@ -25,7 +25,7 @@ from fractions import Fraction
 from operator import attrgetter
 from typing import Callable
 
-from .trees import EXACT, ResourceError, Scalar, SparseFn, TreeDomain, heap_node
+from .trees import EXACT, FLOAT, ResourceError, Scalar, SparseFn, TreeDomain, heap_node
 from .structure import ExponentPair, special_form_g
 from .hardy import _heap_values, _up_heap
 from .lemmas import (
@@ -138,7 +138,7 @@ def _trial_new23(rng, d, mode, seed) -> LemmaReport:
 def _trial_gest(rng, d, mode, seed) -> LemmaReport:
     levels = min(d.levels, 6)
     m = randgen.random_special_form_measure(rng, levels, levels)
-    beta = _pick(rng, (n.y for n in m.support()))
+    beta = _pick(rng, (n.y for n in m))
     g = special_form_g(m, beta, ExponentPair(2))
     if mode != EXACT:
         g = g.to_float()
@@ -298,8 +298,9 @@ _DEFAULTS = {name: {k: v.default for k, v in inspect.signature(run).parameters.i
 def cell_params(experiment: str, params: dict) -> dict:
     """The runner's defaults overridden by params, each value cast to the
     type of its default; ValueError for an unknown experiment, an unknown
-    parameter or a value that does not cast (a fractional int included).
-    A bool parameter takes only a bool, and no other parameter takes one."""
+    parameter, a value that does not cast (a fractional int included) or a
+    mode other than exact and float.  A bool parameter takes only a bool,
+    and no other parameter takes one."""
     if experiment not in EXPERIMENTS:
         raise ValueError(f"unknown experiment {experiment!r} (one of {', '.join(EXPERIMENTS)})")
     out = dict(_DEFAULTS[experiment])
@@ -318,6 +319,8 @@ def cell_params(experiment: str, params: dict) -> dict:
         except (TypeError, ValueError, OverflowError):
             raise ValueError(f"{experiment}: {k} must be {want.__name__}, "
                              f"got {v!r}") from None
+    if out.get("mode", EXACT) not in (EXACT, FLOAT):
+        raise ValueError(f"invalid mode {out['mode']!r}")
     return out
 
 

@@ -1,20 +1,21 @@
-"""Hardy operators on trees and bi-trees.
+"""Hardy operators on the tree, and atomic measures on the bi-tree.
 
 I sums up the graph (over ancestors, inclusive of the evaluation node),
 its adjoint I* sums down the graph (over descendants, inclusive).  This
-module is the only place that evaluates If, I*g and II*g = I(I*g).  On the
-tree two sweeps over path-keyed dicts do it: _up_paths gives If at every
-prefix of the requested paths (root first), _down_paths gives I*g at every
-prefix of supp g (in support order), and II*g is the one fed into the
-other.  On a whole enumerated tree _up_heap gives If at every node of a
-list in heap order (node (depth, bits) at (1 << depth) | bits), one add per
-node.  Every tree sweep runs on the values trees._path_values gives: int
-numerators over one denominator in exact mode, so a Fraction is built only
-for a value handed out, and the floats themselves in float mode.  On the
-bi-tree, II* of an atomic measure is evaluated through the
+module is the only place that evaluates If, I*g and II*g = I(I*g).  Two
+sweeps over path-keyed dicts do it: _up_paths gives If at every prefix of
+the requested paths (root first), _down_paths gives I*g at every prefix of
+supp g (in support order), and II*g is the one fed into the other.  On a
+whole enumerated tree _up_heap gives If at every node of a list in heap
+order (node (depth, bits) at (1 << depth) | bits), one add per node.  Every
+sweep runs on the values trees._path_values gives: int numerators over one
+denominator in exact mode, so a Fraction is built only for a value handed
+out, and the floats themselves in float mode.  On the bi-tree, the
+potential and energy of an atomic measure are evaluated through the
 common-ancestor kernel (lcp_x + 1)(lcp_y + 1), never by materializing
 ancestor sets, so instances with coordinate depths in the hundreds stay
-cheap.  eval_hardy_up and eval_hardy_down are the support-scan references.
+cheap, and rectangle_mass_fn gives the rectangle masses that the
+special-form construction reads.
 """
 
 from __future__ import annotations
@@ -28,14 +29,13 @@ from .trees import (
     EXACT,
     BiNode,
     DomainError,
-    Node,
     NodeAddress,
     Scalar,
     SparseFn,
     TreeDomain,
     lcp_len,
+    _coerce,
     _path_values,
-    _zero,
 )
 
 
@@ -56,48 +56,8 @@ class PointMeasure:
     def of(cls, atoms: Iterable[tuple[BiNode, Scalar]]) -> "PointMeasure":
         return cls(tuple(atoms))
 
-    def total_mass(self) -> Scalar:
-        return sum(m for _, m in self.atoms)
-
     def __len__(self) -> int:
         return len(self.atoms)
-
-
-def _is_ancestor(node: Node, of: Node) -> bool:
-    return node.contains(of)
-
-
-def _check_same_domain(f: SparseFn, a: Node) -> None:
-    if isinstance(a, BiNode):
-        if f.kind != "bitree":
-            raise DomainError("tree function evaluated at a bi-tree node")
-    else:
-        if f.kind != "tree":
-            raise DomainError("bi-tree function evaluated at a tree node")
-
-
-def eval_hardy_up(f: SparseFn, a: Node) -> Scalar:
-    """If(a): the sum of f over all ancestors of a, inclusive."""
-    _check_same_domain(f, a)
-    acc = _zero(f.mode)
-    for node, v in f.items():
-        if _is_ancestor(node, a):
-            acc += v
-    return acc
-
-
-def eval_hardy_down(g: SparseFn, a: Node) -> Scalar:
-    """I*g(a): the sum of g over all descendants of a, inclusive.
-
-    Support-scan based: cost proportional to the support size, no subtree
-    materialization.
-    """
-    _check_same_domain(g, a)
-    acc = _zero(g.mode)
-    for node, v in g.items():
-        if _is_ancestor(a, node):
-            acc += v
-    return acc
 
 
 def _up_paths(values: dict[str, Scalar], paths: Iterable[str],
@@ -162,8 +122,6 @@ def _up_heap(up: list) -> list:
 
 def hardy_up_table(f: SparseFn, nodes: Iterable[NodeAddress]) -> dict[NodeAddress, Scalar]:
     """If at every requested tree node, in one sweep over their paths."""
-    if f.kind != "tree":
-        raise DomainError("hardy_up_table expects a tree function")
     nodes = list(nodes)
     values, den = _path_values(f)
     if f.mode != EXACT:
@@ -179,22 +137,6 @@ def _iistar_paths(g: SparseFn, paths: Iterable[str]) -> tuple[dict[str, Scalar],
     values, den = _path_values(g)
     zero = 0 if g.mode == EXACT else 0.0
     return _up_paths(_down_paths(values, zero), paths, zero), den
-
-
-def _iistar_at(g: SparseFn, nodes: Iterable[Node]) -> dict[Node, Scalar]:
-    """II*g = I(I*g) at every given node of g's domain.
-
-    On the tree, the I sweep over the I* sweep; on the bi-tree, the
-    potential of g's atoms through the common-ancestor kernel.
-    """
-    nodes = list(nodes)
-    if g.kind == "tree":
-        up, den = _iistar_paths(g, (n.path for n in nodes))
-        if g.mode != EXACT:
-            return {n: up[n.path] for n in nodes}
-        return {n: Fraction(up[n.path], den) for n in nodes}
-    m = PointMeasure.of(g.items())
-    return {n: potential(m, n) for n in nodes}
 
 
 def potential(m: PointMeasure, a: BiNode) -> Scalar:
@@ -228,15 +170,18 @@ def kernel(a: BiNode, b: BiNode) -> int:
     return (lcp_len(a.x.path, b.x.path) + 1) * (lcp_len(a.y.path, b.y.path) + 1)
 
 
-def rectangle_mass_fn(m: PointMeasure, mode: str = "exact") -> SparseFn:
-    """The rectangle-mass function R(q) = m({atoms inside q}).
+def rectangle_mass_fn(m: PointMeasure, mode: str = EXACT) -> dict[BiNode, Scalar]:
+    """The rectangle-mass function R(q) = m({atoms inside q}), keyed in atom
+    order.
 
     Supported on the (finite) set of rectangles that contain at least one
     atom and have both coordinates among atom-path prefixes; this is the
     measure-theoretic reading of "m(gamma x beta')" used by the special-form
     construction.  The masses are added on (x path, y path) keys, as int
     numerators over the lcm of their denominators when every mass is exact,
-    and as the masses themselves, in atom order, when one is a float.
+    and as the masses themselves, in atom order, when one is a float.  Each
+    sum is handed out as a Fraction in exact mode and as a float in float
+    mode.
     """
     atoms = m.atoms
     den = None
@@ -257,8 +202,12 @@ def rectangle_mass_fn(m: PointMeasure, mode: str = "exact") -> SparseFn:
     addr = {path: NodeAddress(path) for path in {path for key in sums for path in key}}
     out = {}
     for (x, y), v in sums.items():
-        if den is not None:
-            v = Fraction(v, den) if mode == EXACT else v / den
+        if den is None:
+            v = _coerce(v, mode)
+        elif mode == EXACT:
+            v = Fraction(v, den)
+        else:
+            v = v / den
         out[BiNode(addr[x], addr[y])] = v
-    return SparseFn.bitree(out, mode)
+    return out
 

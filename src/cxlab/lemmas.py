@@ -17,7 +17,6 @@ from typing import Optional
 from .trees import (
     EXACT,
     FLOAT,
-    Node,
     NodeAddress,
     PreconditionError,
     Scalar,
@@ -29,14 +28,7 @@ from .trees import (
     _pow,
     _zero,
 )
-from .hardy import (
-    _heap_values,
-    _iistar_at,
-    _iistar_paths,
-    _up_heap,
-    eval_hardy_up,
-    hardy_up_table,
-)
+from .hardy import _heap_values, _iistar_paths, _up_heap, hardy_up_table
 from .structure import check_power_superadditive, is_increasing, is_superadditive
 
 # Explicit constants traced through the proof of the phi-construction lemma:
@@ -54,7 +46,7 @@ class LemmaReport:
     lhs: Scalar
     rhs: Scalar
     holds: bool
-    witness: Optional[Node] = None
+    witness: Optional[NodeAddress] = None
     mode: str = EXACT
     seed: Optional[int] = None
     degenerate: bool = False
@@ -119,38 +111,30 @@ def max_hardy_up_tree(f: SparseFn) -> Scalar:
     return max_hardy_up_on(f, list(f.support()) + [NodeAddress("")])
 
 
-def _sup_iistar(g: SparseFn, *node_lists) -> list[tuple[Scalar, Optional[Node]]]:
+def _sup_iistar(g: SparseFn, *node_lists) -> list[tuple[Scalar, Optional[NodeAddress]]]:
     """For each given collection of nodes, the max of II*g over it and the
     first node attaining it; (0, None) for an empty collection.
 
-    One sweep serves every collection.  On the tree the max is taken on the
-    swept values, int numerators in exact mode, and one Fraction is built
-    for it.
+    One sweep serves every collection.  The max is taken on the swept
+    values, int numerators in exact mode, and one Fraction is built for it.
     """
     node_lists = [list(nodes) for nodes in node_lists]
-    if g.kind == "tree":
-        up, den = _iistar_paths(g, (x.path for nodes in node_lists for x in nodes))
-        values = [[up[x.path] for x in nodes] for nodes in node_lists]
-    else:
-        up, den = _iistar_at(g, {x: None for nodes in node_lists for x in nodes}), 1
-        values = [[up[x] for x in nodes] for nodes in node_lists]
+    up, den = _iistar_paths(g, (x.path for nodes in node_lists for x in nodes))
     exact = g.mode == EXACT
     out = []
-    for nodes, vals in zip(node_lists, values):
+    for nodes in node_lists:
         best, arg = (0 if exact else 0.0), None
-        for x, v in zip(nodes, vals):
+        for x in nodes:
+            v = up[x.path]
             if v > best:
                 best, arg = v, x
         out.append((Fraction(best, den) if exact else best, arg))
     return out
 
 
-def _refined_nodes(g: SparseFn, f: SparseFn) -> list[Node]:
+def _refined_nodes(g: SparseFn, f: SparseFn) -> list[NodeAddress]:
     """The nodes of the refined sup: for every support node of g its deepest
-    f-supported ancestor, skipping support nodes with none.  On the bi-tree,
-    which has no maximum principle, supp g itself."""
-    if g.kind != "tree":
-        return g.support()
+    f-supported ancestor, skipping support nodes with none."""
     f_paths = {n.path for n in f.support()}
     ancestors = []
     for x in g.support():
@@ -162,7 +146,7 @@ def _refined_nodes(g: SparseFn, f: SparseFn) -> list[Node]:
     return ancestors
 
 
-def _intersection_nodes(g: SparseFn, f: SparseFn) -> list[Node]:
+def _intersection_nodes(g: SparseFn, f: SparseFn) -> list[NodeAddress]:
     """supp g intersected with supp f, in supp g order."""
     f_support = set(f.support())
     return [x for x in g.support() if x in f_support]
@@ -191,15 +175,12 @@ def verify_supadditive_l1linf(
     )
 
 
-def verify_I2_positive(f: SparseFn, g: SparseFn, d, seed: Optional[int] = None) -> LemmaReport:
+def verify_I2_positive(
+    f: SparseFn, g: SparseFn, d: TreeDomain, seed: Optional[int] = None,
+) -> LemmaReport:
     """sum (If)^2 g <= (refined sup of II*g) * sum f^2; unconditional."""
-    if f.kind != g.kind:
-        raise ValueError("f and g must live on the same domain")
-    if g.kind == "tree":
-        table = hardy_up_table(f, g.support())
-        lhs = sum((table[n] ** 2 * v for n, v in g.items()), _zero(g.mode))
-    else:
-        lhs = sum((eval_hardy_up(f, n) ** 2 * v for n, v in g.items()), _zero(g.mode))
+    table = hardy_up_table(f, g.support())
+    lhs = sum((table[n] ** 2 * v for n, v in g.items()), _zero(g.mode))
     (sup, arg), (coarse, _) = _sup_iistar(g, _refined_nodes(g, f), g.support())
     sum_f2 = sum((v * v for _, v in f.items()), _zero(f.mode))
     rhs = sup * sum_f2

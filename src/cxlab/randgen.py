@@ -156,8 +156,8 @@ def random_point_measure(
 
 def random_special_form_measure(
     rng: random.Random, levels_x: int, levels_y: int, max_atoms: int = 5,
-) -> SparseFn:
-    """The rectangle-mass function of a random atomic measure.
+) -> dict[BiNode, Fraction]:
+    """The exact rectangle masses of a random atomic measure.
 
     This is the measure reading of the special-form construction; feeding it
     to special_form_g yields a g whose power g^(p-1) is superadditive.

@@ -4,7 +4,9 @@ A function is superadditive when every node dominates the sum over its
 children (Definition of the children-sum inequality); "increasing" is
 formalized as non-decreasing toward the root along every path.  Both
 predicates only visit the support and parents of support: nodes whose
-children are all zero satisfy the inequalities trivially.
+children are all zero satisfy the inequalities trivially.  The
+special-form constructor reads rectangle masses, a mapping from bi-tree
+nodes to values, and builds a function on the tree.
 """
 
 from __future__ import annotations
@@ -12,10 +14,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Mapping, Optional
 
 from .trees import (
     EXACT,
+    FLOAT,
+    BiNode,
     NodeAddress,
     Scalar,
     SparseFn,
@@ -58,8 +62,6 @@ def is_superadditive(g: SparseFn, d: TreeDomain) -> tuple[bool, Optional[NodeAdd
     over the support suffices.  The values are compared as _path_values
     gives them, int numerators in exact mode.
     """
-    if g.kind != "tree":
-        raise ValueError("is_superadditive expects a tree function")
     values, _ = _path_values(g)
     parents: set[str] = set()
     for path in values:
@@ -76,8 +78,6 @@ def is_superadditive(g: SparseFn, d: TreeDomain) -> tuple[bool, Optional[NodeAdd
 
 def is_increasing(g: SparseFn, d: TreeDomain) -> tuple[bool, Optional[NodeAddress]]:
     """Check g is non-decreasing toward the root; witness is the offending child."""
-    if g.kind != "tree":
-        raise ValueError("is_increasing expects a tree function")
     values, _ = _path_values(g)
     for path in sorted(values, key=lambda p: (len(p), p)):
         if len(path) > d.max_depth:
@@ -90,22 +90,23 @@ def is_increasing(g: SparseFn, d: TreeDomain) -> tuple[bool, Optional[NodeAddres
     return True, None
 
 
-def special_form_g(m: SparseFn, beta: NodeAddress, pq: ExponentPair) -> SparseFn:
+def special_form_g(m: Mapping[BiNode, Scalar], beta: NodeAddress,
+                   pq: ExponentPair) -> SparseFn:
     """The special-form function g(gamma) = sum_{beta' >= beta} m(gamma x beta')^(q-1).
 
-    m is a bi-tree function read as rectangle values; feeding it the
-    rectangle-mass function of an atomic measure reproduces the measure
-    construction whose power g^(p-1) is superadditive by Minkowski.
+    m maps rectangles to values; feeding it the rectangle masses of an
+    atomic measure (hardy.rectangle_mass_fn) reproduces the measure
+    construction whose power g^(p-1) is superadditive by Minkowski.  g is
+    exact when q - 1 is integral and no value of m that it reads is a
+    float, and a float function otherwise.
     """
-    if m.kind != "bitree":
-        raise ValueError("special_form_g expects a bi-tree function m")
     e = pq.q - 1
     e_int = _as_int(e)
     beta_path = beta.path
     # beta' = node.y contains beta
     picked = [(node.x, v) for node, v in m.items() if beta_path.startswith(node.y.path)]
     out: dict[NodeAddress, Scalar] = {}
-    if m.mode == EXACT and e_int is not None:
+    if e_int is not None and not any(isinstance(v, float) for _, v in picked):
         # int numerators over den, to the power e over den^e
         den = 1
         for _, v in picked:
@@ -116,7 +117,7 @@ def special_form_g(m: SparseFn, beta: NodeAddress, pq: ExponentPair) -> SparseFn
         return SparseFn.tree({x: Fraction(s, den) for x, s in out.items()}, EXACT)
     for x, v in picked:
         out[x] = out.get(x, 0) + float(v) ** float(e)
-    return SparseFn.tree(out, "float")
+    return SparseFn.tree(out, FLOAT)
 
 
 def check_power_superadditive(

@@ -1,9 +1,12 @@
-"""Dyadic trees, bi-trees and sparse functions on them.
+"""Dyadic trees, bi-tree nodes and sparse functions on the tree.
 
 Nodes are addressed by bit paths: bit 0 is the left ("minus") child, bit 1
-the right ("plus") child.  The root has the empty path.  On the bi-tree the
-partial order is containment of dyadic rectangles: a <= b iff both of b's
-coordinate paths are prefixes of a's (smaller = deeper).
+the right ("plus") child.  The root has the empty path.  A bi-tree node is
+a dyadic rectangle, a pair of tree nodes; the partial order is
+containment: a <= b iff both of b's coordinate paths are prefixes of a's
+(smaller = deeper).  Every function the verifiers take is a SparseFn on the
+tree; the bi-tree appears only as the atoms and rectangles of the capacity
+and of the special-form construction.
 """
 
 from __future__ import annotations
@@ -125,32 +128,12 @@ class BiNode:
         return (self.x.depth, self.y.depth)
 
     def __str__(self) -> str:
-        return format_node(self)
+        return f"x={self.x.path}/y={self.y.path}"
 
 
-def binode(x_path: str, y_path: str) -> BiNode:
-    return BiNode(NodeAddress(x_path), NodeAddress(y_path))
-
-
-BIROOT = BiNode(ROOT, ROOT)
-
-Node = Union[NodeAddress, BiNode]
-
-
-def format_node(node: Node) -> str:
-    """Literal syntax used in reports/configs: "0110" or "x=0110/y=01"."""
-    if isinstance(node, BiNode):
-        return f"x={node.x.path}/y={node.y.path}"
+def format_node(node: NodeAddress) -> str:
+    """Literal syntax used in reports: the bit path, "0110"."""
     return node.path
-
-
-def parse_node(text: str) -> Node:
-    if text.startswith("x="):
-        xs, ys = text.split("/", 1)
-        if not ys.startswith("y="):
-            raise ValueError(f"bad bi-node literal: {text!r}")
-        return BiNode(NodeAddress(xs[2:]), NodeAddress(ys[2:]))
-    return NodeAddress(text)
 
 
 def heap_node(k: int) -> NodeAddress:
@@ -212,31 +195,6 @@ class TreeDomain:
         self.require(a)
         return int("1" + a.path, 2)
 
-    def leaves(self) -> Iterator[NodeAddress]:
-        for a in self.nodes():
-            if a.depth == self.max_depth:
-                yield a
-
-
-@dataclass(frozen=True)
-class BiTreeDomain:
-    """Product of two dyadic trees; used for enumeration oracles in tests."""
-
-    levels_x: int
-    levels_y: int
-
-    def __contains__(self, a: BiNode) -> bool:
-        return a.x.depth <= self.levels_x - 1 and a.y.depth <= self.levels_y - 1
-
-    def require(self, a: BiNode) -> None:
-        if a not in self:
-            raise DomainError("bi-node outside domain")
-
-    def nodes(self) -> Iterator[BiNode]:
-        for x in TreeDomain(self.levels_x).nodes():
-            for y in TreeDomain(self.levels_y).nodes():
-                yield BiNode(x, y)
-
 
 def _coerce(value: Scalar, mode: str) -> Scalar:
     if mode == EXACT:
@@ -246,32 +204,28 @@ def _coerce(value: Scalar, mode: str) -> Scalar:
 
 
 class SparseFn:
-    """A finitely supported non-negative function on tree or bi-tree nodes.
+    """A finitely supported non-negative function on tree nodes.
 
     In exact mode every value is a Fraction and no rounding occurs anywhere;
     absent nodes read as zero.
     """
 
-    __slots__ = ("kind", "mode", "_values")
+    __slots__ = ("mode", "_values")
 
-    def __init__(self, kind: str, entries: Mapping[Node, Scalar] | None = None,
+    def __init__(self, entries: Mapping[NodeAddress, Scalar] | None = None,
                  mode: str = EXACT):
-        if kind not in ("tree", "bitree"):
-            raise ValueError(f"unknown domain kind {kind!r}")
         if mode not in (EXACT, FLOAT):
             raise ValueError(f"unknown scalar mode {mode!r}")
-        self.kind = kind
         self.mode = mode
-        self._values: dict[Node, Scalar] = {}
+        self._values: dict[NodeAddress, Scalar] = {}
         if not entries:
             return
         # The sign is read from an exact value's numerator and from a float
         # itself, not through Fraction compares; a float NaN passes both tests.
-        want = BiNode if kind == "bitree" else NodeAddress
         exact = mode == EXACT
         values = self._values
         for node, v in entries.items():
-            if type(node) is not want and not isinstance(node, want):
+            if type(node) is not NodeAddress:
                 self._check_node(node)
             if exact:
                 if type(v) is not Fraction:
@@ -286,31 +240,25 @@ class SparseFn:
             if sign:
                 values[node] = v
 
-    def _check_node(self, node: Node) -> None:
-        want = BiNode if self.kind == "bitree" else NodeAddress
-        if type(node) is not want and not isinstance(node, want):
-            raise DomainError(
-                f"{type(node).__name__} is not a {self.kind} node")
+    def _check_node(self, node: NodeAddress) -> None:
+        if not isinstance(node, NodeAddress):
+            raise DomainError(f"{type(node).__name__} is not a tree node")
 
     @classmethod
     def tree(cls, entries: Mapping[NodeAddress, Scalar], mode: str = EXACT) -> "SparseFn":
-        return cls("tree", entries, mode)
+        return cls(entries, mode)
 
-    @classmethod
-    def bitree(cls, entries: Mapping[BiNode, Scalar], mode: str = EXACT) -> "SparseFn":
-        return cls("bitree", entries, mode)
-
-    def __call__(self, node: Node) -> Scalar:
+    def __call__(self, node: NodeAddress) -> Scalar:
         self._check_node(node)
         return self._values.get(node, _zero(self.mode))
 
-    def get(self, node: Node) -> Scalar:
+    def get(self, node: NodeAddress) -> Scalar:
         return self._values.get(node, _zero(self.mode))
 
-    def support(self) -> list[Node]:
+    def support(self) -> list[NodeAddress]:
         return list(self._values)
 
-    def items(self) -> Iterable[tuple[Node, Scalar]]:
+    def items(self) -> Iterable[tuple[NodeAddress, Scalar]]:
         return self._values.items()
 
     def __len__(self) -> int:
@@ -324,37 +272,33 @@ class SparseFn:
 
     def scale(self, t: Scalar) -> "SparseFn":
         t = _coerce(t, self.mode)
-        return SparseFn(self.kind, {n: v * t for n, v in self._values.items()}, self.mode)
+        return SparseFn({n: v * t for n, v in self._values.items()}, self.mode)
 
     def mul(self, other: "SparseFn") -> "SparseFn":
         """Pointwise product; support is the intersection of supports."""
-        if other.kind != self.kind:
-            raise DomainError("domain kind mismatch in pointwise product")
         out = {}
         small, big = (self, other) if len(self) <= len(other) else (other, self)
         for n, v in small.items():
             w = big.get(n)
             if w != 0:
                 out[n] = v * w
-        return SparseFn(self.kind, out, self.mode)
+        return SparseFn(out, self.mode)
 
     def power(self, e: Scalar) -> "SparseFn":
         """Pointwise power.  Falls back to float mode for non-integral exponents."""
         e_int = _as_int(e)
         if e_int is not None and self.mode == EXACT:
-            return SparseFn(self.kind, {n: v ** e_int for n, v in self._values.items()},
-                            EXACT)
+            return SparseFn({n: v ** e_int for n, v in self._values.items()}, EXACT)
         ef = float(e)
-        return SparseFn(self.kind, {n: float(v) ** ef for n, v in self._values.items()},
-                        FLOAT)
+        return SparseFn({n: float(v) ** ef for n, v in self._values.items()}, FLOAT)
 
     def to_float(self) -> "SparseFn":
         if self.mode == FLOAT:
             return self
-        return SparseFn(self.kind, {n: float(v) for n, v in self._values.items()}, FLOAT)
+        return SparseFn({n: float(v) for n, v in self._values.items()}, FLOAT)
 
     def __repr__(self) -> str:
-        return f"SparseFn({self.kind}, {len(self._values)} entries, {self.mode})"
+        return f"SparseFn({len(self._values)} entries, {self.mode})"
 
 
 def _path_values(f: SparseFn) -> tuple[dict[str, Scalar], int]:

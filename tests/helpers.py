@@ -6,45 +6,84 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Iterator, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
 from cxlab import capacity, lemmas
 from cxlab.counterexamples import AuditStep, VariantAudit, _half_pow
 from cxlab.hardy import PointMeasure, _down_paths, _up_paths, hardy_up_table, kernel
-from cxlab.randgen import dyadic, random_path
+from cxlab.randgen import random_path
 from cxlab.structure import ExponentPair, _tol_for
 from cxlab.trees import (
-    EXACT, FLOAT, BiNode, Node, NodeAddress, PreconditionError, ResourceError, Scalar,
-    SparseFn, TreeDomain, _as_int, _pow, _zero,
+    EXACT, FLOAT, BiNode, DomainError, NodeAddress, PreconditionError, ResourceError, Scalar,
+    SparseFn, TreeDomain, _as_int, _coerce, _pow, _zero,
 )
 
 _MATERIALIZE_LEVELS = 12
 
 
-def atoms_fn(m: PointMeasure, mode: str = EXACT) -> SparseFn:
-    """The measure as a bi-tree SparseFn of atom masses."""
+def binode(x_path: str, y_path: str) -> BiNode:
+    return BiNode(NodeAddress(x_path), NodeAddress(y_path))
+
+
+def bitree_nodes(levels_x: int, levels_y: int) -> Iterator[BiNode]:
+    """Every rectangle of the product of a levels_x-level and a
+    levels_y-level tree, x-major, each coordinate in heap order."""
+    ys = list(TreeDomain(levels_y).nodes())
+    for x in TreeDomain(levels_x).nodes():
+        for y in ys:
+            yield BiNode(x, y)
+
+
+def atoms_fn(m: PointMeasure) -> dict[BiNode, Scalar]:
+    """The measure's atom masses by bi-tree node, repeated atoms added."""
     out: dict[BiNode, Scalar] = {}
     for node, mass in m.atoms:
         out[node] = out.get(node, 0) + mass
-    return SparseFn.bitree(out, mode)
+    return out
 
 
-def random_bitree_sparse(
-    rng: random.Random, levels_x: int, levels_y: int, max_support: int = 10,
-    mode: str = EXACT,
-) -> SparseFn:
-    entries: dict[BiNode, Fraction] = {}
-    for _ in range(rng.randint(1, max_support)):
-        v = dyadic(rng)
-        if v > 0:
-            node = BiNode(
-                NodeAddress(random_path(rng, levels_x - 1)),
-                NodeAddress(random_path(rng, levels_y - 1)),
-            )
-            entries[node] = v
-    return SparseFn.bitree(entries, mode)
+# The support-scan references for I and I*, generic over the nodes'
+# .contains: a tree SparseFn is read at tree nodes, a mapping from bi-tree
+# nodes to values at bi-tree nodes.
+
+Fn = Union[SparseFn, Mapping[BiNode, Scalar]]
+
+
+def _check_same_domain(f: Fn, a) -> None:
+    want = NodeAddress if isinstance(f, SparseFn) else BiNode
+    if not isinstance(a, want):
+        raise DomainError(f"{type(a).__name__} is not a node of the function's domain")
+
+
+def _is_ancestor(node, of) -> bool:
+    return node.contains(of)
+
+
+def _start(f: Fn) -> Scalar:
+    return _zero(f.mode) if isinstance(f, SparseFn) else 0
+
+
+def eval_hardy_up(f: Fn, a) -> Scalar:
+    """If(a): the sum of f over all ancestors of a, inclusive."""
+    _check_same_domain(f, a)
+    acc = _start(f)
+    for node, v in f.items():
+        if _is_ancestor(node, a):
+            acc += v
+    return acc
+
+
+def eval_hardy_down(g: Fn, a) -> Scalar:
+    """I*g(a): the sum of g over all descendants of a, inclusive, in one
+    scan of the support."""
+    _check_same_domain(g, a)
+    acc = _start(g)
+    for node, v in g.items():
+        if _is_ancestor(a, node):
+            acc += v
+    return acc
 
 
 def random_family(rng: random.Random, max_members: int = 6, max_depth: int = 3) -> list[BiNode]:
@@ -55,20 +94,6 @@ def random_family(rng: random.Random, max_members: int = 6, max_depth: int = 3) 
             NodeAddress(random_path(rng, max_depth)),
         ))
     return members
-
-
-def iistar_bitree_scan(g: SparseFn, node: BiNode) -> Scalar:
-    """II*g at a bi-tree node by scanning the support once per containing
-    rectangle: O(depth^2 |supp g|), no kernel."""
-    acc = _zero(g.mode)
-    for xp_len in range(node.x.depth + 1):
-        for yp_len in range(node.y.depth + 1):
-            xp = node.x.path[:xp_len]
-            yp = node.y.path[:yp_len]
-            for n, v in g.items():
-                if n.x.path.startswith(xp) and n.y.path.startswith(yp):
-                    acc += v
-    return acc
 
 
 def tree_nodes_bfs(levels: int) -> list[NodeAddress]:
@@ -381,19 +406,18 @@ def audit_variant_fraction(variant: str, N: int, p: Scalar) -> VariantAudit:
 # The sups of II*g that only the tests read, each one sweep of
 # cxlab.lemmas._sup_iistar over its node list.
 
-def sup_iistar_refined(g: SparseFn, f: SparseFn) -> tuple[Scalar, Optional[Node]]:
+def sup_iistar_refined(g: SparseFn, f: SparseFn) -> tuple[Scalar, Optional[NodeAddress]]:
     """sup of II*g with the ancestor-walk refinement toward supp f.
 
     For every support node of g the deepest f-supported ancestor carries the
     same value of I(I*g 1_{supp f}), which the proof bounds by II*g there;
-    support points of g with no f-supported ancestor contribute zero.  On
-    the bi-tree this is the plain support sup of II*g.
+    support points of g with no f-supported ancestor contribute zero.
     """
     return lemmas._sup_iistar(g, lemmas._refined_nodes(g, f))[0]
 
 
-def sup_iistar_intersection(g: SparseFn, f: SparseFn) -> tuple[Scalar, Optional[Node]]:
-    """sup of II*g over supp g intersected with supp f (tree only); nodes
+def sup_iistar_intersection(g: SparseFn, f: SparseFn) -> tuple[Scalar, Optional[NodeAddress]]:
+    """sup of II*g over supp g intersected with supp f; nodes
     are visited in supp g order, so a tie keeps the first in that order."""
     return lemmas._sup_iistar(g, lemmas._intersection_nodes(g, f))[0]
 
@@ -546,7 +570,7 @@ def random_point_measure_stdlib(
     return PointMeasure.of(atoms)
 
 
-def rectangle_mass_fn_binode(m: PointMeasure, mode: str = EXACT) -> SparseFn:
+def rectangle_mass_fn_binode(m: PointMeasure, mode: str = EXACT) -> dict[BiNode, Scalar]:
     """hardy.rectangle_mass_fn, one BiNode per (atom, rectangle) and the
     masses added as they are."""
     out: dict[BiNode, Scalar] = {}
@@ -555,26 +579,27 @@ def rectangle_mass_fn_binode(m: PointMeasure, mode: str = EXACT) -> SparseFn:
             for y in node.y.ancestors():
                 q = BiNode(x, y)
                 out[q] = out.get(q, 0) + mass
-    return SparseFn.bitree(out, mode)
+    return {q: _coerce(v, mode) for q, v in out.items()}
 
 
 def random_special_form_measure_stdlib(
     rng: random.Random, levels_x: int, levels_y: int, max_atoms: int = 5,
-) -> SparseFn:
+) -> dict[BiNode, Scalar]:
     return rectangle_mass_fn_binode(
         random_point_measure_stdlib(rng, levels_x, levels_y, max_atoms))
 
 
-def special_form_g_fraction(m: SparseFn, beta: NodeAddress, pq: ExponentPair) -> SparseFn:
+def special_form_g_fraction(m: Mapping[BiNode, Scalar], beta: NodeAddress,
+                            pq: ExponentPair) -> SparseFn:
     """structure.special_form_g, each exact term a Fraction power."""
     e = pq.q - 1
     e_int = _as_int(e)
-    exact_ok = m.mode == EXACT and e_int is not None
+    picked = [(node, v) for node, v in m.items() if beta.path.startswith(node.y.path)]
+    exact_ok = e_int is not None and not any(isinstance(v, float) for _, v in picked)
     out: dict[NodeAddress, Scalar] = {}
-    for node, v in m.items():
-        if beta.path.startswith(node.y.path):
-            term = v ** e_int if exact_ok else float(v) ** float(e)
-            out[node.x] = out.get(node.x, 0) + term
+    for node, v in picked:
+        term = v ** e_int if exact_ok else float(v) ** float(e)
+        out[node.x] = out.get(node.x, 0) + term
     return SparseFn.tree(out, EXACT if exact_ok else FLOAT)
 
 
@@ -618,8 +643,6 @@ def random_increasing_fraction(
 
 def is_superadditive_nodes(g: SparseFn, d: TreeDomain) -> tuple[bool, Optional[NodeAddress]]:
     """structure.is_superadditive, reading g node by node."""
-    if g.kind != "tree":
-        raise ValueError("is_superadditive expects a tree function")
     parents: set[NodeAddress] = set()
     for node in g.support():
         d.require(node)
@@ -634,8 +657,6 @@ def is_superadditive_nodes(g: SparseFn, d: TreeDomain) -> tuple[bool, Optional[N
 
 def is_increasing_nodes(g: SparseFn, d: TreeDomain) -> tuple[bool, Optional[NodeAddress]]:
     """structure.is_increasing, reading g node by node."""
-    if g.kind != "tree":
-        raise ValueError("is_increasing expects a tree function")
     for node in sorted(g.support(), key=lambda n: (n.depth, n.path)):
         d.require(node)
         if node.depth == 0:

@@ -25,9 +25,8 @@ from cxlab.capacity import (
     report_d2,
 )
 from cxlab.experiments import run_verify_suite, suite_failures
-from cxlab.trees import binode
 
-from helpers import build_cex_p_less_2_functions, capacity_qp, random_family
+from helpers import binode, build_cex_p_less_2_functions, capacity_qp, random_family
 
 SEED = 20230917
 

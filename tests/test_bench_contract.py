@@ -7,6 +7,7 @@ read.  An output change that the checks would reject, or a binding the
 tracer needs that a change removed, then fails here first.
 """
 
+import functools
 import importlib.util
 import json
 import os
@@ -15,6 +16,7 @@ from pathlib import Path
 
 import pytest
 
+import cxlab
 from cxlab.capacity import _NO_SYMMETRY_MAX_FAMILY, ADMISSIBLE_N
 from cxlab.cli import main
 
@@ -77,3 +79,14 @@ def test_bench_selftest_in_process(monkeypatch):
     finally:
         os.sched_setaffinity(0, cpus)
     assert selftest.FAILURES == []
+
+
+def test_counted_layers_resolve(monkeypatch):
+    """Every layer whose calls the bench counts names a function or class of
+    cxlab, so a change that renames or removes one fails here rather than
+    leaving its count at 0."""
+    monkeypatch.setattr(sys, "path", [str(ROOT / "bench"), *sys.path])  # worker imports its siblings
+    worker = _load("bench_worker", ROOT / "bench" / "worker.py")
+    assert worker._CALLS
+    for key in worker._CALLS:
+        assert callable(functools.reduce(getattr, key.split("."), cxlab)), key

@@ -5,8 +5,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from cxlab.trees import BiNode, BiTreeDomain, NodeAddress, ResourceError, binode
-from cxlab.hardy import PointMeasure, energy, eval_hardy_down, kernel, potential
+from cxlab.trees import BiNode, NodeAddress, ResourceError
+from cxlab.hardy import PointMeasure, energy, kernel, potential
 from cxlab.capacity import (
     ADMISSIBLE_N,
     _class_kernel,
@@ -24,8 +24,9 @@ from cxlab.capacity import (
 from cxlab import randgen
 
 from helpers import (
-    _reduced_matrix, atoms_fn, bitree_atoms, bitree_family, capacity_qp, kernel_block,
-    member_kernel, perturb_closed_form, random_family, rho_full, solve_qp, symmetry_classes,
+    _reduced_matrix, atoms_fn, binode, bitree_atoms, bitree_family, bitree_nodes, capacity_qp,
+    eval_hardy_down, kernel_block, member_kernel, perturb_closed_form, random_family, rho_full,
+    solve_qp, symmetry_classes,
 )
 
 
@@ -39,7 +40,7 @@ class TestBuildInstance:
     def test_norm_and_containment(self, n):
         inst = build_instance(n)
         nu, family = bitree_atoms(n), bitree_family(n)
-        assert nu.total_mass() == inst.delta
+        assert sum(mass for _, mass in nu.atoms) == inst.delta
         assert inst.delta * inst.n * inst.s == 1
         assert len(nu) == inst.count and len(family) == inst.family_size
         # every q_jk contains its corner omega_j
@@ -304,7 +305,7 @@ class TestEquilibrium:
         # the potential is exactly 1 on the family, and the family is the support
         assert all(potential(mu, q) == 1 for q in family)
         # cap = total mass = energy at equilibrium
-        assert eq.cap == mu.total_mass() == energy(mu)
+        assert eq.cap == sum(rho) == energy(mu)
 
     def test_primal_dual_identity(self):
         # sum over all rectangles of (I* mu)^2 equals the energy, exactly
@@ -314,7 +315,7 @@ class TestEquilibrium:
         nu = atoms_fn(mu)
         depth = inst.M + inst.n + 1
         total = sum(eval_hardy_down(nu, q) ** 2
-                    for q in BiTreeDomain(depth, depth).nodes())
+                    for q in bitree_nodes(depth, depth))
         assert total == energy(mu) == eq.cap
 
     def test_energy_psd(self):

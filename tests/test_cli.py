@@ -308,6 +308,9 @@ class TestRun:
         {"experiment": "capacity", "grid": {"n": [16], "no_symmetry": ["false"]}},
         {"experiment": "capacity", "grid": {"n": [16], "oracle": [1]}},
         {"experiment": "verify-phi", "grid": {"trials": [True]}},
+        # mode is checked in every cell, in the grid as at the top level
+        {"experiment": "verify-l1linf", "grid": {"mode": ["exact", "bogus"], "trials": [3]}},
+        {"experiment": "verify-l1linf", "grid": {"trials": [3]}, "mode": "bogus"},
     ])
     def test_malformed_config_rejected_before_any_cell(self, capsys, tmp_path,
                                                        monkeypatch, config):

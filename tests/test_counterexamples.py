@@ -6,7 +6,7 @@ from math import comb
 import pytest
 
 from cxlab.trees import NodeAddress, ResourceError, SparseFn, TreeDomain, _as_int, _pow
-from cxlab.hardy import eval_hardy_down, hardy_up_table
+from cxlab.hardy import hardy_up_table
 from cxlab.lemmas import scalar_repr, verify_new23
 from cxlab import counterexamples as cex
 from cxlab.counterexamples import (
@@ -26,6 +26,7 @@ from helpers import (
     audit_variant_fraction,
     build_cex_p_less_2_functions,
     doubling_g_fn,
+    eval_hardy_down,
     leftmost_path_fn,
     sum_gp_levels_fraction,
     sum_ifg_p_direct_fraction,

@@ -3,16 +3,12 @@ from fractions import Fraction
 
 import pytest
 
-from cxlab.trees import (
-    EXACT, FLOAT, BiTreeDomain, DomainError, NodeAddress, ROOT, SparseFn, TreeDomain, binode,
-)
+from cxlab.trees import EXACT, FLOAT, DomainError, NodeAddress, ROOT, SparseFn, TreeDomain
 from cxlab.hardy import (
     PointMeasure,
     _heap_values,
     _up_heap,
     energy,
-    eval_hardy_down,
-    eval_hardy_up,
     hardy_up_table,
     kernel,
     potential,
@@ -20,7 +16,10 @@ from cxlab.hardy import (
 )
 from cxlab import randgen
 
-from helpers import atoms_fn, build_cex_p_less_2_functions
+from helpers import (
+    atoms_fn, binode, bitree_nodes, build_cex_p_less_2_functions, eval_hardy_down,
+    eval_hardy_up,
+)
 
 
 def brute_hardy_up(f, a):
@@ -132,7 +131,7 @@ class TestHardyTree:
 
 class TestHardyBitree:
     def test_up_down_on_rectangles(self):
-        g = SparseFn.bitree({binode("", ""): 1, binode("0", "1"): 2, binode("01", "1"): 4})
+        g = {binode("", ""): 1, binode("0", "1"): 2, binode("01", "1"): 4}
         assert eval_hardy_up(g, binode("01", "11")) == 7
         assert eval_hardy_down(g, binode("0", "")) == 6
         assert eval_hardy_down(g, binode("0", "1")) == 6
@@ -146,7 +145,7 @@ class TestPotential:
     def test_kernel_counts_common_ancestors(self):
         a, b = binode("001", "01"), binode("000", "0110")
         count = 0
-        for q in BiTreeDomain(5, 6).nodes():
+        for q in bitree_nodes(5, 6):
             if q.contains(a) and q.contains(b):
                 count += 1
         assert kernel(a, b) == count == (2 + 1) * (2 + 1)
@@ -159,7 +158,7 @@ class TestPotential:
             a = binode(randgen.random_path(rng, 3), randgen.random_path(rng, 3))
             brute = sum(
                 eval_hardy_down(nu, q)
-                for q in BiTreeDomain(4, 4).nodes()
+                for q in bitree_nodes(4, 4)
                 if q.contains(a)
             )
             assert potential(m, a) == brute
@@ -183,8 +182,8 @@ class TestPotential:
             (binode("01", "1"), Fraction(1, 4)),
         ])
         r = rectangle_mass_fn(m)
-        assert r.get(binode("0", "1")) == Fraction(3, 4)
-        assert r.get(binode("", "")) == Fraction(3, 4)
-        assert r.get(binode("00", "1")) == Fraction(1, 2)
-        assert r.get(binode("1", "")) == 0
+        assert r[binode("0", "1")] == Fraction(3, 4)
+        assert r[binode("", "")] == Fraction(3, 4)
+        assert r[binode("00", "1")] == Fraction(1, 2)
+        assert binode("1", "") not in r
 

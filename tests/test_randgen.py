@@ -24,7 +24,7 @@ from helpers import (
 
 def _entries(x):
     """A generator's output with the type of every value."""
-    if isinstance(x, SparseFn):
+    if isinstance(x, (SparseFn, dict)):
         return [(n, type(v), v) for n, v in x.items()]
     if isinstance(x, PointMeasure):
         return [(n, type(v), v) for n, v in x.atoms]
@@ -171,7 +171,7 @@ def test_special_form_matches_fraction_form(p):
     for m in _measures():
         for mode in (EXACT, FLOAT):
             r = rectangle_mass_fn_binode(m, mode)
-            for beta in dict.fromkeys(n.y for n in r.support()):
+            for beta in dict.fromkeys(n.y for n in r):
                 assert _entries(special_form_g(r, beta, pq)) == \
                     _entries(special_form_g_fraction(r, beta, pq))
 

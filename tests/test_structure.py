@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from cxlab.trees import FLOAT, NodeAddress, ROOT, SparseFn, TreeDomain
+from cxlab.trees import EXACT, FLOAT, NodeAddress, ROOT, SparseFn, TreeDomain
 from cxlab.structure import (
     FLOAT_REL_TOL,
     ExponentPair,
@@ -148,12 +148,6 @@ class TestPredicatesMatchNodeOracles:
         want = _outcome(oracle, g, d)
         assert _outcome(predicate, g, d) == want
 
-    def test_bitree_function_rejected(self, predicate, oracle):
-        m = SparseFn.bitree({BiNode(ROOT, ROOT): 1})
-        want = _outcome(oracle, m, TreeDomain(3))
-        assert want[0] is ValueError
-        assert _outcome(predicate, m, TreeDomain(3)) == want
-
 
 class TestSpecialForm:
     def test_single_atom_exact(self):
@@ -173,7 +167,7 @@ class TestSpecialForm:
         rng = random.Random(21)
         for _ in range(300):
             m = randgen.random_special_form_measure(rng, 6, 6)
-            beta = sorted((n.y for n in m.support()), key=str)[0]
+            beta = sorted((n.y for n in m), key=str)[0]
             g = special_form_g(m, beta, ExponentPair(2))
             ok, witness = check_power_superadditive(g, d, 2)
             assert ok, f"violated at {witness}"
@@ -184,7 +178,7 @@ class TestSpecialForm:
         pq = ExponentPair(3)
         for _ in range(100):
             m = randgen.random_special_form_measure(rng, 5, 5)
-            beta = sorted((n.y for n in m.support()), key=str)[0]
+            beta = sorted((n.y for n in m), key=str)[0]
             g = special_form_g(m, beta, pq)
             ok, witness = check_power_superadditive(g, d, 3)
             assert ok, f"violated at {witness}"
@@ -202,6 +196,16 @@ class TestSpecialForm:
         for n in (ROOT, NodeAddress("0"), NodeAddress("00")):
             assert g.get(n) == g.get(n.child(0)) + g.get(n.child(1))
 
-    def test_rejects_tree_function(self):
-        with pytest.raises(ValueError):
-            special_form_g(SparseFn.tree({ROOT: 1}), ROOT, ExponentPair(2))
+    def test_mode_follows_the_masses(self):
+        # exact masses give an exact g; float masses a float g, here the
+        # float of the exact one, since every sum of these masses is dyadic
+        m = randgen.random_point_measure(random.Random(23), 6, 6)
+        exact = rectangle_mass_fn(m)
+        beta = max((n.y for n in exact), key=lambda y: (y.depth, y.path))
+        g = special_form_g(exact, beta, ExponentPair(2))
+        g_float = special_form_g(rectangle_mass_fn(m, FLOAT), beta, ExponentPair(2))
+        assert len(m) > 1 and len(g) > 1
+        assert g.mode == EXACT and {type(v) for _, v in g.items()} == {Fraction}
+        assert g_float.mode == FLOAT
+        assert [(n, type(v), v) for n, v in g_float.items()] == \
+            [(n, float, float(v)) for n, v in g.items()]
