@@ -13,6 +13,7 @@ from cxlab.trees import (
     ROOT,
     SparseFn,
     TreeDomain,
+    format_node,
     heap_node,
     lcp_len,
     _path_values,
@@ -91,6 +92,16 @@ class TestBiNode:
     def test_str(self):
         assert str(binode("0110", "01")) == "x=0110/y=01"
         assert str(BIROOT) == "x=/y="
+
+    def test_literals_roundtrip(self):
+        # a tree node's report literal is its bit path and parses back
+        # through NodeAddress; a rectangle's joins its coordinates' literals
+        for n in bitree_nodes(3, 4):
+            x, y = format_node(n.x), format_node(n.y)
+            assert (NodeAddress(x), NodeAddress(y)) == (n.x, n.y)
+            assert str(n) == f"x={x}/y={y}"
+        assert format_node(NodeAddress("0110")) == "0110"
+        assert format_node(ROOT) == ""
 
 
 class TestTreeDomain:
