@@ -14,12 +14,9 @@ from .trees import (
 )
 from .hardy import (
     PointMeasure,
-    energy,
     kernel,
-    potential,
 )
 from .structure import (
-    ExponentPair,
     check_power_superadditive,
     is_increasing,
     is_superadditive,

@@ -1,9 +1,9 @@
 """Command-line front end.
 
 Exit status encodes the expected outcome of each command (0 = everything
-behaved as the theory predicts, 1 = an unexpected result, 2 = usage error,
-3 = a resource bound was exceeded), so a full reproduction run can be a
-single scripted invocation.
+behaved as the theory predicts, 1 = an unexpected result, 2 = usage error
+or an output that cannot be written, 3 = a resource bound was exceeded),
+so a full reproduction run can be a single scripted invocation.
 """
 
 from __future__ import annotations
@@ -29,11 +29,8 @@ EXIT_RESOURCE = 3
 
 def _json_default(v):
     r = scalar_repr(v)
-    if r is v:  # not a scalar the report layer knows; try plain casts
-        try:
-            return float(v)
-        except (TypeError, ValueError):
-            return str(v)
+    if r is v:  # not a scalar the report layer knows
+        raise TypeError(f"Object of type {type(v).__name__} is not JSON serializable")
     return r
 
 
@@ -211,7 +208,7 @@ def main(argv=None) -> int:
     except PreconditionError as exc:
         print(f"precondition violated: {exc}", file=sys.stderr)
         return EXIT_UNEXPECTED
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:  # OSError: an output path cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

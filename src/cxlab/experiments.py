@@ -26,7 +26,7 @@ from operator import attrgetter
 from typing import Callable
 
 from .trees import EXACT, FLOAT, ResourceError, Scalar, SparseFn, TreeDomain, heap_node
-from .structure import ExponentPair, special_form_g
+from .structure import special_form_g
 from .hardy import _heap_values, _up_heap
 from .lemmas import (
     LemmaReport,
@@ -103,10 +103,10 @@ def _phi_instance(rng, d, mode):
         v = randgen.dyadic(rng)
         if v > 0:
             entries[heap_node(k)] = v
-    f = SparseFn.tree(entries, mode)
+    f = SparseFn(entries, mode)
     weights = _QUARTERS if mode == EXACT else _QUARTERS_FLOAT
-    w = SparseFn.tree({n: weights[quarters[d.heap_index(n) - 1]]
-                       for n in itertools.chain(g.support(), f.support())}, mode)
+    w = SparseFn({n: weights[quarters[d.heap_index(n) - 1]]
+                  for n in itertools.chain(g.support(), f.support())}, mode)
     return w, g, f, lam, delta, (up, den)
 
 
@@ -139,7 +139,7 @@ def _trial_gest(rng, d, mode, seed) -> LemmaReport:
     levels = min(d.levels, 6)
     m = randgen.random_special_form_measure(rng, levels, levels)
     beta = _pick(rng, (n.y for n in m))
-    g = special_form_g(m, beta, ExponentPair(2))
+    g = special_form_g(m, beta, 2)
     if mode != EXACT:
         g = g.to_float()
     gamma = _pick(rng, g.support())

@@ -10,12 +10,12 @@ whole enumerated tree _up_heap gives If at every node of a list in heap
 order (node (depth, bits) at (1 << depth) | bits), one add per node.  Every
 sweep runs on the values trees._path_values gives: int numerators over one
 denominator in exact mode, so a Fraction is built only for a value handed
-out, and the floats themselves in float mode.  On the bi-tree, the
-potential and energy of an atomic measure are evaluated through the
-common-ancestor kernel (lcp_x + 1)(lcp_y + 1), never by materializing
-ancestor sets, so instances with coordinate depths in the hundreds stay
-cheap, and rectangle_mass_fn gives the rectangle masses that the
-special-form construction reads.
+out, and the floats themselves in float mode.  On the bi-tree, kernel
+counts the common ancestors of two rectangles as (lcp_x + 1)(lcp_y + 1),
+never by materializing ancestor sets, so instances with coordinate depths
+in the hundreds stay cheap; it is the kernel of the capacity's energy.
+rectangle_mass_fn gives the rectangle masses of an atomic measure that
+the special-form construction reads.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ from .trees import (
     SparseFn,
     TreeDomain,
     lcp_len,
-    _coerce,
     _path_values,
 )
 
@@ -55,9 +54,6 @@ class PointMeasure:
     @classmethod
     def of(cls, atoms: Iterable[tuple[BiNode, Scalar]]) -> "PointMeasure":
         return cls(tuple(atoms))
-
-    def __len__(self) -> int:
-        return len(self.atoms)
 
 
 def _up_paths(values: dict[str, Scalar], paths: Iterable[str],
@@ -139,60 +135,29 @@ def _iistar_paths(g: SparseFn, paths: Iterable[str]) -> tuple[dict[str, Scalar],
     return _up_paths(_down_paths(values, zero), paths, zero), den
 
 
-def potential(m: PointMeasure, a: BiNode) -> Scalar:
-    """II*m(a), through the common-ancestor kernel.
-
-    Equals the sum of I*m over all rectangles containing a: each atom is
-    counted once per common ancestor in each coordinate.
-    """
-    acc = 0
-    ax, ay = a.x.path, a.y.path
-    for node, mass in m.atoms:
-        acc += mass * (lcp_len(ax, node.x.path) + 1) * (lcp_len(ay, node.y.path) + 1)
-    return acc
-
-
-def energy(m: PointMeasure) -> Scalar:
-    """E(m) = sum over atom pairs of mass_a mass_b (lcp_x+1)(lcp_y+1)."""
-    acc = 0
-    atoms = m.atoms
-    for i, (a, ma) in enumerate(atoms):
-        # diagonal term
-        acc += ma * ma * (a.x.depth + 1) * (a.y.depth + 1)
-        for b, mb in atoms[i + 1:]:
-            k = (lcp_len(a.x.path, b.x.path) + 1) * (lcp_len(a.y.path, b.y.path) + 1)
-            acc += 2 * ma * mb * k
-    return acc
-
-
 def kernel(a: BiNode, b: BiNode) -> int:
     """Number of common ancestors of two bi-tree nodes (rectangle count)."""
     return (lcp_len(a.x.path, b.x.path) + 1) * (lcp_len(a.y.path, b.y.path) + 1)
 
 
-def rectangle_mass_fn(m: PointMeasure, mode: str = EXACT) -> dict[BiNode, Scalar]:
-    """The rectangle-mass function R(q) = m({atoms inside q}), keyed in atom
-    order.
+def rectangle_mass_fn(m: PointMeasure) -> dict[BiNode, Fraction]:
+    """The rectangle-mass function R(q) = m({atoms inside q}) of a measure
+    with exact masses, keyed in atom order.
 
     Supported on the (finite) set of rectangles that contain at least one
     atom and have both coordinates among atom-path prefixes; this is the
     measure-theoretic reading of "m(gamma x beta')" used by the special-form
-    construction.  The masses are added on (x path, y path) keys, as int
-    numerators over the lcm of their denominators when every mass is exact,
-    and as the masses themselves, in atom order, when one is a float.  Each
-    sum is handed out as a Fraction in exact mode and as a float in float
-    mode.
+    construction.  The masses are added on (x path, y path) keys as int
+    numerators over the lcm of their denominators, and each sum is handed
+    out as a Fraction.
     """
     atoms = m.atoms
-    den = None
-    if not any(isinstance(mass, float) for _, mass in atoms):
-        den = 1
-        for _, mass in atoms:
-            den = math.lcm(den, mass.denominator)
-    sums: dict[tuple[str, str], Scalar] = {}
+    den = 1
+    for _, mass in atoms:
+        den = math.lcm(den, mass.denominator)
+    sums: dict[tuple[str, str], int] = {}
     for node, mass in atoms:
-        if den is not None:
-            mass = mass.numerator * (den // mass.denominator)
+        mass = mass.numerator * (den // mass.denominator)
         xp, yp = node.x.path, node.y.path
         ys = [yp[:j] for j in range(len(yp) + 1)]
         for i in range(len(xp) + 1):
@@ -200,14 +165,5 @@ def rectangle_mass_fn(m: PointMeasure, mode: str = EXACT) -> dict[BiNode, Scalar
             for y in ys:
                 sums[x, y] = sums.get((x, y), 0) + mass
     addr = {path: NodeAddress(path) for path in {path for key in sums for path in key}}
-    out = {}
-    for (x, y), v in sums.items():
-        if den is None:
-            v = _coerce(v, mode)
-        elif mode == EXACT:
-            v = Fraction(v, den)
-        else:
-            v = v / den
-        out[BiNode(addr[x], addr[y])] = v
-    return out
+    return {BiNode(addr[x], addr[y]): Fraction(v, den) for (x, y), v in sums.items()}
 

@@ -102,15 +102,6 @@ def max_hardy_up_on(f: SparseFn, nodes) -> Scalar:
     return max(table.values())
 
 
-def max_hardy_up_tree(f: SparseFn) -> Scalar:
-    """max of If over the whole tree.
-
-    If is constant below the deepest supported ancestor, so the max over the
-    tree equals the max over supp f plus the root.
-    """
-    return max_hardy_up_on(f, list(f.support()) + [NodeAddress("")])
-
-
 def _sup_iistar(g: SparseFn, *node_lists) -> list[tuple[Scalar, Optional[NodeAddress]]]:
     """For each given collection of nodes, the max of II*g over it and the
     first node attaining it; (0, None) for an empty collection.
@@ -178,7 +169,12 @@ def verify_supadditive_l1linf(
 def verify_I2_positive(
     f: SparseFn, g: SparseFn, d: TreeDomain, seed: Optional[int] = None,
 ) -> LemmaReport:
-    """sum (If)^2 g <= (refined sup of II*g) * sum f^2; unconditional."""
+    """sum (If)^2 g <= (refined sup of II*g) * sum f^2; unconditional.
+    A node of supp f or supp g outside d raises DomainError."""
+    max_depth = d.max_depth
+    for n in (*f.support(), *g.support()):
+        if len(n.path) > max_depth:
+            d.require(n)
     table = hardy_up_table(f, g.support())
     lhs = sum((table[n] ** 2 * v for n, v in g.items()), _zero(g.mode))
     (sup, arg), (coarse, _) = _sup_iistar(g, _refined_nodes(g, f), g.support())
@@ -280,7 +276,7 @@ def _phi_heap(w, g, f, lam, delta, d, iwg):
             val = inv_lam * (Fraction(up_wf[k], den_wf) if exact else up_wf[k]) * gv
             if val != 0:
                 phi_entries[node] = val
-    phi = SparseFn.tree(phi_entries, g.mode)
+    phi = SparseFn(phi_entries, g.mode)
 
     up_wphi, den_wphi = _heap_values(w.mul(phi), d)
     _up_heap(up_wphi)
@@ -319,7 +315,9 @@ def verify_inter(
     if p < 1:
         raise ValueError("p must be at least 1")
     delta = max_hardy_up_on(g, f.support())
-    lam = max_hardy_up_tree(g)
+    # Ig is constant below the deepest supported ancestor, so its max over
+    # the tree is its max over supp g and the root
+    lam = max_hardy_up_on(g, g.support() + [NodeAddress("")])
     sum_fp = sum((_pow(v, p) for _, v in f.items()), _zero(f.mode))
     if sum_fp == 0:
         return LemmaReport(
@@ -393,11 +391,11 @@ def verify_new23(
 
 def verify_gest(
     g: SparseFn, gamma: NodeAddress, p: Scalar, d: TreeDomain,
-    seed: Optional[int] = None, enforce_precondition: bool = True,
+    seed: Optional[int] = None,
 ) -> LemmaReport:
     """sum_{alpha <= gamma} g^p <= lambda g^(p-1)(gamma), lambda = max Ig on supp g."""
     pre_ok, pre_witness = check_power_superadditive(g, d, p)
-    if enforce_precondition and not pre_ok:
+    if not pre_ok:
         raise PreconditionError("g^(p-1) is not superadditive", pre_witness)
     lam = max_hardy_up_on(g, g.support())
     lhs = sum((_pow(v, p) for n, v in g.items() if gamma.contains(n)), _zero(g.mode))

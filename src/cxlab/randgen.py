@@ -52,12 +52,6 @@ def dyadic(rng: random.Random, den: int = 16, lo: int = 0, hi: int = 16) -> Frac
     return Fraction(lo + _below(rng.getrandbits, hi - lo + 1), den)
 
 
-def random_path(rng: random.Random, max_depth: int) -> str:
-    """A depth drawn as randint(0, max_depth), then that many choice("01") bits."""
-    bits = rng.getrandbits
-    return _random_bits(bits, _below(bits, max_depth + 1))
-
-
 def _entry(num: int, den: int, mode: str) -> Scalar:
     """num/den as the mode's scalar; an int quotient is correctly rounded, so
     a float equals the float of the Fraction."""
@@ -86,7 +80,7 @@ def random_superadditive(
             for bit, v in (("0", left), ("1", right)):
                 if v > 0:
                     frontier.append((path + bit, v))
-    return SparseFn.tree(entries, mode)
+    return SparseFn(entries, mode)
 
 
 def random_increasing(
@@ -108,15 +102,16 @@ def random_increasing(
                 v = num * _below(bits, 17)
                 if v > 0 and rand() < 0.8:
                     frontier.append((path + bit, v))
-    return SparseFn.tree(entries, mode)
+    return SparseFn(entries, mode)
 
 
 def random_sparse(
     rng: random.Random, d: TreeDomain, max_support: int = 12, mode: str = EXACT,
 ) -> SparseFn:
     """Up to max_support values drawn as dyadic draws them, each nonzero one
-    at a path drawn as random_path draws it; a repeated path keeps its
-    first place and its last value."""
+    at a path of depth drawn as randint(0, max_depth) and then that many
+    choice("01") bits; a repeated path keeps its first place and its last
+    value."""
     bits = rng.getrandbits
     depths = d.max_depth + 1
     entries: dict[NodeAddress, Scalar] = {}
@@ -125,7 +120,7 @@ def random_sparse(
         if num:
             path = _random_bits(bits, _below(bits, depths))
             entries[NodeAddress(path)] = _entry(num, 16, mode)
-    return SparseFn.tree(entries, mode)
+    return SparseFn(entries, mode)
 
 
 def random_quarters(rng: random.Random, count: int) -> list[int]:

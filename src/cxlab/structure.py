@@ -12,7 +12,6 @@ nodes to values, and builds a function on the tree.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional
 
@@ -29,24 +28,6 @@ from .trees import (
 )
 
 FLOAT_REL_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class ExponentPair:
-    """An exponent p > 1 together with its Holder conjugate q = p/(p-1)."""
-
-    p: Scalar
-
-    def __post_init__(self):
-        if self.p <= 1:
-            raise ValueError(f"p must exceed 1, got {self.p}")
-
-    @property
-    def q(self) -> Scalar:
-        p = self.p
-        if isinstance(p, (int, Fraction)):
-            return Fraction(p) / (Fraction(p) - 1)
-        return p / (p - 1.0)
 
 
 def _tol_for(g: SparseFn, scale: Scalar) -> Scalar:
@@ -90,9 +71,9 @@ def is_increasing(g: SparseFn, d: TreeDomain) -> tuple[bool, Optional[NodeAddres
     return True, None
 
 
-def special_form_g(m: Mapping[BiNode, Scalar], beta: NodeAddress,
-                   pq: ExponentPair) -> SparseFn:
-    """The special-form function g(gamma) = sum_{beta' >= beta} m(gamma x beta')^(q-1).
+def special_form_g(m: Mapping[BiNode, Scalar], beta: NodeAddress, p: Scalar) -> SparseFn:
+    """The special-form function g(gamma) = sum_{beta' >= beta} m(gamma x beta')^(q-1),
+    q = p/(p-1) the Holder conjugate of p > 1.
 
     m maps rectangles to values; feeding it the rectangle masses of an
     atomic measure (hardy.rectangle_mass_fn) reproduces the measure
@@ -100,7 +81,11 @@ def special_form_g(m: Mapping[BiNode, Scalar], beta: NodeAddress,
     exact when q - 1 is integral and no value of m that it reads is a
     float, and a float function otherwise.
     """
-    e = pq.q - 1
+    if p <= 1:
+        raise ValueError(f"p must exceed 1, got {p}")
+    # q is a Fraction for an int or Fraction p, so p = 2 gives q - 1 = 1
+    q = Fraction(p) / (Fraction(p) - 1) if isinstance(p, (int, Fraction)) else p / (p - 1.0)
+    e = q - 1
     e_int = _as_int(e)
     beta_path = beta.path
     # beta' = node.y contains beta
@@ -114,10 +99,10 @@ def special_form_g(m: Mapping[BiNode, Scalar], beta: NodeAddress,
         for x, v in picked:
             out[x] = out.get(x, 0) + (v.numerator * (den // v.denominator)) ** e_int
         den **= e_int
-        return SparseFn.tree({x: Fraction(s, den) for x, s in out.items()}, EXACT)
+        return SparseFn({x: Fraction(s, den) for x, s in out.items()}, EXACT)
     for x, v in picked:
         out[x] = out.get(x, 0) + float(v) ** float(e)
-    return SparseFn.tree(out, FLOAT)
+    return SparseFn(out, FLOAT)
 
 
 def check_power_superadditive(

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Union
+from typing import Iterable, Mapping, Union
 
 Scalar = Union[Fraction, float, int]
 
@@ -58,28 +58,9 @@ class NodeAddress:
     def depth(self) -> int:
         return len(self.path)
 
-    @property
-    def is_root(self) -> bool:
-        return self.path == ""
-
-    def parent(self) -> "NodeAddress":
-        if self.is_root:
-            raise DomainError("the root has no parent")
-        return NodeAddress(self.path[:-1])
-
-    def child(self, bit: int) -> "NodeAddress":
-        return NodeAddress(self.path + ("1" if bit else "0"))
-
-    def ancestors(self) -> list["NodeAddress"]:
-        """All prefixes of the path in increasing depth, root first, self last."""
-        return [NodeAddress(self.path[:i]) for i in range(len(self.path) + 1)]
-
     def contains(self, other: "NodeAddress") -> bool:
-        """True iff self is an ancestor of other (inclusive); other <= self."""
+        """True iff self is an ancestor of other (inclusive)."""
         return other.path.startswith(self.path)
-
-    def __le__(self, other: "NodeAddress") -> bool:
-        return other.contains(self)
 
     def __hash__(self) -> int:
         # the path's own hash, not the generated hash of the tuple (path,)
@@ -116,16 +97,6 @@ class BiNode:
 
     x: NodeAddress
     y: NodeAddress
-
-    def contains(self, other: "BiNode") -> bool:
-        return self.x.contains(other.x) and self.y.contains(other.y)
-
-    def __le__(self, other: "BiNode") -> bool:
-        return other.contains(self)
-
-    @property
-    def depths(self) -> tuple[int, int]:
-        return (self.x.depth, self.y.depth)
 
     def __str__(self) -> str:
         return f"x={self.x.path}/y={self.y.path}"
@@ -167,40 +138,18 @@ class TreeDomain:
         if a not in self:
             raise DomainError(f"node at depth {a.depth} outside {self.levels}-level tree")
 
-    def children(self, a: NodeAddress) -> list[NodeAddress]:
-        """Both children of a, or the empty list if a is a leaf."""
-        self.require(a)
-        if a.depth == self.max_depth:
-            return []
-        return [a.child(0), a.child(1)]
-
     def require_enumerable(self) -> None:
         """Raise ResourceError above 20 levels, where no function is taken at
-        every node: the bound of nodes() and of every heap-ordered sweep."""
+        every node: the bound of every heap-ordered sweep."""
         if self.levels > 20:
             raise ResourceError(f"refusing to enumerate 2^{self.levels}-1 nodes")
 
-    def nodes(self) -> Iterator[NodeAddress]:
-        """All nodes in breadth-first (heap) order, generated afresh on each
-        call; ResourceError on the call above 20 levels."""
-        self.require_enumerable()
-        return map(heap_node, range(1, 1 << self.levels))
-
     def heap_index(self, a: NodeAddress) -> int:
-        """a's position in heap order, (1 << depth) | bits with the root at 1.
-
-        nodes() lists position k at index k - 1, so a list of 2^levels
-        entries holds a function on the domain with entry 0 unused.
-        """
+        """a's position in heap order, (1 << depth) | bits with the root at 1,
+        so a list of 2^levels entries holds a function on the domain with
+        entry 0 unused; heap_node is the inverse."""
         self.require(a)
         return int("1" + a.path, 2)
-
-
-def _coerce(value: Scalar, mode: str) -> Scalar:
-    if mode == EXACT:
-        # a Fraction is immutable, so one that is already exact is kept as is
-        return value if type(value) is Fraction else Fraction(value)
-    return float(value)
 
 
 class SparseFn:
@@ -226,7 +175,7 @@ class SparseFn:
         values = self._values
         for node, v in entries.items():
             if type(node) is not NodeAddress:
-                self._check_node(node)
+                raise DomainError(f"{type(node).__name__} is not a tree node")
             if exact:
                 if type(v) is not Fraction:
                     v = Fraction(v)
@@ -240,18 +189,6 @@ class SparseFn:
             if sign:
                 values[node] = v
 
-    def _check_node(self, node: NodeAddress) -> None:
-        if not isinstance(node, NodeAddress):
-            raise DomainError(f"{type(node).__name__} is not a tree node")
-
-    @classmethod
-    def tree(cls, entries: Mapping[NodeAddress, Scalar], mode: str = EXACT) -> "SparseFn":
-        return cls(entries, mode)
-
-    def __call__(self, node: NodeAddress) -> Scalar:
-        self._check_node(node)
-        return self._values.get(node, _zero(self.mode))
-
     def get(self, node: NodeAddress) -> Scalar:
         return self._values.get(node, _zero(self.mode))
 
@@ -263,16 +200,6 @@ class SparseFn:
 
     def __len__(self) -> int:
         return len(self._values)
-
-    def __bool__(self) -> bool:
-        return bool(self._values)
-
-    def total(self) -> Scalar:
-        return sum(self._values.values(), _zero(self.mode))
-
-    def scale(self, t: Scalar) -> "SparseFn":
-        t = _coerce(t, self.mode)
-        return SparseFn({n: v * t for n, v in self._values.items()}, self.mode)
 
     def mul(self, other: "SparseFn") -> "SparseFn":
         """Pointwise product; support is the intersection of supports."""

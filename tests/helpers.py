@@ -13,11 +13,10 @@ import numpy as np
 from cxlab import capacity, lemmas
 from cxlab.counterexamples import AuditStep, VariantAudit, _half_pow
 from cxlab.hardy import PointMeasure, _down_paths, _up_paths, hardy_up_table, kernel
-from cxlab.randgen import random_path
-from cxlab.structure import ExponentPair, _tol_for
+from cxlab.structure import _tol_for
 from cxlab.trees import (
     EXACT, FLOAT, BiNode, DomainError, NodeAddress, PreconditionError, ResourceError, Scalar,
-    SparseFn, TreeDomain, _as_int, _coerce, _pow, _zero,
+    SparseFn, TreeDomain, _as_int, _pow, _zero, lcp_len,
 )
 
 _MATERIALIZE_LEVELS = 12
@@ -27,13 +26,62 @@ def binode(x_path: str, y_path: str) -> BiNode:
     return BiNode(NodeAddress(x_path), NodeAddress(y_path))
 
 
+def tree_nodes_bfs(levels: int) -> list[NodeAddress]:
+    """Every node of the levels-level tree, depth by depth, each depth in
+    the order of its paths read as binary numbers: heap order."""
+    return [NodeAddress(format(i, f"0{k}b") if k else "")
+            for k in range(levels) for i in range(2 ** k)]
+
+
 def bitree_nodes(levels_x: int, levels_y: int) -> Iterator[BiNode]:
     """Every rectangle of the product of a levels_x-level and a
     levels_y-level tree, x-major, each coordinate in heap order."""
-    ys = list(TreeDomain(levels_y).nodes())
-    for x in TreeDomain(levels_x).nodes():
+    ys = tree_nodes_bfs(levels_y)
+    for x in tree_nodes_bfs(levels_x):
         for y in ys:
             yield BiNode(x, y)
+
+
+def ancestors(a: NodeAddress) -> list[NodeAddress]:
+    """All prefixes of a's path in increasing depth, root first, a last."""
+    return [NodeAddress(a.path[:i]) for i in range(a.depth + 1)]
+
+
+def rect_contains(q: BiNode, a: BiNode) -> bool:
+    """True iff rectangle q contains a: q's coordinates are ancestors of
+    a's (inclusive)."""
+    return q.x.contains(a.x) and q.y.contains(a.y)
+
+
+def scale(f: SparseFn, t: Scalar) -> SparseFn:
+    """t f, in f's mode."""
+    return SparseFn({n: v * t for n, v in f.items()}, f.mode)
+
+
+def potential(m: PointMeasure, a: BiNode) -> Scalar:
+    """II*m(a), through the common-ancestor kernel.
+
+    Equals the sum of I*m over all rectangles containing a: each atom is
+    counted once per common ancestor in each coordinate.
+    """
+    acc = 0
+    ax, ay = a.x.path, a.y.path
+    for node, mass in m.atoms:
+        acc += mass * (lcp_len(ax, node.x.path) + 1) * (lcp_len(ay, node.y.path) + 1)
+    return acc
+
+
+def energy(m: PointMeasure) -> Scalar:
+    """E(m) = sum over atom pairs of mass_a mass_b (lcp_x+1)(lcp_y+1)."""
+    acc = 0
+    atoms = m.atoms
+    for i, (a, ma) in enumerate(atoms):
+        # diagonal term
+        acc += ma * ma * (a.x.depth + 1) * (a.y.depth + 1)
+        for b, mb in atoms[i + 1:]:
+            k = (lcp_len(a.x.path, b.x.path) + 1) * (lcp_len(a.y.path, b.y.path) + 1)
+            acc += 2 * ma * mb * k
+    return acc
 
 
 def atoms_fn(m: PointMeasure) -> dict[BiNode, Scalar]:
@@ -44,9 +92,9 @@ def atoms_fn(m: PointMeasure) -> dict[BiNode, Scalar]:
     return out
 
 
-# The support-scan references for I and I*, generic over the nodes'
-# .contains: a tree SparseFn is read at tree nodes, a mapping from bi-tree
-# nodes to values at bi-tree nodes.
+# The support-scan references for I and I*, generic over the node kind: a
+# tree SparseFn is read at tree nodes, a mapping from bi-tree nodes to
+# values at bi-tree nodes.
 
 Fn = Union[SparseFn, Mapping[BiNode, Scalar]]
 
@@ -58,7 +106,7 @@ def _check_same_domain(f: Fn, a) -> None:
 
 
 def _is_ancestor(node, of) -> bool:
-    return node.contains(of)
+    return rect_contains(node, of) if isinstance(node, BiNode) else node.contains(of)
 
 
 def _start(f: Fn) -> Scalar:
@@ -90,17 +138,10 @@ def random_family(rng: random.Random, max_members: int = 6, max_depth: int = 3) 
     members = []
     for _ in range(rng.randint(1, max_members)):
         members.append(BiNode(
-            NodeAddress(random_path(rng, max_depth)),
-            NodeAddress(random_path(rng, max_depth)),
+            NodeAddress(random_path_stdlib(rng, max_depth)),
+            NodeAddress(random_path_stdlib(rng, max_depth)),
         ))
     return members
-
-
-def tree_nodes_bfs(levels: int) -> list[NodeAddress]:
-    """Every node of the levels-level tree, depth by depth, each depth in
-    the order of its paths read as binary numbers."""
-    return [NodeAddress(format(i, f"0{k}b") if k else "")
-            for k in range(levels) for i in range(2 ** k)]
 
 
 # The capacity family F_n built rectangle by rectangle from its definition:
@@ -267,7 +308,7 @@ def build_cex_p_less_2_functions(k: int) -> tuple[TreeDomain, SparseFn, SparseFn
             node = NodeAddress(path + "0" * t)
             g_entries[node] = _half_pow(k)
             f_entries[node] = _half_pow(k + t)
-    return d, SparseFn.tree(f_entries), SparseFn.tree(g_entries)
+    return d, SparseFn(f_entries), SparseFn(g_entries)
 
 
 def doubling_g_fn(N: int) -> SparseFn:
@@ -280,12 +321,12 @@ def doubling_g_fn(N: int) -> SparseFn:
         for path in frontier:
             entries[NodeAddress(path)] = _half_pow(path.count("0"))
         frontier = [p + b for p in frontier for b in "01"]
-    return SparseFn.tree(entries)
+    return SparseFn(entries)
 
 
 def leftmost_path_fn(N: int) -> SparseFn:
     """f = 1 on the leftmost root-to-leaf path."""
-    return SparseFn.tree({NodeAddress("0" * i): Fraction(1) for i in range(N)})
+    return SparseFn({NodeAddress("0" * i): Fraction(1) for i in range(N)})
 
 
 # The counterexample sums in plain Fraction arithmetic, one rational step at
@@ -435,7 +476,7 @@ def phi_instance_dict(rng: random.Random, d: TreeDomain, mode: str = EXACT):
     them through the stdlib, with w on every node of d and I(wg) swept over
     a NodeAddress dict and ranked as scalars."""
     g = random_superadditive_fraction(rng, d, mode=mode)
-    nodes = list(d.nodes())
+    nodes = tree_nodes_bfs(d.levels)
     w = random_quarter_weight(rng, nodes, mode)[0]
     iwg = hardy_up_table(w.mul(g), nodes)
     delta = sorted(iwg.values())[len(iwg) * 2 // 5]
@@ -445,7 +486,7 @@ def phi_instance_dict(rng: random.Random, d: TreeDomain, mode: str = EXACT):
         v = dyadic_stdlib(rng)
         if v > 0:
             entries[n] = v
-    return w, g, SparseFn.tree(entries, mode), 4 * delta, delta
+    return w, g, SparseFn(entries, mode), 4 * delta, delta
 
 
 def build_phi_dict(
@@ -453,14 +494,14 @@ def build_phi_dict(
     d: TreeDomain, seed=None,
 ):
     """build_phi with every I a hardy_up_table dict and check (a) a walk
-    over d.nodes()."""
+    over every node of d."""
     ok, witness = is_superadditive_nodes(g, d)
     if not ok:
         raise PreconditionError("g is not superadditive", witness)
     if lam < 4 * delta:
         raise PreconditionError(f"lambda >= 4*delta required (lambda={lam}, delta={delta})")
     wf = w.mul(f)
-    check_nodes = list(d.nodes())
+    check_nodes = tree_nodes_bfs(d.levels)
     iwg = hardy_up_table(w.mul(g), set(check_nodes) | set(f.support()) | set(g.support()))
     for node in f.support():
         if iwg[node] > delta:
@@ -475,7 +516,7 @@ def build_phi_dict(
             val = inv_lam * iwf[node] * gv
             if val != 0:
                 phi_entries[node] = val
-    phi = SparseFn.tree(phi_entries, g.mode)
+    phi = SparseFn(phi_entries, g.mode)
 
     iwphi = hardy_up_table(w.mul(phi), check_nodes)
     lower = lemmas.PHI_LOWER_CONST  # read at call time, so a test may patch it
@@ -540,7 +581,7 @@ def random_sparse_stdlib(
         v = dyadic_stdlib(rng)
         if v > 0:
             entries[NodeAddress(random_path_stdlib(rng, d.max_depth))] = v
-    return SparseFn.tree(entries, mode)
+    return SparseFn(entries, mode)
 
 
 def random_quarters_stdlib(rng: random.Random, count: int) -> list[int]:
@@ -553,7 +594,7 @@ def random_quarter_weight(
     """A weight in {1/4 .. 4} on a sequence of nodes (dyadic steps), and
     its numerators over 4 in node order: one randint(1, 16) per node."""
     numerators = random_quarters_stdlib(rng, len(nodes))
-    w = SparseFn.tree({n: Fraction(k, 4) for n, k in zip(nodes, numerators)}, mode)
+    w = SparseFn({n: Fraction(k, 4) for n, k in zip(nodes, numerators)}, mode)
     return w, numerators
 
 
@@ -570,16 +611,16 @@ def random_point_measure_stdlib(
     return PointMeasure.of(atoms)
 
 
-def rectangle_mass_fn_binode(m: PointMeasure, mode: str = EXACT) -> dict[BiNode, Scalar]:
+def rectangle_mass_fn_binode(m: PointMeasure) -> dict[BiNode, Fraction]:
     """hardy.rectangle_mass_fn, one BiNode per (atom, rectangle) and the
-    masses added as they are."""
-    out: dict[BiNode, Scalar] = {}
+    masses added as Fractions."""
+    out: dict[BiNode, Fraction] = {}
     for node, mass in m.atoms:
-        for x in node.x.ancestors():
-            for y in node.y.ancestors():
+        for x in ancestors(node.x):
+            for y in ancestors(node.y):
                 q = BiNode(x, y)
                 out[q] = out.get(q, 0) + mass
-    return {q: _coerce(v, mode) for q, v in out.items()}
+    return {q: Fraction(v) for q, v in out.items()}
 
 
 def random_special_form_measure_stdlib(
@@ -590,9 +631,10 @@ def random_special_form_measure_stdlib(
 
 
 def special_form_g_fraction(m: Mapping[BiNode, Scalar], beta: NodeAddress,
-                            pq: ExponentPair) -> SparseFn:
+                            p: Scalar) -> SparseFn:
     """structure.special_form_g, each exact term a Fraction power."""
-    e = pq.q - 1
+    # q - 1 = 1/(p - 1) for q = p/(p - 1); the float form as the construction rounds it
+    e = 1 / (Fraction(p) - 1) if isinstance(p, (int, Fraction)) else p / (p - 1.0) - 1
     e_int = _as_int(e)
     picked = [(node, v) for node, v in m.items() if beta.path.startswith(node.y.path)]
     exact_ok = e_int is not None and not any(isinstance(v, float) for _, v in picked)
@@ -600,7 +642,7 @@ def special_form_g_fraction(m: Mapping[BiNode, Scalar], beta: NodeAddress,
     for node, v in picked:
         term = v ** e_int if exact_ok else float(v) ** float(e)
         out[node.x] = out.get(node.x, 0) + term
-    return SparseFn.tree(out, EXACT if exact_ok else FLOAT)
+    return SparseFn(out, EXACT if exact_ok else FLOAT)
 
 
 
@@ -621,7 +663,7 @@ def random_superadditive_fraction(
             for bit, v in (("0", left), ("1", right)):
                 if v > 0:
                     frontier.append((path + bit, v))
-    return SparseFn.tree(entries, mode)
+    return SparseFn(entries, mode)
 
 
 def random_increasing_fraction(
@@ -638,7 +680,7 @@ def random_increasing_fraction(
                 v = value * dyadic_stdlib(rng)
                 if v > 0 and rng.random() < 0.8:
                     frontier.append((path + bit, v))
-    return SparseFn.tree(entries, mode)
+    return SparseFn(entries, mode)
 
 
 def is_superadditive_nodes(g: SparseFn, d: TreeDomain) -> tuple[bool, Optional[NodeAddress]]:
@@ -647,9 +689,9 @@ def is_superadditive_nodes(g: SparseFn, d: TreeDomain) -> tuple[bool, Optional[N
     for node in g.support():
         d.require(node)
         if node.depth > 0:
-            parents.add(node.parent())
+            parents.add(NodeAddress(node.path[:-1]))
     for beta in sorted(parents, key=lambda n: (n.depth, n.path)):
-        child_sum = g.get(beta.child(0)) + g.get(beta.child(1))
+        child_sum = g.get(NodeAddress(beta.path + "0")) + g.get(NodeAddress(beta.path + "1"))
         if g.get(beta) < child_sum - _tol_for(g, child_sum):
             return False, beta
     return True, None
@@ -662,7 +704,7 @@ def is_increasing_nodes(g: SparseFn, d: TreeDomain) -> tuple[bool, Optional[Node
         if node.depth == 0:
             continue
         v = g.get(node)
-        if g.get(node.parent()) < v - _tol_for(g, v):
+        if g.get(NodeAddress(node.path[:-1])) < v - _tol_for(g, v):
             return False, node
     return True, None
 
@@ -736,8 +778,8 @@ def search_new23_stdlib(p: Scalar, depth: int, budget: int, seed: int) -> lemmas
     gv = _random_increasing_paths(rng, depth, cap=12)
     fv = _random_f_paths(rng, depth, list(gv))
     d = TreeDomain(depth + 1)
-    g = SparseFn.tree({NodeAddress(k): v for k, v in gv.items()}, FLOAT)
-    f = SparseFn.tree({NodeAddress(k): v for k, v in fv.items()}, FLOAT)
+    g = SparseFn({NodeAddress(k): v for k, v in gv.items()}, FLOAT)
+    f = SparseFn({NodeAddress(k): v for k, v in fv.items()}, FLOAT)
     report = lemmas.verify_new23(f, g, float(p), d, seed=seed)
     report.name = "search_new23"
     report.params.update({"depth": depth, "budget": budget, "best_trial": best_trial,
@@ -748,7 +790,6 @@ def search_new23_stdlib(p: Scalar, depth: int, budget: int, seed: int) -> lemmas
 # cxlab.randgen's generators by name, as the stdlib draws them
 STDLIB_RANDGEN = {
     "dyadic": dyadic_stdlib,
-    "random_path": random_path_stdlib,
     "random_superadditive": random_superadditive_fraction,
     "random_increasing": random_increasing_fraction,
     "random_sparse": random_sparse_stdlib,

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from cxlab.trees import BiNode, NodeAddress, ResourceError
-from cxlab.hardy import PointMeasure, energy, kernel, potential
+from cxlab.hardy import PointMeasure, kernel
 from cxlab.capacity import (
     ADMISSIBLE_N,
     _class_kernel,
@@ -25,8 +25,8 @@ from cxlab import randgen
 
 from helpers import (
     _reduced_matrix, atoms_fn, binode, bitree_atoms, bitree_family, bitree_nodes, capacity_qp,
-    eval_hardy_down, kernel_block, member_kernel, perturb_closed_form, random_family, rho_full,
-    solve_qp, symmetry_classes,
+    energy, eval_hardy_down, kernel_block, member_kernel, perturb_closed_form, potential,
+    random_family, rect_contains, rho_full, solve_qp, symmetry_classes,
 )
 
 
@@ -42,18 +42,18 @@ class TestBuildInstance:
         nu, family = bitree_atoms(n), bitree_family(n)
         assert sum(mass for _, mass in nu.atoms) == inst.delta
         assert inst.delta * inst.n * inst.s == 1
-        assert len(nu) == inst.count and len(family) == inst.family_size
+        assert len(nu.atoms) == inst.count and len(family) == inst.family_size
         # every q_jk contains its corner omega_j
         for j, (omega, mass) in enumerate(nu.atoms):
             assert mass == inst.atom_mass
             for k in range(inst.s + 1):
                 q = family[j * (inst.s + 1) + k]
-                assert q.contains(omega)
+                assert rect_contains(q, omega)
 
     def test_n16_shape(self):
         inst = build_instance(16)
         assert inst.s == 4 and inst.M == 2
-        assert inst.count == 4 and len(bitree_atoms(16)) == 4
+        assert inst.count == 4 and len(bitree_atoms(16).atoms) == 4
         assert inst.atom_mass == Fraction(1, 256)
         assert inst.delta == Fraction(1, 64)
 

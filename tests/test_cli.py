@@ -7,9 +7,10 @@ from pathlib import Path
 
 import pytest
 
-from cxlab import capacity, randgen
+from cxlab import capacity, cli, randgen
 from cxlab import counterexamples as cex
 from cxlab.cli import main
+from cxlab.trees import NodeAddress
 from cxlab.experiments import EXPERIMENTS, run_cell
 
 from helpers import perturb_closed_form
@@ -136,6 +137,44 @@ class TestCex:
         code, out = run_cli(capsys, "cex", "direct", "--N", "5", "--out", str(path))
         assert code == 0
         assert path.read_text() == out
+
+
+class TestUnwritableOutput:
+    """An output path that cannot be written is a usage error (exit 2 with
+    an error line), not a traceback."""
+
+    def test_cex_out_in_a_missing_directory(self, capsys, tmp_path):
+        path = tmp_path / "missing" / "x.json"
+        assert main(["cex", "direct", "--N", "5", "--out", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "No such file or directory" in captured.err
+
+    def test_report_csv_in_a_missing_directory(self, capsys, tmp_path):
+        path = tmp_path / "missing" / "x.csv"
+        assert main(["report", "d2", "--n", "16", "--csv", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "No such file or directory" in err
+        assert not path.parent.exists()
+
+    def test_run_out_names_a_file(self, capsys, tmp_path):
+        taken = tmp_path / "taken"
+        taken.write_text("keep\n")
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"experiment": "verify-inter", "grid": {"trials": [2]},
+                                   "out": str(taken)}))
+        assert main(["run", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "File exists" in captured.err
+        assert taken.read_text() == "keep\n"
+
+
+def test_json_default_takes_only_report_scalars():
+    assert cli._dumps({"v": Fraction(1, 3)}) == '{\n  "v": "1/3"\n}\n'
+    for value in (object(), NodeAddress("01"), {1, 2}):
+        with pytest.raises(TypeError, match=type(value).__name__):
+            cli._dumps({"v": value})
 
 
 @pytest.mark.parametrize("name", [n for n in EXPERIMENTS if not n.startswith("verify-")])

@@ -23,6 +23,7 @@ from cxlab.counterexamples import (
 
 import helpers
 from helpers import (
+    ancestors,
     audit_variant_fraction,
     build_cex_p_less_2_functions,
     doubling_g_fn,
@@ -30,6 +31,7 @@ from helpers import (
     leftmost_path_fn,
     sum_gp_levels_fraction,
     sum_ifg_p_direct_fraction,
+    tree_nodes_bfs,
 )
 
 
@@ -200,14 +202,14 @@ class TestNew23Audit:
         audits = gen_cex_new23(N, p)
 
         # halving variant: g = 2^-k on the all-zeros path
-        g = SparseFn.tree({NodeAddress("0" * (k - 1)): Fraction(1, 2 ** k)
-                           for k in range(1, N + 1)})
+        g = SparseFn({NodeAddress("0" * (k - 1)): Fraction(1, 2 ** k)
+                      for k in range(1, N + 1)})
         f = leftmost_path_fn(N)
         table = hardy_up_table(f, g.support())
         L = sum(table[n] ** p * v for n, v in g.items())
         assert audits["halving"].total_ifp_g == L
         u_last = NodeAddress("0" * (N - 1))
-        brute_sup = sum(eval_hardy_down(g, a) for a in u_last.ancestors())
+        brute_sup = sum(eval_hardy_down(g, a) for a in ancestors(u_last))
         assert audits["halving"].sup_iistar == brute_sup
         r = verify_new23(f, g, p, TreeDomain(N))
         assert r.rhs == audits["halving"].lemma_rhs
@@ -217,14 +219,14 @@ class TestNew23Audit:
         N, p = 6, 4
         audits = gen_cex_new23(N, p)
         d = TreeDomain(N)
-        g = SparseFn.tree({n: 1 for n in d.nodes()})
+        g = SparseFn({n: 1 for n in tree_nodes_bfs(d.levels)})
         f = leftmost_path_fn(N)
         table = hardy_up_table(f, g.support())
         L = sum(table[n] ** p * v for n, v in g.items())
         assert audits["ones"].total_ifp_g == L
         u_last = NodeAddress("0" * (N - 1))
         assert audits["ones"].sup_iistar == sum(
-            eval_hardy_down(g, a) for a in u_last.ancestors())
+            eval_hardy_down(g, a) for a in ancestors(u_last))
 
     def test_deterministic_first_failure(self):
         a1 = gen_cex_new23(10, 4)

@@ -6,6 +6,7 @@ import pytest
 from cxlab.trees import (
     EXACT,
     FLOAT,
+    DomainError,
     NodeAddress,
     PreconditionError,
     ROOT,
@@ -28,13 +29,14 @@ from cxlab.lemmas import (
 from cxlab import experiments, hardy, lemmas, randgen
 
 from helpers import (
-    build_phi_dict, eval_hardy_down, eval_hardy_up, phi_instance_dict, random_quarter_weight,
-    sup_iistar_intersection, sup_iistar_refined, sup_iistar_support,
+    ancestors, build_phi_dict, eval_hardy_down, eval_hardy_up, phi_instance_dict,
+    random_quarter_weight, scale, sup_iistar_intersection, sup_iistar_refined,
+    sup_iistar_support, tree_nodes_bfs,
 )
 
 
 def brute_iistar(g, node):
-    return sum(eval_hardy_down(g, a) for a in node.ancestors())
+    return sum(eval_hardy_down(g, a) for a in ancestors(node))
 
 
 class TestSupRefinements:
@@ -55,9 +57,9 @@ class TestSupRefinements:
         # II*g = 3 at both children; the witness follows supp g, not f or hashing
         left, right = NodeAddress("0"), NodeAddress("1")
         for order in ((left, right), (right, left)):
-            g = SparseFn.tree({n: 1 for n in order})
+            g = SparseFn({n: 1 for n in order})
             for f_order in (order, order[::-1]):
-                f = SparseFn.tree({n: 1 for n in f_order})
+                f = SparseFn({n: 1 for n in f_order})
                 assert sup_iistar_intersection(g, f) == (3, order[0])
 
     def test_support_sup_matches_bruteforce(self):
@@ -71,12 +73,12 @@ class TestSupRefinements:
     def test_non_dyadic_sweeps_match_support_scans(self):
         # values over 3, 5 and 7: the int sweeps run over their lcm
         d = TreeDomain(6)
-        nodes = list(d.nodes())
+        nodes = tree_nodes_bfs(d.levels)
         rng = random.Random(35)
 
         def non_dyadic():
-            return SparseFn.tree({n: Fraction(rng.randint(1, 30), rng.choice((3, 5, 7)))
-                                  for n in rng.sample(nodes, rng.randint(1, 15))})
+            return SparseFn({n: Fraction(rng.randint(1, 30), rng.choice((3, 5, 7)))
+                             for n in rng.sample(nodes, rng.randint(1, 15))})
 
         for _ in range(30):
             f, g = non_dyadic(), non_dyadic()
@@ -156,8 +158,8 @@ class TestSupRefinements:
 class TestL1Linf:
     def test_hand_example(self):
         d = TreeDomain(3)
-        g = SparseFn.tree({ROOT: 1, NodeAddress("0"): Fraction(1, 2)})
-        h = SparseFn.tree({ROOT: 2, NodeAddress("0"): 1})
+        g = SparseFn({ROOT: 1, NodeAddress("0"): Fraction(1, 2)})
+        h = SparseFn({ROOT: 2, NodeAddress("0"): 1})
         r = verify_supadditive_l1linf(g, h, ROOT, d)
         # lambda = max Ih on supp g = 3; lhs = 1*2 + 1/2*1 = 5/2; rhs = 3
         assert r.params["lambda"] == 3
@@ -174,7 +176,7 @@ class TestL1Linf:
                 h = randgen.random_sparse(rng, d)
                 gamma = sorted(g.support(), key=str)[0]
                 base = verify_supadditive_l1linf(g, h, gamma, d)
-                scaled = verify_supadditive_l1linf(g.scale(t), h, gamma, d)
+                scaled = verify_supadditive_l1linf(scale(g, t), h, gamma, d)
                 assert scaled.lhs == t * base.lhs
                 assert scaled.rhs == t * base.rhs
                 assert scaled.holds == base.holds
@@ -185,12 +187,26 @@ class TestI2Positive:
         # g deep on one branch, f at the root: the refined sup is II*g(root),
         # strictly below the support sup of II*g.
         d = TreeDomain(4)
-        g = SparseFn.tree({NodeAddress("000"): 1})
-        f = SparseFn.tree({ROOT: 1})
+        g = SparseFn({NodeAddress("000"): 1})
+        f = SparseFn({ROOT: 1})
         r = verify_I2_positive(f, g, d)
         assert r.params["sup_iistar"] == 1       # II*g at the root
         assert r.extra["coarse_sup"] == 4        # II*g at the support node
         assert r.holds
+
+    def test_nodes_outside_the_domain_rejected(self):
+        # the same DomainError as verify_linf's on this instance, for a node
+        # of supp f or of supp g
+        d = TreeDomain(2)
+        f = SparseFn({NodeAddress("00000"): 1})
+        g = SparseFn({NodeAddress("0000000"): 1})
+        inside = SparseFn({NodeAddress("0"): 1})
+        with pytest.raises(DomainError, match="node at depth 7 outside 2-level tree"):
+            verify_linf(f, g, d)
+        for args, depth in (((f, g), 5), ((inside, g), 7), ((f, inside), 5)):
+            with pytest.raises(DomainError, match=f"node at depth {depth} outside 2-level tree"):
+                verify_I2_positive(*args, d)
+        assert verify_I2_positive(inside, inside, d).holds
 
 
 class TestBuildPhi:
@@ -201,12 +217,12 @@ class TestBuildPhi:
         d = TreeDomain(levels)
         rng = random.Random(seed)
         g = randgen.random_superadditive(rng, d, mode=mode)
-        w = random_quarter_weight(rng, list(d.nodes()), mode)[0]
-        iwg = hardy_up_table(w.mul(g), d.nodes())
+        w = random_quarter_weight(rng, tree_nodes_bfs(d.levels), mode)[0]
+        iwg = hardy_up_table(w.mul(g), tree_nodes_bfs(d.levels))
         values = sorted(iwg.values())
         delta = values[len(values) // 2]
         lam = 4 * delta
-        f = SparseFn.tree({n: Fraction(1, 2) for n, v in iwg.items() if v <= delta}, mode)
+        f = SparseFn({n: Fraction(1, 2) for n, v in iwg.items() if v <= delta}, mode)
         return d, w, g, f, lam, delta, iwg
 
     def test_constants_are_quarter_and_two(self):
@@ -215,21 +231,21 @@ class TestBuildPhi:
 
     def test_unit_weight_instance(self):
         d, _, g, f, lam, delta, _ = self._instance()
-        w = SparseFn.tree({n: 1 for n in d.nodes()})
-        iwg = hardy_up_table(w.mul(g), d.nodes())
+        w = SparseFn({n: 1 for n in tree_nodes_bfs(d.levels)})
+        iwg = hardy_up_table(w.mul(g), tree_nodes_bfs(d.levels))
         values = sorted(iwg.values())
         delta = values[len(values) // 2]
         lam = 4 * delta
-        f = SparseFn.tree({n: Fraction(1, 2) for n, v in iwg.items() if v <= delta})
+        f = SparseFn({n: Fraction(1, 2) for n, v in iwg.items() if v <= delta})
         phi, report = build_phi(w, g, f, lam, delta, d)
         assert report.holds
         assert report.extra["lower_check_ok"] and report.extra["energy_check_ok"]
 
     def test_rejects_non_superadditive_g(self):
         d = TreeDomain(3)
-        g = SparseFn.tree({ROOT: 1, NodeAddress("0"): 1, NodeAddress("1"): 1})
-        w = SparseFn.tree({n: 1 for n in d.nodes()})
-        f = SparseFn.tree({ROOT: 1})
+        g = SparseFn({ROOT: 1, NodeAddress("0"): 1, NodeAddress("1"): 1})
+        w = SparseFn({n: 1 for n in tree_nodes_bfs(d.levels)})
+        f = SparseFn({ROOT: 1})
         with pytest.raises(PreconditionError):
             build_phi(w, g, f, 100, 1, d)
 
@@ -248,7 +264,7 @@ class TestBuildPhi:
         d, w, g, f, lam, delta, iwg = self._instance()
         top = max(iwg, key=iwg.get)
         assert iwg[top] > delta
-        bad = SparseFn.tree(dict(list(f.items()) + [(top, Fraction(1))]))
+        bad = SparseFn(dict(list(f.items()) + [(top, Fraction(1))]))
         with pytest.raises(PreconditionError):
             build_phi(w, g, bad, lam, delta, d)
         with pytest.raises(PreconditionError):
@@ -297,8 +313,8 @@ class TestBuildPhi:
             raise AssertionError("a heap list was built")
 
         d = TreeDomain(21)
-        g = SparseFn.tree({ROOT: 1})
-        f = SparseFn.tree({NodeAddress("0" * 20): Fraction(1, 2)})
+        g = SparseFn({ROOT: 1})
+        f = SparseFn({NodeAddress("0" * 20): Fraction(1, 2)})
         with pytest.raises(ResourceError, match="2\\^21"):
             build_phi(g, g, f, 4, 1, d)
         monkeypatch.setattr(hardy, "_path_values", no_list)
@@ -398,7 +414,7 @@ class TestBuildPhi:
                     delta = below[i]
                     if lam < 4 * delta:
                         continue
-                    f = SparseFn.tree({n: Fraction(1, 2) for n, v in iwg.items() if v <= delta})
+                    f = SparseFn({n: Fraction(1, 2) for n, v in iwg.items() if v <= delta})
                     phi_o, report_o = build_phi_dict(w, g, f, lam, delta, d)
                     phi, report = build_phi(w, g, f, lam, delta, d)
                     assert dict(phi.items()) == dict(phi_o.items())
@@ -418,8 +434,8 @@ class TestBuildPhi:
 class TestInter:
     def test_degenerate_zero_f(self):
         d = TreeDomain(3)
-        f = SparseFn.tree({})
-        g = SparseFn.tree({ROOT: 1})
+        f = SparseFn({})
+        g = SparseFn({ROOT: 1})
         r = verify_inter(f, g, 2, d)
         assert r.degenerate and r.holds
 
@@ -434,8 +450,8 @@ class TestInter:
 
     def test_least_admissible_thresholds(self):
         d = TreeDomain(4)
-        g = SparseFn.tree({ROOT: 1, NodeAddress("0"): Fraction(1, 2)})
-        f = SparseFn.tree({NodeAddress("0"): 1})
+        g = SparseFn({ROOT: 1, NodeAddress("0"): Fraction(1, 2)})
+        f = SparseFn({NodeAddress("0"): 1})
         r = verify_inter(f, g, 2, d)
         assert r.params["delta"] == Fraction(3, 2)   # Ig at supp f
         assert r.params["lambda"] == Fraction(3, 2)  # max Ig over the tree
@@ -444,8 +460,8 @@ class TestInter:
 class TestLinf:
     def test_hand_example(self):
         d = TreeDomain(3)
-        g = SparseFn.tree({ROOT: 1, NodeAddress("0"): Fraction(1, 2)})
-        f = SparseFn.tree({ROOT: 2})
+        g = SparseFn({ROOT: 1, NodeAddress("0"): Fraction(1, 2)})
+        f = SparseFn({ROOT: 2})
         r = verify_linf(f, g, d)
         # lhs = max(If*g) = 2 at the root; sup II*g at the root = 3/2+... :
         # I*g(root) = 3/2, II*g(root) = 3/2; rhs = 3/2 * 2 = 3
@@ -463,14 +479,14 @@ class TestNew23:
                 g = randgen.random_increasing(rng, d)
                 f = randgen.random_sparse(rng, d)
                 base = verify_new23(f, g, 2, d)
-                scaled = verify_new23(f, g.scale(t), 2, d)
+                scaled = verify_new23(f, scale(g, t), 2, d)
                 assert scaled.lhs == t * base.lhs
                 assert scaled.rhs == t * base.rhs
                 assert scaled.holds == base.holds
 
     def test_rejects_p_below_one(self):
         d = TreeDomain(3)
-        g = SparseFn.tree({ROOT: 1})
+        g = SparseFn({ROOT: 1})
         with pytest.raises(ValueError):
             verify_new23(g, g, Fraction(1, 2), d)
 
@@ -478,19 +494,14 @@ class TestNew23:
 class TestGest:
     def test_precondition_enforced(self):
         d = TreeDomain(3)
-        g = SparseFn.tree({ROOT: 1, NodeAddress("0"): 1, NodeAddress("1"): 1})
-        with pytest.raises(PreconditionError):
+        g = SparseFn({ROOT: 1, NodeAddress("0"): 1, NodeAddress("1"): 1})
+        with pytest.raises(PreconditionError, match=r"g\^\(p-1\) is not superadditive"):
             verify_gest(g, ROOT, 2, d)
-        r = verify_gest(g, ROOT, 2, d, enforce_precondition=False)
-        assert not r.extra["power_superadditive"]
-        # lambda = max Ig on supp g = 2; rhs = 2 * 1 = 2 < lhs = 3
-        assert not r.holds
-        assert r.lhs == 3 and r.rhs == 2
 
     def test_superadditive_g_holds(self):
         d = TreeDomain(3)
-        g = SparseFn.tree({ROOT: 1, NodeAddress("0"): Fraction(1, 2),
-                           NodeAddress("1"): Fraction(1, 2)})
+        g = SparseFn({ROOT: 1, NodeAddress("0"): Fraction(1, 2),
+                      NodeAddress("1"): Fraction(1, 2)})
         r = verify_gest(g, ROOT, 2, d)
         assert r.holds
         assert r.mode == EXACT

@@ -8,7 +8,7 @@ import pytest
 from cxlab import experiments, randgen
 from cxlab.hardy import PointMeasure, hardy_up_table, rectangle_mass_fn
 from cxlab.lemmas import build_phi
-from cxlab.structure import ExponentPair, special_form_g
+from cxlab.structure import special_form_g
 from cxlab.trees import EXACT, FLOAT, BiNode, NodeAddress, SparseFn, TreeDomain
 
 import helpers
@@ -19,6 +19,7 @@ from helpers import (
     random_superadditive_fraction,
     rectangle_mass_fn_binode,
     special_form_g_fraction,
+    tree_nodes_bfs,
 )
 
 
@@ -49,7 +50,6 @@ def test_below_an_empty_range_raises(n):
 
 @pytest.mark.parametrize("name, args", [
     ("dyadic", (16, 5, 4)),
-    ("random_path", (-1,)),
     ("random_sparse", (TreeDomain(3), 0)),
     ("random_point_measure", (0, 3)),
     ("random_point_measure", (3, 3, 0)),
@@ -87,7 +87,7 @@ def test_random_weight_draws_quarters(mode):
         w, g, f = experiments._phi_instance(random.Random(seed), d, mode)[:3]
         rng = random.Random(seed)
         random_superadditive_fraction(rng, d, mode=mode)
-        w_full = helpers.random_quarter_weight(rng, list(d.nodes()), mode)[0]
+        w_full = helpers.random_quarter_weight(rng, tree_nodes_bfs(d.levels), mode)[0]
         kept = dict.fromkeys(itertools.chain(g.support(), f.support()))
         assert _entries(w) == [(n, type(w_full.get(n)), w_full.get(n)) for n in kept]
 
@@ -95,7 +95,6 @@ def test_random_weight_draws_quarters(mode):
 # each generator called at `levels` tree levels, in `mode` where it takes one
 CALLS = {
     "dyadic": lambda gen, rng, levels, mode: gen(rng),
-    "random_path": lambda gen, rng, levels, mode: gen(rng, levels - 1),
     "random_superadditive": lambda gen, rng, levels, mode: gen(rng, TreeDomain(levels),
                                                                mode=mode),
     "random_increasing": lambda gen, rng, levels, mode: gen(rng, TreeDomain(levels), mode=mode),
@@ -143,37 +142,33 @@ def test_int_numerator_generators_match_fraction_oracles(gen, oracle, levels, mo
 
 
 def _measures():
-    """Random atomic measures with Fraction, int, float and mixed masses,
-    repeated atoms included."""
+    """Random atomic measures with Fraction and int masses, repeated atoms
+    included."""
     rng = random.Random(5)
     for seed in range(40):
         m = helpers.random_point_measure_stdlib(random.Random(seed), 6, 6)
         yield m
-        yield PointMeasure.of((n, float(v)) for n, v in m.atoms)
         yield PointMeasure.of((n, rng.randint(1, 9)) for n, _ in m.atoms)
-        yield PointMeasure.of((n, float(v) if rng.random() < 0.5 else v) for n, v in m.atoms)
         yield PointMeasure.of(m.atoms + m.atoms[:1])
     yield PointMeasure.of([])
     yield PointMeasure.of([(BiNode(NodeAddress("01"), NodeAddress("")), Fraction(1, 3)),
-                           (BiNode(NodeAddress("0"), NodeAddress("1")), 0.1),
-                           (BiNode(NodeAddress("011"), NodeAddress("1")), 0.2)])
+                           (BiNode(NodeAddress("0"), NodeAddress("1")), Fraction(1, 10)),
+                           (BiNode(NodeAddress("011"), NodeAddress("1")), Fraction(1, 5))])
 
 
-@pytest.mark.parametrize("mode", [EXACT, FLOAT])
-def test_rectangle_masses_match_binode_form(mode):
+def test_rectangle_masses_match_binode_form():
     for m in _measures():
-        assert _entries(rectangle_mass_fn(m, mode)) == _entries(rectangle_mass_fn_binode(m, mode))
+        assert _entries(rectangle_mass_fn(m)) == _entries(rectangle_mass_fn_binode(m))
 
 
 @pytest.mark.parametrize("p", [2, 2.0, 1.5, Fraction(4, 3), Fraction(5, 4), 3, 2.5])
 def test_special_form_matches_fraction_form(p):
-    pq = ExponentPair(p)
     for m in _measures():
-        for mode in (EXACT, FLOAT):
-            r = rectangle_mass_fn_binode(m, mode)
+        exact = rectangle_mass_fn_binode(m)
+        for r in (exact, {q: float(v) for q, v in exact.items()}):
             for beta in dict.fromkeys(n.y for n in r):
-                assert _entries(special_form_g(r, beta, pq)) == \
-                    _entries(special_form_g_fraction(r, beta, pq))
+                assert _entries(special_form_g(r, beta, p)) == \
+                    _entries(special_form_g_fraction(r, beta, p))
 
 
 @pytest.mark.parametrize("mode", [EXACT, FLOAT])
@@ -202,15 +197,15 @@ def test_build_phi_reads_w_only_on_supp_g_and_f(levels, mode):
     instances, and on instances whose f is 1/2 on a whole sublevel set
     {I(wg) <= delta}, where phi is nonzero."""
     d = TreeDomain(levels)
-    nodes = list(d.nodes())
+    nodes = tree_nodes_bfs(d.levels)
     nonzero = shrunk = 0
     for seed in range(30 if levels == 8 else 6):
         w, g, f, lam, delta = helpers.phi_instance_dict(random.Random(seed), d, mode)
         iwg = hardy_up_table(w.mul(g), nodes)
         half = sorted(iwg.values())[len(nodes) // 4]
-        f_half = SparseFn.tree({n: Fraction(1, 2) for n, v in iwg.items() if v <= half}, mode)
+        f_half = SparseFn({n: Fraction(1, 2) for n, v in iwg.items() if v <= half}, mode)
         for f, lam, delta in ((f, lam, delta), (f_half, 4 * half, half)):
-            w_kept = SparseFn.tree(
+            w_kept = SparseFn(
                 {n: w.get(n) for n in itertools.chain(g.support(), f.support())}, mode)
             assert len(w) == len(nodes)
             shrunk += len(w_kept) < len(nodes)

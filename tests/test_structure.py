@@ -6,7 +6,6 @@ import pytest
 from cxlab.trees import EXACT, FLOAT, NodeAddress, ROOT, SparseFn, TreeDomain
 from cxlab.structure import (
     FLOAT_REL_TOL,
-    ExponentPair,
     check_power_superadditive,
     is_increasing,
     is_superadditive,
@@ -18,6 +17,7 @@ from cxlab import randgen
 
 from helpers import (
     build_cex_p_less_2_functions,
+    tree_nodes_bfs,
     doubling_g_fn,
     is_increasing_nodes,
     is_superadditive_nodes,
@@ -34,25 +34,14 @@ def _outcome(predicate, g, d):
         return type(exc), str(exc)
 
 
-class TestExponentPair:
-    def test_conjugate_identity(self):
-        for p in (Fraction(3, 2), 2, 3, 1.5):
-            pq = ExponentPair(p)
-            assert float((pq.p - 1) * (pq.q - 1)) == pytest.approx(1.0)
-
-    def test_p_must_exceed_one(self):
-        with pytest.raises(ValueError):
-            ExponentPair(1)
-
-
 class TestSuperadditive:
     def test_hand_examples(self):
         d = TreeDomain(3)
-        g = SparseFn.tree({ROOT: 1, NodeAddress("0"): Fraction(1, 2),
-                           NodeAddress("1"): Fraction(1, 2)})
+        g = SparseFn({ROOT: 1, NodeAddress("0"): Fraction(1, 2),
+                      NodeAddress("1"): Fraction(1, 2)})
         assert is_superadditive(g, d) == (True, None)
-        bad = SparseFn.tree({ROOT: 1, NodeAddress("0"): Fraction(3, 4),
-                             NodeAddress("1"): Fraction(1, 2)})
+        bad = SparseFn({ROOT: 1, NodeAddress("0"): Fraction(3, 4),
+                        NodeAddress("1"): Fraction(1, 2)})
         ok, witness = is_superadditive(bad, d)
         assert not ok and witness == ROOT
 
@@ -81,7 +70,7 @@ class TestSuperadditive:
 
     def test_increasing_witness(self):
         d = TreeDomain(3)
-        g = SparseFn.tree({ROOT: 1, NodeAddress("01"): Fraction(2)})
+        g = SparseFn({ROOT: 1, NodeAddress("01"): Fraction(2)})
         ok, witness = is_increasing(g, d)
         assert not ok and witness == NodeAddress("01")
 
@@ -104,12 +93,12 @@ class TestPredicatesMatchNodeOracles:
 
     def test_non_dyadic_fractions(self, predicate, oracle):
         d = TreeDomain(5)
-        nodes = list(d.nodes())
+        nodes = tree_nodes_bfs(d.levels)
         rng = random.Random(5)
         seen = set()
         for _ in range(400):
-            g = SparseFn.tree({n: Fraction(rng.randint(0, 30), rng.choice((3, 5, 7)))
-                               for n in rng.sample(nodes, rng.randint(1, 12))})
+            g = SparseFn({n: Fraction(rng.randint(0, 30), rng.choice((3, 5, 7)))
+                          for n in rng.sample(nodes, rng.randint(1, 12))})
             want = oracle(g, d)
             assert predicate(g, d) == want
             seen.add(want[0])
@@ -126,7 +115,7 @@ class TestPredicatesMatchNodeOracles:
                        NodeAddress("1"): scale / 2 + excess}
         else:
             entries = {ROOT: scale, NodeAddress("1"): scale + excess}
-        g = SparseFn.tree(entries, FLOAT)
+        g = SparseFn(entries, FLOAT)
         want = (True, None) if holds else (False, ROOT if predicate is is_superadditive
                                            else NodeAddress("1"))
         assert oracle(g, d) == want
@@ -144,18 +133,33 @@ class TestPredicatesMatchNodeOracles:
     ])
     def test_out_of_domain_nodes(self, predicate, oracle, values):
         d = TreeDomain(3)
-        g = SparseFn.tree({NodeAddress(p): v for p, v in values.items()})
+        g = SparseFn({NodeAddress(p): v for p, v in values.items()})
         want = _outcome(oracle, g, d)
         assert _outcome(predicate, g, d) == want
 
 
 class TestSpecialForm:
+    def test_conjugate_exponent(self):
+        # one atom of mass 1/4 covering beta: g = (1/4)^(q-1) on its x-ancestors,
+        # q = p/(p-1); exact wherever q - 1 is integral
+        m = {BiNode(ROOT, ROOT): Fraction(1, 4)}
+        for p, want in ((2, Fraction(1, 4)), (Fraction(3, 2), Fraction(1, 16)),
+                        (1.5, Fraction(1, 16)), (3, 0.5), (Fraction(4, 3), Fraction(1, 64))):
+            g = special_form_g(m, ROOT, p)
+            assert [(n, type(v), v) for n, v in g.items()] == [(ROOT, type(want), want)], p
+            assert g.mode == (FLOAT if isinstance(want, float) else EXACT)
+
+    @pytest.mark.parametrize("p", [1, Fraction(1, 2), 0.5])
+    def test_p_must_exceed_one(self, p):
+        with pytest.raises(ValueError, match="p must exceed 1"):
+            special_form_g({BiNode(ROOT, ROOT): Fraction(1, 4)}, ROOT, p)
+
     def test_single_atom_exact(self):
         # one atom of mass 1/4 at (x=00, y=11); beta = 11, q - 1 = 1
         m = rectangle_mass_fn(
             PointMeasure.of([(BiNode(NodeAddress("00"), NodeAddress("11")),
                                       Fraction(1, 4))]))
-        g = special_form_g(m, NodeAddress("11"), ExponentPair(2))
+        g = special_form_g(m, NodeAddress("11"), 2)
         # each x-ancestor collects the masses of rectangles with y containing beta
         assert g.get(NodeAddress("00")) == Fraction(3, 4)
         assert g.get(NodeAddress("0")) == Fraction(3, 4)
@@ -168,18 +172,17 @@ class TestSpecialForm:
         for _ in range(300):
             m = randgen.random_special_form_measure(rng, 6, 6)
             beta = sorted((n.y for n in m), key=str)[0]
-            g = special_form_g(m, beta, ExponentPair(2))
+            g = special_form_g(m, beta, 2)
             ok, witness = check_power_superadditive(g, d, 2)
             assert ok, f"violated at {witness}"
 
     def test_minkowski_superadditivity_p3_float(self):
         d = TreeDomain(5)
         rng = random.Random(22)
-        pq = ExponentPair(3)
         for _ in range(100):
             m = randgen.random_special_form_measure(rng, 5, 5)
             beta = sorted((n.y for n in m), key=str)[0]
-            g = special_form_g(m, beta, pq)
+            g = special_form_g(m, beta, 3)
             ok, witness = check_power_superadditive(g, d, 3)
             assert ok, f"violated at {witness}"
 
@@ -188,13 +191,13 @@ class TestSpecialForm:
         m = rectangle_mass_fn(PointMeasure.of([
             (BiNode(NodeAddress("000"), NodeAddress("1")), Fraction(1, 2)),
         ]))
-        g = special_form_g(m, NodeAddress("1"), ExponentPair(2))
+        g = special_form_g(m, NodeAddress("1"), 2)
         d = TreeDomain(4)
         ok, _ = is_superadditive(g, d)
         assert ok
         # every node on the path has exactly one supported child
         for n in (ROOT, NodeAddress("0"), NodeAddress("00")):
-            assert g.get(n) == g.get(n.child(0)) + g.get(n.child(1))
+            assert g.get(n) == g.get(NodeAddress(n.path + "0")) + g.get(NodeAddress(n.path + "1"))
 
     def test_mode_follows_the_masses(self):
         # exact masses give an exact g; float masses a float g, here the
@@ -202,9 +205,9 @@ class TestSpecialForm:
         m = randgen.random_point_measure(random.Random(23), 6, 6)
         exact = rectangle_mass_fn(m)
         beta = max((n.y for n in exact), key=lambda y: (y.depth, y.path))
-        g = special_form_g(exact, beta, ExponentPair(2))
-        g_float = special_form_g(rectangle_mass_fn(m, FLOAT), beta, ExponentPair(2))
-        assert len(m) > 1 and len(g) > 1
+        g = special_form_g(exact, beta, 2)
+        g_float = special_form_g({q: float(v) for q, v in exact.items()}, beta, 2)
+        assert len(m.atoms) > 1 and len(g) > 1
         assert g.mode == EXACT and {type(v) for _, v in g.items()} == {Fraction}
         assert g_float.mode == FLOAT
         assert [(n, type(v), v) for n, v in g_float.items()] == \
