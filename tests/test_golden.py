@@ -39,6 +39,7 @@ COMMANDS = {
     "verify-phi-13": "verify phi --depth 13 --trials 10 --seed 7",
     "verify-phi-13-float": "verify phi --depth 13 --trials 10 --seed 7 --mode float",
     "verify-new23": "verify new23 --trials 200 --mode exact",
+    "verify-inter": "verify inter --mode exact",
     "verify-inter-float": "verify inter --mode float",
     "verify-new23-float": "verify new23 --trials 200 --mode float",
     "verify-l1linf": "verify l1linf --mode exact",
