@@ -90,9 +90,10 @@ def _cmd_report(args) -> int:
     if len(caps) >= 2:
         payload["cap_spread"] = max(caps) / min(caps)
         payload["ratio_spread"] = max(ratios) / min(ratios)
-    _emit(payload, getattr(args, "out", None))
+    # the CSV is written first, so an unwritable path leaves stdout empty
     if getattr(args, "csv", None):
         _write_csv(args.csv, rows)
+    _emit(payload, getattr(args, "out", None))
     return EXIT_OK if all(result.expected_ok for result in results) else EXIT_UNEXPECTED
 
 

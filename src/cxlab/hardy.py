@@ -8,9 +8,11 @@ the requested paths (root first), _down_paths gives I*g at every prefix of
 supp g (in support order), and II*g is the one fed into the other.  On a
 whole enumerated tree _up_heap gives If at every node of a list in heap
 order (node (depth, bits) at (1 << depth) | bits), one add per node.  Every
-sweep runs on the values trees._path_values gives: int numerators over one
-denominator in exact mode, so a Fraction is built only for a value handed
-out, and the floats themselves in float mode.  On the bi-tree, kernel
+sweep runs on the values trees._path_values gives and hands out values of
+the same form, its sweep values: int numerators over the function's one
+denominator in exact mode, the floats themselves in float mode.  So
+hardy_up_table, the If table the verifiers read, builds no Fraction; its
+caller builds one only for a value it reports.  On the bi-tree, kernel
 counts the common ancestors of two rectangles as (lcp_x + 1)(lcp_y + 1),
 never by materializing ancestor sets, so instances with coordinate depths
 in the hundreds stay cheap; it is the kernel of the capacity's energy.
@@ -116,15 +118,18 @@ def _up_heap(up: list) -> list:
     return up
 
 
-def hardy_up_table(f: SparseFn, nodes: Iterable[NodeAddress]) -> dict[NodeAddress, Scalar]:
-    """If at every requested tree node, in one sweep over their paths."""
-    nodes = list(nodes)
-    values, den = _path_values(f)
-    if f.mode != EXACT:
-        up = _up_paths(values, (n.path for n in nodes), 0.0)
-        return {n: up[n.path] for n in nodes}
-    up = _up_paths(values, (n.path for n in nodes), 0)
-    return {n: Fraction(up[n.path], den) for n in nodes}
+def hardy_up_table(f: SparseFn, nodes: Iterable[NodeAddress]) -> dict[str, Scalar]:
+    """If at every requested tree node, in one sweep over their paths.
+
+    The table is keyed by each requested node's path, one entry per distinct
+    node, and holds sweep values: int numerators over the denominator of
+    _path_values(f) in exact mode, the float sums in float mode.  A caller
+    builds a Fraction only for a value it hands out.
+    """
+    paths = [n.path for n in nodes]
+    values, _ = _path_values(f)
+    up = _up_paths(values, paths, 0 if f.mode == EXACT else 0.0)
+    return {path: up[path] for path in paths}
 
 
 def _iistar_paths(g: SparseFn, paths: Iterable[str]) -> tuple[dict[str, Scalar], int]:
@@ -149,11 +154,14 @@ def rectangle_mass_fn(m: PointMeasure) -> dict[BiNode, Fraction]:
     measure-theoretic reading of "m(gamma x beta')" used by the special-form
     construction.  The masses are added on (x path, y path) keys as int
     numerators over the lcm of their denominators, and each sum is handed
-    out as a Fraction.
+    out as a Fraction.  A float mass raises ValueError before any sum.
     """
     atoms = m.atoms
     den = 1
-    for _, mass in atoms:
+    for node, mass in atoms:
+        if not isinstance(mass, (int, Fraction)):
+            raise ValueError(f"rectangle masses take exact atom masses only, "
+                             f"got {type(mass).__name__} {mass!r} at {node}")
         den = math.lcm(den, mass.denominator)
     sums: dict[tuple[str, str], int] = {}
     for node, mass in atoms:

@@ -5,6 +5,15 @@ their ratio and a witness node, so the same code confirms the true
 statements and quantifies the violations.  The thresholds lambda and delta
 are always computed as the least admissible values from the instance, which
 makes reports canonical and comparable across instance sizes.
+
+The verifiers compute on sweep values: the values trees._path_values gives
+and the If and II*g tables of hardy take, int numerators over one
+denominator per function in exact mode, the floats themselves in float
+mode.  In exact mode at integral p every max, sum and power is taken on the
+ints, both sides of an inequality end over one denominator, and the verdict
+compares their numerators; a Fraction is built only for each value a report
+carries.  Float mode evaluates each float expression in its own order, and
+a non-integral p rounds each exact value once, where _pow did.
 """
 
 from __future__ import annotations
@@ -17,6 +26,7 @@ from typing import Optional
 from .trees import (
     EXACT,
     FLOAT,
+    ROOT,
     NodeAddress,
     PreconditionError,
     Scalar,
@@ -25,6 +35,7 @@ from .trees import (
     format_node,
     heap_node,
     _as_int,
+    _path_values,
     _pow,
     _zero,
 )
@@ -93,54 +104,43 @@ def _holds(lhs: Scalar, rhs: Scalar) -> bool:
     return lhs <= rhs
 
 
-def max_hardy_up_on(f: SparseFn, nodes) -> Scalar:
-    """max of If over the given tree nodes (0 for an empty collection)."""
-    nodes = list(nodes)
-    if not nodes:
-        return _zero(f.mode)
-    table = hardy_up_table(f, nodes)
-    return max(table.values())
+def _value(num: Scalar, den: int, mode: str) -> Scalar:
+    """A sweep value as a report carries it: the Fraction num/den in exact
+    mode, the float num in float mode."""
+    return Fraction(num, den) if mode == EXACT else num
 
 
-def _sup_iistar(g: SparseFn, *node_lists) -> list[tuple[Scalar, Optional[NodeAddress]]]:
-    """For each given collection of nodes, the max of II*g over it and the
-    first node attaining it; (0, None) for an empty collection.
+def _witness(path: Optional[str]) -> Optional[NodeAddress]:
+    return None if path is None else NodeAddress(path)
 
-    One sweep serves every collection.  The max is taken on the swept
-    values, int numerators in exact mode, and one Fraction is built for it.
+
+def _sup_iistar(g: SparseFn, *path_lists) -> list[tuple[Scalar, Optional[str]]]:
+    """For each given list of paths of g's tree, the max of II*g over it, a
+    sweep value over g's denominator, and the first path attaining it;
+    (0, None) for an empty list.  One sweep serves every list.
     """
-    node_lists = [list(nodes) for nodes in node_lists]
-    up, den = _iistar_paths(g, (x.path for nodes in node_lists for x in nodes))
-    exact = g.mode == EXACT
+    up, _ = _iistar_paths(g, (x for paths in path_lists for x in paths))
     out = []
-    for nodes in node_lists:
-        best, arg = (0 if exact else 0.0), None
-        for x in nodes:
-            v = up[x.path]
+    for paths in path_lists:
+        best, arg = (0 if g.mode == EXACT else 0.0), None
+        for x in paths:
+            v = up[x]
             if v > best:
                 best, arg = v, x
-        out.append((Fraction(best, den) if exact else best, arg))
+        out.append((best, arg))
     return out
 
 
-def _refined_nodes(g: SparseFn, f: SparseFn) -> list[NodeAddress]:
-    """The nodes of the refined sup: for every support node of g its deepest
-    f-supported ancestor, skipping support nodes with none."""
-    f_paths = {n.path for n in f.support()}
-    ancestors = []
-    for x in g.support():
-        p = x.path
-        for i in range(len(p), -1, -1):
-            if p[:i] in f_paths:
-                ancestors.append(NodeAddress(p[:i]))
+def _refined_paths(g_paths, f_paths) -> list[str]:
+    """The paths of the refined sup: for every path of supp g the path of
+    its deepest f-supported ancestor, skipping those with none."""
+    out = []
+    for x in g_paths:
+        for i in range(len(x), -1, -1):
+            if x[:i] in f_paths:
+                out.append(x[:i])
                 break
-    return ancestors
-
-
-def _intersection_nodes(g: SparseFn, f: SparseFn) -> list[NodeAddress]:
-    """supp g intersected with supp f, in supp g order."""
-    f_support = set(f.support())
-    return [x for x in g.support() if x in f_support]
+    return out
 
 
 def verify_supadditive_l1linf(
@@ -148,20 +148,25 @@ def verify_supadditive_l1linf(
     seed: Optional[int] = None,
 ) -> LemmaReport:
     """sum_{alpha <= gamma} g h <= lambda g(gamma), lambda = max Ih on supp g."""
-    lam = max_hardy_up_on(h, g.support())
-    lhs = _zero(g.mode)
-    for node, v in g.items():
-        if gamma.contains(node):
-            lhs += v * h.get(node)
-    rhs = lam * g.get(gamma)
-    degenerate = rhs == 0 and lhs > 0
+    gv, gden = _path_values(g)
+    hv, hden = _path_values(h)
+    zero = 0 if g.mode == EXACT else 0.0
+    lam = max(hardy_up_table(h, g.support()).values(), default=zero)
+    top = gamma.path
+    lhs = zero
+    for x, v in gv.items():
+        if x.startswith(top):
+            lhs += v * hv.get(x, zero)
+    # both sides over gden hden
+    rhs = lam * gv.get(top, zero)
     holds = lhs <= rhs
+    den = gden * hden
     return LemmaReport(
         name="supadditive_l1linf",
-        params={"lambda": lam, "gamma": format_node(gamma)},
-        lhs=lhs, rhs=rhs, holds=holds,
+        params={"lambda": _value(lam, hden, g.mode), "gamma": format_node(gamma)},
+        lhs=_value(lhs, den, g.mode), rhs=_value(rhs, den, g.mode), holds=holds,
         witness=None if holds else gamma,
-        mode=g.mode, seed=seed, degenerate=degenerate,
+        mode=g.mode, seed=seed, degenerate=rhs == 0 and lhs > 0,
         extra={"superadditive": is_superadditive(g, d)[0]},
     )
 
@@ -171,21 +176,25 @@ def verify_I2_positive(
 ) -> LemmaReport:
     """sum (If)^2 g <= (refined sup of II*g) * sum f^2; unconditional.
     A node of supp f or supp g outside d raises DomainError."""
+    fv, fden = _path_values(f)
+    gv, gden = _path_values(g)
     max_depth = d.max_depth
-    for n in (*f.support(), *g.support()):
-        if len(n.path) > max_depth:
-            d.require(n)
-    table = hardy_up_table(f, g.support())
-    lhs = sum((table[n] ** 2 * v for n, v in g.items()), _zero(g.mode))
-    (sup, arg), (coarse, _) = _sup_iistar(g, _refined_nodes(g, f), g.support())
-    sum_f2 = sum((v * v for _, v in f.items()), _zero(f.mode))
-    rhs = sup * sum_f2
+    for x in (*fv, *gv):
+        if len(x) > max_depth:
+            d.require(NodeAddress(x))
+    zero = 0 if g.mode == EXACT else 0.0
+    up = hardy_up_table(f, g.support())
+    lhs = sum((up[x] ** 2 * v for x, v in gv.items()), zero)
+    (sup, arg), (coarse, _) = _sup_iistar(g, _refined_paths(gv, fv), gv)
+    # both sides over fden^2 gden
+    rhs = sup * sum((v * v for v in fv.values()), zero)
+    den = fden * fden * gden
     return LemmaReport(
         name="I2_positive",
-        params={"sup_iistar": sup},
-        lhs=lhs, rhs=rhs, holds=lhs <= rhs,
-        witness=arg, mode=g.mode, seed=seed,
-        extra={"coarse_sup": coarse},
+        params={"sup_iistar": _value(sup, gden, g.mode)},
+        lhs=_value(lhs, den, g.mode), rhs=_value(rhs, den, g.mode), holds=lhs <= rhs,
+        witness=_witness(arg), mode=g.mode, seed=seed,
+        extra={"coarse_sup": _value(coarse, gden, g.mode)},
     )
 
 
@@ -218,8 +227,8 @@ def build_phi(
         raise PreconditionError(f"lambda >= 4*delta required (lambda={lam}, delta={delta})")
     phi, a_ok, a_witness, worst_a = _phi_heap(w, g, f, lam, delta, d, iwg)
 
-    sum_wphi2 = sum((w.get(n) * v * v for n, v in phi.items()), _zero(g.mode))
-    sum_wf2 = sum((w.get(n) * v * v for n, v in f.items()), _zero(g.mode))
+    sum_wphi2 = _weighted_square_sum(w, phi)
+    sum_wf2 = _weighted_square_sum(w, f)
     b_rhs = PHI_ENERGY_CONST * delta * sum_wf2 / lam
     b_ok = sum_wphi2 <= b_rhs
 
@@ -237,6 +246,22 @@ def build_phi(
         },
     )
     return phi, report
+
+
+def _weighted_square_sum(w: SparseFn, fn: SparseFn) -> Scalar:
+    """sum over supp fn of w fn^2, in fn's order.  In exact mode it is
+    summed over int numerators, over fn's denominator squared times the lcm
+    of w's denominators on supp fn, and handed out as one Fraction."""
+    values, den = _path_values(fn)
+    weights = [w.get(n) for n in fn.support()]
+    if fn.mode != EXACT:
+        return sum((x * v * v for x, v in zip(weights, values.values())), 0.0)
+    wden = 1
+    for x in weights:
+        wden = math.lcm(wden, x.denominator)
+    total = sum(x.numerator * (wden // x.denominator) * v * v
+                for x, v in zip(weights, values.values()))
+    return Fraction(total, wden * den * den)
 
 
 def _phi_heap(w, g, f, lam, delta, d, iwg):
@@ -311,22 +336,40 @@ def _phi_heap(w, g, f, lam, delta, d, iwg):
 def verify_inter(
     f: SparseFn, g: SparseFn, p: Scalar, d: TreeDomain, seed: Optional[int] = None,
 ) -> LemmaReport:
-    """||If . g||_p <= delta^((p-1)/p) lambda^(1/p) ||f||_p with least delta, lambda."""
+    """||If . g||_p <= delta^((p-1)/p) lambda^(1/p) ||f||_p with least delta, lambda.
+
+    The sums are exact at integral p in exact mode, but both sides are
+    compared as float p-th roots, in every mode.
+    """
     if p < 1:
         raise ValueError("p must be at least 1")
-    delta = max_hardy_up_on(g, f.support())
+    fv, fden = _path_values(f)
+    gv, gden = _path_values(g)
+    mode = f.mode
+    zero = 0 if mode == EXACT else 0.0
     # Ig is constant below the deepest supported ancestor, so its max over
     # the tree is its max over supp g and the root
-    lam = max_hardy_up_on(g, g.support() + [NodeAddress("")])
-    sum_fp = sum((_pow(v, p) for _, v in f.items()), _zero(f.mode))
+    ig = hardy_up_table(g, [*f.support(), *g.support(), ROOT])
+    delta = _value(max((ig[x] for x in fv), default=zero), gden, mode)
+    lam = _value(max(ig[x] for x in (*gv, ROOT.path)), gden, mode)
+    e = _as_int(p)
+    exact = mode == EXACT and e is not None
+    if exact:
+        sum_fp = Fraction(sum(v ** e for v in fv.values()), fden ** e)
+    else:
+        sum_fp = sum((_pow(v / fden, p) for v in fv.values()), _zero(mode))
     if sum_fp == 0:
         return LemmaReport(
             name="inter", params={"p": p, "delta": delta, "lambda": lam},
-            lhs=_zero(f.mode), rhs=_zero(f.mode), holds=True,
-            mode=f.mode, seed=seed, degenerate=True,
+            lhs=_zero(mode), rhs=_zero(mode), holds=True,
+            mode=mode, seed=seed, degenerate=True,
         )
-    table = hardy_up_table(f, g.support())
-    sum_ifg_p = sum((_pow(table[n] * v, p) for n, v in g.items()), _zero(g.mode))
+    up = hardy_up_table(f, g.support())
+    den = fden * gden
+    if exact:
+        sum_ifg_p = Fraction(sum((up[x] * v) ** e for x, v in gv.items()), den ** e)
+    else:
+        sum_ifg_p = sum((_pow(up[x] * v / den, p) for x, v in gv.items()), _zero(mode))
     pf = float(p)
     lhs = float(sum_ifg_p) ** (1.0 / pf)
     rhs = float(delta) ** ((pf - 1.0) / pf) * float(lam) ** (1.0 / pf) * float(sum_fp) ** (1.0 / pf)
@@ -345,21 +388,24 @@ def verify_inter(
 
 def verify_linf(f: SparseFn, g: SparseFn, d: TreeDomain, seed: Optional[int] = None) -> LemmaReport:
     """||If . g||_inf <= (sup over supp g & supp f of II*g) ||f||_inf for increasing g."""
-    table = hardy_up_table(f, g.support())
-    lhs = _zero(g.mode)
-    arg = None
-    for node, v in g.items():
-        val = table[node] * v
+    fv, fden = _path_values(f)
+    gv, gden = _path_values(g)
+    zero = 0 if g.mode == EXACT else 0.0
+    up = hardy_up_table(f, g.support())
+    lhs, arg = zero, None
+    for x, v in gv.items():
+        val = up[x] * v
         if val > lhs:
-            lhs, arg = val, node
-    sup, sup_arg = _sup_iistar(g, _intersection_nodes(g, f))[0]
-    f_max = max((v for _, v in f.items()), default=_zero(f.mode))
-    rhs = sup * f_max
+            lhs, arg = val, x
+    (sup, sup_arg), = _sup_iistar(g, [x for x in gv if x in fv])
+    # both sides over fden gden
+    rhs = sup * max(fv.values(), default=zero)
+    den = fden * gden
     return LemmaReport(
         name="linf",
-        params={"sup_iistar": sup},
-        lhs=lhs, rhs=rhs, holds=lhs <= rhs,
-        witness=arg if lhs > rhs else sup_arg,
+        params={"sup_iistar": _value(sup, gden, g.mode)},
+        lhs=_value(lhs, den, g.mode), rhs=_value(rhs, den, g.mode), holds=lhs <= rhs,
+        witness=_witness(arg if lhs > rhs else sup_arg),
         mode=g.mode, seed=seed,
         extra={"increasing": is_increasing(g, d)[0]},
     )
@@ -371,18 +417,31 @@ def verify_new23(
     """sum (If)^p g <= (sup over supp g & supp f of II*g) sum f^p."""
     if p < 1:
         raise ValueError("p must be at least 1")
-    table = hardy_up_table(f, g.support())
-    lhs = sum((_pow(table[n], p) * v for n, v in g.items()), _zero(g.mode))
-    (sup, arg), (coarse, _) = _sup_iistar(g, _intersection_nodes(g, f), g.support())
-    sum_fp = sum((_pow(v, p) for _, v in f.items()), _zero(f.mode))
-    rhs = sup * sum_fp
+    fv, fden = _path_values(f)
+    gv, gden = _path_values(g)
+    mode = g.mode
+    up = hardy_up_table(f, g.support())
+    (sup, arg), (coarse, _) = _sup_iistar(g, [x for x in gv if x in fv], gv)
+    sup_v = _value(sup, gden, mode)
+    e = _as_int(p)
+    if mode == EXACT and e is not None:
+        # both sides over fden^e gden
+        lhs = sum(up[x] ** e * v for x, v in gv.items())
+        rhs = sup * sum(v ** e for v in fv.values())
+        holds = lhs <= rhs
+        den = fden ** e * gden
+        lhs, rhs = Fraction(lhs, den), Fraction(rhs, den)
+    else:
+        lhs = sum((_pow(up[x] / fden, p) * (v / gden) for x, v in gv.items()), _zero(mode))
+        rhs = sup_v * sum((_pow(v / fden, p) for v in fv.values()), _zero(f.mode))
+        holds = _holds(lhs, rhs)
     return LemmaReport(
         name="new23",
-        params={"p": p, "sup_iistar": sup},
-        lhs=lhs, rhs=rhs, holds=_holds(lhs, rhs),
-        witness=arg, mode=g.mode if _as_int(p) is not None else FLOAT, seed=seed,
+        params={"p": p, "sup_iistar": sup_v},
+        lhs=lhs, rhs=rhs, holds=holds,
+        witness=_witness(arg), mode=mode if e is not None else FLOAT, seed=seed,
         extra={
-            "coarse_sup": coarse,
+            "coarse_sup": _value(coarse, gden, mode),
             "increasing": is_increasing(g, d)[0],
             "superadditive": is_superadditive(g, d)[0],
         },
@@ -397,16 +456,29 @@ def verify_gest(
     pre_ok, pre_witness = check_power_superadditive(g, d, p)
     if not pre_ok:
         raise PreconditionError("g^(p-1) is not superadditive", pre_witness)
-    lam = max_hardy_up_on(g, g.support())
-    lhs = sum((_pow(v, p) for n, v in g.items() if gamma.contains(n)), _zero(g.mode))
-    rhs = lam * _pow(g.get(gamma), p - 1)
-    holds = _holds(lhs, rhs)
+    gv, gden = _path_values(g)
+    mode = g.mode
+    zero = 0 if mode == EXACT else 0.0
+    lam = max(hardy_up_table(g, g.support()).values(), default=zero)
+    lam_v = _value(lam, gden, mode)
+    top = gamma.path
+    e = _as_int(p)
+    if mode == EXACT and e is not None:
+        # both sides over gden^e; p > 1, so e - 1 >= 1
+        lhs = sum(v ** e for x, v in gv.items() if x.startswith(top))
+        rhs = lam * gv.get(top, zero) ** (e - 1)
+        holds = lhs <= rhs
+        lhs, rhs = Fraction(lhs, gden ** e), Fraction(rhs, gden ** e)
+    else:
+        lhs = sum((_pow(v / gden, p) for x, v in gv.items() if x.startswith(top)), _zero(mode))
+        rhs = lam_v * _pow(g.get(gamma), p - 1)
+        holds = _holds(lhs, rhs)
     return LemmaReport(
         name="gest",
-        params={"p": p, "lambda": lam, "gamma": format_node(gamma)},
+        params={"p": p, "lambda": lam_v, "gamma": format_node(gamma)},
         lhs=lhs, rhs=rhs, holds=holds,
         witness=None if holds else gamma,
-        mode=g.mode if _as_int(p) is not None else FLOAT, seed=seed,
+        mode=mode if e is not None else FLOAT, seed=seed,
         degenerate=rhs == 0 and lhs > 0,
         extra={"power_superadditive": pre_ok},
     )

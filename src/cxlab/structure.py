@@ -43,7 +43,13 @@ def is_superadditive(g: SparseFn, d: TreeDomain) -> tuple[bool, Optional[NodeAdd
     over the support suffices.  The values are compared as _path_values
     gives them, int numerators in exact mode.
     """
-    values, _ = _path_values(g)
+    return _superadditive(_path_values(g)[0], g, d)
+
+
+def _superadditive(values: dict[str, Scalar], g: SparseFn,
+                   d: TreeDomain) -> tuple[bool, Optional[NodeAddress]]:
+    """is_superadditive on path-keyed values in g's mode, all over one
+    denominator; g gives the float tolerance."""
     parents: set[str] = set()
     for path in values:
         if len(path) > d.max_depth:
@@ -108,7 +114,15 @@ def special_form_g(m: Mapping[BiNode, Scalar], beta: NodeAddress, p: Scalar) -> 
 def check_power_superadditive(
     g: SparseFn, d: TreeDomain, p: Scalar
 ) -> tuple[bool, Optional[NodeAddress]]:
-    """Apply the superadditivity check to the pointwise power g^(p-1)."""
+    """Apply the superadditivity check to the pointwise power g^(p-1).
+
+    In exact mode at integral p - 1 the check runs on g's int numerators
+    raised to p - 1, all over the same power of g's denominator, so no
+    Fraction is built; otherwise on g.power(p - 1).
+    """
     if p <= 1:
         raise ValueError(f"p must exceed 1, got {p}")
-    return is_superadditive(g.power(p - 1), d)
+    e = _as_int(p - 1)
+    if e is None or g.mode != EXACT:
+        return is_superadditive(g.power(p - 1), d)
+    return _superadditive({path: v ** e for path, v in _path_values(g)[0].items()}, g, d)

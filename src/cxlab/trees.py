@@ -58,10 +58,6 @@ class NodeAddress:
     def depth(self) -> int:
         return len(self.path)
 
-    def contains(self, other: "NodeAddress") -> bool:
-        """True iff self is an ancestor of other (inclusive)."""
-        return other.path.startswith(self.path)
-
     def __hash__(self) -> int:
         # the path's own hash, not the generated hash of the tuple (path,)
         return hash(self.path)
@@ -156,10 +152,11 @@ class SparseFn:
     """A finitely supported non-negative function on tree nodes.
 
     In exact mode every value is a Fraction and no rounding occurs anywhere;
-    absent nodes read as zero.
+    absent nodes read as zero.  A SparseFn is never changed after it is
+    built, so _path_values fills its _paths slot once, at the first call.
     """
 
-    __slots__ = ("mode", "_values")
+    __slots__ = ("mode", "_values", "_paths")
 
     def __init__(self, entries: Mapping[NodeAddress, Scalar] | None = None,
                  mode: str = EXACT):
@@ -167,6 +164,7 @@ class SparseFn:
             raise ValueError(f"unknown scalar mode {mode!r}")
         self.mode = mode
         self._values: dict[NodeAddress, Scalar] = {}
+        self._paths: tuple[dict[str, Scalar], int] | None = None
         if not entries:
             return
         # The sign is read from an exact value's numerator and from a float
@@ -231,14 +229,21 @@ class SparseFn:
 def _path_values(f: SparseFn) -> tuple[dict[str, Scalar], int]:
     """A tree function as a dict from paths to values, in f's order, and the
     denominator the values are over: int numerators over the lcm of f's
-    denominators in exact mode, the floats themselves over 1 in float mode."""
-    if f.mode != EXACT:
-        return {n.path: v for n, v in f.items()}, 1
+    denominators in exact mode, the floats themselves over 1 in float mode.
+
+    Computed once per function and kept in its _paths slot, so every caller
+    gets the same dict and must not change it."""
+    if f._paths is not None:
+        return f._paths
     items = f.items()
+    if f.mode != EXACT:
+        f._paths = {n.path: v for n, v in items}, 1
+        return f._paths
     den = 1
     for _, v in items:
         den = math.lcm(den, v.denominator)
-    return {n.path: v.numerator * (den // v.denominator) for n, v in items}, den
+    f._paths = {n.path: v.numerator * (den // v.denominator) for n, v in items}, den
+    return f._paths
 
 
 def _as_int(e: Scalar) -> int | None:

@@ -12,11 +12,13 @@ import numpy as np
 
 from cxlab import capacity, lemmas
 from cxlab.counterexamples import AuditStep, VariantAudit, _half_pow
-from cxlab.hardy import PointMeasure, _down_paths, _up_paths, hardy_up_table, kernel
+from cxlab.hardy import (
+    PointMeasure, _down_paths, _iistar_paths, _up_paths, hardy_up_table, kernel,
+)
 from cxlab.structure import _tol_for
 from cxlab.trees import (
     EXACT, FLOAT, BiNode, DomainError, NodeAddress, PreconditionError, ResourceError, Scalar,
-    SparseFn, TreeDomain, _as_int, _pow, _zero, lcp_len,
+    SparseFn, TreeDomain, _as_int, _path_values, _pow, _zero, format_node, lcp_len,
 )
 
 _MATERIALIZE_LEVELS = 12
@@ -47,10 +49,15 @@ def ancestors(a: NodeAddress) -> list[NodeAddress]:
     return [NodeAddress(a.path[:i]) for i in range(a.depth + 1)]
 
 
+def contains(a: NodeAddress, b: NodeAddress) -> bool:
+    """True iff a is an ancestor of b (inclusive)."""
+    return b.path.startswith(a.path)
+
+
 def rect_contains(q: BiNode, a: BiNode) -> bool:
     """True iff rectangle q contains a: q's coordinates are ancestors of
     a's (inclusive)."""
-    return q.x.contains(a.x) and q.y.contains(a.y)
+    return contains(q.x, a.x) and contains(q.y, a.y)
 
 
 def scale(f: SparseFn, t: Scalar) -> SparseFn:
@@ -106,7 +113,7 @@ def _check_same_domain(f: Fn, a) -> None:
 
 
 def _is_ancestor(node, of) -> bool:
-    return rect_contains(node, of) if isinstance(node, BiNode) else node.contains(of)
+    return rect_contains(node, of) if isinstance(node, BiNode) else contains(node, of)
 
 
 def _start(f: Fn) -> Scalar:
@@ -445,7 +452,15 @@ def audit_variant_fraction(variant: str, N: int, p: Scalar) -> VariantAudit:
 
 
 # The sups of II*g that only the tests read, each one sweep of
-# cxlab.lemmas._sup_iistar over its node list.
+# cxlab.lemmas._sup_iistar over its path list, handed out as a scalar of g's
+# mode and a node.
+
+def _sup_scalar(g: SparseFn, paths) -> tuple[Scalar, Optional[NodeAddress]]:
+    (best, arg), = lemmas._sup_iistar(g, list(paths))
+    den = _path_values(g)[1]
+    return (Fraction(best, den) if g.mode == EXACT else best,
+            None if arg is None else NodeAddress(arg))
+
 
 def sup_iistar_refined(g: SparseFn, f: SparseFn) -> tuple[Scalar, Optional[NodeAddress]]:
     """sup of II*g with the ancestor-walk refinement toward supp f.
@@ -454,18 +469,194 @@ def sup_iistar_refined(g: SparseFn, f: SparseFn) -> tuple[Scalar, Optional[NodeA
     same value of I(I*g 1_{supp f}), which the proof bounds by II*g there;
     support points of g with no f-supported ancestor contribute zero.
     """
-    return lemmas._sup_iistar(g, lemmas._refined_nodes(g, f))[0]
+    return _sup_scalar(g, lemmas._refined_paths(_path_values(g)[0], _path_values(f)[0]))
 
 
 def sup_iistar_intersection(g: SparseFn, f: SparseFn) -> tuple[Scalar, Optional[NodeAddress]]:
     """sup of II*g over supp g intersected with supp f; nodes
     are visited in supp g order, so a tie keeps the first in that order."""
-    return lemmas._sup_iistar(g, lemmas._intersection_nodes(g, f))[0]
+    f_paths = _path_values(f)[0]
+    return _sup_scalar(g, (x for x in _path_values(g)[0] if x in f_paths))
 
 
 def sup_iistar_support(g: SparseFn) -> Scalar:
     """The coarser sup of II*g over supp g, reported for comparison."""
-    return lemmas._sup_iistar(g, g.support())[0][0]
+    return _sup_scalar(g, _path_values(g)[0])[0]
+
+
+# The verifiers in Fraction arithmetic, as cxlab.lemmas ran them before it
+# decided its verdicts on int numerators: every If and II*g value a Fraction
+# (or a float in float mode), every sum, product, power and max taken on
+# those.  They are the oracles for the int-numerator verifiers; the
+# structure checks they report are the node-walk references above.
+
+def hardy_up_scalars(f: SparseFn, nodes) -> dict[NodeAddress, Scalar]:
+    """If at every requested node as a scalar of f's mode, keyed by node:
+    hardy_up_table's sweep values over _path_values(f)'s denominator."""
+    nodes = list(nodes)
+    table = hardy_up_table(f, nodes)
+    if f.mode != EXACT:
+        return {n: table[n.path] for n in nodes}
+    den = _path_values(f)[1]
+    return {n: Fraction(table[n.path], den) for n in nodes}
+
+
+def max_hardy_up_on(f: SparseFn, nodes) -> Scalar:
+    """max of If over the given tree nodes (0 for an empty collection)."""
+    nodes = list(nodes)
+    if not nodes:
+        return _zero(f.mode)
+    return max(hardy_up_scalars(f, nodes).values())
+
+
+def sup_iistar_nodes(g: SparseFn, *node_lists) -> list[tuple[Scalar, Optional[NodeAddress]]]:
+    """For each given collection of nodes, the max of II*g over it and the
+    first node attaining it; (0, None) for an empty collection."""
+    node_lists = [list(nodes) for nodes in node_lists]
+    up, den = _iistar_paths(g, (x.path for nodes in node_lists for x in nodes))
+    out = []
+    for nodes in node_lists:
+        best, arg = _zero(g.mode), None
+        for x in nodes:
+            v = Fraction(up[x.path], den) if g.mode == EXACT else up[x.path]
+            if v > best:
+                best, arg = v, x
+        out.append((best, arg))
+    return out
+
+
+def refined_nodes(g: SparseFn, f: SparseFn) -> list[NodeAddress]:
+    """For every support node of g its deepest f-supported ancestor,
+    skipping support nodes with none."""
+    f_paths = {n.path for n in f.support()}
+    out = []
+    for x in g.support():
+        p = x.path
+        for i in range(len(p), -1, -1):
+            if p[:i] in f_paths:
+                out.append(NodeAddress(p[:i]))
+                break
+    return out
+
+
+def intersection_nodes(g: SparseFn, f: SparseFn) -> list[NodeAddress]:
+    """supp g intersected with supp f, in supp g order."""
+    f_support = set(f.support())
+    return [x for x in g.support() if x in f_support]
+
+
+def verify_supadditive_l1linf_fraction(g, h, gamma, d, seed=None) -> lemmas.LemmaReport:
+    lam = max_hardy_up_on(h, g.support())
+    lhs = _zero(g.mode)
+    for node, v in g.items():
+        if contains(gamma, node):
+            lhs += v * h.get(node)
+    rhs = lam * g.get(gamma)
+    holds = lhs <= rhs
+    return lemmas.LemmaReport(
+        name="supadditive_l1linf",
+        params={"lambda": lam, "gamma": format_node(gamma)},
+        lhs=lhs, rhs=rhs, holds=holds,
+        witness=None if holds else gamma,
+        mode=g.mode, seed=seed, degenerate=rhs == 0 and lhs > 0,
+        extra={"superadditive": is_superadditive_nodes(g, d)[0]},
+    )
+
+
+def verify_I2_positive_fraction(f, g, d, seed=None) -> lemmas.LemmaReport:
+    for n in (*f.support(), *g.support()):
+        d.require(n)
+    table = hardy_up_scalars(f, g.support())
+    lhs = sum((table[n] ** 2 * v for n, v in g.items()), _zero(g.mode))
+    (sup, arg), (coarse, _) = sup_iistar_nodes(g, refined_nodes(g, f), g.support())
+    sum_f2 = sum((v * v for _, v in f.items()), _zero(f.mode))
+    rhs = sup * sum_f2
+    return lemmas.LemmaReport(
+        name="I2_positive", params={"sup_iistar": sup},
+        lhs=lhs, rhs=rhs, holds=lhs <= rhs,
+        witness=arg, mode=g.mode, seed=seed, extra={"coarse_sup": coarse},
+    )
+
+
+def verify_inter_fraction(f, g, p, d, seed=None) -> lemmas.LemmaReport:
+    if p < 1:
+        raise ValueError("p must be at least 1")
+    delta = max_hardy_up_on(g, f.support())
+    lam = max_hardy_up_on(g, g.support() + [NodeAddress("")])
+    sum_fp = sum((_pow(v, p) for _, v in f.items()), _zero(f.mode))
+    if sum_fp == 0:
+        return lemmas.LemmaReport(
+            name="inter", params={"p": p, "delta": delta, "lambda": lam},
+            lhs=_zero(f.mode), rhs=_zero(f.mode), holds=True,
+            mode=f.mode, seed=seed, degenerate=True,
+        )
+    table = hardy_up_scalars(f, g.support())
+    sum_ifg_p = sum((_pow(table[n] * v, p) for n, v in g.items()), _zero(g.mode))
+    pf = float(p)
+    lhs = float(sum_ifg_p) ** (1.0 / pf)
+    rhs = float(delta) ** ((pf - 1.0) / pf) * float(lam) ** (1.0 / pf) * float(sum_fp) ** (1.0 / pf)
+    return lemmas.LemmaReport(
+        name="inter", params={"p": p, "delta": delta, "lambda": lam},
+        lhs=lhs, rhs=rhs, holds=lhs <= rhs, mode=FLOAT, seed=seed,
+        extra={"sum_ifg_p": sum_ifg_p, "sum_fp": sum_fp,
+               "superadditive": is_superadditive_nodes(g, d)[0]},
+    )
+
+
+def verify_linf_fraction(f, g, d, seed=None) -> lemmas.LemmaReport:
+    table = hardy_up_scalars(f, g.support())
+    lhs, arg = _zero(g.mode), None
+    for node, v in g.items():
+        val = table[node] * v
+        if val > lhs:
+            lhs, arg = val, node
+    sup, sup_arg = sup_iistar_nodes(g, intersection_nodes(g, f))[0]
+    f_max = max((v for _, v in f.items()), default=_zero(f.mode))
+    rhs = sup * f_max
+    return lemmas.LemmaReport(
+        name="linf", params={"sup_iistar": sup},
+        lhs=lhs, rhs=rhs, holds=lhs <= rhs,
+        witness=arg if lhs > rhs else sup_arg, mode=g.mode, seed=seed,
+        extra={"increasing": is_increasing_nodes(g, d)[0]},
+    )
+
+
+def verify_new23_fraction(f, g, p, d, seed=None) -> lemmas.LemmaReport:
+    if p < 1:
+        raise ValueError("p must be at least 1")
+    table = hardy_up_scalars(f, g.support())
+    lhs = sum((_pow(table[n], p) * v for n, v in g.items()), _zero(g.mode))
+    (sup, arg), (coarse, _) = sup_iistar_nodes(g, intersection_nodes(g, f), g.support())
+    sum_fp = sum((_pow(v, p) for _, v in f.items()), _zero(f.mode))
+    rhs = sup * sum_fp
+    return lemmas.LemmaReport(
+        name="new23", params={"p": p, "sup_iistar": sup},
+        lhs=lhs, rhs=rhs, holds=lemmas._holds(lhs, rhs),
+        witness=arg, mode=g.mode if _as_int(p) is not None else FLOAT, seed=seed,
+        extra={"coarse_sup": coarse,
+               "increasing": is_increasing_nodes(g, d)[0],
+               "superadditive": is_superadditive_nodes(g, d)[0]},
+    )
+
+
+def verify_gest_fraction(g, gamma, p, d, seed=None) -> lemmas.LemmaReport:
+    if p <= 1:
+        raise ValueError(f"p must exceed 1, got {p}")
+    pre_ok, pre_witness = is_superadditive_nodes(g.power(p - 1), d)
+    if not pre_ok:
+        raise PreconditionError("g^(p-1) is not superadditive", pre_witness)
+    lam = max_hardy_up_on(g, g.support())
+    lhs = sum((_pow(v, p) for n, v in g.items() if contains(gamma, n)), _zero(g.mode))
+    rhs = lam * _pow(g.get(gamma), p - 1)
+    holds = lemmas._holds(lhs, rhs)
+    return lemmas.LemmaReport(
+        name="gest", params={"p": p, "lambda": lam, "gamma": format_node(gamma)},
+        lhs=lhs, rhs=rhs, holds=holds,
+        witness=None if holds else gamma,
+        mode=g.mode if _as_int(p) is not None else FLOAT, seed=seed,
+        degenerate=rhs == 0 and lhs > 0,
+        extra={"power_superadditive": pre_ok},
+    )
 
 
 # The phi construction over NodeAddress-keyed dicts: the oracles for the heap
@@ -478,7 +669,7 @@ def phi_instance_dict(rng: random.Random, d: TreeDomain, mode: str = EXACT):
     g = random_superadditive_fraction(rng, d, mode=mode)
     nodes = tree_nodes_bfs(d.levels)
     w = random_quarter_weight(rng, nodes, mode)[0]
-    iwg = hardy_up_table(w.mul(g), nodes)
+    iwg = hardy_up_scalars(w.mul(g), nodes)
     delta = sorted(iwg.values())[len(iwg) * 2 // 5]
     candidates = [n for n, v in iwg.items() if v <= delta]
     entries = {}
@@ -493,7 +684,7 @@ def build_phi_dict(
     w: SparseFn, g: SparseFn, f: SparseFn, lam: Scalar, delta: Scalar,
     d: TreeDomain, seed=None,
 ):
-    """build_phi with every I a hardy_up_table dict and check (a) a walk
+    """build_phi with every I a hardy_up_scalars dict and check (a) a walk
     over every node of d."""
     ok, witness = is_superadditive_nodes(g, d)
     if not ok:
@@ -502,12 +693,12 @@ def build_phi_dict(
         raise PreconditionError(f"lambda >= 4*delta required (lambda={lam}, delta={delta})")
     wf = w.mul(f)
     check_nodes = tree_nodes_bfs(d.levels)
-    iwg = hardy_up_table(w.mul(g), set(check_nodes) | set(f.support()) | set(g.support()))
+    iwg = hardy_up_scalars(w.mul(g), set(check_nodes) | set(f.support()) | set(g.support()))
     for node in f.support():
         if iwg[node] > delta:
             raise PreconditionError("supp f must lie inside {I(wg) <= delta}", node)
 
-    iwf = hardy_up_table(wf, check_nodes)
+    iwf = hardy_up_scalars(wf, check_nodes)
     inv_lam = Fraction(1, 1) / lam if g.mode == EXACT else 1.0 / float(lam)
     two_lam, half_lam = 2 * lam, lam / 2
     phi_entries = {}
@@ -518,7 +709,7 @@ def build_phi_dict(
                 phi_entries[node] = val
     phi = SparseFn(phi_entries, g.mode)
 
-    iwphi = hardy_up_table(w.mul(phi), check_nodes)
+    iwphi = hardy_up_scalars(w.mul(phi), check_nodes)
     lower = lemmas.PHI_LOWER_CONST  # read at call time, so a test may patch it
     if g.mode != EXACT:
         lower = float(lower)

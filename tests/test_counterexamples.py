@@ -6,7 +6,6 @@ from math import comb
 import pytest
 
 from cxlab.trees import NodeAddress, ResourceError, SparseFn, TreeDomain, _as_int, _pow
-from cxlab.hardy import hardy_up_table
 from cxlab.lemmas import scalar_repr, verify_new23
 from cxlab import counterexamples as cex
 from cxlab.counterexamples import (
@@ -28,6 +27,7 @@ from helpers import (
     build_cex_p_less_2_functions,
     doubling_g_fn,
     eval_hardy_down,
+    hardy_up_scalars,
     leftmost_path_fn,
     sum_gp_levels_fraction,
     sum_ifg_p_direct_fraction,
@@ -65,7 +65,7 @@ class TestClosedForms:
         d = TreeDomain(N)
         g = doubling_g_fn(N)
         f = leftmost_path_fn(N)
-        table = hardy_up_table(f, g.support())
+        table = hardy_up_scalars(f, g.support())
         brute = sum((table[n] * v) ** 2 for n, v in g.items())
         assert sum_ifg_p_direct(N, 2) == brute
 
@@ -139,7 +139,7 @@ class TestCexDirect:
         N = 10
         g = doubling_g_fn(N)
         f = leftmost_path_fn(N)
-        table = hardy_up_table(g, f.support())
+        table = hardy_up_scalars(g, f.support())
         assert max(table.values()) == 2 - Fraction(1, 2 ** (N - 1))
 
     @pytest.mark.parametrize("gen", [gen_cex_direct, gen_cex_increasing])
@@ -166,8 +166,8 @@ class TestCexPLess2:
     @pytest.mark.parametrize("k", range(2, 8))
     def test_closed_form_matches_built_instance(self, k):
         d, f, g = build_cex_p_less_2_functions(k)
-        if_table = hardy_up_table(f, g.support())
-        max_ig = max(hardy_up_table(g, g.support()).values())
+        if_table = hardy_up_scalars(f, g.support())
+        max_ig = max(hardy_up_scalars(g, g.support()).values())
         for p in (1.1, 1.5, 1.9):
             report = gen_cex_p_less_2(k, p)
             sum_fp = sum(_pow(v, p) for _, v in f.items())
@@ -179,7 +179,7 @@ class TestCexPLess2:
     def test_boundary_ig(self):
         k = 4
         d, f, g = build_cex_p_less_2_functions(k)
-        table = hardy_up_table(g, g.support())
+        table = hardy_up_scalars(g, g.support())
         assert max(table.values()) == 3 - Fraction(1, 2 ** k)
 
     def test_lower_bound_exact(self):
@@ -205,7 +205,7 @@ class TestNew23Audit:
         g = SparseFn({NodeAddress("0" * (k - 1)): Fraction(1, 2 ** k)
                       for k in range(1, N + 1)})
         f = leftmost_path_fn(N)
-        table = hardy_up_table(f, g.support())
+        table = hardy_up_scalars(f, g.support())
         L = sum(table[n] ** p * v for n, v in g.items())
         assert audits["halving"].total_ifp_g == L
         u_last = NodeAddress("0" * (N - 1))
@@ -221,7 +221,7 @@ class TestNew23Audit:
         d = TreeDomain(N)
         g = SparseFn({n: 1 for n in tree_nodes_bfs(d.levels)})
         f = leftmost_path_fn(N)
-        table = hardy_up_table(f, g.support())
+        table = hardy_up_scalars(f, g.support())
         L = sum(table[n] ** p * v for n, v in g.items())
         assert audits["ones"].total_ifp_g == L
         u_last = NodeAddress("0" * (N - 1))

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from cxlab.trees import EXACT, FLOAT, DomainError, NodeAddress, ROOT, SparseFn, TreeDomain
+from cxlab.trees import EXACT, FLOAT, DomainError, NodeAddress, ROOT, SparseFn, TreeDomain, _path_values
 from cxlab.hardy import (
     PointMeasure,
     _heap_values,
@@ -15,7 +15,7 @@ from cxlab.hardy import (
 from cxlab import randgen
 
 from helpers import (
-    ancestors, atoms_fn, binode, bitree_nodes, build_cex_p_less_2_functions, energy,
+    ancestors, atoms_fn, binode, bitree_nodes, build_cex_p_less_2_functions, contains, energy,
     eval_hardy_down, eval_hardy_up, potential, random_path_stdlib, rect_contains, scale,
     tree_nodes_bfs,
 )
@@ -26,7 +26,7 @@ def brute_hardy_up(f, a):
 
 
 def brute_hardy_down(g, a, domain):
-    return sum(v for n, v in g.items() if a.contains(n))
+    return sum(v for n, v in g.items() if contains(a, n))
 
 
 class TestHardyTree:
@@ -57,15 +57,21 @@ class TestHardyTree:
             rhs = sum(f.get(a) * eval_hardy_down(g, a) for a in nodes)
             assert lhs == rhs
 
-    def test_table_matches_pointwise(self):
+    @pytest.mark.parametrize("mode", [EXACT, FLOAT])
+    def test_table_matches_pointwise(self, mode):
+        # sweep values keyed by path, one entry per distinct requested node:
+        # ints over f's path-value denominator in exact mode, floats in float
         d = TreeDomain(7)
         rng = random.Random(2)
-        f = randgen.random_sparse(rng, d, max_support=20)
+        f = randgen.random_sparse(rng, d, max_support=20, mode=mode)
         nodes = tree_nodes_bfs(d.levels)
-        table = hardy_up_table(f, iter(nodes))  # an iterator, read once
-        assert list(table) == nodes
+        table = hardy_up_table(f, iter(nodes + nodes[::3]))  # an iterator, read once
+        assert list(table) == [a.path for a in nodes]
+        den = _path_values(f)[1]
         for a in nodes:
-            assert table[a] == eval_hardy_up(f, a)
+            v = table[a.path]
+            assert type(v) is (int if mode == EXACT else float)
+            assert (Fraction(v, den) if mode == EXACT else v) == eval_hardy_up(f, a)
 
     @pytest.mark.parametrize("mode", [EXACT, FLOAT])
     def test_heap_sweep_matches_pointwise(self, mode):
@@ -94,7 +100,7 @@ class TestHardyTree:
         up, _ = _heap_values(f, d)
         _up_heap(up)
         table = hardy_up_table(f, nodes)
-        assert up[1:] == [table[a] for a in nodes]
+        assert up[1:] == [table[a.path] for a in nodes]
         assert len(set(up)) > len(nodes) // 2
 
     def test_heap_values_outside_domain(self):
@@ -106,12 +112,12 @@ class TestHardyTree:
         # f = 2^-depth on a full 9-generation tree and on the 256-step
         # left-child paths below it, so If = 2 - 2^-depth on all of supp f
         _, f, _ = build_cex_p_less_2_functions(8)
-        table = hardy_up_table(f, f.support())
-        assert max(a.depth for a in table) == 264
-        for a, v in table.items():
-            assert v == 2 - Fraction(1, 2 ** a.depth)
+        table, den = hardy_up_table(f, f.support()), _path_values(f)[1]
+        assert max(len(path) for path in table) == 264
+        for path, v in table.items():
+            assert Fraction(v, den) == 2 - Fraction(1, 2 ** len(path))
         deepest = NodeAddress("0" * 264)
-        assert table[deepest] == brute_hardy_up(f, deepest)
+        assert Fraction(table[deepest.path], den) == brute_hardy_up(f, deepest)
 
     def test_up_is_monotone_down_paths(self):
         d = TreeDomain(6)
@@ -186,4 +192,15 @@ class TestPotential:
         assert r[binode("", "")] == Fraction(3, 4)
         assert r[binode("00", "1")] == Fraction(1, 2)
         assert binode("1", "") not in r
+
+    def test_rectangle_mass_fn_takes_exact_masses_only(self):
+        # a float mass, even after an exact one, is named as the rule it
+        # breaks; an int mass is exact
+        for atoms in ([(binode("0", ""), 0.5)],
+                      [(binode("1", "0"), Fraction(1, 4)), (binode("0", ""), 0.5)]):
+            with pytest.raises(ValueError, match="exact atom masses only, got float 0.5 at x=0/y="):
+                rectangle_mass_fn(PointMeasure.of(atoms))
+        r = rectangle_mass_fn(PointMeasure.of([(binode("0", ""), 2)]))
+        assert r == {binode("", ""): 2, binode("0", ""): 2}
+        assert {type(v) for v in r.values()} == {Fraction}
 

@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,7 @@ from cxlab.trees import (
     ResourceError,
     SparseFn,
     TreeDomain,
+    _path_values,
 )
 from cxlab.hardy import _heap_values, _iistar_paths, _up_heap, hardy_up_table
 from cxlab.lemmas import (
@@ -29,10 +31,85 @@ from cxlab.lemmas import (
 from cxlab import experiments, hardy, lemmas, randgen
 
 from helpers import (
-    ancestors, build_phi_dict, eval_hardy_down, eval_hardy_up, phi_instance_dict,
+    ancestors, build_phi_dict, eval_hardy_down, eval_hardy_up, hardy_up_scalars, phi_instance_dict,
     random_quarter_weight, scale, sup_iistar_intersection, sup_iistar_refined,
-    sup_iistar_support, tree_nodes_bfs,
+    sup_iistar_support, tree_nodes_bfs, verify_gest_fraction, verify_I2_positive_fraction,
+    verify_inter_fraction, verify_linf_fraction, verify_new23_fraction,
+    verify_supadditive_l1linf_fraction,
 )
+
+SPARSE_SUITES = ("l1linf", "i2pos", "inter", "linf", "new23", "gest")
+
+# each verifier, by its name in experiments, and its Fraction-arithmetic
+# oracle; build_phi's is the dict form, which takes no precomputed I(wg)
+ORACLES = {
+    "verify_supadditive_l1linf": verify_supadditive_l1linf_fraction,
+    "verify_I2_positive": verify_I2_positive_fraction,
+    "build_phi": lambda *args, iwg=None, **kwargs: build_phi_dict(*args, **kwargs),
+    "verify_inter": verify_inter_fraction,
+    "verify_linf": verify_linf_fraction,
+    "verify_new23": verify_new23_fraction,
+    "verify_gest": verify_gest_fraction,
+}
+
+
+def _typed(v):
+    """A to_dict() value with the type of every leaf, so an int printed
+    where a Fraction string belongs, or a float for an int, differs."""
+    if isinstance(v, dict):
+        return {k: _typed(x) for k, x in v.items()}
+    if isinstance(v, list):
+        return [_typed(x) for x in v]
+    return type(v).__name__, v
+
+
+def _outcome(fn, *args, **kwargs):
+    """The typed to_dict() of a verifier's report, or the precondition it
+    raised."""
+    try:
+        report = fn(*args, **kwargs)
+    except PreconditionError as exc:
+        return "PreconditionError", str(exc)
+    return _typed((report[1] if isinstance(report, tuple) else report).to_dict())
+
+
+def _fraction_codes() -> set:
+    """The code objects through which a Fraction is built."""
+    codes = {Fraction.__new__.__code__}
+    from_coprime = getattr(Fraction, "_from_coprime_ints", None)  # Python 3.12+
+    if from_coprime is not None:
+        codes.add(from_coprime.__func__.__code__)
+    return codes
+
+
+def _count_fractions(fn, *args, **kwargs):
+    """fn's result and the number of Fractions built while it ran."""
+    codes, count = _fraction_codes(), 0
+
+    def profile(frame, event, arg):
+        nonlocal count
+        if event == "call" and frame.f_code in codes:
+            count += 1
+
+    old = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        result = fn(*args, **kwargs)
+    finally:
+        sys.setprofile(old)
+    return result, count
+
+
+def _spy_on_verifiers(monkeypatch, on_call):
+    """Route every verifier that the suites call through on_call(name,
+    real verifier, args, kwargs), which returns the report."""
+    for name in ORACLES:
+        real = getattr(experiments, name)
+
+        def spy(*args, _name=name, _real=real, **kwargs):
+            return on_call(_name, _real, args, kwargs)
+
+        monkeypatch.setattr(experiments, name, spy)
 
 
 def brute_iistar(g, node):
@@ -82,12 +159,12 @@ class TestSupRefinements:
 
         for _ in range(30):
             f, g = non_dyadic(), non_dyadic()
-            table = hardy_up_table(f, nodes)
+            table, f_den = hardy_up_table(f, nodes), _path_values(f)[1]
             up, den = _iistar_paths(g, (a.path for a in nodes))
-            iistar = {a: Fraction(up[a.path], den) for a in nodes}
             for a in nodes:
-                assert type(table[a]) is Fraction and table[a] == eval_hardy_up(f, a)
-                assert type(iistar[a]) is Fraction and iistar[a] == brute_iistar(g, a)
+                assert type(table[a.path]) is int
+                assert Fraction(table[a.path], f_den) == eval_hardy_up(f, a)
+                assert type(up[a.path]) is int and Fraction(up[a.path], den) == brute_iistar(g, a)
             inter = [x for x in g.support() if x in set(f.support())]
             best, arg = Fraction(0), None
             for x in inter:
@@ -121,16 +198,38 @@ class TestSupRefinements:
                     [(type(v), v) for v in (sup, arg, coarse)]
 
     def test_exact_sweeps_run_on_ints(self, monkeypatch):
+        # every If table and II*g sweep the verifiers take runs through
+        # hardy's module attributes, on ints, and hands them ints
         seen = {"_up_paths": [], "_down_paths": []}
+        calls = {"_up_paths": 0, "_down_paths": 0}
         for name in seen:
             def spy(values, *args, _name=name, _fn=getattr(hardy, name)):
+                calls[_name] += 1
                 seen[_name].extend(type(v) for v in (*values.values(), args[-1]))
                 return _fn(values, *args)
             monkeypatch.setattr(hardy, name, spy)
+        tables, iistar = [], []
+
+        def table_spy(f, nodes, _fn=hardy.hardy_up_table):
+            tables.append(_fn(f, nodes))
+            return tables[-1]
+
+        def iistar_spy(g, paths, _fn=hardy._iistar_paths):
+            iistar.append(_fn(g, paths))
+            return iistar[-1]
+
+        monkeypatch.setattr(lemmas, "hardy_up_table", table_spy)
+        monkeypatch.setattr(lemmas, "_iistar_paths", iistar_spy)
         for suite in ("l1linf", "i2pos", "inter", "linf", "new23", "gest"):
             experiments.run_verify_suite(suite, trials=20, depth=8, seed=1, mode=EXACT)
         assert len(seen["_up_paths"]) > 200 and len(seen["_down_paths"]) > 200
         assert set(seen["_up_paths"]) == set(seen["_down_paths"]) == {int}
+        # one _up_paths sweep per table and per II*g, one _down_paths per II*g
+        assert len(tables) > 100 and len(iistar) > 50
+        assert calls == {"_up_paths": len(tables) + len(iistar), "_down_paths": len(iistar)}
+        handed_out = [v for t in tables for v in t.values()]
+        handed_out += [v for up, _ in iistar for v in up.values()]
+        assert {type(v) for v in handed_out} == {int}
 
     def test_refined_sup_matches_bruteforce(self):
         d = TreeDomain(7)
@@ -218,7 +317,7 @@ class TestBuildPhi:
         rng = random.Random(seed)
         g = randgen.random_superadditive(rng, d, mode=mode)
         w = random_quarter_weight(rng, tree_nodes_bfs(d.levels), mode)[0]
-        iwg = hardy_up_table(w.mul(g), tree_nodes_bfs(d.levels))
+        iwg = hardy_up_scalars(w.mul(g), tree_nodes_bfs(d.levels))
         values = sorted(iwg.values())
         delta = values[len(values) // 2]
         lam = 4 * delta
@@ -232,7 +331,7 @@ class TestBuildPhi:
     def test_unit_weight_instance(self):
         d, _, g, f, lam, delta, _ = self._instance()
         w = SparseFn({n: 1 for n in tree_nodes_bfs(d.levels)})
-        iwg = hardy_up_table(w.mul(g), tree_nodes_bfs(d.levels))
+        iwg = hardy_up_scalars(w.mul(g), tree_nodes_bfs(d.levels))
         values = sorted(iwg.values())
         delta = values[len(values) // 2]
         lam = 4 * delta
@@ -426,7 +525,7 @@ class TestBuildPhi:
         d, w, g, f, lam, delta, _ = self._instance()
         phi, report = build_phi(w, g, f, lam, delta, d)
         assert report.holds
-        iwg = hardy_up_table(w.mul(g), phi.support())
+        iwg = hardy_up_scalars(w.mul(g), phi.support())
         for n in phi.support():
             assert delta < iwg[n] <= 2 * lam
 
@@ -505,3 +604,94 @@ class TestGest:
         r = verify_gest(g, ROOT, 2, d)
         assert r.holds
         assert r.mode == EXACT
+
+
+class TestFractionOracles:
+    """Every report equals, value and type, the one the verifiers gave when
+    they took their sums, powers and maxima on Fractions (tests/helpers.py).
+    A suite golden prints only its first or failing reports, so this is what
+    covers the rest."""
+
+    @staticmethod
+    def _compare(monkeypatch):
+        compared = {}
+
+        def on_call(name, real, args, kwargs):
+            report = real(*args, **kwargs)
+            got = _typed((report[1] if isinstance(report, tuple) else report).to_dict())
+            assert got == _outcome(ORACLES[name], *args, **kwargs), (name, args)
+            compared[name] = compared.get(name, 0) + 1
+            return report
+
+        _spy_on_verifiers(monkeypatch, on_call)
+        return compared
+
+    @pytest.mark.parametrize("mode", [EXACT, FLOAT])
+    def test_suite_reports_match_oracles(self, mode, monkeypatch):
+        compared = self._compare(monkeypatch)
+        for suite in experiments.VERIFY_NAMES:
+            experiments.run_verify_suite(suite, trials=60, depth=8, seed=23, mode=mode)
+        assert compared == {name: 60 for name in ORACLES}
+
+    @pytest.mark.parametrize("mode", [EXACT, FLOAT])
+    def test_pinned_inter_seeds_keep_their_false_verdict(self, mode, monkeypatch):
+        # the benchmark's known false violations (ROADMAP item 2): exact
+        # equalities that the float p-th roots decide as violated
+        compared = self._compare(monkeypatch)
+        for seed in (773, 1447, 3087):
+            report, = experiments.run_verify_suite("inter", trials=1, depth=8, seed=seed,
+                                                   mode=mode)
+            assert not report.holds and not report.degenerate
+            if mode == EXACT:
+                x, params = report.extra, report.params
+                assert x["sum_ifg_p"] == params["delta"] * params["lambda"] * x["sum_fp"]
+        assert compared == {"verify_inter": 3}
+
+    @pytest.mark.parametrize("mode", [EXACT, FLOAT])
+    def test_exponents_and_denominators_match_oracles(self, mode):
+        # p in {1, 1.5, 2, 3}, an empty f, and values over 3, 5 and 7
+        d = TreeDomain(7)
+        nodes = tree_nodes_bfs(d.levels)
+        rng = random.Random(37)
+        calls = 0
+        for trial in range(45):
+            den = (3, 5, 7)[trial % 3]
+            t = Fraction(rng.randint(1, 2 * den), den)
+            g_inc = scale(randgen.random_increasing(rng, d, mode=mode), t)
+            g_sup = scale(randgen.random_superadditive(rng, d, mode=mode), t)
+            f = SparseFn({n: Fraction(rng.randint(1, 30), den)
+                          for n in rng.sample(nodes, rng.randint(1, 12))}, mode)
+            gamma = sorted(g_sup.support(), key=lambda n: n.path)[rng.randrange(len(g_sup))]
+            cases = [(verify_linf, f, g_inc, d), (verify_I2_positive, f, g_inc, d),
+                     (verify_supadditive_l1linf, g_sup, f, gamma, d),
+                     (verify_inter, SparseFn({}, mode), g_sup, 2, d),
+                     (verify_inter, SparseFn({}, mode), g_sup, 1.5, d)]
+            cases += [(verify_gest, g_sup, gamma, p, d) for p in (2, 3, 1.5)]
+            for p in (1, 1.5, 2, 3):
+                cases += [(verify_new23, f, g_inc, p, d), (verify_inter, f, g_sup, p, d)]
+            for fn, *args in cases:
+                assert _outcome(fn, *args) == _outcome(ORACLES[fn.__name__], *args), \
+                    (fn.__name__, args)
+                calls += 1
+        assert calls == 45 * 16
+
+    def test_exact_trials_build_a_few_fractions(self, monkeypatch):
+        # a Fraction for each value a report carries, not one per node: the
+        # Fraction-arithmetic oracles, on the same calls, exceed the bound
+        built, oracle_built = {}, {}
+
+        def on_call(name, real, args, kwargs):
+            report, n = _count_fractions(real, *args, **kwargs)
+            built.setdefault(name, []).append(n)
+            oracle_built.setdefault(name, []).append(
+                _count_fractions(ORACLES[name], *args, **kwargs)[1])
+            return report
+
+        _spy_on_verifiers(monkeypatch, on_call)
+        for suite in SPARSE_SUITES:
+            experiments.run_verify_suite(suite, trials=20, depth=8, seed=29, mode=EXACT)
+        assert len(built) == len(SPARSE_SUITES)
+        for name, counts in built.items():
+            assert len(counts) == 20
+            assert max(counts) <= 10, (name, counts)
+            assert max(oracle_built[name]) > 10, (name, oracle_built[name])

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from cxlab import experiments, randgen
-from cxlab.hardy import PointMeasure, hardy_up_table, rectangle_mass_fn
+from cxlab.hardy import PointMeasure, rectangle_mass_fn
 from cxlab.lemmas import build_phi
 from cxlab.structure import special_form_g
 from cxlab.trees import EXACT, FLOAT, BiNode, NodeAddress, SparseFn, TreeDomain
@@ -201,7 +201,7 @@ def test_build_phi_reads_w_only_on_supp_g_and_f(levels, mode):
     nonzero = shrunk = 0
     for seed in range(30 if levels == 8 else 6):
         w, g, f, lam, delta = helpers.phi_instance_dict(random.Random(seed), d, mode)
-        iwg = hardy_up_table(w.mul(g), nodes)
+        iwg = helpers.hardy_up_scalars(w.mul(g), nodes)
         half = sorted(iwg.values())[len(nodes) // 4]
         f_half = SparseFn({n: Fraction(1, 2) for n, v in iwg.items() if v <= half}, mode)
         for f, lam, delta in ((f, lam, delta), (f_half, 4 * half, half)):

@@ -19,7 +19,7 @@ from cxlab.trees import (
     _path_values,
 )
 
-from helpers import ancestors, binode, bitree_nodes, tree_nodes_bfs
+from helpers import ancestors, binode, bitree_nodes, contains, tree_nodes_bfs
 
 BIROOT = BiNode(ROOT, ROOT)
 
@@ -30,11 +30,11 @@ class TestNodeAddress:
             NodeAddress("012")
 
     def test_contains_is_inclusive_ancestry(self):
-        assert NodeAddress("01").contains(NodeAddress("010"))
-        assert ROOT.contains(NodeAddress("01"))
-        assert NodeAddress("01").contains(NodeAddress("01"))
-        assert not NodeAddress("010").contains(NodeAddress("01"))
-        assert not NodeAddress("01").contains(NodeAddress("00"))
+        assert contains(NodeAddress("01"), NodeAddress("010"))
+        assert contains(ROOT, NodeAddress("01"))
+        assert contains(NodeAddress("01"), NodeAddress("01"))
+        assert not contains(NodeAddress("010"), NodeAddress("01"))
+        assert not contains(NodeAddress("01"), NodeAddress("00"))
 
     def test_hash_is_the_path_hash(self):
         paths = ("", "0", "1", "01", "0110" * 20)
@@ -62,7 +62,7 @@ class TestLcp:
     def test_lcp_depth(self):
         # the lcp of two paths is the depth of the nodes' deepest common ancestor
         a, b = NodeAddress("0011"), NodeAddress("0010")
-        common = [q for q in ancestors(a) if q.contains(b)]
+        common = [q for q in ancestors(a) if contains(q, b)]
         assert lcp_len(a.path, b.path) == max(q.depth for q in common) == 3
 
 
@@ -208,3 +208,11 @@ class TestPathValues:
         f = SparseFn({NodeAddress("1"): 0.1, ROOT: 2.5}, FLOAT)
         assert _path_values(f) == ({"1": 0.1, "": 2.5}, 1)
         assert _path_values(SparseFn({})) == ({}, 1)
+
+    @pytest.mark.parametrize("mode", [EXACT, FLOAT])
+    def test_computed_once_per_function(self, mode, monkeypatch):
+        # filled at the first call and handed out again, never recomputed
+        f = SparseFn({NodeAddress("1"): Fraction(1, 3), ROOT: Fraction(1, 2)}, mode)
+        first = _path_values(f)
+        monkeypatch.setattr(SparseFn, "items", lambda self: pytest.fail("recomputed"))
+        assert _path_values(f) is first
