@@ -497,8 +497,9 @@ def search_new23(p: Scalar, depth: int, budget: int, seed: int) -> LemmaReport:
     gv = _random_increasing_paths(rng, depth, cap=12)
     fv = _random_f_paths(rng, depth, list(gv))
     d = TreeDomain(depth + 1)
-    g = SparseFn({NodeAddress(k): v for k, v in gv.items()}, FLOAT)
-    f = SparseFn({NodeAddress(k): v for k, v in fv.items()}, FLOAT)
+    # a draw of 0.0 (rand() can return it) leaves the support
+    g = SparseFn._of({k: v for k, v in gv.items() if v}, 1, FLOAT)
+    f = SparseFn._of({k: v for k, v in fv.items() if v}, 1, FLOAT)
     report = verify_new23(f, g, float(p), d, seed=seed)
     report.name = "search_new23"
     report.params.update({"depth": depth, "budget": budget, "best_trial": best_trial,

@@ -22,10 +22,9 @@ import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import attrgetter
 from typing import Callable
 
-from .trees import EXACT, FLOAT, ResourceError, Scalar, SparseFn, TreeDomain, heap_node
+from .trees import EXACT, FLOAT, NodeAddress, ResourceError, Scalar, SparseFn, TreeDomain
 from .structure import special_form_g
 from .hardy import _heap_values, _up_heap
 from .lemmas import (
@@ -46,20 +45,17 @@ from . import capacity as cap
 
 VERIFY_NAMES = ("l1linf", "i2pos", "phi", "inter", "linf", "new23", "gest")
 _NEW23_PS = (1, 1.5, 2)
-# k/4 for k = 0..16, in each scalar mode
-_QUARTERS = tuple(Fraction(k, 4) for k in range(17))
-_QUARTERS_FLOAT = tuple(k / 4 for k in range(17))
 
 
-def _pick(rng: random.Random, items):
-    items = sorted(items, key=attrgetter("path"))
-    return items[_below(rng.getrandbits, len(items))]
+def _pick(rng: random.Random, paths) -> str:
+    paths = sorted(paths)
+    return paths[_below(rng.getrandbits, len(paths))]
 
 
 def _trial_l1linf(rng, d, mode, seed) -> LemmaReport:
     g = randgen.random_superadditive(rng, d, mode=mode)
     h = randgen.random_sparse(rng, d, mode=mode)
-    gamma = _pick(rng, g.support())
+    gamma = NodeAddress(_pick(rng, g.values))
     return verify_supadditive_l1linf(g, h, gamma, d, seed=seed)
 
 
@@ -76,11 +72,10 @@ def _phi_instance(rng, d, mode):
     The node at heap position k has weight quarters[k - 1]/4, so I(wg) is
     swept over g's int numerators times quarters[k - 1], over 4 times their
     denominator, in exact mode, and over the float products g w in float
-    mode.  f is drawn on heap positions, and a NodeAddress is built only for
-    a sampled one.  A weight is drawn for every node, but w holds only those
-    on supp g, in g's order, then on the rest of supp f: the nodes build_phi
-    reads it on.  A domain of more than 20 levels raises ResourceError
-    before any draw.
+    mode.  f is drawn on heap positions.  A weight is drawn for every node,
+    but w holds only those on supp g, in g's order, then on the rest of
+    supp f: the nodes build_phi reads it on.  A domain of more than 20
+    levels raises ResourceError before any draw.
     """
     d.require_enumerable()
     g = randgen.random_superadditive(rng, d, mode=mode)
@@ -98,15 +93,16 @@ def _phi_instance(rng, d, mode):
     delta = Fraction(cut, den) if mode == EXACT else cut
     candidates = [k for k, key in enumerate(keys, 1) if key <= cut]
     lam = 4 * delta
-    entries = {}
-    for k in rng.sample(candidates, k=min(len(candidates), 1 + _below(rng.getrandbits, 6))):
-        v = randgen.dyadic(rng)
-        if v > 0:
-            entries[heap_node(k)] = v
-    f = SparseFn(entries, mode)
-    weights = _QUARTERS if mode == EXACT else _QUARTERS_FLOAT
-    w = SparseFn({n: weights[quarters[d.heap_index(n) - 1]]
-                  for n in itertools.chain(g.support(), f.support())}, mode)
+    # f's values k/16, k drawn as randint(0, 16) draws it, at heap positions
+    bits = rng.getrandbits
+    draws = {}
+    for k in rng.sample(candidates, k=min(len(candidates), 1 + _below(bits, 6))):
+        num = _below(bits, 17)
+        if num:
+            draws[bin(k)[3:]] = num
+    f = SparseFn._of(draws, 16, mode)
+    w = SparseFn._of({path: quarters[int("1" + path, 2) - 1]
+                      for path in itertools.chain(g.values, f.values)}, 4, mode)
     return w, g, f, lam, delta, (up, den)
 
 
@@ -138,11 +134,11 @@ def _trial_new23(rng, d, mode, seed) -> LemmaReport:
 def _trial_gest(rng, d, mode, seed) -> LemmaReport:
     levels = min(d.levels, 6)
     m = randgen.random_special_form_measure(rng, levels, levels)
-    beta = _pick(rng, (n.y for n in m))
+    beta = _pick(rng, (y for _, y in m[0]))
     g = special_form_g(m, beta, 2)
     if mode != EXACT:
         g = g.to_float()
-    gamma = _pick(rng, g.support())
+    gamma = NodeAddress(_pick(rng, g.values))
     return verify_gest(g, gamma, 2, d, seed=seed)
 
 

@@ -6,12 +6,12 @@ statements and quantifies the violations.  The thresholds lambda and delta
 are always computed as the least admissible values from the instance, which
 makes reports canonical and comparable across instance sizes.
 
-The verifiers compute on sweep values: the values trees._path_values gives
-and the If and II*g tables of hardy take, int numerators over one
-denominator per function in exact mode, the floats themselves in float
-mode.  In exact mode at integral p every max, sum and power is taken on the
-ints, both sides of an inequality end over one denominator, and the verdict
-compares their numerators; a Fraction is built only for each value a report
+The verifiers compute on sweep values: the values a SparseFn holds and the
+If and II*g tables of hardy take, int numerators over the function's one
+denominator in exact mode, the floats themselves in float mode.  In exact
+mode at integral p every max, sum and power is taken on the ints, both
+sides of an inequality end over one denominator, and the verdict compares
+their numerators; a Fraction is built only for each value a report
 carries.  Float mode evaluates each float expression in its own order, and
 a non-integral p rounds each exact value once, where _pow did.
 """
@@ -33,9 +33,7 @@ from .trees import (
     SparseFn,
     TreeDomain,
     format_node,
-    heap_node,
     _as_int,
-    _path_values,
     _pow,
     _zero,
 )
@@ -148,10 +146,10 @@ def verify_supadditive_l1linf(
     seed: Optional[int] = None,
 ) -> LemmaReport:
     """sum_{alpha <= gamma} g h <= lambda g(gamma), lambda = max Ih on supp g."""
-    gv, gden = _path_values(g)
-    hv, hden = _path_values(h)
+    gv, gden = g.values, g.den
+    hv, hden = h.values, h.den
     zero = 0 if g.mode == EXACT else 0.0
-    lam = max(hardy_up_table(h, g.support()).values(), default=zero)
+    lam = max(hardy_up_table(h, gv).values(), default=zero)
     top = gamma.path
     lhs = zero
     for x, v in gv.items():
@@ -176,14 +174,12 @@ def verify_I2_positive(
 ) -> LemmaReport:
     """sum (If)^2 g <= (refined sup of II*g) * sum f^2; unconditional.
     A node of supp f or supp g outside d raises DomainError."""
-    fv, fden = _path_values(f)
-    gv, gden = _path_values(g)
-    max_depth = d.max_depth
-    for x in (*fv, *gv):
-        if len(x) > max_depth:
-            d.require(NodeAddress(x))
+    fv, fden = f.values, f.den
+    gv, gden = g.values, g.den
+    d.require(fv)
+    d.require(gv)
     zero = 0 if g.mode == EXACT else 0.0
-    up = hardy_up_table(f, g.support())
+    up = hardy_up_table(f, gv)
     lhs = sum((up[x] ** 2 * v for x, v in gv.items()), zero)
     (sup, arg), (coarse, _) = _sup_iistar(g, _refined_paths(gv, fv), gv)
     # both sides over fden^2 gden
@@ -249,19 +245,12 @@ def build_phi(
 
 
 def _weighted_square_sum(w: SparseFn, fn: SparseFn) -> Scalar:
-    """sum over supp fn of w fn^2, in fn's order.  In exact mode it is
-    summed over int numerators, over fn's denominator squared times the lcm
-    of w's denominators on supp fn, and handed out as one Fraction."""
-    values, den = _path_values(fn)
-    weights = [w.get(n) for n in fn.support()]
-    if fn.mode != EXACT:
-        return sum((x * v * v for x, v in zip(weights, values.values())), 0.0)
-    wden = 1
-    for x in weights:
-        wden = math.lcm(wden, x.denominator)
-    total = sum(x.numerator * (wden // x.denominator) * v * v
-                for x, v in zip(weights, values.values()))
-    return Fraction(total, wden * den * den)
+    """sum over supp fn of w fn^2, in fn's order, summed on the values as
+    the two functions hold them, over w.den fn.den^2."""
+    wv = w.values
+    total = sum((wv.get(x, 0) * v * v for x, v in fn.values.items()),
+                0 if fn.mode == EXACT else 0.0)
+    return _value(total, w.den * fn.den * fn.den, fn.mode)
 
 
 def _phi_heap(w, g, f, lam, delta, d, iwg):
@@ -286,22 +275,29 @@ def _phi_heap(w, g, f, lam, delta, d, iwg):
                                   for t in (delta, lam / 2, 2 * lam))
     else:
         delta_t, half_t, two_t = delta, lam / 2, 2 * lam
-    for node in f.support():
-        if up_wg[d.heap_index(node)] > delta_t:
-            raise PreconditionError("supp f must lie inside {I(wg) <= delta}", node)
+    d.require(f.values)
+    for path in f.values:
+        if up_wg[int("1" + path, 2)] > delta_t:
+            raise PreconditionError("supp f must lie inside {I(wg) <= delta}",
+                                    NodeAddress(path))
 
     up_wf, den_wf = _heap_values(w.mul(f), d)
     _up_heap(up_wf)
     inv_lam = Fraction(1, 1) / lam if exact else 1.0 / float(lam)
-    phi_entries = {}
-    for node, gv in g.items():
-        k = d.heap_index(node)
+    phi_values = {}
+    for path, gv in g.values.items():
+        k = int("1" + path, 2)
         # phi is zero where I(wf) is
         if up_wf[k] and delta_t < up_wg[k] <= two_t:
-            val = inv_lam * (Fraction(up_wf[k], den_wf) if exact else up_wf[k]) * gv
-            if val != 0:
-                phi_entries[node] = val
-    phi = SparseFn(phi_entries, g.mode)
+            if exact:
+                # (up_wf / den_wf) (gv / g.den) / lam, a numerator over phi_den
+                phi_values[path] = up_wf[k] * gv * inv_lam.numerator
+            else:
+                val = inv_lam * up_wf[k] * gv
+                if val != 0:
+                    phi_values[path] = val
+    phi_den = den_wf * g.den * inv_lam.denominator if exact else 1
+    phi = SparseFn._of(phi_values, phi_den, g.mode)
 
     up_wphi, den_wphi = _heap_values(w.mul(phi), d)
     _up_heap(up_wphi)
@@ -329,7 +325,7 @@ def _phi_heap(w, g, f, lam, delta, d, iwg):
                     worst_a = r
                 if r < lower:
                     a_ok, a_k = False, k
-    a_witness = None if a_k is None else heap_node(a_k)
+    a_witness = None if a_k is None else NodeAddress(bin(a_k)[3:])
     return phi, a_ok, a_witness, worst_a
 
 
@@ -343,13 +339,13 @@ def verify_inter(
     """
     if p < 1:
         raise ValueError("p must be at least 1")
-    fv, fden = _path_values(f)
-    gv, gden = _path_values(g)
+    fv, fden = f.values, f.den
+    gv, gden = g.values, g.den
     mode = f.mode
     zero = 0 if mode == EXACT else 0.0
     # Ig is constant below the deepest supported ancestor, so its max over
     # the tree is its max over supp g and the root
-    ig = hardy_up_table(g, [*f.support(), *g.support(), ROOT])
+    ig = hardy_up_table(g, [*fv, *gv, ROOT.path])
     delta = _value(max((ig[x] for x in fv), default=zero), gden, mode)
     lam = _value(max(ig[x] for x in (*gv, ROOT.path)), gden, mode)
     e = _as_int(p)
@@ -364,7 +360,7 @@ def verify_inter(
             lhs=_zero(mode), rhs=_zero(mode), holds=True,
             mode=mode, seed=seed, degenerate=True,
         )
-    up = hardy_up_table(f, g.support())
+    up = hardy_up_table(f, gv)
     den = fden * gden
     if exact:
         sum_ifg_p = Fraction(sum((up[x] * v) ** e for x, v in gv.items()), den ** e)
@@ -388,10 +384,10 @@ def verify_inter(
 
 def verify_linf(f: SparseFn, g: SparseFn, d: TreeDomain, seed: Optional[int] = None) -> LemmaReport:
     """||If . g||_inf <= (sup over supp g & supp f of II*g) ||f||_inf for increasing g."""
-    fv, fden = _path_values(f)
-    gv, gden = _path_values(g)
+    fv, fden = f.values, f.den
+    gv, gden = g.values, g.den
     zero = 0 if g.mode == EXACT else 0.0
-    up = hardy_up_table(f, g.support())
+    up = hardy_up_table(f, gv)
     lhs, arg = zero, None
     for x, v in gv.items():
         val = up[x] * v
@@ -417,10 +413,10 @@ def verify_new23(
     """sum (If)^p g <= (sup over supp g & supp f of II*g) sum f^p."""
     if p < 1:
         raise ValueError("p must be at least 1")
-    fv, fden = _path_values(f)
-    gv, gden = _path_values(g)
+    fv, fden = f.values, f.den
+    gv, gden = g.values, g.den
     mode = g.mode
-    up = hardy_up_table(f, g.support())
+    up = hardy_up_table(f, gv)
     (sup, arg), (coarse, _) = _sup_iistar(g, [x for x in gv if x in fv], gv)
     sup_v = _value(sup, gden, mode)
     e = _as_int(p)
@@ -456,10 +452,10 @@ def verify_gest(
     pre_ok, pre_witness = check_power_superadditive(g, d, p)
     if not pre_ok:
         raise PreconditionError("g^(p-1) is not superadditive", pre_witness)
-    gv, gden = _path_values(g)
+    gv, gden = g.values, g.den
     mode = g.mode
     zero = 0 if mode == EXACT else 0.0
-    lam = max(hardy_up_table(g, g.support()).values(), default=zero)
+    lam = max(hardy_up_table(g, gv).values(), default=zero)
     lam_v = _value(lam, gden, mode)
     top = gamma.path
     e = _as_int(p)
@@ -471,7 +467,7 @@ def verify_gest(
         lhs, rhs = Fraction(lhs, gden ** e), Fraction(rhs, gden ** e)
     else:
         lhs = sum((_pow(v / gden, p) for x, v in gv.items() if x.startswith(top)), _zero(mode))
-        rhs = lam_v * _pow(g.get(gamma), p - 1)
+        rhs = lam_v * _pow(gv.get(top, zero) / gden, p - 1)
         holds = _holds(lhs, rhs)
     return LemmaReport(
         name="gest",

@@ -16,7 +16,7 @@ import random
 from fractions import Fraction
 from typing import Callable
 
-from .trees import BiNode, EXACT, NodeAddress, Scalar, SparseFn, TreeDomain
+from .trees import BiNode, EXACT, NodeAddress, SparseFn, TreeDomain
 from .hardy import PointMeasure, rectangle_mass_fn
 
 
@@ -47,15 +47,14 @@ def _random_bits(bits: Callable[[int], int], n: int) -> str:
     return out
 
 
-def dyadic(rng: random.Random, den: int = 16, lo: int = 0, hi: int = 16) -> Fraction:
-    """randint(lo, hi) / den."""
-    return Fraction(lo + _below(rng.getrandbits, hi - lo + 1), den)
-
-
-def _entry(num: int, den: int, mode: str) -> Scalar:
-    """num/den as the mode's scalar; an int quotient is correctly rounded, so
-    a float equals the float of the Fraction."""
-    return Fraction(num, den) if mode == EXACT else num / den
+def _over_one_power(draws: dict[str, int], base: int, per_level: int,
+                    mode: str) -> SparseFn:
+    """The function whose value at path is draws[path] / base^(per_level
+    depth + 1), over the power of base that its deepest path needs."""
+    top = max(map(len, draws), default=0)
+    return SparseFn._of({path: num * base ** (per_level * (top - len(path)))
+                         for path, num in draws.items()},
+                        base ** (per_level * top + 1), mode)
 
 
 def random_superadditive(
@@ -64,15 +63,15 @@ def random_superadditive(
     """Top-down construction: each node's children sum to at most its value.
 
     A child total is its parent times a/16 and the left child that total
-    times b/16 (a, b drawn as dyadic draws them), so a value at depth k is an
-    int numerator over 16^(2k+1).
+    times b/16 (a, b drawn as randint(0, 16) draws them), so a value at
+    depth k is an int numerator over 16^(2k+1).
     """
     bits, rand = rng.getrandbits, rng.random
-    entries: dict[NodeAddress, Scalar] = {}
+    draws: dict[str, int] = {}
     frontier = [("", 1 + _below(bits, 16))]
-    while frontier and len(entries) < max_support:
+    while frontier and len(draws) < max_support:
         path, num = frontier.pop(_below(bits, len(frontier)))
-        entries[NodeAddress(path)] = _entry(num, 16 ** (2 * len(path) + 1), mode)
+        draws[path] = num
         if len(path) < d.max_depth and rand() < 0.75:
             child_total = num * _below(bits, 17)
             left = child_total * _below(bits, 17)
@@ -80,7 +79,7 @@ def random_superadditive(
             for bit, v in (("0", left), ("1", right)):
                 if v > 0:
                     frontier.append((path + bit, v))
-    return SparseFn(entries, mode)
+    return _over_one_power(draws, 16, 2, mode)
 
 
 def random_increasing(
@@ -88,39 +87,38 @@ def random_increasing(
 ) -> SparseFn:
     """Top-down construction: each child value is at most its parent's.
 
-    A child value is its parent's times a/16 (a drawn as dyadic draws it), so
-    a value at depth k is an int numerator over 16^(k+1).
+    A child value is its parent's times a/16 (a drawn as randint(0, 16)
+    draws it), so a value at depth k is an int numerator over 16^(k+1).
     """
     bits, rand = rng.getrandbits, rng.random
-    entries: dict[NodeAddress, Scalar] = {}
+    draws: dict[str, int] = {}
     frontier = [("", 1 + _below(bits, 16))]
-    while frontier and len(entries) < max_support:
+    while frontier and len(draws) < max_support:
         path, num = frontier.pop(_below(bits, len(frontier)))
-        entries[NodeAddress(path)] = _entry(num, 16 ** (len(path) + 1), mode)
+        draws[path] = num
         if len(path) < d.max_depth and rand() < 0.75:
             for bit in "01":
                 v = num * _below(bits, 17)
                 if v > 0 and rand() < 0.8:
                     frontier.append((path + bit, v))
-    return SparseFn(entries, mode)
+    return _over_one_power(draws, 16, 1, mode)
 
 
 def random_sparse(
     rng: random.Random, d: TreeDomain, max_support: int = 12, mode: str = EXACT,
 ) -> SparseFn:
-    """Up to max_support values drawn as dyadic draws them, each nonzero one
-    at a path of depth drawn as randint(0, max_depth) and then that many
-    choice("01") bits; a repeated path keeps its first place and its last
-    value."""
+    """Up to max_support values k/16, k drawn as randint(0, 16) draws it,
+    each nonzero one at a path of depth drawn as randint(0, max_depth) and
+    then that many choice("01") bits; a repeated path keeps its first place
+    and its last value."""
     bits = rng.getrandbits
     depths = d.max_depth + 1
-    entries: dict[NodeAddress, Scalar] = {}
+    draws: dict[str, int] = {}
     for _ in range(1 + _below(bits, max_support)):
         num = _below(bits, 17)
         if num:
-            path = _random_bits(bits, _below(bits, depths))
-            entries[NodeAddress(path)] = _entry(num, 16, mode)
-    return SparseFn(entries, mode)
+            draws[_random_bits(bits, _below(bits, depths))] = num
+    return SparseFn._of(draws, 16, mode)
 
 
 def random_quarters(rng: random.Random, count: int) -> list[int]:
@@ -151,8 +149,9 @@ def random_point_measure(
 
 def random_special_form_measure(
     rng: random.Random, levels_x: int, levels_y: int, max_atoms: int = 5,
-) -> dict[BiNode, Fraction]:
-    """The exact rectangle masses of a random atomic measure.
+) -> tuple[dict[tuple[str, str], int], int]:
+    """The exact rectangle masses of a random atomic measure, as
+    hardy.rectangle_mass_fn gives them.
 
     This is the measure reading of the special-form construction; feeding it
     to special_form_g yields a g whose power g^(p-1) is superadditive.

@@ -7,6 +7,12 @@ containment: a <= b iff both of b's coordinate paths are prefixes of a's
 (smaller = deeper).  Every function the verifiers take is a SparseFn on the
 tree; the bi-tree appears only as the atoms and rectangles of the capacity
 and of the special-form construction.
+
+A SparseFn keeps its values in the one form every sweep, verifier and
+structure check reads: a dict keyed by path, of int numerators over one
+int denominator in exact mode, of the floats over 1 in float mode.  The
+generators and constructions hand in the numerators they already hold;
+SparseFn(entries, mode) converts Fractions once, through _numerators.
 """
 
 from __future__ import annotations
@@ -54,14 +60,6 @@ class NodeAddress:
     def __post_init__(self):
         _check_path(self.path)
 
-    @property
-    def depth(self) -> int:
-        return len(self.path)
-
-    def __hash__(self) -> int:
-        # the path's own hash, not the generated hash of the tuple (path,)
-        return hash(self.path)
-
     def __str__(self) -> str:
         return self.path or "(root)"
 
@@ -103,15 +101,12 @@ def format_node(node: NodeAddress) -> str:
     return node.path
 
 
-def heap_node(k: int) -> NodeAddress:
-    """The node at heap position k (root at 1), the inverse of
-    TreeDomain.heap_index: k's binary digits after the leading 1."""
-    return NodeAddress(bin(k)[3:])
-
-
 @dataclass(frozen=True)
 class TreeDomain:
-    """A full binary tree with node levels 0..levels-1 (2^levels - 1 nodes)."""
+    """A full binary tree with node levels 0..levels-1 (2^levels - 1 nodes).
+    The node with path p sits at heap position int("1" + p, 2), the root at
+    1, so a list of 2^levels entries holds a function on the domain with
+    entry 0 unused."""
 
     levels: int
 
@@ -127,12 +122,11 @@ class TreeDomain:
     def max_depth(self) -> int:
         return self.levels - 1
 
-    def __contains__(self, a: NodeAddress) -> bool:
-        return a.depth <= self.max_depth
-
-    def require(self, a: NodeAddress) -> None:
-        if a not in self:
-            raise DomainError(f"node at depth {a.depth} outside {self.levels}-level tree")
+    def require(self, paths: Iterable[str]) -> None:
+        """Raise DomainError at the first path deeper than the last level."""
+        for path in paths:
+            if len(path) > self.levels - 1:
+                raise DomainError(f"node at depth {len(path)} outside {self.levels}-level tree")
 
     def require_enumerable(self) -> None:
         """Raise ResourceError above 20 levels, where no function is taken at
@@ -140,37 +134,32 @@ class TreeDomain:
         if self.levels > 20:
             raise ResourceError(f"refusing to enumerate 2^{self.levels}-1 nodes")
 
-    def heap_index(self, a: NodeAddress) -> int:
-        """a's position in heap order, (1 << depth) | bits with the root at 1,
-        so a list of 2^levels entries holds a function on the domain with
-        entry 0 unused; heap_node is the inverse."""
-        self.require(a)
-        return int("1" + a.path, 2)
-
 
 class SparseFn:
     """A finitely supported non-negative function on tree nodes.
 
-    In exact mode every value is a Fraction and no rounding occurs anywhere;
-    absent nodes read as zero.  A SparseFn is never changed after it is
-    built, so _path_values fills its _paths slot once, at the first call.
+    values maps the path of each supported node, in support order, to its
+    value over the one int den: an int numerator in exact mode, the float
+    itself over 1 in float mode.  Absent paths read as zero.  Every value
+    leaves as the reduced Fraction num/den or as the correctly rounded float
+    num/den, so which common denominator is kept never shows.  A SparseFn is
+    never changed after it is built.
     """
 
-    __slots__ = ("mode", "_values", "_paths")
+    __slots__ = ("mode", "values", "den")
 
     def __init__(self, entries: Mapping[NodeAddress, Scalar] | None = None,
                  mode: str = EXACT):
         if mode not in (EXACT, FLOAT):
             raise ValueError(f"unknown scalar mode {mode!r}")
         self.mode = mode
-        self._values: dict[NodeAddress, Scalar] = {}
-        self._paths: tuple[dict[str, Scalar], int] | None = None
         if not entries:
+            self.values, self.den = {}, 1
             return
         # The sign is read from an exact value's numerator and from a float
         # itself, not through Fraction compares; a float NaN passes both tests.
         exact = mode == EXACT
-        values = self._values
+        kept = {}
         for node, v in entries.items():
             if type(node) is not NodeAddress:
                 raise DomainError(f"{type(node).__name__} is not a tree node")
@@ -185,65 +174,57 @@ class SparseFn:
             if sign < 0:
                 raise ValueError(f"negative value {v} at {format_node(node)}")
             if sign:
-                values[node] = v
+                kept[node.path] = v
+        if exact:
+            nums, self.den = _numerators(kept.values())
+            self.values = dict(zip(kept, nums))
+        else:
+            self.values, self.den = kept, 1
 
-    def get(self, node: NodeAddress) -> Scalar:
-        return self._values.get(node, _zero(self.mode))
-
-    def support(self) -> list[NodeAddress]:
-        return list(self._values)
-
-    def items(self) -> Iterable[tuple[NodeAddress, Scalar]]:
-        return self._values.items()
+    @classmethod
+    def _of(cls, values: dict[str, Scalar], den: int, mode: str) -> "SparseFn":
+        """The function with the given positive values over den, unchecked:
+        int numerators in exact mode; in float mode each is divided by den
+        once (correctly rounded for ints), and the floats are kept over 1.
+        The empty function is built first, so the mode is checked."""
+        f = cls(None, mode)
+        if mode == FLOAT:
+            values = {path: v / den for path, v in values.items()}
+            den = 1
+        f.values, f.den = values, den
+        return f
 
     def __len__(self) -> int:
-        return len(self._values)
+        return len(self.values)
 
     def mul(self, other: "SparseFn") -> "SparseFn":
-        """Pointwise product; support is the intersection of supports."""
-        out = {}
+        """Pointwise product; support is the intersection of supports, in
+        the order of the smaller one."""
         small, big = (self, other) if len(self) <= len(other) else (other, self)
-        for n, v in small.items():
-            w = big.get(n)
-            if w != 0:
-                out[n] = v * w
-        return SparseFn(out, self.mode)
-
-    def power(self, e: Scalar) -> "SparseFn":
-        """Pointwise power.  Falls back to float mode for non-integral exponents."""
-        e_int = _as_int(e)
-        if e_int is not None and self.mode == EXACT:
-            return SparseFn({n: v ** e_int for n, v in self._values.items()}, EXACT)
-        ef = float(e)
-        return SparseFn({n: float(v) ** ef for n, v in self._values.items()}, FLOAT)
+        bv = big.values
+        out = {path: v * bv[path] for path, v in small.values.items() if path in bv}
+        if self.mode != EXACT:
+            # a float product can round to zero
+            out = {path: v for path, v in out.items() if v}
+        return SparseFn._of(out, self.den * other.den, self.mode)
 
     def to_float(self) -> "SparseFn":
         if self.mode == FLOAT:
             return self
-        return SparseFn({n: float(v) for n, v in self._values.items()}, FLOAT)
+        return SparseFn._of(self.values, self.den, FLOAT)
 
     def __repr__(self) -> str:
-        return f"SparseFn({len(self._values)} entries, {self.mode})"
+        return f"SparseFn({len(self.values)} entries, {self.mode})"
 
 
-def _path_values(f: SparseFn) -> tuple[dict[str, Scalar], int]:
-    """A tree function as a dict from paths to values, in f's order, and the
-    denominator the values are over: int numerators over the lcm of f's
-    denominators in exact mode, the floats themselves over 1 in float mode.
-
-    Computed once per function and kept in its _paths slot, so every caller
-    gets the same dict and must not change it."""
-    if f._paths is not None:
-        return f._paths
-    items = f.items()
-    if f.mode != EXACT:
-        f._paths = {n.path: v for n, v in items}, 1
-        return f._paths
+def _numerators(values: Iterable[Scalar]) -> tuple[list[int], int]:
+    """Exact values (ints or Fractions) as int numerators over the lcm of
+    their denominators, in order, and that lcm."""
+    values = list(values)
     den = 1
-    for _, v in items:
+    for v in values:
         den = math.lcm(den, v.denominator)
-    f._paths = {n.path: v.numerator * (den // v.denominator) for n, v in items}, den
-    return f._paths
+    return [v.numerator * (den // v.denominator) for v in values], den
 
 
 def _as_int(e: Scalar) -> int | None:

@@ -18,7 +18,7 @@ from cxlab.hardy import (
 from cxlab.structure import _tol_for
 from cxlab.trees import (
     EXACT, FLOAT, BiNode, DomainError, NodeAddress, PreconditionError, ResourceError, Scalar,
-    SparseFn, TreeDomain, _as_int, _path_values, _pow, _zero, format_node, lcp_len,
+    SparseFn, TreeDomain, _as_int, _pow, _zero, format_node, lcp_len,
 )
 
 _MATERIALIZE_LEVELS = 12
@@ -44,9 +44,54 @@ def bitree_nodes(levels_x: int, levels_y: int) -> Iterator[BiNode]:
             yield BiNode(x, y)
 
 
+# A SparseFn read node by node, each value a Fraction in exact mode and a
+# float in float mode, as the references and the tests read it.
+
+def items(f: SparseFn) -> list[tuple[NodeAddress, Scalar]]:
+    """f's support nodes and values, in support order."""
+    if f.mode != EXACT:
+        return [(NodeAddress(path), v) for path, v in f.values.items()]
+    return [(NodeAddress(path), Fraction(v, f.den)) for path, v in f.values.items()]
+
+
+def support(f: SparseFn) -> list[NodeAddress]:
+    return [NodeAddress(path) for path in f.values]
+
+
+def get(f: SparseFn, node: NodeAddress) -> Scalar:
+    """f at node, zero where f is not supported."""
+    v = f.values.get(node.path)
+    if v is None:
+        return _zero(f.mode)
+    return Fraction(v, f.den) if f.mode == EXACT else v
+
+
+def power(f: SparseFn, e: Scalar) -> SparseFn:
+    """Pointwise power.  Falls back to float mode for non-integral exponents."""
+    e_int = _as_int(e)
+    if e_int is not None and f.mode == EXACT:
+        return SparseFn({n: v ** e_int for n, v in items(f)}, EXACT)
+    ef = float(e)
+    return SparseFn({n: float(v) ** ef for n, v in items(f)}, FLOAT)
+
+
+def rebuild(f: SparseFn, factor: int) -> SparseFn:
+    """f with every numerator and its denominator multiplied by factor,
+    through the private constructor: the same function over another
+    denominator in exact mode."""
+    return SparseFn._of({path: v * factor for path, v in f.values.items()},
+                        f.den * factor, f.mode)
+
+
+def heap_node(k: int) -> NodeAddress:
+    """The node at heap position k (root at 1), the inverse of a path's
+    position int("1" + path, 2)."""
+    return NodeAddress(bin(k)[3:])
+
+
 def ancestors(a: NodeAddress) -> list[NodeAddress]:
     """All prefixes of a's path in increasing depth, root first, a last."""
-    return [NodeAddress(a.path[:i]) for i in range(a.depth + 1)]
+    return [NodeAddress(a.path[:i]) for i in range(len(a.path) + 1)]
 
 
 def contains(a: NodeAddress, b: NodeAddress) -> bool:
@@ -62,7 +107,7 @@ def rect_contains(q: BiNode, a: BiNode) -> bool:
 
 def scale(f: SparseFn, t: Scalar) -> SparseFn:
     """t f, in f's mode."""
-    return SparseFn({n: v * t for n, v in f.items()}, f.mode)
+    return SparseFn({n: v * t for n, v in items(f)}, f.mode)
 
 
 def potential(m: PointMeasure, a: BiNode) -> Scalar:
@@ -84,7 +129,7 @@ def energy(m: PointMeasure) -> Scalar:
     atoms = m.atoms
     for i, (a, ma) in enumerate(atoms):
         # diagonal term
-        acc += ma * ma * (a.x.depth + 1) * (a.y.depth + 1)
+        acc += ma * ma * (len(a.x.path) + 1) * (len(a.y.path) + 1)
         for b, mb in atoms[i + 1:]:
             k = (lcp_len(a.x.path, b.x.path) + 1) * (lcp_len(a.y.path, b.y.path) + 1)
             acc += 2 * ma * mb * k
@@ -120,11 +165,15 @@ def _start(f: Fn) -> Scalar:
     return _zero(f.mode) if isinstance(f, SparseFn) else 0
 
 
+def _pairs(f: Fn):
+    return items(f) if isinstance(f, SparseFn) else f.items()
+
+
 def eval_hardy_up(f: Fn, a) -> Scalar:
     """If(a): the sum of f over all ancestors of a, inclusive."""
     _check_same_domain(f, a)
     acc = _start(f)
-    for node, v in f.items():
+    for node, v in _pairs(f):
         if _is_ancestor(node, a):
             acc += v
     return acc
@@ -135,7 +184,7 @@ def eval_hardy_down(g: Fn, a) -> Scalar:
     scan of the support."""
     _check_same_domain(g, a)
     acc = _start(g)
-    for node, v in g.items():
+    for node, v in _pairs(g):
         if _is_ancestor(a, node):
             acc += v
     return acc
@@ -457,7 +506,7 @@ def audit_variant_fraction(variant: str, N: int, p: Scalar) -> VariantAudit:
 
 def _sup_scalar(g: SparseFn, paths) -> tuple[Scalar, Optional[NodeAddress]]:
     (best, arg), = lemmas._sup_iistar(g, list(paths))
-    den = _path_values(g)[1]
+    den = g.den
     return (Fraction(best, den) if g.mode == EXACT else best,
             None if arg is None else NodeAddress(arg))
 
@@ -469,19 +518,18 @@ def sup_iistar_refined(g: SparseFn, f: SparseFn) -> tuple[Scalar, Optional[NodeA
     same value of I(I*g 1_{supp f}), which the proof bounds by II*g there;
     support points of g with no f-supported ancestor contribute zero.
     """
-    return _sup_scalar(g, lemmas._refined_paths(_path_values(g)[0], _path_values(f)[0]))
+    return _sup_scalar(g, lemmas._refined_paths(g.values, f.values))
 
 
 def sup_iistar_intersection(g: SparseFn, f: SparseFn) -> tuple[Scalar, Optional[NodeAddress]]:
     """sup of II*g over supp g intersected with supp f; nodes
     are visited in supp g order, so a tie keeps the first in that order."""
-    f_paths = _path_values(f)[0]
-    return _sup_scalar(g, (x for x in _path_values(g)[0] if x in f_paths))
+    return _sup_scalar(g, (x for x in g.values if x in f.values))
 
 
 def sup_iistar_support(g: SparseFn) -> Scalar:
     """The coarser sup of II*g over supp g, reported for comparison."""
-    return _sup_scalar(g, _path_values(g)[0])[0]
+    return _sup_scalar(g, g.values)[0]
 
 
 # The verifiers in Fraction arithmetic, as cxlab.lemmas ran them before it
@@ -492,12 +540,12 @@ def sup_iistar_support(g: SparseFn) -> Scalar:
 
 def hardy_up_scalars(f: SparseFn, nodes) -> dict[NodeAddress, Scalar]:
     """If at every requested node as a scalar of f's mode, keyed by node:
-    hardy_up_table's sweep values over _path_values(f)'s denominator."""
+    hardy_up_table's sweep values over f's denominator."""
     nodes = list(nodes)
-    table = hardy_up_table(f, nodes)
+    table = hardy_up_table(f, (n.path for n in nodes))
     if f.mode != EXACT:
         return {n: table[n.path] for n in nodes}
-    den = _path_values(f)[1]
+    den = f.den
     return {n: Fraction(table[n.path], den) for n in nodes}
 
 
@@ -528,9 +576,9 @@ def sup_iistar_nodes(g: SparseFn, *node_lists) -> list[tuple[Scalar, Optional[No
 def refined_nodes(g: SparseFn, f: SparseFn) -> list[NodeAddress]:
     """For every support node of g its deepest f-supported ancestor,
     skipping support nodes with none."""
-    f_paths = {n.path for n in f.support()}
+    f_paths = {n.path for n in support(f)}
     out = []
-    for x in g.support():
+    for x in support(g):
         p = x.path
         for i in range(len(p), -1, -1):
             if p[:i] in f_paths:
@@ -541,17 +589,17 @@ def refined_nodes(g: SparseFn, f: SparseFn) -> list[NodeAddress]:
 
 def intersection_nodes(g: SparseFn, f: SparseFn) -> list[NodeAddress]:
     """supp g intersected with supp f, in supp g order."""
-    f_support = set(f.support())
-    return [x for x in g.support() if x in f_support]
+    f_support = set(support(f))
+    return [x for x in support(g) if x in f_support]
 
 
 def verify_supadditive_l1linf_fraction(g, h, gamma, d, seed=None) -> lemmas.LemmaReport:
-    lam = max_hardy_up_on(h, g.support())
+    lam = max_hardy_up_on(h, support(g))
     lhs = _zero(g.mode)
-    for node, v in g.items():
+    for node, v in items(g):
         if contains(gamma, node):
-            lhs += v * h.get(node)
-    rhs = lam * g.get(gamma)
+            lhs += v * get(h, node)
+    rhs = lam * get(g, gamma)
     holds = lhs <= rhs
     return lemmas.LemmaReport(
         name="supadditive_l1linf",
@@ -564,12 +612,12 @@ def verify_supadditive_l1linf_fraction(g, h, gamma, d, seed=None) -> lemmas.Lemm
 
 
 def verify_I2_positive_fraction(f, g, d, seed=None) -> lemmas.LemmaReport:
-    for n in (*f.support(), *g.support()):
-        d.require(n)
-    table = hardy_up_scalars(f, g.support())
-    lhs = sum((table[n] ** 2 * v for n, v in g.items()), _zero(g.mode))
-    (sup, arg), (coarse, _) = sup_iistar_nodes(g, refined_nodes(g, f), g.support())
-    sum_f2 = sum((v * v for _, v in f.items()), _zero(f.mode))
+    for n in (*support(f), *support(g)):
+        d.require([n.path])
+    table = hardy_up_scalars(f, support(g))
+    lhs = sum((table[n] ** 2 * v for n, v in items(g)), _zero(g.mode))
+    (sup, arg), (coarse, _) = sup_iistar_nodes(g, refined_nodes(g, f), support(g))
+    sum_f2 = sum((v * v for _, v in items(f)), _zero(f.mode))
     rhs = sup * sum_f2
     return lemmas.LemmaReport(
         name="I2_positive", params={"sup_iistar": sup},
@@ -581,17 +629,17 @@ def verify_I2_positive_fraction(f, g, d, seed=None) -> lemmas.LemmaReport:
 def verify_inter_fraction(f, g, p, d, seed=None) -> lemmas.LemmaReport:
     if p < 1:
         raise ValueError("p must be at least 1")
-    delta = max_hardy_up_on(g, f.support())
-    lam = max_hardy_up_on(g, g.support() + [NodeAddress("")])
-    sum_fp = sum((_pow(v, p) for _, v in f.items()), _zero(f.mode))
+    delta = max_hardy_up_on(g, support(f))
+    lam = max_hardy_up_on(g, support(g) + [NodeAddress("")])
+    sum_fp = sum((_pow(v, p) for _, v in items(f)), _zero(f.mode))
     if sum_fp == 0:
         return lemmas.LemmaReport(
             name="inter", params={"p": p, "delta": delta, "lambda": lam},
             lhs=_zero(f.mode), rhs=_zero(f.mode), holds=True,
             mode=f.mode, seed=seed, degenerate=True,
         )
-    table = hardy_up_scalars(f, g.support())
-    sum_ifg_p = sum((_pow(table[n] * v, p) for n, v in g.items()), _zero(g.mode))
+    table = hardy_up_scalars(f, support(g))
+    sum_ifg_p = sum((_pow(table[n] * v, p) for n, v in items(g)), _zero(g.mode))
     pf = float(p)
     lhs = float(sum_ifg_p) ** (1.0 / pf)
     rhs = float(delta) ** ((pf - 1.0) / pf) * float(lam) ** (1.0 / pf) * float(sum_fp) ** (1.0 / pf)
@@ -604,14 +652,14 @@ def verify_inter_fraction(f, g, p, d, seed=None) -> lemmas.LemmaReport:
 
 
 def verify_linf_fraction(f, g, d, seed=None) -> lemmas.LemmaReport:
-    table = hardy_up_scalars(f, g.support())
+    table = hardy_up_scalars(f, support(g))
     lhs, arg = _zero(g.mode), None
-    for node, v in g.items():
+    for node, v in items(g):
         val = table[node] * v
         if val > lhs:
             lhs, arg = val, node
     sup, sup_arg = sup_iistar_nodes(g, intersection_nodes(g, f))[0]
-    f_max = max((v for _, v in f.items()), default=_zero(f.mode))
+    f_max = max((v for _, v in items(f)), default=_zero(f.mode))
     rhs = sup * f_max
     return lemmas.LemmaReport(
         name="linf", params={"sup_iistar": sup},
@@ -624,10 +672,10 @@ def verify_linf_fraction(f, g, d, seed=None) -> lemmas.LemmaReport:
 def verify_new23_fraction(f, g, p, d, seed=None) -> lemmas.LemmaReport:
     if p < 1:
         raise ValueError("p must be at least 1")
-    table = hardy_up_scalars(f, g.support())
-    lhs = sum((_pow(table[n], p) * v for n, v in g.items()), _zero(g.mode))
-    (sup, arg), (coarse, _) = sup_iistar_nodes(g, intersection_nodes(g, f), g.support())
-    sum_fp = sum((_pow(v, p) for _, v in f.items()), _zero(f.mode))
+    table = hardy_up_scalars(f, support(g))
+    lhs = sum((_pow(table[n], p) * v for n, v in items(g)), _zero(g.mode))
+    (sup, arg), (coarse, _) = sup_iistar_nodes(g, intersection_nodes(g, f), support(g))
+    sum_fp = sum((_pow(v, p) for _, v in items(f)), _zero(f.mode))
     rhs = sup * sum_fp
     return lemmas.LemmaReport(
         name="new23", params={"p": p, "sup_iistar": sup},
@@ -642,12 +690,12 @@ def verify_new23_fraction(f, g, p, d, seed=None) -> lemmas.LemmaReport:
 def verify_gest_fraction(g, gamma, p, d, seed=None) -> lemmas.LemmaReport:
     if p <= 1:
         raise ValueError(f"p must exceed 1, got {p}")
-    pre_ok, pre_witness = is_superadditive_nodes(g.power(p - 1), d)
+    pre_ok, pre_witness = is_superadditive_nodes(power(g, p - 1), d)
     if not pre_ok:
         raise PreconditionError("g^(p-1) is not superadditive", pre_witness)
-    lam = max_hardy_up_on(g, g.support())
-    lhs = sum((_pow(v, p) for n, v in g.items() if contains(gamma, n)), _zero(g.mode))
-    rhs = lam * _pow(g.get(gamma), p - 1)
+    lam = max_hardy_up_on(g, support(g))
+    lhs = sum((_pow(v, p) for n, v in items(g) if contains(gamma, n)), _zero(g.mode))
+    rhs = lam * _pow(get(g, gamma), p - 1)
     holds = lemmas._holds(lhs, rhs)
     return lemmas.LemmaReport(
         name="gest", params={"p": p, "lambda": lam, "gamma": format_node(gamma)},
@@ -693,8 +741,8 @@ def build_phi_dict(
         raise PreconditionError(f"lambda >= 4*delta required (lambda={lam}, delta={delta})")
     wf = w.mul(f)
     check_nodes = tree_nodes_bfs(d.levels)
-    iwg = hardy_up_scalars(w.mul(g), set(check_nodes) | set(f.support()) | set(g.support()))
-    for node in f.support():
+    iwg = hardy_up_scalars(w.mul(g), set(check_nodes) | set(support(f)) | set(support(g)))
+    for node in support(f):
         if iwg[node] > delta:
             raise PreconditionError("supp f must lie inside {I(wg) <= delta}", node)
 
@@ -702,7 +750,7 @@ def build_phi_dict(
     inv_lam = Fraction(1, 1) / lam if g.mode == EXACT else 1.0 / float(lam)
     two_lam, half_lam = 2 * lam, lam / 2
     phi_entries = {}
-    for node, gv in g.items():
+    for node, gv in items(g):
         if delta < iwg[node] <= two_lam:
             val = inv_lam * iwf[node] * gv
             if val != 0:
@@ -724,8 +772,8 @@ def build_phi_dict(
             if r < lower:
                 a_ok, a_witness = False, node
 
-    sum_wphi2 = sum((w.get(n) * v * v for n, v in phi.items()), _zero(g.mode))
-    sum_wf2 = sum((w.get(n) * v * v for n, v in f.items()), _zero(g.mode))
+    sum_wphi2 = sum((get(w, n) * v * v for n, v in items(phi)), _zero(g.mode))
+    sum_wf2 = sum((get(w, n) * v * v for n, v in items(f)), _zero(g.mode))
     b_rhs = lemmas.PHI_ENERGY_CONST * delta * sum_wf2 / lam
     b_ok = sum_wphi2 <= b_rhs
     report = lemmas.LemmaReport(
@@ -749,6 +797,7 @@ def build_phi_dict(
 # and Fraction sums: the oracles for the getrandbits draws of cxlab.randgen
 # and cxlab.experiments, and for the int-numerator sums of
 # cxlab.hardy.rectangle_mass_fn and cxlab.structure.special_form_g.
+# dyadic_stdlib is randint(lo, hi) / den, the draw of every Fraction value.
 
 def dyadic_stdlib(rng: random.Random, den: int = 16, lo: int = 0, hi: int = 16) -> Fraction:
     return Fraction(rng.randint(lo, hi), den)
@@ -814,26 +863,41 @@ def rectangle_mass_fn_binode(m: PointMeasure) -> dict[BiNode, Fraction]:
     return {q: Fraction(v) for q, v in out.items()}
 
 
+def binode_masses(m: tuple[dict[tuple[str, str], int], int]) -> dict[BiNode, Fraction]:
+    """Rectangle masses in rectangle_mass_fn's form, keyed by BiNode, each a
+    Fraction."""
+    sums, den = m
+    return {binode(x, y): Fraction(s, den) for (x, y), s in sums.items()}
+
+
+def path_masses(r: Mapping[BiNode, Fraction]) -> tuple[dict[tuple[str, str], int], int]:
+    """BiNode-keyed Fraction masses in rectangle_mass_fn's form: int
+    numerators over the lcm of their denominators."""
+    den = math.lcm(1, *(v.denominator for v in r.values()))
+    return {(q.x.path, q.y.path): v.numerator * (den // v.denominator)
+            for q, v in r.items()}, den
+
+
 def random_special_form_measure_stdlib(
     rng: random.Random, levels_x: int, levels_y: int, max_atoms: int = 5,
-) -> dict[BiNode, Scalar]:
-    return rectangle_mass_fn_binode(
-        random_point_measure_stdlib(rng, levels_x, levels_y, max_atoms))
+) -> tuple[dict[tuple[str, str], int], int]:
+    return path_masses(rectangle_mass_fn_binode(
+        random_point_measure_stdlib(rng, levels_x, levels_y, max_atoms)))
 
 
-def special_form_g_fraction(m: Mapping[BiNode, Scalar], beta: NodeAddress,
+def special_form_g_fraction(m: tuple[dict[tuple[str, str], int], int], beta: str,
                             p: Scalar) -> SparseFn:
-    """structure.special_form_g, each exact term a Fraction power."""
+    """structure.special_form_g over BiNode-keyed Fraction masses, each exact
+    term a Fraction power."""
     # q - 1 = 1/(p - 1) for q = p/(p - 1); the float form as the construction rounds it
     e = 1 / (Fraction(p) - 1) if isinstance(p, (int, Fraction)) else p / (p - 1.0) - 1
     e_int = _as_int(e)
-    picked = [(node, v) for node, v in m.items() if beta.path.startswith(node.y.path)]
-    exact_ok = e_int is not None and not any(isinstance(v, float) for _, v in picked)
     out: dict[NodeAddress, Scalar] = {}
-    for node, v in picked:
-        term = v ** e_int if exact_ok else float(v) ** float(e)
-        out[node.x] = out.get(node.x, 0) + term
-    return SparseFn(out, EXACT if exact_ok else FLOAT)
+    for node, v in binode_masses(m).items():
+        if beta.startswith(node.y.path):
+            term = v ** e_int if e_int is not None else float(v) ** float(e)
+            out[node.x] = out.get(node.x, 0) + term
+    return SparseFn(out, EXACT if e_int is not None else FLOAT)
 
 
 
@@ -877,25 +941,25 @@ def random_increasing_fraction(
 def is_superadditive_nodes(g: SparseFn, d: TreeDomain) -> tuple[bool, Optional[NodeAddress]]:
     """structure.is_superadditive, reading g node by node."""
     parents: set[NodeAddress] = set()
-    for node in g.support():
-        d.require(node)
-        if node.depth > 0:
+    for node in support(g):
+        d.require([node.path])
+        if len(node.path) > 0:
             parents.add(NodeAddress(node.path[:-1]))
-    for beta in sorted(parents, key=lambda n: (n.depth, n.path)):
-        child_sum = g.get(NodeAddress(beta.path + "0")) + g.get(NodeAddress(beta.path + "1"))
-        if g.get(beta) < child_sum - _tol_for(g, child_sum):
+    for beta in sorted(parents, key=lambda n: (len(n.path), n.path)):
+        child_sum = get(g, NodeAddress(beta.path + "0")) + get(g, NodeAddress(beta.path + "1"))
+        if get(g, beta) < child_sum - _tol_for(g.mode, child_sum):
             return False, beta
     return True, None
 
 
 def is_increasing_nodes(g: SparseFn, d: TreeDomain) -> tuple[bool, Optional[NodeAddress]]:
     """structure.is_increasing, reading g node by node."""
-    for node in sorted(g.support(), key=lambda n: (n.depth, n.path)):
-        d.require(node)
-        if node.depth == 0:
+    for node in sorted(support(g), key=lambda n: (len(n.path), n.path)):
+        d.require([node.path])
+        if len(node.path) == 0:
             continue
-        v = g.get(node)
-        if g.get(NodeAddress(node.path[:-1])) < v - _tol_for(g, v):
+        v = get(g, node)
+        if get(g, NodeAddress(node.path[:-1])) < v - _tol_for(g.mode, v):
             return False, node
     return True, None
 
@@ -980,7 +1044,6 @@ def search_new23_stdlib(p: Scalar, depth: int, budget: int, seed: int) -> lemmas
 
 # cxlab.randgen's generators by name, as the stdlib draws them
 STDLIB_RANDGEN = {
-    "dyadic": dyadic_stdlib,
     "random_superadditive": random_superadditive_fraction,
     "random_increasing": random_increasing_fraction,
     "random_sparse": random_sparse_stdlib,

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from cxlab.trees import EXACT, FLOAT, DomainError, NodeAddress, ROOT, SparseFn, TreeDomain, _path_values
+from cxlab.trees import EXACT, FLOAT, DomainError, NodeAddress, ROOT, SparseFn, TreeDomain
 from cxlab.hardy import (
     PointMeasure,
     _heap_values,
@@ -16,17 +16,17 @@ from cxlab import randgen
 
 from helpers import (
     ancestors, atoms_fn, binode, bitree_nodes, build_cex_p_less_2_functions, contains, energy,
-    eval_hardy_down, eval_hardy_up, potential, random_path_stdlib, rect_contains, scale,
-    tree_nodes_bfs,
+    eval_hardy_down, eval_hardy_up, get, items, potential, random_path_stdlib, rect_contains,
+    scale, tree_nodes_bfs,
 )
 
 
 def brute_hardy_up(f, a):
-    return sum(f.get(b) for b in ancestors(a))
+    return sum(get(f, b) for b in ancestors(a))
 
 
 def brute_hardy_down(g, a, domain):
-    return sum(v for n, v in g.items() if contains(a, n))
+    return sum(v for n, v in items(g) if contains(a, n))
 
 
 class TestHardyTree:
@@ -53,21 +53,22 @@ class TestHardyTree:
             f = randgen.random_sparse(rng, d)
             g = randgen.random_sparse(rng, d)
             nodes = tree_nodes_bfs(d.levels)
-            lhs = sum(eval_hardy_up(f, a) * g.get(a) for a in nodes)
-            rhs = sum(f.get(a) * eval_hardy_down(g, a) for a in nodes)
+            lhs = sum(eval_hardy_up(f, a) * get(g, a) for a in nodes)
+            rhs = sum(get(f, a) * eval_hardy_down(g, a) for a in nodes)
             assert lhs == rhs
 
     @pytest.mark.parametrize("mode", [EXACT, FLOAT])
     def test_table_matches_pointwise(self, mode):
         # sweep values keyed by path, one entry per distinct requested node:
-        # ints over f's path-value denominator in exact mode, floats in float
+        # ints over f's denominator in exact mode, floats in float
         d = TreeDomain(7)
         rng = random.Random(2)
         f = randgen.random_sparse(rng, d, max_support=20, mode=mode)
         nodes = tree_nodes_bfs(d.levels)
-        table = hardy_up_table(f, iter(nodes + nodes[::3]))  # an iterator, read once
+        # an iterator, read once
+        table = hardy_up_table(f, (a.path for a in nodes + nodes[::3]))
         assert list(table) == [a.path for a in nodes]
-        den = _path_values(f)[1]
+        den = f.den
         for a in nodes:
             v = table[a.path]
             assert type(v) is (int if mode == EXACT else float)
@@ -99,7 +100,7 @@ class TestHardyTree:
                      FLOAT)
         up, _ = _heap_values(f, d)
         _up_heap(up)
-        table = hardy_up_table(f, nodes)
+        table = hardy_up_table(f, (a.path for a in nodes))
         assert up[1:] == [table[a.path] for a in nodes]
         assert len(set(up)) > len(nodes) // 2
 
@@ -112,7 +113,7 @@ class TestHardyTree:
         # f = 2^-depth on a full 9-generation tree and on the 256-step
         # left-child paths below it, so If = 2 - 2^-depth on all of supp f
         _, f, _ = build_cex_p_less_2_functions(8)
-        table, den = hardy_up_table(f, f.support()), _path_values(f)[1]
+        table, den = hardy_up_table(f, f.values), f.den
         assert max(len(path) for path in table) == 264
         for path, v in table.items():
             assert Fraction(v, den) == 2 - Fraction(1, 2 ** len(path))
@@ -124,7 +125,7 @@ class TestHardyTree:
         rng = random.Random(3)
         f = randgen.random_sparse(rng, d)
         for a in tree_nodes_bfs(d.levels):
-            if a.depth > 0:
+            if len(a.path) > 0:
                 assert eval_hardy_up(f, a) >= eval_hardy_up(f, NodeAddress(a.path[:-1]))
 
     def test_linearity(self):
@@ -187,11 +188,11 @@ class TestPotential:
             (binode("00", "1"), Fraction(1, 2)),
             (binode("01", "1"), Fraction(1, 4)),
         ])
-        r = rectangle_mass_fn(m)
-        assert r[binode("0", "1")] == Fraction(3, 4)
-        assert r[binode("", "")] == Fraction(3, 4)
-        assert r[binode("00", "1")] == Fraction(1, 2)
-        assert binode("1", "") not in r
+        sums, den = rectangle_mass_fn(m)
+        assert den == 4
+        assert sums["0", "1"] == sums["", ""] == 3
+        assert sums["00", "1"] == 2
+        assert ("1", "") not in sums
 
     def test_rectangle_mass_fn_takes_exact_masses_only(self):
         # a float mass, even after an exact one, is named as the rule it
@@ -200,7 +201,7 @@ class TestPotential:
                       [(binode("1", "0"), Fraction(1, 4)), (binode("0", ""), 0.5)]):
             with pytest.raises(ValueError, match="exact atom masses only, got float 0.5 at x=0/y="):
                 rectangle_mass_fn(PointMeasure.of(atoms))
-        r = rectangle_mass_fn(PointMeasure.of([(binode("0", ""), 2)]))
-        assert r == {binode("", ""): 2, binode("0", ""): 2}
-        assert {type(v) for v in r.values()} == {Fraction}
+        sums, den = rectangle_mass_fn(PointMeasure.of([(binode("0", ""), 2)]))
+        assert (sums, den) == ({("", ""): 2, ("0", ""): 2}, 1)
+        assert {type(v) for v in sums.values()} == {int}
 

@@ -14,7 +14,6 @@ from cxlab.trees import (
     ResourceError,
     SparseFn,
     TreeDomain,
-    _path_values,
 )
 from cxlab.hardy import _heap_values, _iistar_paths, _up_heap, hardy_up_table
 from cxlab.lemmas import (
@@ -31,8 +30,8 @@ from cxlab.lemmas import (
 from cxlab import experiments, hardy, lemmas, randgen
 
 from helpers import (
-    ancestors, build_phi_dict, eval_hardy_down, eval_hardy_up, hardy_up_scalars, phi_instance_dict,
-    random_quarter_weight, scale, sup_iistar_intersection, sup_iistar_refined,
+    ancestors, build_phi_dict, eval_hardy_down, eval_hardy_up, hardy_up_scalars, items,
+    phi_instance_dict, random_quarter_weight, rebuild, scale, support, sup_iistar_intersection, sup_iistar_refined,
     sup_iistar_support, tree_nodes_bfs, verify_gest_fraction, verify_I2_positive_fraction,
     verify_inter_fraction, verify_linf_fraction, verify_new23_fraction,
     verify_supadditive_l1linf_fraction,
@@ -124,7 +123,7 @@ class TestSupRefinements:
             g = randgen.random_increasing(rng, d)
             f = randgen.random_sparse(rng, d)
             sup, arg = sup_iistar_intersection(g, f)
-            inter = set(g.support()) & set(f.support())
+            inter = set(support(g)) & set(support(f))
             brute = max((brute_iistar(g, n) for n in inter), default=Fraction(0))
             assert sup == brute
             if arg is not None:
@@ -144,7 +143,7 @@ class TestSupRefinements:
         rng = random.Random(33)
         for _ in range(50):
             g = randgen.random_sparse(rng, d)
-            brute = max((brute_iistar(g, n) for n in g.support()), default=Fraction(0))
+            brute = max((brute_iistar(g, n) for n in support(g)), default=Fraction(0))
             assert sup_iistar_support(g) == brute
 
     def test_non_dyadic_sweeps_match_support_scans(self):
@@ -159,23 +158,23 @@ class TestSupRefinements:
 
         for _ in range(30):
             f, g = non_dyadic(), non_dyadic()
-            table, f_den = hardy_up_table(f, nodes), _path_values(f)[1]
+            table, f_den = hardy_up_table(f, (a.path for a in nodes)), f.den
             up, den = _iistar_paths(g, (a.path for a in nodes))
             for a in nodes:
                 assert type(table[a.path]) is int
                 assert Fraction(table[a.path], f_den) == eval_hardy_up(f, a)
                 assert type(up[a.path]) is int and Fraction(up[a.path], den) == brute_iistar(g, a)
-            inter = [x for x in g.support() if x in set(f.support())]
+            inter = [x for x in support(g) if x in set(support(f))]
             best, arg = Fraction(0), None
             for x in inter:
                 if brute_iistar(g, x) > best:
                     best, arg = brute_iistar(g, x), x
             assert sup_iistar_intersection(g, f) == (best, arg)
-            assert sup_iistar_support(g) == max(brute_iistar(g, x) for x in g.support())
-            f_paths = {n.path for n in f.support()}
+            assert sup_iistar_support(g) == max(brute_iistar(g, x) for x in support(g))
+            f_paths = {n.path for n in support(f)}
             best, arg = Fraction(0), None
-            for x in g.support():
-                anc = next((NodeAddress(x.path[:i]) for i in range(x.depth, -1, -1)
+            for x in support(g):
+                anc = next((NodeAddress(x.path[:i]) for i in range(len(x.path), -1, -1)
                             if x.path[:i] in f_paths), None)
                 if anc is not None and brute_iistar(g, anc) > best:
                     best, arg = brute_iistar(g, anc), anc
@@ -239,11 +238,11 @@ class TestSupRefinements:
             g = randgen.random_sparse(rng, d)
             f = randgen.random_sparse(rng, d)
             sup, _ = sup_iistar_refined(g, f)
-            f_paths = {n.path for n in f.support()}
+            f_paths = {n.path for n in support(f)}
             best = Fraction(0)
-            for x in g.support():
+            for x in support(g):
                 anc = None
-                for i in range(x.depth, -1, -1):
+                for i in range(len(x.path), -1, -1):
                     if x.path[:i] in f_paths:
                         anc = NodeAddress(x.path[:i])
                         break
@@ -273,7 +272,7 @@ class TestL1Linf:
             for _ in range(20):
                 g = randgen.random_superadditive(rng, d)
                 h = randgen.random_sparse(rng, d)
-                gamma = sorted(g.support(), key=str)[0]
+                gamma = sorted(support(g), key=str)[0]
                 base = verify_supadditive_l1linf(g, h, gamma, d)
                 scaled = verify_supadditive_l1linf(scale(g, t), h, gamma, d)
                 assert scaled.lhs == t * base.lhs
@@ -363,7 +362,7 @@ class TestBuildPhi:
         d, w, g, f, lam, delta, iwg = self._instance()
         top = max(iwg, key=iwg.get)
         assert iwg[top] > delta
-        bad = SparseFn(dict(list(f.items()) + [(top, Fraction(1))]))
+        bad = SparseFn(dict(list(items(f)) + [(top, Fraction(1))]))
         with pytest.raises(PreconditionError):
             build_phi(w, g, bad, lam, delta, d)
         with pytest.raises(PreconditionError):
@@ -388,7 +387,7 @@ class TestBuildPhi:
             for w, g, f, lam, delta, iwg in instances:
                 phi, report = build_phi(w, g, f, lam, delta, d)
                 phi_t, report_t = build_phi(w, g, f, lam, delta, d, iwg=iwg)
-                assert dict(phi_t.items()) == dict(phi.items())
+                assert dict(items(phi_t)) == dict(items(phi))
                 assert report_t.to_dict() == report.to_dict()
                 banded += report.extra["worst_lower_ratio"] is not None and bool(phi)
         assert banded > 0  # some instance has a nonzero phi and a node for check (a)
@@ -400,7 +399,7 @@ class TestBuildPhi:
         up, den = self._heap_table(w, g, d)
         phi, report = build_phi(w, g, f, lam, delta, d)
         phi_t, report_t = build_phi(w, g, f, lam, delta, d, iwg=(up, den))
-        assert dict(phi_t.items()) == dict(phi.items())
+        assert dict(items(phi_t)) == dict(items(phi))
         assert report_t.to_dict() == report.to_dict()
         for short in (up[:-1], up + [up[-1]]):
             with pytest.raises(ValueError, match="iwg"):
@@ -408,7 +407,7 @@ class TestBuildPhi:
 
     def test_beyond_twenty_levels_is_a_resource_error(self, monkeypatch):
         # refused before any heap list is allocated
-        def no_list(f, d):
+        def no_list(d, paths):
             raise AssertionError("a heap list was built")
 
         d = TreeDomain(21)
@@ -416,7 +415,7 @@ class TestBuildPhi:
         f = SparseFn({NodeAddress("0" * 20): Fraction(1, 2)})
         with pytest.raises(ResourceError, match="2\\^21"):
             build_phi(g, g, f, 4, 1, d)
-        monkeypatch.setattr(hardy, "_path_values", no_list)
+        monkeypatch.setattr(TreeDomain, "require", no_list)  # read just before the list
         with pytest.raises(ResourceError):
             hardy._heap_values(g, d)
 
@@ -455,8 +454,8 @@ class TestBuildPhi:
             w, g, f, lam, delta = phi_instance_dict(random.Random(key), d, mode)
             phi_o, report_o = build_phi_dict(w, g, f, lam, delta, d, seed=seed)
             phi, report = build_phi(w, g, f, lam, delta, d, seed=seed)
-            assert [(n, type(v), v) for n, v in phi.items()] == \
-                [(n, type(v), v) for n, v in phi_o.items()]
+            assert [(n, type(v), v) for n, v in items(phi)] == \
+                [(n, type(v), v) for n, v in items(phi_o)]
             assert report.to_dict() == report_o.to_dict()
             trial = experiments._trial_phi(random.Random(key), d, mode, seed)
             assert trial.to_dict() == report_o.to_dict()
@@ -464,8 +463,8 @@ class TestBuildPhi:
             d, w, g, f, lam, delta, _ = self._instance(levels=levels, seed=seed, mode=mode)
             phi_o, report_o = build_phi_dict(w, g, f, lam, delta, d)
             phi, report = build_phi(w, g, f, lam, delta, d)
-            assert [(n, type(v), v) for n, v in phi.items()] == \
-                [(n, type(v), v) for n, v in phi_o.items()]
+            assert [(n, type(v), v) for n, v in items(phi)] == \
+                [(n, type(v), v) for n, v in items(phi_o)]
             assert report.to_dict() == report_o.to_dict()
             banded += report.extra["worst_lower_ratio"] is not None
         assert banded > 0
@@ -516,7 +515,7 @@ class TestBuildPhi:
                     f = SparseFn({n: Fraction(1, 2) for n, v in iwg.items() if v <= delta})
                     phi_o, report_o = build_phi_dict(w, g, f, lam, delta, d)
                     phi, report = build_phi(w, g, f, lam, delta, d)
-                    assert dict(phi.items()) == dict(phi_o.items())
+                    assert dict(items(phi)) == dict(items(phi_o))
                     assert report.to_dict() == report_o.to_dict()
                     checked += 1
         assert checked > 20
@@ -525,8 +524,8 @@ class TestBuildPhi:
         d, w, g, f, lam, delta, _ = self._instance()
         phi, report = build_phi(w, g, f, lam, delta, d)
         assert report.holds
-        iwg = hardy_up_scalars(w.mul(g), phi.support())
-        for n in phi.support():
+        iwg = hardy_up_scalars(w.mul(g), support(phi))
+        for n in support(phi):
             assert delta < iwg[n] <= 2 * lam
 
 
@@ -661,7 +660,7 @@ class TestFractionOracles:
             g_sup = scale(randgen.random_superadditive(rng, d, mode=mode), t)
             f = SparseFn({n: Fraction(rng.randint(1, 30), den)
                           for n in rng.sample(nodes, rng.randint(1, 12))}, mode)
-            gamma = sorted(g_sup.support(), key=lambda n: n.path)[rng.randrange(len(g_sup))]
+            gamma = sorted(support(g_sup), key=lambda n: n.path)[rng.randrange(len(g_sup))]
             cases = [(verify_linf, f, g_inc, d), (verify_I2_positive, f, g_inc, d),
                      (verify_supadditive_l1linf, g_sup, f, gamma, d),
                      (verify_inter, SparseFn({}, mode), g_sup, 2, d),
@@ -695,3 +694,79 @@ class TestFractionOracles:
             assert len(counts) == 20
             assert max(counts) <= 10, (name, counts)
             assert max(oracle_built[name]) > 10, (name, oracle_built[name])
+
+
+class TestValueForm:
+    """What the one value form of a tree function buys: no Fraction and no
+    NodeAddress per drawn node, and a kept denominator that never shows."""
+
+    @pytest.mark.parametrize("suite", SPARSE_SUITES)
+    def test_whole_trials_build_no_value_per_drawn_node(self, suite):
+        # generation included: a Fraction for each value a report carries
+        # (and, in gest, each atom mass of the drawn measure); a NodeAddress
+        # for gamma and the witnesses (and, in gest, the two coordinates of
+        # each atom)
+        fraction_codes = _fraction_codes()
+        node_code = NodeAddress.__post_init__.__code__
+        counts = {"fractions": 0, "nodes": 0}
+
+        def profile(frame, event, arg):
+            if event == "call":
+                if frame.f_code in fraction_codes:
+                    counts["fractions"] += 1
+                elif frame.f_code is node_code:
+                    counts["nodes"] += 1
+
+        per_trial = []
+        for i in range(20):
+            counts.update(fractions=0, nodes=0)
+            old = sys.getprofile()
+            sys.setprofile(profile)
+            try:
+                experiments.run_verify_suite(suite, trials=1, depth=8, seed=900 + i, mode=EXACT)
+            finally:
+                sys.setprofile(old)
+            per_trial.append((counts["fractions"], counts["nodes"]))
+        atoms = 5 if suite == "gest" else 0  # random_point_measure's max_atoms
+        # a report carries at most 5 exact values; a gest trial's measure
+        # adds a mass and two coordinates per atom
+        assert max(n for n, _ in per_trial) <= 5 + atoms, per_trial
+        assert max(n for _, n in per_trial) <= 2 + 2 * atoms, per_trial
+        assert sum(n for n, _ in per_trial) > 0
+
+    @staticmethod
+    def _rebuilt(arg):
+        """A drawn argument over three times its denominator."""
+        if isinstance(arg, SparseFn):
+            return rebuild(arg, 3)
+        if isinstance(arg, tuple):  # build_phi's iwg: exact heap entries over den
+            up, den = arg
+            return [3 * v for v in up], 3 * den
+        return arg
+
+    def test_kept_denominator_never_reaches_the_output(self, monkeypatch):
+        checked = {}
+        drawn = []
+
+        def on_call(name, real, args, kwargs):
+            result = real(*args, **kwargs)
+            report = result
+            again = real(*map(self._rebuilt, args),
+                         **{k: self._rebuilt(v) for k, v in kwargs.items()})
+            if name == "build_phi":
+                assert items(again[0]) == items(report[0])
+                report, again = report[1], again[1]
+            assert again.to_dict() == report.to_dict(), (name, args)
+            drawn.extend(a for a in args if isinstance(a, SparseFn))
+            checked[name] = checked.get(name, 0) + 1
+            return result
+
+        _spy_on_verifiers(monkeypatch, on_call)
+        for suite in experiments.VERIFY_NAMES:
+            experiments.run_verify_suite(suite, trials=60, depth=8, seed=31, mode=EXACT)
+        assert checked == {name: 60 for name in ORACLES}
+        for f, g in zip(drawn, drawn[1:]):
+            assert items(rebuild(f, 3).mul(rebuild(g, 3))) == items(f.mul(g))
+        for f in drawn:
+            want = {path: float(Fraction(v, f.den)) for path, v in f.values.items()}
+            assert f.to_float().values == rebuild(f, 3).to_float().values == want

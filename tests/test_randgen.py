@@ -15,17 +15,26 @@ import helpers
 from helpers import (
     STDLIB_RANDGEN,
     below_stdlib,
+    binode_masses,
+    get,
+    items,
     random_increasing_fraction,
     random_superadditive_fraction,
     rectangle_mass_fn_binode,
     special_form_g_fraction,
+    support,
     tree_nodes_bfs,
 )
 
 
 def _entries(x):
-    """A generator's output with the type of every value."""
-    if isinstance(x, (SparseFn, dict)):
+    """A generator's output with the type of every value; rectangle masses
+    as Fractions, whatever denominator they are kept over."""
+    if isinstance(x, SparseFn):
+        return [(n, type(v), v) for n, v in items(x)]
+    if isinstance(x, tuple):
+        x = binode_masses(x)
+    if isinstance(x, dict):
         return [(n, type(v), v) for n, v in x.items()]
     if isinstance(x, PointMeasure):
         return [(n, type(v), v) for n, v in x.atoms]
@@ -49,7 +58,6 @@ def test_below_an_empty_range_raises(n):
 
 
 @pytest.mark.parametrize("name, args", [
-    ("dyadic", (16, 5, 4)),
     ("random_sparse", (TreeDomain(3), 0)),
     ("random_point_measure", (0, 3)),
     ("random_point_measure", (3, 3, 0)),
@@ -88,13 +96,12 @@ def test_random_weight_draws_quarters(mode):
         rng = random.Random(seed)
         random_superadditive_fraction(rng, d, mode=mode)
         w_full = helpers.random_quarter_weight(rng, tree_nodes_bfs(d.levels), mode)[0]
-        kept = dict.fromkeys(itertools.chain(g.support(), f.support()))
-        assert _entries(w) == [(n, type(w_full.get(n)), w_full.get(n)) for n in kept]
+        kept = dict.fromkeys(itertools.chain(support(g), support(f)))
+        assert _entries(w) == [(n, type(get(w_full, n)), get(w_full, n)) for n in kept]
 
 
 # each generator called at `levels` tree levels, in `mode` where it takes one
 CALLS = {
-    "dyadic": lambda gen, rng, levels, mode: gen(rng),
     "random_superadditive": lambda gen, rng, levels, mode: gen(rng, TreeDomain(levels),
                                                                mode=mode),
     "random_increasing": lambda gen, rng, levels, mode: gen(rng, TreeDomain(levels), mode=mode),
@@ -106,7 +113,7 @@ CALLS = {
 
 
 def test_every_generator_has_an_oracle():
-    public = {name for name in vars(randgen) if name.startswith(("random_", "dyadic"))}
+    public = {name for name in vars(randgen) if name.startswith("random_")}
     assert public == set(CALLS) == set(STDLIB_RANDGEN)
 
 
@@ -135,8 +142,8 @@ def test_int_numerator_generators_match_fraction_oracles(gen, oracle, levels, mo
     for seed in range(500):
         rng, rng_oracle = random.Random(seed), random.Random(seed)
         got, want = gen(rng, d, mode=mode), oracle(rng_oracle, d, mode=mode)
-        assert [(n, type(v), v) for n, v in got.items()] == \
-            [(n, type(v), v) for n, v in want.items()]
+        assert [(n, type(v), v) for n, v in items(got)] == \
+            [(n, type(v), v) for n, v in items(want)]
         # the same draws, in the same order
         assert rng.getstate() == rng_oracle.getstate()
 
@@ -159,16 +166,16 @@ def _measures():
 def test_rectangle_masses_match_binode_form():
     for m in _measures():
         assert _entries(rectangle_mass_fn(m)) == _entries(rectangle_mass_fn_binode(m))
+        assert all(type(s) is int for s in rectangle_mass_fn(m)[0].values())
 
 
 @pytest.mark.parametrize("p", [2, 2.0, 1.5, Fraction(4, 3), Fraction(5, 4), 3, 2.5])
 def test_special_form_matches_fraction_form(p):
     for m in _measures():
-        exact = rectangle_mass_fn_binode(m)
-        for r in (exact, {q: float(v) for q, v in exact.items()}):
-            for beta in dict.fromkeys(n.y for n in r):
-                assert _entries(special_form_g(r, beta, p)) == \
-                    _entries(special_form_g_fraction(r, beta, p))
+        r = rectangle_mass_fn(m)
+        for beta in dict.fromkeys(y for _, y in r[0]):
+            assert _entries(special_form_g(r, beta, p)) == \
+                _entries(special_form_g_fraction(r, beta, p))
 
 
 @pytest.mark.parametrize("mode", [EXACT, FLOAT])
@@ -206,7 +213,7 @@ def test_build_phi_reads_w_only_on_supp_g_and_f(levels, mode):
         f_half = SparseFn({n: Fraction(1, 2) for n, v in iwg.items() if v <= half}, mode)
         for f, lam, delta in ((f, lam, delta), (f_half, 4 * half, half)):
             w_kept = SparseFn(
-                {n: w.get(n) for n in itertools.chain(g.support(), f.support())}, mode)
+                {n: get(w, n) for n in itertools.chain(support(g), support(f))}, mode)
             assert len(w) == len(nodes)
             shrunk += len(w_kept) < len(nodes)
             phi, report = build_phi(w, g, f, lam, delta, d, seed=seed)

@@ -17,6 +17,8 @@ from cxlab import randgen
 
 from helpers import (
     build_cex_p_less_2_functions,
+    get,
+    items,
     tree_nodes_bfs,
     doubling_g_fn,
     is_increasing_nodes,
@@ -142,36 +144,36 @@ class TestSpecialForm:
     def test_conjugate_exponent(self):
         # one atom of mass 1/4 covering beta: g = (1/4)^(q-1) on its x-ancestors,
         # q = p/(p-1); exact wherever q - 1 is integral
-        m = {BiNode(ROOT, ROOT): Fraction(1, 4)}
+        m = {("", ""): 1}, 4
         for p, want in ((2, Fraction(1, 4)), (Fraction(3, 2), Fraction(1, 16)),
                         (1.5, Fraction(1, 16)), (3, 0.5), (Fraction(4, 3), Fraction(1, 64))):
-            g = special_form_g(m, ROOT, p)
-            assert [(n, type(v), v) for n, v in g.items()] == [(ROOT, type(want), want)], p
+            g = special_form_g(m, "", p)
+            assert [(n, type(v), v) for n, v in items(g)] == [(ROOT, type(want), want)], p
             assert g.mode == (FLOAT if isinstance(want, float) else EXACT)
 
     @pytest.mark.parametrize("p", [1, Fraction(1, 2), 0.5])
     def test_p_must_exceed_one(self, p):
         with pytest.raises(ValueError, match="p must exceed 1"):
-            special_form_g({BiNode(ROOT, ROOT): Fraction(1, 4)}, ROOT, p)
+            special_form_g(({("", ""): 1}, 4), "", p)
 
     def test_single_atom_exact(self):
         # one atom of mass 1/4 at (x=00, y=11); beta = 11, q - 1 = 1
         m = rectangle_mass_fn(
             PointMeasure.of([(BiNode(NodeAddress("00"), NodeAddress("11")),
                                       Fraction(1, 4))]))
-        g = special_form_g(m, NodeAddress("11"), 2)
+        g = special_form_g(m, "11", 2)
         # each x-ancestor collects the masses of rectangles with y containing beta
-        assert g.get(NodeAddress("00")) == Fraction(3, 4)
-        assert g.get(NodeAddress("0")) == Fraction(3, 4)
-        assert g.get(ROOT) == Fraction(3, 4)
-        assert g.get(NodeAddress("1")) == 0
+        assert get(g, NodeAddress("00")) == Fraction(3, 4)
+        assert get(g, NodeAddress("0")) == Fraction(3, 4)
+        assert get(g, ROOT) == Fraction(3, 4)
+        assert get(g, NodeAddress("1")) == 0
 
     def test_minkowski_superadditivity_p2_exact(self):
         d = TreeDomain(6)
         rng = random.Random(21)
         for _ in range(300):
             m = randgen.random_special_form_measure(rng, 6, 6)
-            beta = sorted((n.y for n in m), key=str)[0]
+            beta = min(y for _, y in m[0])
             g = special_form_g(m, beta, 2)
             ok, witness = check_power_superadditive(g, d, 2)
             assert ok, f"violated at {witness}"
@@ -181,7 +183,7 @@ class TestSpecialForm:
         rng = random.Random(22)
         for _ in range(100):
             m = randgen.random_special_form_measure(rng, 5, 5)
-            beta = sorted((n.y for n in m), key=str)[0]
+            beta = min(y for _, y in m[0])
             g = special_form_g(m, beta, 3)
             ok, witness = check_power_superadditive(g, d, 3)
             assert ok, f"violated at {witness}"
@@ -191,24 +193,24 @@ class TestSpecialForm:
         m = rectangle_mass_fn(PointMeasure.of([
             (BiNode(NodeAddress("000"), NodeAddress("1")), Fraction(1, 2)),
         ]))
-        g = special_form_g(m, NodeAddress("1"), 2)
+        g = special_form_g(m, "1", 2)
         d = TreeDomain(4)
         ok, _ = is_superadditive(g, d)
         assert ok
         # every node on the path has exactly one supported child
         for n in (ROOT, NodeAddress("0"), NodeAddress("00")):
-            assert g.get(n) == g.get(NodeAddress(n.path + "0")) + g.get(NodeAddress(n.path + "1"))
+            assert get(g, n) == get(g, NodeAddress(n.path + "0")) + get(g, NodeAddress(n.path + "1"))
 
-    def test_mode_follows_the_masses(self):
-        # exact masses give an exact g; float masses a float g, here the
-        # float of the exact one, since every sum of these masses is dyadic
+    def test_float_form_is_the_float_of_the_exact_one(self):
+        # g is exact at integral q - 1, whatever denominator the masses keep;
+        # its float form, as the float gest trial takes it, rounds each value once
         m = randgen.random_point_measure(random.Random(23), 6, 6)
-        exact = rectangle_mass_fn(m)
-        beta = max((n.y for n in exact), key=lambda y: (y.depth, y.path))
-        g = special_form_g(exact, beta, 2)
-        g_float = special_form_g({q: float(v) for q, v in exact.items()}, beta, 2)
+        sums, den = rectangle_mass_fn(m)
+        beta = max((y for _, y in sums), key=lambda y: (len(y), y))
+        g = special_form_g((sums, den), beta, 2)
+        g3 = special_form_g(({k: 3 * s for k, s in sums.items()}, 3 * den), beta, 2)
         assert len(m.atoms) > 1 and len(g) > 1
-        assert g.mode == EXACT and {type(v) for _, v in g.items()} == {Fraction}
-        assert g_float.mode == FLOAT
-        assert [(n, type(v), v) for n, v in g_float.items()] == \
-            [(n, float, float(v)) for n, v in g.items()]
+        assert g.mode == EXACT and {type(v) for _, v in items(g)} == {Fraction}
+        assert items(g3) == items(g)
+        assert [(n, type(v), v) for n, v in items(g.to_float())] == \
+            [(n, float, float(v)) for n, v in items(g)]

@@ -14,12 +14,14 @@ from cxlab.trees import (
     SparseFn,
     TreeDomain,
     format_node,
-    heap_node,
     lcp_len,
-    _path_values,
 )
 
-from helpers import ancestors, binode, bitree_nodes, contains, tree_nodes_bfs
+from cxlab.hardy import _heap_values
+
+from helpers import (
+    ancestors, binode, bitree_nodes, contains, get, heap_node, items, power, tree_nodes_bfs,
+)
 
 BIROOT = BiNode(ROOT, ROOT)
 
@@ -36,11 +38,8 @@ class TestNodeAddress:
         assert not contains(NodeAddress("010"), NodeAddress("01"))
         assert not contains(NodeAddress("01"), NodeAddress("00"))
 
-    def test_hash_is_the_path_hash(self):
+    def test_nodes_key_dicts_apart_from_paths(self):
         paths = ("", "0", "1", "01", "0110" * 20)
-        for p in paths:
-            assert hash(NodeAddress(p)) == hash(p)
-        # an equal hash does not make a node equal to its path
         assert NodeAddress("01") != "01" and "01" != NodeAddress("01")
         table = {NodeAddress(p): p for p in paths}
         nodes = set(table)
@@ -63,7 +62,7 @@ class TestLcp:
         # the lcp of two paths is the depth of the nodes' deepest common ancestor
         a, b = NodeAddress("0011"), NodeAddress("0010")
         common = [q for q in ancestors(a) if contains(q, b)]
-        assert lcp_len(a.path, b.path) == max(q.depth for q in common) == 3
+        assert lcp_len(a.path, b.path) == max(len(q.path) for q in common) == 3
 
 
 class TestBiNode:
@@ -90,23 +89,24 @@ class TestTreeDomain:
 
     def test_membership(self):
         d = TreeDomain(3)
-        assert NodeAddress("01") in d
-        assert NodeAddress("011") not in d
+        d.require(["", "01", "11", "0"])
+        with pytest.raises(DomainError, match="node at depth 3 outside 3-level tree"):
+            d.require(["01", "011", "0111"])
 
     @pytest.mark.parametrize("levels", range(1, 14))
     def test_heap_order_is_breadth_first(self, levels):
         # heap position k + 1 holds the k-th node in breadth-first order
         d = TreeDomain(levels)
         nodes = tree_nodes_bfs(levels)
+        up, den = _heap_values(SparseFn({a: i + 1 for i, a in enumerate(nodes)}), d)
+        assert den == 1 and up == [0, *range(1, len(nodes) + 1)]
         assert [heap_node(k) for k in range(1, 1 << levels)] == nodes
-        for i, a in enumerate(nodes):
-            assert d.heap_index(a) == i + 1
 
     def test_heap_index_outside_domain(self):
         d = TreeDomain(3)
-        assert d.heap_index(NodeAddress("11")) == 7
+        assert _heap_values(SparseFn({NodeAddress("11"): 1}), d)[0][7] == 1
         with pytest.raises(DomainError):
-            d.heap_index(NodeAddress("000"))
+            _heap_values(SparseFn({NodeAddress("000"): 1}), d)
 
     def test_enumeration_budget(self):
         TreeDomain(20).require_enumerable()
@@ -125,9 +125,9 @@ class TestSparseFn:
         f = SparseFn({ROOT: Fraction(1, 2), NodeAddress("0"): 0,
                       NodeAddress("1"): Fraction(0)})
         assert len(f) == 1
-        assert f.get(ROOT) == Fraction(1, 2)
-        assert f.get(NodeAddress("1")) == 0
-        assert isinstance(f.get(NodeAddress("1")), Fraction)
+        assert get(f, ROOT) == Fraction(1, 2)
+        assert get(f, NodeAddress("1")) == 0
+        assert isinstance(get(f, NodeAddress("1")), Fraction)
 
     @pytest.mark.parametrize("mode", [EXACT, FLOAT])
     def test_non_tree_keys_rejected(self, mode):
@@ -150,17 +150,17 @@ class TestSparseFn:
 
     def test_exact_coercion_of_int_and_float(self):
         f = SparseFn({ROOT: 3, NodeAddress("0"): 0.1, NodeAddress("1"): Fraction(1, 3)})
-        assert [(type(v), v) for _, v in f.items()] == [
+        assert [(type(v), v) for _, v in items(f)] == [
             (Fraction, Fraction(3)), (Fraction, Fraction(0.1)), (Fraction, Fraction(1, 3))]
-        assert f.get(NodeAddress("0")) != Fraction(1, 10)  # the binary value, not 1/10
+        assert get(f, NodeAddress("0")) != Fraction(1, 10)  # the binary value, not 1/10
 
     def test_float_coercion(self):
         f = SparseFn({ROOT: 3, NodeAddress("1"): Fraction(1, 3)}, FLOAT)
-        assert [(type(v), v) for _, v in f.items()] == [(float, 3.0), (float, 1 / 3)]
+        assert [(type(v), v) for _, v in items(f)] == [(float, 3.0), (float, 1 / 3)]
 
     def test_nan_kept_in_float_mode_only(self):
         f = SparseFn({ROOT: math.nan}, FLOAT)
-        assert len(f) == 1 and math.isnan(f.get(ROOT))
+        assert len(f) == 1 and math.isnan(get(f, ROOT))
         with pytest.raises(ValueError):
             SparseFn({ROOT: math.nan})
 
@@ -178,41 +178,49 @@ class TestSparseFn:
         f = SparseFn({ROOT: Fraction(1, 2), NodeAddress("0"): Fraction(3)})
         g = SparseFn({ROOT: Fraction(4), NodeAddress("1"): Fraction(1)})
         fg = f.mul(g)
-        assert fg.get(ROOT) == 2
+        assert get(fg, ROOT) == 2
         assert len(fg) == 1
 
     def test_power_modes(self):
         f = SparseFn({ROOT: Fraction(1, 2)})
-        assert f.power(2).get(ROOT) == Fraction(1, 4)
-        assert f.power(2).mode == EXACT
-        h = f.power(1.5)
+        assert get(power(f, 2), ROOT) == Fraction(1, 4)
+        assert power(f, 2).mode == EXACT
+        h = power(f, 1.5)
         assert h.mode == FLOAT
-        assert h.get(ROOT) == pytest.approx(0.5 ** 1.5)
+        assert get(h, ROOT) == pytest.approx(0.5 ** 1.5)
 
     def test_to_float(self):
         f = SparseFn({ROOT: Fraction(1, 3)}).to_float()
         assert f.mode == FLOAT
-        assert f.get(ROOT) == pytest.approx(1 / 3)
+        assert get(f, ROOT) == pytest.approx(1 / 3)
 
 
-class TestPathValues:
+class TestValueForm:
     def test_exact_numerators_over_the_lcm(self):
         f = SparseFn({NodeAddress("01"): Fraction(1, 6), ROOT: Fraction(3, 4),
                       NodeAddress("1"): Fraction(2, 5), NodeAddress("0"): 7})
-        values, den = _path_values(f)
-        assert den == 60
-        assert list(values.items()) == [("01", 10), ("", 45), ("1", 24), ("0", 420)]
-        assert all(type(v) is int for v in values.values())
+        assert f.den == 60
+        assert list(f.values.items()) == [("01", 10), ("", 45), ("1", 24), ("0", 420)]
+        assert all(type(v) is int for v in f.values.values())
 
     def test_float_values_over_one(self):
         f = SparseFn({NodeAddress("1"): 0.1, ROOT: 2.5}, FLOAT)
-        assert _path_values(f) == ({"1": 0.1, "": 2.5}, 1)
-        assert _path_values(SparseFn({})) == ({}, 1)
+        assert (f.values, f.den) == ({"1": 0.1, "": 2.5}, 1)
+        assert (SparseFn({}).values, SparseFn({}).den) == ({}, 1)
 
     @pytest.mark.parametrize("mode", [EXACT, FLOAT])
-    def test_computed_once_per_function(self, mode, monkeypatch):
-        # filled at the first call and handed out again, never recomputed
-        f = SparseFn({NodeAddress("1"): Fraction(1, 3), ROOT: Fraction(1, 2)}, mode)
-        first = _path_values(f)
-        monkeypatch.setattr(SparseFn, "items", lambda self: pytest.fail("recomputed"))
-        assert _path_values(f) is first
+    def test_private_constructor(self, mode):
+        # numerators over any common denominator; float mode rounds each once
+        f = SparseFn._of({"1": 3, "": 10}, 12, mode)
+        assert f.mode == mode and len(f) == 2
+        if mode == EXACT:
+            assert (f.values, f.den) == ({"1": 3, "": 10}, 12)
+            assert items(f) == [(NodeAddress("1"), Fraction(1, 4)), (ROOT, Fraction(5, 6))]
+        else:
+            assert (f.values, f.den) == ({"1": 0.25, "": 10 / 12}, 1)
+        with pytest.raises(ValueError, match="unknown scalar mode"):
+            SparseFn._of({}, 1, "decimal")
+
+    def test_to_float_rounds_each_value_once(self):
+        f = SparseFn({ROOT: Fraction(1, 3), NodeAddress("0"): Fraction(2, 7)}).to_float()
+        assert f.values == {"": float(Fraction(1, 3)), "0": float(Fraction(2, 7))}
