@@ -3,19 +3,13 @@ dyadic trees and bi-trees — Hardy operators, exact counterexample
 generators, and the bi-tree capacity experiment."""
 
 from .trees import (
-    BiNode,
     DomainError,
-    NodeAddress,
     PreconditionError,
     ResourceError,
     SparseFn,
     TreeDomain,
-    format_node,
 )
-from .hardy import (
-    PointMeasure,
-    kernel,
-)
+from .hardy import kernel
 from .structure import (
     check_power_superadditive,
     is_increasing,

@@ -7,8 +7,9 @@ All rectangles in the instance are a short prefix followed by a run of
 zeros, so the instance holds each one only as a (j, x_extra, y_extra)
 triple, the atoms of nu included, and evaluates the common-ancestor kernel
 from that structure; the largest admissible n would otherwise need paths
-tens of thousands of characters long.  BiNodes are built only for the
-small subfamily that the brute-force oracle checks (`prefix_members`).
+tens of thousands of characters long.  Rectangles are built as (x path,
+y path) pairs only for the small subfamily that the brute-force oracle
+checks (`prefix_members`).
 The prefix of q_jk is the M-bit form of j, so two distinct prefixes
 share M - bit_length(j1 ^ j2) leading bits, and any one prefix shares t < M
 leading bits with exactly 2^(M-1-t) others.  The class-summed kernel and
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .trees import BiNode, NodeAddress, ResourceError
+from .trees import ResourceError
 from .hardy import kernel
 
 ADMISSIBLE_N = (4, 16, 256, 65536)
@@ -40,7 +41,7 @@ class BitreeInstance:
     """The family F = {q_jk} and the atomic measure nu at scale n = 2^s,
     held as triples: q_jk is (j, *extras[k]) for j = 0..count-1, and nu puts
     atom_mass on each corner square omega_j = (j, n, n).  No rectangle is
-    built as a BiNode; `prefix_members` builds one prefix's on demand."""
+    built as a path pair; `prefix_members` builds one prefix's on demand."""
 
     n: int
     s: int
@@ -117,13 +118,12 @@ def build_instance(n: int) -> BitreeInstance:
     )
 
 
-def prefix_members(inst: BitreeInstance, j: int) -> list[BiNode]:
-    """The s + 1 rectangles q_jk, k = 0..s, as BiNodes: the M-bit form of j
-    followed by x_extra and by y_extra zeros.  Each path is n + M bits long
-    at k = 0, so a caller bounds n before building them."""
+def prefix_members(inst: BitreeInstance, j: int) -> list[tuple[str, str]]:
+    """The s + 1 rectangles q_jk, k = 0..s, as (x path, y path) pairs: the
+    M-bit form of j followed by x_extra and by y_extra zeros.  Each path is
+    n + M bits long at k = 0, so a caller bounds n before building them."""
     prefix = format(j, f"0{inst.M}b")
-    return [BiNode(NodeAddress(prefix + "0" * xe), NodeAddress(prefix + "0" * ye))
-            for xe, ye in inst.extras]
+    return [(prefix + "0" * xe, prefix + "0" * ye) for xe, ye in inst.extras]
 
 
 def check_lemma_g(inst: BitreeInstance) -> dict:
@@ -264,8 +264,9 @@ def _solve_exact(A: list[list[Fraction]], b: list[Fraction]) -> Optional[list[Fr
     return [row[m] for row in M]
 
 
-def capacity_bruteforce(family: Sequence[BiNode]) -> Fraction:
-    """Exact capacity by active-set enumeration: for every subset solve
+def capacity_bruteforce(family: Sequence[tuple[str, str]]) -> Fraction:
+    """Exact capacity of a family of (x path, y path) rectangles by
+    active-set enumeration: for every subset solve
     K_S rho = 1 in rational arithmetic, keep non-negative solutions whose
     potential covers the whole family, return the minimal total mass."""
     m = len(family)

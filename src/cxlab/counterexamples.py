@@ -25,7 +25,6 @@ from typing import Callable, Iterator, Optional
 from .trees import (
     EXACT,
     FLOAT,
-    NodeAddress,
     ResourceError,
     Scalar,
     SparseFn,
@@ -143,7 +142,7 @@ def gen_cex_increasing(N: int, p: Scalar = 2, seed: Optional[int] = None) -> Lem
         name="cex_increasing",
         params={"N": N, "p": p, "lambda": lam, "gamma": ""},
         lhs=lhs, rhs=rhs, holds=lhs <= rhs,
-        witness=None if lhs <= rhs else NodeAddress(""),
+        witness=None if lhs <= rhs else "",
         mode=EXACT if _as_int(p) is not None else FLOAT, seed=seed,
         extra={"closed_form_check": closed},
     )
@@ -498,8 +497,8 @@ def search_new23(p: Scalar, depth: int, budget: int, seed: int) -> LemmaReport:
     fv = _random_f_paths(rng, depth, list(gv))
     d = TreeDomain(depth + 1)
     # a draw of 0.0 (rand() can return it) leaves the support
-    g = SparseFn._of({k: v for k, v in gv.items() if v}, 1, FLOAT)
-    f = SparseFn._of({k: v for k, v in fv.items() if v}, 1, FLOAT)
+    g = SparseFn({k: v for k, v in gv.items() if v}, 1, FLOAT)
+    f = SparseFn({k: v for k, v in fv.items() if v}, 1, FLOAT)
     report = verify_new23(f, g, float(p), d, seed=seed)
     report.name = "search_new23"
     report.params.update({"depth": depth, "budget": budget, "best_trial": best_trial,

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from .trees import EXACT, FLOAT, NodeAddress, ResourceError, Scalar, SparseFn, TreeDomain
+from .trees import EXACT, FLOAT, ResourceError, Scalar, SparseFn, TreeDomain
 from .structure import special_form_g
 from .hardy import _heap_values, _up_heap
 from .lemmas import (
@@ -55,7 +55,7 @@ def _pick(rng: random.Random, paths) -> str:
 def _trial_l1linf(rng, d, mode, seed) -> LemmaReport:
     g = randgen.random_superadditive(rng, d, mode=mode)
     h = randgen.random_sparse(rng, d, mode=mode)
-    gamma = NodeAddress(_pick(rng, g.values))
+    gamma = _pick(rng, g.values)
     return verify_supadditive_l1linf(g, h, gamma, d, seed=seed)
 
 
@@ -100,9 +100,9 @@ def _phi_instance(rng, d, mode):
         num = _below(bits, 17)
         if num:
             draws[bin(k)[3:]] = num
-    f = SparseFn._of(draws, 16, mode)
-    w = SparseFn._of({path: quarters[int("1" + path, 2) - 1]
-                      for path in itertools.chain(g.values, f.values)}, 4, mode)
+    f = SparseFn(draws, 16, mode)
+    w = SparseFn({path: quarters[int("1" + path, 2) - 1]
+                  for path in itertools.chain(g.values, f.values)}, 4, mode)
     return w, g, f, lam, delta, (up, den)
 
 
@@ -138,7 +138,7 @@ def _trial_gest(rng, d, mode, seed) -> LemmaReport:
     g = special_form_g(m, beta, 2)
     if mode != EXACT:
         g = g.to_float()
-    gamma = NodeAddress(_pick(rng, g.values))
+    gamma = _pick(rng, g.values)
     return verify_gest(g, gamma, 2, d, seed=seed)
 
 

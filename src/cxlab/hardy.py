@@ -1,4 +1,5 @@
-"""Hardy operators on the tree, and atomic measures on the bi-tree.
+"""Hardy operators on the tree, and the kernel and rectangle masses on the
+bi-tree.
 
 I sums up the graph (over ancestors, inclusive of the evaluation node),
 its adjoint I* sums down the graph (over descendants, inclusive).  This
@@ -15,45 +16,18 @@ verifiers read, builds no Fraction; its caller builds one only for a value
 it reports.  On the bi-tree, kernel counts the common ancestors of two
 rectangles as (lcp_x + 1)(lcp_y + 1), never by materializing ancestor
 sets, so instances with coordinate depths in the hundreds stay cheap; it is
-the kernel of the capacity's energy.  rectangle_mass_fn gives the
-rectangle masses of an atomic measure that the special-form construction
-reads, as int numerators keyed by (x path, y path) over one denominator.
+the kernel of the capacity's energy.  A bi-tree node is an (x path,
+y path) pair, and an atom of a measure an (x path, y path, k) triple of
+mass k/16; rectangle_mass_fn gives the rectangle masses of such atoms that
+the special-form construction reads, as int numerators keyed by (x path,
+y path) over 16.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable
 
-from .trees import (
-    EXACT,
-    BiNode,
-    DomainError,
-    Scalar,
-    SparseFn,
-    TreeDomain,
-    lcp_len,
-    _numerators,
-)
-
-
-@dataclass(frozen=True)
-class PointMeasure:
-    """A finite list of (bi-tree node, mass) atoms; all masses positive."""
-
-    atoms: tuple[tuple[BiNode, Scalar], ...]
-
-    def __post_init__(self):
-        for node, mass in self.atoms:
-            if not isinstance(node, BiNode):
-                raise DomainError("PointMeasure atoms live on the bi-tree")
-            if mass <= 0:
-                raise ValueError(f"atom mass must be positive, got {mass}")
-
-    @classmethod
-    def of(cls, atoms: Iterable[tuple[BiNode, Scalar]]) -> "PointMeasure":
-        return cls(tuple(atoms))
+from .trees import EXACT, Scalar, SparseFn, TreeDomain, lcp_len
 
 
 def _up_paths(values: dict[str, Scalar], paths: Iterable[str],
@@ -135,34 +109,30 @@ def _iistar_paths(g: SparseFn, paths: Iterable[str]) -> tuple[dict[str, Scalar],
     return _up_paths(_down_paths(g.values, zero), paths, zero), g.den
 
 
-def kernel(a: BiNode, b: BiNode) -> int:
-    """Number of common ancestors of two bi-tree nodes (rectangle count)."""
-    return (lcp_len(a.x.path, b.x.path) + 1) * (lcp_len(a.y.path, b.y.path) + 1)
+def kernel(a: tuple[str, str], b: tuple[str, str]) -> int:
+    """Number of common ancestors of two bi-tree nodes, each an (x path,
+    y path) pair (rectangle count)."""
+    return (lcp_len(a[0], b[0]) + 1) * (lcp_len(a[1], b[1]) + 1)
 
 
-def rectangle_mass_fn(m: PointMeasure) -> tuple[dict[tuple[str, str], int], int]:
-    """The rectangle-mass function R(q) = m({atoms inside q}) of a measure
-    with exact masses: a dict keyed by each rectangle's (x path, y path),
-    in atom order, of int numerators over one denominator, and that
-    denominator.
+def rectangle_mass_fn(
+    atoms: Iterable[tuple[str, str, int]],
+) -> tuple[dict[tuple[str, str], int], int]:
+    """The rectangle-mass function R(q) = m({atoms inside q}) of an atomic
+    measure given as (x path, y path, k) atoms of mass k/16: a dict keyed by
+    each rectangle's (x path, y path), in atom order, of int numerators over
+    16, and that denominator.
 
     Supported on the (finite) set of rectangles that contain at least one
     atom and have both coordinates among atom-path prefixes; this is the
     measure-theoretic reading of "m(gamma x beta')" used by the special-form
-    construction.  A float mass raises ValueError before any sum.
+    construction.
     """
-    atoms = m.atoms
-    for node, mass in atoms:
-        if not isinstance(mass, (int, Fraction)):
-            raise ValueError(f"rectangle masses take exact atom masses only, "
-                             f"got {type(mass).__name__} {mass!r} at {node}")
-    masses, den = _numerators(mass for _, mass in atoms)
     sums: dict[tuple[str, str], int] = {}
-    for (node, _), mass in zip(atoms, masses):
-        xp, yp = node.x.path, node.y.path
+    for xp, yp, k in atoms:
         ys = [yp[:j] for j in range(len(yp) + 1)]
         for i in range(len(xp) + 1):
             x = xp[:i]
             for y in ys:
-                sums[x, y] = sums.get((x, y), 0) + mass
-    return sums, den
+                sums[x, y] = sums.get((x, y), 0) + k
+    return sums, 16

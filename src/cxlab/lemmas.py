@@ -18,7 +18,6 @@ a non-integral p rounds each exact value once, where _pow did.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
@@ -26,13 +25,10 @@ from typing import Optional
 from .trees import (
     EXACT,
     FLOAT,
-    ROOT,
-    NodeAddress,
     PreconditionError,
     Scalar,
     SparseFn,
     TreeDomain,
-    format_node,
     _as_int,
     _pow,
     _zero,
@@ -55,7 +51,7 @@ class LemmaReport:
     lhs: Scalar
     rhs: Scalar
     holds: bool
-    witness: Optional[NodeAddress] = None
+    witness: Optional[str] = None
     mode: str = EXACT
     seed: Optional[int] = None
     degenerate: bool = False
@@ -75,7 +71,7 @@ class LemmaReport:
             "rhs": scalar_repr(self.rhs),
             "ratio": scalar_repr(self.ratio),
             "holds": self.holds,
-            "witness": None if self.witness is None else format_node(self.witness),
+            "witness": self.witness,
             "mode": self.mode,
             "seed": self.seed,
             "degenerate": self.degenerate,
@@ -108,10 +104,6 @@ def _value(num: Scalar, den: int, mode: str) -> Scalar:
     return Fraction(num, den) if mode == EXACT else num
 
 
-def _witness(path: Optional[str]) -> Optional[NodeAddress]:
-    return None if path is None else NodeAddress(path)
-
-
 def _sup_iistar(g: SparseFn, *path_lists) -> list[tuple[Scalar, Optional[str]]]:
     """For each given list of paths of g's tree, the max of II*g over it, a
     sweep value over g's denominator, and the first path attaining it;
@@ -142,7 +134,7 @@ def _refined_paths(g_paths, f_paths) -> list[str]:
 
 
 def verify_supadditive_l1linf(
-    g: SparseFn, h: SparseFn, gamma: NodeAddress, d: TreeDomain,
+    g: SparseFn, h: SparseFn, gamma: str, d: TreeDomain,
     seed: Optional[int] = None,
 ) -> LemmaReport:
     """sum_{alpha <= gamma} g h <= lambda g(gamma), lambda = max Ih on supp g."""
@@ -150,18 +142,17 @@ def verify_supadditive_l1linf(
     hv, hden = h.values, h.den
     zero = 0 if g.mode == EXACT else 0.0
     lam = max(hardy_up_table(h, gv).values(), default=zero)
-    top = gamma.path
     lhs = zero
     for x, v in gv.items():
-        if x.startswith(top):
+        if x.startswith(gamma):
             lhs += v * hv.get(x, zero)
     # both sides over gden hden
-    rhs = lam * gv.get(top, zero)
+    rhs = lam * gv.get(gamma, zero)
     holds = lhs <= rhs
     den = gden * hden
     return LemmaReport(
         name="supadditive_l1linf",
-        params={"lambda": _value(lam, hden, g.mode), "gamma": format_node(gamma)},
+        params={"lambda": _value(lam, hden, g.mode), "gamma": gamma},
         lhs=_value(lhs, den, g.mode), rhs=_value(rhs, den, g.mode), holds=holds,
         witness=None if holds else gamma,
         mode=g.mode, seed=seed, degenerate=rhs == 0 and lhs > 0,
@@ -189,7 +180,7 @@ def verify_I2_positive(
         name="I2_positive",
         params={"sup_iistar": _value(sup, gden, g.mode)},
         lhs=_value(lhs, den, g.mode), rhs=_value(rhs, den, g.mode), holds=lhs <= rhs,
-        witness=_witness(arg), mode=g.mode, seed=seed,
+        witness=arg, mode=g.mode, seed=seed,
         extra={"coarse_sup": _value(coarse, gden, g.mode)},
     )
 
@@ -258,9 +249,10 @@ def _phi_heap(w, g, f, lam, delta, d, iwg):
     holds, its last failing node in heap order and its least ratio.
 
     Each I is one _up_heap sweep.  In exact mode the entries are int
-    numerators, each table over its own denominator; a threshold t is read
-    as floor(t den), since an integer n exceeds t iff it exceeds floor(t),
-    and ratios are compared by cross-multiplying.
+    numerators, each table over its own denominator; a threshold t = a/b is
+    read as floor(t den) = a den // b, an int floor division, since an
+    integer n exceeds t iff it exceeds floor(t), and ratios are compared by
+    cross-multiplying.
     """
     size = 1 << d.levels
     if iwg is None:
@@ -271,15 +263,17 @@ def _phi_heap(w, g, f, lam, delta, d, iwg):
     up_wg, den_wg = iwg
     exact = g.mode == EXACT
     if exact:
-        delta_t, half_t, two_t = (math.floor(Fraction(t) * den_wg)
-                                  for t in (delta, lam / 2, 2 * lam))
+        a, b = delta.as_integer_ratio()
+        delta_t = a * den_wg // b
+        a, b = lam.as_integer_ratio()
+        half_t, two_t = a * den_wg // (2 * b), 2 * a * den_wg // b
     else:
         delta_t, half_t, two_t = delta, lam / 2, 2 * lam
     d.require(f.values)
     for path in f.values:
         if up_wg[int("1" + path, 2)] > delta_t:
             raise PreconditionError("supp f must lie inside {I(wg) <= delta}",
-                                    NodeAddress(path))
+                                    path)
 
     up_wf, den_wf = _heap_values(w.mul(f), d)
     _up_heap(up_wf)
@@ -297,7 +291,7 @@ def _phi_heap(w, g, f, lam, delta, d, iwg):
                 if val != 0:
                     phi_values[path] = val
     phi_den = den_wf * g.den * inv_lam.denominator if exact else 1
-    phi = SparseFn._of(phi_values, phi_den, g.mode)
+    phi = SparseFn(phi_values, phi_den, g.mode)
 
     up_wphi, den_wphi = _heap_values(w.mul(phi), d)
     _up_heap(up_wphi)
@@ -325,7 +319,7 @@ def _phi_heap(w, g, f, lam, delta, d, iwg):
                     worst_a = r
                 if r < lower:
                     a_ok, a_k = False, k
-    a_witness = None if a_k is None else NodeAddress(bin(a_k)[3:])
+    a_witness = None if a_k is None else bin(a_k)[3:]
     return phi, a_ok, a_witness, worst_a
 
 
@@ -345,9 +339,9 @@ def verify_inter(
     zero = 0 if mode == EXACT else 0.0
     # Ig is constant below the deepest supported ancestor, so its max over
     # the tree is its max over supp g and the root
-    ig = hardy_up_table(g, [*fv, *gv, ROOT.path])
+    ig = hardy_up_table(g, [*fv, *gv, ""])
     delta = _value(max((ig[x] for x in fv), default=zero), gden, mode)
-    lam = _value(max(ig[x] for x in (*gv, ROOT.path)), gden, mode)
+    lam = _value(max(ig[x] for x in (*gv, "")), gden, mode)
     e = _as_int(p)
     exact = mode == EXACT and e is not None
     if exact:
@@ -401,7 +395,7 @@ def verify_linf(f: SparseFn, g: SparseFn, d: TreeDomain, seed: Optional[int] = N
         name="linf",
         params={"sup_iistar": _value(sup, gden, g.mode)},
         lhs=_value(lhs, den, g.mode), rhs=_value(rhs, den, g.mode), holds=lhs <= rhs,
-        witness=_witness(arg if lhs > rhs else sup_arg),
+        witness=arg if lhs > rhs else sup_arg,
         mode=g.mode, seed=seed,
         extra={"increasing": is_increasing(g, d)[0]},
     )
@@ -435,7 +429,7 @@ def verify_new23(
         name="new23",
         params={"p": p, "sup_iistar": sup_v},
         lhs=lhs, rhs=rhs, holds=holds,
-        witness=_witness(arg), mode=mode if e is not None else FLOAT, seed=seed,
+        witness=arg, mode=mode if e is not None else FLOAT, seed=seed,
         extra={
             "coarse_sup": _value(coarse, gden, mode),
             "increasing": is_increasing(g, d)[0],
@@ -445,7 +439,7 @@ def verify_new23(
 
 
 def verify_gest(
-    g: SparseFn, gamma: NodeAddress, p: Scalar, d: TreeDomain,
+    g: SparseFn, gamma: str, p: Scalar, d: TreeDomain,
     seed: Optional[int] = None,
 ) -> LemmaReport:
     """sum_{alpha <= gamma} g^p <= lambda g^(p-1)(gamma), lambda = max Ig on supp g."""
@@ -457,21 +451,20 @@ def verify_gest(
     zero = 0 if mode == EXACT else 0.0
     lam = max(hardy_up_table(g, gv).values(), default=zero)
     lam_v = _value(lam, gden, mode)
-    top = gamma.path
     e = _as_int(p)
     if mode == EXACT and e is not None:
         # both sides over gden^e; p > 1, so e - 1 >= 1
-        lhs = sum(v ** e for x, v in gv.items() if x.startswith(top))
-        rhs = lam * gv.get(top, zero) ** (e - 1)
+        lhs = sum(v ** e for x, v in gv.items() if x.startswith(gamma))
+        rhs = lam * gv.get(gamma, zero) ** (e - 1)
         holds = lhs <= rhs
         lhs, rhs = Fraction(lhs, gden ** e), Fraction(rhs, gden ** e)
     else:
-        lhs = sum((_pow(v / gden, p) for x, v in gv.items() if x.startswith(top)), _zero(mode))
-        rhs = lam_v * _pow(gv.get(top, zero) / gden, p - 1)
+        lhs = sum((_pow(v / gden, p) for x, v in gv.items() if x.startswith(gamma)), _zero(mode))
+        rhs = lam_v * _pow(gv.get(gamma, zero) / gden, p - 1)
         holds = _holds(lhs, rhs)
     return LemmaReport(
         name="gest",
-        params={"p": p, "lambda": lam_v, "gamma": format_node(gamma)},
+        params={"p": p, "lambda": lam_v, "gamma": gamma},
         lhs=lhs, rhs=rhs, holds=holds,
         witness=None if holds else gamma,
         mode=mode if e is not None else FLOAT, seed=seed,

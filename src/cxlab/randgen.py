@@ -1,7 +1,10 @@
 """Seeded random instance generators for the property suites.
 
 All values are dyadic rationals so the exact-mode suites stay exact; every
-generator is a pure function of its Random instance.
+generator is a pure function of its Random instance.  The tree functions
+are SparseFns built from the drawn int numerators over a power of 16, and
+the atoms of a bi-tree measure are (x path, y path, k) triples of mass
+k/16.
 
 The draw contract: every integer draw goes through _below on the
 generator's getrandbits, which takes exactly the bits that the stdlib's
@@ -13,11 +16,10 @@ called as they are.
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 from typing import Callable
 
-from .trees import BiNode, EXACT, NodeAddress, SparseFn, TreeDomain
-from .hardy import PointMeasure, rectangle_mass_fn
+from .trees import EXACT, SparseFn, TreeDomain
+from .hardy import rectangle_mass_fn
 
 
 def _below(bits: Callable[[int], int], n: int) -> int:
@@ -52,9 +54,9 @@ def _over_one_power(draws: dict[str, int], base: int, per_level: int,
     """The function whose value at path is draws[path] / base^(per_level
     depth + 1), over the power of base that its deepest path needs."""
     top = max(map(len, draws), default=0)
-    return SparseFn._of({path: num * base ** (per_level * (top - len(path)))
-                         for path, num in draws.items()},
-                        base ** (per_level * top + 1), mode)
+    return SparseFn({path: num * base ** (per_level * (top - len(path)))
+                     for path, num in draws.items()},
+                    base ** (per_level * top + 1), mode)
 
 
 def random_superadditive(
@@ -118,7 +120,7 @@ def random_sparse(
         num = _below(bits, 17)
         if num:
             draws[_random_bits(bits, _below(bits, depths))] = num
-    return SparseFn._of(draws, 16, mode)
+    return SparseFn(draws, 16, mode)
 
 
 def random_quarters(rng: random.Random, count: int) -> list[int]:
@@ -134,26 +136,21 @@ def random_quarters(rng: random.Random, count: int) -> list[int]:
     return out
 
 
-def random_point_measure(
+def random_special_form_measure(
     rng: random.Random, levels_x: int, levels_y: int, max_atoms: int = 5,
-) -> PointMeasure:
+) -> tuple[dict[tuple[str, str], int], int]:
+    """The exact rectangle masses, as hardy.rectangle_mass_fn gives them, of
+    1 to max_atoms atoms (x path, y path, k) of mass k/16: each path of a
+    depth drawn as randint(0, levels - 1) draws it and then that many
+    choice("01") bits, x before y, and k drawn as randint(1, 16).
+
+    This is the measure reading of the special-form construction; feeding it
+    to special_form_g yields a g whose power g^(p-1) is superadditive.
+    """
     bits = rng.getrandbits
     atoms = []
     for _ in range(1 + _below(bits, max_atoms)):
         x = _random_bits(bits, _below(bits, levels_x))
         y = _random_bits(bits, _below(bits, levels_y))
-        atoms.append((BiNode(NodeAddress(x), NodeAddress(y)),
-                      Fraction(1 + _below(bits, 16), 16)))
-    return PointMeasure.of(atoms)
-
-
-def random_special_form_measure(
-    rng: random.Random, levels_x: int, levels_y: int, max_atoms: int = 5,
-) -> tuple[dict[tuple[str, str], int], int]:
-    """The exact rectangle masses of a random atomic measure, as
-    hardy.rectangle_mass_fn gives them.
-
-    This is the measure reading of the special-form construction; feeding it
-    to special_form_g yields a g whose power g^(p-1) is superadditive.
-    """
-    return rectangle_mass_fn(random_point_measure(rng, levels_x, levels_y, max_atoms))
+        atoms.append((x, y, 1 + _below(bits, 16)))
+    return rectangle_mass_fn(atoms)

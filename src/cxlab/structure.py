@@ -4,9 +4,10 @@ A function is superadditive when every node dominates the sum over its
 children (Definition of the children-sum inequality); "increasing" is
 formalized as non-decreasing toward the root along every path.  Both
 predicates only visit the support and parents of support: nodes whose
-children are all zero satisfy the inequalities trivially.  The
-special-form constructor reads rectangle masses, a mapping from bi-tree
-nodes to values, and builds a function on the tree.
+children are all zero satisfy the inequalities trivially; a failing check
+names its witness by path.  The special-form constructor reads rectangle
+masses, int numerators keyed by (x path, y path) over one denominator, and
+builds a function on the tree.
 """
 
 from __future__ import annotations
@@ -14,15 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Optional
 
-from .trees import (
-    EXACT,
-    FLOAT,
-    NodeAddress,
-    Scalar,
-    SparseFn,
-    TreeDomain,
-    _as_int,
-)
+from .trees import EXACT, FLOAT, Scalar, SparseFn, TreeDomain, _as_int
 
 FLOAT_REL_TOL = 1e-9
 
@@ -33,7 +26,7 @@ def _tol_for(mode: str, scale: Scalar) -> Scalar:
     return FLOAT_REL_TOL * max(1.0, abs(float(scale)))
 
 
-def is_superadditive(g: SparseFn, d: TreeDomain) -> tuple[bool, Optional[NodeAddress]]:
+def is_superadditive(g: SparseFn, d: TreeDomain) -> tuple[bool, Optional[str]]:
     """Check g(beta) >= sum over children of g; returns a witness on failure.
 
     Only parents of support nodes can violate the inequality, so one pass
@@ -44,7 +37,7 @@ def is_superadditive(g: SparseFn, d: TreeDomain) -> tuple[bool, Optional[NodeAdd
 
 
 def _superadditive(values: dict[str, Scalar], mode: str,
-                   d: TreeDomain) -> tuple[bool, Optional[NodeAddress]]:
+                   d: TreeDomain) -> tuple[bool, Optional[str]]:
     """is_superadditive on path-keyed values in the given mode, all over one
     denominator."""
     d.require(values)
@@ -52,11 +45,11 @@ def _superadditive(values: dict[str, Scalar], mode: str,
     for path in sorted(parents, key=lambda p: (len(p), p)):
         child_sum = values.get(path + "0", 0) + values.get(path + "1", 0)
         if values.get(path, 0) < child_sum - _tol_for(mode, child_sum):
-            return False, NodeAddress(path)
+            return False, path
     return True, None
 
 
-def is_increasing(g: SparseFn, d: TreeDomain) -> tuple[bool, Optional[NodeAddress]]:
+def is_increasing(g: SparseFn, d: TreeDomain) -> tuple[bool, Optional[str]]:
     """Check g is non-decreasing toward the root; witness is the offending child."""
     values = g.values
     for path in sorted(values, key=lambda p: (len(p), p)):
@@ -66,7 +59,7 @@ def is_increasing(g: SparseFn, d: TreeDomain) -> tuple[bool, Optional[NodeAddres
             continue
         v = values[path]
         if values.get(path[:-1], 0) < v - _tol_for(g.mode, v):
-            return False, NodeAddress(path)
+            return False, path
     return True, None
 
 
@@ -97,16 +90,16 @@ def special_form_g(m: tuple[dict[tuple[str, str], int], int], beta: str,
         for (x, y), s in sums.items():
             if beta.startswith(y):
                 out[x] = out.get(x, 0) + s ** e_int
-        return SparseFn._of(out, den ** e_int, EXACT)
+        return SparseFn(out, den ** e_int, EXACT)
     for (x, y), s in sums.items():
         if beta.startswith(y):
             out[x] = out.get(x, 0) + (s / den) ** e
-    return SparseFn._of(out, 1, FLOAT)
+    return SparseFn(out, 1, FLOAT)
 
 
 def check_power_superadditive(
     g: SparseFn, d: TreeDomain, p: Scalar
-) -> tuple[bool, Optional[NodeAddress]]:
+) -> tuple[bool, Optional[str]]:
     """Apply the superadditivity check to the pointwise power g^(p-1).
 
     In exact mode at integral p - 1 the check runs on g's int numerators

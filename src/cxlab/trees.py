@@ -1,26 +1,25 @@
-"""Dyadic trees, bi-tree nodes and sparse functions on the tree.
+"""Dyadic trees and sparse functions on the tree.
 
-Nodes are addressed by bit paths: bit 0 is the left ("minus") child, bit 1
-the right ("plus") child.  The root has the empty path.  A bi-tree node is
-a dyadic rectangle, a pair of tree nodes; the partial order is
-containment: a <= b iff both of b's coordinate paths are prefixes of a's
-(smaller = deeper).  Every function the verifiers take is a SparseFn on the
-tree; the bi-tree appears only as the atoms and rectangles of the capacity
-and of the special-form construction.
+A tree node is a dyadic interval, written as its bit path: bit 0 is the
+left ("minus") child, bit 1 the right ("plus") child, and the root is the
+empty path.  A bi-tree node is a dyadic rectangle, the pair (x path,
+y path); the partial order is containment: a <= b iff both of b's
+coordinate paths are prefixes of a's (smaller = deeper).  Every function
+the verifiers take is a SparseFn on the tree; the bi-tree appears only as
+the atoms and rectangles of the capacity and of the special-form
+construction.
 
 A SparseFn keeps its values in the one form every sweep, verifier and
 structure check reads: a dict keyed by path, of int numerators over one
 int denominator in exact mode, of the floats over 1 in float mode.  The
-generators and constructions hand in the numerators they already hold;
-SparseFn(entries, mode) converts Fractions once, through _numerators.
+generators and constructions hand in the numerators they already hold.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Union
 
 Scalar = Union[Fraction, float, int]
 
@@ -35,36 +34,15 @@ class DomainError(ValueError):
 class PreconditionError(ValueError):
     """A documented precondition of an operation failed."""
 
-    def __init__(self, condition: str, witness=None):
+    def __init__(self, condition: str, witness: str | None = None):
         self.condition = condition
         self.witness = witness
-        msg = condition if witness is None else f"{condition} (witness: {witness})"
+        msg = condition if witness is None else f"{condition} (witness: {witness or '(root)'})"
         super().__init__(msg)
 
 
 class ResourceError(RuntimeError):
     """A requested instance exceeds the configured resource budget."""
-
-
-def _check_path(path: str) -> None:
-    if path.strip("01") != "":
-        raise ValueError(f"bit path must consist of '0'/'1' characters: {path!r}")
-
-
-@dataclass(frozen=True)
-class NodeAddress:
-    """A vertex of a dyadic tree, addressed by its bit path from the root."""
-
-    path: str = ""
-
-    def __post_init__(self):
-        _check_path(self.path)
-
-    def __str__(self) -> str:
-        return self.path or "(root)"
-
-
-ROOT = NodeAddress("")
 
 
 def lcp_len(a: str, b: str) -> int:
@@ -83,22 +61,6 @@ def lcp_len(a: str, b: str) -> int:
         else:
             hi = mid - 1
     return lo
-
-
-@dataclass(frozen=True)
-class BiNode:
-    """A dyadic rectangle: a pair of tree addresses, one per coordinate."""
-
-    x: NodeAddress
-    y: NodeAddress
-
-    def __str__(self) -> str:
-        return f"x={self.x.path}/y={self.y.path}"
-
-
-def format_node(node: NodeAddress) -> str:
-    """Literal syntax used in reports: the bit path, "0110"."""
-    return node.path
 
 
 @dataclass(frozen=True)
@@ -148,51 +110,16 @@ class SparseFn:
 
     __slots__ = ("mode", "values", "den")
 
-    def __init__(self, entries: Mapping[NodeAddress, Scalar] | None = None,
-                 mode: str = EXACT):
-        if mode not in (EXACT, FLOAT):
-            raise ValueError(f"unknown scalar mode {mode!r}")
-        self.mode = mode
-        if not entries:
-            self.values, self.den = {}, 1
-            return
-        # The sign is read from an exact value's numerator and from a float
-        # itself, not through Fraction compares; a float NaN passes both tests.
-        exact = mode == EXACT
-        kept = {}
-        for node, v in entries.items():
-            if type(node) is not NodeAddress:
-                raise DomainError(f"{type(node).__name__} is not a tree node")
-            if exact:
-                if type(v) is not Fraction:
-                    v = Fraction(v)
-                sign = v.numerator
-            else:
-                if type(v) is not float:
-                    v = float(v)
-                sign = v
-            if sign < 0:
-                raise ValueError(f"negative value {v} at {format_node(node)}")
-            if sign:
-                kept[node.path] = v
-        if exact:
-            nums, self.den = _numerators(kept.values())
-            self.values = dict(zip(kept, nums))
-        else:
-            self.values, self.den = kept, 1
-
-    @classmethod
-    def _of(cls, values: dict[str, Scalar], den: int, mode: str) -> "SparseFn":
+    def __init__(self, values: dict[str, Scalar], den: int, mode: str):
         """The function with the given positive values over den, unchecked:
         int numerators in exact mode; in float mode each is divided by den
-        once (correctly rounded for ints), and the floats are kept over 1.
-        The empty function is built first, so the mode is checked."""
-        f = cls(None, mode)
+        once (correctly rounded for ints), and the floats are kept over 1."""
+        if mode not in (EXACT, FLOAT):
+            raise ValueError(f"unknown scalar mode {mode!r}")
         if mode == FLOAT:
             values = {path: v / den for path, v in values.items()}
             den = 1
-        f.values, f.den = values, den
-        return f
+        self.mode, self.values, self.den = mode, values, den
 
     def __len__(self) -> int:
         return len(self.values)
@@ -206,25 +133,15 @@ class SparseFn:
         if self.mode != EXACT:
             # a float product can round to zero
             out = {path: v for path, v in out.items() if v}
-        return SparseFn._of(out, self.den * other.den, self.mode)
+        return SparseFn(out, self.den * other.den, self.mode)
 
     def to_float(self) -> "SparseFn":
         if self.mode == FLOAT:
             return self
-        return SparseFn._of(self.values, self.den, FLOAT)
+        return SparseFn(self.values, self.den, FLOAT)
 
     def __repr__(self) -> str:
         return f"SparseFn({len(self.values)} entries, {self.mode})"
-
-
-def _numerators(values: Iterable[Scalar]) -> tuple[list[int], int]:
-    """Exact values (ints or Fractions) as int numerators over the lcm of
-    their denominators, in order, and that lcm."""
-    values = list(values)
-    den = 1
-    for v in values:
-        den = math.lcm(den, v.denominator)
-    return [v.numerator * (den // v.denominator) for v in values], den
 
 
 def _as_int(e: Scalar) -> int | None:

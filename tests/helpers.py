@@ -1,4 +1,8 @@
-"""Generators and brute-force references that only the tests use."""
+"""Generators and brute-force references that only the tests use.
+
+A tree node is its bit path, a bi-tree node the (x path, y path) pair, as
+in cxlab.  A measure on the bi-tree is a list of (rectangle, mass) atoms.
+"""
 
 from __future__ import annotations
 
@@ -12,55 +16,79 @@ import numpy as np
 
 from cxlab import capacity, lemmas
 from cxlab.counterexamples import AuditStep, VariantAudit, _half_pow
-from cxlab.hardy import (
-    PointMeasure, _down_paths, _iistar_paths, _up_paths, hardy_up_table, kernel,
-)
+from cxlab.hardy import _down_paths, _iistar_paths, _up_paths, hardy_up_table, kernel
 from cxlab.structure import _tol_for
 from cxlab.trees import (
-    EXACT, FLOAT, BiNode, DomainError, NodeAddress, PreconditionError, ResourceError, Scalar,
-    SparseFn, TreeDomain, _as_int, _pow, _zero, format_node, lcp_len,
+    EXACT, FLOAT, DomainError, PreconditionError, ResourceError, Scalar, SparseFn, TreeDomain,
+    _as_int, _pow, _zero, lcp_len,
 )
+
+Rect = tuple[str, str]
+Measure = list[tuple[Rect, Scalar]]
 
 _MATERIALIZE_LEVELS = 12
 
 
-def binode(x_path: str, y_path: str) -> BiNode:
-    return BiNode(NodeAddress(x_path), NodeAddress(y_path))
+def fn(entries: Mapping[str, Scalar], mode: str = EXACT) -> SparseFn:
+    """The SparseFn with the given values by path, each read as a Fraction
+    in exact mode and as a float in float mode: zeros are dropped, a
+    negative value raises ValueError, and exact values are kept as int
+    numerators over the lcm of their denominators.  The sign is read from an
+    exact value's numerator and from a float itself, so a float NaN passes."""
+    exact = mode == EXACT
+    kept = {}
+    for path, v in entries.items():
+        if exact:
+            if type(v) is not Fraction:
+                v = Fraction(v)
+            sign = v.numerator
+        else:
+            if type(v) is not float:
+                v = float(v)
+            sign = v
+        if sign < 0:
+            raise ValueError(f"negative value {v} at {path}")
+        if sign:
+            kept[path] = v
+    if not exact:
+        return SparseFn(kept, 1, mode)
+    den = math.lcm(1, *(v.denominator for v in kept.values()))
+    return SparseFn({path: v.numerator * (den // v.denominator) for path, v in kept.items()},
+                    den, mode)
 
 
-def tree_nodes_bfs(levels: int) -> list[NodeAddress]:
+def tree_nodes_bfs(levels: int) -> list[str]:
     """Every node of the levels-level tree, depth by depth, each depth in
     the order of its paths read as binary numbers: heap order."""
-    return [NodeAddress(format(i, f"0{k}b") if k else "")
-            for k in range(levels) for i in range(2 ** k)]
+    return [format(i, f"0{k}b") if k else "" for k in range(levels) for i in range(2 ** k)]
 
 
-def bitree_nodes(levels_x: int, levels_y: int) -> Iterator[BiNode]:
+def bitree_nodes(levels_x: int, levels_y: int) -> Iterator[Rect]:
     """Every rectangle of the product of a levels_x-level and a
     levels_y-level tree, x-major, each coordinate in heap order."""
     ys = tree_nodes_bfs(levels_y)
     for x in tree_nodes_bfs(levels_x):
         for y in ys:
-            yield BiNode(x, y)
+            yield x, y
 
 
 # A SparseFn read node by node, each value a Fraction in exact mode and a
 # float in float mode, as the references and the tests read it.
 
-def items(f: SparseFn) -> list[tuple[NodeAddress, Scalar]]:
-    """f's support nodes and values, in support order."""
+def items(f: SparseFn) -> list[tuple[str, Scalar]]:
+    """f's support paths and values, in support order."""
     if f.mode != EXACT:
-        return [(NodeAddress(path), v) for path, v in f.values.items()]
-    return [(NodeAddress(path), Fraction(v, f.den)) for path, v in f.values.items()]
+        return list(f.values.items())
+    return [(path, Fraction(v, f.den)) for path, v in f.values.items()]
 
 
-def support(f: SparseFn) -> list[NodeAddress]:
-    return [NodeAddress(path) for path in f.values]
+def support(f: SparseFn) -> list[str]:
+    return list(f.values)
 
 
-def get(f: SparseFn, node: NodeAddress) -> Scalar:
-    """f at node, zero where f is not supported."""
-    v = f.values.get(node.path)
+def get(f: SparseFn, path: str) -> Scalar:
+    """f at the node with the given path, zero where f is not supported."""
+    v = f.values.get(path)
     if v is None:
         return _zero(f.mode)
     return Fraction(v, f.den) if f.mode == EXACT else v
@@ -70,95 +98,99 @@ def power(f: SparseFn, e: Scalar) -> SparseFn:
     """Pointwise power.  Falls back to float mode for non-integral exponents."""
     e_int = _as_int(e)
     if e_int is not None and f.mode == EXACT:
-        return SparseFn({n: v ** e_int for n, v in items(f)}, EXACT)
+        return fn({n: v ** e_int for n, v in items(f)}, EXACT)
     ef = float(e)
-    return SparseFn({n: float(v) ** ef for n, v in items(f)}, FLOAT)
+    return fn({n: float(v) ** ef for n, v in items(f)}, FLOAT)
 
 
 def rebuild(f: SparseFn, factor: int) -> SparseFn:
-    """f with every numerator and its denominator multiplied by factor,
-    through the private constructor: the same function over another
-    denominator in exact mode."""
-    return SparseFn._of({path: v * factor for path, v in f.values.items()},
-                        f.den * factor, f.mode)
+    """f with every numerator and its denominator multiplied by factor: the
+    same function over another denominator in exact mode."""
+    return SparseFn({path: v * factor for path, v in f.values.items()},
+                    f.den * factor, f.mode)
 
 
-def heap_node(k: int) -> NodeAddress:
-    """The node at heap position k (root at 1), the inverse of a path's
-    position int("1" + path, 2)."""
-    return NodeAddress(bin(k)[3:])
+def heap_node(k: int) -> str:
+    """The path of the node at heap position k (root at 1), the inverse of
+    a path's position int("1" + path, 2)."""
+    return bin(k)[3:]
 
 
-def ancestors(a: NodeAddress) -> list[NodeAddress]:
-    """All prefixes of a's path in increasing depth, root first, a last."""
-    return [NodeAddress(a.path[:i]) for i in range(len(a.path) + 1)]
+def ancestors(a: str) -> list[str]:
+    """All prefixes of the path a in increasing depth, root first, a last."""
+    return [a[:i] for i in range(len(a) + 1)]
 
 
-def contains(a: NodeAddress, b: NodeAddress) -> bool:
+def contains(a: str, b: str) -> bool:
     """True iff a is an ancestor of b (inclusive)."""
-    return b.path.startswith(a.path)
+    return b.startswith(a)
 
 
-def rect_contains(q: BiNode, a: BiNode) -> bool:
+def rect_contains(q: Rect, a: Rect) -> bool:
     """True iff rectangle q contains a: q's coordinates are ancestors of
     a's (inclusive)."""
-    return contains(q.x, a.x) and contains(q.y, a.y)
+    return a[0].startswith(q[0]) and a[1].startswith(q[1])
 
 
 def scale(f: SparseFn, t: Scalar) -> SparseFn:
     """t f, in f's mode."""
-    return SparseFn({n: v * t for n, v in items(f)}, f.mode)
+    return fn({n: v * t for n, v in items(f)}, f.mode)
 
 
-def potential(m: PointMeasure, a: BiNode) -> Scalar:
+def measure(atoms) -> Measure:
+    """The measure of (x path, y path, k) atoms of mass k/16, as
+    cxlab.hardy.rectangle_mass_fn reads them."""
+    return [((x, y), Fraction(k, 16)) for x, y, k in atoms]
+
+
+def potential(m: Measure, a: Rect) -> Scalar:
     """II*m(a), through the common-ancestor kernel.
 
     Equals the sum of I*m over all rectangles containing a: each atom is
     counted once per common ancestor in each coordinate.
     """
     acc = 0
-    ax, ay = a.x.path, a.y.path
-    for node, mass in m.atoms:
-        acc += mass * (lcp_len(ax, node.x.path) + 1) * (lcp_len(ay, node.y.path) + 1)
+    ax, ay = a
+    for (x, y), mass in m:
+        acc += mass * (lcp_len(ax, x) + 1) * (lcp_len(ay, y) + 1)
     return acc
 
 
-def energy(m: PointMeasure) -> Scalar:
+def energy(m: Measure) -> Scalar:
     """E(m) = sum over atom pairs of mass_a mass_b (lcp_x+1)(lcp_y+1)."""
     acc = 0
-    atoms = m.atoms
-    for i, (a, ma) in enumerate(atoms):
+    for i, (a, ma) in enumerate(m):
         # diagonal term
-        acc += ma * ma * (len(a.x.path) + 1) * (len(a.y.path) + 1)
-        for b, mb in atoms[i + 1:]:
-            k = (lcp_len(a.x.path, b.x.path) + 1) * (lcp_len(a.y.path, b.y.path) + 1)
+        acc += ma * ma * (len(a[0]) + 1) * (len(a[1]) + 1)
+        for b, mb in m[i + 1:]:
+            k = (lcp_len(a[0], b[0]) + 1) * (lcp_len(a[1], b[1]) + 1)
             acc += 2 * ma * mb * k
     return acc
 
 
-def atoms_fn(m: PointMeasure) -> dict[BiNode, Scalar]:
-    """The measure's atom masses by bi-tree node, repeated atoms added."""
-    out: dict[BiNode, Scalar] = {}
-    for node, mass in m.atoms:
+def atoms_fn(m: Measure) -> dict[Rect, Scalar]:
+    """The measure's atom masses by rectangle, repeated atoms added."""
+    out: dict[Rect, Scalar] = {}
+    for node, mass in m:
         out[node] = out.get(node, 0) + mass
     return out
 
 
 # The support-scan references for I and I*, generic over the node kind: a
-# tree SparseFn is read at tree nodes, a mapping from bi-tree nodes to
-# values at bi-tree nodes.
+# tree SparseFn is read at paths, a mapping from rectangles to values at
+# (x path, y path) pairs.
 
-Fn = Union[SparseFn, Mapping[BiNode, Scalar]]
+Fn = Union[SparseFn, Mapping[Rect, Scalar]]
 
 
 def _check_same_domain(f: Fn, a) -> None:
-    want = NodeAddress if isinstance(f, SparseFn) else BiNode
+    want = str if isinstance(f, SparseFn) else tuple
     if not isinstance(a, want):
         raise DomainError(f"{type(a).__name__} is not a node of the function's domain")
 
 
 def _is_ancestor(node, of) -> bool:
-    return rect_contains(node, of) if isinstance(node, BiNode) else contains(node, of)
+    return rect_contains(node, of) if isinstance(node, tuple) else contains(node, of)
 
 
 def _start(f: Fn) -> Scalar:
@@ -190,14 +222,9 @@ def eval_hardy_down(g: Fn, a) -> Scalar:
     return acc
 
 
-def random_family(rng: random.Random, max_members: int = 6, max_depth: int = 3) -> list[BiNode]:
-    members = []
-    for _ in range(rng.randint(1, max_members)):
-        members.append(BiNode(
-            NodeAddress(random_path_stdlib(rng, max_depth)),
-            NodeAddress(random_path_stdlib(rng, max_depth)),
-        ))
-    return members
+def random_family(rng: random.Random, max_members: int = 6, max_depth: int = 3) -> list[Rect]:
+    return [(random_path_stdlib(rng, max_depth), random_path_stdlib(rng, max_depth))
+            for _ in range(rng.randint(1, max_members))]
 
 
 # The capacity family F_n built rectangle by rectangle from its definition:
@@ -209,11 +236,11 @@ def _capacity_shape(n: int) -> tuple[int, int, int]:
     return s, n // s, (n // s).bit_length() - 1
 
 
-def _zero_run_rect(prefix: str, x_zeros: int, y_zeros: int) -> BiNode:
-    return BiNode(NodeAddress(prefix + "0" * x_zeros), NodeAddress(prefix + "0" * y_zeros))
+def _zero_run_rect(prefix: str, x_zeros: int, y_zeros: int) -> Rect:
+    return prefix + "0" * x_zeros, prefix + "0" * y_zeros
 
 
-def bitree_family(n: int) -> list[BiNode]:
+def bitree_family(n: int) -> list[Rect]:
     """F_n in j-major order: q_jk, j < n/s, k = 0..s, is the M-bit form of j
     followed by ceil(n/2^k) zeros in x and 2^k zeros in y."""
     s, count, M = _capacity_shape(n)
@@ -221,11 +248,11 @@ def bitree_family(n: int) -> list[BiNode]:
             for j in range(count) for k in range(s + 1)]
 
 
-def bitree_atoms(n: int) -> PointMeasure:
+def bitree_atoms(n: int) -> Measure:
     """nu: mass 1/n^2 at each corner square omega_j = (j, n, n), j < n/s."""
     _, count, M = _capacity_shape(n)
-    return PointMeasure.of((_zero_run_rect(format(j, f"0{M}b"), n, n), Fraction(1, n * n))
-                           for j in range(count))
+    return [(_zero_run_rect(format(j, f"0{M}b"), n, n), Fraction(1, n * n))
+            for j in range(count)]
 
 
 def symmetry_classes(n: int) -> list[range]:
@@ -332,7 +359,7 @@ def solve_qp(S: np.ndarray, b: np.ndarray) -> QPResult:
     return QPResult(rho=t, cap=float(b @ t), converged=viol <= _QP_TOL)
 
 
-def capacity_qp(family: Sequence[BiNode]) -> QPResult:
+def capacity_qp(family: Sequence[Rect]) -> QPResult:
     """The float capacity QP over an explicit rectangle family, on the
     member-by-member kernel matrix (every entry an exact int)."""
     if not family:
@@ -349,22 +376,21 @@ def build_cex_p_less_2_functions(k: int) -> tuple[TreeDomain, SparseFn, SparseFn
     only; f = 2^-i on supp g."""
     levels = k + 2 ** k + 1
     d = TreeDomain(levels)
-    g_entries: dict[NodeAddress, Fraction] = {}
-    f_entries: dict[NodeAddress, Fraction] = {}
+    g_entries: dict[str, Fraction] = {}
+    f_entries: dict[str, Fraction] = {}
     frontier = [""]
     for i in range(k + 1):
         for path in frontier:
-            node = NodeAddress(path)
-            g_entries[node] = _half_pow(i)
-            f_entries[node] = _half_pow(i)
+            g_entries[path] = _half_pow(i)
+            f_entries[path] = _half_pow(i)
         if i < k:
             frontier = [p + b for p in frontier for b in "01"]
     for path in frontier:  # generation-k nodes, value kept on left children
         for t in range(1, 2 ** k + 1):
-            node = NodeAddress(path + "0" * t)
+            node = path + "0" * t
             g_entries[node] = _half_pow(k)
             f_entries[node] = _half_pow(k + t)
-    return d, SparseFn(f_entries), SparseFn(g_entries)
+    return d, fn(f_entries), fn(g_entries)
 
 
 def doubling_g_fn(N: int) -> SparseFn:
@@ -375,14 +401,14 @@ def doubling_g_fn(N: int) -> SparseFn:
     frontier = [""]
     for _ in range(N):
         for path in frontier:
-            entries[NodeAddress(path)] = _half_pow(path.count("0"))
+            entries[path] = _half_pow(path.count("0"))
         frontier = [p + b for p in frontier for b in "01"]
-    return SparseFn(entries)
+    return fn(entries)
 
 
 def leftmost_path_fn(N: int) -> SparseFn:
     """f = 1 on the leftmost root-to-leaf path."""
-    return SparseFn({NodeAddress("0" * i): Fraction(1) for i in range(N)})
+    return fn({"0" * i: Fraction(1) for i in range(N)})
 
 
 # The counterexample sums in plain Fraction arithmetic, one rational step at
@@ -502,16 +528,14 @@ def audit_variant_fraction(variant: str, N: int, p: Scalar) -> VariantAudit:
 
 # The sups of II*g that only the tests read, each one sweep of
 # cxlab.lemmas._sup_iistar over its path list, handed out as a scalar of g's
-# mode and a node.
+# mode and a path.
 
-def _sup_scalar(g: SparseFn, paths) -> tuple[Scalar, Optional[NodeAddress]]:
+def _sup_scalar(g: SparseFn, paths) -> tuple[Scalar, Optional[str]]:
     (best, arg), = lemmas._sup_iistar(g, list(paths))
-    den = g.den
-    return (Fraction(best, den) if g.mode == EXACT else best,
-            None if arg is None else NodeAddress(arg))
+    return Fraction(best, g.den) if g.mode == EXACT else best, arg
 
 
-def sup_iistar_refined(g: SparseFn, f: SparseFn) -> tuple[Scalar, Optional[NodeAddress]]:
+def sup_iistar_refined(g: SparseFn, f: SparseFn) -> tuple[Scalar, Optional[str]]:
     """sup of II*g with the ancestor-walk refinement toward supp f.
 
     For every support node of g the deepest f-supported ancestor carries the
@@ -521,7 +545,7 @@ def sup_iistar_refined(g: SparseFn, f: SparseFn) -> tuple[Scalar, Optional[NodeA
     return _sup_scalar(g, lemmas._refined_paths(g.values, f.values))
 
 
-def sup_iistar_intersection(g: SparseFn, f: SparseFn) -> tuple[Scalar, Optional[NodeAddress]]:
+def sup_iistar_intersection(g: SparseFn, f: SparseFn) -> tuple[Scalar, Optional[str]]:
     """sup of II*g over supp g intersected with supp f; nodes
     are visited in supp g order, so a tie keeps the first in that order."""
     return _sup_scalar(g, (x for x in g.values if x in f.values))
@@ -538,15 +562,14 @@ def sup_iistar_support(g: SparseFn) -> Scalar:
 # those.  They are the oracles for the int-numerator verifiers; the
 # structure checks they report are the node-walk references above.
 
-def hardy_up_scalars(f: SparseFn, nodes) -> dict[NodeAddress, Scalar]:
-    """If at every requested node as a scalar of f's mode, keyed by node:
+def hardy_up_scalars(f: SparseFn, paths) -> dict[str, Scalar]:
+    """If at every requested path as a scalar of f's mode, keyed by path:
     hardy_up_table's sweep values over f's denominator."""
-    nodes = list(nodes)
-    table = hardy_up_table(f, (n.path for n in nodes))
+    table = hardy_up_table(f, paths)
     if f.mode != EXACT:
-        return {n: table[n.path] for n in nodes}
+        return table
     den = f.den
-    return {n: Fraction(table[n.path], den) for n in nodes}
+    return {x: Fraction(v, den) for x, v in table.items()}
 
 
 def max_hardy_up_on(f: SparseFn, nodes) -> Scalar:
@@ -557,37 +580,36 @@ def max_hardy_up_on(f: SparseFn, nodes) -> Scalar:
     return max(hardy_up_scalars(f, nodes).values())
 
 
-def sup_iistar_nodes(g: SparseFn, *node_lists) -> list[tuple[Scalar, Optional[NodeAddress]]]:
+def sup_iistar_nodes(g: SparseFn, *node_lists) -> list[tuple[Scalar, Optional[str]]]:
     """For each given collection of nodes, the max of II*g over it and the
     first node attaining it; (0, None) for an empty collection."""
     node_lists = [list(nodes) for nodes in node_lists]
-    up, den = _iistar_paths(g, (x.path for nodes in node_lists for x in nodes))
+    up, den = _iistar_paths(g, (x for nodes in node_lists for x in nodes))
     out = []
     for nodes in node_lists:
         best, arg = _zero(g.mode), None
         for x in nodes:
-            v = Fraction(up[x.path], den) if g.mode == EXACT else up[x.path]
+            v = Fraction(up[x], den) if g.mode == EXACT else up[x]
             if v > best:
                 best, arg = v, x
         out.append((best, arg))
     return out
 
 
-def refined_nodes(g: SparseFn, f: SparseFn) -> list[NodeAddress]:
+def refined_nodes(g: SparseFn, f: SparseFn) -> list[str]:
     """For every support node of g its deepest f-supported ancestor,
     skipping support nodes with none."""
-    f_paths = {n.path for n in support(f)}
+    f_paths = set(support(f))
     out = []
-    for x in support(g):
-        p = x.path
+    for p in support(g):
         for i in range(len(p), -1, -1):
             if p[:i] in f_paths:
-                out.append(NodeAddress(p[:i]))
+                out.append(p[:i])
                 break
     return out
 
 
-def intersection_nodes(g: SparseFn, f: SparseFn) -> list[NodeAddress]:
+def intersection_nodes(g: SparseFn, f: SparseFn) -> list[str]:
     """supp g intersected with supp f, in supp g order."""
     f_support = set(support(f))
     return [x for x in support(g) if x in f_support]
@@ -603,7 +625,7 @@ def verify_supadditive_l1linf_fraction(g, h, gamma, d, seed=None) -> lemmas.Lemm
     holds = lhs <= rhs
     return lemmas.LemmaReport(
         name="supadditive_l1linf",
-        params={"lambda": lam, "gamma": format_node(gamma)},
+        params={"lambda": lam, "gamma": gamma},
         lhs=lhs, rhs=rhs, holds=holds,
         witness=None if holds else gamma,
         mode=g.mode, seed=seed, degenerate=rhs == 0 and lhs > 0,
@@ -613,7 +635,7 @@ def verify_supadditive_l1linf_fraction(g, h, gamma, d, seed=None) -> lemmas.Lemm
 
 def verify_I2_positive_fraction(f, g, d, seed=None) -> lemmas.LemmaReport:
     for n in (*support(f), *support(g)):
-        d.require([n.path])
+        d.require([n])
     table = hardy_up_scalars(f, support(g))
     lhs = sum((table[n] ** 2 * v for n, v in items(g)), _zero(g.mode))
     (sup, arg), (coarse, _) = sup_iistar_nodes(g, refined_nodes(g, f), support(g))
@@ -630,7 +652,7 @@ def verify_inter_fraction(f, g, p, d, seed=None) -> lemmas.LemmaReport:
     if p < 1:
         raise ValueError("p must be at least 1")
     delta = max_hardy_up_on(g, support(f))
-    lam = max_hardy_up_on(g, support(g) + [NodeAddress("")])
+    lam = max_hardy_up_on(g, support(g) + [""])
     sum_fp = sum((_pow(v, p) for _, v in items(f)), _zero(f.mode))
     if sum_fp == 0:
         return lemmas.LemmaReport(
@@ -698,7 +720,7 @@ def verify_gest_fraction(g, gamma, p, d, seed=None) -> lemmas.LemmaReport:
     rhs = lam * _pow(get(g, gamma), p - 1)
     holds = lemmas._holds(lhs, rhs)
     return lemmas.LemmaReport(
-        name="gest", params={"p": p, "lambda": lam, "gamma": format_node(gamma)},
+        name="gest", params={"p": p, "lambda": lam, "gamma": gamma},
         lhs=lhs, rhs=rhs, holds=holds,
         witness=None if holds else gamma,
         mode=g.mode if _as_int(p) is not None else FLOAT, seed=seed,
@@ -707,13 +729,13 @@ def verify_gest_fraction(g, gamma, p, d, seed=None) -> lemmas.LemmaReport:
     )
 
 
-# The phi construction over NodeAddress-keyed dicts: the oracles for the heap
+# The phi construction over scalar dicts: the oracles for the heap
 # sweeps of cxlab.lemmas.build_phi and cxlab.experiments._phi_instance.
 
 def phi_instance_dict(rng: random.Random, d: TreeDomain, mode: str = EXACT):
     """The phi trial's w, g, f, lambda and delta, drawn as the trial draws
     them through the stdlib, with w on every node of d and I(wg) swept over
-    a NodeAddress dict and ranked as scalars."""
+    a dict of scalars and ranked as scalars."""
     g = random_superadditive_fraction(rng, d, mode=mode)
     nodes = tree_nodes_bfs(d.levels)
     w = random_quarter_weight(rng, nodes, mode)[0]
@@ -725,7 +747,7 @@ def phi_instance_dict(rng: random.Random, d: TreeDomain, mode: str = EXACT):
         v = dyadic_stdlib(rng)
         if v > 0:
             entries[n] = v
-    return w, g, SparseFn(entries, mode), 4 * delta, delta
+    return w, g, fn(entries, mode), 4 * delta, delta
 
 
 def build_phi_dict(
@@ -755,7 +777,7 @@ def build_phi_dict(
             val = inv_lam * iwf[node] * gv
             if val != 0:
                 phi_entries[node] = val
-    phi = SparseFn(phi_entries, g.mode)
+    phi = fn(phi_entries, g.mode)
 
     iwphi = hardy_up_scalars(w.mul(phi), check_nodes)
     lower = lemmas.PHI_LOWER_CONST  # read at call time, so a test may patch it
@@ -793,7 +815,7 @@ def build_phi_dict(
 
 
 # The generators as the stdlib's randint, randrange and choice draw them,
-# over Fractions, and the rectangle masses and special form over BiNode keys
+# over Fractions, and the rectangle masses and special form over Fraction
 # and Fraction sums: the oracles for the getrandbits draws of cxlab.randgen
 # and cxlab.experiments, and for the int-numerator sums of
 # cxlab.hardy.rectangle_mass_fn and cxlab.structure.special_form_g.
@@ -816,12 +838,12 @@ def below_stdlib(bits, n: int) -> int:
 def random_sparse_stdlib(
     rng: random.Random, d: TreeDomain, max_support: int = 12, mode: str = EXACT,
 ) -> SparseFn:
-    entries: dict[NodeAddress, Fraction] = {}
+    entries: dict[str, Fraction] = {}
     for _ in range(rng.randint(1, max_support)):
         v = dyadic_stdlib(rng)
         if v > 0:
-            entries[NodeAddress(random_path_stdlib(rng, d.max_depth))] = v
-    return SparseFn(entries, mode)
+            entries[random_path_stdlib(rng, d.max_depth)] = v
+    return fn(entries, mode)
 
 
 def random_quarters_stdlib(rng: random.Random, count: int) -> list[int]:
@@ -834,70 +856,63 @@ def random_quarter_weight(
     """A weight in {1/4 .. 4} on a sequence of nodes (dyadic steps), and
     its numerators over 4 in node order: one randint(1, 16) per node."""
     numerators = random_quarters_stdlib(rng, len(nodes))
-    w = SparseFn({n: Fraction(k, 4) for n, k in zip(nodes, numerators)}, mode)
+    w = fn({n: Fraction(k, 4) for n, k in zip(nodes, numerators)}, mode)
     return w, numerators
 
 
-def random_point_measure_stdlib(
+def random_atoms_stdlib(
     rng: random.Random, levels_x: int, levels_y: int, max_atoms: int = 5,
-) -> PointMeasure:
-    atoms = []
-    for _ in range(rng.randint(1, max_atoms)):
-        node = BiNode(
-            NodeAddress(random_path_stdlib(rng, levels_x - 1)),
-            NodeAddress(random_path_stdlib(rng, levels_y - 1)),
-        )
-        atoms.append((node, Fraction(rng.randint(1, 16), 16)))
-    return PointMeasure.of(atoms)
+) -> list[tuple[str, str, int]]:
+    """randgen.random_special_form_measure's (x path, y path, k) atoms, as
+    the stdlib draws them."""
+    return [(random_path_stdlib(rng, levels_x - 1), random_path_stdlib(rng, levels_y - 1),
+             rng.randint(1, 16)) for _ in range(rng.randint(1, max_atoms))]
 
 
-def rectangle_mass_fn_binode(m: PointMeasure) -> dict[BiNode, Fraction]:
-    """hardy.rectangle_mass_fn, one BiNode per (atom, rectangle) and the
-    masses added as Fractions."""
-    out: dict[BiNode, Fraction] = {}
-    for node, mass in m.atoms:
-        for x in ancestors(node.x):
-            for y in ancestors(node.y):
-                q = BiNode(x, y)
-                out[q] = out.get(q, 0) + mass
-    return {q: Fraction(v) for q, v in out.items()}
+def rectangle_mass_fn_fraction(atoms) -> dict[Rect, Fraction]:
+    """hardy.rectangle_mass_fn, one ancestor pair per (atom, rectangle) and
+    the masses k/16 added as Fractions."""
+    out: dict[Rect, Fraction] = {}
+    for (xp, yp), mass in measure(atoms):
+        for x in ancestors(xp):
+            for y in ancestors(yp):
+                out[x, y] = out.get((x, y), 0) + mass
+    return out
 
 
-def binode_masses(m: tuple[dict[tuple[str, str], int], int]) -> dict[BiNode, Fraction]:
-    """Rectangle masses in rectangle_mass_fn's form, keyed by BiNode, each a
-    Fraction."""
+def fraction_masses(m: tuple[dict[Rect, int], int]) -> dict[Rect, Fraction]:
+    """Rectangle masses in rectangle_mass_fn's form, each a Fraction."""
     sums, den = m
-    return {binode(x, y): Fraction(s, den) for (x, y), s in sums.items()}
+    return {q: Fraction(s, den) for q, s in sums.items()}
 
 
-def path_masses(r: Mapping[BiNode, Fraction]) -> tuple[dict[tuple[str, str], int], int]:
-    """BiNode-keyed Fraction masses in rectangle_mass_fn's form: int
+def path_masses(r: Mapping[Rect, Fraction]) -> tuple[dict[Rect, int], int]:
+    """Fraction masses by rectangle in rectangle_mass_fn's form: int
     numerators over the lcm of their denominators."""
     den = math.lcm(1, *(v.denominator for v in r.values()))
-    return {(q.x.path, q.y.path): v.numerator * (den // v.denominator)
-            for q, v in r.items()}, den
+    return {q: v.numerator * (den // v.denominator) for q, v in r.items()}, den
 
 
 def random_special_form_measure_stdlib(
     rng: random.Random, levels_x: int, levels_y: int, max_atoms: int = 5,
 ) -> tuple[dict[tuple[str, str], int], int]:
-    return path_masses(rectangle_mass_fn_binode(
-        random_point_measure_stdlib(rng, levels_x, levels_y, max_atoms)))
+    return path_masses(rectangle_mass_fn_fraction(
+        random_atoms_stdlib(rng, levels_x, levels_y, max_atoms)))
 
 
 def special_form_g_fraction(m: tuple[dict[tuple[str, str], int], int], beta: str,
                             p: Scalar) -> SparseFn:
-    """structure.special_form_g over BiNode-keyed Fraction masses, each exact
+    """structure.special_form_g over Fraction masses, each exact
     term a Fraction power."""
     # q - 1 = 1/(p - 1) for q = p/(p - 1); the float form as the construction rounds it
     e = 1 / (Fraction(p) - 1) if isinstance(p, (int, Fraction)) else p / (p - 1.0) - 1
     e_int = _as_int(e)
-    out: dict[NodeAddress, Scalar] = {}
-    for node, v in binode_masses(m).items():
-        if beta.startswith(node.y.path):
+    out: dict[str, Scalar] = {}
+    for (x, y), v in fraction_masses(m).items():
+        if beta.startswith(y):
             term = v ** e_int if e_int is not None else float(v) ** float(e)
-            out[node.x] = out.get(node.x, 0) + term
-    return SparseFn(out, EXACT if e_int is not None else FLOAT)
+            out[x] = out.get(x, 0) + term
+    return fn(out, EXACT if e_int is not None else FLOAT)
 
 
 
@@ -906,11 +921,11 @@ def random_superadditive_fraction(
 ) -> SparseFn:
     """randgen.random_superadditive, each child total and left child a
     Fraction product."""
-    entries: dict[NodeAddress, Fraction] = {}
+    entries: dict[str, Fraction] = {}
     frontier = [("", Fraction(rng.randint(1, 16), 16))]
     while frontier and len(entries) < max_support:
         path, value = frontier.pop(rng.randrange(len(frontier)))
-        entries[NodeAddress(path)] = value
+        entries[path] = value
         if len(path) < d.max_depth and rng.random() < 0.75:
             child_total = value * dyadic_stdlib(rng)
             left = child_total * dyadic_stdlib(rng)
@@ -918,48 +933,48 @@ def random_superadditive_fraction(
             for bit, v in (("0", left), ("1", right)):
                 if v > 0:
                     frontier.append((path + bit, v))
-    return SparseFn(entries, mode)
+    return fn(entries, mode)
 
 
 def random_increasing_fraction(
     rng: random.Random, d: TreeDomain, max_support: int = 30, mode: str = EXACT,
 ) -> SparseFn:
     """randgen.random_increasing, each child value a Fraction product."""
-    entries: dict[NodeAddress, Fraction] = {}
+    entries: dict[str, Fraction] = {}
     frontier = [("", Fraction(rng.randint(1, 16), 16))]
     while frontier and len(entries) < max_support:
         path, value = frontier.pop(rng.randrange(len(frontier)))
-        entries[NodeAddress(path)] = value
+        entries[path] = value
         if len(path) < d.max_depth and rng.random() < 0.75:
             for bit in "01":
                 v = value * dyadic_stdlib(rng)
                 if v > 0 and rng.random() < 0.8:
                     frontier.append((path + bit, v))
-    return SparseFn(entries, mode)
+    return fn(entries, mode)
 
 
-def is_superadditive_nodes(g: SparseFn, d: TreeDomain) -> tuple[bool, Optional[NodeAddress]]:
+def is_superadditive_nodes(g: SparseFn, d: TreeDomain) -> tuple[bool, Optional[str]]:
     """structure.is_superadditive, reading g node by node."""
-    parents: set[NodeAddress] = set()
+    parents: set[str] = set()
     for node in support(g):
-        d.require([node.path])
-        if len(node.path) > 0:
-            parents.add(NodeAddress(node.path[:-1]))
-    for beta in sorted(parents, key=lambda n: (len(n.path), n.path)):
-        child_sum = get(g, NodeAddress(beta.path + "0")) + get(g, NodeAddress(beta.path + "1"))
+        d.require([node])
+        if node:
+            parents.add(node[:-1])
+    for beta in sorted(parents, key=lambda n: (len(n), n)):
+        child_sum = get(g, beta + "0") + get(g, beta + "1")
         if get(g, beta) < child_sum - _tol_for(g.mode, child_sum):
             return False, beta
     return True, None
 
 
-def is_increasing_nodes(g: SparseFn, d: TreeDomain) -> tuple[bool, Optional[NodeAddress]]:
+def is_increasing_nodes(g: SparseFn, d: TreeDomain) -> tuple[bool, Optional[str]]:
     """structure.is_increasing, reading g node by node."""
-    for node in sorted(support(g), key=lambda n: (len(n.path), n.path)):
-        d.require([node.path])
-        if len(node.path) == 0:
+    for node in sorted(support(g), key=lambda n: (len(n), n)):
+        d.require([node])
+        if not node:
             continue
         v = get(g, node)
-        if get(g, NodeAddress(node.path[:-1])) < v - _tol_for(g.mode, v):
+        if get(g, node[:-1]) < v - _tol_for(g.mode, v):
             return False, node
     return True, None
 
@@ -1033,8 +1048,8 @@ def search_new23_stdlib(p: Scalar, depth: int, budget: int, seed: int) -> lemmas
     gv = _random_increasing_paths(rng, depth, cap=12)
     fv = _random_f_paths(rng, depth, list(gv))
     d = TreeDomain(depth + 1)
-    g = SparseFn({NodeAddress(k): v for k, v in gv.items()}, FLOAT)
-    f = SparseFn({NodeAddress(k): v for k, v in fv.items()}, FLOAT)
+    g = fn(gv, FLOAT)
+    f = fn(fv, FLOAT)
     report = lemmas.verify_new23(f, g, float(p), d, seed=seed)
     report.name = "search_new23"
     report.params.update({"depth": depth, "budget": budget, "best_trial": best_trial,
@@ -1048,6 +1063,5 @@ STDLIB_RANDGEN = {
     "random_increasing": random_increasing_fraction,
     "random_sparse": random_sparse_stdlib,
     "random_quarters": random_quarters_stdlib,
-    "random_point_measure": random_point_measure_stdlib,
     "random_special_form_measure": random_special_form_measure_stdlib,
 }

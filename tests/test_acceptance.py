@@ -26,7 +26,7 @@ from cxlab.capacity import (
 )
 from cxlab.experiments import run_verify_suite, suite_failures
 
-from helpers import binode, build_cex_p_less_2_functions, capacity_qp, random_family
+from helpers import build_cex_p_less_2_functions, capacity_qp, random_family
 
 SEED = 20230917
 
@@ -104,7 +104,7 @@ def test_acceptance_5_capacity_oracle():
         ok = ok and eq.converged and rel <= 1e-6
     for a in range(4):
         for b in range(4):
-            node = binode("0" * a, "1" * b)
+            node = "0" * a, "1" * b
             want = Fraction(1, (a + 1) * (b + 1))
             ok = ok and capacity_bruteforce([node]) == want
             ok = ok and abs(capacity_qp([node]).cap - float(want)) <= 1e-9

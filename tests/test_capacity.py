@@ -5,8 +5,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from cxlab.trees import BiNode, NodeAddress, ResourceError
-from cxlab.hardy import PointMeasure, kernel
+from cxlab.trees import ResourceError
+from cxlab.hardy import kernel
+from cxlab import capacity
 from cxlab.capacity import (
     ADMISSIBLE_N,
     _class_kernel,
@@ -21,12 +22,13 @@ from cxlab.capacity import (
     prefix_members,
     report_d2,
 )
-from cxlab import randgen
+from cxlab.cli import main
 
 from helpers import (
-    _reduced_matrix, atoms_fn, binode, bitree_atoms, bitree_family, bitree_nodes, capacity_qp,
-    energy, eval_hardy_down, kernel_block, member_kernel, perturb_closed_form, potential,
-    random_family, rect_contains, rho_full, solve_qp, symmetry_classes,
+    _reduced_matrix, atoms_fn, bitree_atoms, bitree_family, bitree_nodes, capacity_qp,
+    energy, eval_hardy_down, kernel_block, measure, member_kernel, perturb_closed_form,
+    potential, random_atoms_stdlib, random_family, rect_contains, rho_full, solve_qp,
+    symmetry_classes,
 )
 
 
@@ -40,11 +42,11 @@ class TestBuildInstance:
     def test_norm_and_containment(self, n):
         inst = build_instance(n)
         nu, family = bitree_atoms(n), bitree_family(n)
-        assert sum(mass for _, mass in nu.atoms) == inst.delta
+        assert sum(mass for _, mass in nu) == inst.delta
         assert inst.delta * inst.n * inst.s == 1
-        assert len(nu.atoms) == inst.count and len(family) == inst.family_size
+        assert len(nu) == inst.count and len(family) == inst.family_size
         # every q_jk contains its corner omega_j
-        for j, (omega, mass) in enumerate(nu.atoms):
+        for j, (omega, mass) in enumerate(nu):
             assert mass == inst.atom_mass
             for k in range(inst.s + 1):
                 q = family[j * (inst.s + 1) + k]
@@ -53,14 +55,14 @@ class TestBuildInstance:
     def test_n16_shape(self):
         inst = build_instance(16)
         assert inst.s == 4 and inst.M == 2
-        assert inst.count == 4 and len(bitree_atoms(16).atoms) == 4
+        assert inst.count == 4 and len(bitree_atoms(16)) == 4
         assert inst.atom_mass == Fraction(1, 256)
         assert inst.delta == Fraction(1, 64)
 
     def test_potential_at_root_is_delta(self):
         for n in (4, 16):
             inst = build_instance(n)
-            assert potential(bitree_atoms(n), binode("", "")) == inst.delta
+            assert potential(bitree_atoms(n), ("", "")) == inst.delta
 
     def test_structured_kernel_matches_generic(self):
         inst = build_instance(16)
@@ -109,21 +111,21 @@ class TestBuildInstance:
         assert inst.lam == max(inst.potentials) / 4
 
     @pytest.mark.parametrize("n", ADMISSIBLE_N)
-    def test_builds_no_node(self, n, monkeypatch):
-        """The instance holds its rectangles as triples only."""
-        built = []
-        for cls in (BiNode, NodeAddress):
-            init = cls.__init__
+    def test_builds_no_node(self, n, monkeypatch, capsys):
+        """The command holds its rectangles as triples only: without
+        --oracle no rectangle is built as a pair of full-length paths."""
+        class Built(Exception):
+            pass
 
-            def counting(self, *args, _init=init, **kwargs):
-                built.append(type(self).__name__)
-                _init(self, *args, **kwargs)
+        def refuse(inst, j):
+            raise Built(j)
 
-            monkeypatch.setattr(cls, "__init__", counting)
-        build_instance(n)
-        assert built == []
-        binode("0", "1")  # the count does see a construction
-        assert built.count("BiNode") == 1
+        monkeypatch.setattr(capacity, "prefix_members", refuse)
+        assert main(["capacity", "--n", str(n)]) == 0
+        assert '"cap"' in capsys.readouterr().out
+        if n == 16:  # the oracle does reach it
+            with pytest.raises(Built):
+                main(["capacity", "--n", "16", "--oracle"])
 
 
 class TestPrefixMembers:
@@ -179,7 +181,7 @@ class TestCapacityQP:
     @pytest.mark.parametrize("a", range(4))
     @pytest.mark.parametrize("b", range(4))
     def test_single_node_forced(self, a, b):
-        node = binode("0" * a, "1" * b)
+        node = ("0" * a, "1" * b)
         want = Fraction(1, (a + 1) * (b + 1))
         assert capacity_bruteforce([node]) == want
         eq = capacity_qp([node])
@@ -187,14 +189,14 @@ class TestCapacityQP:
         assert eq.cap == pytest.approx(float(want), rel=1e-9)
 
     def test_root_capacity_one(self):
-        assert capacity_bruteforce([binode("", "")]) == 1
+        assert capacity_bruteforce([("", "")]) == 1
 
     def test_duplicate_constraints(self):
-        node = binode("01", "1")
+        node = ("01", "1")
         assert capacity_bruteforce([node, node]) == capacity_bruteforce([node])
 
     def test_two_nodes_sharing_root(self):
-        a, b = binode("0", "0"), binode("11", "1")
+        a, b = ("0", "0"), ("11", "1")
         # K = [[4, 1], [1, 6]]; solving K rho = 1 gives rho = (5/23, 3/23)
         exact = capacity_bruteforce([a, b])
         assert exact == Fraction(5, 23) + Fraction(3, 23)
@@ -220,7 +222,7 @@ class TestCapacityQP:
             assert big >= small - 1e-12
 
     def test_bruteforce_size_budget(self):
-        family = [binode("0" * i, "") for i in range(13)]
+        family = [("0" * i, "") for i in range(13)]
         with pytest.raises(ResourceError):
             capacity_bruteforce(family)
 
@@ -301,7 +303,7 @@ class TestEquilibrium:
         eq = equilibrium(inst)
         rho = rho_full(eq.rho, symmetry_classes(n))
         family = bitree_family(n)
-        mu = PointMeasure.of(zip(family, rho))
+        mu = list(zip(family, rho))
         # the potential is exactly 1 on the family, and the family is the support
         assert all(potential(mu, q) == 1 for q in family)
         # cap = total mass = energy at equilibrium
@@ -311,7 +313,7 @@ class TestEquilibrium:
         # sum over all rectangles of (I* mu)^2 equals the energy, exactly
         inst = build_instance(4)
         eq = equilibrium(inst)
-        mu = PointMeasure.of(zip(bitree_family(4), rho_full(eq.rho, symmetry_classes(4))))
+        mu = list(zip(bitree_family(4), rho_full(eq.rho, symmetry_classes(4))))
         nu = atoms_fn(mu)
         depth = inst.M + inst.n + 1
         total = sum(eval_hardy_down(nu, q) ** 2
@@ -321,7 +323,7 @@ class TestEquilibrium:
     def test_energy_psd(self):
         rng = random.Random(7)
         for _ in range(20):
-            m = randgen.random_point_measure(rng, 4, 4)
+            m = measure(random_atoms_stdlib(rng, 4, 4))
             assert energy(m) >= 0
 
     def test_symmetry_of_rho(self):

@@ -5,7 +5,7 @@ from math import comb
 
 import pytest
 
-from cxlab.trees import NodeAddress, ResourceError, SparseFn, TreeDomain, _as_int, _pow
+from cxlab.trees import ResourceError, TreeDomain, _as_int, _pow
 from cxlab.lemmas import scalar_repr, verify_new23
 from cxlab import counterexamples as cex
 from cxlab.counterexamples import (
@@ -27,6 +27,7 @@ from helpers import (
     build_cex_p_less_2_functions,
     doubling_g_fn,
     eval_hardy_down,
+    fn,
     get,
     hardy_up_scalars,
     items,
@@ -158,10 +159,10 @@ class TestCexPLess2:
         d, f, g = build_cex_p_less_2_functions(k)
         assert d.levels == k + 2 ** k + 1
         for i in range(k + 1):
-            level = [n for n in support(g) if len(n.path) == i]
+            level = [n for n in support(g) if len(n) == i]
             assert len(level) == 2 ** i
             assert all(get(g, n) == Fraction(1, 2 ** i) for n in level)
-        deep = [n for n in support(g) if len(n.path) > k]
+        deep = [n for n in support(g) if len(n) > k]
         assert len(deep) == 2 ** k * 2 ** k
         assert all(get(g, n) == Fraction(1, 2 ** k) for n in deep)
         assert set(support(f)) == set(support(g))
@@ -205,13 +206,12 @@ class TestNew23Audit:
         audits = gen_cex_new23(N, p)
 
         # halving variant: g = 2^-k on the all-zeros path
-        g = SparseFn({NodeAddress("0" * (k - 1)): Fraction(1, 2 ** k)
-                      for k in range(1, N + 1)})
+        g = fn({"0" * (k - 1): Fraction(1, 2 ** k) for k in range(1, N + 1)})
         f = leftmost_path_fn(N)
         table = hardy_up_scalars(f, support(g))
         L = sum(table[n] ** p * v for n, v in items(g))
         assert audits["halving"].total_ifp_g == L
-        u_last = NodeAddress("0" * (N - 1))
+        u_last = "0" * (N - 1)
         brute_sup = sum(eval_hardy_down(g, a) for a in ancestors(u_last))
         assert audits["halving"].sup_iistar == brute_sup
         r = verify_new23(f, g, p, TreeDomain(N))
@@ -222,12 +222,12 @@ class TestNew23Audit:
         N, p = 6, 4
         audits = gen_cex_new23(N, p)
         d = TreeDomain(N)
-        g = SparseFn({n: 1 for n in tree_nodes_bfs(d.levels)})
+        g = fn({n: 1 for n in tree_nodes_bfs(d.levels)})
         f = leftmost_path_fn(N)
         table = hardy_up_scalars(f, support(g))
         L = sum(table[n] ** p * v for n, v in items(g))
         assert audits["ones"].total_ifp_g == L
-        u_last = NodeAddress("0" * (N - 1))
+        u_last = "0" * (N - 1)
         assert audits["ones"].sup_iistar == sum(
             eval_hardy_down(g, a) for a in ancestors(u_last))
 

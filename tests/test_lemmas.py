@@ -8,9 +8,7 @@ from cxlab.trees import (
     EXACT,
     FLOAT,
     DomainError,
-    NodeAddress,
     PreconditionError,
-    ROOT,
     ResourceError,
     SparseFn,
     TreeDomain,
@@ -30,8 +28,9 @@ from cxlab.lemmas import (
 from cxlab import experiments, hardy, lemmas, randgen
 
 from helpers import (
-    ancestors, build_phi_dict, eval_hardy_down, eval_hardy_up, hardy_up_scalars, items,
-    phi_instance_dict, random_quarter_weight, rebuild, scale, support, sup_iistar_intersection, sup_iistar_refined,
+    ancestors, build_phi_dict, eval_hardy_down, eval_hardy_up, fn, hardy_up_scalars, items,
+    phi_instance_dict, random_quarter_weight, rebuild, scale, support, sup_iistar_intersection,
+    sup_iistar_refined,
     sup_iistar_support, tree_nodes_bfs, verify_gest_fraction, verify_I2_positive_fraction,
     verify_inter_fraction, verify_linf_fraction, verify_new23_fraction,
     verify_supadditive_l1linf_fraction,
@@ -62,11 +61,11 @@ def _typed(v):
     return type(v).__name__, v
 
 
-def _outcome(fn, *args, **kwargs):
+def _outcome(verifier, *args, **kwargs):
     """The typed to_dict() of a verifier's report, or the precondition it
     raised."""
     try:
-        report = fn(*args, **kwargs)
+        report = verifier(*args, **kwargs)
     except PreconditionError as exc:
         return "PreconditionError", str(exc)
     return _typed((report[1] if isinstance(report, tuple) else report).to_dict())
@@ -81,8 +80,8 @@ def _fraction_codes() -> set:
     return codes
 
 
-def _count_fractions(fn, *args, **kwargs):
-    """fn's result and the number of Fractions built while it ran."""
+def _count_fractions(call, *args, **kwargs):
+    """call's result and the number of Fractions built while it ran."""
     codes, count = _fraction_codes(), 0
 
     def profile(frame, event, arg):
@@ -93,7 +92,7 @@ def _count_fractions(fn, *args, **kwargs):
     old = sys.getprofile()
     sys.setprofile(profile)
     try:
-        result = fn(*args, **kwargs)
+        result = call(*args, **kwargs)
     finally:
         sys.setprofile(old)
     return result, count
@@ -131,11 +130,11 @@ class TestSupRefinements:
 
     def test_intersection_tie_keeps_first_in_g_order(self):
         # II*g = 3 at both children; the witness follows supp g, not f or hashing
-        left, right = NodeAddress("0"), NodeAddress("1")
+        left, right = "0", "1"
         for order in ((left, right), (right, left)):
-            g = SparseFn({n: 1 for n in order})
+            g = fn({n: 1 for n in order})
             for f_order in (order, order[::-1]):
-                f = SparseFn({n: 1 for n in f_order})
+                f = fn({n: 1 for n in f_order})
                 assert sup_iistar_intersection(g, f) == (3, order[0])
 
     def test_support_sup_matches_bruteforce(self):
@@ -153,17 +152,17 @@ class TestSupRefinements:
         rng = random.Random(35)
 
         def non_dyadic():
-            return SparseFn({n: Fraction(rng.randint(1, 30), rng.choice((3, 5, 7)))
+            return fn({n: Fraction(rng.randint(1, 30), rng.choice((3, 5, 7)))
                              for n in rng.sample(nodes, rng.randint(1, 15))})
 
         for _ in range(30):
             f, g = non_dyadic(), non_dyadic()
-            table, f_den = hardy_up_table(f, (a.path for a in nodes)), f.den
-            up, den = _iistar_paths(g, (a.path for a in nodes))
+            table, f_den = hardy_up_table(f, nodes), f.den
+            up, den = _iistar_paths(g, nodes)
             for a in nodes:
-                assert type(table[a.path]) is int
-                assert Fraction(table[a.path], f_den) == eval_hardy_up(f, a)
-                assert type(up[a.path]) is int and Fraction(up[a.path], den) == brute_iistar(g, a)
+                assert type(table[a]) is int
+                assert Fraction(table[a], f_den) == eval_hardy_up(f, a)
+                assert type(up[a]) is int and Fraction(up[a], den) == brute_iistar(g, a)
             inter = [x for x in support(g) if x in set(support(f))]
             best, arg = Fraction(0), None
             for x in inter:
@@ -171,11 +170,10 @@ class TestSupRefinements:
                     best, arg = brute_iistar(g, x), x
             assert sup_iistar_intersection(g, f) == (best, arg)
             assert sup_iistar_support(g) == max(brute_iistar(g, x) for x in support(g))
-            f_paths = {n.path for n in support(f)}
+            f_paths = set(support(f))
             best, arg = Fraction(0), None
             for x in support(g):
-                anc = next((NodeAddress(x.path[:i]) for i in range(len(x.path), -1, -1)
-                            if x.path[:i] in f_paths), None)
+                anc = next((x[:i] for i in range(len(x), -1, -1) if x[:i] in f_paths), None)
                 if anc is not None and brute_iistar(g, anc) > best:
                     best, arg = brute_iistar(g, anc), anc
             assert sup_iistar_refined(g, f) == (best, arg)
@@ -238,13 +236,13 @@ class TestSupRefinements:
             g = randgen.random_sparse(rng, d)
             f = randgen.random_sparse(rng, d)
             sup, _ = sup_iistar_refined(g, f)
-            f_paths = {n.path for n in support(f)}
+            f_paths = set(support(f))
             best = Fraction(0)
             for x in support(g):
                 anc = None
-                for i in range(len(x.path), -1, -1):
-                    if x.path[:i] in f_paths:
-                        anc = NodeAddress(x.path[:i])
+                for i in range(len(x), -1, -1):
+                    if x[:i] in f_paths:
+                        anc = x[:i]
                         break
                 if anc is not None:
                     best = max(best, brute_iistar(g, anc))
@@ -256,9 +254,9 @@ class TestSupRefinements:
 class TestL1Linf:
     def test_hand_example(self):
         d = TreeDomain(3)
-        g = SparseFn({ROOT: 1, NodeAddress("0"): Fraction(1, 2)})
-        h = SparseFn({ROOT: 2, NodeAddress("0"): 1})
-        r = verify_supadditive_l1linf(g, h, ROOT, d)
+        g = fn({"": 1, "0": Fraction(1, 2)})
+        h = fn({"": 2, "0": 1})
+        r = verify_supadditive_l1linf(g, h, "", d)
         # lambda = max Ih on supp g = 3; lhs = 1*2 + 1/2*1 = 5/2; rhs = 3
         assert r.params["lambda"] == 3
         assert r.lhs == Fraction(5, 2)
@@ -272,7 +270,7 @@ class TestL1Linf:
             for _ in range(20):
                 g = randgen.random_superadditive(rng, d)
                 h = randgen.random_sparse(rng, d)
-                gamma = sorted(support(g), key=str)[0]
+                gamma = sorted(support(g))[0]
                 base = verify_supadditive_l1linf(g, h, gamma, d)
                 scaled = verify_supadditive_l1linf(scale(g, t), h, gamma, d)
                 assert scaled.lhs == t * base.lhs
@@ -285,8 +283,8 @@ class TestI2Positive:
         # g deep on one branch, f at the root: the refined sup is II*g(root),
         # strictly below the support sup of II*g.
         d = TreeDomain(4)
-        g = SparseFn({NodeAddress("000"): 1})
-        f = SparseFn({ROOT: 1})
+        g = fn({"000": 1})
+        f = fn({"": 1})
         r = verify_I2_positive(f, g, d)
         assert r.params["sup_iistar"] == 1       # II*g at the root
         assert r.extra["coarse_sup"] == 4        # II*g at the support node
@@ -296,9 +294,9 @@ class TestI2Positive:
         # the same DomainError as verify_linf's on this instance, for a node
         # of supp f or of supp g
         d = TreeDomain(2)
-        f = SparseFn({NodeAddress("00000"): 1})
-        g = SparseFn({NodeAddress("0000000"): 1})
-        inside = SparseFn({NodeAddress("0"): 1})
+        f = fn({"00000": 1})
+        g = fn({"0000000": 1})
+        inside = fn({"0": 1})
         with pytest.raises(DomainError, match="node at depth 7 outside 2-level tree"):
             verify_linf(f, g, d)
         for args, depth in (((f, g), 5), ((inside, g), 7), ((f, inside), 5)):
@@ -320,7 +318,7 @@ class TestBuildPhi:
         values = sorted(iwg.values())
         delta = values[len(values) // 2]
         lam = 4 * delta
-        f = SparseFn({n: Fraction(1, 2) for n, v in iwg.items() if v <= delta}, mode)
+        f = fn({n: Fraction(1, 2) for n, v in iwg.items() if v <= delta}, mode)
         return d, w, g, f, lam, delta, iwg
 
     def test_constants_are_quarter_and_two(self):
@@ -329,21 +327,21 @@ class TestBuildPhi:
 
     def test_unit_weight_instance(self):
         d, _, g, f, lam, delta, _ = self._instance()
-        w = SparseFn({n: 1 for n in tree_nodes_bfs(d.levels)})
+        w = fn({n: 1 for n in tree_nodes_bfs(d.levels)})
         iwg = hardy_up_scalars(w.mul(g), tree_nodes_bfs(d.levels))
         values = sorted(iwg.values())
         delta = values[len(values) // 2]
         lam = 4 * delta
-        f = SparseFn({n: Fraction(1, 2) for n, v in iwg.items() if v <= delta})
+        f = fn({n: Fraction(1, 2) for n, v in iwg.items() if v <= delta})
         phi, report = build_phi(w, g, f, lam, delta, d)
         assert report.holds
         assert report.extra["lower_check_ok"] and report.extra["energy_check_ok"]
 
     def test_rejects_non_superadditive_g(self):
         d = TreeDomain(3)
-        g = SparseFn({ROOT: 1, NodeAddress("0"): 1, NodeAddress("1"): 1})
-        w = SparseFn({n: 1 for n in tree_nodes_bfs(d.levels)})
-        f = SparseFn({ROOT: 1})
+        g = fn({"": 1, "0": 1, "1": 1})
+        w = fn({n: 1 for n in tree_nodes_bfs(d.levels)})
+        f = fn({"": 1})
         with pytest.raises(PreconditionError):
             build_phi(w, g, f, 100, 1, d)
 
@@ -362,7 +360,7 @@ class TestBuildPhi:
         d, w, g, f, lam, delta, iwg = self._instance()
         top = max(iwg, key=iwg.get)
         assert iwg[top] > delta
-        bad = SparseFn(dict(list(items(f)) + [(top, Fraction(1))]))
+        bad = fn(dict(list(items(f)) + [(top, Fraction(1))]))
         with pytest.raises(PreconditionError):
             build_phi(w, g, bad, lam, delta, d)
         with pytest.raises(PreconditionError):
@@ -372,6 +370,15 @@ class TestBuildPhi:
         d, w, g, f, lam, delta, _ = self._instance()
         with pytest.raises(ValueError, match="mode"):
             build_phi(w.to_float(), g, f, lam, delta, d)
+
+    def test_exact_mode_reads_a_float_delta_at_its_binary_value(self):
+        # the instance's delta is dyadic, so its float is the same number
+        for seed in range(10):
+            d, w, g, f, lam, delta, _ = self._instance(seed=seed)
+            phi, report = build_phi(w, g, f, lam, delta, d)
+            phi_f, report_f = build_phi(w, g, f, lam, float(delta), d)
+            assert items(phi_f) == items(phi)
+            assert (report_f.witness, report_f.extra) == (report.witness, report.extra)
 
     @pytest.mark.parametrize("mode", [EXACT, FLOAT])
     def test_given_table_matches_own_sweep(self, mode):
@@ -411,8 +418,8 @@ class TestBuildPhi:
             raise AssertionError("a heap list was built")
 
         d = TreeDomain(21)
-        g = SparseFn({ROOT: 1})
-        f = SparseFn({NodeAddress("0" * 20): Fraction(1, 2)})
+        g = fn({"": 1})
+        f = fn({"0" * 20: Fraction(1, 2)})
         with pytest.raises(ResourceError, match="2\\^21"):
             build_phi(g, g, f, 4, 1, d)
         monkeypatch.setattr(TreeDomain, "require", no_list)  # read just before the list
@@ -512,7 +519,7 @@ class TestBuildPhi:
                     delta = below[i]
                     if lam < 4 * delta:
                         continue
-                    f = SparseFn({n: Fraction(1, 2) for n, v in iwg.items() if v <= delta})
+                    f = fn({n: Fraction(1, 2) for n, v in iwg.items() if v <= delta})
                     phi_o, report_o = build_phi_dict(w, g, f, lam, delta, d)
                     phi, report = build_phi(w, g, f, lam, delta, d)
                     assert dict(items(phi)) == dict(items(phi_o))
@@ -532,8 +539,8 @@ class TestBuildPhi:
 class TestInter:
     def test_degenerate_zero_f(self):
         d = TreeDomain(3)
-        f = SparseFn({})
-        g = SparseFn({ROOT: 1})
+        f = fn({})
+        g = fn({"": 1})
         r = verify_inter(f, g, 2, d)
         assert r.degenerate and r.holds
 
@@ -548,8 +555,8 @@ class TestInter:
 
     def test_least_admissible_thresholds(self):
         d = TreeDomain(4)
-        g = SparseFn({ROOT: 1, NodeAddress("0"): Fraction(1, 2)})
-        f = SparseFn({NodeAddress("0"): 1})
+        g = fn({"": 1, "0": Fraction(1, 2)})
+        f = fn({"0": 1})
         r = verify_inter(f, g, 2, d)
         assert r.params["delta"] == Fraction(3, 2)   # Ig at supp f
         assert r.params["lambda"] == Fraction(3, 2)  # max Ig over the tree
@@ -558,8 +565,8 @@ class TestInter:
 class TestLinf:
     def test_hand_example(self):
         d = TreeDomain(3)
-        g = SparseFn({ROOT: 1, NodeAddress("0"): Fraction(1, 2)})
-        f = SparseFn({ROOT: 2})
+        g = fn({"": 1, "0": Fraction(1, 2)})
+        f = fn({"": 2})
         r = verify_linf(f, g, d)
         # lhs = max(If*g) = 2 at the root; sup II*g at the root = 3/2+... :
         # I*g(root) = 3/2, II*g(root) = 3/2; rhs = 3/2 * 2 = 3
@@ -584,7 +591,7 @@ class TestNew23:
 
     def test_rejects_p_below_one(self):
         d = TreeDomain(3)
-        g = SparseFn({ROOT: 1})
+        g = fn({"": 1})
         with pytest.raises(ValueError):
             verify_new23(g, g, Fraction(1, 2), d)
 
@@ -592,15 +599,15 @@ class TestNew23:
 class TestGest:
     def test_precondition_enforced(self):
         d = TreeDomain(3)
-        g = SparseFn({ROOT: 1, NodeAddress("0"): 1, NodeAddress("1"): 1})
+        g = fn({"": 1, "0": 1, "1": 1})
         with pytest.raises(PreconditionError, match=r"g\^\(p-1\) is not superadditive"):
-            verify_gest(g, ROOT, 2, d)
+            verify_gest(g, "", 2, d)
 
     def test_superadditive_g_holds(self):
         d = TreeDomain(3)
-        g = SparseFn({ROOT: 1, NodeAddress("0"): Fraction(1, 2),
-                      NodeAddress("1"): Fraction(1, 2)})
-        r = verify_gest(g, ROOT, 2, d)
+        g = fn({"": 1, "0": Fraction(1, 2),
+                      "1": Fraction(1, 2)})
+        r = verify_gest(g, "", 2, d)
         assert r.holds
         assert r.mode == EXACT
 
@@ -658,19 +665,19 @@ class TestFractionOracles:
             t = Fraction(rng.randint(1, 2 * den), den)
             g_inc = scale(randgen.random_increasing(rng, d, mode=mode), t)
             g_sup = scale(randgen.random_superadditive(rng, d, mode=mode), t)
-            f = SparseFn({n: Fraction(rng.randint(1, 30), den)
+            f = fn({n: Fraction(rng.randint(1, 30), den)
                           for n in rng.sample(nodes, rng.randint(1, 12))}, mode)
-            gamma = sorted(support(g_sup), key=lambda n: n.path)[rng.randrange(len(g_sup))]
+            gamma = sorted(support(g_sup))[rng.randrange(len(g_sup))]
             cases = [(verify_linf, f, g_inc, d), (verify_I2_positive, f, g_inc, d),
                      (verify_supadditive_l1linf, g_sup, f, gamma, d),
-                     (verify_inter, SparseFn({}, mode), g_sup, 2, d),
-                     (verify_inter, SparseFn({}, mode), g_sup, 1.5, d)]
+                     (verify_inter, fn({}, mode), g_sup, 2, d),
+                     (verify_inter, fn({}, mode), g_sup, 1.5, d)]
             cases += [(verify_gest, g_sup, gamma, p, d) for p in (2, 3, 1.5)]
             for p in (1, 1.5, 2, 3):
                 cases += [(verify_new23, f, g_inc, p, d), (verify_inter, f, g_sup, p, d)]
-            for fn, *args in cases:
-                assert _outcome(fn, *args) == _outcome(ORACLES[fn.__name__], *args), \
-                    (fn.__name__, args)
+            for verifier, *args in cases:
+                assert _outcome(verifier, *args) == _outcome(ORACLES[verifier.__name__], *args), \
+                    (verifier.__name__, args)
                 calls += 1
         assert calls == 45 * 16
 
@@ -697,42 +704,36 @@ class TestFractionOracles:
 
 
 class TestValueForm:
-    """What the one value form of a tree function buys: no Fraction and no
-    NodeAddress per drawn node, and a kept denominator that never shows."""
+    """What the one value form of a tree function buys: no Fraction per
+    drawn node, and a kept denominator that never shows."""
 
-    @pytest.mark.parametrize("suite", SPARSE_SUITES)
+    @pytest.mark.parametrize("suite", experiments.VERIFY_NAMES)
     def test_whole_trials_build_no_value_per_drawn_node(self, suite):
-        # generation included: a Fraction for each value a report carries
-        # (and, in gest, each atom mass of the drawn measure); a NodeAddress
-        # for gamma and the witnesses (and, in gest, the two coordinates of
-        # each atom)
+        # generation included: a Fraction for each value a report carries,
+        # at most 5 in a sparse suite; phi's report carries lambda, delta,
+        # both sides, the worst ratio and its constants, and its trial
+        # builds delta and lambda before the report
+        bound = 10 if suite == "phi" else 5
         fraction_codes = _fraction_codes()
-        node_code = NodeAddress.__post_init__.__code__
-        counts = {"fractions": 0, "nodes": 0}
+        count = 0
 
         def profile(frame, event, arg):
-            if event == "call":
-                if frame.f_code in fraction_codes:
-                    counts["fractions"] += 1
-                elif frame.f_code is node_code:
-                    counts["nodes"] += 1
+            nonlocal count
+            if event == "call" and frame.f_code in fraction_codes:
+                count += 1
 
         per_trial = []
         for i in range(20):
-            counts.update(fractions=0, nodes=0)
+            count = 0
             old = sys.getprofile()
             sys.setprofile(profile)
             try:
                 experiments.run_verify_suite(suite, trials=1, depth=8, seed=900 + i, mode=EXACT)
             finally:
                 sys.setprofile(old)
-            per_trial.append((counts["fractions"], counts["nodes"]))
-        atoms = 5 if suite == "gest" else 0  # random_point_measure's max_atoms
-        # a report carries at most 5 exact values; a gest trial's measure
-        # adds a mass and two coordinates per atom
-        assert max(n for n, _ in per_trial) <= 5 + atoms, per_trial
-        assert max(n for _, n in per_trial) <= 2 + 2 * atoms, per_trial
-        assert sum(n for n, _ in per_trial) > 0
+            per_trial.append(count)
+        assert max(per_trial) <= bound, per_trial
+        assert sum(per_trial) > 0
 
     @staticmethod
     def _rebuilt(arg):

@@ -6,21 +6,22 @@ from fractions import Fraction
 import pytest
 
 from cxlab import experiments, randgen
-from cxlab.hardy import PointMeasure, rectangle_mass_fn
+from cxlab.hardy import rectangle_mass_fn
 from cxlab.lemmas import build_phi
 from cxlab.structure import special_form_g
-from cxlab.trees import EXACT, FLOAT, BiNode, NodeAddress, SparseFn, TreeDomain
+from cxlab.trees import EXACT, FLOAT, SparseFn, TreeDomain
 
 import helpers
 from helpers import (
     STDLIB_RANDGEN,
     below_stdlib,
-    binode_masses,
+    fn,
+    fraction_masses,
     get,
     items,
     random_increasing_fraction,
     random_superadditive_fraction,
-    rectangle_mass_fn_binode,
+    rectangle_mass_fn_fraction,
     special_form_g_fraction,
     support,
     tree_nodes_bfs,
@@ -33,11 +34,9 @@ def _entries(x):
     if isinstance(x, SparseFn):
         return [(n, type(v), v) for n, v in items(x)]
     if isinstance(x, tuple):
-        x = binode_masses(x)
+        x = fraction_masses(x)
     if isinstance(x, dict):
         return [(n, type(v), v) for n, v in x.items()]
-    if isinstance(x, PointMeasure):
-        return [(n, type(v), v) for n, v in x.atoms]
     return type(x), x
 
 
@@ -59,8 +58,8 @@ def test_below_an_empty_range_raises(n):
 
 @pytest.mark.parametrize("name, args", [
     ("random_sparse", (TreeDomain(3), 0)),
-    ("random_point_measure", (0, 3)),
-    ("random_point_measure", (3, 3, 0)),
+    ("random_special_form_measure", (0, 3)),
+    ("random_special_form_measure", (3, 3, 0)),
 ])
 def test_an_empty_range_raises_as_the_stdlib_does(name, args):
     """Where a stdlib draw raises ValueError on an empty range, the
@@ -107,7 +106,6 @@ CALLS = {
     "random_increasing": lambda gen, rng, levels, mode: gen(rng, TreeDomain(levels), mode=mode),
     "random_sparse": lambda gen, rng, levels, mode: gen(rng, TreeDomain(levels), mode=mode),
     "random_quarters": lambda gen, rng, levels, mode: gen(rng, 2 ** levels - 1),
-    "random_point_measure": lambda gen, rng, levels, mode: gen(rng, levels, levels),
     "random_special_form_measure": lambda gen, rng, levels, mode: gen(rng, levels, levels),
 }
 
@@ -149,23 +147,21 @@ def test_int_numerator_generators_match_fraction_oracles(gen, oracle, levels, mo
 
 
 def _measures():
-    """Random atomic measures with Fraction and int masses, repeated atoms
-    included."""
+    """Random (x path, y path, k) atom lists, with other masses and repeated
+    atoms, an empty one and a hand-built one."""
     rng = random.Random(5)
     for seed in range(40):
-        m = helpers.random_point_measure_stdlib(random.Random(seed), 6, 6)
-        yield m
-        yield PointMeasure.of((n, rng.randint(1, 9)) for n, _ in m.atoms)
-        yield PointMeasure.of(m.atoms + m.atoms[:1])
-    yield PointMeasure.of([])
-    yield PointMeasure.of([(BiNode(NodeAddress("01"), NodeAddress("")), Fraction(1, 3)),
-                           (BiNode(NodeAddress("0"), NodeAddress("1")), Fraction(1, 10)),
-                           (BiNode(NodeAddress("011"), NodeAddress("1")), Fraction(1, 5))])
+        atoms = helpers.random_atoms_stdlib(random.Random(seed), 6, 6)
+        yield atoms
+        yield [(x, y, rng.randint(1, 9)) for x, y, _ in atoms]
+        yield atoms + atoms[:1]
+    yield []
+    yield [("01", "", 5), ("0", "1", 16), ("011", "1", 3)]
 
 
-def test_rectangle_masses_match_binode_form():
+def test_rectangle_masses_match_fraction_form():
     for m in _measures():
-        assert _entries(rectangle_mass_fn(m)) == _entries(rectangle_mass_fn_binode(m))
+        assert _entries(rectangle_mass_fn(m)) == _entries(rectangle_mass_fn_fraction(m))
         assert all(type(s) is int for s in rectangle_mass_fn(m)[0].values())
 
 
@@ -182,8 +178,8 @@ def test_special_form_matches_fraction_form(p):
 @pytest.mark.parametrize("suite", experiments.VERIFY_NAMES)
 def test_suites_match_stdlib_draws(suite, mode, monkeypatch):
     """Every trial's report, not only the first that a golden prints, is the
-    report of the stdlib draws, the BiNode rectangle masses and the Fraction
-    special form."""
+    report of the stdlib draws, the Fraction rectangle masses and the
+    Fraction special form."""
     def reports():
         return [json.dumps(r.to_dict(), sort_keys=True)
                 for r in experiments.run_verify_suite(suite, 100, 8, 11, mode)]
@@ -210,10 +206,9 @@ def test_build_phi_reads_w_only_on_supp_g_and_f(levels, mode):
         w, g, f, lam, delta = helpers.phi_instance_dict(random.Random(seed), d, mode)
         iwg = helpers.hardy_up_scalars(w.mul(g), nodes)
         half = sorted(iwg.values())[len(nodes) // 4]
-        f_half = SparseFn({n: Fraction(1, 2) for n, v in iwg.items() if v <= half}, mode)
+        f_half = fn({n: Fraction(1, 2) for n, v in iwg.items() if v <= half}, mode)
         for f, lam, delta in ((f, lam, delta), (f_half, 4 * half, half)):
-            w_kept = SparseFn(
-                {n: get(w, n) for n in itertools.chain(support(g), support(f))}, mode)
+            w_kept = fn({n: get(w, n) for n in itertools.chain(support(g), support(f))}, mode)
             assert len(w) == len(nodes)
             shrunk += len(w_kept) < len(nodes)
             phi, report = build_phi(w, g, f, lam, delta, d, seed=seed)

@@ -1,4 +1,5 @@
-"""Every function and method in src/cxlab is entered by some command.
+"""Every function and method in src/cxlab is entered by some command, and
+every name a module imports is used there.
 
 A short fixed list of CLI commands runs in a fresh interpreter (the parser
 is cached per process) under sys.setprofile, in a temporary working
@@ -99,3 +100,36 @@ def test_every_definition_is_entered_by_a_command(tmp_path):
     assert len(definitions) > 100  # the walk found the package
     missed = sorted(name for key, name in definitions.items() if key not in entered)
     assert missed == [], f"defined in src/cxlab but entered by no command: {missed}"
+
+
+# Imported names a module keeps without using them: the package's
+# re-exports, and counterexamples.hardy_up_table, which the bench's tracer
+# self-test wraps in that module.
+_UNUSED_IMPORT_EXEMPT = {("counterexamples", "hardy_up_table")}
+
+
+def _unused_imports(tree: ast.Module) -> list[str]:
+    """The names a module's imports bind that no other node of it reads."""
+    bound = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(bound - used)
+
+
+def test_unused_imports_are_found():
+    tree = ast.parse("import os, sys\nfrom x import a, b as c\nprint(sys.argv, c)\n")
+    assert _unused_imports(tree) == ["a", "os"]
+
+
+def test_every_imported_name_is_used():
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.stem == "__init__":
+            continue
+        unused += [f"{path.stem}.{name}" for name in _unused_imports(ast.parse(path.read_text()))
+                   if (path.stem, name) not in _UNUSED_IMPORT_EXEMPT]
+    assert unused == [], f"imported in src/cxlab but never used: {unused}"

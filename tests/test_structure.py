@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from cxlab.trees import EXACT, FLOAT, NodeAddress, ROOT, SparseFn, TreeDomain
+from cxlab.trees import EXACT, FLOAT, TreeDomain
 from cxlab.structure import (
     FLOAT_REL_TOL,
     check_power_superadditive,
@@ -11,14 +11,15 @@ from cxlab.structure import (
     is_superadditive,
     special_form_g,
 )
-from cxlab.hardy import PointMeasure, rectangle_mass_fn
-from cxlab.trees import BiNode
+from cxlab.hardy import rectangle_mass_fn
 from cxlab import randgen
 
 from helpers import (
     build_cex_p_less_2_functions,
+    fn,
     get,
     items,
+    random_atoms_stdlib,
     tree_nodes_bfs,
     doubling_g_fn,
     is_increasing_nodes,
@@ -39,13 +40,11 @@ def _outcome(predicate, g, d):
 class TestSuperadditive:
     def test_hand_examples(self):
         d = TreeDomain(3)
-        g = SparseFn({ROOT: 1, NodeAddress("0"): Fraction(1, 2),
-                      NodeAddress("1"): Fraction(1, 2)})
+        g = fn({"": 1, "0": Fraction(1, 2), "1": Fraction(1, 2)})
         assert is_superadditive(g, d) == (True, None)
-        bad = SparseFn({ROOT: 1, NodeAddress("0"): Fraction(3, 4),
-                        NodeAddress("1"): Fraction(1, 2)})
+        bad = fn({"": 1, "0": Fraction(3, 4), "1": Fraction(1, 2)})
         ok, witness = is_superadditive(bad, d)
-        assert not ok and witness == ROOT
+        assert not ok and witness == ""
 
     def test_doubling_g_fails_at_root(self):
         # halve-left/keep-right: children sum to 3/2 of the parent everywhere
@@ -53,7 +52,7 @@ class TestSuperadditive:
         g = doubling_g_fn(N)
         ok, witness = is_superadditive(g, TreeDomain(N))
         assert not ok
-        assert witness == ROOT
+        assert witness == ""
 
     def test_doubling_g_is_increasing(self):
         N = 6
@@ -72,9 +71,9 @@ class TestSuperadditive:
 
     def test_increasing_witness(self):
         d = TreeDomain(3)
-        g = SparseFn({ROOT: 1, NodeAddress("01"): Fraction(2)})
+        g = fn({"": 1, "01": Fraction(2)})
         ok, witness = is_increasing(g, d)
-        assert not ok and witness == NodeAddress("01")
+        assert not ok and witness == "01"
 
 
 @pytest.mark.parametrize("predicate, oracle", PREDICATES)
@@ -99,8 +98,8 @@ class TestPredicatesMatchNodeOracles:
         rng = random.Random(5)
         seen = set()
         for _ in range(400):
-            g = SparseFn({n: Fraction(rng.randint(0, 30), rng.choice((3, 5, 7)))
-                          for n in rng.sample(nodes, rng.randint(1, 12))})
+            g = fn({n: Fraction(rng.randint(0, 30), rng.choice((3, 5, 7)))
+                    for n in rng.sample(nodes, rng.randint(1, 12))})
             want = oracle(g, d)
             assert predicate(g, d) == want
             seen.add(want[0])
@@ -113,13 +112,11 @@ class TestPredicatesMatchNodeOracles:
         d = TreeDomain(3)
         excess = rel * FLOAT_REL_TOL * scale
         if predicate is is_superadditive:
-            entries = {ROOT: scale, NodeAddress("0"): scale / 2,
-                       NodeAddress("1"): scale / 2 + excess}
+            entries = {"": scale, "0": scale / 2, "1": scale / 2 + excess}
         else:
-            entries = {ROOT: scale, NodeAddress("1"): scale + excess}
-        g = SparseFn(entries, FLOAT)
-        want = (True, None) if holds else (False, ROOT if predicate is is_superadditive
-                                           else NodeAddress("1"))
+            entries = {"": scale, "1": scale + excess}
+        g = fn(entries, FLOAT)
+        want = (True, None) if holds else (False, "" if predicate is is_superadditive else "1")
         assert oracle(g, d) == want
         assert predicate(g, d) == want
 
@@ -135,7 +132,7 @@ class TestPredicatesMatchNodeOracles:
     ])
     def test_out_of_domain_nodes(self, predicate, oracle, values):
         d = TreeDomain(3)
-        g = SparseFn({NodeAddress(p): v for p, v in values.items()})
+        g = fn(values)
         want = _outcome(oracle, g, d)
         assert _outcome(predicate, g, d) == want
 
@@ -148,7 +145,7 @@ class TestSpecialForm:
         for p, want in ((2, Fraction(1, 4)), (Fraction(3, 2), Fraction(1, 16)),
                         (1.5, Fraction(1, 16)), (3, 0.5), (Fraction(4, 3), Fraction(1, 64))):
             g = special_form_g(m, "", p)
-            assert [(n, type(v), v) for n, v in items(g)] == [(ROOT, type(want), want)], p
+            assert [(n, type(v), v) for n, v in items(g)] == [("", type(want), want)], p
             assert g.mode == (FLOAT if isinstance(want, float) else EXACT)
 
     @pytest.mark.parametrize("p", [1, Fraction(1, 2), 0.5])
@@ -158,15 +155,13 @@ class TestSpecialForm:
 
     def test_single_atom_exact(self):
         # one atom of mass 1/4 at (x=00, y=11); beta = 11, q - 1 = 1
-        m = rectangle_mass_fn(
-            PointMeasure.of([(BiNode(NodeAddress("00"), NodeAddress("11")),
-                                      Fraction(1, 4))]))
+        m = rectangle_mass_fn([("00", "11", 4)])
         g = special_form_g(m, "11", 2)
         # each x-ancestor collects the masses of rectangles with y containing beta
-        assert get(g, NodeAddress("00")) == Fraction(3, 4)
-        assert get(g, NodeAddress("0")) == Fraction(3, 4)
-        assert get(g, ROOT) == Fraction(3, 4)
-        assert get(g, NodeAddress("1")) == 0
+        assert get(g, "00") == Fraction(3, 4)
+        assert get(g, "0") == Fraction(3, 4)
+        assert get(g, "") == Fraction(3, 4)
+        assert get(g, "1") == 0
 
     def test_minkowski_superadditivity_p2_exact(self):
         d = TreeDomain(6)
@@ -190,26 +185,24 @@ class TestSpecialForm:
 
     def test_single_path_property(self):
         # with all atoms on one x-path the power inequality is an equality chain
-        m = rectangle_mass_fn(PointMeasure.of([
-            (BiNode(NodeAddress("000"), NodeAddress("1")), Fraction(1, 2)),
-        ]))
+        m = rectangle_mass_fn([("000", "1", 8)])
         g = special_form_g(m, "1", 2)
         d = TreeDomain(4)
         ok, _ = is_superadditive(g, d)
         assert ok
         # every node on the path has exactly one supported child
-        for n in (ROOT, NodeAddress("0"), NodeAddress("00")):
-            assert get(g, n) == get(g, NodeAddress(n.path + "0")) + get(g, NodeAddress(n.path + "1"))
+        for n in ("", "0", "00"):
+            assert get(g, n) == get(g, n + "0") + get(g, n + "1")
 
     def test_float_form_is_the_float_of_the_exact_one(self):
         # g is exact at integral q - 1, whatever denominator the masses keep;
         # its float form, as the float gest trial takes it, rounds each value once
-        m = randgen.random_point_measure(random.Random(23), 6, 6)
-        sums, den = rectangle_mass_fn(m)
+        atoms = random_atoms_stdlib(random.Random(23), 6, 6)
+        sums, den = rectangle_mass_fn(atoms)
         beta = max((y for _, y in sums), key=lambda y: (len(y), y))
         g = special_form_g((sums, den), beta, 2)
         g3 = special_form_g(({k: 3 * s for k, s in sums.items()}, 3 * den), beta, 2)
-        assert len(m.atoms) > 1 and len(g) > 1
+        assert len(atoms) > 1 and len(g) > 1
         assert g.mode == EXACT and {type(v) for _, v in items(g)} == {Fraction}
         assert items(g3) == items(g)
         assert [(n, type(v), v) for n, v in items(g.to_float())] == \
