@@ -187,3 +187,26 @@ class TestPotential:
         assert list(sums)[:3] == [("", ""), ("", "1"), ("0", "")]
         assert {type(v) for v in sums.values()} == {int}
         assert rectangle_mass_fn([]) == ({}, 16)
+
+    def test_atom_masses_positive(self):
+        # every drawn atom has mass k/16 with 1 <= k <= 16, so every
+        # rectangle in the support holds a positive mass and the root holds
+        # the total
+        rng = random.Random(12)
+        for _ in range(200):
+            sums, den = randgen.random_special_form_measure(rng, 4, 3, max_atoms=5)
+            assert den == 16
+            assert all(type(s) is int and s >= 1 for s in sums.values())
+            assert 1 <= sums["", ""] <= 16 * 5
+            assert all(len(x) < 4 and len(y) < 3 for x, y in sums)
+
+    def test_rectangle_masses_shrink_down_the_tree(self):
+        # R(q) is the mass of the atoms inside q, so it is at most the mass
+        # of each rectangle that contains q
+        rng = random.Random(13)
+        for _ in range(50):
+            sums, _ = rectangle_mass_fn(random_atoms_stdlib(rng, 5, 5))
+            for (x, y), s in sums.items():
+                for a in ancestors(x):
+                    for b in ancestors(y):
+                        assert sums[a, b] >= s
