@@ -459,9 +459,19 @@ def _fast_new23_ratio(gv: dict[str, float], fv: dict[str, float], p: float):
     return lhs, rhs
 
 
+def _dyadic_fn(values: dict[str, float]) -> SparseFn:
+    """The float-mode function of the given float values, each exactly: int
+    numerators over the one power of two the finest value needs.  A draw of
+    0.0 (rand() can return it) leaves the support."""
+    ratios = {path: v.as_integer_ratio() for path, v in values.items() if v}
+    den = max((b for _, b in ratios.values()), default=1)
+    return SparseFn({path: a * (den // b) for path, (a, b) in ratios.items()}, den, FLOAT)
+
+
 def search_new23(p: Scalar, depth: int, budget: int, seed: int) -> LemmaReport:
-    """Sample random increasing g and random f; return the instance with the
-    largest lhs/rhs, re-evaluated through the full verifier."""
+    """Sample random increasing g and random f, scored in floats; return the
+    instance with the largest lhs/rhs, re-evaluated through the full
+    verifier on the exact values of its float draws, in float mode."""
     if p < 1:
         raise ValueError("p must be at least 1")
     if depth < 0:
@@ -496,10 +506,7 @@ def search_new23(p: Scalar, depth: int, budget: int, seed: int) -> LemmaReport:
     gv = _random_increasing_paths(rng, depth, cap=12)
     fv = _random_f_paths(rng, depth, list(gv))
     d = TreeDomain(depth + 1)
-    # a draw of 0.0 (rand() can return it) leaves the support
-    g = SparseFn({k: v for k, v in gv.items() if v}, 1, FLOAT)
-    f = SparseFn({k: v for k, v in fv.items() if v}, 1, FLOAT)
-    report = verify_new23(f, g, float(p), d, seed=seed)
+    report = verify_new23(_dyadic_fn(fv), _dyadic_fn(gv), float(p), d, seed=seed)
     report.name = "search_new23"
     report.params.update({"depth": depth, "budget": budget, "best_trial": best_trial,
                           "best_fast_ratio": best_ratio})

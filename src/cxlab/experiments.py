@@ -71,26 +71,22 @@ def _phi_instance(rng, d, mode):
 
     The node at heap position k has weight quarters[k - 1]/4, so I(wg) is
     swept over g's int numerators times quarters[k - 1], over 4 times their
-    denominator, in exact mode, and over the float products g w in float
-    mode.  f is drawn on heap positions.  A weight is drawn for every node,
-    but w holds only those on supp g, in g's order, then on the rest of
-    supp f: the nodes build_phi reads it on.  A domain of more than 20
+    denominator.  f is drawn on heap positions.  A weight is drawn for
+    every node, but w holds only those on supp g, in g's order, then on the
+    rest of supp f: the nodes build_phi reads it on.  A domain of more than 20
     levels raises ResourceError before any draw.
     """
     d.require_enumerable()
     g = randgen.random_superadditive(rng, d, mode=mode)
     quarters = randgen.random_quarters(rng, d.node_count)
     up, den = _heap_values(g, d)
-    if mode == EXACT:
-        up[1:] = [q * v for q, v in zip(quarters, up[1:])]
-        den *= 4
-    else:
-        up[1:] = [v * (q / 4) for q, v in zip(quarters, up[1:])]
+    up[1:] = [q * v for q, v in zip(quarters, up[1:])]
+    den *= 4
     _up_heap(up)
-    # rank by integer numerators in exact mode, not by Fraction compares
+    # rank by integer numerators, not by Fraction compares
     keys = up[1:]
     cut = sorted(keys)[len(keys) * 2 // 5]
-    delta = Fraction(cut, den) if mode == EXACT else cut
+    delta = Fraction(cut, den)
     candidates = [k for k, key in enumerate(keys, 1) if key <= cut]
     lam = 4 * delta
     # f's values k/16, k drawn as randint(0, 16) draws it, at heap positions
@@ -135,9 +131,7 @@ def _trial_gest(rng, d, mode, seed) -> LemmaReport:
     levels = min(d.levels, 6)
     m = randgen.random_special_form_measure(rng, levels, levels)
     beta = _pick(rng, (y for _, y in m[0]))
-    g = special_form_g(m, beta, 2)
-    if mode != EXACT:
-        g = g.to_float()
+    g = special_form_g(m, beta, 2, mode)
     gamma = _pick(rng, g.values)
     return verify_gest(g, gamma, 2, d, seed=seed)
 

@@ -9,11 +9,10 @@ the requested paths (root first), _down_paths gives I*g at every prefix of
 supp g (in support order), and II*g is the one fed into the other.  On a
 whole enumerated tree _up_heap gives If at every node of a list in heap
 order (node (depth, bits) at (1 << depth) | bits), one add per node.  Every
-sweep runs on a SparseFn's values and hands out values of the same form,
-its sweep values: int numerators over the function's den in exact mode,
-the floats themselves in float mode.  So hardy_up_table, the If table the
-verifiers read, builds no Fraction; its caller builds one only for a value
-it reports.  On the bi-tree, kernel counts the common ancestors of two
+sweep runs on a SparseFn's int numerators and hands out int numerators over
+the function's den, in both modes.  So hardy_up_table, the If table the
+verifiers read, builds no Fraction; its caller renders only a value it
+reports.  On the bi-tree, kernel counts the common ancestors of two
 rectangles as (lcp_x + 1)(lcp_y + 1), never by materializing ancestor
 sets, so instances with coordinate depths in the hundreds stay cheap; it is
 the kernel of the capacity's energy.  A bi-tree node is an (x path,
@@ -27,11 +26,10 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .trees import EXACT, Scalar, SparseFn, TreeDomain, lcp_len
+from .trees import Scalar, SparseFn, TreeDomain, lcp_len
 
 
-def _up_paths(values: dict[str, Scalar], paths: Iterable[str],
-              zero: Scalar) -> dict[str, Scalar]:
+def _up_paths(values: dict[str, Scalar], paths: Iterable[str]) -> dict[str, Scalar]:
     """I of a path-keyed function at every prefix of the given paths.
 
     Each path walks up to its deepest prefix already known, then down again,
@@ -39,7 +37,7 @@ def _up_paths(values: dict[str, Scalar], paths: Iterable[str],
     root first.  Cost is proportional to the number of distinct prefixes, so
     ancestor-closed node sets (the common case here) are linear.
     """
-    memo = {"": values.get("", zero)}
+    memo = {"": values.get("", 0)}
     for path in paths:
         i = len(path)
         while path[:i] not in memo:
@@ -54,59 +52,56 @@ def _up_paths(values: dict[str, Scalar], paths: Iterable[str],
     return memo
 
 
-def _down_paths(values: dict[str, Scalar], zero: Scalar) -> dict[str, Scalar]:
+def _down_paths(values: dict[str, Scalar]) -> dict[str, Scalar]:
     """I* of a path-keyed function at every prefix of its support, each sum
     taken in support order."""
     out: dict[str, Scalar] = {}
     for path, v in values.items():
         for i in range(len(path) + 1):
             q = path[:i]
-            out[q] = out.get(q, zero) + v
+            out[q] = out.get(q, 0) + v
     return out
 
 
-def _heap_values(f: SparseFn, d: TreeDomain) -> tuple[list, int]:
+def _heap_values(f: SparseFn, d: TreeDomain) -> tuple[list[int], int]:
     """f at every node of d in heap order, a list of 2^levels entries with
     entry 0 unused, and the denominator its entries are over, f's den.  A
     node outside d raises DomainError, and a domain of more than 20 levels
     ResourceError, before the list is built."""
     d.require_enumerable()
     d.require(f.values)
-    up = [0 if f.mode == EXACT else 0.0] * (1 << d.levels)
+    up = [0] * (1 << d.levels)
     for path, v in f.values.items():
         up[int("1" + path, 2)] = v
     return up, f.den
 
 
-def _up_heap(up: list) -> list:
+def _up_heap(up: list[int]) -> list[int]:
     """I in place over a tree function held in heap order (entry 0 unused).
 
-    Each entry gains its parent's finished sum, parents first, so every sum
-    runs root first as in _up_paths and a float sum rounds the same way.
+    Each entry gains its parent's finished sum, parents first.
     """
     for k in range(2, len(up)):
         up[k] += up[k >> 1]
     return up
 
 
-def hardy_up_table(f: SparseFn, paths: Iterable[str]) -> dict[str, Scalar]:
+def hardy_up_table(f: SparseFn, paths: Iterable[str]) -> dict[str, int]:
     """If at every requested tree node, given by its path, in one sweep.
 
     The table is keyed by path, one entry per distinct requested node, and
-    holds sweep values: int numerators over f.den in exact mode, the float
-    sums in float mode.  A caller builds a Fraction only for a value it
+    holds int numerators over f.den.  A caller renders only a value it
     hands out.
     """
     paths = list(paths)
-    up = _up_paths(f.values, paths, 0 if f.mode == EXACT else 0.0)
+    up = _up_paths(f.values, paths)
     return {path: up[path] for path in paths}
 
 
-def _iistar_paths(g: SparseFn, paths: Iterable[str]) -> tuple[dict[str, Scalar], int]:
+def _iistar_paths(g: SparseFn, paths: Iterable[str]) -> tuple[dict[str, int], int]:
     """II*g = I(I*g) at every prefix of the given paths of g's tree, and the
     denominator the values are over, g.den."""
-    zero = 0 if g.mode == EXACT else 0.0
-    return _up_paths(_down_paths(g.values, zero), paths, zero), g.den
+    return _up_paths(_down_paths(g.values), paths), g.den
 
 
 def kernel(a: tuple[str, str], b: tuple[str, str]) -> int:

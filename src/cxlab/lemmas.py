@@ -6,14 +6,15 @@ statements and quantifies the violations.  The thresholds lambda and delta
 are always computed as the least admissible values from the instance, which
 makes reports canonical and comparable across instance sizes.
 
-The verifiers compute on sweep values: the values a SparseFn holds and the
-If and II*g tables of hardy take, int numerators over the function's one
-denominator in exact mode, the floats themselves in float mode.  In exact
-mode at integral p every max, sum and power is taken on the ints, both
-sides of an inequality end over one denominator, and the verdict compares
-their numerators; a Fraction is built only for each value a report
-carries.  Float mode evaluates each float expression in its own order, and
-a non-integral p rounds each exact value once, where _pow did.
+The verifiers compute on the int numerators a SparseFn holds and the If
+and II*g tables of hardy give, each over its function's one denominator,
+in both modes.  At integral p every max, sum and power is taken on the
+ints, both sides of an inequality end over one denominator, and the
+verdict compares their numerators.  The mode only renders the reported
+values: each is the Fraction num/den in exact mode, and in float mode the
+correctly rounded num/den, with the ratio the correctly rounded ratio of
+the exact sides.  A non-integral p rounds each exact value once, where
+_pow did, and evaluates in floats in both modes.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from .trees import (
     TreeDomain,
     _as_int,
     _pow,
-    _zero,
 )
 from .hardy import _heap_values, _iistar_paths, _up_heap, hardy_up_table
 from .structure import check_power_superadditive, is_increasing, is_superadditive
@@ -44,7 +44,11 @@ PHI_ENERGY_CONST = 2
 
 @dataclass
 class LemmaReport:
-    """One inequality evaluation: LHS, RHS, their ratio and a witness."""
+    """One inequality evaluation: LHS, RHS, their ratio and a witness.
+
+    rounded_ratio is set where lhs and rhs are floats rendered from exact
+    sides: the correctly rounded exact ratio, which lhs / rhs need not be.
+    """
 
     name: str
     params: dict
@@ -56,9 +60,12 @@ class LemmaReport:
     seed: Optional[int] = None
     degenerate: bool = False
     extra: dict = field(default_factory=dict)
+    rounded_ratio: Optional[float] = None
 
     @property
     def ratio(self) -> Optional[Scalar]:
+        if self.rounded_ratio is not None:
+            return self.rounded_ratio
         if self.rhs == 0:
             return None
         return self.lhs / self.rhs
@@ -90,29 +97,35 @@ def scalar_repr(v):
     return v
 
 
-def _holds(lhs: Scalar, rhs: Scalar) -> bool:
-    """lhs <= rhs, exactly unless a side is a float; then with a relative
-    tolerance of 1e-12."""
-    if isinstance(lhs, float) or isinstance(rhs, float):
-        return float(lhs) <= float(rhs) * (1 + 1e-12)
-    return lhs <= rhs
+def _value(num: int, den: int, mode: str) -> Scalar:
+    """num/den as a report carries it: the Fraction in exact mode, the
+    correctly rounded float in float mode."""
+    return Fraction(num, den) if mode == EXACT else num / den
 
 
-def _value(num: Scalar, den: int, mode: str) -> Scalar:
-    """A sweep value as a report carries it: the Fraction num/den in exact
-    mode, the float num in float mode."""
-    return Fraction(num, den) if mode == EXACT else num
+def _render(x: Scalar, mode: str) -> Scalar:
+    """An exact scalar as a report carries it: itself in exact mode, its
+    correctly rounded float in float mode."""
+    return x if mode == EXACT else float(x)
 
 
-def _sup_iistar(g: SparseFn, *path_lists) -> list[tuple[Scalar, Optional[str]]]:
-    """For each given list of paths of g's tree, the max of II*g over it, a
-    sweep value over g's denominator, and the first path attaining it;
+def _sides(lhs: int, rhs: int, den: int, mode: str) -> dict:
+    """The lhs, rhs and rounded_ratio of a report whose sides are lhs/den
+    and rhs/den, rendered in the given mode."""
+    if mode == EXACT:
+        return {"lhs": Fraction(lhs, den), "rhs": Fraction(rhs, den)}
+    return {"lhs": lhs / den, "rhs": rhs / den, "rounded_ratio": lhs / rhs if rhs else None}
+
+
+def _sup_iistar(g: SparseFn, *path_lists) -> list[tuple[int, Optional[str]]]:
+    """For each given list of paths of g's tree, the max of II*g over it, an
+    int numerator over g's denominator, and the first path attaining it;
     (0, None) for an empty list.  One sweep serves every list.
     """
     up, _ = _iistar_paths(g, (x for paths in path_lists for x in paths))
     out = []
     for paths in path_lists:
-        best, arg = (0 if g.mode == EXACT else 0.0), None
+        best, arg = 0, None
         for x in paths:
             v = up[x]
             if v > best:
@@ -138,24 +151,18 @@ def verify_supadditive_l1linf(
     seed: Optional[int] = None,
 ) -> LemmaReport:
     """sum_{alpha <= gamma} g h <= lambda g(gamma), lambda = max Ih on supp g."""
-    gv, gden = g.values, g.den
-    hv, hden = h.values, h.den
-    zero = 0 if g.mode == EXACT else 0.0
-    lam = max(hardy_up_table(h, gv).values(), default=zero)
-    lhs = zero
-    for x, v in gv.items():
-        if x.startswith(gamma):
-            lhs += v * hv.get(x, zero)
-    # both sides over gden hden
-    rhs = lam * gv.get(gamma, zero)
+    gv, hv, mode = g.values, h.values, g.mode
+    lam = max(hardy_up_table(h, gv).values(), default=0)
+    lhs = sum(v * hv.get(x, 0) for x, v in gv.items() if x.startswith(gamma))
+    # both sides over g.den h.den
+    rhs = lam * gv.get(gamma, 0)
     holds = lhs <= rhs
-    den = gden * hden
     return LemmaReport(
         name="supadditive_l1linf",
-        params={"lambda": _value(lam, hden, g.mode), "gamma": gamma},
-        lhs=_value(lhs, den, g.mode), rhs=_value(rhs, den, g.mode), holds=holds,
+        params={"lambda": _value(lam, h.den, mode), "gamma": gamma},
+        **_sides(lhs, rhs, g.den * h.den, mode), holds=holds,
         witness=None if holds else gamma,
-        mode=g.mode, seed=seed, degenerate=rhs == 0 and lhs > 0,
+        mode=mode, seed=seed, degenerate=rhs == 0 and lhs > 0,
         extra={"superadditive": is_superadditive(g, d)[0]},
     )
 
@@ -165,23 +172,20 @@ def verify_I2_positive(
 ) -> LemmaReport:
     """sum (If)^2 g <= (refined sup of II*g) * sum f^2; unconditional.
     A node of supp f or supp g outside d raises DomainError."""
-    fv, fden = f.values, f.den
-    gv, gden = g.values, g.den
+    fv, gv, mode = f.values, g.values, g.mode
     d.require(fv)
     d.require(gv)
-    zero = 0 if g.mode == EXACT else 0.0
     up = hardy_up_table(f, gv)
-    lhs = sum((up[x] ** 2 * v for x, v in gv.items()), zero)
+    lhs = sum(up[x] ** 2 * v for x, v in gv.items())
     (sup, arg), (coarse, _) = _sup_iistar(g, _refined_paths(gv, fv), gv)
-    # both sides over fden^2 gden
-    rhs = sup * sum((v * v for v in fv.values()), zero)
-    den = fden * fden * gden
+    # both sides over f.den^2 g.den
+    rhs = sup * sum(v * v for v in fv.values())
     return LemmaReport(
         name="I2_positive",
-        params={"sup_iistar": _value(sup, gden, g.mode)},
-        lhs=_value(lhs, den, g.mode), rhs=_value(rhs, den, g.mode), holds=lhs <= rhs,
-        witness=arg, mode=g.mode, seed=seed,
-        extra={"coarse_sup": _value(coarse, gden, g.mode)},
+        params={"sup_iistar": _value(sup, g.den, mode)},
+        **_sides(lhs, rhs, f.den * f.den * g.den, mode), holds=lhs <= rhs,
+        witness=arg, mode=mode, seed=seed,
+        extra={"coarse_sup": _value(coarse, g.den, mode)},
     )
 
 
@@ -195,14 +199,15 @@ def build_phi(
     check (a): I(w phi) >= (1/4) I(wf) on {lambda/2 < I(wg) <= 2 lambda};
     check (b): sum w phi^2 <= 2 (delta/lambda) sum w f^2.
 
-    w, g and f share one scalar mode.  w is read only on supp g and supp f
-    (phi lies inside supp g), so a w that holds no other node gives the same
-    phi and report.  The three I sweeps run over lists in heap order and
-    check (a) visits every node, so a domain of more than 20 levels raises
-    ResourceError.  iwg, when the caller has already swept I(wg), is that
-    list and the denominator of its entries, as hardy._heap_values and
-    _up_heap give them; swept here when None.  A list of the wrong length
-    raises ValueError.
+    w, g and f share one scalar mode.  lambda and delta are read at their
+    exact values (a float at its binary value).  w is read only on supp g
+    and supp f (phi lies inside supp g), so a w that holds no other node
+    gives the same phi and report.  The three I sweeps run over lists in
+    heap order and check (a) visits every node, so a domain of more than
+    20 levels raises ResourceError.  iwg, when the caller has already swept
+    I(wg), is that list and the denominator of its entries, as
+    hardy._heap_values and _up_heap give them; swept here when None.  A
+    list of the wrong length raises ValueError.
     """
     if not w.mode == g.mode == f.mode:
         raise ValueError(f"w, g and f must share one scalar mode "
@@ -214,16 +219,22 @@ def build_phi(
         raise PreconditionError(f"lambda >= 4*delta required (lambda={lam}, delta={delta})")
     phi, a_ok, a_witness, worst_a = _phi_heap(w, g, f, lam, delta, d, iwg)
 
-    sum_wphi2 = _weighted_square_sum(w, phi)
-    sum_wf2 = _weighted_square_sum(w, f)
-    b_rhs = PHI_ENERGY_CONST * delta * sum_wf2 / lam
-    b_ok = sum_wphi2 <= b_rhs
+    # check (b) over one denominator: sum w phi^2 = wphi2 / den_phi and
+    # 2 delta sum w f^2 / lambda = 2 (a/b) (wf2 / den_f) / (c/e)
+    wphi2, den_phi = _weighted_square_sum(w, phi)
+    wf2, den_f = _weighted_square_sum(w, f)
+    a, b = delta.as_integer_ratio()
+    c, e = lam.as_integer_ratio()
+    lhs = wphi2 * b * c * den_f
+    rhs = PHI_ENERGY_CONST * a * e * wf2 * den_phi
+    b_ok = lhs <= rhs
 
+    mode = g.mode
     report = LemmaReport(
         name="build_phi",
-        params={"lambda": lam, "delta": delta},
-        lhs=sum_wphi2, rhs=b_rhs, holds=a_ok and b_ok,
-        witness=a_witness, mode=g.mode, seed=seed,
+        params={"lambda": _render(lam, mode), "delta": _render(delta, mode)},
+        **_sides(lhs, rhs, den_phi * b * c * den_f, mode), holds=a_ok and b_ok,
+        witness=a_witness, mode=mode, seed=seed,
         extra={
             "lower_check_ok": a_ok,
             "energy_check_ok": b_ok,
@@ -235,24 +246,22 @@ def build_phi(
     return phi, report
 
 
-def _weighted_square_sum(w: SparseFn, fn: SparseFn) -> Scalar:
-    """sum over supp fn of w fn^2, in fn's order, summed on the values as
-    the two functions hold them, over w.den fn.den^2."""
+def _weighted_square_sum(w: SparseFn, fn: SparseFn) -> tuple[int, int]:
+    """sum over supp fn of w fn^2: its int numerator and its denominator,
+    w.den fn.den^2."""
     wv = w.values
-    total = sum((wv.get(x, 0) * v * v for x, v in fn.values.items()),
-                0 if fn.mode == EXACT else 0.0)
-    return _value(total, w.den * fn.den * fn.den, fn.mode)
+    return (sum(wv.get(x, 0) * v * v for x, v in fn.values.items()),
+            w.den * fn.den * fn.den)
 
 
 def _phi_heap(w, g, f, lam, delta, d, iwg):
     """phi and check (a) over every node of d: phi, whether check (a)
     holds, its last failing node in heap order and its least ratio.
 
-    Each I is one _up_heap sweep.  In exact mode the entries are int
-    numerators, each table over its own denominator; a threshold t = a/b is
-    read as floor(t den) = a den // b, an int floor division, since an
-    integer n exceeds t iff it exceeds floor(t), and ratios are compared by
-    cross-multiplying.
+    Each I is one _up_heap sweep of int numerators, each table over its own
+    denominator.  A threshold t = a/b is read as floor(t den) = a den // b,
+    an int floor division, since an integer n exceeds t iff it exceeds
+    floor(t), and ratios are compared by cross-multiplying.
     """
     size = 1 << d.levels
     if iwg is None:
@@ -261,14 +270,10 @@ def _phi_heap(w, g, f, lam, delta, d, iwg):
     elif len(iwg[0]) != size:
         raise ValueError(f"iwg holds {len(iwg[0])} heap entries, the domain needs {size}")
     up_wg, den_wg = iwg
-    exact = g.mode == EXACT
-    if exact:
-        a, b = delta.as_integer_ratio()
-        delta_t = a * den_wg // b
-        a, b = lam.as_integer_ratio()
-        half_t, two_t = a * den_wg // (2 * b), 2 * a * den_wg // b
-    else:
-        delta_t, half_t, two_t = delta, lam / 2, 2 * lam
+    a, b = delta.as_integer_ratio()
+    delta_t = a * den_wg // b
+    c, e = lam.as_integer_ratio()
+    half_t, two_t = c * den_wg // (2 * e), 2 * c * den_wg // e
     d.require(f.values)
     for path in f.values:
         if up_wg[int("1" + path, 2)] > delta_t:
@@ -277,48 +282,31 @@ def _phi_heap(w, g, f, lam, delta, d, iwg):
 
     up_wf, den_wf = _heap_values(w.mul(f), d)
     _up_heap(up_wf)
-    inv_lam = Fraction(1, 1) / lam if exact else 1.0 / float(lam)
     phi_values = {}
     for path, gv in g.values.items():
         k = int("1" + path, 2)
         # phi is zero where I(wf) is
         if up_wf[k] and delta_t < up_wg[k] <= two_t:
-            if exact:
-                # (up_wf / den_wf) (gv / g.den) / lam, a numerator over phi_den
-                phi_values[path] = up_wf[k] * gv * inv_lam.numerator
-            else:
-                val = inv_lam * up_wf[k] * gv
-                if val != 0:
-                    phi_values[path] = val
-    phi_den = den_wf * g.den * inv_lam.denominator if exact else 1
-    phi = SparseFn(phi_values, phi_den, g.mode)
+            # (up_wf / den_wf) (gv / g.den) / (c / e), a numerator over phi's den
+            phi_values[path] = up_wf[k] * gv * e
+    phi = SparseFn(phi_values, den_wf * g.den * c, g.mode)
 
     up_wphi, den_wphi = _heap_values(w.mul(phi), d)
     _up_heap(up_wphi)
     a_ok, a_k, worst_k, worst_a = True, None, None, None
-    if exact:
-        # the ratio at k is (up_wphi[k] / den_wphi) / (up_wf[k] / den_wf)
-        lower_wphi = PHI_LOWER_CONST.denominator * den_wf
-        lower_wf = PHI_LOWER_CONST.numerator * den_wphi
-        for k, wf_k in enumerate(up_wf):
-            # I(wf) >= 0, so its truth is "> 0", and it is zero at most nodes
-            if wf_k and half_t < up_wg[k] <= two_t:
-                wphi_k = up_wphi[k]
-                if worst_k is None or wphi_k * up_wf[worst_k] < up_wphi[worst_k] * wf_k:
-                    worst_k = k
-                if wphi_k * lower_wphi < lower_wf * wf_k:
-                    a_ok, a_k = False, k
-        if worst_k is not None:
-            worst_a = Fraction(up_wphi[worst_k] * den_wf, up_wf[worst_k] * den_wphi)
-    else:
-        lower = float(PHI_LOWER_CONST)
-        for k, wf_k in enumerate(up_wf):
-            if wf_k and half_t < up_wg[k] <= two_t:
-                r = up_wphi[k] / wf_k
-                if worst_a is None or r < worst_a:
-                    worst_a = r
-                if r < lower:
-                    a_ok, a_k = False, k
+    # the ratio at k is (up_wphi[k] / den_wphi) / (up_wf[k] / den_wf)
+    lower_wphi = PHI_LOWER_CONST.denominator * den_wf
+    lower_wf = PHI_LOWER_CONST.numerator * den_wphi
+    for k, wf_k in enumerate(up_wf):
+        # I(wf) >= 0, so its truth is "> 0", and it is zero at most nodes
+        if wf_k and half_t < up_wg[k] <= two_t:
+            wphi_k = up_wphi[k]
+            if worst_k is None or wphi_k * up_wf[worst_k] < up_wphi[worst_k] * wf_k:
+                worst_k = k
+            if wphi_k * lower_wphi < lower_wf * wf_k:
+                a_ok, a_k = False, k
+    if worst_k is not None:
+        worst_a = _value(up_wphi[worst_k] * den_wf, up_wf[worst_k] * den_wphi, g.mode)
     a_witness = None if a_k is None else bin(a_k)[3:]
     return phi, a_ok, a_witness, worst_a
 
@@ -328,38 +316,36 @@ def verify_inter(
 ) -> LemmaReport:
     """||If . g||_p <= delta^((p-1)/p) lambda^(1/p) ||f||_p with least delta, lambda.
 
-    The sums are exact at integral p in exact mode, but both sides are
-    compared as float p-th roots, in every mode.
+    The sums are exact at integral p, but both sides are compared as float
+    p-th roots of their correctly rounded values, in both modes.
     """
     if p < 1:
         raise ValueError("p must be at least 1")
     fv, fden = f.values, f.den
     gv, gden = g.values, g.den
     mode = f.mode
-    zero = 0 if mode == EXACT else 0.0
     # Ig is constant below the deepest supported ancestor, so its max over
     # the tree is its max over supp g and the root
     ig = hardy_up_table(g, [*fv, *gv, ""])
-    delta = _value(max((ig[x] for x in fv), default=zero), gden, mode)
+    delta = _value(max((ig[x] for x in fv), default=0), gden, mode)
     lam = _value(max(ig[x] for x in (*gv, "")), gden, mode)
-    e = _as_int(p)
-    exact = mode == EXACT and e is not None
-    if exact:
-        sum_fp = Fraction(sum(v ** e for v in fv.values()), fden ** e)
-    else:
-        sum_fp = sum((_pow(v / fden, p) for v in fv.values()), _zero(mode))
-    if sum_fp == 0:
+    # an empty sum is the exact zero, rendered
+    zero = _value(0, 1, mode)
+    if not fv:
         return LemmaReport(
             name="inter", params={"p": p, "delta": delta, "lambda": lam},
-            lhs=_zero(mode), rhs=_zero(mode), holds=True,
+            lhs=zero, rhs=zero, holds=True,
             mode=mode, seed=seed, degenerate=True,
         )
     up = hardy_up_table(f, gv)
     den = fden * gden
-    if exact:
-        sum_ifg_p = Fraction(sum((up[x] * v) ** e for x, v in gv.items()), den ** e)
+    e = _as_int(p)
+    if e is not None:
+        sum_fp = _value(sum(v ** e for v in fv.values()), fden ** e, mode)
+        sum_ifg_p = _value(sum((up[x] * v) ** e for x, v in gv.items()), den ** e, mode)
     else:
-        sum_ifg_p = sum((_pow(up[x] * v / den, p) for x, v in gv.items()), _zero(mode))
+        sum_fp = sum((_pow(v / fden, p) for v in fv.values()), zero)
+        sum_ifg_p = sum((_pow(up[x] * v / den, p) for x, v in gv.items()), zero)
     pf = float(p)
     lhs = float(sum_ifg_p) ** (1.0 / pf)
     rhs = float(delta) ** ((pf - 1.0) / pf) * float(lam) ** (1.0 / pf) * float(sum_fp) ** (1.0 / pf)
@@ -378,25 +364,22 @@ def verify_inter(
 
 def verify_linf(f: SparseFn, g: SparseFn, d: TreeDomain, seed: Optional[int] = None) -> LemmaReport:
     """||If . g||_inf <= (sup over supp g & supp f of II*g) ||f||_inf for increasing g."""
-    fv, fden = f.values, f.den
-    gv, gden = g.values, g.den
-    zero = 0 if g.mode == EXACT else 0.0
+    fv, gv, mode = f.values, g.values, g.mode
     up = hardy_up_table(f, gv)
-    lhs, arg = zero, None
+    lhs, arg = 0, None
     for x, v in gv.items():
         val = up[x] * v
         if val > lhs:
             lhs, arg = val, x
     (sup, sup_arg), = _sup_iistar(g, [x for x in gv if x in fv])
-    # both sides over fden gden
-    rhs = sup * max(fv.values(), default=zero)
-    den = fden * gden
+    # both sides over f.den g.den
+    rhs = sup * max(fv.values(), default=0)
     return LemmaReport(
         name="linf",
-        params={"sup_iistar": _value(sup, gden, g.mode)},
-        lhs=_value(lhs, den, g.mode), rhs=_value(rhs, den, g.mode), holds=lhs <= rhs,
+        params={"sup_iistar": _value(sup, g.den, mode)},
+        **_sides(lhs, rhs, f.den * g.den, mode), holds=lhs <= rhs,
         witness=arg if lhs > rhs else sup_arg,
-        mode=g.mode, seed=seed,
+        mode=mode, seed=seed,
         extra={"increasing": is_increasing(g, d)[0]},
     )
 
@@ -414,21 +397,24 @@ def verify_new23(
     (sup, arg), (coarse, _) = _sup_iistar(g, [x for x in gv if x in fv], gv)
     sup_v = _value(sup, gden, mode)
     e = _as_int(p)
-    if mode == EXACT and e is not None:
+    if e is not None:
         # both sides over fden^e gden
         lhs = sum(up[x] ** e * v for x, v in gv.items())
         rhs = sup * sum(v ** e for v in fv.values())
         holds = lhs <= rhs
-        den = fden ** e * gden
-        lhs, rhs = Fraction(lhs, den), Fraction(rhs, den)
+        sides = _sides(lhs, rhs, fden ** e * gden, mode)
     else:
-        lhs = sum((_pow(up[x] / fden, p) * (v / gden) for x, v in gv.items()), _zero(mode))
-        rhs = sup_v * sum((_pow(v / fden, p) for v in fv.values()), _zero(f.mode))
-        holds = _holds(lhs, rhs)
+        # an empty sum is the exact zero, rendered
+        zero = _value(0, 1, mode)
+        lhs = sum((_pow(up[x] / fden, p) * (v / gden) for x, v in gv.items()), zero)
+        rhs = sup_v * sum((_pow(v / fden, p) for v in fv.values()), zero)
+        # float sides: lhs <= rhs up to a relative 1e-12
+        holds = lhs <= rhs * (1 + 1e-12)
+        sides = {"lhs": lhs, "rhs": rhs}
     return LemmaReport(
         name="new23",
         params={"p": p, "sup_iistar": sup_v},
-        lhs=lhs, rhs=rhs, holds=holds,
+        **sides, holds=holds,
         witness=arg, mode=mode if e is not None else FLOAT, seed=seed,
         extra={
             "coarse_sup": _value(coarse, gden, mode),
@@ -442,32 +428,23 @@ def verify_gest(
     g: SparseFn, gamma: str, p: Scalar, d: TreeDomain,
     seed: Optional[int] = None,
 ) -> LemmaReport:
-    """sum_{alpha <= gamma} g^p <= lambda g^(p-1)(gamma), lambda = max Ig on supp g."""
+    """sum_{alpha <= gamma} g^p <= lambda g^(p-1)(gamma), lambda = max Ig on
+    supp g, for integral p > 1."""
     pre_ok, pre_witness = check_power_superadditive(g, d, p)
     if not pre_ok:
         raise PreconditionError("g^(p-1) is not superadditive", pre_witness)
-    gv, gden = g.values, g.den
-    mode = g.mode
-    zero = 0 if mode == EXACT else 0.0
-    lam = max(hardy_up_table(g, gv).values(), default=zero)
-    lam_v = _value(lam, gden, mode)
+    gv, gden, mode = g.values, g.den, g.mode
+    lam = max(hardy_up_table(g, gv).values(), default=0)
     e = _as_int(p)
-    if mode == EXACT and e is not None:
-        # both sides over gden^e; p > 1, so e - 1 >= 1
-        lhs = sum(v ** e for x, v in gv.items() if x.startswith(gamma))
-        rhs = lam * gv.get(gamma, zero) ** (e - 1)
-        holds = lhs <= rhs
-        lhs, rhs = Fraction(lhs, gden ** e), Fraction(rhs, gden ** e)
-    else:
-        lhs = sum((_pow(v / gden, p) for x, v in gv.items() if x.startswith(gamma)), _zero(mode))
-        rhs = lam_v * _pow(gv.get(gamma, zero) / gden, p - 1)
-        holds = _holds(lhs, rhs)
+    # both sides over gden^e; p > 1, so e - 1 >= 1
+    lhs = sum(v ** e for x, v in gv.items() if x.startswith(gamma))
+    rhs = lam * gv.get(gamma, 0) ** (e - 1)
+    holds = lhs <= rhs
     return LemmaReport(
         name="gest",
-        params={"p": p, "lambda": lam_v, "gamma": gamma},
-        lhs=lhs, rhs=rhs, holds=holds,
+        params={"p": p, "lambda": _value(lam, gden, mode), "gamma": gamma},
+        **_sides(lhs, rhs, gden ** e, mode), holds=holds,
         witness=None if holds else gamma,
-        mode=mode if e is not None else FLOAT, seed=seed,
+        mode=mode, seed=seed,
         degenerate=rhs == 0 and lhs > 0,
-        extra={"power_superadditive": pre_ok},
     )

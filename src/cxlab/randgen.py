@@ -1,7 +1,7 @@
 """Seeded random instance generators for the property suites.
 
-All values are dyadic rationals so the exact-mode suites stay exact; every
-generator is a pure function of its Random instance.  The tree functions
+All values are dyadic rationals so every suite stays exact, in both
+modes; every generator is a pure function of its Random instance.  The tree functions
 are SparseFns built from the drawn int numerators over a power of 16, and
 the atoms of a bi-tree measure are (x path, y path, k) triples of mass
 k/16.

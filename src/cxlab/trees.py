@@ -11,8 +11,10 @@ construction.
 
 A SparseFn keeps its values in the one form every sweep, verifier and
 structure check reads: a dict keyed by path, of int numerators over one
-int denominator in exact mode, of the floats over 1 in float mode.  The
-generators and constructions hand in the numerators they already hold.
+int denominator, in both modes.  The generators and constructions hand in
+the numerators they already hold.  Its mode only says how a report renders
+the values it decides on: as Fractions in exact mode, as correctly rounded
+floats in float mode.
 """
 
 from __future__ import annotations
@@ -101,24 +103,19 @@ class SparseFn:
     """A finitely supported non-negative function on tree nodes.
 
     values maps the path of each supported node, in support order, to its
-    value over the one int den: an int numerator in exact mode, the float
-    itself over 1 in float mode.  Absent paths read as zero.  Every value
-    leaves as the reduced Fraction num/den or as the correctly rounded float
-    num/den, so which common denominator is kept never shows.  A SparseFn is
-    never changed after it is built.
+    int numerator over the one int den.  Absent paths read as zero.  Every
+    value leaves as the reduced Fraction num/den or as the correctly rounded
+    float num/den, so which common denominator is kept never shows.  A
+    SparseFn is never changed after it is built.
     """
 
     __slots__ = ("mode", "values", "den")
 
-    def __init__(self, values: dict[str, Scalar], den: int, mode: str):
-        """The function with the given positive values over den, unchecked:
-        int numerators in exact mode; in float mode each is divided by den
-        once (correctly rounded for ints), and the floats are kept over 1."""
+    def __init__(self, values: dict[str, int], den: int, mode: str):
+        """The function with the given positive int numerators over den,
+        unchecked, reported in the given mode."""
         if mode not in (EXACT, FLOAT):
             raise ValueError(f"unknown scalar mode {mode!r}")
-        if mode == FLOAT:
-            values = {path: v / den for path, v in values.items()}
-            den = 1
         self.mode, self.values, self.den = mode, values, den
 
     def __len__(self) -> int:
@@ -130,15 +127,7 @@ class SparseFn:
         small, big = (self, other) if len(self) <= len(other) else (other, self)
         bv = big.values
         out = {path: v * bv[path] for path, v in small.values.items() if path in bv}
-        if self.mode != EXACT:
-            # a float product can round to zero
-            out = {path: v for path, v in out.items() if v}
         return SparseFn(out, self.den * other.den, self.mode)
-
-    def to_float(self) -> "SparseFn":
-        if self.mode == FLOAT:
-            return self
-        return SparseFn(self.values, self.den, FLOAT)
 
     def __repr__(self) -> str:
         return f"SparseFn({len(self.values)} entries, {self.mode})"
@@ -153,13 +142,6 @@ def _as_int(e: Scalar) -> int | None:
     if isinstance(e, float) and e.is_integer():
         return int(e)
     return None
-
-
-_FRACTION_ZERO = Fraction(0)  # immutable, so one instance serves every caller
-
-
-def _zero(mode: str) -> Scalar:
-    return _FRACTION_ZERO if mode == EXACT else 0.0
 
 
 def _pow(v: Scalar, e: Scalar) -> Scalar:

@@ -6,6 +6,7 @@ in cxlab.  A measure on the bi-tree is a list of (rectangle, mass) atoms.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import random
 from dataclasses import dataclass
@@ -17,10 +18,9 @@ import numpy as np
 from cxlab import capacity, lemmas
 from cxlab.counterexamples import AuditStep, VariantAudit, _half_pow
 from cxlab.hardy import _down_paths, _iistar_paths, _up_paths, hardy_up_table, kernel
-from cxlab.structure import _tol_for
 from cxlab.trees import (
     EXACT, FLOAT, DomainError, PreconditionError, ResourceError, Scalar, SparseFn, TreeDomain,
-    _as_int, _pow, _zero, lcp_len,
+    _as_int, _pow, lcp_len,
 )
 
 Rect = tuple[str, str]
@@ -30,28 +30,19 @@ _MATERIALIZE_LEVELS = 12
 
 
 def fn(entries: Mapping[str, Scalar], mode: str = EXACT) -> SparseFn:
-    """The SparseFn with the given values by path, each read as a Fraction
-    in exact mode and as a float in float mode: zeros are dropped, a
-    negative value raises ValueError, and exact values are kept as int
-    numerators over the lcm of their denominators.  The sign is read from an
-    exact value's numerator and from a float itself, so a float NaN passes."""
-    exact = mode == EXACT
+    """The SparseFn with the given values by path, reported in the given
+    mode, each value read as a Fraction (a float at its binary value): zeros
+    are dropped, a negative value raises ValueError, and the values are kept
+    as int numerators over the lcm of their denominators.  A float NaN or
+    infinity raises ValueError, as it has no Fraction."""
     kept = {}
     for path, v in entries.items():
-        if exact:
-            if type(v) is not Fraction:
-                v = Fraction(v)
-            sign = v.numerator
-        else:
-            if type(v) is not float:
-                v = float(v)
-            sign = v
-        if sign < 0:
+        if type(v) is not Fraction:
+            v = Fraction(v)
+        if v < 0:
             raise ValueError(f"negative value {v} at {path}")
-        if sign:
+        if v:
             kept[path] = v
-    if not exact:
-        return SparseFn(kept, 1, mode)
     den = math.lcm(1, *(v.denominator for v in kept.values()))
     return SparseFn({path: v.numerator * (den // v.denominator) for path, v in kept.items()},
                     den, mode)
@@ -72,13 +63,11 @@ def bitree_nodes(levels_x: int, levels_y: int) -> Iterator[Rect]:
             yield x, y
 
 
-# A SparseFn read node by node, each value a Fraction in exact mode and a
-# float in float mode, as the references and the tests read it.
+# A SparseFn read node by node, each value a Fraction, as the references
+# and the tests read it.
 
-def items(f: SparseFn) -> list[tuple[str, Scalar]]:
+def items(f: SparseFn) -> list[tuple[str, Fraction]]:
     """f's support paths and values, in support order."""
-    if f.mode != EXACT:
-        return list(f.values.items())
     return [(path, Fraction(v, f.den)) for path, v in f.values.items()]
 
 
@@ -86,21 +75,33 @@ def support(f: SparseFn) -> list[str]:
     return list(f.values)
 
 
-def get(f: SparseFn, path: str) -> Scalar:
+def get(f: SparseFn, path: str) -> Fraction:
     """f at the node with the given path, zero where f is not supported."""
-    v = f.values.get(path)
-    if v is None:
-        return _zero(f.mode)
-    return Fraction(v, f.den) if f.mode == EXACT else v
+    return Fraction(f.values.get(path, 0), f.den)
 
 
-def power(f: SparseFn, e: Scalar) -> SparseFn:
-    """Pointwise power.  Falls back to float mode for non-integral exponents."""
-    e_int = _as_int(e)
-    if e_int is not None and f.mode == EXACT:
-        return fn({n: v ** e_int for n, v in items(f)}, EXACT)
-    ef = float(e)
-    return fn({n: float(v) ** ef for n, v in items(f)}, FLOAT)
+def power(f: SparseFn, e: int) -> SparseFn:
+    """Pointwise power to an integral exponent, in f's mode."""
+    return fn({n: v ** e for n, v in items(f)}, f.mode)
+
+
+def rendered(report: lemmas.LemmaReport, mode: str, keep=()) -> lemmas.LemmaReport:
+    """A report taken on Fractions as the given mode renders it: unchanged
+    in exact mode; in float mode each Fraction value, except the extra
+    entries named in keep, the correctly rounded float, and the ratio of
+    two Fraction sides the float of the exact ratio."""
+    if mode == EXACT:
+        return report
+
+    def r(v):
+        return float(v) if isinstance(v, Fraction) else v
+
+    ratio = report.ratio
+    return dataclasses.replace(
+        report, lhs=r(report.lhs), rhs=r(report.rhs),
+        params={k: r(v) for k, v in report.params.items()},
+        extra={k: v if k in keep else r(v) for k, v in report.extra.items()},
+        rounded_ratio=float(ratio) if isinstance(ratio, Fraction) else None)
 
 
 def rebuild(f: SparseFn, factor: int) -> SparseFn:
@@ -194,7 +195,7 @@ def _is_ancestor(node, of) -> bool:
 
 
 def _start(f: Fn) -> Scalar:
-    return _zero(f.mode) if isinstance(f, SparseFn) else 0
+    return Fraction(0) if isinstance(f, SparseFn) else 0
 
 
 def _pairs(f: Fn):
@@ -532,7 +533,7 @@ def audit_variant_fraction(variant: str, N: int, p: Scalar) -> VariantAudit:
 
 def _sup_scalar(g: SparseFn, paths) -> tuple[Scalar, Optional[str]]:
     (best, arg), = lemmas._sup_iistar(g, list(paths))
-    return Fraction(best, g.den) if g.mode == EXACT else best, arg
+    return lemmas._value(best, g.den, g.mode), arg
 
 
 def sup_iistar_refined(g: SparseFn, f: SparseFn) -> tuple[Scalar, Optional[str]]:
@@ -557,39 +558,38 @@ def sup_iistar_support(g: SparseFn) -> Scalar:
 
 
 # The verifiers in Fraction arithmetic, as cxlab.lemmas ran them before it
-# decided its verdicts on int numerators: every If and II*g value a Fraction
-# (or a float in float mode), every sum, product, power and max taken on
-# those.  They are the oracles for the int-numerator verifiers; the
-# structure checks they report are the node-walk references above.
+# decided its verdicts on int numerators: every If and II*g value a
+# Fraction, every sum, product, power and max taken on those, in both modes;
+# a float-mode report is the exact one rendered.  They are the oracles for
+# the int-numerator verifiers; the structure checks they report are the
+# node-walk references above.
 
-def hardy_up_scalars(f: SparseFn, paths) -> dict[str, Scalar]:
-    """If at every requested path as a scalar of f's mode, keyed by path:
-    hardy_up_table's sweep values over f's denominator."""
+def hardy_up_scalars(f: SparseFn, paths) -> dict[str, Fraction]:
+    """If at every requested path as a Fraction, keyed by path:
+    hardy_up_table's int numerators over f's denominator."""
     table = hardy_up_table(f, paths)
-    if f.mode != EXACT:
-        return table
     den = f.den
     return {x: Fraction(v, den) for x, v in table.items()}
 
 
-def max_hardy_up_on(f: SparseFn, nodes) -> Scalar:
+def max_hardy_up_on(f: SparseFn, nodes) -> Fraction:
     """max of If over the given tree nodes (0 for an empty collection)."""
     nodes = list(nodes)
     if not nodes:
-        return _zero(f.mode)
+        return Fraction(0)
     return max(hardy_up_scalars(f, nodes).values())
 
 
-def sup_iistar_nodes(g: SparseFn, *node_lists) -> list[tuple[Scalar, Optional[str]]]:
+def sup_iistar_nodes(g: SparseFn, *node_lists) -> list[tuple[Fraction, Optional[str]]]:
     """For each given collection of nodes, the max of II*g over it and the
     first node attaining it; (0, None) for an empty collection."""
     node_lists = [list(nodes) for nodes in node_lists]
     up, den = _iistar_paths(g, (x for nodes in node_lists for x in nodes))
     out = []
     for nodes in node_lists:
-        best, arg = _zero(g.mode), None
+        best, arg = Fraction(0), None
         for x in nodes:
-            v = Fraction(up[x], den) if g.mode == EXACT else up[x]
+            v = Fraction(up[x], den)
             if v > best:
                 best, arg = v, x
         out.append((best, arg))
@@ -617,35 +617,35 @@ def intersection_nodes(g: SparseFn, f: SparseFn) -> list[str]:
 
 def verify_supadditive_l1linf_fraction(g, h, gamma, d, seed=None) -> lemmas.LemmaReport:
     lam = max_hardy_up_on(h, support(g))
-    lhs = _zero(g.mode)
+    lhs = Fraction(0)
     for node, v in items(g):
         if contains(gamma, node):
             lhs += v * get(h, node)
     rhs = lam * get(g, gamma)
     holds = lhs <= rhs
-    return lemmas.LemmaReport(
+    return rendered(lemmas.LemmaReport(
         name="supadditive_l1linf",
         params={"lambda": lam, "gamma": gamma},
         lhs=lhs, rhs=rhs, holds=holds,
         witness=None if holds else gamma,
         mode=g.mode, seed=seed, degenerate=rhs == 0 and lhs > 0,
         extra={"superadditive": is_superadditive_nodes(g, d)[0]},
-    )
+    ), g.mode)
 
 
 def verify_I2_positive_fraction(f, g, d, seed=None) -> lemmas.LemmaReport:
     for n in (*support(f), *support(g)):
         d.require([n])
     table = hardy_up_scalars(f, support(g))
-    lhs = sum((table[n] ** 2 * v for n, v in items(g)), _zero(g.mode))
+    lhs = sum((table[n] ** 2 * v for n, v in items(g)), Fraction(0))
     (sup, arg), (coarse, _) = sup_iistar_nodes(g, refined_nodes(g, f), support(g))
-    sum_f2 = sum((v * v for _, v in items(f)), _zero(f.mode))
+    sum_f2 = sum((v * v for _, v in items(f)), Fraction(0))
     rhs = sup * sum_f2
-    return lemmas.LemmaReport(
+    return rendered(lemmas.LemmaReport(
         name="I2_positive", params={"sup_iistar": sup},
         lhs=lhs, rhs=rhs, holds=lhs <= rhs,
         witness=arg, mode=g.mode, seed=seed, extra={"coarse_sup": coarse},
-    )
+    ), g.mode)
 
 
 def verify_inter_fraction(f, g, p, d, seed=None) -> lemmas.LemmaReport:
@@ -653,80 +653,82 @@ def verify_inter_fraction(f, g, p, d, seed=None) -> lemmas.LemmaReport:
         raise ValueError("p must be at least 1")
     delta = max_hardy_up_on(g, support(f))
     lam = max_hardy_up_on(g, support(g) + [""])
-    sum_fp = sum((_pow(v, p) for _, v in items(f)), _zero(f.mode))
+    sum_fp = sum((_pow(v, p) for _, v in items(f)), Fraction(0))
     if sum_fp == 0:
-        return lemmas.LemmaReport(
+        return rendered(lemmas.LemmaReport(
             name="inter", params={"p": p, "delta": delta, "lambda": lam},
-            lhs=_zero(f.mode), rhs=_zero(f.mode), holds=True,
+            lhs=Fraction(0), rhs=Fraction(0), holds=True,
             mode=f.mode, seed=seed, degenerate=True,
-        )
+        ), f.mode)
     table = hardy_up_scalars(f, support(g))
-    sum_ifg_p = sum((_pow(table[n] * v, p) for n, v in items(g)), _zero(g.mode))
+    sum_ifg_p = sum((_pow(table[n] * v, p) for n, v in items(g)), Fraction(0))
     pf = float(p)
     lhs = float(sum_ifg_p) ** (1.0 / pf)
     rhs = float(delta) ** ((pf - 1.0) / pf) * float(lam) ** (1.0 / pf) * float(sum_fp) ** (1.0 / pf)
-    return lemmas.LemmaReport(
+    return rendered(lemmas.LemmaReport(
         name="inter", params={"p": p, "delta": delta, "lambda": lam},
         lhs=lhs, rhs=rhs, holds=lhs <= rhs, mode=FLOAT, seed=seed,
         extra={"sum_ifg_p": sum_ifg_p, "sum_fp": sum_fp,
                "superadditive": is_superadditive_nodes(g, d)[0]},
-    )
+    ), f.mode)
 
 
 def verify_linf_fraction(f, g, d, seed=None) -> lemmas.LemmaReport:
     table = hardy_up_scalars(f, support(g))
-    lhs, arg = _zero(g.mode), None
+    lhs, arg = Fraction(0), None
     for node, v in items(g):
         val = table[node] * v
         if val > lhs:
             lhs, arg = val, node
     sup, sup_arg = sup_iistar_nodes(g, intersection_nodes(g, f))[0]
-    f_max = max((v for _, v in items(f)), default=_zero(f.mode))
+    f_max = max((v for _, v in items(f)), default=Fraction(0))
     rhs = sup * f_max
-    return lemmas.LemmaReport(
+    return rendered(lemmas.LemmaReport(
         name="linf", params={"sup_iistar": sup},
         lhs=lhs, rhs=rhs, holds=lhs <= rhs,
         witness=arg if lhs > rhs else sup_arg, mode=g.mode, seed=seed,
         extra={"increasing": is_increasing_nodes(g, d)[0]},
-    )
+    ), g.mode)
 
 
 def verify_new23_fraction(f, g, p, d, seed=None) -> lemmas.LemmaReport:
     if p < 1:
         raise ValueError("p must be at least 1")
     table = hardy_up_scalars(f, support(g))
-    lhs = sum((_pow(table[n], p) * v for n, v in items(g)), _zero(g.mode))
+    lhs = sum((_pow(table[n], p) * v for n, v in items(g)), Fraction(0))
     (sup, arg), (coarse, _) = sup_iistar_nodes(g, intersection_nodes(g, f), support(g))
-    sum_fp = sum((_pow(v, p) for _, v in items(f)), _zero(f.mode))
+    sum_fp = sum((_pow(v, p) for _, v in items(f)), Fraction(0))
     rhs = sup * sum_fp
-    return lemmas.LemmaReport(
+    exact = _as_int(p) is not None
+    return rendered(lemmas.LemmaReport(
         name="new23", params={"p": p, "sup_iistar": sup},
-        lhs=lhs, rhs=rhs, holds=lemmas._holds(lhs, rhs),
-        witness=arg, mode=g.mode if _as_int(p) is not None else FLOAT, seed=seed,
+        lhs=lhs, rhs=rhs, holds=lhs <= rhs * (1 if exact else 1 + 1e-12),
+        witness=arg, mode=g.mode if exact else FLOAT, seed=seed,
         extra={"coarse_sup": coarse,
                "increasing": is_increasing_nodes(g, d)[0],
                "superadditive": is_superadditive_nodes(g, d)[0]},
-    )
+    ), g.mode)
 
 
 def verify_gest_fraction(g, gamma, p, d, seed=None) -> lemmas.LemmaReport:
     if p <= 1:
         raise ValueError(f"p must exceed 1, got {p}")
-    pre_ok, pre_witness = is_superadditive_nodes(power(g, p - 1), d)
+    if _as_int(p - 1) is None:
+        raise ValueError(f"p - 1 must be integral, got p = {p}")
+    pre_ok, pre_witness = is_superadditive_nodes(power(g, _as_int(p - 1)), d)
     if not pre_ok:
         raise PreconditionError("g^(p-1) is not superadditive", pre_witness)
     lam = max_hardy_up_on(g, support(g))
-    lhs = sum((_pow(v, p) for n, v in items(g) if contains(gamma, n)), _zero(g.mode))
+    lhs = sum((_pow(v, p) for n, v in items(g) if contains(gamma, n)), Fraction(0))
     rhs = lam * _pow(get(g, gamma), p - 1)
-    holds = lemmas._holds(lhs, rhs)
-    return lemmas.LemmaReport(
+    holds = lhs <= rhs
+    return rendered(lemmas.LemmaReport(
         name="gest", params={"p": p, "lambda": lam, "gamma": gamma},
         lhs=lhs, rhs=rhs, holds=holds,
         witness=None if holds else gamma,
-        mode=g.mode if _as_int(p) is not None else FLOAT, seed=seed,
+        mode=g.mode, seed=seed,
         degenerate=rhs == 0 and lhs > 0,
-        extra={"power_superadditive": pre_ok},
-    )
+    ), g.mode)
 
 
 # The phi construction over scalar dicts: the oracles for the heap
@@ -735,7 +737,7 @@ def verify_gest_fraction(g, gamma, p, d, seed=None) -> lemmas.LemmaReport:
 def phi_instance_dict(rng: random.Random, d: TreeDomain, mode: str = EXACT):
     """The phi trial's w, g, f, lambda and delta, drawn as the trial draws
     them through the stdlib, with w on every node of d and I(wg) swept over
-    a dict of scalars and ranked as scalars."""
+    a dict of Fractions and ranked as Fractions."""
     g = random_superadditive_fraction(rng, d, mode=mode)
     nodes = tree_nodes_bfs(d.levels)
     w = random_quarter_weight(rng, nodes, mode)[0]
@@ -761,6 +763,8 @@ def build_phi_dict(
         raise PreconditionError("g is not superadditive", witness)
     if lam < 4 * delta:
         raise PreconditionError(f"lambda >= 4*delta required (lambda={lam}, delta={delta})")
+    params = {"lambda": lam, "delta": delta}
+    lam, delta = Fraction(lam), Fraction(delta)
     wf = w.mul(f)
     check_nodes = tree_nodes_bfs(d.levels)
     iwg = hardy_up_scalars(w.mul(g), set(check_nodes) | set(support(f)) | set(support(g)))
@@ -769,7 +773,7 @@ def build_phi_dict(
             raise PreconditionError("supp f must lie inside {I(wg) <= delta}", node)
 
     iwf = hardy_up_scalars(wf, check_nodes)
-    inv_lam = Fraction(1, 1) / lam if g.mode == EXACT else 1.0 / float(lam)
+    inv_lam = 1 / lam
     two_lam, half_lam = 2 * lam, lam / 2
     phi_entries = {}
     for node, gv in items(g):
@@ -781,8 +785,6 @@ def build_phi_dict(
 
     iwphi = hardy_up_scalars(w.mul(phi), check_nodes)
     lower = lemmas.PHI_LOWER_CONST  # read at call time, so a test may patch it
-    if g.mode != EXACT:
-        lower = float(lower)
     a_ok, a_witness = True, None
     worst_a = None
     for node in check_nodes:
@@ -794,13 +796,12 @@ def build_phi_dict(
             if r < lower:
                 a_ok, a_witness = False, node
 
-    sum_wphi2 = sum((get(w, n) * v * v for n, v in items(phi)), _zero(g.mode))
-    sum_wf2 = sum((get(w, n) * v * v for n, v in items(f)), _zero(g.mode))
+    sum_wphi2 = sum((get(w, n) * v * v for n, v in items(phi)), Fraction(0))
+    sum_wf2 = sum((get(w, n) * v * v for n, v in items(f)), Fraction(0))
     b_rhs = lemmas.PHI_ENERGY_CONST * delta * sum_wf2 / lam
     b_ok = sum_wphi2 <= b_rhs
     report = lemmas.LemmaReport(
-        name="build_phi",
-        params={"lambda": lam, "delta": delta},
+        name="build_phi", params=params,
         lhs=sum_wphi2, rhs=b_rhs, holds=a_ok and b_ok,
         witness=a_witness, mode=g.mode, seed=seed,
         extra={
@@ -811,7 +812,7 @@ def build_phi_dict(
             "energy_const": lemmas.PHI_ENERGY_CONST,
         },
     )
-    return phi, report
+    return phi, rendered(report, g.mode, keep=("lower_const",))
 
 
 # The generators as the stdlib's randint, randrange and choice draw them,
@@ -901,18 +902,17 @@ def random_special_form_measure_stdlib(
 
 
 def special_form_g_fraction(m: tuple[dict[tuple[str, str], int], int], beta: str,
-                            p: Scalar) -> SparseFn:
-    """structure.special_form_g over Fraction masses, each exact
-    term a Fraction power."""
-    # q - 1 = 1/(p - 1) for q = p/(p - 1); the float form as the construction rounds it
-    e = 1 / (Fraction(p) - 1) if isinstance(p, (int, Fraction)) else p / (p - 1.0) - 1
-    e_int = _as_int(e)
-    out: dict[str, Scalar] = {}
+                            p: Scalar, mode: str = EXACT) -> SparseFn:
+    """structure.special_form_g over Fraction masses, each term a Fraction
+    power."""
+    e = _as_int(1 / (Fraction(p) - 1))  # q - 1 = 1/(p - 1) for q = p/(p - 1)
+    if e is None:
+        raise ValueError(f"q - 1 = 1/(p - 1) must be integral, got p = {p}")
+    out: dict[str, Fraction] = {}
     for (x, y), v in fraction_masses(m).items():
         if beta.startswith(y):
-            term = v ** e_int if e_int is not None else float(v) ** float(e)
-            out[x] = out.get(x, 0) + term
-    return fn(out, EXACT if e_int is not None else FLOAT)
+            out[x] = out.get(x, 0) + v ** e
+    return fn(out, mode)
 
 
 
@@ -961,8 +961,7 @@ def is_superadditive_nodes(g: SparseFn, d: TreeDomain) -> tuple[bool, Optional[s
         if node:
             parents.add(node[:-1])
     for beta in sorted(parents, key=lambda n: (len(n), n)):
-        child_sum = get(g, beta + "0") + get(g, beta + "1")
-        if get(g, beta) < child_sum - _tol_for(g.mode, child_sum):
+        if get(g, beta) < get(g, beta + "0") + get(g, beta + "1"):
             return False, beta
     return True, None
 
@@ -973,8 +972,7 @@ def is_increasing_nodes(g: SparseFn, d: TreeDomain) -> tuple[bool, Optional[str]
         d.require([node])
         if not node:
             continue
-        v = get(g, node)
-        if get(g, node[:-1]) < v - _tol_for(g.mode, v):
+        if get(g, node[:-1]) < get(g, node):
             return False, node
     return True, None
 
@@ -1013,12 +1011,12 @@ def _random_f_paths(rng: random.Random, depth: int, g_paths: list[str]) -> dict[
 
 def _fast_new23_ratio(gv: dict[str, float], fv: dict[str, float], p: float):
     """(lhs, rhs) of the power-sum inequality on plain path dicts."""
-    i_f = _up_paths(fv, gv, 0.0)
+    i_f = _up_paths(fv, gv)
     lhs = sum(i_f[path] ** p * val for path, val in gv.items())
     inter = gv.keys() & fv.keys()
     if not inter:
         return lhs, 0.0
-    iistar = _up_paths(_down_paths(gv, 0.0), inter, 0.0)
+    iistar = _up_paths(_down_paths(gv), inter)
     sup = max(iistar[b] for b in inter)
     rhs = sup * sum(v ** p for v in fv.values())
     return lhs, rhs

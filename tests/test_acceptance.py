@@ -7,7 +7,6 @@ closed forms / certified solves and pinned here.
 import random
 from fractions import Fraction
 
-from cxlab.trees import TreeDomain
 from cxlab.lemmas import verify_inter
 from cxlab.counterexamples import (
     gen_cex_direct,

@@ -318,6 +318,16 @@ class TestSearchNew23:
             assert r.holds
             assert r.ratio is None or float(r.ratio) <= 1 + 1e-9
 
+    def test_p2_tie_decided_exactly(self):
+        # the best trial of this run has equal exact sides: the report reads
+        # ratio 1.0 and holds, not a last-bit rounding of two float sums
+        r = search_new23(2, 10, 2000, seed=3)
+        gv, fv, _ = _trial(cex, 3, r.params["best_trial"], 10)
+        exact = verify_new23(fn(fv), fn(gv), 2, TreeDomain(11))
+        assert exact.lhs == exact.rhs and exact.holds
+        assert (r.lhs, r.rhs, r.ratio, r.holds, r.mode) == \
+            (float(exact.lhs), float(exact.rhs), 1.0, True, "float")
+
     def test_p4_finds_violation(self):
         r = search_new23(4, 10, 2000, seed=7)
         assert float(r.ratio) > 1

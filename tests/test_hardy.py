@@ -52,8 +52,8 @@ class TestHardyTree:
 
     @pytest.mark.parametrize("mode", [EXACT, FLOAT])
     def test_table_matches_pointwise(self, mode):
-        # sweep values keyed by path, one entry per distinct requested node:
-        # ints over f's denominator in exact mode, floats in float
+        # int numerators over f's denominator keyed by path, one entry per
+        # distinct requested node, in both modes
         d = TreeDomain(7)
         rng = random.Random(2)
         f = randgen.random_sparse(rng, d, max_support=20, mode=mode)
@@ -64,8 +64,8 @@ class TestHardyTree:
         den = f.den
         for a in nodes:
             v = table[a]
-            assert type(v) is (int if mode == EXACT else float)
-            assert (Fraction(v, den) if mode == EXACT else v) == eval_hardy_up(f, a)
+            assert type(v) is int
+            assert Fraction(v, den) == eval_hardy_up(f, a)
 
     @pytest.mark.parametrize("mode", [EXACT, FLOAT])
     def test_heap_sweep_matches_pointwise(self, mode):
@@ -79,13 +79,12 @@ class TestHardyTree:
                 assert len(up) == 2 ** levels
                 _up_heap(up)
                 for k, a in enumerate(tree_nodes_bfs(levels), start=1):
-                    v = Fraction(up[k], den) if mode == EXACT else up[k]
-                    assert type(v) is type(eval_hardy_up(f, a))
-                    assert v == eval_hardy_up(f, a)
+                    assert type(up[k]) is int
+                    assert Fraction(up[k], den) == eval_hardy_up(f, a)
 
     def test_heap_sweep_rounds_as_table(self):
-        # non-dyadic floats on every node: each sum rounds, and the heap
-        # sweep takes the roundings of the root-first dict sweep
+        # non-dyadic floats on every node, at their binary values: the heap
+        # sweep and the root-first dict sweep give the same int sums
         rng = random.Random(7)
         d = TreeDomain(9)
         nodes = tree_nodes_bfs(d.levels)

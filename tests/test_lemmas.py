@@ -62,12 +62,12 @@ def _typed(v):
 
 
 def _outcome(verifier, *args, **kwargs):
-    """The typed to_dict() of a verifier's report, or the precondition it
-    raised."""
+    """The typed to_dict() of a verifier's report, or the type and message
+    of the ValueError (a failed precondition included) it raised."""
     try:
         report = verifier(*args, **kwargs)
-    except PreconditionError as exc:
-        return "PreconditionError", str(exc)
+    except ValueError as exc:
+        return type(exc).__name__, str(exc)
     return _typed((report[1] if isinstance(report, tuple) else report).to_dict())
 
 
@@ -196,13 +196,14 @@ class TestSupRefinements:
 
     def test_exact_sweeps_run_on_ints(self, monkeypatch):
         # every If table and II*g sweep the verifiers take runs through
-        # hardy's module attributes, on ints, and hands them ints
+        # hardy's module attributes, on ints, and hands them ints, in both
+        # modes
         seen = {"_up_paths": [], "_down_paths": []}
         calls = {"_up_paths": 0, "_down_paths": 0}
         for name in seen:
             def spy(values, *args, _name=name, _fn=getattr(hardy, name)):
                 calls[_name] += 1
-                seen[_name].extend(type(v) for v in (*values.values(), args[-1]))
+                seen[_name].extend(type(v) for v in values.values())
                 return _fn(values, *args)
             monkeypatch.setattr(hardy, name, spy)
         tables, iistar = [], []
@@ -218,7 +219,8 @@ class TestSupRefinements:
         monkeypatch.setattr(lemmas, "hardy_up_table", table_spy)
         monkeypatch.setattr(lemmas, "_iistar_paths", iistar_spy)
         for suite in ("l1linf", "i2pos", "inter", "linf", "new23", "gest"):
-            experiments.run_verify_suite(suite, trials=20, depth=8, seed=1, mode=EXACT)
+            for mode in (EXACT, FLOAT):
+                experiments.run_verify_suite(suite, trials=20, depth=8, seed=1, mode=mode)
         assert len(seen["_up_paths"]) > 200 and len(seen["_down_paths"]) > 200
         assert set(seen["_up_paths"]) == set(seen["_down_paths"]) == {int}
         # one _up_paths sweep per table and per II*g, one _down_paths per II*g
@@ -369,7 +371,7 @@ class TestBuildPhi:
     def test_rejects_mixed_modes(self):
         d, w, g, f, lam, delta, _ = self._instance()
         with pytest.raises(ValueError, match="mode"):
-            build_phi(w.to_float(), g, f, lam, delta, d)
+            build_phi(SparseFn(w.values, w.den, FLOAT), g, f, lam, delta, d)
 
     def test_exact_mode_reads_a_float_delta_at_its_binary_value(self):
         # the instance's delta is dyadic, so its float is the same number
@@ -495,10 +497,12 @@ class TestBuildPhi:
         for seed in range(30):
             d, w, g, f, lam, delta, _ = self._instance(levels=6, seed=seed, mode=mode)
             monkeypatch.setattr(lemmas, "PHI_LOWER_CONST", PHI_LOWER_CONST)
-            worst = build_phi(w, g, f, lam, delta, d)[1].extra["worst_lower_ratio"]
+            # the exact least ratio, which float mode reports rounded
+            exact = self._instance(levels=6, seed=seed)[1:6]
+            worst = build_phi(*exact, d)[1].extra["worst_lower_ratio"]
             if worst is None:
                 continue
-            monkeypatch.setattr(lemmas, "PHI_LOWER_CONST", Fraction(worst))
+            monkeypatch.setattr(lemmas, "PHI_LOWER_CONST", worst)
             report = build_phi(w, g, f, lam, delta, d)[1]
             assert report.extra["lower_check_ok"]
             assert report.to_dict() == build_phi_dict(w, g, f, lam, delta, d)[1].to_dict()
@@ -703,37 +707,52 @@ class TestFractionOracles:
             assert max(oracle_built[name]) > 10, (name, oracle_built[name])
 
 
+class TestFloatModeRendersExact:
+    """Float mode decides on the exact numerators and only renders: a float
+    report is the exact report of the same trial, each Fraction value the
+    correctly rounded float, the ratio that of the exact ratio."""
+
+    @staticmethod
+    def _rendered(exact, value, key):
+        """The float report's value for an exact one: the float of a
+        Fraction, except phi's constant lower_const; anything else as is."""
+        if isinstance(exact, Fraction) and key != "lower_const":
+            return float, float(exact)
+        return type(exact), exact
+
+    @pytest.mark.parametrize("suite", experiments.VERIFY_NAMES)
+    def test_float_report_is_the_exact_one_rendered(self, suite):
+        seeds = [*range(200), *((773, 1447, 3087) if suite == "inter" else ())]
+        for seed in seeds:
+            (exact,) = experiments.run_verify_suite(suite, 1, 8, seed, EXACT)
+            (rendered,) = experiments.run_verify_suite(suite, 1, 8, seed, FLOAT)
+            assert (rendered.holds, rendered.degenerate, rendered.witness) == \
+                (exact.holds, exact.degenerate, exact.witness), seed
+            pairs = [(exact.lhs, rendered.lhs, "lhs"), (exact.rhs, rendered.rhs, "rhs"),
+                     (exact.ratio, rendered.ratio, "ratio")]
+            for part in ("params", "extra"):
+                want, got = getattr(exact, part), getattr(rendered, part)
+                assert list(got) == list(want)
+                pairs += [(want[k], got[k], k) for k in want]
+            for want, got, key in pairs:
+                assert (type(got), got) == self._rendered(want, got, key), (seed, key)
+
+
 class TestValueForm:
     """What the one value form of a tree function buys: no Fraction per
     drawn node, and a kept denominator that never shows."""
 
     @pytest.mark.parametrize("suite", experiments.VERIFY_NAMES)
     def test_whole_trials_build_no_value_per_drawn_node(self, suite):
-        # generation included: a Fraction for each value a report carries,
-        # at most 5 in a sparse suite; phi's report carries lambda, delta,
-        # both sides, the worst ratio and its constants, and its trial
-        # builds delta and lambda before the report
-        bound = 10 if suite == "phi" else 5
-        fraction_codes = _fraction_codes()
-        count = 0
-
-        def profile(frame, event, arg):
-            nonlocal count
-            if event == "call" and frame.f_code in fraction_codes:
-                count += 1
-
-        per_trial = []
-        for i in range(20):
-            count = 0
-            old = sys.getprofile()
-            sys.setprofile(profile)
-            try:
-                experiments.run_verify_suite(suite, trials=1, depth=8, seed=900 + i, mode=EXACT)
-            finally:
-                sys.setprofile(old)
-            per_trial.append(count)
-        assert max(per_trial) <= bound, per_trial
-        assert sum(per_trial) > 0
+        # generation included: in exact mode a Fraction for each value a
+        # report carries, at most 5 (phi's trial also builds delta and
+        # lambda); float mode renders by int division and builds none but
+        # phi's delta and lambda
+        for mode, bound in ((EXACT, 5), (FLOAT, 3 if suite == "phi" else 0)):
+            per_trial = [_count_fractions(experiments.run_verify_suite,
+                                          suite, 1, 8, 900 + i, mode)[1] for i in range(20)]
+            assert max(per_trial) <= bound, (mode, per_trial)
+            assert sum(per_trial) > 0 or mode == FLOAT
 
     @staticmethod
     def _rebuilt(arg):
@@ -770,4 +789,6 @@ class TestValueForm:
             assert items(rebuild(f, 3).mul(rebuild(g, 3))) == items(f.mul(g))
         for f in drawn:
             want = {path: float(Fraction(v, f.den)) for path, v in f.values.items()}
-            assert f.to_float().values == rebuild(f, 3).to_float().values == want
+            for h in (f, rebuild(f, 3)):
+                assert {path: lemmas._value(v, h.den, FLOAT)
+                        for path, v in h.values.items()} == want

@@ -1,5 +1,5 @@
 """Every function and method in src/cxlab is entered by some command, and
-every name a module imports is used there.
+every name a module of src/cxlab or of the tests imports is used there.
 
 A short fixed list of CLI commands runs in a fresh interpreter (the parser
 is cached per process) under sys.setprofile, in a temporary working
@@ -19,6 +19,7 @@ from pathlib import Path
 import cxlab
 
 SRC = Path(cxlab.__file__).resolve().parent
+TESTS = Path(__file__).resolve().parent
 
 _SUITES = ("l1linf", "i2pos", "phi", "inter", "linf", "new23", "gest")
 COMMANDS = [
@@ -127,9 +128,10 @@ def test_unused_imports_are_found():
 
 def test_every_imported_name_is_used():
     unused = []
-    for path in sorted(SRC.glob("*.py")):
-        if path.stem == "__init__":
+    for path in [*sorted(SRC.glob("*.py")), *sorted(TESTS.glob("*.py"))]:
+        if path == SRC / "__init__.py":
             continue
-        unused += [f"{path.stem}.{name}" for name in _unused_imports(ast.parse(path.read_text()))
+        unused += [f"{path.parent.name}/{path.stem}.{name}"
+                   for name in _unused_imports(ast.parse(path.read_text()))
                    if (path.stem, name) not in _UNUSED_IMPORT_EXEMPT]
-    assert unused == [], f"imported in src/cxlab but never used: {unused}"
+    assert unused == [], f"imported but never used: {unused}"

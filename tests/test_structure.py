@@ -5,14 +5,13 @@ import pytest
 
 from cxlab.trees import EXACT, FLOAT, TreeDomain
 from cxlab.structure import (
-    FLOAT_REL_TOL,
     check_power_superadditive,
     is_increasing,
     is_superadditive,
     special_form_g,
 )
 from cxlab.hardy import rectangle_mass_fn
-from cxlab import randgen
+from cxlab import lemmas, randgen
 
 from helpers import (
     build_cex_p_less_2_functions,
@@ -105,20 +104,21 @@ class TestPredicatesMatchNodeOracles:
             seen.add(want[0])
         assert seen == {True, False}
 
-    @pytest.mark.parametrize("scale", [1.0, 1e3])
-    @pytest.mark.parametrize("rel, holds", [(0.9, True), (1.1, False)])
-    def test_floats_at_the_tolerance(self, predicate, oracle, scale, rel, holds):
-        # the children (or the child) exceed the parent by rel tolerances
+    @pytest.mark.parametrize("mode", [EXACT, FLOAT])
+    def test_decided_exactly_at_equality(self, predicate, oracle, mode):
+        # an equality holds, and an excess of 2^-60 fails, in both modes:
+        # no tolerance
         d = TreeDomain(3)
-        excess = rel * FLOAT_REL_TOL * scale
-        if predicate is is_superadditive:
-            entries = {"": scale, "0": scale / 2, "1": scale / 2 + excess}
-        else:
-            entries = {"": scale, "1": scale + excess}
-        g = fn(entries, FLOAT)
-        want = (True, None) if holds else (False, "" if predicate is is_superadditive else "1")
-        assert oracle(g, d) == want
-        assert predicate(g, d) == want
+        for excess, want in ((0, (True, None)),
+                             (Fraction(1, 2 ** 60),
+                              (False, "" if predicate is is_superadditive else "1"))):
+            if predicate is is_superadditive:
+                entries = {"": 1, "0": Fraction(1, 2), "1": Fraction(1, 2) + excess}
+            else:
+                entries = {"": 1, "1": 1 + excess}
+            g = fn(entries, mode)
+            assert oracle(g, d) == want
+            assert predicate(g, d) == want
 
     @pytest.mark.parametrize("values", [
         {"00000": 1},
@@ -140,13 +140,16 @@ class TestPredicatesMatchNodeOracles:
 class TestSpecialForm:
     def test_conjugate_exponent(self):
         # one atom of mass 1/4 covering beta: g = (1/4)^(q-1) on its x-ancestors,
-        # q = p/(p-1); exact wherever q - 1 is integral
+        # q = p/(p-1), q - 1 integral; a non-integral q - 1 is refused
         m = {("", ""): 1}, 4
         for p, want in ((2, Fraction(1, 4)), (Fraction(3, 2), Fraction(1, 16)),
-                        (1.5, Fraction(1, 16)), (3, 0.5), (Fraction(4, 3), Fraction(1, 64))):
-            g = special_form_g(m, "", p)
-            assert [(n, type(v), v) for n, v in items(g)] == [("", type(want), want)], p
-            assert g.mode == (FLOAT if isinstance(want, float) else EXACT)
+                        (1.5, Fraction(1, 16)), (Fraction(4, 3), Fraction(1, 64))):
+            for mode in (EXACT, FLOAT):
+                g = special_form_g(m, "", p, mode)
+                assert (items(g), g.mode) == ([("", want)], mode), p
+        for p in (3, 2.5, Fraction(5, 3)):
+            with pytest.raises(ValueError, match="must be integral"):
+                special_form_g(m, "", p)
 
     @pytest.mark.parametrize("p", [1, Fraction(1, 2), 0.5])
     def test_p_must_exceed_one(self, p):
@@ -173,15 +176,15 @@ class TestSpecialForm:
             ok, witness = check_power_superadditive(g, d, 2)
             assert ok, f"violated at {witness}"
 
-    def test_minkowski_superadditivity_p3_float(self):
+    def test_non_integral_power_refused(self):
+        # g^(p-1) is checked on int numerators only
         d = TreeDomain(5)
-        rng = random.Random(22)
-        for _ in range(100):
-            m = randgen.random_special_form_measure(rng, 5, 5)
-            beta = min(y for _, y in m[0])
-            g = special_form_g(m, beta, 3)
-            ok, witness = check_power_superadditive(g, d, 3)
-            assert ok, f"violated at {witness}"
+        m = randgen.random_special_form_measure(random.Random(22), 5, 5)
+        g = special_form_g(m, min(y for _, y in m[0]), 2)
+        assert check_power_superadditive(g, d, 3)[0] in (True, False)
+        for p in (1.5, Fraction(5, 2)):
+            with pytest.raises(ValueError, match="p - 1 must be integral"):
+                check_power_superadditive(g, d, p)
 
     def test_single_path_property(self):
         # with all atoms on one x-path the power inequality is an equality chain
@@ -196,7 +199,8 @@ class TestSpecialForm:
 
     def test_float_form_is_the_float_of_the_exact_one(self):
         # g is exact at integral q - 1, whatever denominator the masses keep;
-        # its float form, as the float gest trial takes it, rounds each value once
+        # its float form, as the float gest trial takes it, holds the same
+        # numerators and renders each value rounded once
         atoms = random_atoms_stdlib(random.Random(23), 6, 6)
         sums, den = rectangle_mass_fn(atoms)
         beta = max((y for _, y in sums), key=lambda y: (len(y), y))
@@ -205,5 +209,8 @@ class TestSpecialForm:
         assert len(atoms) > 1 and len(g) > 1
         assert g.mode == EXACT and {type(v) for _, v in items(g)} == {Fraction}
         assert items(g3) == items(g)
-        assert [(n, type(v), v) for n, v in items(g.to_float())] == \
+        g_float = special_form_g((sums, den), beta, 2, FLOAT)
+        assert (g_float.mode, g_float.values, g_float.den) == (FLOAT, g.values, g.den)
+        assert [(n, type(v), v) for n, v in g_float.values.items()
+                for v in [lemmas._value(v, g_float.den, FLOAT)]] == \
             [(n, float, float(v)) for n, v in items(g)]
