@@ -215,16 +215,17 @@ def build_phi(
     ok, witness = is_superadditive(g, d)
     if not ok:
         raise PreconditionError("g is not superadditive", witness)
-    if lam < 4 * delta:
+    # delta = a/b and lambda = c/e, each over a positive denominator
+    a, b = delta.as_integer_ratio()
+    c, e = lam.as_integer_ratio()
+    if c * b < 4 * a * e:
         raise PreconditionError(f"lambda >= 4*delta required (lambda={lam}, delta={delta})")
-    phi, a_ok, a_witness, worst_a = _phi_heap(w, g, f, lam, delta, d, iwg)
+    phi, a_ok, a_witness, worst_a = _phi_heap(w, g, f, (a, b), (c, e), d, iwg)
 
     # check (b) over one denominator: sum w phi^2 = wphi2 / den_phi and
     # 2 delta sum w f^2 / lambda = 2 (a/b) (wf2 / den_f) / (c/e)
     wphi2, den_phi = _weighted_square_sum(w, phi)
     wf2, den_f = _weighted_square_sum(w, f)
-    a, b = delta.as_integer_ratio()
-    c, e = lam.as_integer_ratio()
     lhs = wphi2 * b * c * den_f
     rhs = PHI_ENERGY_CONST * a * e * wf2 * den_phi
     b_ok = lhs <= rhs
@@ -254,9 +255,10 @@ def _weighted_square_sum(w: SparseFn, fn: SparseFn) -> tuple[int, int]:
             w.den * fn.den * fn.den)
 
 
-def _phi_heap(w, g, f, lam, delta, d, iwg):
+def _phi_heap(w, g, f, delta, lam, d, iwg):
     """phi and check (a) over every node of d: phi, whether check (a)
     holds, its last failing node in heap order and its least ratio.
+    delta and lam are (numerator, denominator) pairs.
 
     Each I is one _up_heap sweep of int numerators, each table over its own
     denominator.  A threshold t = a/b is read as floor(t den) = a den // b,
@@ -270,9 +272,8 @@ def _phi_heap(w, g, f, lam, delta, d, iwg):
     elif len(iwg[0]) != size:
         raise ValueError(f"iwg holds {len(iwg[0])} heap entries, the domain needs {size}")
     up_wg, den_wg = iwg
-    a, b = delta.as_integer_ratio()
+    (a, b), (c, e) = delta, lam
     delta_t = a * den_wg // b
-    c, e = lam.as_integer_ratio()
     half_t, two_t = c * den_wg // (2 * e), 2 * c * den_wg // e
     d.require(f.values)
     for path in f.values:

@@ -745,10 +745,9 @@ class TestValueForm:
     @pytest.mark.parametrize("suite", experiments.VERIFY_NAMES)
     def test_whole_trials_build_no_value_per_drawn_node(self, suite):
         # generation included: in exact mode a Fraction for each value a
-        # report carries, at most 5 (phi's trial also builds delta and
-        # lambda); float mode renders by int division and builds none but
-        # phi's delta and lambda
-        for mode, bound in ((EXACT, 5), (FLOAT, 3 if suite == "phi" else 0)):
+        # report carries, at most 5; float mode renders by int division and
+        # builds none but phi's delta and lambda, which its trial draws
+        for mode, bound in ((EXACT, 5), (FLOAT, 2 if suite == "phi" else 0)):
             per_trial = [_count_fractions(experiments.run_verify_suite,
                                           suite, 1, 8, 900 + i, mode)[1] for i in range(20)]
             assert max(per_trial) <= bound, (mode, per_trial)
