@@ -16,8 +16,8 @@ import json
 import sys
 from pathlib import Path
 
-from .trees import EXACT, FLOAT, PreconditionError, ResourceError
-from .lemmas import scalar_repr
+from .trees import PreconditionError, ResourceError
+from .lemmas import EXACT, FLOAT, scalar_repr
 from . import capacity as cap
 from . import experiments
 

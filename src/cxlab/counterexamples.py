@@ -23,8 +23,6 @@ from fractions import Fraction
 from typing import Callable, Iterator, Optional
 
 from .trees import (
-    EXACT,
-    FLOAT,
     ResourceError,
     Scalar,
     SparseFn,
@@ -35,7 +33,7 @@ from .trees import (
 # hardy_up_table is not called here; the binding stays because the bench's
 # self-test checks that its tracer wraps it in this module too.
 from .hardy import hardy_up_table  # noqa: F401
-from .lemmas import LemmaReport, verify_new23
+from .lemmas import EXACT, FLOAT, LemmaReport, scalar_repr, verify_new23
 from .randgen import _below, _random_bits
 
 _MAX_CEX_K = 8          # the p<2 sums take ~4^k terms
@@ -214,7 +212,6 @@ class AuditStep:
     note: str = ""
 
     def to_dict(self) -> dict:
-        from .lemmas import scalar_repr
         return {"step": self.step, "lhs": scalar_repr(self.lhs),
                 "rhs": scalar_repr(self.rhs), "ok": self.ok, "note": self.note}
 
@@ -240,7 +237,6 @@ class VariantAudit:
         return None
 
     def to_dict(self) -> dict:
-        from .lemmas import scalar_repr
         return {
             "variant": self.variant, "N": self.N, "p": scalar_repr(self.p),
             "total_ifp_g": scalar_repr(self.total_ifp_g),
@@ -460,12 +456,12 @@ def _fast_new23_ratio(gv: dict[str, float], fv: dict[str, float], p: float):
 
 
 def _dyadic_fn(values: dict[str, float]) -> SparseFn:
-    """The float-mode function of the given float values, each exactly: int
-    numerators over the one power of two the finest value needs.  A draw of
-    0.0 (rand() can return it) leaves the support."""
+    """The function of the given float values, each exactly: int numerators
+    over the one power of two the finest value needs.  A draw of 0.0
+    (rand() can return it) leaves the support."""
     ratios = {path: v.as_integer_ratio() for path, v in values.items() if v}
     den = max((b for _, b in ratios.values()), default=1)
-    return SparseFn({path: a * (den // b) for path, (a, b) in ratios.items()}, den, FLOAT)
+    return SparseFn({path: a * (den // b) for path, (a, b) in ratios.items()}, den)
 
 
 def search_new23(p: Scalar, depth: int, budget: int, seed: int) -> LemmaReport:
@@ -506,7 +502,7 @@ def search_new23(p: Scalar, depth: int, budget: int, seed: int) -> LemmaReport:
     gv = _random_increasing_paths(rng, depth, cap=12)
     fv = _random_f_paths(rng, depth, list(gv))
     d = TreeDomain(depth + 1)
-    report = verify_new23(_dyadic_fn(fv), _dyadic_fn(gv), float(p), d, seed=seed)
+    report = verify_new23(_dyadic_fn(fv), _dyadic_fn(gv), float(p), d, seed=seed, mode=FLOAT)
     report.name = "search_new23"
     report.params.update({"depth": depth, "budget": budget, "best_trial": best_trial,
                           "best_fast_ratio": best_ratio})

@@ -24,10 +24,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from .trees import EXACT, FLOAT, ResourceError, Scalar, SparseFn, TreeDomain
+from .trees import ResourceError, Scalar, SparseFn, TreeDomain
 from .structure import special_form_g
 from .hardy import _heap_values, _up_heap
 from .lemmas import (
+    EXACT,
+    FLOAT,
     LemmaReport,
     build_phi,
     scalar_repr,
@@ -53,19 +55,19 @@ def _pick(rng: random.Random, paths) -> str:
 
 
 def _trial_l1linf(rng, d, mode, seed) -> LemmaReport:
-    g = randgen.random_superadditive(rng, d, mode=mode)
-    h = randgen.random_sparse(rng, d, mode=mode)
+    g = randgen.random_superadditive(rng, d)
+    h = randgen.random_sparse(rng, d)
     gamma = _pick(rng, g.values)
-    return verify_supadditive_l1linf(g, h, gamma, d, seed=seed)
+    return verify_supadditive_l1linf(g, h, gamma, d, seed=seed, mode=mode)
 
 
 def _trial_i2pos(rng, d, mode, seed) -> LemmaReport:
-    f = randgen.random_sparse(rng, d, mode=mode)
-    g = randgen.random_sparse(rng, d, mode=mode)
-    return verify_I2_positive(f, g, d, seed=seed)
+    f = randgen.random_sparse(rng, d)
+    g = randgen.random_sparse(rng, d)
+    return verify_I2_positive(f, g, d, seed=seed, mode=mode)
 
 
-def _phi_instance(rng, d, mode):
+def _phi_instance(rng, d):
     """The phi trial's instance: w, g, f, lambda, delta, and I(wg) at every
     node of d as a heap list and the denominator of its entries.
 
@@ -77,7 +79,7 @@ def _phi_instance(rng, d, mode):
     levels raises ResourceError before any draw.
     """
     d.require_enumerable()
-    g = randgen.random_superadditive(rng, d, mode=mode)
+    g = randgen.random_superadditive(rng, d)
     quarters = randgen.random_quarters(rng, d.node_count)
     up, den = _heap_values(g, d)
     up[1:] = [q * v for q, v in zip(quarters, up[1:])]
@@ -96,44 +98,44 @@ def _phi_instance(rng, d, mode):
         num = _below(bits, 17)
         if num:
             draws[bin(k)[3:]] = num
-    f = SparseFn(draws, 16, mode)
+    f = SparseFn(draws, 16)
     w = SparseFn({path: quarters[int("1" + path, 2) - 1]
-                  for path in itertools.chain(g.values, f.values)}, 4, mode)
+                  for path in itertools.chain(g.values, f.values)}, 4)
     return w, g, f, lam, delta, (up, den)
 
 
 def _trial_phi(rng, d, mode, seed) -> LemmaReport:
-    w, g, f, lam, delta, iwg = _phi_instance(rng, d, mode)
-    _, report = build_phi(w, g, f, lam, delta, d, seed=seed, iwg=iwg)
+    w, g, f, lam, delta, iwg = _phi_instance(rng, d)
+    _, report = build_phi(w, g, f, lam, delta, d, seed=seed, mode=mode, iwg=iwg)
     return report
 
 
 def _trial_inter(rng, d, mode, seed) -> LemmaReport:
-    g = randgen.random_superadditive(rng, d, mode=mode)
-    f = randgen.random_sparse(rng, d, mode=mode)
-    return verify_inter(f, g, 2, d, seed=seed)
+    g = randgen.random_superadditive(rng, d)
+    f = randgen.random_sparse(rng, d)
+    return verify_inter(f, g, 2, d, seed=seed, mode=mode)
 
 
 def _trial_linf(rng, d, mode, seed) -> LemmaReport:
-    g = randgen.random_increasing(rng, d, mode=mode)
-    f = randgen.random_sparse(rng, d, mode=mode)
-    return verify_linf(f, g, d, seed=seed)
+    g = randgen.random_increasing(rng, d)
+    f = randgen.random_sparse(rng, d)
+    return verify_linf(f, g, d, seed=seed, mode=mode)
 
 
 def _trial_new23(rng, d, mode, seed) -> LemmaReport:
-    g = randgen.random_increasing(rng, d, mode=mode)
-    f = randgen.random_sparse(rng, d, mode=mode)
+    g = randgen.random_increasing(rng, d)
+    f = randgen.random_sparse(rng, d)
     p = _NEW23_PS[_below(rng.getrandbits, len(_NEW23_PS))]
-    return verify_new23(f, g, p, d, seed=seed)
+    return verify_new23(f, g, p, d, seed=seed, mode=mode)
 
 
 def _trial_gest(rng, d, mode, seed) -> LemmaReport:
     levels = min(d.levels, 6)
     m = randgen.random_special_form_measure(rng, levels, levels)
     beta = _pick(rng, (y for _, y in m[0]))
-    g = special_form_g(m, beta, 2, mode)
+    g = special_form_g(m, beta, 2)
     gamma = _pick(rng, g.values)
-    return verify_gest(g, gamma, 2, d, seed=seed)
+    return verify_gest(g, gamma, 2, d, seed=seed, mode=mode)
 
 
 _TRIALS: dict[str, Callable] = {

@@ -10,7 +10,7 @@ supp g (in support order), and II*g is the one fed into the other.  On a
 whole enumerated tree _up_heap gives If at every node of a list in heap
 order (node (depth, bits) at (1 << depth) | bits), one add per node.  Every
 sweep runs on a SparseFn's int numerators and hands out int numerators over
-the function's den, in both modes.  So hardy_up_table, the If table the
+the function's den.  So hardy_up_table, the If table the
 verifiers read, builds no Fraction; its caller renders only a value it
 reports.  On the bi-tree, kernel counts the common ancestors of two
 rectangles as (lcp_x + 1)(lcp_y + 1), never by materializing ancestor

@@ -7,14 +7,15 @@ are always computed as the least admissible values from the instance, which
 makes reports canonical and comparable across instance sizes.
 
 The verifiers compute on the int numerators a SparseFn holds and the If
-and II*g tables of hardy give, each over its function's one denominator,
-in both modes.  At integral p every max, sum and power is taken on the
-ints, both sides of an inequality end over one denominator, and the
-verdict compares their numerators.  The mode only renders the reported
-values: each is the Fraction num/den in exact mode, and in float mode the
-correctly rounded num/den, with the ratio the correctly rounded ratio of
-the exact sides.  A non-integral p rounds each exact value once, where
-_pow did, and evaluates in floats in both modes.
+and II*g tables of hardy give, each over its function's one denominator.
+At integral p every max, sum and power is taken on the ints, both sides
+of an inequality end over one denominator, and the verdict compares their
+numerators.  Each verifier takes the report mode, EXACT or FLOAT, as it
+takes its seed, and the mode only renders the reported values: each is
+the Fraction num/den in exact mode, and in float mode the correctly
+rounded num/den, with the ratio the correctly rounded ratio of the exact
+sides.  A non-integral p rounds each exact value once, where _pow did, and
+evaluates in floats in both modes.
 """
 
 from __future__ import annotations
@@ -23,18 +24,14 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from .trees import (
-    EXACT,
-    FLOAT,
-    PreconditionError,
-    Scalar,
-    SparseFn,
-    TreeDomain,
-    _as_int,
-    _pow,
-)
+from .trees import PreconditionError, Scalar, SparseFn, TreeDomain, _as_int, _pow
 from .hardy import _heap_values, _iistar_paths, _up_heap, hardy_up_table
 from .structure import check_power_superadditive, is_increasing, is_superadditive
+
+# The report modes: a report carries its values as Fractions, or as their
+# correctly rounded floats.
+EXACT = "exact"
+FLOAT = "float"
 
 # Explicit constants traced through the proof of the phi-construction lemma:
 # (lambda/2 - delta)/lambda >= 1/4 once lambda >= 4 delta, and the energy
@@ -99,8 +96,14 @@ def scalar_repr(v):
 
 def _value(num: int, den: int, mode: str) -> Scalar:
     """num/den as a report carries it: the Fraction in exact mode, the
-    correctly rounded float in float mode."""
-    return Fraction(num, den) if mode == EXACT else num / den
+    correctly rounded float in float mode.  Every verifier renders through
+    here before it builds its report, so any other mode raises ValueError
+    here."""
+    if mode == EXACT:
+        return Fraction(num, den)
+    if mode == FLOAT:
+        return num / den
+    raise ValueError(f"unknown report mode {mode!r}")
 
 
 def _render(x: Scalar, mode: str) -> Scalar:
@@ -112,9 +115,10 @@ def _render(x: Scalar, mode: str) -> Scalar:
 def _sides(lhs: int, rhs: int, den: int, mode: str) -> dict:
     """The lhs, rhs and rounded_ratio of a report whose sides are lhs/den
     and rhs/den, rendered in the given mode."""
-    if mode == EXACT:
-        return {"lhs": Fraction(lhs, den), "rhs": Fraction(rhs, den)}
-    return {"lhs": lhs / den, "rhs": rhs / den, "rounded_ratio": lhs / rhs if rhs else None}
+    sides = {"lhs": _value(lhs, den, mode), "rhs": _value(rhs, den, mode)}
+    if mode == FLOAT:
+        sides["rounded_ratio"] = lhs / rhs if rhs else None
+    return sides
 
 
 def _sup_iistar(g: SparseFn, *path_lists) -> list[tuple[int, Optional[str]]]:
@@ -148,10 +152,10 @@ def _refined_paths(g_paths, f_paths) -> list[str]:
 
 def verify_supadditive_l1linf(
     g: SparseFn, h: SparseFn, gamma: str, d: TreeDomain,
-    seed: Optional[int] = None,
+    seed: Optional[int] = None, mode: str = EXACT,
 ) -> LemmaReport:
     """sum_{alpha <= gamma} g h <= lambda g(gamma), lambda = max Ih on supp g."""
-    gv, hv, mode = g.values, h.values, g.mode
+    gv, hv = g.values, h.values
     lam = max(hardy_up_table(h, gv).values(), default=0)
     lhs = sum(v * hv.get(x, 0) for x, v in gv.items() if x.startswith(gamma))
     # both sides over g.den h.den
@@ -169,10 +173,11 @@ def verify_supadditive_l1linf(
 
 def verify_I2_positive(
     f: SparseFn, g: SparseFn, d: TreeDomain, seed: Optional[int] = None,
+    mode: str = EXACT,
 ) -> LemmaReport:
     """sum (If)^2 g <= (refined sup of II*g) * sum f^2; unconditional.
     A node of supp f or supp g outside d raises DomainError."""
-    fv, gv, mode = f.values, g.values, g.mode
+    fv, gv = f.values, g.values
     d.require(fv)
     d.require(gv)
     up = hardy_up_table(f, gv)
@@ -191,7 +196,8 @@ def verify_I2_positive(
 
 def build_phi(
     w: SparseFn, g: SparseFn, f: SparseFn, lam: Scalar, delta: Scalar,
-    d: TreeDomain, seed: Optional[int] = None, iwg: Optional[tuple[list, int]] = None,
+    d: TreeDomain, seed: Optional[int] = None, mode: str = EXACT,
+    iwg: Optional[tuple[list, int]] = None,
 ) -> tuple[SparseFn, LemmaReport]:
     """The indicator-weighted majorant phi and its two proof-traced checks.
 
@@ -199,19 +205,16 @@ def build_phi(
     check (a): I(w phi) >= (1/4) I(wf) on {lambda/2 < I(wg) <= 2 lambda};
     check (b): sum w phi^2 <= 2 (delta/lambda) sum w f^2.
 
-    w, g and f share one scalar mode.  lambda and delta are read at their
-    exact values (a float at its binary value).  w is read only on supp g
-    and supp f (phi lies inside supp g), so a w that holds no other node
-    gives the same phi and report.  The three I sweeps run over lists in
-    heap order and check (a) visits every node, so a domain of more than
-    20 levels raises ResourceError.  iwg, when the caller has already swept
+    lambda and delta are read at their exact values (a float at its binary
+    value), and the report renders them in the given mode.  w is read only
+    on supp g and supp f (phi lies inside supp g), so a w that holds no
+    other node gives the same phi and report.  The three I sweeps run over
+    lists in heap order and check (a) visits every node, so a domain of
+    more than 20 levels raises ResourceError.  iwg, when the caller has already swept
     I(wg), is that list and the denominator of its entries, as
     hardy._heap_values and _up_heap give them; swept here when None.  A
     list of the wrong length raises ValueError.
     """
-    if not w.mode == g.mode == f.mode:
-        raise ValueError(f"w, g and f must share one scalar mode "
-                         f"(got {w.mode}, {g.mode}, {f.mode})")
     ok, witness = is_superadditive(g, d)
     if not ok:
         raise PreconditionError("g is not superadditive", witness)
@@ -220,7 +223,7 @@ def build_phi(
     c, e = lam.as_integer_ratio()
     if c * b < 4 * a * e:
         raise PreconditionError(f"lambda >= 4*delta required (lambda={lam}, delta={delta})")
-    phi, a_ok, a_witness, worst_a = _phi_heap(w, g, f, (a, b), (c, e), d, iwg)
+    phi, a_ok, a_witness, worst_a = _phi_heap(w, g, f, (a, b), (c, e), d, iwg, mode)
 
     # check (b) over one denominator: sum w phi^2 = wphi2 / den_phi and
     # 2 delta sum w f^2 / lambda = 2 (a/b) (wf2 / den_f) / (c/e)
@@ -230,7 +233,6 @@ def build_phi(
     rhs = PHI_ENERGY_CONST * a * e * wf2 * den_phi
     b_ok = lhs <= rhs
 
-    mode = g.mode
     report = LemmaReport(
         name="build_phi",
         params={"lambda": _render(lam, mode), "delta": _render(delta, mode)},
@@ -255,10 +257,11 @@ def _weighted_square_sum(w: SparseFn, fn: SparseFn) -> tuple[int, int]:
             w.den * fn.den * fn.den)
 
 
-def _phi_heap(w, g, f, delta, lam, d, iwg):
+def _phi_heap(w, g, f, delta, lam, d, iwg, mode):
     """phi and check (a) over every node of d: phi, whether check (a)
-    holds, its last failing node in heap order and its least ratio.
-    delta and lam are (numerator, denominator) pairs.
+    holds, its last failing node in heap order and its least ratio,
+    rendered in the given mode.  delta and lam are (numerator, denominator)
+    pairs.
 
     Each I is one _up_heap sweep of int numerators, each table over its own
     denominator.  A threshold t = a/b is read as floor(t den) = a den // b,
@@ -290,7 +293,7 @@ def _phi_heap(w, g, f, delta, lam, d, iwg):
         if up_wf[k] and delta_t < up_wg[k] <= two_t:
             # (up_wf / den_wf) (gv / g.den) / (c / e), a numerator over phi's den
             phi_values[path] = up_wf[k] * gv * e
-    phi = SparseFn(phi_values, den_wf * g.den * c, g.mode)
+    phi = SparseFn(phi_values, den_wf * g.den * c)
 
     up_wphi, den_wphi = _heap_values(w.mul(phi), d)
     _up_heap(up_wphi)
@@ -307,13 +310,14 @@ def _phi_heap(w, g, f, delta, lam, d, iwg):
             if wphi_k * lower_wphi < lower_wf * wf_k:
                 a_ok, a_k = False, k
     if worst_k is not None:
-        worst_a = _value(up_wphi[worst_k] * den_wf, up_wf[worst_k] * den_wphi, g.mode)
+        worst_a = _value(up_wphi[worst_k] * den_wf, up_wf[worst_k] * den_wphi, mode)
     a_witness = None if a_k is None else bin(a_k)[3:]
     return phi, a_ok, a_witness, worst_a
 
 
 def verify_inter(
     f: SparseFn, g: SparseFn, p: Scalar, d: TreeDomain, seed: Optional[int] = None,
+    mode: str = EXACT,
 ) -> LemmaReport:
     """||If . g||_p <= delta^((p-1)/p) lambda^(1/p) ||f||_p with least delta, lambda.
 
@@ -324,7 +328,6 @@ def verify_inter(
         raise ValueError("p must be at least 1")
     fv, fden = f.values, f.den
     gv, gden = g.values, g.den
-    mode = f.mode
     # Ig is constant below the deepest supported ancestor, so its max over
     # the tree is its max over supp g and the root
     ig = hardy_up_table(g, [*fv, *gv, ""])
@@ -363,9 +366,12 @@ def verify_inter(
     )
 
 
-def verify_linf(f: SparseFn, g: SparseFn, d: TreeDomain, seed: Optional[int] = None) -> LemmaReport:
+def verify_linf(
+    f: SparseFn, g: SparseFn, d: TreeDomain, seed: Optional[int] = None,
+    mode: str = EXACT,
+) -> LemmaReport:
     """||If . g||_inf <= (sup over supp g & supp f of II*g) ||f||_inf for increasing g."""
-    fv, gv, mode = f.values, g.values, g.mode
+    fv, gv = f.values, g.values
     up = hardy_up_table(f, gv)
     lhs, arg = 0, None
     for x, v in gv.items():
@@ -387,13 +393,13 @@ def verify_linf(f: SparseFn, g: SparseFn, d: TreeDomain, seed: Optional[int] = N
 
 def verify_new23(
     f: SparseFn, g: SparseFn, p: Scalar, d: TreeDomain, seed: Optional[int] = None,
+    mode: str = EXACT,
 ) -> LemmaReport:
     """sum (If)^p g <= (sup over supp g & supp f of II*g) sum f^p."""
     if p < 1:
         raise ValueError("p must be at least 1")
     fv, fden = f.values, f.den
     gv, gden = g.values, g.den
-    mode = g.mode
     up = hardy_up_table(f, gv)
     (sup, arg), (coarse, _) = _sup_iistar(g, [x for x in gv if x in fv], gv)
     sup_v = _value(sup, gden, mode)
@@ -427,14 +433,14 @@ def verify_new23(
 
 def verify_gest(
     g: SparseFn, gamma: str, p: Scalar, d: TreeDomain,
-    seed: Optional[int] = None,
+    seed: Optional[int] = None, mode: str = EXACT,
 ) -> LemmaReport:
     """sum_{alpha <= gamma} g^p <= lambda g^(p-1)(gamma), lambda = max Ig on
     supp g, for integral p > 1."""
     pre_ok, pre_witness = check_power_superadditive(g, d, p)
     if not pre_ok:
         raise PreconditionError("g^(p-1) is not superadditive", pre_witness)
-    gv, gden, mode = g.values, g.den, g.mode
+    gv, gden = g.values, g.den
     lam = max(hardy_up_table(g, gv).values(), default=0)
     e = _as_int(p)
     # both sides over gden^e; p > 1, so e - 1 >= 1

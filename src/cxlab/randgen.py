@@ -1,7 +1,7 @@
 """Seeded random instance generators for the property suites.
 
-All values are dyadic rationals so every suite stays exact, in both
-modes; every generator is a pure function of its Random instance.  The tree functions
+All values are dyadic rationals so every suite stays exact; every
+generator is a pure function of its Random instance.  The tree functions
 are SparseFns built from the drawn int numerators over a power of 16, and
 the atoms of a bi-tree measure are (x path, y path, k) triples of mass
 k/16.
@@ -18,7 +18,7 @@ from __future__ import annotations
 import random
 from typing import Callable
 
-from .trees import EXACT, SparseFn, TreeDomain
+from .trees import SparseFn, TreeDomain
 from .hardy import rectangle_mass_fn
 
 
@@ -49,18 +49,17 @@ def _random_bits(bits: Callable[[int], int], n: int) -> str:
     return out
 
 
-def _over_one_power(draws: dict[str, int], base: int, per_level: int,
-                    mode: str) -> SparseFn:
+def _over_one_power(draws: dict[str, int], base: int, per_level: int) -> SparseFn:
     """The function whose value at path is draws[path] / base^(per_level
     depth + 1), over the power of base that its deepest path needs."""
     top = max(map(len, draws), default=0)
     return SparseFn({path: num * base ** (per_level * (top - len(path)))
                      for path, num in draws.items()},
-                    base ** (per_level * top + 1), mode)
+                    base ** (per_level * top + 1))
 
 
 def random_superadditive(
-    rng: random.Random, d: TreeDomain, max_support: int = 30, mode: str = EXACT,
+    rng: random.Random, d: TreeDomain, max_support: int = 30,
 ) -> SparseFn:
     """Top-down construction: each node's children sum to at most its value.
 
@@ -81,11 +80,11 @@ def random_superadditive(
             for bit, v in (("0", left), ("1", right)):
                 if v > 0:
                     frontier.append((path + bit, v))
-    return _over_one_power(draws, 16, 2, mode)
+    return _over_one_power(draws, 16, 2)
 
 
 def random_increasing(
-    rng: random.Random, d: TreeDomain, max_support: int = 30, mode: str = EXACT,
+    rng: random.Random, d: TreeDomain, max_support: int = 30,
 ) -> SparseFn:
     """Top-down construction: each child value is at most its parent's.
 
@@ -103,11 +102,11 @@ def random_increasing(
                 v = num * _below(bits, 17)
                 if v > 0 and rand() < 0.8:
                     frontier.append((path + bit, v))
-    return _over_one_power(draws, 16, 1, mode)
+    return _over_one_power(draws, 16, 1)
 
 
 def random_sparse(
-    rng: random.Random, d: TreeDomain, max_support: int = 12, mode: str = EXACT,
+    rng: random.Random, d: TreeDomain, max_support: int = 12,
 ) -> SparseFn:
     """Up to max_support values k/16, k drawn as randint(0, 16) draws it,
     each nonzero one at a path of depth drawn as randint(0, max_depth) and
@@ -120,7 +119,7 @@ def random_sparse(
         num = _below(bits, 17)
         if num:
             draws[_random_bits(bits, _below(bits, depths))] = num
-    return SparseFn(draws, 16, mode)
+    return SparseFn(draws, 16)
 
 
 def random_quarters(rng: random.Random, count: int) -> list[int]:

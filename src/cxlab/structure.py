@@ -5,17 +5,17 @@ children (Definition of the children-sum inequality); "increasing" is
 formalized as non-decreasing toward the root along every path.  Both
 predicates only visit the support and parents of support: nodes whose
 children are all zero satisfy the inequalities trivially; a failing check
-names its witness by path.  Every check compares int numerators exactly, in
-both modes.  The special-form constructor reads rectangle masses, int
-numerators keyed by (x path, y path) over one denominator, and builds a
-function on the tree.
+names its witness by path.  Every check compares int numerators exactly.
+The special-form constructor reads rectangle masses, int numerators keyed
+by (x path, y path) over one denominator, and builds a function on the
+tree.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-from .trees import EXACT, Scalar, SparseFn, TreeDomain, _as_int
+from .trees import Scalar, SparseFn, TreeDomain, _as_int
 
 
 def is_superadditive(g: SparseFn, d: TreeDomain) -> tuple[bool, Optional[str]]:
@@ -49,7 +49,7 @@ def is_increasing(g: SparseFn, d: TreeDomain) -> tuple[bool, Optional[str]]:
 
 
 def special_form_g(m: tuple[dict[tuple[str, str], int], int], beta: str,
-                   p: Scalar, mode: str = EXACT) -> SparseFn:
+                   p: Scalar) -> SparseFn:
     """The special-form function g(gamma) = sum_{beta' >= beta} m(gamma x beta')^(q-1),
     q = p/(p-1) the Holder conjugate of p > 1, at the node with path beta.
 
@@ -57,8 +57,7 @@ def special_form_g(m: tuple[dict[tuple[str, str], int], int], beta: str,
     numerators keyed by (x path, y path) over one denominator.  Feeding it
     the masses of an atomic measure reproduces the measure construction
     whose power g^(p-1) is superadditive by Minkowski.  q - 1 must be
-    integral, so that g is exact; the function is reported in the given
-    mode.
+    integral, so that g is exact.
     """
     if p <= 1:
         raise ValueError(f"p must exceed 1, got {p}")
@@ -73,7 +72,7 @@ def special_form_g(m: tuple[dict[tuple[str, str], int], int], beta: str,
     for (x, y), s in sums.items():
         if beta.startswith(y):
             out[x] = out.get(x, 0) + s ** e
-    return SparseFn(out, den ** e, mode)
+    return SparseFn(out, den ** e)
 
 
 def check_power_superadditive(

@@ -11,10 +11,9 @@ construction.
 
 A SparseFn keeps its values in the one form every sweep, verifier and
 structure check reads: a dict keyed by path, of int numerators over one
-int denominator, in both modes.  The generators and constructions hand in
-the numerators they already hold.  Its mode only says how a report renders
-the values it decides on: as Fractions in exact mode, as correctly rounded
-floats in float mode.
+int denominator.  The generators and constructions hand in the numerators
+they already hold.  How a report renders the values it decides on is the
+verifier's choice, not the function's.
 """
 
 from __future__ import annotations
@@ -24,9 +23,6 @@ from fractions import Fraction
 from typing import Iterable, Union
 
 Scalar = Union[Fraction, float, int]
-
-EXACT = "exact"
-FLOAT = "float"
 
 
 class DomainError(ValueError):
@@ -109,14 +105,12 @@ class SparseFn:
     SparseFn is never changed after it is built.
     """
 
-    __slots__ = ("mode", "values", "den")
+    __slots__ = ("values", "den")
 
-    def __init__(self, values: dict[str, int], den: int, mode: str):
+    def __init__(self, values: dict[str, int], den: int):
         """The function with the given positive int numerators over den,
-        unchecked, reported in the given mode."""
-        if mode not in (EXACT, FLOAT):
-            raise ValueError(f"unknown scalar mode {mode!r}")
-        self.mode, self.values, self.den = mode, values, den
+        unchecked."""
+        self.values, self.den = values, den
 
     def __len__(self) -> int:
         return len(self.values)
@@ -127,10 +121,10 @@ class SparseFn:
         small, big = (self, other) if len(self) <= len(other) else (other, self)
         bv = big.values
         out = {path: v * bv[path] for path, v in small.values.items() if path in bv}
-        return SparseFn(out, self.den * other.den, self.mode)
+        return SparseFn(out, self.den * other.den)
 
     def __repr__(self) -> str:
-        return f"SparseFn({len(self.values)} entries, {self.mode})"
+        return f"SparseFn({len(self.values)} entries)"
 
 
 def _as_int(e: Scalar) -> int | None:

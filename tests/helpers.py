@@ -18,8 +18,9 @@ import numpy as np
 from cxlab import capacity, lemmas
 from cxlab.counterexamples import AuditStep, VariantAudit, _half_pow
 from cxlab.hardy import _down_paths, _iistar_paths, _up_paths, hardy_up_table, kernel
+from cxlab.lemmas import EXACT, FLOAT
 from cxlab.trees import (
-    EXACT, FLOAT, DomainError, PreconditionError, ResourceError, Scalar, SparseFn, TreeDomain,
+    DomainError, PreconditionError, ResourceError, Scalar, SparseFn, TreeDomain,
     _as_int, _pow, lcp_len,
 )
 
@@ -29,10 +30,9 @@ Measure = list[tuple[Rect, Scalar]]
 _MATERIALIZE_LEVELS = 12
 
 
-def fn(entries: Mapping[str, Scalar], mode: str = EXACT) -> SparseFn:
-    """The SparseFn with the given values by path, reported in the given
-    mode, each value read as a Fraction (a float at its binary value): zeros
-    are dropped, a negative value raises ValueError, and the values are kept
+def fn(entries: Mapping[str, Scalar]) -> SparseFn:
+    """The SparseFn with the given values by path, each value read as a
+    Fraction (a float at its binary value): zeros are dropped, a negative value raises ValueError, and the values are kept
     as int numerators over the lcm of their denominators.  A float NaN or
     infinity raises ValueError, as it has no Fraction."""
     kept = {}
@@ -45,7 +45,7 @@ def fn(entries: Mapping[str, Scalar], mode: str = EXACT) -> SparseFn:
             kept[path] = v
     den = math.lcm(1, *(v.denominator for v in kept.values()))
     return SparseFn({path: v.numerator * (den // v.denominator) for path, v in kept.items()},
-                    den, mode)
+                    den)
 
 
 def tree_nodes_bfs(levels: int) -> list[str]:
@@ -81,8 +81,8 @@ def get(f: SparseFn, path: str) -> Fraction:
 
 
 def power(f: SparseFn, e: int) -> SparseFn:
-    """Pointwise power to an integral exponent, in f's mode."""
-    return fn({n: v ** e for n, v in items(f)}, f.mode)
+    """Pointwise power to an integral exponent."""
+    return fn({n: v ** e for n, v in items(f)})
 
 
 def rendered(report: lemmas.LemmaReport, mode: str, keep=()) -> lemmas.LemmaReport:
@@ -106,9 +106,8 @@ def rendered(report: lemmas.LemmaReport, mode: str, keep=()) -> lemmas.LemmaRepo
 
 def rebuild(f: SparseFn, factor: int) -> SparseFn:
     """f with every numerator and its denominator multiplied by factor: the
-    same function over another denominator in exact mode."""
-    return SparseFn({path: v * factor for path, v in f.values.items()},
-                    f.den * factor, f.mode)
+    same function over another denominator."""
+    return SparseFn({path: v * factor for path, v in f.values.items()}, f.den * factor)
 
 
 def heap_node(k: int) -> str:
@@ -134,8 +133,8 @@ def rect_contains(q: Rect, a: Rect) -> bool:
 
 
 def scale(f: SparseFn, t: Scalar) -> SparseFn:
-    """t f, in f's mode."""
-    return fn({n: v * t for n, v in items(f)}, f.mode)
+    """t f."""
+    return fn({n: v * t for n, v in items(f)})
 
 
 def measure(atoms) -> Measure:
@@ -528,15 +527,15 @@ def audit_variant_fraction(variant: str, N: int, p: Scalar) -> VariantAudit:
 
 
 # The sups of II*g that only the tests read, each one sweep of
-# cxlab.lemmas._sup_iistar over its path list, handed out as a scalar of g's
-# mode and a path.
+# cxlab.lemmas._sup_iistar over its path list, handed out as a Fraction and
+# a path.
 
-def _sup_scalar(g: SparseFn, paths) -> tuple[Scalar, Optional[str]]:
+def _sup_scalar(g: SparseFn, paths) -> tuple[Fraction, Optional[str]]:
     (best, arg), = lemmas._sup_iistar(g, list(paths))
-    return lemmas._value(best, g.den, g.mode), arg
+    return Fraction(best, g.den), arg
 
 
-def sup_iistar_refined(g: SparseFn, f: SparseFn) -> tuple[Scalar, Optional[str]]:
+def sup_iistar_refined(g: SparseFn, f: SparseFn) -> tuple[Fraction, Optional[str]]:
     """sup of II*g with the ancestor-walk refinement toward supp f.
 
     For every support node of g the deepest f-supported ancestor carries the
@@ -546,21 +545,21 @@ def sup_iistar_refined(g: SparseFn, f: SparseFn) -> tuple[Scalar, Optional[str]]
     return _sup_scalar(g, lemmas._refined_paths(g.values, f.values))
 
 
-def sup_iistar_intersection(g: SparseFn, f: SparseFn) -> tuple[Scalar, Optional[str]]:
+def sup_iistar_intersection(g: SparseFn, f: SparseFn) -> tuple[Fraction, Optional[str]]:
     """sup of II*g over supp g intersected with supp f; nodes
     are visited in supp g order, so a tie keeps the first in that order."""
     return _sup_scalar(g, (x for x in g.values if x in f.values))
 
 
-def sup_iistar_support(g: SparseFn) -> Scalar:
+def sup_iistar_support(g: SparseFn) -> Fraction:
     """The coarser sup of II*g over supp g, reported for comparison."""
     return _sup_scalar(g, g.values)[0]
 
 
 # The verifiers in Fraction arithmetic, as cxlab.lemmas ran them before it
 # decided its verdicts on int numerators: every If and II*g value a
-# Fraction, every sum, product, power and max taken on those, in both modes;
-# a float-mode report is the exact one rendered.  They are the oracles for
+# Fraction, every sum, product, power and max taken on those; a float-mode
+# report is the exact one rendered.  They are the oracles for
 # the int-numerator verifiers; the structure checks they report are the
 # node-walk references above.
 
@@ -615,7 +614,8 @@ def intersection_nodes(g: SparseFn, f: SparseFn) -> list[str]:
     return [x for x in support(g) if x in f_support]
 
 
-def verify_supadditive_l1linf_fraction(g, h, gamma, d, seed=None) -> lemmas.LemmaReport:
+def verify_supadditive_l1linf_fraction(g, h, gamma, d, seed=None,
+                                       mode=EXACT) -> lemmas.LemmaReport:
     lam = max_hardy_up_on(h, support(g))
     lhs = Fraction(0)
     for node, v in items(g):
@@ -628,12 +628,12 @@ def verify_supadditive_l1linf_fraction(g, h, gamma, d, seed=None) -> lemmas.Lemm
         params={"lambda": lam, "gamma": gamma},
         lhs=lhs, rhs=rhs, holds=holds,
         witness=None if holds else gamma,
-        mode=g.mode, seed=seed, degenerate=rhs == 0 and lhs > 0,
+        mode=mode, seed=seed, degenerate=rhs == 0 and lhs > 0,
         extra={"superadditive": is_superadditive_nodes(g, d)[0]},
-    ), g.mode)
+    ), mode)
 
 
-def verify_I2_positive_fraction(f, g, d, seed=None) -> lemmas.LemmaReport:
+def verify_I2_positive_fraction(f, g, d, seed=None, mode=EXACT) -> lemmas.LemmaReport:
     for n in (*support(f), *support(g)):
         d.require([n])
     table = hardy_up_scalars(f, support(g))
@@ -644,11 +644,11 @@ def verify_I2_positive_fraction(f, g, d, seed=None) -> lemmas.LemmaReport:
     return rendered(lemmas.LemmaReport(
         name="I2_positive", params={"sup_iistar": sup},
         lhs=lhs, rhs=rhs, holds=lhs <= rhs,
-        witness=arg, mode=g.mode, seed=seed, extra={"coarse_sup": coarse},
-    ), g.mode)
+        witness=arg, mode=mode, seed=seed, extra={"coarse_sup": coarse},
+    ), mode)
 
 
-def verify_inter_fraction(f, g, p, d, seed=None) -> lemmas.LemmaReport:
+def verify_inter_fraction(f, g, p, d, seed=None, mode=EXACT) -> lemmas.LemmaReport:
     if p < 1:
         raise ValueError("p must be at least 1")
     delta = max_hardy_up_on(g, support(f))
@@ -658,8 +658,8 @@ def verify_inter_fraction(f, g, p, d, seed=None) -> lemmas.LemmaReport:
         return rendered(lemmas.LemmaReport(
             name="inter", params={"p": p, "delta": delta, "lambda": lam},
             lhs=Fraction(0), rhs=Fraction(0), holds=True,
-            mode=f.mode, seed=seed, degenerate=True,
-        ), f.mode)
+            mode=mode, seed=seed, degenerate=True,
+        ), mode)
     table = hardy_up_scalars(f, support(g))
     sum_ifg_p = sum((_pow(table[n] * v, p) for n, v in items(g)), Fraction(0))
     pf = float(p)
@@ -670,10 +670,10 @@ def verify_inter_fraction(f, g, p, d, seed=None) -> lemmas.LemmaReport:
         lhs=lhs, rhs=rhs, holds=lhs <= rhs, mode=FLOAT, seed=seed,
         extra={"sum_ifg_p": sum_ifg_p, "sum_fp": sum_fp,
                "superadditive": is_superadditive_nodes(g, d)[0]},
-    ), f.mode)
+    ), mode)
 
 
-def verify_linf_fraction(f, g, d, seed=None) -> lemmas.LemmaReport:
+def verify_linf_fraction(f, g, d, seed=None, mode=EXACT) -> lemmas.LemmaReport:
     table = hardy_up_scalars(f, support(g))
     lhs, arg = Fraction(0), None
     for node, v in items(g):
@@ -686,12 +686,12 @@ def verify_linf_fraction(f, g, d, seed=None) -> lemmas.LemmaReport:
     return rendered(lemmas.LemmaReport(
         name="linf", params={"sup_iistar": sup},
         lhs=lhs, rhs=rhs, holds=lhs <= rhs,
-        witness=arg if lhs > rhs else sup_arg, mode=g.mode, seed=seed,
+        witness=arg if lhs > rhs else sup_arg, mode=mode, seed=seed,
         extra={"increasing": is_increasing_nodes(g, d)[0]},
-    ), g.mode)
+    ), mode)
 
 
-def verify_new23_fraction(f, g, p, d, seed=None) -> lemmas.LemmaReport:
+def verify_new23_fraction(f, g, p, d, seed=None, mode=EXACT) -> lemmas.LemmaReport:
     if p < 1:
         raise ValueError("p must be at least 1")
     table = hardy_up_scalars(f, support(g))
@@ -703,14 +703,14 @@ def verify_new23_fraction(f, g, p, d, seed=None) -> lemmas.LemmaReport:
     return rendered(lemmas.LemmaReport(
         name="new23", params={"p": p, "sup_iistar": sup},
         lhs=lhs, rhs=rhs, holds=lhs <= rhs * (1 if exact else 1 + 1e-12),
-        witness=arg, mode=g.mode if exact else FLOAT, seed=seed,
+        witness=arg, mode=mode if exact else FLOAT, seed=seed,
         extra={"coarse_sup": coarse,
                "increasing": is_increasing_nodes(g, d)[0],
                "superadditive": is_superadditive_nodes(g, d)[0]},
-    ), g.mode)
+    ), mode)
 
 
-def verify_gest_fraction(g, gamma, p, d, seed=None) -> lemmas.LemmaReport:
+def verify_gest_fraction(g, gamma, p, d, seed=None, mode=EXACT) -> lemmas.LemmaReport:
     if p <= 1:
         raise ValueError(f"p must exceed 1, got {p}")
     if _as_int(p - 1) is None:
@@ -726,21 +726,21 @@ def verify_gest_fraction(g, gamma, p, d, seed=None) -> lemmas.LemmaReport:
         name="gest", params={"p": p, "lambda": lam, "gamma": gamma},
         lhs=lhs, rhs=rhs, holds=holds,
         witness=None if holds else gamma,
-        mode=g.mode, seed=seed,
+        mode=mode, seed=seed,
         degenerate=rhs == 0 and lhs > 0,
-    ), g.mode)
+    ), mode)
 
 
 # The phi construction over scalar dicts: the oracles for the heap
 # sweeps of cxlab.lemmas.build_phi and cxlab.experiments._phi_instance.
 
-def phi_instance_dict(rng: random.Random, d: TreeDomain, mode: str = EXACT):
+def phi_instance_dict(rng: random.Random, d: TreeDomain):
     """The phi trial's w, g, f, lambda and delta, drawn as the trial draws
     them through the stdlib, with w on every node of d and I(wg) swept over
     a dict of Fractions and ranked as Fractions."""
-    g = random_superadditive_fraction(rng, d, mode=mode)
+    g = random_superadditive_fraction(rng, d)
     nodes = tree_nodes_bfs(d.levels)
-    w = random_quarter_weight(rng, nodes, mode)[0]
+    w = random_quarter_weight(rng, nodes)[0]
     iwg = hardy_up_scalars(w.mul(g), nodes)
     delta = sorted(iwg.values())[len(iwg) * 2 // 5]
     candidates = [n for n, v in iwg.items() if v <= delta]
@@ -749,12 +749,12 @@ def phi_instance_dict(rng: random.Random, d: TreeDomain, mode: str = EXACT):
         v = dyadic_stdlib(rng)
         if v > 0:
             entries[n] = v
-    return w, g, fn(entries, mode), 4 * delta, delta
+    return w, g, fn(entries), 4 * delta, delta
 
 
 def build_phi_dict(
     w: SparseFn, g: SparseFn, f: SparseFn, lam: Scalar, delta: Scalar,
-    d: TreeDomain, seed=None,
+    d: TreeDomain, seed=None, mode=EXACT,
 ):
     """build_phi with every I a hardy_up_scalars dict and check (a) a walk
     over every node of d."""
@@ -781,7 +781,7 @@ def build_phi_dict(
             val = inv_lam * iwf[node] * gv
             if val != 0:
                 phi_entries[node] = val
-    phi = fn(phi_entries, g.mode)
+    phi = fn(phi_entries)
 
     iwphi = hardy_up_scalars(w.mul(phi), check_nodes)
     lower = lemmas.PHI_LOWER_CONST  # read at call time, so a test may patch it
@@ -803,7 +803,7 @@ def build_phi_dict(
     report = lemmas.LemmaReport(
         name="build_phi", params=params,
         lhs=sum_wphi2, rhs=b_rhs, holds=a_ok and b_ok,
-        witness=a_witness, mode=g.mode, seed=seed,
+        witness=a_witness, mode=mode, seed=seed,
         extra={
             "lower_check_ok": a_ok,
             "energy_check_ok": b_ok,
@@ -812,7 +812,7 @@ def build_phi_dict(
             "energy_const": lemmas.PHI_ENERGY_CONST,
         },
     )
-    return phi, rendered(report, g.mode, keep=("lower_const",))
+    return phi, rendered(report, mode, keep=("lower_const",))
 
 
 # The generators as the stdlib's randint, randrange and choice draw them,
@@ -836,28 +836,24 @@ def below_stdlib(bits, n: int) -> int:
     return bits.__self__.randrange(n)
 
 
-def random_sparse_stdlib(
-    rng: random.Random, d: TreeDomain, max_support: int = 12, mode: str = EXACT,
-) -> SparseFn:
+def random_sparse_stdlib(rng: random.Random, d: TreeDomain, max_support: int = 12) -> SparseFn:
     entries: dict[str, Fraction] = {}
     for _ in range(rng.randint(1, max_support)):
         v = dyadic_stdlib(rng)
         if v > 0:
             entries[random_path_stdlib(rng, d.max_depth)] = v
-    return fn(entries, mode)
+    return fn(entries)
 
 
 def random_quarters_stdlib(rng: random.Random, count: int) -> list[int]:
     return [rng.randint(1, 16) for _ in range(count)]
 
 
-def random_quarter_weight(
-    rng: random.Random, nodes, mode: str = EXACT,
-) -> tuple[SparseFn, list[int]]:
+def random_quarter_weight(rng: random.Random, nodes) -> tuple[SparseFn, list[int]]:
     """A weight in {1/4 .. 4} on a sequence of nodes (dyadic steps), and
     its numerators over 4 in node order: one randint(1, 16) per node."""
     numerators = random_quarters_stdlib(rng, len(nodes))
-    w = fn({n: Fraction(k, 4) for n, k in zip(nodes, numerators)}, mode)
+    w = fn({n: Fraction(k, 4) for n, k in zip(nodes, numerators)})
     return w, numerators
 
 
@@ -902,7 +898,7 @@ def random_special_form_measure_stdlib(
 
 
 def special_form_g_fraction(m: tuple[dict[tuple[str, str], int], int], beta: str,
-                            p: Scalar, mode: str = EXACT) -> SparseFn:
+                            p: Scalar) -> SparseFn:
     """structure.special_form_g over Fraction masses, each term a Fraction
     power."""
     e = _as_int(1 / (Fraction(p) - 1))  # q - 1 = 1/(p - 1) for q = p/(p - 1)
@@ -912,12 +908,12 @@ def special_form_g_fraction(m: tuple[dict[tuple[str, str], int], int], beta: str
     for (x, y), v in fraction_masses(m).items():
         if beta.startswith(y):
             out[x] = out.get(x, 0) + v ** e
-    return fn(out, mode)
+    return fn(out)
 
 
 
 def random_superadditive_fraction(
-    rng: random.Random, d: TreeDomain, max_support: int = 30, mode: str = EXACT,
+    rng: random.Random, d: TreeDomain, max_support: int = 30,
 ) -> SparseFn:
     """randgen.random_superadditive, each child total and left child a
     Fraction product."""
@@ -933,11 +929,11 @@ def random_superadditive_fraction(
             for bit, v in (("0", left), ("1", right)):
                 if v > 0:
                     frontier.append((path + bit, v))
-    return fn(entries, mode)
+    return fn(entries)
 
 
 def random_increasing_fraction(
-    rng: random.Random, d: TreeDomain, max_support: int = 30, mode: str = EXACT,
+    rng: random.Random, d: TreeDomain, max_support: int = 30,
 ) -> SparseFn:
     """randgen.random_increasing, each child value a Fraction product."""
     entries: dict[str, Fraction] = {}
@@ -950,7 +946,7 @@ def random_increasing_fraction(
                 v = value * dyadic_stdlib(rng)
                 if v > 0 and rng.random() < 0.8:
                     frontier.append((path + bit, v))
-    return fn(entries, mode)
+    return fn(entries)
 
 
 def is_superadditive_nodes(g: SparseFn, d: TreeDomain) -> tuple[bool, Optional[str]]:
@@ -1046,9 +1042,7 @@ def search_new23_stdlib(p: Scalar, depth: int, budget: int, seed: int) -> lemmas
     gv = _random_increasing_paths(rng, depth, cap=12)
     fv = _random_f_paths(rng, depth, list(gv))
     d = TreeDomain(depth + 1)
-    g = fn(gv, FLOAT)
-    f = fn(fv, FLOAT)
-    report = lemmas.verify_new23(f, g, float(p), d, seed=seed)
+    report = lemmas.verify_new23(fn(fv), fn(gv), float(p), d, seed=seed, mode=FLOAT)
     report.name = "search_new23"
     report.params.update({"depth": depth, "budget": budget, "best_trial": best_trial,
                           "best_fast_ratio": best_ratio})

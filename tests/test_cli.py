@@ -10,7 +10,7 @@ import pytest
 from cxlab import capacity, cli, randgen
 from cxlab import counterexamples as cex
 from cxlab.cli import main
-from cxlab.trees import EXACT, SparseFn
+from cxlab.trees import SparseFn
 from cxlab.experiments import EXPERIMENTS, run_cell
 
 from helpers import perturb_closed_form
@@ -173,7 +173,7 @@ class TestUnwritableOutput:
 
 def test_json_default_takes_only_report_scalars():
     assert cli._dumps({"v": Fraction(1, 3)}) == '{\n  "v": "1/3"\n}\n'
-    for value in (object(), SparseFn({"01": 1}, 1, EXACT), {1, 2}):
+    for value in (object(), SparseFn({"01": 1}, 1), {1, 2}):
         with pytest.raises(TypeError, match=type(value).__name__):
             cli._dumps({"v": value})
 

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from cxlab.trees import EXACT, FLOAT, DomainError, TreeDomain
+from cxlab.trees import DomainError, TreeDomain
 from cxlab.hardy import _heap_values, _up_heap, hardy_up_table, kernel, rectangle_mass_fn
 from cxlab import randgen
 
@@ -50,13 +50,12 @@ class TestHardyTree:
             rhs = sum(get(f, a) * eval_hardy_down(g, a) for a in nodes)
             assert lhs == rhs
 
-    @pytest.mark.parametrize("mode", [EXACT, FLOAT])
-    def test_table_matches_pointwise(self, mode):
+    def test_table_matches_pointwise(self):
         # int numerators over f's denominator keyed by path, one entry per
-        # distinct requested node, in both modes
+        # distinct requested node
         d = TreeDomain(7)
         rng = random.Random(2)
-        f = randgen.random_sparse(rng, d, max_support=20, mode=mode)
+        f = randgen.random_sparse(rng, d, max_support=20)
         nodes = tree_nodes_bfs(d.levels)
         # an iterator, read once
         table = hardy_up_table(f, iter(nodes + nodes[::3]))
@@ -67,13 +66,12 @@ class TestHardyTree:
             assert type(v) is int
             assert Fraction(v, den) == eval_hardy_up(f, a)
 
-    @pytest.mark.parametrize("mode", [EXACT, FLOAT])
-    def test_heap_sweep_matches_pointwise(self, mode):
+    def test_heap_sweep_matches_pointwise(self):
         rng = random.Random(6)
         for levels in range(1, 13):
             d = TreeDomain(levels)
-            fns = [fn({}, mode)]
-            fns += [randgen.random_sparse(rng, d, mode=mode) for _ in range(3)]
+            fns = [fn({})]
+            fns += [randgen.random_sparse(rng, d) for _ in range(3)]
             for f in fns:
                 up, den = _heap_values(f, d)
                 assert len(up) == 2 ** levels
@@ -88,7 +86,7 @@ class TestHardyTree:
         rng = random.Random(7)
         d = TreeDomain(9)
         nodes = tree_nodes_bfs(d.levels)
-        f = fn({a: rng.random() / 3 for a in nodes if rng.random() < 0.7}, FLOAT)
+        f = fn({a: rng.random() / 3 for a in nodes if rng.random() < 0.7})
         up, _ = _heap_values(f, d)
         _up_heap(up)
         table = hardy_up_table(f, nodes)

@@ -5,8 +5,6 @@ from fractions import Fraction
 import pytest
 
 from cxlab.trees import (
-    EXACT,
-    FLOAT,
     DomainError,
     PreconditionError,
     ResourceError,
@@ -15,6 +13,8 @@ from cxlab.trees import (
 )
 from cxlab.hardy import _heap_values, _iistar_paths, _up_heap, hardy_up_table
 from cxlab.lemmas import (
+    EXACT,
+    FLOAT,
     PHI_ENERGY_CONST,
     PHI_LOWER_CONST,
     build_phi,
@@ -184,15 +184,15 @@ class TestSupRefinements:
         d = TreeDomain(8)
         rng = random.Random(36)
         for _ in range(60):
-            g = randgen.random_increasing(rng, d, mode=mode)
-            f = randgen.random_sparse(rng, d, mode=mode)
+            g = randgen.random_increasing(rng, d)
+            f = randgen.random_sparse(rng, d)
             coarse = sup_iistar_support(g)
             for report, (sup, arg) in (
-                    (verify_new23(f, g, 2, d), sup_iistar_intersection(g, f)),
-                    (verify_I2_positive(f, g, d), sup_iistar_refined(g, f))):
+                    (verify_new23(f, g, 2, d, mode=mode), sup_iistar_intersection(g, f)),
+                    (verify_I2_positive(f, g, d, mode=mode), sup_iistar_refined(g, f))):
                 got = (report.params["sup_iistar"], report.witness, report.extra["coarse_sup"])
-                assert [(type(v), v) for v in got] == \
-                    [(type(v), v) for v in (sup, arg, coarse)]
+                want = (sup, arg, coarse) if mode == EXACT else (float(sup), arg, float(coarse))
+                assert [(type(v), v) for v in got] == [(type(v), v) for v in want]
 
     def test_exact_sweeps_run_on_ints(self, monkeypatch):
         # every If table and II*g sweep the verifiers take runs through
@@ -309,18 +309,18 @@ class TestI2Positive:
 
 class TestBuildPhi:
     @staticmethod
-    def _instance(levels=5, seed=51, mode=EXACT):
+    def _instance(levels=5, seed=51):
         """An instance with f = 1/2 on the whole sublevel set {I(wg) <= delta},
         and the I(wg) table over d that picked delta."""
         d = TreeDomain(levels)
         rng = random.Random(seed)
-        g = randgen.random_superadditive(rng, d, mode=mode)
-        w = random_quarter_weight(rng, tree_nodes_bfs(d.levels), mode)[0]
+        g = randgen.random_superadditive(rng, d)
+        w = random_quarter_weight(rng, tree_nodes_bfs(d.levels))[0]
         iwg = hardy_up_scalars(w.mul(g), tree_nodes_bfs(d.levels))
         values = sorted(iwg.values())
         delta = values[len(values) // 2]
         lam = 4 * delta
-        f = fn({n: Fraction(1, 2) for n, v in iwg.items() if v <= delta}, mode)
+        f = fn({n: Fraction(1, 2) for n, v in iwg.items() if v <= delta})
         return d, w, g, f, lam, delta, iwg
 
     def test_constants_are_quarter_and_two(self):
@@ -368,11 +368,6 @@ class TestBuildPhi:
         with pytest.raises(PreconditionError):
             build_phi(w, g, bad, lam, delta, d, iwg=self._heap_table(w, g, d))
 
-    def test_rejects_mixed_modes(self):
-        d, w, g, f, lam, delta, _ = self._instance()
-        with pytest.raises(ValueError, match="mode"):
-            build_phi(SparseFn(w.values, w.den, FLOAT), g, f, lam, delta, d)
-
     def test_exact_mode_reads_a_float_delta_at_its_binary_value(self):
         # the instance's delta is dyadic, so its float is the same number
         for seed in range(10):
@@ -382,16 +377,15 @@ class TestBuildPhi:
             assert items(phi_f) == items(phi)
             assert (report_f.witness, report_f.extra) == (report.witness, report.extra)
 
-    @pytest.mark.parametrize("mode", [EXACT, FLOAT])
-    def test_given_table_matches_own_sweep(self, mode):
+    def test_given_table_matches_own_sweep(self):
         # the trial's table, swept from quarter numerators, and the table of
         # an instance whose f fills the whole sublevel set
         d = TreeDomain(8)
         banded = 0
         for seed in range(20):
-            w, g, f, lam, delta, iwg = experiments._phi_instance(random.Random(seed), d, mode)
+            w, g, f, lam, delta, iwg = experiments._phi_instance(random.Random(seed), d)
             instances = [(w, g, f, lam, delta, iwg)]
-            _, w, g, f, lam, delta, _ = self._instance(levels=8, seed=seed, mode=mode)
+            _, w, g, f, lam, delta, _ = self._instance(levels=8, seed=seed)
             instances.append((w, g, f, lam, delta, self._heap_table(w, g, d)))
             for w, g, f, lam, delta, iwg in instances:
                 phi, report = build_phi(w, g, f, lam, delta, d)
@@ -460,18 +454,18 @@ class TestBuildPhi:
         for levels, seed in cases:
             d = TreeDomain(levels)
             key = f"oracle:{levels}:{seed}"
-            w, g, f, lam, delta = phi_instance_dict(random.Random(key), d, mode)
-            phi_o, report_o = build_phi_dict(w, g, f, lam, delta, d, seed=seed)
-            phi, report = build_phi(w, g, f, lam, delta, d, seed=seed)
+            w, g, f, lam, delta = phi_instance_dict(random.Random(key), d)
+            phi_o, report_o = build_phi_dict(w, g, f, lam, delta, d, seed=seed, mode=mode)
+            phi, report = build_phi(w, g, f, lam, delta, d, seed=seed, mode=mode)
             assert [(n, type(v), v) for n, v in items(phi)] == \
                 [(n, type(v), v) for n, v in items(phi_o)]
             assert report.to_dict() == report_o.to_dict()
             trial = experiments._trial_phi(random.Random(key), d, mode, seed)
             assert trial.to_dict() == report_o.to_dict()
         for levels, seed in [(8, seed) for seed in range(40)] + [(12, 0), (12, 1), (13, 0)]:
-            d, w, g, f, lam, delta, _ = self._instance(levels=levels, seed=seed, mode=mode)
-            phi_o, report_o = build_phi_dict(w, g, f, lam, delta, d)
-            phi, report = build_phi(w, g, f, lam, delta, d)
+            d, w, g, f, lam, delta, _ = self._instance(levels=levels, seed=seed)
+            phi_o, report_o = build_phi_dict(w, g, f, lam, delta, d, mode=mode)
+            phi, report = build_phi(w, g, f, lam, delta, d, mode=mode)
             assert [(n, type(v), v) for n, v in items(phi)] == \
                 [(n, type(v), v) for n, v in items(phi_o)]
             assert report.to_dict() == report_o.to_dict()
@@ -486,26 +480,26 @@ class TestBuildPhi:
         for const in (Fraction(1), Fraction(3, 2), Fraction(5, 2)):
             monkeypatch.setattr(lemmas, "PHI_LOWER_CONST", const)
             for seed in range(30):
-                d, w, g, f, lam, delta, _ = self._instance(levels=6, seed=seed, mode=mode)
-                report_o = build_phi_dict(w, g, f, lam, delta, d)[1]
-                report = build_phi(w, g, f, lam, delta, d)[1]
+                d, w, g, f, lam, delta, _ = self._instance(levels=6, seed=seed)
+                report_o = build_phi_dict(w, g, f, lam, delta, d, mode=mode)[1]
+                report = build_phi(w, g, f, lam, delta, d, mode=mode)[1]
                 assert report.to_dict() == report_o.to_dict()
                 failed += not report.extra["lower_check_ok"]
         assert failed > 0
         # a bar equal to the least ratio is met: check (a) is strict
         tied = 0
         for seed in range(30):
-            d, w, g, f, lam, delta, _ = self._instance(levels=6, seed=seed, mode=mode)
+            d, w, g, f, lam, delta, _ = self._instance(levels=6, seed=seed)
             monkeypatch.setattr(lemmas, "PHI_LOWER_CONST", PHI_LOWER_CONST)
             # the exact least ratio, which float mode reports rounded
-            exact = self._instance(levels=6, seed=seed)[1:6]
-            worst = build_phi(*exact, d)[1].extra["worst_lower_ratio"]
+            worst = build_phi(w, g, f, lam, delta, d)[1].extra["worst_lower_ratio"]
             if worst is None:
                 continue
             monkeypatch.setattr(lemmas, "PHI_LOWER_CONST", worst)
-            report = build_phi(w, g, f, lam, delta, d)[1]
+            report = build_phi(w, g, f, lam, delta, d, mode=mode)[1]
             assert report.extra["lower_check_ok"]
-            assert report.to_dict() == build_phi_dict(w, g, f, lam, delta, d)[1].to_dict()
+            assert report.to_dict() == \
+                build_phi_dict(w, g, f, lam, delta, d, mode=mode)[1].to_dict()
             tied += 1
         assert tied > 0
 
@@ -667,21 +661,22 @@ class TestFractionOracles:
         for trial in range(45):
             den = (3, 5, 7)[trial % 3]
             t = Fraction(rng.randint(1, 2 * den), den)
-            g_inc = scale(randgen.random_increasing(rng, d, mode=mode), t)
-            g_sup = scale(randgen.random_superadditive(rng, d, mode=mode), t)
+            g_inc = scale(randgen.random_increasing(rng, d), t)
+            g_sup = scale(randgen.random_superadditive(rng, d), t)
             f = fn({n: Fraction(rng.randint(1, 30), den)
-                          for n in rng.sample(nodes, rng.randint(1, 12))}, mode)
+                    for n in rng.sample(nodes, rng.randint(1, 12))})
             gamma = sorted(support(g_sup))[rng.randrange(len(g_sup))]
             cases = [(verify_linf, f, g_inc, d), (verify_I2_positive, f, g_inc, d),
                      (verify_supadditive_l1linf, g_sup, f, gamma, d),
-                     (verify_inter, fn({}, mode), g_sup, 2, d),
-                     (verify_inter, fn({}, mode), g_sup, 1.5, d)]
+                     (verify_inter, fn({}), g_sup, 2, d),
+                     (verify_inter, fn({}), g_sup, 1.5, d)]
             cases += [(verify_gest, g_sup, gamma, p, d) for p in (2, 3, 1.5)]
             for p in (1, 1.5, 2, 3):
                 cases += [(verify_new23, f, g_inc, p, d), (verify_inter, f, g_sup, p, d)]
             for verifier, *args in cases:
-                assert _outcome(verifier, *args) == _outcome(ORACLES[verifier.__name__], *args), \
-                    (verifier.__name__, args)
+                oracle = ORACLES[verifier.__name__]
+                assert _outcome(verifier, *args, mode=mode) == \
+                    _outcome(oracle, *args, mode=mode), (verifier.__name__, args)
                 calls += 1
         assert calls == 45 * 16
 
@@ -736,6 +731,29 @@ class TestFloatModeRendersExact:
                 pairs += [(want[k], got[k], k) for k in want]
             for want, got, key in pairs:
                 assert (type(got), got) == self._rendered(want, got, key), (seed, key)
+
+
+class TestReportMode:
+    """The report mode is an argument of the verifiers, as the seed is; a
+    mode other than exact and float raises ValueError."""
+
+    def test_unknown_mode_rejected(self):
+        d, w, g, f, lam, delta, _ = TestBuildPhi._instance()
+        calls = [(verify_supadditive_l1linf, g, f, "", d), (verify_I2_positive, f, g, d),
+                 (build_phi, w, g, f, lam, delta, d), (verify_linf, f, g, d),
+                 (verify_gest, g, "", 2, d)]
+        # the float p-th roots, the non-integral p and the empty f as well
+        for p in (2, 1.5):
+            calls += [(verify_inter, f, g, p, d), (verify_new23, f, g, p, d)]
+        calls.append((verify_inter, fn({}), g, 2, d))
+        for verifier, *args in calls:
+            for mode in (EXACT, FLOAT):
+                verifier(*args, mode=mode)
+            with pytest.raises(ValueError, match="unknown report mode 'decimal'"):
+                verifier(*args, mode="decimal")
+        for suite in experiments.VERIFY_NAMES:
+            with pytest.raises(ValueError, match="unknown report mode 'decimal'"):
+                experiments.run_verify_suite(suite, 1, 5, 0, "decimal")
 
 
 class TestValueForm:

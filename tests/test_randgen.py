@@ -9,7 +9,8 @@ from cxlab import experiments, randgen
 from cxlab.hardy import rectangle_mass_fn
 from cxlab.lemmas import build_phi
 from cxlab.structure import special_form_g
-from cxlab.trees import EXACT, FLOAT, SparseFn, TreeDomain
+from cxlab.lemmas import EXACT, FLOAT
+from cxlab.trees import SparseFn, TreeDomain
 
 import helpers
 from helpers import (
@@ -85,28 +86,26 @@ def test_quarter_numerators_are_randints(count):
         assert rng.getstate() == ref.getstate()
 
 
-@pytest.mark.parametrize("mode", [EXACT, FLOAT])
-def test_random_weight_draws_quarters(mode):
+def test_random_weight_draws_quarters():
     """The phi trial's w is the stdlib weight on every node, kept on supp g
     in g's order and then on the rest of supp f."""
     for levels, seed in [(5, seed) for seed in range(51)] + [(8, 0), (8, 1)]:
         d = TreeDomain(levels)
-        w, g, f = experiments._phi_instance(random.Random(seed), d, mode)[:3]
+        w, g, f = experiments._phi_instance(random.Random(seed), d)[:3]
         rng = random.Random(seed)
-        random_superadditive_fraction(rng, d, mode=mode)
-        w_full = helpers.random_quarter_weight(rng, tree_nodes_bfs(d.levels), mode)[0]
+        random_superadditive_fraction(rng, d)
+        w_full = helpers.random_quarter_weight(rng, tree_nodes_bfs(d.levels))[0]
         kept = dict.fromkeys(itertools.chain(support(g), support(f)))
         assert _entries(w) == [(n, type(get(w_full, n)), get(w_full, n)) for n in kept]
 
 
-# each generator called at `levels` tree levels, in `mode` where it takes one
+# each generator called at `levels` tree levels
 CALLS = {
-    "random_superadditive": lambda gen, rng, levels, mode: gen(rng, TreeDomain(levels),
-                                                               mode=mode),
-    "random_increasing": lambda gen, rng, levels, mode: gen(rng, TreeDomain(levels), mode=mode),
-    "random_sparse": lambda gen, rng, levels, mode: gen(rng, TreeDomain(levels), mode=mode),
-    "random_quarters": lambda gen, rng, levels, mode: gen(rng, 2 ** levels - 1),
-    "random_special_form_measure": lambda gen, rng, levels, mode: gen(rng, levels, levels),
+    "random_superadditive": lambda gen, rng, levels: gen(rng, TreeDomain(levels)),
+    "random_increasing": lambda gen, rng, levels: gen(rng, TreeDomain(levels)),
+    "random_sparse": lambda gen, rng, levels: gen(rng, TreeDomain(levels)),
+    "random_quarters": lambda gen, rng, levels: gen(rng, 2 ** levels - 1),
+    "random_special_form_measure": lambda gen, rng, levels: gen(rng, levels, levels),
 }
 
 
@@ -115,31 +114,29 @@ def test_every_generator_has_an_oracle():
     assert public == set(CALLS) == set(STDLIB_RANDGEN)
 
 
-@pytest.mark.parametrize("mode", [EXACT, FLOAT])
 @pytest.mark.parametrize("name", sorted(CALLS))
-def test_generators_match_stdlib_oracles(name, mode):
+def test_generators_match_stdlib_oracles(name):
     """The same entries, value types and order as the stdlib draws, and the
     same generator state after."""
     call, gen, oracle = CALLS[name], getattr(randgen, name), STDLIB_RANDGEN[name]
     for levels in range(1, 11):
         for seed in range(200):
             rng, ref = random.Random(seed), random.Random(seed)
-            assert _entries(call(gen, rng, levels, mode)) == \
-                _entries(call(oracle, ref, levels, mode)), (levels, seed)
+            assert _entries(call(gen, rng, levels)) == \
+                _entries(call(oracle, ref, levels)), (levels, seed)
             assert rng.getstate() == ref.getstate()
 
 
-@pytest.mark.parametrize("mode", [EXACT, FLOAT])
 @pytest.mark.parametrize("levels", [1, 4, 8, 12])
 @pytest.mark.parametrize("gen, oracle", [
     (randgen.random_superadditive, random_superadditive_fraction),
     (randgen.random_increasing, random_increasing_fraction),
 ])
-def test_int_numerator_generators_match_fraction_oracles(gen, oracle, levels, mode):
+def test_int_numerator_generators_match_fraction_oracles(gen, oracle, levels):
     d = TreeDomain(levels)
     for seed in range(500):
         rng, rng_oracle = random.Random(seed), random.Random(seed)
-        got, want = gen(rng, d, mode=mode), oracle(rng_oracle, d, mode=mode)
+        got, want = gen(rng, d), oracle(rng_oracle, d)
         assert [(n, type(v), v) for n, v in items(got)] == \
             [(n, type(v), v) for n, v in items(want)]
         # the same draws, in the same order
@@ -203,9 +200,8 @@ def test_suites_match_stdlib_draws(suite, mode, monkeypatch):
     assert got == reports()
 
 
-@pytest.mark.parametrize("mode", [EXACT, FLOAT])
 @pytest.mark.parametrize("levels", [8, 13])
-def test_build_phi_reads_w_only_on_supp_g_and_f(levels, mode):
+def test_build_phi_reads_w_only_on_supp_g_and_f(levels):
     """phi and its report are the same with w on every node of d and with w
     restricted to supp g and supp f, at 8 and 13 levels: on the trial's
     instances, and on instances whose f is 1/2 on a whole sublevel set
@@ -214,12 +210,12 @@ def test_build_phi_reads_w_only_on_supp_g_and_f(levels, mode):
     nodes = tree_nodes_bfs(d.levels)
     nonzero = shrunk = 0
     for seed in range(30 if levels == 8 else 6):
-        w, g, f, lam, delta = helpers.phi_instance_dict(random.Random(seed), d, mode)
+        w, g, f, lam, delta = helpers.phi_instance_dict(random.Random(seed), d)
         iwg = helpers.hardy_up_scalars(w.mul(g), nodes)
         half = sorted(iwg.values())[len(nodes) // 4]
-        f_half = fn({n: Fraction(1, 2) for n, v in iwg.items() if v <= half}, mode)
+        f_half = fn({n: Fraction(1, 2) for n, v in iwg.items() if v <= half})
         for f, lam, delta in ((f, lam, delta), (f_half, 4 * half, half)):
-            w_kept = fn({n: get(w, n) for n in itertools.chain(support(g), support(f))}, mode)
+            w_kept = fn({n: get(w, n) for n in itertools.chain(support(g), support(f))})
             assert len(w) == len(nodes)
             shrunk += len(w_kept) < len(nodes)
             phi, report = build_phi(w, g, f, lam, delta, d, seed=seed)

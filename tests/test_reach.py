@@ -1,5 +1,6 @@
-"""Every function and method in src/cxlab is entered by some command, and
-every name a module of src/cxlab or of the tests imports is used there.
+"""Every function and method in src/cxlab is entered by some command,
+every name a module of src/cxlab or of the tests imports is used there, and
+the value layer names no report mode.
 
 A short fixed list of CLI commands runs in a fresh interpreter (the parser
 is cached per process) under sys.setprofile, in a temporary working
@@ -10,10 +11,12 @@ __repr__ and the methods of exception classes are exempt.
 
 import ast
 import importlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tokenize
 from pathlib import Path
 
 import cxlab
@@ -135,3 +138,26 @@ def test_every_imported_name_is_used():
                    for name in _unused_imports(ast.parse(path.read_text()))
                    if (path.stem, name) not in _UNUSED_IMPORT_EXEMPT]
     assert unused == [], f"imported but never used: {unused}"
+
+
+# The modules that hold and sweep tree functions and measures.  How a report
+# renders a value is decided in lemmas alone, so these name no mode.
+_MODE_FREE = ("trees", "hardy", "randgen", "structure", "capacity")
+_MODE_NAMES = {"mode", "EXACT", "FLOAT"}
+
+
+def _mode_names(source: str) -> list[str]:
+    """The identifiers of source, comments and strings left out, that name
+    a report mode."""
+    tokens = tokenize.generate_tokens(io.StringIO(source).readline)
+    return sorted({t.string for t in tokens if t.type == tokenize.NAME and t.string in _MODE_NAMES})
+
+
+def test_mode_names_are_found():
+    source = 'def f(g, mode=EXACT):\n    """in float mode"""  # mode\n    return g.mode\n'
+    assert _mode_names(source) == ["EXACT", "mode"]
+
+
+def test_value_layer_names_no_mode():
+    named = {stem: _mode_names((SRC / f"{stem}.py").read_text()) for stem in _MODE_FREE}
+    assert {stem: names for stem, names in named.items() if names} == {}

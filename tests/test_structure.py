@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from cxlab.trees import EXACT, FLOAT, TreeDomain
+from cxlab.lemmas import FLOAT
+from cxlab.trees import TreeDomain
 from cxlab.structure import (
     check_power_superadditive,
     is_increasing,
@@ -81,14 +82,13 @@ class TestPredicatesMatchNodeOracles:
         d = TreeDomain(8)
         rng = random.Random(4)
         seen = set()
-        for mode in ("exact", FLOAT):
-            for _ in range(150):
-                for gen in (randgen.random_superadditive, randgen.random_increasing,
-                            randgen.random_sparse):
-                    g = gen(rng, d, mode=mode)
-                    want = oracle(g, d)
-                    assert predicate(g, d) == want
-                    seen.add(want[0])
+        for _ in range(300):
+            for gen in (randgen.random_superadditive, randgen.random_increasing,
+                        randgen.random_sparse):
+                g = gen(rng, d)
+                want = oracle(g, d)
+                assert predicate(g, d) == want
+                seen.add(want[0])
         assert seen == {True, False}
 
     def test_non_dyadic_fractions(self, predicate, oracle):
@@ -104,10 +104,8 @@ class TestPredicatesMatchNodeOracles:
             seen.add(want[0])
         assert seen == {True, False}
 
-    @pytest.mark.parametrize("mode", [EXACT, FLOAT])
-    def test_decided_exactly_at_equality(self, predicate, oracle, mode):
-        # an equality holds, and an excess of 2^-60 fails, in both modes:
-        # no tolerance
+    def test_decided_exactly_at_equality(self, predicate, oracle):
+        # an equality holds, and an excess of 2^-60 fails: no tolerance
         d = TreeDomain(3)
         for excess, want in ((0, (True, None)),
                              (Fraction(1, 2 ** 60),
@@ -116,7 +114,7 @@ class TestPredicatesMatchNodeOracles:
                 entries = {"": 1, "0": Fraction(1, 2), "1": Fraction(1, 2) + excess}
             else:
                 entries = {"": 1, "1": 1 + excess}
-            g = fn(entries, mode)
+            g = fn(entries)
             assert oracle(g, d) == want
             assert predicate(g, d) == want
 
@@ -144,9 +142,7 @@ class TestSpecialForm:
         m = {("", ""): 1}, 4
         for p, want in ((2, Fraction(1, 4)), (Fraction(3, 2), Fraction(1, 16)),
                         (1.5, Fraction(1, 16)), (Fraction(4, 3), Fraction(1, 64))):
-            for mode in (EXACT, FLOAT):
-                g = special_form_g(m, "", p, mode)
-                assert (items(g), g.mode) == ([("", want)], mode), p
+            assert items(special_form_g(m, "", p)) == [("", want)], p
         for p in (3, 2.5, Fraction(5, 3)):
             with pytest.raises(ValueError, match="must be integral"):
                 special_form_g(m, "", p)
@@ -199,18 +195,15 @@ class TestSpecialForm:
 
     def test_float_form_is_the_float_of_the_exact_one(self):
         # g is exact at integral q - 1, whatever denominator the masses keep;
-        # its float form, as the float gest trial takes it, holds the same
-        # numerators and renders each value rounded once
+        # the float gest trial renders each value rounded once
         atoms = random_atoms_stdlib(random.Random(23), 6, 6)
         sums, den = rectangle_mass_fn(atoms)
         beta = max((y for _, y in sums), key=lambda y: (len(y), y))
         g = special_form_g((sums, den), beta, 2)
         g3 = special_form_g(({k: 3 * s for k, s in sums.items()}, 3 * den), beta, 2)
         assert len(atoms) > 1 and len(g) > 1
-        assert g.mode == EXACT and {type(v) for _, v in items(g)} == {Fraction}
+        assert {type(v) for _, v in items(g)} == {Fraction}
         assert items(g3) == items(g)
-        g_float = special_form_g((sums, den), beta, 2, FLOAT)
-        assert (g_float.mode, g_float.values, g_float.den) == (FLOAT, g.values, g.den)
-        assert [(n, type(v), v) for n, v in g_float.values.items()
-                for v in [lemmas._value(v, g_float.den, FLOAT)]] == \
+        assert [(n, type(v), v) for n, v in g.values.items()
+                for v in [lemmas._value(v, g.den, FLOAT)]] == \
             [(n, float, float(v)) for n, v in items(g)]

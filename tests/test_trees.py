@@ -5,8 +5,6 @@ import pytest
 
 from cxlab.trees import (
     DomainError,
-    EXACT,
-    FLOAT,
     PreconditionError,
     ResourceError,
     SparseFn,
@@ -95,17 +93,15 @@ class TestSparseFn:
         assert get(f, "1") == 0
         assert isinstance(get(f, "1"), Fraction)
 
-    @pytest.mark.parametrize("mode", [EXACT, FLOAT])
-    def test_negative_message(self, mode):
+    def test_negative_message(self):
         for v in (Fraction(-1, 2), -0.5):
             with pytest.raises(ValueError) as info:
-                fn({"": 1, "01": v}, mode)
+                fn({"": 1, "01": v})
             assert str(info.value) == "negative value -1/2 at 01"
 
-    @pytest.mark.parametrize("mode", [EXACT, FLOAT])
-    def test_zeros_dropped(self, mode):
+    def test_zeros_dropped(self):
         zeros = (0, 0.0, -0.0, Fraction(0))
-        f = fn({"0" * i: z for i, z in enumerate(zeros)}, mode)
+        f = fn({"0" * i: z for i, z in enumerate(zeros)})
         assert len(f) == 0 and not f
 
     def test_exact_coercion_of_int_and_float(self):
@@ -114,18 +110,9 @@ class TestSparseFn:
             (Fraction, Fraction(3)), (Fraction, Fraction(0.1)), (Fraction, Fraction(1, 3))]
         assert get(f, "0") != Fraction(1, 10)  # the binary value, not 1/10
 
-    def test_float_mode_holds_the_exact_numerators(self):
-        # the mode only renders: both modes hold the same ints over one den
-        values = {"": 3, "0": 0.1, "1": Fraction(1, 3)}
-        f, h = fn(values, FLOAT), fn(values)
-        assert (f.mode, h.mode) == (FLOAT, EXACT)
-        assert (f.values, f.den) == (h.values, h.den)
-        assert all(type(v) is int for v in f.values.values())
-
-    @pytest.mark.parametrize("mode", [EXACT, FLOAT])
-    def test_nan_rejected(self, mode):
+    def test_nan_rejected(self):
         with pytest.raises(ValueError):
-            fn({"": math.nan}, mode)
+            fn({"": math.nan})
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
@@ -140,10 +127,9 @@ class TestSparseFn:
         assert get(fg, "") == 2
         assert len(fg) == 1
 
-    def test_power_modes(self):
-        for mode in (EXACT, FLOAT):
-            h = power(fn({"": Fraction(1, 2)}, mode), 2)
-            assert (get(h, ""), h.mode) == (Fraction(1, 4), mode)
+    def test_power(self):
+        h = power(fn({"": Fraction(1, 2)}), 2)
+        assert items(h) == [("", Fraction(1, 4))]
 
 
 class TestValueForm:
@@ -154,20 +140,17 @@ class TestValueForm:
         assert all(type(v) is int for v in f.values.values())
 
     def test_float_values_at_their_binary_value(self):
-        f = fn({"1": 0.1, "": 2.5}, FLOAT)
+        f = fn({"1": 0.1, "": 2.5})
         assert f.den == 2 ** 55
         assert items(f) == [("1", Fraction(0.1)), ("", Fraction(5, 2))]
         assert (fn({}).values, fn({}).den) == ({}, 1)
 
-    @pytest.mark.parametrize("mode", [EXACT, FLOAT])
-    def test_constructor_takes_numerators_over_den(self, mode):
-        # numerators over any common denominator, kept as given in both modes
-        f = SparseFn({"1": 3, "": 10}, 12, mode)
-        assert f.mode == mode and len(f) == 2
+    def test_constructor_takes_numerators_over_den(self):
+        # numerators over any common denominator, kept as given
+        f = SparseFn({"1": 3, "": 10}, 12)
+        assert len(f) == 2
         assert (f.values, f.den) == ({"1": 3, "": 10}, 12)
         assert items(f) == [("1", Fraction(1, 4)), ("", Fraction(5, 6))]
-        with pytest.raises(ValueError, match="unknown scalar mode"):
-            SparseFn({}, 1, "decimal")
 
 
 class TestPreconditionError:
