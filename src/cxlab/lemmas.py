@@ -242,7 +242,7 @@ def build_phi(
             "lower_check_ok": a_ok,
             "energy_check_ok": b_ok,
             "worst_lower_ratio": worst_a,
-            "lower_const": PHI_LOWER_CONST,
+            "lower_const": _render(PHI_LOWER_CONST, mode),
             "energy_const": PHI_ENERGY_CONST,
         },
     )

@@ -85,11 +85,11 @@ def power(f: SparseFn, e: int) -> SparseFn:
     return fn({n: v ** e for n, v in items(f)})
 
 
-def rendered(report: lemmas.LemmaReport, mode: str, keep=()) -> lemmas.LemmaReport:
+def rendered(report: lemmas.LemmaReport, mode: str) -> lemmas.LemmaReport:
     """A report taken on Fractions as the given mode renders it: unchanged
-    in exact mode; in float mode each Fraction value, except the extra
-    entries named in keep, the correctly rounded float, and the ratio of
-    two Fraction sides the float of the exact ratio."""
+    in exact mode; in float mode each Fraction value the correctly rounded
+    float, and the ratio of two Fraction sides the float of the exact
+    ratio."""
     if mode == EXACT:
         return report
 
@@ -100,7 +100,7 @@ def rendered(report: lemmas.LemmaReport, mode: str, keep=()) -> lemmas.LemmaRepo
     return dataclasses.replace(
         report, lhs=r(report.lhs), rhs=r(report.rhs),
         params={k: r(v) for k, v in report.params.items()},
-        extra={k: v if k in keep else r(v) for k, v in report.extra.items()},
+        extra={k: r(v) for k, v in report.extra.items()},
         rounded_ratio=float(ratio) if isinstance(ratio, Fraction) else None)
 
 
@@ -812,7 +812,7 @@ def build_phi_dict(
             "energy_const": lemmas.PHI_ENERGY_CONST,
         },
     )
-    return phi, rendered(report, mode, keep=("lower_const",))
+    return phi, rendered(report, mode)
 
 
 # The generators as the stdlib's randint, randrange and choice draw them,

@@ -708,10 +708,10 @@ class TestFloatModeRendersExact:
     correctly rounded float, the ratio that of the exact ratio."""
 
     @staticmethod
-    def _rendered(exact, value, key):
+    def _rendered(exact):
         """The float report's value for an exact one: the float of a
-        Fraction, except phi's constant lower_const; anything else as is."""
-        if isinstance(exact, Fraction) and key != "lower_const":
+        Fraction; anything else as is."""
+        if isinstance(exact, Fraction):
             return float, float(exact)
         return type(exact), exact
 
@@ -730,7 +730,7 @@ class TestFloatModeRendersExact:
                 assert list(got) == list(want)
                 pairs += [(want[k], got[k], k) for k in want]
             for want, got, key in pairs:
-                assert (type(got), got) == self._rendered(want, got, key), (seed, key)
+                assert (type(got), got) == self._rendered(want), (seed, key)
 
 
 class TestReportMode:
