@@ -377,7 +377,8 @@ class TestBuildPhi:
             assert items(phi_f) == items(phi)
             assert (report_f.witness, report_f.extra) == (report.witness, report.extra)
 
-    def test_given_table_matches_own_sweep(self):
+    @pytest.mark.parametrize("mode", [EXACT, FLOAT])
+    def test_given_table_matches_own_sweep(self, mode):
         # the trial's table, swept from quarter numerators, and the table of
         # an instance whose f fills the whole sublevel set
         d = TreeDomain(8)
@@ -388,8 +389,8 @@ class TestBuildPhi:
             _, w, g, f, lam, delta, _ = self._instance(levels=8, seed=seed)
             instances.append((w, g, f, lam, delta, self._heap_table(w, g, d)))
             for w, g, f, lam, delta, iwg in instances:
-                phi, report = build_phi(w, g, f, lam, delta, d)
-                phi_t, report_t = build_phi(w, g, f, lam, delta, d, iwg=iwg)
+                phi, report = build_phi(w, g, f, lam, delta, d, mode=mode)
+                phi_t, report_t = build_phi(w, g, f, lam, delta, d, iwg=iwg, mode=mode)
                 assert dict(items(phi_t)) == dict(items(phi))
                 assert report_t.to_dict() == report.to_dict()
                 banded += report.extra["worst_lower_ratio"] is not None and bool(phi)
@@ -737,23 +738,44 @@ class TestReportMode:
     """The report mode is an argument of the verifiers, as the seed is; a
     mode other than exact and float raises ValueError."""
 
-    def test_unknown_mode_rejected(self):
+    # each entry point, called on one phi instance; inter and new23 also at
+    # the float p-th roots and non-integral p, and inter with an empty f
+    CALLS = {
+        "l1linf": lambda d, w, g, f, lam, delta: (verify_supadditive_l1linf, g, f, "", d),
+        "i2pos": lambda d, w, g, f, lam, delta: (verify_I2_positive, f, g, d),
+        "build_phi": lambda d, w, g, f, lam, delta: (build_phi, w, g, f, lam, delta, d),
+        "linf": lambda d, w, g, f, lam, delta: (verify_linf, f, g, d),
+        "gest": lambda d, w, g, f, lam, delta: (verify_gest, g, "", 2, d),
+        "inter-2": lambda d, w, g, f, lam, delta: (verify_inter, f, g, 2, d),
+        "inter-1.5": lambda d, w, g, f, lam, delta: (verify_inter, f, g, 1.5, d),
+        "inter-empty-f": lambda d, w, g, f, lam, delta: (verify_inter, fn({}), g, 2, d),
+        "new23-2": lambda d, w, g, f, lam, delta: (verify_new23, f, g, 2, d),
+        "new23-1.5": lambda d, w, g, f, lam, delta: (verify_new23, f, g, 1.5, d),
+    }
+
+    @pytest.mark.parametrize("call", sorted(CALLS))
+    def test_unknown_mode_rejected(self, call):
         d, w, g, f, lam, delta, _ = TestBuildPhi._instance()
-        calls = [(verify_supadditive_l1linf, g, f, "", d), (verify_I2_positive, f, g, d),
-                 (build_phi, w, g, f, lam, delta, d), (verify_linf, f, g, d),
-                 (verify_gest, g, "", 2, d)]
-        # the float p-th roots, the non-integral p and the empty f as well
-        for p in (2, 1.5):
-            calls += [(verify_inter, f, g, p, d), (verify_new23, f, g, p, d)]
-        calls.append((verify_inter, fn({}), g, 2, d))
-        for verifier, *args in calls:
-            for mode in (EXACT, FLOAT):
-                verifier(*args, mode=mode)
-            with pytest.raises(ValueError, match="unknown report mode 'decimal'"):
-                verifier(*args, mode="decimal")
-        for suite in experiments.VERIFY_NAMES:
-            with pytest.raises(ValueError, match="unknown report mode 'decimal'"):
-                experiments.run_verify_suite(suite, 1, 5, 0, "decimal")
+        verifier, *args = self.CALLS[call](d, w, g, f, lam, delta)
+        for mode in (EXACT, FLOAT):
+            verifier(*args, mode=mode)
+        with pytest.raises(ValueError, match="unknown report mode 'decimal'"):
+            verifier(*args, mode="decimal")
+
+    @pytest.mark.parametrize("suite", experiments.VERIFY_NAMES)
+    def test_unknown_mode_rejected_by_the_suite(self, suite):
+        with pytest.raises(ValueError, match="unknown report mode 'decimal'"):
+            experiments.run_verify_suite(suite, 1, 5, 0, "decimal")
+
+    @pytest.mark.parametrize("suite", experiments.VERIFY_NAMES)
+    def test_reports_carry_the_asked_mode(self, suite):
+        # inter compares float p-th roots, and new23 at a non-integral p
+        # float powers, so those reports are float whatever was asked
+        for mode in (EXACT, FLOAT):
+            for r in experiments.run_verify_suite(suite, 30, 6, 3, mode):
+                forced = suite == "inter" or (suite == "new23" and r.params["p"] == 1.5)
+                assert r.mode == (FLOAT if forced else mode), (mode, r.params)
+                assert isinstance(r.lhs, float) == isinstance(r.rhs, float) == (r.mode == FLOAT)
 
 
 class TestValueForm:

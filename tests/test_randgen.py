@@ -200,8 +200,9 @@ def test_suites_match_stdlib_draws(suite, mode, monkeypatch):
     assert got == reports()
 
 
+@pytest.mark.parametrize("mode", [EXACT, FLOAT])
 @pytest.mark.parametrize("levels", [8, 13])
-def test_build_phi_reads_w_only_on_supp_g_and_f(levels):
+def test_build_phi_reads_w_only_on_supp_g_and_f(levels, mode):
     """phi and its report are the same with w on every node of d and with w
     restricted to supp g and supp f, at 8 and 13 levels: on the trial's
     instances, and on instances whose f is 1/2 on a whole sublevel set
@@ -218,8 +219,8 @@ def test_build_phi_reads_w_only_on_supp_g_and_f(levels):
             w_kept = fn({n: get(w, n) for n in itertools.chain(support(g), support(f))})
             assert len(w) == len(nodes)
             shrunk += len(w_kept) < len(nodes)
-            phi, report = build_phi(w, g, f, lam, delta, d, seed=seed)
-            phi_kept, report_kept = build_phi(w_kept, g, f, lam, delta, d, seed=seed)
+            phi, report = build_phi(w, g, f, lam, delta, d, seed=seed, mode=mode)
+            phi_kept, report_kept = build_phi(w_kept, g, f, lam, delta, d, seed=seed, mode=mode)
             assert _entries(phi_kept) == _entries(phi)
             assert report_kept.to_dict() == report.to_dict()
             nonzero += bool(phi)
