@@ -7,8 +7,11 @@ step along a tail.  The large-N sums collapse to per-level aggregates
 (binomial counts over the number of zero bits in a path).  For integer
 exponents they are exact: each sum runs over int numerators above one
 power-of-two denominator, and the reported Fraction is built once at the
-end, so no addition pays for a gcd of 1000- to 4000-bit integers.  Float
-mode rounds the same numerators once, as float(Fraction) would.
+end, so no addition pays for a gcd of 1000- to 4000-bit integers.  The
+p > 2 chain audit decides every step so at every p: a non-integral p
+takes its powers k^e as the exact values of the floats k ** e, int
+numerators over 2^52, and renders each reported value once, as the
+correctly rounded float of the exact one (inf beyond the float range).
 tests/helpers.py builds the instances node by node, and keeps the
 step-by-step Fraction sums, as the oracles for these sums.
 """
@@ -18,6 +21,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from operator import le, mul, sub
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterator, Optional
@@ -39,7 +43,8 @@ from .randgen import _below, _random_bits
 _MAX_CEX_K = 8          # the p<2 sums take ~4^k terms
 _MAX_SEARCH_DEPTH = 14
 _MAX_SEARCH_BUDGET = 10 ** 6  # tens of seconds at ~40 us per trial
-_MAX_NEW23_FLOAT_N = 1024   # the ones variant rounds 2^(N-1) to a float
+_MAX_NEW23_FLOAT_N = 1024   # a float-rendered ones total is at least 2^(N-1)
+_TWO_52 = float(1 << 52)
 
 
 def _half_pow(i: int) -> Fraction:
@@ -250,134 +255,158 @@ class VariantAudit:
         }
 
 
-def _power_tables(N: int, p: Scalar) -> list[list]:
-    """k^p, k^(p-1) and k^(p-2) for k = 0..N, as _pow gives them: ints for
-    integral p, else float(k) ** float(e)."""
+def _power_tables(N: int, p: Scalar) -> tuple[list[list[int]], int]:
+    """k^p, k^(p-1) and k^(p-2) for k = 0..N as int numerators over one
+    denominator: the ints themselves over 1 for integral p, else the exact
+    values of float(k) ** float(e) over 2^52.  p > 2 makes every exponent
+    positive, so each float power is 0 or at least 1, a multiple of 2^-52."""
     pi = _as_int(p)
     if pi is not None:
-        return [[k ** e for k in range(N + 1)] for e in (pi, pi - 1, pi - 2)]
-    return [[float(k) ** float(e) for k in range(N + 1)] for e in (p, p - 1, p - 2)]
+        return [[k ** e for k in range(N + 1)] for e in (pi, pi - 1, pi - 2)], 1
+    # x * 2^52 is exact; from 2^52 up x is an int, and x * 2^52 might overflow
+    return [[int(x * _TWO_52) if x < _TWO_52 else int(x) << 52
+             for x in (float(k) ** float(e) for k in range(N + 1))]
+            for e in (p, p - 1, p - 2)], 1 << 52
 
 
-def _audit_variant(variant: str, N: int, p: Scalar, tables: list[list]) -> VariantAudit:
-    """One variant's audit; tables are _power_tables(N, p)."""
-    exact = _as_int(p) is not None
-    pi = _as_int(p)
+def _float_or_inf(x: Scalar) -> Scalar:
+    """A Fraction as its correctly rounded float, +-inf beyond the float
+    range; any other scalar as it is."""
+    if not isinstance(x, Fraction):
+        return x
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf if x > 0 else -math.inf
 
-    # Path quantities at u_k, k = 1..N (u_1 = root, u_N = the left-most
-    # boundary node), as integer numerators over one denominator den:
-    # g = 2^-k and I*g = 2^-(k-1) - 2^-N for halving (den = 2^N); g = 1 and
-    # I*g = 2^(N-k+1) - 1 for ones (den = 1).  L sums k^p against lw: g on
-    # the path for halving (off-path values vanish), and for ones the
-    # 2^(N-k) nodes of leading-zero count k - 1 in the whole tree.
-    lw = [2 ** (N - k) for k in range(1, N + 1)]
+
+def _path_numerators(N: int) -> tuple[list[int], list[int], list[int]]:
+    """lw, I*g and II*g at u_k, k = 1..N (u_1 = root, u_N = the left-most
+    boundary node), as int numerators shared by both variants: each puts
+    them over its own denominator den.  g = 2^-k and I*g = 2^-(k-1) - 2^-N
+    for halving (den = 2^N); g = 1 and I*g = 2^(N-k+1) - 1 for ones
+    (den = 1).  L sums k^p against lw: g on the path for halving (off-path
+    values vanish), and for ones the 2^(N-k) nodes of leading-zero count
+    k - 1 in the whole tree."""
+    lw = [1 << (N - k) for k in range(1, N + 1)]
     istar = [2 * w - 1 for w in lw]
+    return lw, istar, list(itertools.accumulate(istar))
+
+
+def _audit_variant(variant: str, N: int, p: Scalar, powers: tuple[list[list[int]], int],
+                   path: tuple[list[int], list[int], list[int]]) -> VariantAudit:
+    """One variant's audit; powers is _power_tables(N, p) and path is
+    _path_numerators(N).  Every step is decided exactly; a non-integral p
+    then renders each value as a float."""
+    lw, istar, iistar = path
     if variant == "halving":
-        g_path, den = lw, 2 ** N
+        g_path, den = lw, 1 << N
     elif variant == "ones":
         g_path, den = [1] * N, 1
     else:
         raise ValueError(f"unknown variant {variant!r}")
-    iistar = list(itertools.accumulate(istar))
     # II* along the path is a running sum of non-negative I* values, so the
     # maximum sits at the boundary node u_N, where g is non-zero.
-    boundary_ok = all(iistar[i] <= iistar[i + 1] for i in range(N - 1)) and g_path[-1] > 0
+    boundary_ok = all(map(le, iistar, iistar[1:])) and g_path[-1] > 0
 
-    pw, pw1, pw2 = tables
+    (pw, pw1, pw2), tden = powers
+    # p exactly (a float p is a dyadic rational), an int when integral
+    pe = _as_int(p)
+    pe = Fraction(p) if pe is None else pe
 
-    if exact:
-        def q(num):
-            return Fraction(num, den)
+    def q(num, over=tden):
+        """A path value: num over den * over."""
+        return Fraction(num, den * over)
 
-        L = q(sum(pw[k] * lw[k - 1] for k in range(1, N + 1)))
-    else:
-        def q(num):
-            return num
+    def t(num):
+        """A sum of table entries: num over tden, an int at integral p."""
+        return num if tden == 1 else Fraction(num, tden)
 
-        def fl(num):
-            # float(Fraction(num, den)), with overflow read as inf
-            try:
-                return num / den
-            except OverflowError:
-                return math.inf
-        g_path = [fl(x) for x in g_path]
-        istar = [fl(x) for x in istar]
-        iistar = [fl(x) for x in iistar]
-        L = sum(pw[k] * fl(lw[k - 1]) for k in range(1, N + 1))
+    # each sum over k runs on slices: a path list at k - 1, a table at k
+    L = q(sum(map(mul, pw[1:], lw)))
+    sup = q(iistar[-1], 1)
+    steps: list[tuple] = []
 
-    # The steps below take the numerators in exact mode and q() puts them
-    # over den; float mode runs the same expressions on the rounded values.
-    sup = q(iistar[-1])
-    steps: list[AuditStep] = []
+    S1 = q(sum(map(mul, pw[2:], g_path[1:])))  # k = 2..N
+    steps.append(("series_lower_bound", L, S1, L >= S1,
+                  "L >= sum_{k>=2} k^p g(u_k)"))
 
-    S1 = q(sum(pw[k] * g_path[k - 1] for k in range(2, N + 1)))
-    steps.append(AuditStep("series_lower_bound", L, S1, L >= S1,
-                           "L >= sum_{k>=2} k^p g(u_k)"))
+    # k = 2..N: |g(u_k) - (I*g(u_k) - I*g(u_{k-1}))|
+    dev = q(max(map(abs, map(sub, g_path[1:], map(sub, istar[1:], istar)))), 1)
+    steps.append(("g_telescope", dev, 0, dev == 0,
+                  "printed identity g(u_k) = I*g(u_k) - I*g(u_{k-1})"))
 
-    dev = q(max(abs(g_path[k - 1] - (istar[k - 1] - istar[k - 2])) for k in range(2, N + 1)))
-    steps.append(AuditStep("g_telescope", dev, 0, dev == 0,
-                           "printed identity g(u_k) = I*g(u_k) - I*g(u_{k-1})"))
+    S2 = q(sum(map(mul, istar[1:], map(sub, pw[2:], pw[1:]))))  # k = 2..N
+    steps.append(("abel_1", S1, S2, S1 == S2,
+                  "printed Abel summation (equality claim)"))
 
-    S2 = q(sum(istar[k - 1] * (pw[k] - pw[k - 1]) for k in range(2, N + 1)))
-    steps.append(AuditStep("abel_1", S1, S2, S1 == S2,
-                           "printed Abel summation (equality claim)"))
+    # p / 2^(p-1), with 2^(p-1) the table's entry
+    const = Fraction(pe * tden, pw1[2])
+    S3 = q(sum(map(mul, istar[1:], pw1[2:])))  # k = 2..N
+    steps.append(("power_diff_bound", S2, const * S3, S2 >= const * S3,
+                  "k^p - (k-1)^p >= (p/2^(p-1)) k^(p-1)"))
 
-    const = Fraction(pi, 2 ** (pi - 1)) if exact else float(p) / 2.0 ** (float(p) - 1.0)
-    S3 = q(sum(istar[k - 1] * pw1[k] for k in range(2, N + 1)))
-    steps.append(AuditStep("power_diff_bound", S2, const * S3, S2 >= const * S3,
-                           "k^p - (k-1)^p >= (p/2^(p-1)) k^(p-1)"))
+    dev2 = q(max(map(abs, map(sub, istar[1:], map(sub, iistar[1:], iistar)))), 1)
+    steps.append(("istar_telescope", dev2, 0, dev2 == 0,
+                  "I*g(u_k) = II*g(u_k) - II*g(u_{k-1})"))
 
-    dev2 = q(max(abs(istar[k - 1] - (iistar[k - 1] - iistar[k - 2])) for k in range(2, N + 1)))
-    steps.append(AuditStep("istar_telescope", dev2, 0, dev2 == 0,
-                           "I*g(u_k) = II*g(u_k) - II*g(u_{k-1})"))
+    rises = list(map(sub, pw1[2:], pw1[1:]))  # (k+1)^(p-1) - k^(p-1), k = 1..N-1
+    star = q(iistar[N - 1] * pw1[N] - iistar[0] * tden - sum(map(mul, iistar, rises)))
+    steps.append(("abel_2_star", S3, star, S3 == star,
+                  "the (*) expression"))
 
-    star = q(iistar[N - 1] * pw1[N] - iistar[0] - sum(
-        iistar[k - 1] * (pw1[k + 1] - pw1[k]) for k in range(1, N)))
-    steps.append(AuditStep("abel_2_star", S3, star, S3 == star,
-                           "the (*) expression"))
+    tele_num = sum(rises)
+    tele = t(tele_num)
+    star_lb = q(iistar[-1] * pw1[N] - iistar[0] * tden - iistar[-1] * tele_num)
+    steps.append(("star_bound", star, star_lb, star >= star_lb,
+                  "(*) bounded below via ||II*g||_inf (m taken as 1)"))
 
-    tele = sum(pw1[k + 1] - pw1[k] for k in range(1, N))
-    star_lb = q(iistar[-1] * pw1[N] - iistar[0] - iistar[-1] * tele)
-    steps.append(AuditStep("star_bound", star, star_lb, star >= star_lb,
-                           "(*) bounded below via ||II*g||_inf (m taken as 1)"))
+    pow_sum = t(sum(pw2[1:N]))
+    deriv_rhs = (pe - 1) * pow_sum
+    steps.append(("derivative_bound", tele, deriv_rhs, tele <= deriv_rhs,
+                  "printed (k+1)^(p-1) - k^(p-1) <= (p-1) k^(p-2)"))
 
-    pow_sum = sum(pw2[k] for k in range(1, N))
-    deriv_rhs = ((pi - 1) if exact else (float(p) - 1.0)) * pow_sum
-    steps.append(AuditStep("derivative_bound", tele, deriv_rhs, tele <= deriv_rhs,
-                           "printed (k+1)^(p-1) - k^(p-1) <= (p-1) k^(p-2)"))
+    integral_rhs = Fraction(pw1[N - 1] - tden, tden) / (pe - 1)
+    steps.append(("integral_bound", pow_sum, integral_rhs, pow_sum <= integral_rhs,
+                  "printed sum k^(p-2) <= ((N-1)^(p-1) - 1)/(p-1)"))
 
-    integral_rhs = (Fraction(pw1[N - 1] - 1, pi - 1) if exact
-                    else (pw1[N - 1] - 1) / (float(p) - 1.0))
-    steps.append(AuditStep("integral_bound", pow_sum, integral_rhs,
-                           pow_sum <= integral_rhs,
-                           "printed sum k^(p-2) <= ((N-1)^(p-1) - 1)/(p-1)"))
-
-    final_rhs = const * sup * (pw1[N] - pw1[N - 1])
-    steps.append(AuditStep("final_claim", L, final_rhs, L >= final_rhs,
-                           "the chain's asserted lower bound on L"))
+    final_rhs = const * sup * t(pw1[N] - pw1[N - 1])
+    steps.append(("final_claim", L, final_rhs, L >= final_rhs,
+                  "the chain's asserted lower bound on L"))
 
     lemma_rhs = sup * N
+    # the one rendering: exact values at integral p, floats otherwise
+    show = _float_or_inf if tden > 1 else (lambda x: x)
     return VariantAudit(
         variant=variant, N=N, p=p,
-        total_ifp_g=L, sup_iistar=sup, sum_fp=N, lemma_rhs=lemma_rhs,
+        total_ifp_g=show(L), sup_iistar=show(sup), sum_fp=N, lemma_rhs=show(lemma_rhs),
         lemma_holds=L <= lemma_rhs, boundary_argmax_ok=boundary_ok,
-        steps=steps,
+        steps=[AuditStep(name, show(lhs), show(rhs), ok, note)
+               for name, lhs, rhs, ok, note in steps],
     )
 
 
 def gen_cex_new23(N: int, p: Scalar) -> dict[str, VariantAudit]:
     """Audit both constructions (half-on-left-path g and g = 1) against the
-    power-sum lemma, checking every printed chain step numerically."""
+    power-sum lemma, checking every printed chain step exactly."""
     if N < 3:
         raise ValueError("N must be at least 3")
     if p <= 2:
         raise ValueError("the audited chain targets p > 2")
-    if _as_int(p) is None and N > _MAX_NEW23_FLOAT_N:
-        raise ResourceError(
-            f"a non-integral p rounds the weight 2^(N-1) to a float, which "
-            f"overflows beyond N = {_MAX_NEW23_FLOAT_N}")
-    tables = _power_tables(N, p)
-    return {v: _audit_variant(v, N, p, tables) for v in ("halving", "ones")}
+    if _as_int(p) is None:
+        if N > _MAX_NEW23_FLOAT_N:
+            raise ResourceError(
+                f"a non-integral p renders the audit as floats, and the ones "
+                f"variant's total, at least 2^(N-1), overflows them beyond "
+                f"N = {_MAX_NEW23_FLOAT_N}")
+        try:
+            float(N) ** float(p)
+        except OverflowError:
+            raise ResourceError(
+                f"a non-integral p takes the powers k^p, k <= N, as floats, and "
+                f"N^p = {N}^{p} is beyond the float range (N^p < 2^1024)") from None
+    powers, path = _power_tables(N, p), _path_numerators(N)
+    return {v: _audit_variant(v, N, p, powers, path) for v in ("halving", "ones")}
 
 
 # ---------------------------------------------------------------------------

@@ -224,9 +224,9 @@ def _cex_direct(N: int = 10, p: float = 2.0, seed: int = 0) -> CellResult:
 def _cex_new23(N: int = 10, p: float = 4.0) -> CellResult:
     audits = cex.gen_cex_new23(N, _exponent(p))
     first = audits["halving"]
-    row = {"lhs": float(first.total_ifp_g), "rhs": float(first.lemma_rhs),
-           "ratio": float(first.total_ifp_g) / float(first.lemma_rhs),
-           "holds": first.lemma_holds}
+    # overflow-safe: a large integral p can take L beyond the float range
+    lhs, rhs = cex._float_or_inf(first.total_ifp_g), cex._float_or_inf(first.lemma_rhs)
+    row = {"lhs": lhs, "rhs": rhs, "ratio": lhs / rhs, "holds": first.lemma_holds}
     return CellResult({name: audit.to_dict() for name, audit in audits.items()}, row,
                       all(audit.boundary_argmax_ok for audit in audits.values()))
 

@@ -443,19 +443,24 @@ def sum_ifg_p_direct_fraction(N: int, p: Scalar) -> Scalar:
 
 
 def audit_variant_fraction(variant: str, N: int, p: Scalar) -> VariantAudit:
-    """The p > 2 chain audit with every path value a Fraction; float mode
-    rounds the path values once, then runs the float steps."""
-    exact = _as_int(p) is not None
+    """The p > 2 chain audit with every path value a Fraction and every
+    power the exact value of _pow's; a non-integral p renders each reported
+    value as its float, inf beyond the float range."""
+    def pw(k, e):
+        v = _pow(k, e)
+        return Fraction(v) if isinstance(v, float) else v
+
     pi = _as_int(p)
+    pe = Fraction(p) if pi is None else pi
 
     if variant == "halving":
         g_path = [_half_pow(k) for k in range(1, N + 1)]
         istar = [Fraction(1, 2 ** (k - 1)) - _half_pow(N) for k in range(1, N + 1)]
-        L = sum(_pow(k, p) * g_path[k - 1] for k in range(1, N + 1))
+        L = sum(pw(k, p) * g_path[k - 1] for k in range(1, N + 1))
     elif variant == "ones":
         g_path = [Fraction(1)] * N
         istar = [Fraction(2 ** (N - k + 1) - 1) for k in range(1, N + 1)]
-        L = sum(_pow(a + 1, p) * Fraction(2 ** (N - 1 - a)) for a in range(N))
+        L = sum(pw(a + 1, p) * Fraction(2 ** (N - 1 - a)) for a in range(N))
     else:
         raise ValueError(f"unknown variant {variant!r}")
 
@@ -467,63 +472,64 @@ def audit_variant_fraction(variant: str, N: int, p: Scalar) -> VariantAudit:
     sup = iistar[-1]
     boundary_ok = all(iistar[i] <= iistar[i + 1] for i in range(N - 1)) and g_path[-1] > 0
 
-    if not exact:
-        def f(x):
-            try:
-                return float(x)
-            except OverflowError:
-                return math.inf
-        g_path = [f(x) for x in g_path]
-        istar = [f(x) for x in istar]
-        iistar = [f(x) for x in iistar]
-        sup = f(sup)
-        L = f(L)
-
     steps: list[AuditStep] = []
-    S1 = sum(_pow(k, p) * g_path[k - 1] for k in range(2, N + 1))
+    S1 = sum(pw(k, p) * g_path[k - 1] for k in range(2, N + 1))
     steps.append(AuditStep("series_lower_bound", L, S1, L >= S1,
                            "L >= sum_{k>=2} k^p g(u_k)"))
     dev = max(abs(g_path[k - 1] - (istar[k - 1] - istar[k - 2])) for k in range(2, N + 1))
     steps.append(AuditStep("g_telescope", dev, 0, dev == 0,
                            "printed identity g(u_k) = I*g(u_k) - I*g(u_{k-1})"))
-    S2 = sum(istar[k - 1] * (_pow(k, p) - _pow(k - 1, p)) for k in range(2, N + 1))
+    S2 = sum(istar[k - 1] * (pw(k, p) - pw(k - 1, p)) for k in range(2, N + 1))
     steps.append(AuditStep("abel_1", S1, S2, S1 == S2,
                            "printed Abel summation (equality claim)"))
-    const = Fraction(pi, 2 ** (pi - 1)) if exact else float(p) / 2.0 ** (float(p) - 1.0)
-    S3 = sum(istar[k - 1] * _pow(k, p - 1) for k in range(2, N + 1))
+    const = Fraction(pe) / pw(2, p - 1)
+    S3 = sum(istar[k - 1] * pw(k, p - 1) for k in range(2, N + 1))
     steps.append(AuditStep("power_diff_bound", S2, const * S3, S2 >= const * S3,
                            "k^p - (k-1)^p >= (p/2^(p-1)) k^(p-1)"))
     dev2 = max(abs(istar[k - 1] - (iistar[k - 1] - iistar[k - 2])) for k in range(2, N + 1))
     steps.append(AuditStep("istar_telescope", dev2, 0, dev2 == 0,
                            "I*g(u_k) = II*g(u_k) - II*g(u_{k-1})"))
-    star = iistar[N - 1] * _pow(N, p - 1) - iistar[0] - sum(
-        iistar[k - 1] * (_pow(k + 1, p - 1) - _pow(k, p - 1)) for k in range(1, N))
+    star = iistar[N - 1] * pw(N, p - 1) - iistar[0] - sum(
+        iistar[k - 1] * (pw(k + 1, p - 1) - pw(k, p - 1)) for k in range(1, N))
     steps.append(AuditStep("abel_2_star", S3, star, S3 == star,
                            "the (*) expression"))
-    tele = sum(_pow(k + 1, p - 1) - _pow(k, p - 1) for k in range(1, N))
-    star_lb = sup * _pow(N, p - 1) - iistar[0] - sup * tele
+    tele = sum(pw(k + 1, p - 1) - pw(k, p - 1) for k in range(1, N))
+    star_lb = sup * pw(N, p - 1) - iistar[0] - sup * tele
     steps.append(AuditStep("star_bound", star, star_lb, star >= star_lb,
                            "(*) bounded below via ||II*g||_inf (m taken as 1)"))
-    pow_sum = sum(_pow(k, p - 2) for k in range(1, N))
-    deriv_rhs = ((pi - 1) if exact else (float(p) - 1.0)) * pow_sum
+    pow_sum = sum(pw(k, p - 2) for k in range(1, N))
+    deriv_rhs = (pe - 1) * pow_sum
     steps.append(AuditStep("derivative_bound", tele, deriv_rhs, tele <= deriv_rhs,
                            "printed (k+1)^(p-1) - k^(p-1) <= (p-1) k^(p-2)"))
-    integral_rhs = (Fraction(_pow(N - 1, p - 1) - 1, pi - 1) if exact
-                    else (_pow(N - 1, p - 1) - 1) / (float(p) - 1.0))
+    integral_rhs = (Fraction(pw(N - 1, p - 1)) - 1) / (pe - 1)
     steps.append(AuditStep("integral_bound", pow_sum, integral_rhs,
                            pow_sum <= integral_rhs,
                            "printed sum k^(p-2) <= ((N-1)^(p-1) - 1)/(p-1)"))
-    final_rhs = const * sup * (_pow(N, p - 1) - _pow(N - 1, p - 1))
+    final_rhs = const * sup * (pw(N, p - 1) - pw(N - 1, p - 1))
     steps.append(AuditStep("final_claim", L, final_rhs, L >= final_rhs,
                            "the chain's asserted lower bound on L"))
 
     lemma_rhs = sup * N
-    return VariantAudit(
+    audit = VariantAudit(
         variant=variant, N=N, p=p,
         total_ifp_g=L, sup_iistar=sup, sum_fp=N, lemma_rhs=lemma_rhs,
         lemma_holds=L <= lemma_rhs, boundary_argmax_ok=boundary_ok,
         steps=steps,
     )
+    if pi is not None:
+        return audit
+
+    def f(x):
+        if not isinstance(x, Fraction):
+            return x
+        try:
+            return float(x)
+        except OverflowError:
+            return math.inf if x > 0 else -math.inf
+    for step in steps:
+        step.lhs, step.rhs = f(step.lhs), f(step.rhs)
+    audit.total_ifp_g, audit.sup_iistar, audit.lemma_rhs = f(L), f(sup), f(lemma_rhs)
+    return audit
 
 
 # The sups of II*g that only the tests read, each one sweep of

@@ -69,6 +69,19 @@ class TestCex:
         assert code == 3
         assert "N = 1024" in capsys.readouterr().err
 
+    def test_new23_non_integral_powers_beyond_float_range_exit_3(self, capsys):
+        code = main(["cex", "new23", "--N", "1000", "--p", "300.5"])
+        assert code == 3
+        assert "N^p < 2^1024" in capsys.readouterr().err
+
+    def test_new23_integral_p_beyond_float_range(self, capsys):
+        # L overflows a float; the audit stays exact and the row reads inf
+        code, out = run_cli(capsys, "cex", "new23", "--N", "1000", "--p", "300")
+        assert code == 0
+        payload = json.loads(out)
+        assert isinstance(payload["halving"]["total_ifp_g"], str)
+        assert run_cell("cex-new23", {"N": 1000, "p": 300}).row["lhs"] == float("inf")
+
     def test_new23_audit(self, capsys):
         code, out = run_cli(capsys, "cex", "new23", "--N", "10", "--p", "4")
         assert code == 0

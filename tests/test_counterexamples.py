@@ -1,4 +1,6 @@
+import itertools
 import json
+import math
 import random
 from fractions import Fraction
 from math import comb
@@ -9,7 +11,9 @@ from cxlab.trees import ResourceError, TreeDomain, _as_int, _pow
 from cxlab.lemmas import scalar_repr, verify_new23
 from cxlab import counterexamples as cex
 from cxlab.counterexamples import (
+    _MAX_NEW23_FLOAT_N,
     _audit_variant,
+    _path_numerators,
     _power_tables,
     gen_cex_direct,
     gen_cex_increasing,
@@ -200,6 +204,12 @@ class TestCexPLess2:
             gen_cex_p_less_2(3, 2)
 
 
+# the steps that fail at every integral p and size: the printed identities
+# and bounds the note's chain gets wrong
+INTEGRAL_P_FAILURES = {"g_telescope", "abel_1", "derivative_bound",
+                       "integral_bound", "final_claim"}
+
+
 class TestNew23Audit:
     def test_path_quantities_match_bruteforce(self):
         N, p = 6, 4
@@ -240,13 +250,16 @@ class TestNew23Audit:
             assert a1[variant].boundary_argmax_ok
 
     def test_exact_chain_steps_pass(self):
-        # the algebraically exact steps must hold at every size
-        for N in (5, 50):
-            for audit in gen_cex_new23(N, 4).values():
+        # the algebraically exact steps hold at every size and every p, and
+        # only steps that fail at integral p may fail
+        for N, p in itertools.product((5, 10, 50, 998, 1000), (4, 2.01, 2.5, 3.5, 4.5, 50.5)):
+            for audit in gen_cex_new23(N, p).values():
                 by_name = {s.step: s for s in audit.steps}
                 for step in ("series_lower_bound", "power_diff_bound",
                              "istar_telescope", "abel_2_star", "star_bound"):
-                    assert by_name[step].ok, (audit.variant, step)
+                    assert by_name[step].ok, (N, p, audit.variant, step)
+                failed = {name for name, s in by_name.items() if not s.ok}
+                assert failed <= INTEGRAL_P_FAILURES, (N, p, audit.variant)
 
     def test_rejects_small_p(self):
         with pytest.raises(ValueError):
@@ -254,14 +267,13 @@ class TestNew23Audit:
 
 
 def _audit_text(audit):
-    """The printed audit: as text, NaN equals NaN."""
+    """The printed audit."""
     return json.dumps(audit.to_dict(), default=scalar_repr)
 
 
 class TestIntegerSumsMatchFractionOracles:
     """The integer-numerator sums print what step-by-step Fraction
-    arithmetic prints, NaN outputs of float mode included (ones at
-    N = 1000, p = 3.5: II*g overflows and inf - inf reads NaN)."""
+    arithmetic prints."""
 
     NS = (3, 4, 10, 100, 1000)
     PS = (2.01, 2.5, 3, 3.5, 4, 4.0, 5)
@@ -269,18 +281,22 @@ class TestIntegerSumsMatchFractionOracles:
     @pytest.mark.parametrize("p", PS)
     @pytest.mark.parametrize("N", NS)
     def test_audit_variants(self, N, p):
-        tables = _power_tables(N, p)
+        powers, path = _power_tables(N, p), _path_numerators(N)
         for variant in ("halving", "ones"):
-            assert _audit_text(_audit_variant(variant, N, p, tables)) == \
+            assert _audit_text(_audit_variant(variant, N, p, powers, path)) == \
                 _audit_text(audit_variant_fraction(variant, N, p)), variant
 
     @pytest.mark.parametrize("p", PS + (Fraction(7, 2), 50.5))
     @pytest.mark.parametrize("N", NS)
     def test_power_tables_are_pow(self, N, p):
-        """Each entry is what _pow gives, type included."""
-        for table, e in zip(_power_tables(N, p), (p, p - 1, p - 2)):
-            want = [_pow(k, e) for k in range(N + 1)]
-            assert [(type(v), v) for v in table] == [(type(v), v) for v in want]
+        """Each entry is an int, and over the one denominator (1 at
+        integral p) it is the exact value of what _pow gives."""
+        tables, den = _power_tables(N, p)
+        assert den == (1 if _as_int(p) is not None else 2 ** 52)
+        for table, e in zip(tables, (p, p - 1, p - 2)):
+            assert all(type(v) is int for v in table)
+            assert [Fraction(v, den) for v in table] == \
+                [Fraction(_pow(k, e)) for k in range(N + 1)]
 
     @pytest.mark.parametrize("p", PS)
     @pytest.mark.parametrize("N", NS)
@@ -291,16 +307,31 @@ class TestIntegerSumsMatchFractionOracles:
 
 class TestNew23FloatRange:
     def test_largest_non_integral_n_keeps_its_output(self):
-        # II*g of the ones variant overflows to inf at this size
+        # the ones variant's sup and lemma rhs render as inf at this size
         audits = gen_cex_new23(1024, 2.5)
+        assert audits["ones"].sup_iistar == math.inf
         for variant, audit in audits.items():
             assert _audit_text(audit) == \
                 _audit_text(audit_variant_fraction(variant, 1024, 2.5)), variant
+
+    @pytest.mark.parametrize("p", [2.5, 3.5, 50.5])
+    def test_no_value_is_nan(self, p):
+        # each value is rendered from an exact one; where float steps read
+        # NaN, from N = 570 at p = 50.5 and N = 999 at p = 3.5 (inf - inf)
+        for N in (3, 569, 570, 998, 999, 1000, 1023, _MAX_NEW23_FLOAT_N):
+            for audit in gen_cex_new23(N, p).values():
+                values = [audit.total_ifp_g, audit.sup_iistar, audit.lemma_rhs]
+                values += [v for s in audit.steps for v in (s.lhs, s.rhs)]
+                assert not any(math.isnan(v) for v in values), (N, audit.variant)
 
     @pytest.mark.parametrize("p", [2.5, 3.5])
     def test_beyond_float_range_rejected(self, p):
         with pytest.raises(ResourceError, match="N = 1024"):
             gen_cex_new23(1025, p)
+
+    def test_powers_beyond_float_range_rejected(self):
+        with pytest.raises(ResourceError, match="2\\^1024"):
+            gen_cex_new23(1000, 300.5)
 
     def test_integral_p_not_bounded(self):
         assert gen_cex_new23(1025, 3)["ones"].N == 1025

@@ -1,5 +1,6 @@
 """Golden outputs: the exit code, stdout and written files of the README CLI
-examples and of one `run` config per experiment family, byte for byte.
+examples and of one `run` config per experiment family, byte for byte.  The
+JSON among them must be strict: no NaN or Infinity.
 
     PYTHONPATH=src python tests/test_golden.py          (rewrites tests/golden/)
     PYTHONPATH=src python tests/test_golden.py NAME...  (rewrites those only)
@@ -56,6 +57,7 @@ COMMANDS = {
     "cex-new23": "cex new23 --N 100 --p 4",
     "cex-new23-1000-p5": "cex new23 --N 1000 --p 5",
     "cex-new23-998-p3.5": "cex new23 --N 998 --p 3.5",
+    "cex-new23-1000-p3.5": "cex new23 --N 1000 --p 3.5",
     "cex-increasing-1000-p4": "cex increasing --N 1000 --p 4",
     "cex-search-new23": "cex search-new23 --p 4 --depth 10 --budget 1000 --seed 7",
     "cex-search-new23-p2-tie": "cex search-new23 --p 2 --depth 10 --budget 2000 --seed 3",
@@ -110,9 +112,31 @@ def render(name: str, workdir: Path) -> str:
     return "".join(parts)
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not strict JSON")
+
+
+def json_texts(name: str, text: str) -> list[str]:
+    """The JSON in one rendered golden: the stdout of a command, and every
+    .json file a run writes."""
+    body, *files = re.split(r"^==> ", text.split("\n", 2)[2], flags=re.M)
+    texts = [] if name in RUNS else [body]
+    for part in files:
+        path, content = part.split(" <==\n", 1)
+        if path.endswith(".json"):
+            texts.append(content)
+    return texts
+
+
 @pytest.mark.parametrize("name", sorted({**COMMANDS, **RUNS}))
 def test_golden(name, tmp_path):
-    assert render(name, tmp_path) == (GOLDEN / f"{name}.txt").read_text()
+    text = render(name, tmp_path)
+    assert text == (GOLDEN / f"{name}.txt").read_text()
+    # strict JSON: no NaN or Infinity gets through
+    parts = json_texts(name, text)
+    assert parts
+    for part in parts:
+        json.loads(part, parse_constant=_reject_constant)
 
 
 def test_every_golden_file_is_checked():
