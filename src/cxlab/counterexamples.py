@@ -44,7 +44,6 @@ _MAX_CEX_K = 8          # the p<2 sums take ~4^k terms
 _MAX_SEARCH_DEPTH = 14
 _MAX_SEARCH_BUDGET = 10 ** 6  # tens of seconds at ~40 us per trial
 _MAX_NEW23_FLOAT_N = 1024   # a float-rendered ones total is at least 2^(N-1)
-_TWO_52 = float(1 << 52)
 
 
 def _half_pow(i: int) -> Fraction:
@@ -264,7 +263,7 @@ def _power_tables(N: int, p: Scalar) -> tuple[list[list[int]], int]:
     if pi is not None:
         return [[k ** e for k in range(N + 1)] for e in (pi, pi - 1, pi - 2)], 1
     # x * 2^52 is exact; from 2^52 up x is an int, and x * 2^52 might overflow
-    return [[int(x * _TWO_52) if x < _TWO_52 else int(x) << 52
+    return [[int(x * 2.0 ** 52) if x < 2.0 ** 52 else int(x) << 52
              for x in (float(k) ** float(e) for k in range(N + 1))]
             for e in (p, p - 1, p - 2)], 1 << 52
 
