@@ -3,24 +3,27 @@ search for further witnesses.
 
 No construction is materialized; each report is a sum over generations
 and levels.  The p < 2 terms depend only on a node's generation or on its
-step along a tail.  The large-N sums collapse to per-level aggregates
-(binomial counts over the number of zero bits in a path).  For integer
-exponents they are exact: each sum runs over int numerators above one
-power-of-two denominator, and the reported Fraction is built once at the
-end, so no addition pays for a gcd of 1000- to 4000-bit integers.  The
-p > 2 chain audit decides every step so at every p: a non-integral p
-takes its powers k^e as the exact values of the floats k ** e, int
-numerators over 2^52, and renders each reported value once, as the
+step along a tail, and are summed in floats.  The large-N sums collapse to
+per-level aggregates (binomial counts over the number of zero bits in a
+path).  The p >= 1 families (increasing, direct and the p > 2 chain audit
+new23) decide every verdict on ints at every p: each sum runs over int
+numerators above one denominator, and each reported value is built once
+at the end, so no addition pays for a gcd of 1000- to 4000-bit integers.
+At integral p the powers are the ints themselves and a report carries
+Fractions.  A non-integral p takes 2^p as the exact value of the float
+2.0 ** p and each power k^e as the exact value of the float k ** e, an int
+numerator over 2^52, and renders each reported value once, as the
 correctly rounded float of the exact one (inf beyond the float range).
-tests/helpers.py builds the instances node by node, and keeps the
-step-by-step Fraction sums, as the oracles for these sums.
+_report_mode checks the bounds of both cases before any sum.
+tests/helpers.py builds the instances node by node, and keeps step-by-step
+Fraction sums, as the oracles for these sums.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 import random
+import sys
 from operator import le, mul, sub
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -37,13 +40,13 @@ from .trees import (
 # hardy_up_table is not called here; the binding stays because the bench's
 # self-test checks that its tracer wraps it in this module too.
 from .hardy import hardy_up_table  # noqa: F401
-from .lemmas import EXACT, FLOAT, LemmaReport, scalar_repr, verify_new23
+from .lemmas import EXACT, FLOAT, LemmaReport, _sides, _value, scalar_repr, verify_new23
 from .randgen import _below, _random_bits
 
 _MAX_CEX_K = 8          # the p<2 sums take ~4^k terms
 _MAX_SEARCH_DEPTH = 14
 _MAX_SEARCH_BUDGET = 10 ** 6  # tens of seconds at ~40 us per trial
-_MAX_NEW23_FLOAT_N = 1024   # a float-rendered ones total is at least 2^(N-1)
+_MAX_FLOAT_N = 1024   # the largest N summed at a non-integral p
 
 
 def _half_pow(i: int) -> Fraction:
@@ -92,7 +95,7 @@ def gen_cex_p_less_2(k: int, p: Scalar, seed: Optional[int] = None) -> LemmaRepo
         name="cex_p_less_2",
         params={"k": k, "p": p, "delta": delta, "lambda": lam},
         lhs=sum_ifg_p, rhs=rhs, holds=sum_ifg_p <= rhs,
-        mode=FLOAT if _as_int(p) is None else EXACT, seed=seed,
+        mode=FLOAT, seed=seed,
         extra={
             "lower_bound": 2.0 ** ((2 - float(p)) * k),
             "sum_fp": sum_fp,
@@ -102,28 +105,88 @@ def gen_cex_p_less_2(k: int, p: Scalar, seed: Optional[int] = None) -> LemmaRepo
 
 
 # ---------------------------------------------------------------------------
+# Shared by the p >= 1 families: exact powers, bounds and report sides.
+# ---------------------------------------------------------------------------
+
+def _two_pow(p: Scalar) -> tuple[int, int]:
+    """2^p as an exact pair (A, D) of ints: (2^p, 1) at integral p, else
+    the exact value of the float 2.0 ** p, whose D is a power of two."""
+    pi = _as_int(p)
+    return (2 ** pi, 1) if pi is not None else (2.0 ** float(p)).as_integer_ratio()
+
+
+def _power_table(N: int, e: Scalar) -> tuple[list[int], int]:
+    """k^e for k = 0..N as int numerators over one denominator: the ints
+    themselves over 1 for integral e, else the exact values of
+    float(k) ** float(e) over 2^52.  For e > 0 each float power is 0 or at
+    least 1, a multiple of 2^-52."""
+    ei = _as_int(e)
+    if ei is not None:
+        return [k ** ei for k in range(N + 1)], 1
+    # x * 2^52 is exact; from 2^52 up x is an int, and x * 2^52 might overflow
+    return [int(x * 2.0 ** 52) if x < 2.0 ** 52 else int(x) << 52
+            for x in (float(k) ** float(e) for k in range(N + 1))], 1 << 52
+
+
+def _report_mode(N: int, p: Scalar, bits: Callable[[int], int]) -> str:
+    """The mode a report of the p >= 1 families renders in, checked before
+    any sum: EXACT at integral p, where bits(p) bounds the bit length of
+    every int the report prints, and FLOAT otherwise, where 2^p and the
+    powers k^p, k <= N, are taken as floats and summed exactly."""
+    pi = _as_int(p)
+    if pi is not None:
+        limit = sys.get_int_max_str_digits()
+        digits = bits(pi) * 30103 // 100000 + 1  # log10(2) < 0.30103
+        if limit and digits > limit:
+            raise ResourceError(
+                f"the exact report prints ints of up to {digits} digits, beyond "
+                f"Python's {limit}-digit limit on int to str conversion "
+                f"(sys.set_int_max_str_digits)")
+        return EXACT
+    if N > _MAX_FLOAT_N:
+        raise ResourceError(
+            f"a non-integral p sums the exact values of float powers, whose "
+            f"ints grow with N, and renders them as floats; N = {N} is beyond "
+            f"N = {_MAX_FLOAT_N}")
+    try:
+        float(max(N, 2)) ** float(p)
+    except OverflowError:
+        raise ResourceError(
+            f"a non-integral p takes 2^p and the powers k^p, k <= N, as floats, "
+            f"and {max(N, 2)}^{p} is beyond the float range (2^p, N^p < 2^1024)") from None
+    return FLOAT
+
+
+def _report_sides(lhs: tuple[int, int], rhs: tuple[int, int], mode: str) -> dict:
+    """The lhs, rhs, holds and rounded_ratio of a report whose sides are
+    the int ratios lhs and rhs, rendered as lemmas._sides renders them, and
+    holds decided on the ints.  An exact-mode rhs is an int, as these
+    reports have always printed it (it is integral at integral p)."""
+    (a, b), (c, d) = lhs, rhs
+    if mode == EXACT:
+        sides = {"lhs": _value(a, b, mode), "rhs": c // d}
+    else:
+        sides = _sides(a * d, c * b, b * d, mode)
+    return {**sides, "holds": a * d <= c * b}
+
+
+# ---------------------------------------------------------------------------
 # The increasing-but-subadditive construction: halve left, keep right.
 # ---------------------------------------------------------------------------
 
-def sum_gp_levels(N: int, p: Scalar) -> Scalar:
-    """Sum over levels 0..N-1 of g^p via the per-level ratio (2^p+1)/2^p.
+def sum_gp_levels(N: int, p: Scalar) -> tuple[int, int]:
+    """Sum over levels 0..N-1 of g^p via the per-level ratio (A+D)/A, with
+    (A, D) = _two_pow(p), as (numerator, denominator) ints.
 
-    Exact for integral p; equals 2^p(r^N - 1) with r the per-level ratio.
+    Equals 2^p(r^N - 1) with r the per-level ratio.
     """
-    pi = _as_int(p)
-    if pi is not None:
-        # sum_m (2^p+1)^m / 2^(pm) as one numerator over 2^(pN)
-        two_p, total, level = 2 ** pi, 0, 1
-        for _ in range(N):
-            total = (total + level) * two_p
-            level *= two_p + 1
-        return Fraction(total, two_p ** N)
-    r = (2.0 ** float(p) + 1.0) / 2.0 ** float(p)
-    level, total = 1.0, 0.0
+    A, D = _two_pow(p)
+    # sum_m (A+D)^m / A^m as one numerator over A^N
+    total, level = 0, 1
     for _ in range(N):
-        total += level
-        level *= r
-    return total
+        total = (total + level) * A
+        level *= A + D
+    return total, A ** N
 
 
 def gen_cex_increasing(N: int, p: Scalar = 2, seed: Optional[int] = None) -> LemmaReport:
@@ -133,51 +196,46 @@ def gen_cex_increasing(N: int, p: Scalar = 2, seed: Optional[int] = None) -> Lem
         raise ValueError("N must be positive")
     if p < 1:
         raise ValueError("p must be at least 1")
-    lhs = sum_gp_levels(N, p)
-    # 2^p (r^N - 1) with r = (2^p + 1)/2^p is exact for integral p only;
-    # non-integral p repeats the level sum.
-    pi = _as_int(p)
-    closed = lhs if pi is None else 2 ** pi * (Fraction(2 ** pi + 1, 2 ** pi) ** N - 1)
-    lam = N
-    rhs = lam  # g(root) = 1
+    # the reduced lhs is below N (2^p+1)^(N-1) over 2^(p(N-1))
+    mode = _report_mode(N, p, lambda e: (e + 1) * (N - 1) + N.bit_length())
+    sides = _report_sides(sum_gp_levels(N, p), (N, 1), mode)
+    # 2^p (r^N - 1) with r = (A + D)/A, a cross-check of the level sum
+    A, D = _two_pow(p)
+    closed = _value((A + D) ** N - A ** N, A ** (N - 1) * D, mode)
+    lam = N  # g(root) = 1
     return LemmaReport(
         name="cex_increasing",
         params={"N": N, "p": p, "lambda": lam, "gamma": ""},
-        lhs=lhs, rhs=rhs, holds=lhs <= rhs,
-        witness=None if lhs <= rhs else "",
-        mode=EXACT if _as_int(p) is not None else FLOAT, seed=seed,
+        **sides, witness=None if sides["holds"] else "", mode=mode, seed=seed,
         extra={"closed_form_check": closed},
     )
 
 
-def sum_ifg_p_direct(N: int, p: Scalar) -> Scalar:
+def sum_ifg_p_direct(N: int, p: Scalar) -> tuple[int, int]:
     """Full-tree sum of (If g)^p for f = 1 on the leftmost path and the
-    doubling g, aggregated over (level, leading-zero count).
+    doubling g, aggregated over (level, leading-zero count), as
+    (numerator, denominator) ints.
 
     A node at level i with leading-zero count a < i contributes
     (a+1)^p 2^(-ap) (1 + 2^-p)^(i-a-1) in total over its zero-bit counts;
     the all-zero node contributes (i+1)^p 2^(-ip).  With the order of
     summation swapped, leading-zero count a carries the weight
     1 + sum_{e < N-a-1} r^e with r = 1 + 2^-p, which grows by one geometric
-    term per step of a downward.
+    term per step of a downward.  2^p is the pair (A, D) of _two_pow and
+    (a+1)^p the entry of _power_table.
     """
-    pi = _as_int(p)
-    if pi is not None:
-        # one numerator over 2^(p(N-1)): at step a the weight and the term
-        # carry the factor 2^(p(N-1-a)), and term = (2^p+1)^(N-1-a)
-        two_p, total, weight, term = 2 ** pi, 0, 1, 1
-        for a in range(N - 1, -1, -1):
-            total += (a + 1) ** pi * weight
-            weight = (weight + term) * two_p
-            term *= two_p + 1
-        return Fraction(total, two_p ** (N - 1)) if N else 0
-    r = 1 + _pow(_half_pow(1), p)
+    A, D = _two_pow(p)
+    pw, den = _power_table(N, p)
+    shift = D.bit_length() - 1
+    # one numerator over den A^(N-1): at step a the weight and the term
+    # carry the factor A^(N-1-a), term = (A+D)^(N-1-a), and 2^(-ap) leaves
+    # D^a, a shift of the weight
     total, weight, term = 0, 1, 1
     for a in range(N - 1, -1, -1):
-        total += _pow(a + 1, p) * _pow(_half_pow(a), p) * weight
-        weight += term
-        term *= r
-    return total
+        total += pw[a + 1] * (weight << a * shift)
+        weight = (weight + term) * A
+        term *= A + D
+    return total, den * A ** (N - 1) if N else den
 
 
 def gen_cex_direct(N: int, p: Scalar = 2, seed: Optional[int] = None) -> LemmaReport:
@@ -187,18 +245,21 @@ def gen_cex_direct(N: int, p: Scalar = 2, seed: Optional[int] = None) -> LemmaRe
         raise ValueError("N must be at least 2")
     if p < 1:
         raise ValueError("p must be at least 1")
-    lhs = sum_ifg_p_direct(N, p)
+    # the reduced lhs is below N^(p+2) (2^p+1)^(N-1) over 2^(p(N-1)); this
+    # also bounds the ratio and sum_gp
+    mode = _report_mode(N, p, lambda e: (e + 1) * (N - 1) + (e + 2) * N.bit_length())
     delta, lam, sum_fp = 2, N, N
-    rhs = _pow(delta, p - 1) * lam * sum_fp
+    A, D = _two_pow(p)
+    # delta^(p-1) = 2^p / 2
+    sides = _report_sides(sum_ifg_p_direct(N, p), (A * lam * sum_fp, 2 * D), mode)
     return LemmaReport(
         name="cex_direct",
         params={"N": N, "p": p, "delta": delta, "lambda": lam},
-        lhs=lhs, rhs=rhs, holds=lhs <= rhs,
-        mode=EXACT if _as_int(p) is not None else FLOAT, seed=seed,
+        **sides, mode=mode, seed=seed,
         extra={
             "sum_fp": sum_fp,
-            "sum_gp": sum_gp_levels(N, p),
-            "delta_measured": 2 - _half_pow(N - 1),
+            "sum_gp": _value(*sum_gp_levels(N, p), mode),
+            "delta_measured": _value(2 ** N - 1, 2 ** (N - 1), mode),
         },
     )
 
@@ -254,29 +315,10 @@ class VariantAudit:
         }
 
 
-def _power_tables(N: int, p: Scalar) -> tuple[list[list[int]], int]:
-    """k^p, k^(p-1) and k^(p-2) for k = 0..N as int numerators over one
-    denominator: the ints themselves over 1 for integral p, else the exact
-    values of float(k) ** float(e) over 2^52.  p > 2 makes every exponent
-    positive, so each float power is 0 or at least 1, a multiple of 2^-52."""
-    pi = _as_int(p)
-    if pi is not None:
-        return [[k ** e for k in range(N + 1)] for e in (pi, pi - 1, pi - 2)], 1
-    # x * 2^52 is exact; from 2^52 up x is an int, and x * 2^52 might overflow
-    return [[int(x * 2.0 ** 52) if x < 2.0 ** 52 else int(x) << 52
-             for x in (float(k) ** float(e) for k in range(N + 1))]
-            for e in (p, p - 1, p - 2)], 1 << 52
-
-
 def _float_or_inf(x: Scalar) -> Scalar:
     """A Fraction as its correctly rounded float, +-inf beyond the float
     range; any other scalar as it is."""
-    if not isinstance(x, Fraction):
-        return x
-    try:
-        return float(x)
-    except OverflowError:
-        return math.inf if x > 0 else -math.inf
+    return _value(x.numerator, x.denominator, FLOAT) if isinstance(x, Fraction) else x
 
 
 def _path_numerators(N: int) -> tuple[list[int], list[int], list[int]]:
@@ -292,11 +334,11 @@ def _path_numerators(N: int) -> tuple[list[int], list[int], list[int]]:
     return lw, istar, list(itertools.accumulate(istar))
 
 
-def _audit_variant(variant: str, N: int, p: Scalar, powers: tuple[list[list[int]], int],
+def _audit_variant(variant: str, N: int, p: Scalar, powers: list[tuple[list[int], int]],
                    path: tuple[list[int], list[int], list[int]]) -> VariantAudit:
-    """One variant's audit; powers is _power_tables(N, p) and path is
-    _path_numerators(N).  Every step is decided exactly; a non-integral p
-    then renders each value as a float."""
+    """One variant's audit; powers is _power_table(N, e) for e = p, p - 1
+    and p - 2, and path is _path_numerators(N).  Every step is decided
+    exactly; a non-integral p then renders each value as a float."""
     lw, istar, iistar = path
     if variant == "halving":
         g_path, den = lw, 1 << N
@@ -308,7 +350,7 @@ def _audit_variant(variant: str, N: int, p: Scalar, powers: tuple[list[list[int]
     # maximum sits at the boundary node u_N, where g is non-zero.
     boundary_ok = all(map(le, iistar, iistar[1:])) and g_path[-1] > 0
 
-    (pw, pw1, pw2), tden = powers
+    (pw, tden), (pw1, _), (pw2, _) = powers
     # p exactly (a float p is a dyadic rational), an int when integral
     pe = _as_int(p)
     pe = Fraction(p) if pe is None else pe
@@ -392,19 +434,10 @@ def gen_cex_new23(N: int, p: Scalar) -> dict[str, VariantAudit]:
         raise ValueError("N must be at least 3")
     if p <= 2:
         raise ValueError("the audited chain targets p > 2")
-    if _as_int(p) is None:
-        if N > _MAX_NEW23_FLOAT_N:
-            raise ResourceError(
-                f"a non-integral p renders the audit as floats, and the ones "
-                f"variant's total, at least 2^(N-1), overflows them beyond "
-                f"N = {_MAX_NEW23_FLOAT_N}")
-        try:
-            float(N) ** float(p)
-        except OverflowError:
-            raise ResourceError(
-                f"a non-integral p takes the powers k^p, k <= N, as floats, and "
-                f"N^p = {N}^{p} is beyond the float range (N^p < 2^1024)") from None
-    powers, path = _power_tables(N, p), _path_numerators(N)
+    # every printed value is below 2^(N+2) p N^p, over at most 2^(N+p-1)
+    _report_mode(N, p, lambda e: N + e * (N.bit_length() + 1) + 2)
+    powers = [_power_table(N, e) for e in (p, p - 1, p - 2)]
+    path = _path_numerators(N)
     return {v: _audit_variant(v, N, p, powers, path) for v in ("halving", "ones")}
 
 

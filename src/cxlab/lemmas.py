@@ -20,6 +20,7 @@ evaluates in floats in both modes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
@@ -96,13 +97,16 @@ def scalar_repr(v):
 
 def _value(num: int, den: int, mode: str) -> Scalar:
     """num/den as a report carries it: the Fraction in exact mode, the
-    correctly rounded float in float mode.  Every verifier renders through
-    here before it builds its report, so any other mode raises ValueError
-    here."""
+    correctly rounded float in float mode (+-inf beyond the float range).
+    Every verifier renders through here before it builds its report, so any
+    other mode raises ValueError here."""
     if mode == EXACT:
         return Fraction(num, den)
     if mode == FLOAT:
-        return num / den
+        try:
+            return num / den
+        except OverflowError:
+            return math.inf if (num > 0) == (den > 0) else -math.inf
     raise ValueError(f"unknown report mode {mode!r}")
 
 
@@ -117,7 +121,7 @@ def _sides(lhs: int, rhs: int, den: int, mode: str) -> dict:
     and rhs/den, rendered in the given mode."""
     sides = {"lhs": _value(lhs, den, mode), "rhs": _value(rhs, den, mode)}
     if mode == FLOAT:
-        sides["rounded_ratio"] = lhs / rhs if rhs else None
+        sides["rounded_ratio"] = _value(lhs, rhs, FLOAT) if rhs else None
     return sides
 
 

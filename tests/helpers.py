@@ -413,33 +413,34 @@ def leftmost_path_fn(N: int) -> SparseFn:
 
 # The counterexample sums in plain Fraction arithmetic, one rational step at
 # a time: the oracles for the integer-numerator forms in cxlab.counterexamples.
+# A non-integral p takes 2^p and (a+1)^p as the exact values of their floats.
 
-def sum_gp_levels_fraction(N: int, p: Scalar) -> Scalar:
-    """Sum over levels 0..N-1 of g^p via the per-level ratio (2^p+1)/2^p."""
-    pi = _as_int(p)
-    if pi is not None:
-        r = Fraction(2 ** pi + 1, 2 ** pi)
-        level = Fraction(1)
-        total = Fraction(0)
-    else:
-        r = (2.0 ** float(p) + 1.0) / 2.0 ** float(p)
-        level, total = 1.0, 0.0
+def sum_gp_levels_fraction(N: int, p: Scalar) -> Fraction:
+    """Sum over levels 0..N-1 of g^p, r^m at level m with the per-level
+    ratio r = (2^p+1)/2^p, nested as 1 + r(1 + r(1 + ...))."""
+    two_p = Fraction(_pow(2, p))
+    r = (two_p + 1) / two_p
+    total = Fraction(0)
     for _ in range(N):
-        total += level
-        level *= r
+        total = 1 + r * total
     return total
 
 
-def sum_ifg_p_direct_fraction(N: int, p: Scalar) -> Scalar:
+def sum_ifg_p_direct_fraction(N: int, p: Scalar) -> Fraction:
     """Full-tree sum of (If g)^p for f = 1 on the leftmost path and the
-    doubling g, over (level, leading-zero count)."""
-    r = 1 + _pow(_half_pow(1), p)
-    total, weight, term = 0, 1, 1
+    doubling g.  Leading-zero count a carries (a+1)^p h^a W_a, h = 2^-p,
+    with the geometric weight W_a = 1 + sum_{e < N-a-1} r^e, r = 1 + h, in
+    its closed form 1 + (r^(N-1-a) - 1)/h.  That splits the total into two
+    sums over a nested in h and in v = h/r."""
+    h = 1 / Fraction(_pow(2, p))
+    r = 1 + h
+    v = h / r
+    in_h = in_v = Fraction(0)
     for a in range(N - 1, -1, -1):
-        total += _pow(a + 1, p) * _pow(_half_pow(a), p) * weight
-        weight += term
-        term *= r
-    return total
+        term = Fraction(_pow(a + 1, p))
+        in_h = term + h * in_h
+        in_v = term + v * in_v
+    return (1 - 1 / h) * in_h + r ** (N - 1) / h * in_v
 
 
 def audit_variant_fraction(variant: str, N: int, p: Scalar) -> VariantAudit:

@@ -57,7 +57,7 @@ def test_acceptance_1_true_lemma_suites():
 
 def test_acceptance_2_closed_form_sum_g2():
     identity = all(
-        sum_gp_levels(N, 2) == 4 * (Fraction(5, 4) ** N - 1) for N in range(1, 26))
+        Fraction(*sum_gp_levels(N, 2)) == 4 * (Fraction(5, 4) ** N - 1) for N in range(1, 26))
     report = gen_cex_increasing(20, 2)
     ratio_ok = report.ratio == report.lhs / 20 and report.ratio > 17
     _verdict(2, "sum g^2 = 4((5/4)^N - 1) for N=1..25 and N=20 ratio > 17",

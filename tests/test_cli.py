@@ -74,6 +74,28 @@ class TestCex:
         assert code == 3
         assert "N^p < 2^1024" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("args, bound", [
+        ("direct --N 1000 --p 300.5", "N^p < 2^1024"),
+        ("increasing --p 1024.5", "N^p < 2^1024"),
+        ("increasing --N 1025 --p 2.5", "N = 1024"),
+        ("increasing --N 1000 --p 60", "4300-digit limit"),
+        ("new23 --N 1000 --p 300.5", "N^p < 2^1024"),
+        ("new23 --N 1000 --p 1500", "4300-digit limit"),
+        ("p-less-2 --k 9", "k <= 8"),
+    ])
+    def test_beyond_a_bound_exits_3(self, args, bound):
+        """Every cex family refuses a size beyond one of its stated bounds
+        with exit 3 and a one-line message, never a traceback."""
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = {**os.environ, "PYTHONPATH": str(src), "PYTHONINTMAXSTRDIGITS": "4300"}
+        out = subprocess.run([sys.executable, "-m", "cxlab.cli", "cex", *args.split()],
+                             env=env, capture_output=True, text=True, timeout=120)
+        assert out.returncode == 3, out.stderr
+        assert out.stdout == ""
+        assert out.stderr.startswith("resource bound exceeded: ")
+        assert bound in out.stderr
+        assert "Traceback" not in out.stderr
+
     def test_new23_integral_p_beyond_float_range(self, capsys):
         # L overflows a float; the audit stays exact and the row reads inf
         code, out = run_cli(capsys, "cex", "new23", "--N", "1000", "--p", "300")

@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import random
+import sys
 from fractions import Fraction
 from math import comb
 
@@ -11,10 +12,10 @@ from cxlab.trees import ResourceError, TreeDomain, _as_int, _pow
 from cxlab.lemmas import scalar_repr, verify_new23
 from cxlab import counterexamples as cex
 from cxlab.counterexamples import (
-    _MAX_NEW23_FLOAT_N,
+    _MAX_FLOAT_N,
     _audit_variant,
     _path_numerators,
-    _power_tables,
+    _power_table,
     gen_cex_direct,
     gen_cex_increasing,
     gen_cex_new23,
@@ -57,16 +58,16 @@ class TestClosedForms:
     @pytest.mark.parametrize("p", [2, 3])
     def test_level_recursion_equals_binomial_sum(self, p):
         for N in range(1, 26):
-            assert sum_gp_levels(N, p) == sum_gp_binomial(N, p)
+            assert Fraction(*sum_gp_levels(N, p)) == sum_gp_binomial(N, p)
 
     def test_p2_closed_form_identity(self):
         for N in range(1, 26):
-            assert sum_gp_levels(N, 2) == 4 * (Fraction(5, 4) ** N - 1)
+            assert Fraction(*sum_gp_levels(N, 2)) == 4 * (Fraction(5, 4) ** N - 1)
 
     @pytest.mark.parametrize("N", [1, 3, 6, 8])
     def test_materialized_sum_gp(self, N):
         g = doubling_g_fn(N)
-        assert sum(v * v for _, v in items(g)) == sum_gp_levels(N, 2)
+        assert sum(v * v for _, v in items(g)) == Fraction(*sum_gp_levels(N, 2))
 
     @pytest.mark.parametrize("N", [2, 4, 7])
     def test_materialized_sum_ifg_p(self, N):
@@ -75,22 +76,26 @@ class TestClosedForms:
         f = leftmost_path_fn(N)
         table = hardy_up_scalars(f, support(g))
         brute = sum((table[n] * v) ** 2 for n, v in items(g))
-        assert sum_ifg_p_direct(N, 2) == brute
+        assert Fraction(*sum_ifg_p_direct(N, 2)) == brute
 
 
 def _sum_ifg_p_double_loop(N, p):
     """sum_ifg_p_direct summed level by level, O(N^2): the oracle for the
-    O(N) form."""
-    exact = isinstance(p, int)
-    total = Fraction(0) if exact else 0.0
-    one_plus = Fraction(2 ** p + 1, 2 ** p) if exact else 1.0 + 2.0 ** -p
+    O(N) form.  A non-integral p takes 2^p and (a+1)^p as the exact values
+    of their floats."""
+    two_p = Fraction(_pow(2, p))
+    one_plus = 1 + 1 / two_p
+
+    def diagonal(a):
+        """(a+1)^p 2^(-ap), the all-zero node at level a."""
+        return Fraction(_pow(a + 1, p)) / two_p ** a
+
+    total = Fraction(0)
     for i in range(N):
-        total += (i + 1) ** p * Fraction(1, 2 ** i) ** p if exact \
-            else (i + 1) ** p * 2.0 ** (-i * p)
-        inner = Fraction(1) if exact else 1.0
+        total += diagonal(i)
+        inner = Fraction(1)
         for a in range(i - 1, -1, -1):
-            total += ((a + 1) ** p * Fraction(1, 2 ** a) ** p if exact
-                      else (a + 1) ** p * 2.0 ** (-a * p)) * inner
+            total += diagonal(a) * inner
             inner *= one_plus
     return total
 
@@ -99,13 +104,13 @@ class TestSumIfgPDirect:
     @pytest.mark.parametrize("p", [1, 2, 3, 4])
     def test_matches_double_loop_exactly(self, p):
         for N in (1, 2, 3, 5, 10, 25, 40):
-            assert sum_ifg_p_direct(N, p) == _sum_ifg_p_double_loop(N, p)
+            assert Fraction(*sum_ifg_p_direct(N, p)) == _sum_ifg_p_double_loop(N, p)
 
     @pytest.mark.parametrize("p", [1.5, 2.5])
     def test_matches_double_loop_in_floats(self, p):
+        # the exact values of the float images, not a float sum
         for N in (1, 2, 3, 5, 10, 25, 40, 60):
-            assert sum_ifg_p_direct(N, p) == pytest.approx(
-                _sum_ifg_p_double_loop(N, p), rel=1e-12)
+            assert Fraction(*sum_ifg_p_direct(N, p)) == _sum_ifg_p_double_loop(N, p)
 
 
 class TestCexIncreasing:
@@ -128,7 +133,7 @@ class TestCexIncreasing:
 
     def test_large_n_not_materialized(self):
         report = gen_cex_increasing(1000, 2)
-        assert report.lhs == sum_gp_levels(1000, 2)
+        assert report.lhs == Fraction(*sum_gp_levels(1000, 2))
 
 
 class TestCexDirect:
@@ -155,6 +160,119 @@ class TestCexDirect:
     def test_p_below_one_rejected(self, gen, p):
         with pytest.raises(ValueError, match="p must be at least 1"):
             gen(5, p)
+
+
+class TestNonIntegralSums:
+    """At a non-integral p the increasing and direct reports are the exact
+    values of the float images of 2^p and k^p, each correctly rounded."""
+
+    CASES = [(2, 1.5), (10, 2.5), (100, 3.5), (1024, 2.5), (1000, 60.5), (5, 200.5)]
+
+    @pytest.mark.parametrize("N, p", CASES)
+    def test_increasing_renders_the_exact_report(self, N, p):
+        report = gen_cex_increasing(N, p)
+        lhs = sum_gp_levels_fraction(N, p)
+        assert (report.lhs, report.rhs, report.ratio, report.holds, report.mode) == \
+            (float(lhs), float(N), float(lhs / N), lhs <= N, "float")
+        assert report.extra["closed_form_check"] == report.lhs
+
+    @pytest.mark.parametrize("N, p", CASES)
+    def test_direct_renders_the_exact_report(self, N, p):
+        report = gen_cex_direct(N, p)
+        lhs = sum_ifg_p_direct_fraction(N, p)
+        rhs = Fraction(2.0 ** p) / 2 * N * N
+        assert (report.lhs, report.rhs, report.ratio, report.holds, report.mode) == \
+            (float(lhs), float(rhs), float(lhs / rhs), lhs <= rhs, "float")
+        assert report.extra == {"sum_fp": N, "sum_gp": float(sum_gp_levels_fraction(N, p)),
+                                "delta_measured": float(2 - Fraction(1, 2 ** (N - 1)))}
+
+    def test_increasing_at_large_p_fails(self):
+        # r = 1 + 2^-60.5 rounds to 1.0 as a float, but exactly lhs > N
+        report = gen_cex_increasing(1000, 60.5)
+        assert report.holds is False
+        assert report.lhs > report.rhs == 1000
+
+    @pytest.mark.parametrize("p", [1.01, 2.5, 50.5])
+    def test_direct_no_value_is_nan(self, p):
+        # summed in floats, N = 5000 at p = 2.5 printed lhs NaN (inf * 0);
+        # it is beyond the bound now, and at the bound every value is finite
+        with pytest.raises(ResourceError):
+            gen_cex_direct(5000, p)
+        for report in (gen_cex_direct(1024, p), gen_cex_increasing(1024, p)):
+            values = [report.lhs, report.rhs, report.ratio, *report.extra.values()]
+            assert all(math.isfinite(v) for v in values), report.name
+
+    def test_rhs_beyond_the_float_range_reads_inf(self):
+        # 2^(p-1) N^2 = 2^1024.5 at N = 2; the verdict is still exact
+        report = gen_cex_direct(2, 1023.5)
+        lhs = sum_ifg_p_direct_fraction(2, 1023.5)
+        assert report.rhs == math.inf
+        assert report.holds and report.ratio == float(lhs / (Fraction(2.0 ** 1023.5) * 2))
+
+    @pytest.mark.parametrize("gen", [gen_cex_direct, gen_cex_increasing])
+    def test_beyond_the_n_bound_rejected(self, gen):
+        with pytest.raises(ResourceError, match=f"N = {_MAX_FLOAT_N}"):
+            gen(_MAX_FLOAT_N + 1, 2.5)
+
+    @pytest.mark.parametrize("gen, N, p", [(gen_cex_direct, 1000, 300.5),
+                                           (gen_cex_increasing, 10, 1024.5),
+                                           (gen_cex_increasing, 1, 1024.5)])
+    def test_beyond_the_float_range_rejected(self, gen, N, p):
+        with pytest.raises(ResourceError, match=r"N\^p < 2\^1024"):
+            gen(N, p)
+
+    @pytest.mark.parametrize("gen", [gen_cex_direct, gen_cex_increasing])
+    def test_integral_p_not_bounded(self, gen):
+        assert gen(_MAX_FLOAT_N + 1, 2).mode == "exact"
+
+
+class TestStrDigitLimit:
+    """At integral p every family checks, from N and p alone, that its
+    exact report prints within Python's int to str limit."""
+
+    GRID = {
+        gen_cex_increasing: [(N, p) for N in (1, 2, 50, 200, 500) for p in (1, 4, 9, 10, 30)],
+        gen_cex_direct: [(N, p) for N in (2, 20, 100, 300) for p in (1, 3, 6, 8, 20)],
+        gen_cex_new23: [(N, p) for N in (3, 100, 1000) for p in (3, 100, 200, 300, 1000)],
+    }
+
+    @pytest.mark.parametrize("gen", list(GRID), ids=lambda g: g.__name__)
+    def test_admitted_reports_print(self, gen):
+        """A report the check admits never trips the limit: at the smallest
+        limit Python allows, each grid point prints or is rejected first."""
+        old = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        outcomes = set()
+        try:
+            for N, p in self.GRID[gen]:
+                try:
+                    result = gen(N, p)
+                except ResourceError as exc:
+                    assert "640-digit limit" in str(exc)
+                    outcomes.add("rejected")
+                    continue
+                reports = result.values() if isinstance(result, dict) else [result]
+                json.dumps([r.to_dict() for r in reports], default=scalar_repr)
+                outcomes.add("printed")
+        finally:
+            sys.set_int_max_str_digits(old)
+        assert outcomes == {"printed", "rejected"}
+
+    def test_benchmark_sizes_admitted(self):
+        # the largest exact commands the constructions workload runs
+        gen_cex_new23(1000, 5)
+        gen_cex_increasing(1000, 4)
+        gen_cex_direct(250, 3)
+
+    @pytest.mark.parametrize("gen, N, p", [(gen_cex_increasing, 1000, 60),
+                                           (gen_cex_new23, 1000, 1500)])
+    def test_beyond_the_limit_rejected_before_any_sum(self, gen, N, p, monkeypatch):
+        def summed(*args):
+            raise AssertionError("summed before checking the limit")
+        for name in ("sum_gp_levels", "_power_table"):
+            monkeypatch.setattr(cex, name, summed)
+        with pytest.raises(ResourceError, match=f"{sys.get_int_max_str_digits()}-digit limit"):
+            gen(N, p)
 
 
 class TestCexPLess2:
@@ -281,7 +399,8 @@ class TestIntegerSumsMatchFractionOracles:
     @pytest.mark.parametrize("p", PS)
     @pytest.mark.parametrize("N", NS)
     def test_audit_variants(self, N, p):
-        powers, path = _power_tables(N, p), _path_numerators(N)
+        powers = [_power_table(N, e) for e in (p, p - 1, p - 2)]
+        path = _path_numerators(N)
         for variant in ("halving", "ones"):
             assert _audit_text(_audit_variant(variant, N, p, powers, path)) == \
                 _audit_text(audit_variant_fraction(variant, N, p)), variant
@@ -291,9 +410,9 @@ class TestIntegerSumsMatchFractionOracles:
     def test_power_tables_are_pow(self, N, p):
         """Each entry is an int, and over the one denominator (1 at
         integral p) it is the exact value of what _pow gives."""
-        tables, den = _power_tables(N, p)
-        assert den == (1 if _as_int(p) is not None else 2 ** 52)
-        for table, e in zip(tables, (p, p - 1, p - 2)):
+        for e in (p, p - 1, p - 2):
+            table, den = _power_table(N, e)
+            assert den == (1 if _as_int(p) is not None else 2 ** 52)
             assert all(type(v) is int for v in table)
             assert [Fraction(v, den) for v in table] == \
                 [Fraction(_pow(k, e)) for k in range(N + 1)]
@@ -301,8 +420,8 @@ class TestIntegerSumsMatchFractionOracles:
     @pytest.mark.parametrize("p", PS)
     @pytest.mark.parametrize("N", NS)
     def test_level_sums(self, N, p):
-        assert repr(sum_gp_levels(N, p)) == repr(sum_gp_levels_fraction(N, p))
-        assert repr(sum_ifg_p_direct(N, p)) == repr(sum_ifg_p_direct_fraction(N, p))
+        assert Fraction(*sum_gp_levels(N, p)) == sum_gp_levels_fraction(N, p)
+        assert Fraction(*sum_ifg_p_direct(N, p)) == sum_ifg_p_direct_fraction(N, p)
 
 
 class TestNew23FloatRange:
@@ -319,7 +438,7 @@ class TestNew23FloatRange:
         # II*g(u_N) N^(p-1) of the ones variant leaves the float range from
         # N = 570 at p = 50.5 and N = 999 at p = 3.5; each value renders an
         # exact one, so it may read inf but never NaN
-        for N in (3, 569, 570, 998, 999, 1000, 1023, _MAX_NEW23_FLOAT_N):
+        for N in (3, 569, 570, 998, 999, 1000, 1023, _MAX_FLOAT_N):
             for audit in gen_cex_new23(N, p).values():
                 values = [audit.total_ifp_g, audit.sup_iistar, audit.lemma_rhs]
                 values += [v for s in audit.steps for v in (s.lhs, s.rhs)]
