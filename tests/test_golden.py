@@ -30,8 +30,9 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 
 # the README examples (phi cut to 50 trials, the search to a budget of 1000),
 # the other verify suites, phi at 12 and 13 levels, the larger instances the
-# benchmark runs, and two searches: one whose best ratio is a rounding tie
-# at p = 2 and one at the depth cap
+# benchmark runs, increasing and direct at a non-integral p (at p = 60.5
+# the exact lhs exceeds N although 1 + 2^-p rounds to 1), and two searches:
+# one whose best ratio is a rounding tie at p = 2 and one at the depth cap
 COMMANDS = {
     "verify-phi": "verify phi --trials 50 --depth 8 --seed 7",
     "verify-phi-float": "verify phi --trials 50 --depth 8 --seed 7 --mode float",
@@ -59,6 +60,8 @@ COMMANDS = {
     "cex-new23-998-p3.5": "cex new23 --N 998 --p 3.5",
     "cex-new23-1000-p3.5": "cex new23 --N 1000 --p 3.5",
     "cex-increasing-1000-p4": "cex increasing --N 1000 --p 4",
+    "cex-increasing-1000-p60.5": "cex increasing --N 1000 --p 60.5",
+    "cex-direct-40-p2.5": "cex direct --N 40 --p 2.5",
     "cex-search-new23": "cex search-new23 --p 4 --depth 10 --budget 1000 --seed 7",
     "cex-search-new23-p2-tie": "cex search-new23 --p 2 --depth 10 --budget 2000 --seed 3",
     "cex-search-new23-depth-14": "cex search-new23 --p 1.25 --depth 14 --budget 300 --seed 11",
