@@ -2,21 +2,18 @@
 search for further witnesses.
 
 No construction is materialized; each report is a sum over generations
-and levels.  The p < 2 terms depend only on a node's generation or on its
-step along a tail, and are summed in floats.  The large-N sums collapse to
+and levels.  The p < 2 terms, summed in floats, depend only on a node's
+generation or on its step along a tail.  The large-N sums collapse to
 per-level aggregates (binomial counts over the number of zero bits in a
-path).  The p >= 1 families (increasing, direct and the p > 2 chain audit
-new23) decide every verdict on ints at every p: each sum runs over int
-numerators above one denominator, and each reported value is built once
-at the end, so no addition pays for a gcd of 1000- to 4000-bit integers.
-At integral p the powers are the ints themselves and a report carries
-Fractions.  A non-integral p takes 2^p as the exact value of the float
-2.0 ** p and each power k^e as the exact value of the float k ** e, an int
-numerator over 2^52, and renders each reported value once, as the
-correctly rounded float of the exact one (inf beyond the float range).
-_report_mode checks the bounds of both cases before any sum.
-tests/helpers.py builds the instances node by node, and keeps step-by-step
-Fraction sums, as the oracles for these sums.
+path).  The p >= 1 families decide every verdict at every p on int
+numerators over one denominator, and build each reported value once at
+the end, so no addition pays for a gcd of 1000- to 4000-bit integers.  A
+non-integral p takes 2^p and each power k^e as the exact values of the
+floats 2.0 ** p and k ** e (the latter as int numerators over 2^52), and
+renders each reported value once, as the correctly rounded float of the
+exact one (inf beyond the float range); an integral p reports Fractions.
+tests/helpers.py builds the instances node by node, and keeps
+step-by-step Fraction sums, as the oracles for these sums.
 """
 
 from __future__ import annotations
@@ -51,6 +48,60 @@ _MAX_FLOAT_N = 1024   # the largest N summed at a non-integral p
 
 def _half_pow(i: int) -> Fraction:
     return Fraction(1, 2 ** i)
+
+
+def _two_pow(p: Scalar) -> tuple[int, int]:
+    """2^p as ints (A, D): (2^p, 1) at integral p, else the exact value of
+    the float 2.0 ** p, D a power of two."""
+    pi = _as_int(p)
+    return (2 ** pi, 1) if pi is not None else (2.0 ** float(p)).as_integer_ratio()
+
+
+def _power_table(N: int, e: Scalar) -> tuple[list[int], int]:
+    """k^e for k = 0..N as int numerators over one denominator: the ints
+    themselves over 1 for integral e, else the exact values of
+    float(k) ** float(e) over 2^52.  For e > 0 each float power is 0 or at
+    least 1, a multiple of 2^-52."""
+    ei = _as_int(e)
+    if ei is not None:
+        return [k ** ei for k in range(N + 1)], 1
+    # x * 2^52 is exact; from 2^52 up x is an int, and x * 2^52 might overflow
+    return [int(x * 2.0 ** 52) if x < 2.0 ** 52 else int(x) << 52
+            for x in (float(k) ** float(e) for k in range(N + 1))], 1 << 52
+
+
+def _report_mode(N: int, p: Scalar, bits: Callable[[int], int]) -> str:
+    """The report mode of a p >= 1 family, EXACT at integral p and FLOAT
+    otherwise, once its bounds are checked, before any sum; bits(p) bounds
+    the bit length of the ints an exact report prints."""
+    pi = _as_int(p)
+    if pi is not None:
+        limit, digits = sys.get_int_max_str_digits(), bits(pi) * 30103 // 100000 + 1
+        if limit and digits > limit:  # 0.30103 > log10(2)
+            raise ResourceError(f"the exact report prints ints of up to {digits} digits, "
+                                f"beyond Python's {limit}-digit limit on int to str conversion")
+        return EXACT
+    if N > _MAX_FLOAT_N:
+        raise ResourceError(f"a non-integral p sums the exact values of float powers, "
+                            f"whose ints grow with N, up to N = {_MAX_FLOAT_N}")
+    try:
+        float(max(N, 2)) ** float(p)
+    except OverflowError:
+        raise ResourceError(f"a non-integral p takes 2^p and k^p, k <= N, as floats, and "
+                            f"{max(N, 2)}^{p} is beyond their range (N^p < 2^1024)") from None
+    return FLOAT
+
+
+def _report_sides(lhs: tuple[int, int], rhs: tuple[int, int], mode: str) -> dict:
+    """A report's lhs, rhs and rounded_ratio as lemmas._sides gives them,
+    and holds decided on the ints, from sides given as int ratios; an exact
+    rhs is integral and reported as the int."""
+    (a, b), (c, d) = lhs, rhs
+    if mode == EXACT:
+        sides = {"lhs": _value(a, b, mode), "rhs": c // d}
+    else:
+        sides = _sides(a * d, c * b, b * d, mode)
+    return {**sides, "holds": a * d <= c * b}
 
 
 # ---------------------------------------------------------------------------
@@ -105,78 +156,12 @@ def gen_cex_p_less_2(k: int, p: Scalar, seed: Optional[int] = None) -> LemmaRepo
 
 
 # ---------------------------------------------------------------------------
-# Shared by the p >= 1 families: exact powers, bounds and report sides.
-# ---------------------------------------------------------------------------
-
-def _two_pow(p: Scalar) -> tuple[int, int]:
-    """2^p as an exact pair (A, D) of ints: (2^p, 1) at integral p, else
-    the exact value of the float 2.0 ** p, whose D is a power of two."""
-    pi = _as_int(p)
-    return (2 ** pi, 1) if pi is not None else (2.0 ** float(p)).as_integer_ratio()
-
-
-def _power_table(N: int, e: Scalar) -> tuple[list[int], int]:
-    """k^e for k = 0..N as int numerators over one denominator: the ints
-    themselves over 1 for integral e, else the exact values of
-    float(k) ** float(e) over 2^52.  For e > 0 each float power is 0 or at
-    least 1, a multiple of 2^-52."""
-    ei = _as_int(e)
-    if ei is not None:
-        return [k ** ei for k in range(N + 1)], 1
-    # x * 2^52 is exact; from 2^52 up x is an int, and x * 2^52 might overflow
-    return [int(x * 2.0 ** 52) if x < 2.0 ** 52 else int(x) << 52
-            for x in (float(k) ** float(e) for k in range(N + 1))], 1 << 52
-
-
-def _report_mode(N: int, p: Scalar, bits: Callable[[int], int]) -> str:
-    """The mode a report of the p >= 1 families renders in, checked before
-    any sum: EXACT at integral p, where bits(p) bounds the bit length of
-    every int the report prints, and FLOAT otherwise, where 2^p and the
-    powers k^p, k <= N, are taken as floats and summed exactly."""
-    pi = _as_int(p)
-    if pi is not None:
-        limit = sys.get_int_max_str_digits()
-        digits = bits(pi) * 30103 // 100000 + 1  # log10(2) < 0.30103
-        if limit and digits > limit:
-            raise ResourceError(
-                f"the exact report prints ints of up to {digits} digits, beyond "
-                f"Python's {limit}-digit limit on int to str conversion "
-                f"(sys.set_int_max_str_digits)")
-        return EXACT
-    if N > _MAX_FLOAT_N:
-        raise ResourceError(
-            f"a non-integral p sums the exact values of float powers, whose "
-            f"ints grow with N, and renders them as floats; N = {N} is beyond "
-            f"N = {_MAX_FLOAT_N}")
-    try:
-        float(max(N, 2)) ** float(p)
-    except OverflowError:
-        raise ResourceError(
-            f"a non-integral p takes 2^p and the powers k^p, k <= N, as floats, "
-            f"and {max(N, 2)}^{p} is beyond the float range (2^p, N^p < 2^1024)") from None
-    return FLOAT
-
-
-def _report_sides(lhs: tuple[int, int], rhs: tuple[int, int], mode: str) -> dict:
-    """The lhs, rhs, holds and rounded_ratio of a report whose sides are
-    the int ratios lhs and rhs, rendered as lemmas._sides renders them, and
-    holds decided on the ints.  An exact-mode rhs is an int, as these
-    reports have always printed it (it is integral at integral p)."""
-    (a, b), (c, d) = lhs, rhs
-    if mode == EXACT:
-        sides = {"lhs": _value(a, b, mode), "rhs": c // d}
-    else:
-        sides = _sides(a * d, c * b, b * d, mode)
-    return {**sides, "holds": a * d <= c * b}
-
-
-# ---------------------------------------------------------------------------
 # The increasing-but-subadditive construction: halve left, keep right.
 # ---------------------------------------------------------------------------
 
 def sum_gp_levels(N: int, p: Scalar) -> tuple[int, int]:
-    """Sum over levels 0..N-1 of g^p via the per-level ratio (A+D)/A, with
-    (A, D) = _two_pow(p), as (numerator, denominator) ints.
+    """Sum over levels 0..N-1 of g^p via the per-level ratio (A+D)/A,
+    (A, D) = _two_pow(p), as ints (numerator, denominator).
 
     Equals 2^p(r^N - 1) with r the per-level ratio.
     """
@@ -213,23 +198,20 @@ def gen_cex_increasing(N: int, p: Scalar = 2, seed: Optional[int] = None) -> Lem
 
 def sum_ifg_p_direct(N: int, p: Scalar) -> tuple[int, int]:
     """Full-tree sum of (If g)^p for f = 1 on the leftmost path and the
-    doubling g, aggregated over (level, leading-zero count), as
-    (numerator, denominator) ints.
+    doubling g, aggregated over (level, leading-zero count), as ints.
 
     A node at level i with leading-zero count a < i contributes
     (a+1)^p 2^(-ap) (1 + 2^-p)^(i-a-1) in total over its zero-bit counts;
     the all-zero node contributes (i+1)^p 2^(-ip).  With the order of
     summation swapped, leading-zero count a carries the weight
     1 + sum_{e < N-a-1} r^e with r = 1 + 2^-p, which grows by one geometric
-    term per step of a downward.  2^p is the pair (A, D) of _two_pow and
-    (a+1)^p the entry of _power_table.
+    term per step of a downward.
     """
     A, D = _two_pow(p)
     pw, den = _power_table(N, p)
     shift = D.bit_length() - 1
-    # one numerator over den A^(N-1): at step a the weight and the term
-    # carry the factor A^(N-1-a), term = (A+D)^(N-1-a), and 2^(-ap) leaves
-    # D^a, a shift of the weight
+    # one numerator over den A^(N-1), 2^p = A/D: at step a the weight carries
+    # A^(N-1-a), term = (A+D)^(N-1-a), and 2^(-ap) leaves D^a, a shift
     total, weight, term = 0, 1, 1
     for a in range(N - 1, -1, -1):
         total += pw[a + 1] * (weight << a * shift)
@@ -245,8 +227,7 @@ def gen_cex_direct(N: int, p: Scalar = 2, seed: Optional[int] = None) -> LemmaRe
         raise ValueError("N must be at least 2")
     if p < 1:
         raise ValueError("p must be at least 1")
-    # the reduced lhs is below N^(p+2) (2^p+1)^(N-1) over 2^(p(N-1)); this
-    # also bounds the ratio and sum_gp
+    # the reduced lhs, below N^(p+2) (2^p+1)^(N-1) over 2^(p(N-1)), bounds all
     mode = _report_mode(N, p, lambda e: (e + 1) * (N - 1) + (e + 2) * N.bit_length())
     delta, lam, sum_fp = 2, N, N
     A, D = _two_pow(p)
@@ -436,8 +417,7 @@ def gen_cex_new23(N: int, p: Scalar) -> dict[str, VariantAudit]:
         raise ValueError("the audited chain targets p > 2")
     # every printed value is below 2^(N+2) p N^p, over at most 2^(N+p-1)
     _report_mode(N, p, lambda e: N + e * (N.bit_length() + 1) + 2)
-    powers = [_power_table(N, e) for e in (p, p - 1, p - 2)]
-    path = _path_numerators(N)
+    powers, path = [_power_table(N, e) for e in (p, p - 1, p - 2)], _path_numerators(N)
     return {v: _audit_variant(v, N, p, powers, path) for v in ("halving", "ones")}
 
 

@@ -87,7 +87,7 @@ def _sum_ifg_p_double_loop(N, p):
     one_plus = 1 + 1 / two_p
 
     def diagonal(a):
-        """(a+1)^p 2^(-ap), the all-zero node at level a."""
+        """(a+1)^p 2^(-ap)."""
         return Fraction(_pow(a + 1, p)) / two_p ** a
 
     total = Fraction(0)
