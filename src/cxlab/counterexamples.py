@@ -211,10 +211,11 @@ def sum_ifg_p_direct(N: int, p: Scalar) -> tuple[int, int]:
     pw, den = _power_table(N, p)
     shift = D.bit_length() - 1
     # one numerator over den A^(N-1), 2^p = A/D: at step a the weight carries
-    # A^(N-1-a), term = (A+D)^(N-1-a), and 2^(-ap) leaves D^a, a shift
+    # A^(N-1-a), term = (A+D)^(N-1-a), and 2^(-ap) leaves D^a, a shift (none
+    # at integral p, whose loop makes only the multiplications and additions)
     total, weight, term = 0, 1, 1
     for a in range(N - 1, -1, -1):
-        total += pw[a + 1] * (weight << a * shift)
+        total += pw[a + 1] * (weight << a * shift if shift else weight)
         weight = (weight + term) * A
         term *= A + D
     return total, den * A ** (N - 1) if N else den
