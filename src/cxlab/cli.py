@@ -104,6 +104,9 @@ def _cmd_run(args) -> int:
         raise ValueError(f"cannot read config: {exc}") from exc
     if not isinstance(config, dict):
         raise ValueError("config must be a JSON object")
+    unknown = sorted(set(config) - {"experiment", "grid", "out", "mode", "seed", "tol"})
+    if unknown:
+        raise ValueError(f"config has unknown key(s) {', '.join(map(repr, unknown))}")
     for key in ("experiment", "grid"):
         if key not in config:
             raise ValueError(f"config missing {key!r}")

@@ -2,16 +2,17 @@
 search for further witnesses.
 
 No construction is materialized; each report is a sum over generations
-and levels.  The p < 2 terms, summed in floats, depend only on a node's
-generation or on its step along a tail.  The large-N sums collapse to
-per-level aggregates (binomial counts over the number of zero bits in a
-path).  The p >= 1 families decide every verdict at every p on int
-numerators over one denominator, and build each reported value once at
-the end, so no addition pays for a gcd of 1000- to 4000-bit integers.  A
-non-integral p takes 2^p and each power k^e as the exact values of the
-floats 2.0 ** p and k ** e (the latter as int numerators over 2^52), and
-renders each reported value once, as the correctly rounded float of the
-exact one (inf beyond the float range); an integral p reports Fractions.
+and levels.  The p < 2 terms are floats that depend only on a node's
+generation or on its step along a tail, so each is taken once, exactly,
+and weighted by its node count.  The large-N sums collapse to per-level
+aggregates (binomial counts over the number of zero bits in a path).
+Every family decides every verdict at every p on int numerators over one
+denominator, and builds each reported value once at the end, so no
+addition pays for a gcd of 1000- to 4000-bit integers.  A non-integral p
+takes 2^p and each power k^e as the exact values of the floats 2.0 ** p
+and k ** e (the latter as int numerators over 2^52), and renders each
+reported value once, as the correctly rounded float of the exact one (inf
+beyond the float range); an integral p reports Fractions.
 tests/helpers.py builds the instances node by node, and keeps
 step-by-step Fraction sums, as the oracles for these sums.
 """
@@ -24,7 +25,7 @@ import sys
 from operator import le, mul, sub
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterable, Optional
 
 from .trees import (
     ResourceError,
@@ -32,7 +33,6 @@ from .trees import (
     SparseFn,
     TreeDomain,
     _as_int,
-    _pow,
 )
 # hardy_up_table is not called here; the binding stays because the bench's
 # self-test checks that its tracer wraps it in this module too.
@@ -40,14 +40,10 @@ from .hardy import hardy_up_table  # noqa: F401
 from .lemmas import EXACT, FLOAT, LemmaReport, _sides, _value, scalar_repr, verify_new23
 from .randgen import _below, _random_bits
 
-_MAX_CEX_K = 8          # the p<2 sums take ~4^k terms
+_MAX_CEX_K = 8          # the p<2 sums take ~2^k terms of ints that grow with k
 _MAX_SEARCH_DEPTH = 14
 _MAX_SEARCH_BUDGET = 10 ** 6  # tens of seconds at ~40 us per trial
 _MAX_FLOAT_N = 1024   # the largest N summed at a non-integral p
-
-
-def _half_pow(i: int) -> Fraction:
-    return Fraction(1, 2 ** i)
 
 
 def _two_pow(p: Scalar) -> tuple[int, int]:
@@ -55,6 +51,14 @@ def _two_pow(p: Scalar) -> tuple[int, int]:
     the float 2.0 ** p, D a power of two."""
     pi = _as_int(p)
     return (2 ** pi, 1) if pi is not None else (2.0 ** float(p)).as_integer_ratio()
+
+
+def _dyadic(values: Iterable[float]) -> tuple[list[int], int]:
+    """The exact values of the given floats as int numerators over the one
+    power of two the finest value needs."""
+    ratios = [v.as_integer_ratio() for v in values]
+    den = max((b for _, b in ratios), default=1)
+    return [a * (den // b) for a, b in ratios], den
 
 
 def _power_table(N: int, e: Scalar) -> tuple[list[int], int]:
@@ -108,18 +112,6 @@ def _report_sides(lhs: tuple[int, int], rhs: tuple[int, int], mode: str) -> dict
 # The p < 2 counterexample: diagonal decay then single-path propagation.
 # ---------------------------------------------------------------------------
 
-def _p_less_2_terms(k: int, at_generation: Callable[[int], float],
-                    at_tail_step: Callable[[int], float]) -> Iterator[float]:
-    """One term per node of the p < 2 instance, in the order its nodes are
-    built: generation i = 0..k (2^i nodes each), then the tail steps
-    t = 1..2^k below each of the 2^k generation-k nodes."""
-    tail = [at_tail_step(t) for t in range(1, 2 ** k + 1)]
-    for i in range(k + 1):
-        yield from itertools.repeat(at_generation(i), 2 ** i)
-    for _ in range(2 ** k):
-        yield from tail
-
-
 def gen_cex_p_less_2(k: int, p: Scalar, seed: Optional[int] = None) -> LemmaReport:
     """g = 2^-i on all of generation i <= k, then 2^-k pushed t = 1..2^k
     steps down the left children of each generation-k node; f = 2^-i on
@@ -131,26 +123,28 @@ def gen_cex_p_less_2(k: int, p: Scalar, seed: Optional[int] = None) -> LemmaRepo
         raise ValueError("this construction targets 1 < p < 2")
     if k > _MAX_CEX_K:
         raise ResourceError(
-            f"the float sums take ~4^{k} = {4 ** k} terms, beyond the budget "
-            f"(k <= {_MAX_CEX_K})")
+            f"the exact sums take 2^{k} + {k + 1} float terms, whose ints grow "
+            f"with k, beyond the budget (k <= {_MAX_CEX_K})")
     pf = float(p)
-    # one term at a time, in node order, so the totals round as over the built instance
-    sum_ifg_p = sum(_p_less_2_terms(
-        k, lambda i: ((2 - 2.0 ** -i) * 2.0 ** -i) ** pf,
-        lambda t: ((2 - 2.0 ** -(k + t)) * 2.0 ** -k) ** pf))
-    sum_fp = sum(_p_less_2_terms(
-        k, lambda i: (2.0 ** -i) ** pf, lambda t: (2.0 ** -(k + t)) ** pf))
+    # depth d = 0..k+2^k holds 2^min(d, k) nodes, each with f = 2^-d,
+    # g = 2^-min(d, k) and If = 2 - 2^-d: one float term per depth, exactly
+    depths = range(k + 2 ** k + 1)
+    ifg, den = _dyadic([((2 - 2.0 ** -d) * 2.0 ** -(d if d < k else k)) ** pf for d in depths])
+    fp, fp_den = _dyadic([(2.0 ** -d) ** pf for d in depths])
+    lhs, sum_fp = (sum(a << d for d, a in enumerate(nums[:k])) + (sum(nums[k:]) << k)
+                   for nums in (ifg, fp))
     delta = lam = 3
-    rhs = _pow(delta, p - 1) * lam * sum_fp
+    # delta^(p-1) as the exact value of its float
+    c, e = (float(delta) ** float(p - 1)).as_integer_ratio()
+    sides = _report_sides((lhs, den), (c * lam * sum_fp, e * fp_den), FLOAT)
     return LemmaReport(
         name="cex_p_less_2",
         params={"k": k, "p": p, "delta": delta, "lambda": lam},
-        lhs=sum_ifg_p, rhs=rhs, holds=sum_ifg_p <= rhs,
-        mode=FLOAT, seed=seed,
+        **sides, mode=FLOAT, seed=seed,
         extra={
-            "lower_bound": 2.0 ** ((2 - float(p)) * k),
-            "sum_fp": sum_fp,
-            "max_Ig": 3 - _half_pow(k),
+            "lower_bound": 2.0 ** ((2 - pf) * k),
+            "sum_fp": _value(sum_fp, fp_den, FLOAT),
+            "max_Ig": 3 - Fraction(1, 2 ** k),
         },
     )
 
@@ -498,12 +492,11 @@ def _fast_new23_ratio(gv: dict[str, float], fv: dict[str, float], p: float):
 
 
 def _dyadic_fn(values: dict[str, float]) -> SparseFn:
-    """The function of the given float values, each exactly: int numerators
-    over the one power of two the finest value needs.  A draw of 0.0
+    """The function of the given float values, each exactly.  A draw of 0.0
     (rand() can return it) leaves the support."""
-    ratios = {path: v.as_integer_ratio() for path, v in values.items() if v}
-    den = max((b for _, b in ratios.values()), default=1)
-    return SparseFn({path: a * (den // b) for path, (a, b) in ratios.items()}, den)
+    kept = {path: v for path, v in values.items() if v}
+    nums, den = _dyadic(kept.values())
+    return SparseFn(dict(zip(kept, nums)), den)
 
 
 def search_new23(p: Scalar, depth: int, budget: int, seed: int) -> LemmaReport:

@@ -16,7 +16,7 @@ from typing import Iterator, Mapping, Optional, Sequence, Union
 import numpy as np
 
 from cxlab import capacity, lemmas
-from cxlab.counterexamples import AuditStep, VariantAudit, _half_pow
+from cxlab.counterexamples import AuditStep, VariantAudit
 from cxlab.hardy import _down_paths, _iistar_paths, _up_paths, hardy_up_table, kernel
 from cxlab.lemmas import EXACT, FLOAT
 from cxlab.trees import (
@@ -381,15 +381,15 @@ def build_cex_p_less_2_functions(k: int) -> tuple[TreeDomain, SparseFn, SparseFn
     frontier = [""]
     for i in range(k + 1):
         for path in frontier:
-            g_entries[path] = _half_pow(i)
-            f_entries[path] = _half_pow(i)
+            g_entries[path] = Fraction(1, 2 ** i)
+            f_entries[path] = Fraction(1, 2 ** i)
         if i < k:
             frontier = [p + b for p in frontier for b in "01"]
     for path in frontier:  # generation-k nodes, value kept on left children
         for t in range(1, 2 ** k + 1):
             node = path + "0" * t
-            g_entries[node] = _half_pow(k)
-            f_entries[node] = _half_pow(k + t)
+            g_entries[node] = Fraction(1, 2 ** k)
+            f_entries[node] = Fraction(1, 2 ** (k + t))
     return d, fn(f_entries), fn(g_entries)
 
 
@@ -401,7 +401,7 @@ def doubling_g_fn(N: int) -> SparseFn:
     frontier = [""]
     for _ in range(N):
         for path in frontier:
-            entries[path] = _half_pow(path.count("0"))
+            entries[path] = Fraction(1, 2 ** path.count("0"))
         frontier = [p + b for p in frontier for b in "01"]
     return fn(entries)
 
@@ -455,8 +455,8 @@ def audit_variant_fraction(variant: str, N: int, p: Scalar) -> VariantAudit:
     pe = Fraction(p) if pi is None else pi
 
     if variant == "halving":
-        g_path = [_half_pow(k) for k in range(1, N + 1)]
-        istar = [Fraction(1, 2 ** (k - 1)) - _half_pow(N) for k in range(1, N + 1)]
+        g_path = [Fraction(1, 2 ** k) for k in range(1, N + 1)]
+        istar = [Fraction(1, 2 ** (k - 1)) - Fraction(1, 2 ** N) for k in range(1, N + 1)]
         L = sum(pw(k, p) * g_path[k - 1] for k in range(1, N + 1))
     elif variant == "ones":
         g_path = [Fraction(1)] * N

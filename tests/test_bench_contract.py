@@ -1,9 +1,9 @@
 """The benchmark's checks run on the program.
 
-bench/checks.py recomputes what the benchmark's capacity commands print by
-routes of its own, and bench/selftest.py checks the tracer and that every
-check rejects a perturbed output; both are loaded here by path and only
-read.  An output change that the checks would reject, or a binding the
+bench/checks.py recomputes what the benchmark's capacity and cex p-less-2
+commands print by routes of its own, and bench/selftest.py checks the
+tracer and that every check rejects a perturbed output; both are loaded
+here by path and only read.  An output change that the checks would reject, or a binding the
 tracer needs that a change removed, then fails here first.
 """
 
@@ -59,6 +59,17 @@ def test_check_capacity(capsys, n, symmetric):
 def test_check_oracle(capsys, n):
     out = _run(capsys, "capacity", "--n", str(n), "--oracle")
     assert checks.check_oracle(out, n) is None
+
+
+# every (k, p) that bench/workloads.py's constructions round draws, and
+# k = 8, the largest size, at each p it draws
+@pytest.mark.parametrize("k, p", [
+    (3, 1.1), (3, 1.2), (4, 1.1), (4, 1.2),
+    *((k, p) for k in (5, 6) for p in (1.2, 1.3, 1.4)),
+    *((k, p) for k in (7, 8) for p in (1.1, 1.2, 1.3, 1.4, 1.5))])
+def test_check_cex_p_less_2(capsys, k, p):
+    out = _run(capsys, "cex", "p-less-2", "--k", str(k), "--p", str(p))
+    assert checks.check_cex_p_less_2(out, k, p) is None
 
 
 def test_check_report_d2(capsys):

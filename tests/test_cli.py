@@ -411,6 +411,24 @@ class TestRun:
         assert f"has no parameter {unknown} " in capsys.readouterr().err
         assert not (tmp_path / "reports").exists()
 
+    @pytest.mark.parametrize("extra, named", [
+        ({"trials": 5, "sed": 7}, "'sed', 'trials'"),
+        ({"Seed": 7}, "'Seed'"),
+        ({"grids": {"trials": [2]}}, "'grids'"),
+    ])
+    def test_unknown_top_level_key_rejected_before_any_cell(self, capsys, tmp_path,
+                                                            extra, named):
+        """A top-level key outside experiment, grid, out, mode, seed and tol
+        is a usage error, not a setting silently dropped."""
+        cfg = tmp_path / "typo.json"
+        cfg.write_text(json.dumps({"experiment": "verify-inter", "grid": {"depth": [4]},
+                                   **extra, "out": str(tmp_path / "reports")}))
+        assert main(["run", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: config has unknown key(s) {named}\n"
+        assert not (tmp_path / "reports").exists()
+
     def test_null_shared_key_is_left_out(self, capsys, tmp_path):
         cfg = tmp_path / "null.json"
         cfg.write_text(json.dumps({"experiment": "cex-new23", "grid": {"N": [10]},

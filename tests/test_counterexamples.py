@@ -296,10 +296,15 @@ class TestCexPLess2:
         max_ig = max(hardy_up_scalars(g, support(g)).values())
         for p in (1.1, 1.5, 1.9):
             report = gen_cex_p_less_2(k, p)
-            sum_fp = sum(_pow(v, p) for _, v in items(f))
-            assert report.lhs == sum(_pow(if_table[n] * v, p) for n, v in items(g))
-            assert report.extra["sum_fp"] == sum_fp
-            assert report.rhs == _pow(3, p - 1) * 3 * sum_fp
+            # each reported value is the exact sum of the built instance's
+            # float node terms, rounded once
+            fp_terms = [_pow(v, p) for _, v in items(f)]
+            assert report.lhs == math.fsum(_pow(if_table[n] * v, p) for n, v in items(g))
+            assert report.extra["sum_fp"] == math.fsum(fp_terms)
+            rhs = Fraction(_pow(3, p - 1)) * 3 * sum(map(Fraction, fp_terms))
+            assert report.rhs == float(rhs)
+            assert report.holds == (sum(Fraction(_pow(if_table[n] * v, p))
+                                        for n, v in items(g)) <= rhs)
             assert report.extra["max_Ig"] == max_ig
 
     def test_boundary_ig(self):

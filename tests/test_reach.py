@@ -35,6 +35,8 @@ COMMANDS = [
       for which in ("increasing", "direct") for p in ("2", "1.5")),
     *(["cex", "new23", "--N", "5", "--p", p] for p in ("4", "3.5")),
     ["cex", "search-new23", "--depth", "4", "--budget", "20"],
+    # verify_new23 at a non-integral p, which enters trees._pow
+    ["cex", "search-new23", "--p", "1.5", "--depth", "4", "--budget", "20"],
     ["capacity", "--n", "16", "--oracle"],
     ["capacity", "--n", "16", "--no-symmetry"],
     ["report", "d2", "--csv", "d2.csv"],
