@@ -30,9 +30,10 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 
 # the README examples (phi cut to 50 trials, the search to a budget of 1000),
 # the other verify suites, phi at 12 and 13 levels, the larger instances the
-# benchmark runs, increasing and direct at a non-integral p (at p = 60.5
-# the exact lhs exceeds N although 1 + 2^-p rounds to 1), and two searches:
-# one whose best ratio is a rounding tie at p = 2 and one at the depth cap
+# benchmark runs, p-less-2 at its largest k, increasing and direct at a
+# non-integral p (at p = 60.5 the exact lhs exceeds N although 1 + 2^-p
+# rounds to 1), and two searches: one whose best ratio is a rounding tie at
+# p = 2 and one at the depth cap
 COMMANDS = {
     "verify-phi": "verify phi --trials 50 --depth 8 --seed 7",
     "verify-phi-float": "verify phi --trials 50 --depth 8 --seed 7 --mode float",
@@ -55,6 +56,7 @@ COMMANDS = {
     "cex-increasing": "cex increasing --N 20 --p 2",
     "cex-direct": "cex direct --N 40 --p 2",
     "cex-p-less-2": "cex p-less-2 --k 5 --p 1.5",
+    "cex-p-less-2-k8": "cex p-less-2 --k 8 --p 1.1",
     "cex-new23": "cex new23 --N 100 --p 4",
     "cex-new23-1000-p5": "cex new23 --N 1000 --p 5",
     "cex-new23-998-p3.5": "cex new23 --N 998 --p 3.5",
