@@ -135,8 +135,8 @@ def gen_cex_p_less_2(k: int, p: Scalar, seed: Optional[int] = None) -> LemmaRepo
                    for nums in (ifg, fp))
     delta = lam = 3
     # delta^(p-1) as the exact value of its float
-    c, e = (float(delta) ** float(p - 1)).as_integer_ratio()
-    sides = _report_sides((lhs, den), (c * lam * sum_fp, e * fp_den), FLOAT)
+    dp, dp_den = (float(delta) ** float(p - 1)).as_integer_ratio()
+    sides = _report_sides((lhs, den), (dp * lam * sum_fp, dp_den * fp_den), FLOAT)
     return LemmaReport(
         name="cex_p_less_2",
         params={"k": k, "p": p, "delta": delta, "lambda": lam},

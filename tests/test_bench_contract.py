@@ -3,8 +3,9 @@
 bench/checks.py recomputes what the benchmark's capacity and cex p-less-2
 commands print by routes of its own, and bench/selftest.py checks the
 tracer and that every check rejects a perturbed output; both are loaded
-here by path and only read.  An output change that the checks would reject, or a binding the
-tracer needs that a change removed, then fails here first.
+here by path and only read.  An output change that the checks would
+reject, or a binding the tracer needs that a change removed, then fails
+here first.
 """
 
 import functools
