@@ -10,9 +10,10 @@ Every family decides every verdict at every p on int numerators over one
 denominator, and builds each reported value once at the end, so no
 addition pays for a gcd of 1000- to 4000-bit integers.  A non-integral p
 takes 2^p and each power k^e as the exact values of the floats 2.0 ** p
-and k ** e (the latter as int numerators over 2^52), and renders each
-reported value once, as the correctly rounded float of the exact one (inf
-beyond the float range); an integral p reports Fractions.
+and k ** e (the latter as int numerators over 2^52).  Each generator
+renders its report once, at its output, through lemmas.render: exact
+values at integral p, and otherwise the correctly rounded float of each
+exact value (inf beyond the float range).
 tests/helpers.py builds the instances node by node, and keeps
 step-by-step Fraction sums, as the oracles for these sums.
 """
@@ -37,7 +38,8 @@ from .trees import (
 # hardy_up_table is not called here; the binding stays because the bench's
 # self-test checks that its tracer wraps it in this module too.
 from .hardy import hardy_up_table  # noqa: F401
-from .lemmas import EXACT, FLOAT, LemmaReport, _sides, _value, scalar_repr, verify_new23
+from .lemmas import (EXACT, FLOAT, Exact, LemmaReport, render, render_value, scalar_repr,
+                     verify_new23)
 from .randgen import _below, _random_bits
 
 _MAX_CEX_K = 8          # the p<2 sums take ~2^k terms of ints that grow with k
@@ -74,17 +76,16 @@ def _power_table(N: int, e: Scalar) -> tuple[list[int], int]:
             for x in (float(k) ** float(e) for k in range(N + 1))], 1 << 52
 
 
-def _report_mode(N: int, p: Scalar, bits: Callable[[int], int]) -> str:
-    """The report mode of a p >= 1 family, EXACT at integral p and FLOAT
-    otherwise, once its bounds are checked, before any sum; bits(p) bounds
-    the bit length of the ints an exact report prints."""
+def _check_bounds(N: int, p: Scalar, bits: Callable[[int], int]) -> None:
+    """Check the bounds of a p >= 1 family before any sum; bits(p) bounds
+    the bit length of the ints its exact report prints at integral p."""
     pi = _as_int(p)
     if pi is not None:
         limit, digits = sys.get_int_max_str_digits(), bits(pi) * 30103 // 100000 + 1
         if limit and digits > limit:  # 0.30103 > log10(2)
             raise ResourceError(f"the exact report prints ints of up to {digits} digits, "
                                 f"beyond Python's {limit}-digit limit on int to str conversion")
-        return EXACT
+        return
     if N > _MAX_FLOAT_N:
         raise ResourceError(f"a non-integral p sums the exact values of float powers, "
                             f"whose ints grow with N, up to N = {_MAX_FLOAT_N}")
@@ -93,19 +94,17 @@ def _report_mode(N: int, p: Scalar, bits: Callable[[int], int]) -> str:
     except OverflowError:
         raise ResourceError(f"a non-integral p takes 2^p and k^p, k <= N, as floats, and "
                             f"{max(N, 2)}^{p} is beyond their range (N^p < 2^1024)") from None
-    return FLOAT
 
 
-def _report_sides(lhs: tuple[int, int], rhs: tuple[int, int], mode: str) -> dict:
-    """A report's lhs, rhs and rounded_ratio as lemmas._sides gives them,
-    and holds decided on the ints, from sides given as int ratios; an exact
-    rhs is integral and reported as the int."""
+def _report(p: Scalar, lhs: tuple[int, int], rhs: tuple[int, int], **fields) -> LemmaReport:
+    """A family's report from sides given as int ratios, holds decided on
+    the ints, rendered at its output: exact at integral p, where the rhs is
+    an integer and reported as the int, and float otherwise."""
     (a, b), (c, d) = lhs, rhs
-    if mode == EXACT:
-        sides = {"lhs": _value(a, b, mode), "rhs": c // d}
-    else:
-        sides = _sides(a * d, c * b, b * d, mode)
-    return {**sides, "holds": a * d <= c * b}
+    exact = _as_int(p) is not None
+    report = LemmaReport(lhs=Exact(a, b), rhs=c // d if exact else Exact(c, d),
+                         holds=a * d <= c * b, **fields)
+    return render(report, EXACT if exact else FLOAT)
 
 
 # ---------------------------------------------------------------------------
@@ -136,17 +135,12 @@ def gen_cex_p_less_2(k: int, p: Scalar, seed: Optional[int] = None) -> LemmaRepo
     delta = lam = 3
     # delta^(p-1) as the exact value of its float
     dp, dp_den = (float(delta) ** float(p - 1)).as_integer_ratio()
-    sides = _report_sides((lhs, den), (dp * lam * sum_fp, dp_den * fp_den), FLOAT)
-    return LemmaReport(
-        name="cex_p_less_2",
-        params={"k": k, "p": p, "delta": delta, "lambda": lam},
-        **sides, mode=FLOAT, seed=seed,
-        extra={
-            "lower_bound": 2.0 ** ((2 - pf) * k),
-            "sum_fp": _value(sum_fp, fp_den, FLOAT),
-            "max_Ig": 3 - Fraction(1, 2 ** k),
-        },
-    )
+    report = _report(p, (lhs, den), (dp * lam * sum_fp, dp_den * fp_den),
+                     name="cex_p_less_2", params={"k": k, "p": p, "delta": delta, "lambda": lam},
+                     seed=seed, extra={"lower_bound": 2.0 ** ((2 - pf) * k),
+                                       "sum_fp": Exact(sum_fp, fp_den)})
+    report.extra["max_Ig"] = 3 - Fraction(1, 2 ** k)  # exact in the float report
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -176,18 +170,16 @@ def gen_cex_increasing(N: int, p: Scalar = 2, seed: Optional[int] = None) -> Lem
     if p < 1:
         raise ValueError("p must be at least 1")
     # the reduced lhs is below N (2^p+1)^(N-1) over 2^(p(N-1))
-    mode = _report_mode(N, p, lambda e: (e + 1) * (N - 1) + N.bit_length())
-    sides = _report_sides(sum_gp_levels(N, p), (N, 1), mode)
+    _check_bounds(N, p, lambda e: (e + 1) * (N - 1) + N.bit_length())
     # 2^p (r^N - 1) with r = (A + D)/A, a cross-check of the level sum
     A, D = _two_pow(p)
-    closed = _value((A + D) ** N - A ** N, A ** (N - 1) * D, mode)
+    closed = Exact((A + D) ** N - A ** N, A ** (N - 1) * D)
     lam = N  # g(root) = 1
-    return LemmaReport(
-        name="cex_increasing",
-        params={"N": N, "p": p, "lambda": lam, "gamma": ""},
-        **sides, witness=None if sides["holds"] else "", mode=mode, seed=seed,
-        extra={"closed_form_check": closed},
-    )
+    report = _report(p, sum_gp_levels(N, p), (N, 1),
+                     name="cex_increasing", params={"N": N, "p": p, "lambda": lam, "gamma": ""},
+                     seed=seed, extra={"closed_form_check": closed})
+    report.witness = None if report.holds else ""
+    return report
 
 
 def sum_ifg_p_direct(N: int, p: Scalar) -> tuple[int, int]:
@@ -223,21 +215,17 @@ def gen_cex_direct(N: int, p: Scalar = 2, seed: Optional[int] = None) -> LemmaRe
     if p < 1:
         raise ValueError("p must be at least 1")
     # the reduced lhs, below N^(p+2) (2^p+1)^(N-1) over 2^(p(N-1)), bounds all
-    mode = _report_mode(N, p, lambda e: (e + 1) * (N - 1) + (e + 2) * N.bit_length())
+    _check_bounds(N, p, lambda e: (e + 1) * (N - 1) + (e + 2) * N.bit_length())
     delta, lam, sum_fp = 2, N, N
     A, D = _two_pow(p)
     # delta^(p-1) = 2^p / 2
-    sides = _report_sides(sum_ifg_p_direct(N, p), (A * lam * sum_fp, 2 * D), mode)
-    return LemmaReport(
-        name="cex_direct",
-        params={"N": N, "p": p, "delta": delta, "lambda": lam},
-        **sides, mode=mode, seed=seed,
-        extra={
-            "sum_fp": sum_fp,
-            "sum_gp": _value(*sum_gp_levels(N, p), mode),
-            "delta_measured": _value(2 ** N - 1, 2 ** (N - 1), mode),
-        },
-    )
+    return _report(p, sum_ifg_p_direct(N, p), (A * lam * sum_fp, 2 * D),
+                   name="cex_direct", params={"N": N, "p": p, "delta": delta, "lambda": lam},
+                   seed=seed, extra={
+                       "sum_fp": sum_fp,
+                       "sum_gp": Exact(*sum_gp_levels(N, p)),
+                       "delta_measured": Exact(2 ** N - 1, 2 ** (N - 1)),
+                   })
 
 
 # ---------------------------------------------------------------------------
@@ -291,12 +279,6 @@ class VariantAudit:
         }
 
 
-def _float_or_inf(x: Scalar) -> Scalar:
-    """A Fraction as its correctly rounded float, +-inf beyond the float
-    range; any other scalar as it is."""
-    return _value(x.numerator, x.denominator, FLOAT) if isinstance(x, Fraction) else x
-
-
 def _path_numerators(N: int) -> tuple[list[int], list[int], list[int]]:
     """lw, I*g and II*g at u_k, k = 1..N (u_1 = root, u_N = the left-most
     boundary node), as int numerators shared by both variants: each puts
@@ -314,7 +296,8 @@ def _audit_variant(variant: str, N: int, p: Scalar, powers: list[tuple[list[int]
                    path: tuple[list[int], list[int], list[int]]) -> VariantAudit:
     """One variant's audit; powers is _power_table(N, e) for e = p, p - 1
     and p - 2, and path is _path_numerators(N).  Every step is decided
-    exactly; a non-integral p then renders each value as a float."""
+    exactly, and the audit renders its values once: exact at integral p,
+    float otherwise."""
     lw, istar, iistar = path
     if variant == "halving":
         g_path, den = lw, 1 << N
@@ -392,13 +375,12 @@ def _audit_variant(variant: str, N: int, p: Scalar, powers: list[tuple[list[int]
                   "the chain's asserted lower bound on L"))
 
     lemma_rhs = sup * N
-    # the one rendering: exact values at integral p, floats otherwise
-    show = _float_or_inf if tden > 1 else (lambda x: x)
+    mode = EXACT if tden == 1 else FLOAT
     return VariantAudit(
-        variant=variant, N=N, p=p,
-        total_ifp_g=show(L), sup_iistar=show(sup), sum_fp=N, lemma_rhs=show(lemma_rhs),
+        variant=variant, N=N, p=p, total_ifp_g=render_value(L, mode),
+        sup_iistar=render_value(sup, mode), sum_fp=N, lemma_rhs=render_value(lemma_rhs, mode),
         lemma_holds=L <= lemma_rhs, boundary_argmax_ok=boundary_ok,
-        steps=[AuditStep(name, show(lhs), show(rhs), ok, note)
+        steps=[AuditStep(name, render_value(lhs, mode), render_value(rhs, mode), ok, note)
                for name, lhs, rhs, ok, note in steps],
     )
 
@@ -411,7 +393,7 @@ def gen_cex_new23(N: int, p: Scalar) -> dict[str, VariantAudit]:
     if p <= 2:
         raise ValueError("the audited chain targets p > 2")
     # every printed value is below 2^(N+2) p N^p, over at most 2^(N+p-1)
-    _report_mode(N, p, lambda e: N + e * (N.bit_length() + 1) + 2)
+    _check_bounds(N, p, lambda e: N + e * (N.bit_length() + 1) + 2)
     powers, path = [_power_table(N, e) for e in (p, p - 1, p - 2)], _path_numerators(N)
     return {v: _audit_variant(v, N, p, powers, path) for v in ("halving", "ones")}
 
@@ -502,7 +484,7 @@ def _dyadic_fn(values: dict[str, float]) -> SparseFn:
 def search_new23(p: Scalar, depth: int, budget: int, seed: int) -> LemmaReport:
     """Sample random increasing g and random f, scored in floats; return the
     instance with the largest lhs/rhs, re-evaluated through the full
-    verifier on the exact values of its float draws, in float mode."""
+    verifier on the exact values of its float draws, rendered in float mode."""
     if p < 1:
         raise ValueError("p must be at least 1")
     if depth < 0:
@@ -537,8 +519,8 @@ def search_new23(p: Scalar, depth: int, budget: int, seed: int) -> LemmaReport:
     gv = _random_increasing_paths(rng, depth, cap=12)
     fv = _random_f_paths(rng, depth, list(gv))
     d = TreeDomain(depth + 1)
-    report = verify_new23(_dyadic_fn(fv), _dyadic_fn(gv), float(p), d, seed=seed, mode=FLOAT)
+    report = verify_new23(_dyadic_fn(fv), _dyadic_fn(gv), float(p), d, seed=seed)
     report.name = "search_new23"
     report.params.update({"depth": depth, "budget": budget, "best_trial": best_trial,
                           "best_fast_ratio": best_ratio})
-    return report
+    return render(report, FLOAT)

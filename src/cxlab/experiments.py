@@ -32,6 +32,9 @@ from .lemmas import (
     FLOAT,
     LemmaReport,
     build_phi,
+    render,
+    render_value,
+    require_mode,
     scalar_repr,
     verify_I2_positive,
     verify_gest,
@@ -54,17 +57,17 @@ def _pick(rng: random.Random, paths) -> str:
     return paths[_below(rng.getrandbits, len(paths))]
 
 
-def _trial_l1linf(rng, d, mode, seed) -> LemmaReport:
+def _trial_l1linf(rng, d, seed) -> LemmaReport:
     g = randgen.random_superadditive(rng, d)
     h = randgen.random_sparse(rng, d)
     gamma = _pick(rng, g.values)
-    return verify_supadditive_l1linf(g, h, gamma, d, seed=seed, mode=mode)
+    return verify_supadditive_l1linf(g, h, gamma, d, seed=seed)
 
 
-def _trial_i2pos(rng, d, mode, seed) -> LemmaReport:
+def _trial_i2pos(rng, d, seed) -> LemmaReport:
     f = randgen.random_sparse(rng, d)
     g = randgen.random_sparse(rng, d)
-    return verify_I2_positive(f, g, d, seed=seed, mode=mode)
+    return verify_I2_positive(f, g, d, seed=seed)
 
 
 def _phi_instance(rng, d):
@@ -104,38 +107,38 @@ def _phi_instance(rng, d):
     return w, g, f, lam, delta, (up, den)
 
 
-def _trial_phi(rng, d, mode, seed) -> LemmaReport:
+def _trial_phi(rng, d, seed) -> LemmaReport:
     w, g, f, lam, delta, iwg = _phi_instance(rng, d)
-    _, report = build_phi(w, g, f, lam, delta, d, seed=seed, mode=mode, iwg=iwg)
+    _, report = build_phi(w, g, f, lam, delta, d, seed=seed, iwg=iwg)
     return report
 
 
-def _trial_inter(rng, d, mode, seed) -> LemmaReport:
+def _trial_inter(rng, d, seed) -> LemmaReport:
     g = randgen.random_superadditive(rng, d)
     f = randgen.random_sparse(rng, d)
-    return verify_inter(f, g, 2, d, seed=seed, mode=mode)
+    return verify_inter(f, g, 2, d, seed=seed)
 
 
-def _trial_linf(rng, d, mode, seed) -> LemmaReport:
+def _trial_linf(rng, d, seed) -> LemmaReport:
     g = randgen.random_increasing(rng, d)
     f = randgen.random_sparse(rng, d)
-    return verify_linf(f, g, d, seed=seed, mode=mode)
+    return verify_linf(f, g, d, seed=seed)
 
 
-def _trial_new23(rng, d, mode, seed) -> LemmaReport:
+def _trial_new23(rng, d, seed) -> LemmaReport:
     g = randgen.random_increasing(rng, d)
     f = randgen.random_sparse(rng, d)
     p = _NEW23_PS[_below(rng.getrandbits, len(_NEW23_PS))]
-    return verify_new23(f, g, p, d, seed=seed, mode=mode)
+    return verify_new23(f, g, p, d, seed=seed)
 
 
-def _trial_gest(rng, d, mode, seed) -> LemmaReport:
+def _trial_gest(rng, d, seed) -> LemmaReport:
     levels = min(d.levels, 6)
     m = randgen.random_special_form_measure(rng, levels, levels)
     beta = _pick(rng, (y for _, y in m[0]))
     g = special_form_g(m, beta, 2)
     gamma = _pick(rng, g.values)
-    return verify_gest(g, gamma, 2, d, seed=seed, mode=mode)
+    return verify_gest(g, gamma, 2, d, seed=seed)
 
 
 _TRIALS: dict[str, Callable] = {
@@ -156,12 +159,13 @@ def run_verify_suite(
         raise ValueError(f"unknown verify suite {name!r} (one of {VERIFY_NAMES})")
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
+    require_mode(mode)
     d = TreeDomain(depth)
     fn = _TRIALS[name]
     out = []
     for i in range(trials):
         rng = random.Random(f"{seed}:{name}:{i}")
-        out.append(fn(rng, d, mode, seed))
+        out.append(render(fn(rng, d, seed), mode))
     return out
 
 
@@ -225,7 +229,7 @@ def _cex_new23(N: int = 10, p: float = 4.0) -> CellResult:
     audits = cex.gen_cex_new23(N, _exponent(p))
     first = audits["halving"]
     # overflow-safe: a large integral p can take L beyond the float range
-    lhs, rhs = cex._float_or_inf(first.total_ifp_g), cex._float_or_inf(first.lemma_rhs)
+    lhs, rhs = render_value(first.total_ifp_g, FLOAT), render_value(first.lemma_rhs, FLOAT)
     row = {"lhs": lhs, "rhs": rhs, "ratio": lhs / rhs, "holds": first.lemma_holds}
     return CellResult({name: audit.to_dict() for name, audit in audits.items()}, row,
                       all(audit.boundary_argmax_ok for audit in audits.values()))
@@ -236,8 +240,7 @@ def _search_new23(p: float = 2.0, depth: int = 10, budget: int = 1000,
     p = _exponent(p)
     report = cex.search_new23(p, depth, budget, seed)
     # no violation exists for p <= 2
-    return _report_cell(report, p > 2 or report.ratio is None
-                        or float(report.ratio) <= 1 + 1e-9)
+    return _report_cell(report, p > 2 or report.holds or report.degenerate)
 
 
 def _capacity(n: int = 16, no_symmetry: bool = False, oracle: bool = False) -> CellResult:
@@ -311,8 +314,7 @@ def cell_params(experiment: str, params: dict) -> dict:
         except (TypeError, ValueError, OverflowError):
             raise ValueError(f"{experiment}: {k} must be {want.__name__}, "
                              f"got {v!r}") from None
-    if out.get("mode", EXACT) not in (EXACT, FLOAT):
-        raise ValueError(f"invalid mode {out['mode']!r}")
+    require_mode(out.get("mode", EXACT))
     return out
 
 

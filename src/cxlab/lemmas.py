@@ -10,12 +10,14 @@ The verifiers compute on the int numerators a SparseFn holds and the If
 and II*g tables of hardy give, each over its function's one denominator.
 At integral p every max, sum and power is taken on the ints, both sides
 of an inequality end over one denominator, and the verdict compares their
-numerators.  Each verifier takes the report mode, EXACT or FLOAT, as it
-takes its seed, and the mode only renders the reported values: each is
-the Fraction num/den in exact mode, and in float mode the correctly
-rounded num/den, with the ratio the correctly rounded ratio of the exact
-sides.  A non-integral p rounds each exact value once, where _pow did, and
-evaluates in floats in both modes.
+numerators.  A verifier reports each exact value as the unreduced pair
+Exact(num, den) and takes no report mode: render, applied once to the
+report, gives each value its output form, the Fraction num/den in exact
+mode and in float mode the correctly rounded num/den, with the ratio the
+correctly rounded ratio of the exact sides.  A non-integral p rounds each
+exact value once, where _pow did, and evaluates in floats; inter compares
+float p-th roots.  render passes those floats through as they are.  A node
+of a function's support outside the domain d raises DomainError.
 """
 
 from __future__ import annotations
@@ -29,10 +31,22 @@ from .trees import PreconditionError, Scalar, SparseFn, TreeDomain, _as_int, _po
 from .hardy import _heap_values, _iistar_paths, _up_heap, hardy_up_table
 from .structure import check_power_superadditive, is_increasing, is_superadditive
 
-# The report modes: a report carries its values as Fractions, or as their
-# correctly rounded floats.
+# The report modes: a rendered report carries its exact values as
+# Fractions, or as their correctly rounded floats.
 EXACT = "exact"
 FLOAT = "float"
+
+
+@dataclass(slots=True)
+class Exact:
+    """An exact value as a verifier or generator reports it: the unreduced
+    int pair num/den, den > 0.  render gives it its output form."""
+
+    num: int
+    den: int
+
+    def __float__(self) -> float:
+        return render_value(self, FLOAT)
 
 # Explicit constants traced through the proof of the phi-construction lemma:
 # (lambda/2 - delta)/lambda >= 1/4 once lambda >= 4 delta, and the energy
@@ -44,8 +58,8 @@ PHI_ENERGY_CONST = 2
 class LemmaReport:
     """One inequality evaluation: LHS, RHS, their ratio and a witness.
 
-    rounded_ratio is set where lhs and rhs are floats rendered from exact
-    sides: the correctly rounded exact ratio, which lhs / rhs need not be.
+    rounded_ratio, set by render where lhs and rhs are floats rendered from
+    exact sides, is the correctly rounded exact ratio: lhs / rhs need not be.
     """
 
     name: str
@@ -58,7 +72,7 @@ class LemmaReport:
     seed: Optional[int] = None
     degenerate: bool = False
     extra: dict = field(default_factory=dict)
-    rounded_ratio: Optional[float] = None
+    rounded_ratio: Optional[float] = field(default=None, init=False)
 
     @property
     def ratio(self) -> Optional[Scalar]:
@@ -95,34 +109,50 @@ def scalar_repr(v):
     return v
 
 
-def _value(num: int, den: int, mode: str) -> Scalar:
-    """num/den as a report carries it: the Fraction in exact mode, the
-    correctly rounded float in float mode (+-inf beyond the float range).
-    Every verifier renders through here before it builds its report, so any
-    other mode raises ValueError here."""
-    if mode == EXACT:
-        return Fraction(num, den)
-    if mode == FLOAT:
-        try:
-            return num / den
-        except OverflowError:
-            return math.inf if (num > 0) == (den > 0) else -math.inf
-    raise ValueError(f"unknown report mode {mode!r}")
+def require_mode(mode: str) -> None:
+    """ValueError for a report mode other than EXACT and FLOAT."""
+    if mode not in (EXACT, FLOAT):
+        raise ValueError(f"unknown report mode {mode!r}")
 
 
-def _render(x: Scalar, mode: str) -> Scalar:
-    """An exact scalar as a report carries it: itself in exact mode, its
-    correctly rounded float in float mode."""
-    return x if mode == EXACT else float(x)
+def render_value(v, mode: str):
+    """An exact value, an Exact or a Fraction, in its output form: the
+    Fraction in exact mode, the correctly rounded float in float mode (+-inf
+    beyond the float range).  Any other value is returned as it is."""
+    if type(v) is Exact:
+        num, den = v.num, v.den
+        if mode == EXACT:
+            return Fraction(num, den)
+    elif type(v) is Fraction:
+        if mode == EXACT:
+            return v
+        num, den = v.numerator, v.denominator
+    else:
+        return v
+    try:
+        return num / den
+    except OverflowError:
+        return math.inf if (num > 0) == (den > 0) else -math.inf
 
 
-def _sides(lhs: int, rhs: int, den: int, mode: str) -> dict:
-    """The lhs, rhs and rounded_ratio of a report whose sides are lhs/den
-    and rhs/den, rendered in the given mode."""
-    sides = {"lhs": _value(lhs, den, mode), "rhs": _value(rhs, den, mode)}
-    if mode == FLOAT:
-        sides["rounded_ratio"] = _value(lhs, rhs, FLOAT) if rhs else None
-    return sides
+def render(report: LemmaReport, mode: str) -> LemmaReport:
+    """The report in its output form, rendered in place and returned: every
+    exact value of lhs, rhs, params and extra through render_value.  In
+    float mode the ratio of two exact sides is the correctly rounded exact
+    ratio.  The label is FLOAT where a side is a float, else mode."""
+    require_mode(mode)
+    lhs, rhs = report.lhs, report.rhs
+    floats = isinstance(lhs, float) or isinstance(rhs, float)
+    if mode == FLOAT and not floats:
+        a, b = (lhs.num, lhs.den) if type(lhs) is Exact else lhs.as_integer_ratio()
+        c, d = (rhs.num, rhs.den) if type(rhs) is Exact else rhs.as_integer_ratio()
+        report.rounded_ratio = render_value(Exact(a * d, b * c), FLOAT) if c else None
+    report.lhs, report.rhs = render_value(lhs, mode), render_value(rhs, mode)
+    for values in (report.params, report.extra):
+        for k, v in values.items():
+            values[k] = render_value(v, mode)
+    report.mode = FLOAT if floats else mode
+    return report
 
 
 def _sup_iistar(g: SparseFn, *path_lists) -> list[tuple[int, Optional[str]]]:
@@ -155,52 +185,49 @@ def _refined_paths(g_paths, f_paths) -> list[str]:
 
 
 def verify_supadditive_l1linf(
-    g: SparseFn, h: SparseFn, gamma: str, d: TreeDomain,
-    seed: Optional[int] = None, mode: str = EXACT,
+    g: SparseFn, h: SparseFn, gamma: str, d: TreeDomain, seed: Optional[int] = None,
 ) -> LemmaReport:
     """sum_{alpha <= gamma} g h <= lambda g(gamma), lambda = max Ih on supp g."""
     gv, hv = g.values, h.values
+    d.require([*gv, *hv])
     lam = max(hardy_up_table(h, gv).values(), default=0)
     lhs = sum(v * hv.get(x, 0) for x, v in gv.items() if x.startswith(gamma))
-    # both sides over g.den h.den
     rhs = lam * gv.get(gamma, 0)
+    den = g.den * h.den  # of both sides
     holds = lhs <= rhs
     return LemmaReport(
         name="supadditive_l1linf",
-        params={"lambda": _value(lam, h.den, mode), "gamma": gamma},
-        **_sides(lhs, rhs, g.den * h.den, mode), holds=holds,
+        params={"lambda": Exact(lam, h.den), "gamma": gamma},
+        lhs=Exact(lhs, den), rhs=Exact(rhs, den), holds=holds,
         witness=None if holds else gamma,
-        mode=mode, seed=seed, degenerate=rhs == 0 and lhs > 0,
+        seed=seed, degenerate=rhs == 0 and lhs > 0,
         extra={"superadditive": is_superadditive(g, d)[0]},
     )
 
 
 def verify_I2_positive(
     f: SparseFn, g: SparseFn, d: TreeDomain, seed: Optional[int] = None,
-    mode: str = EXACT,
 ) -> LemmaReport:
-    """sum (If)^2 g <= (refined sup of II*g) * sum f^2; unconditional.
-    A node of supp f or supp g outside d raises DomainError."""
+    """sum (If)^2 g <= (refined sup of II*g) * sum f^2; unconditional."""
     fv, gv = f.values, g.values
-    d.require(fv)
-    d.require(gv)
+    d.require([*fv, *gv])
     up = hardy_up_table(f, gv)
     lhs = sum(up[x] ** 2 * v for x, v in gv.items())
     (sup, arg), (coarse, _) = _sup_iistar(g, _refined_paths(gv, fv), gv)
-    # both sides over f.den^2 g.den
     rhs = sup * sum(v * v for v in fv.values())
+    den = f.den * f.den * g.den  # of both sides
     return LemmaReport(
         name="I2_positive",
-        params={"sup_iistar": _value(sup, g.den, mode)},
-        **_sides(lhs, rhs, f.den * f.den * g.den, mode), holds=lhs <= rhs,
-        witness=arg, mode=mode, seed=seed,
-        extra={"coarse_sup": _value(coarse, g.den, mode)},
+        params={"sup_iistar": Exact(sup, g.den)},
+        lhs=Exact(lhs, den), rhs=Exact(rhs, den), holds=lhs <= rhs,
+        witness=arg, seed=seed,
+        extra={"coarse_sup": Exact(coarse, g.den)},
     )
 
 
 def build_phi(
     w: SparseFn, g: SparseFn, f: SparseFn, lam: Scalar, delta: Scalar,
-    d: TreeDomain, seed: Optional[int] = None, mode: str = EXACT,
+    d: TreeDomain, seed: Optional[int] = None,
     iwg: Optional[tuple[list, int]] = None,
 ) -> tuple[SparseFn, LemmaReport]:
     """The indicator-weighted majorant phi and its two proof-traced checks.
@@ -210,7 +237,7 @@ def build_phi(
     check (b): sum w phi^2 <= 2 (delta/lambda) sum w f^2.
 
     lambda and delta are read at their exact values (a float at its binary
-    value), and the report renders them in the given mode.  w is read only
+    value), and the report carries them as given.  w is read only
     on supp g and supp f (phi lies inside supp g), so a w that holds no
     other node gives the same phi and report.  The three I sweeps run over
     lists in heap order and check (a) visits every node, so a domain of
@@ -227,7 +254,7 @@ def build_phi(
     c, e = lam.as_integer_ratio()
     if c * b < 4 * a * e:
         raise PreconditionError(f"lambda >= 4*delta required (lambda={lam}, delta={delta})")
-    phi, a_ok, a_witness, worst_a = _phi_heap(w, g, f, (a, b), (c, e), d, iwg, mode)
+    phi, a_ok, a_witness, worst_a = _phi_heap(w, g, f, (a, b), (c, e), d, iwg)
 
     # check (b) over one denominator: sum w phi^2 = wphi2 / den_phi and
     # 2 delta sum w f^2 / lambda = 2 (a/b) (wf2 / den_f) / (c/e)
@@ -235,18 +262,19 @@ def build_phi(
     wf2, den_f = _weighted_square_sum(w, f)
     lhs = wphi2 * b * c * den_f
     rhs = PHI_ENERGY_CONST * a * e * wf2 * den_phi
+    den = den_phi * b * c * den_f
     b_ok = lhs <= rhs
 
     report = LemmaReport(
         name="build_phi",
-        params={"lambda": _render(lam, mode), "delta": _render(delta, mode)},
-        **_sides(lhs, rhs, den_phi * b * c * den_f, mode), holds=a_ok and b_ok,
-        witness=a_witness, mode=mode, seed=seed,
+        params={"lambda": lam, "delta": delta},
+        lhs=Exact(lhs, den), rhs=Exact(rhs, den), holds=a_ok and b_ok,
+        witness=a_witness, seed=seed,
         extra={
             "lower_check_ok": a_ok,
             "energy_check_ok": b_ok,
             "worst_lower_ratio": worst_a,
-            "lower_const": _render(PHI_LOWER_CONST, mode),
+            "lower_const": PHI_LOWER_CONST,
             "energy_const": PHI_ENERGY_CONST,
         },
     )
@@ -261,11 +289,10 @@ def _weighted_square_sum(w: SparseFn, fn: SparseFn) -> tuple[int, int]:
             w.den * fn.den * fn.den)
 
 
-def _phi_heap(w, g, f, delta, lam, d, iwg, mode):
+def _phi_heap(w, g, f, delta, lam, d, iwg):
     """phi and check (a) over every node of d: phi, whether check (a)
-    holds, its last failing node in heap order and its least ratio,
-    rendered in the given mode.  delta and lam are (numerator, denominator)
-    pairs.
+    holds, its last failing node in heap order and its least ratio, an
+    Exact.  delta and lam are (numerator, denominator) pairs.
 
     Each I is one _up_heap sweep of int numerators, each table over its own
     denominator.  A threshold t = a/b is read as floor(t den) = a den // b,
@@ -314,54 +341,50 @@ def _phi_heap(w, g, f, delta, lam, d, iwg, mode):
             if wphi_k * lower_wphi < lower_wf * wf_k:
                 a_ok, a_k = False, k
     if worst_k is not None:
-        worst_a = _value(up_wphi[worst_k] * den_wf, up_wf[worst_k] * den_wphi, mode)
+        worst_a = Exact(up_wphi[worst_k] * den_wf, up_wf[worst_k] * den_wphi)
     a_witness = None if a_k is None else bin(a_k)[3:]
     return phi, a_ok, a_witness, worst_a
 
 
 def verify_inter(
     f: SparseFn, g: SparseFn, p: Scalar, d: TreeDomain, seed: Optional[int] = None,
-    mode: str = EXACT,
 ) -> LemmaReport:
     """||If . g||_p <= delta^((p-1)/p) lambda^(1/p) ||f||_p with least delta, lambda.
 
     The sums are exact at integral p, but both sides are compared as float
-    p-th roots of their correctly rounded values, in both modes.
+    p-th roots of their correctly rounded values.
     """
     if p < 1:
         raise ValueError("p must be at least 1")
     fv, fden = f.values, f.den
     gv, gden = g.values, g.den
+    d.require([*fv, *gv])
     # Ig is constant below the deepest supported ancestor, so its max over
     # the tree is its max over supp g and the root
     ig = hardy_up_table(g, [*fv, *gv, ""])
-    delta = _value(max((ig[x] for x in fv), default=0), gden, mode)
-    lam = _value(max(ig[x] for x in (*gv, "")), gden, mode)
-    # an empty sum is the exact zero, rendered
-    zero = _value(0, 1, mode)
+    delta = Exact(max((ig[x] for x in fv), default=0), gden)
+    lam = Exact(max(ig[x] for x in (*gv, "")), gden)
     if not fv:
         return LemmaReport(
             name="inter", params={"p": p, "delta": delta, "lambda": lam},
-            lhs=zero, rhs=zero, holds=True,
-            mode=mode, seed=seed, degenerate=True,
+            lhs=Exact(0, 1), rhs=Exact(0, 1), holds=True, seed=seed, degenerate=True,
         )
     up = hardy_up_table(f, gv)
     den = fden * gden
     e = _as_int(p)
     if e is not None:
-        sum_fp = _value(sum(v ** e for v in fv.values()), fden ** e, mode)
-        sum_ifg_p = _value(sum((up[x] * v) ** e for x, v in gv.items()), den ** e, mode)
+        sum_fp = Exact(sum(v ** e for v in fv.values()), fden ** e)
+        sum_ifg_p = Exact(sum((up[x] * v) ** e for x, v in gv.items()), den ** e)
     else:
-        sum_fp = sum((_pow(v / fden, p) for v in fv.values()), zero)
-        sum_ifg_p = sum((_pow(up[x] * v / den, p) for x, v in gv.items()), zero)
+        sum_fp = sum((_pow(v / fden, p) for v in fv.values()), 0.0)
+        sum_ifg_p = sum((_pow(up[x] * v / den, p) for x, v in gv.items()), 0.0)
     pf = float(p)
     lhs = float(sum_ifg_p) ** (1.0 / pf)
     rhs = float(delta) ** ((pf - 1.0) / pf) * float(lam) ** (1.0 / pf) * float(sum_fp) ** (1.0 / pf)
     return LemmaReport(
         name="inter",
         params={"p": p, "delta": delta, "lambda": lam},
-        lhs=lhs, rhs=rhs, holds=lhs <= rhs,
-        mode=FLOAT, seed=seed,
+        lhs=lhs, rhs=rhs, holds=lhs <= rhs, seed=seed,
         extra={
             "sum_ifg_p": sum_ifg_p,
             "sum_fp": sum_fp,
@@ -372,10 +395,10 @@ def verify_inter(
 
 def verify_linf(
     f: SparseFn, g: SparseFn, d: TreeDomain, seed: Optional[int] = None,
-    mode: str = EXACT,
 ) -> LemmaReport:
     """||If . g||_inf <= (sup over supp g & supp f of II*g) ||f||_inf for increasing g."""
     fv, gv = f.values, g.values
+    d.require([*gv, *fv])
     up = hardy_up_table(f, gv)
     lhs, arg = 0, None
     for x, v in gv.items():
@@ -383,52 +406,46 @@ def verify_linf(
         if val > lhs:
             lhs, arg = val, x
     (sup, sup_arg), = _sup_iistar(g, [x for x in gv if x in fv])
-    # both sides over f.den g.den
     rhs = sup * max(fv.values(), default=0)
+    den = f.den * g.den  # of both sides
     return LemmaReport(
         name="linf",
-        params={"sup_iistar": _value(sup, g.den, mode)},
-        **_sides(lhs, rhs, f.den * g.den, mode), holds=lhs <= rhs,
-        witness=arg if lhs > rhs else sup_arg,
-        mode=mode, seed=seed,
+        params={"sup_iistar": Exact(sup, g.den)},
+        lhs=Exact(lhs, den), rhs=Exact(rhs, den), holds=lhs <= rhs,
+        witness=arg if lhs > rhs else sup_arg, seed=seed,
         extra={"increasing": is_increasing(g, d)[0]},
     )
 
 
 def verify_new23(
     f: SparseFn, g: SparseFn, p: Scalar, d: TreeDomain, seed: Optional[int] = None,
-    mode: str = EXACT,
 ) -> LemmaReport:
     """sum (If)^p g <= (sup over supp g & supp f of II*g) sum f^p."""
     if p < 1:
         raise ValueError("p must be at least 1")
     fv, fden = f.values, f.den
     gv, gden = g.values, g.den
+    d.require([*fv, *gv])
     up = hardy_up_table(f, gv)
     (sup, arg), (coarse, _) = _sup_iistar(g, [x for x in gv if x in fv], gv)
-    sup_v = _value(sup, gden, mode)
     e = _as_int(p)
     if e is not None:
-        # both sides over fden^e gden
         lhs = sum(up[x] ** e * v for x, v in gv.items())
         rhs = sup * sum(v ** e for v in fv.values())
         holds = lhs <= rhs
-        sides = _sides(lhs, rhs, fden ** e * gden, mode)
+        den = fden ** e * gden  # of both sides
+        lhs, rhs = Exact(lhs, den), Exact(rhs, den)
     else:
-        # an empty sum is the exact zero, rendered
-        zero = _value(0, 1, mode)
-        lhs = sum((_pow(up[x] / fden, p) * (v / gden) for x, v in gv.items()), zero)
-        rhs = sup_v * sum((_pow(v / fden, p) for v in fv.values()), zero)
+        lhs = sum((_pow(up[x] / fden, p) * (v / gden) for x, v in gv.items()), 0.0)
+        rhs = sup / gden * sum((_pow(v / fden, p) for v in fv.values()), 0.0)
         # float sides: lhs <= rhs up to a relative 1e-12
         holds = lhs <= rhs * (1 + 1e-12)
-        sides = {"lhs": lhs, "rhs": rhs}
     return LemmaReport(
         name="new23",
-        params={"p": p, "sup_iistar": sup_v},
-        **sides, holds=holds,
-        witness=arg, mode=mode if e is not None else FLOAT, seed=seed,
+        params={"p": p, "sup_iistar": Exact(sup, gden)},
+        lhs=lhs, rhs=rhs, holds=holds, witness=arg, seed=seed,
         extra={
-            "coarse_sup": _value(coarse, gden, mode),
+            "coarse_sup": Exact(coarse, gden),
             "increasing": is_increasing(g, d)[0],
             "superadditive": is_superadditive(g, d)[0],
         },
@@ -436,8 +453,7 @@ def verify_new23(
 
 
 def verify_gest(
-    g: SparseFn, gamma: str, p: Scalar, d: TreeDomain,
-    seed: Optional[int] = None, mode: str = EXACT,
+    g: SparseFn, gamma: str, p: Scalar, d: TreeDomain, seed: Optional[int] = None,
 ) -> LemmaReport:
     """sum_{alpha <= gamma} g^p <= lambda g^(p-1)(gamma), lambda = max Ig on
     supp g, for integral p > 1."""
@@ -453,9 +469,8 @@ def verify_gest(
     holds = lhs <= rhs
     return LemmaReport(
         name="gest",
-        params={"p": p, "lambda": _value(lam, gden, mode), "gamma": gamma},
-        **_sides(lhs, rhs, gden ** e, mode), holds=holds,
-        witness=None if holds else gamma,
-        mode=mode, seed=seed,
+        params={"p": p, "lambda": Exact(lam, gden), "gamma": gamma},
+        lhs=Exact(lhs, gden ** e), rhs=Exact(rhs, gden ** e), holds=holds,
+        witness=None if holds else gamma, seed=seed,
         degenerate=rhs == 0 and lhs > 0,
     )

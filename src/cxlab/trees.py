@@ -12,8 +12,8 @@ construction.
 A SparseFn keeps its values in the one form every sweep, verifier and
 structure check reads: a dict keyed by path, of int numerators over one
 int denominator.  The generators and constructions hand in the numerators
-they already hold.  How a report renders the values it decides on is the
-verifier's choice, not the function's.
+they already hold.  The values a report decides on are rendered once, at
+its output, by lemmas.render, never by the function.
 """
 
 from __future__ import annotations

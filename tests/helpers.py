@@ -6,7 +6,6 @@ in cxlab.  A measure on the bi-tree is a list of (rectangle, mass) atoms.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import random
 from dataclasses import dataclass
@@ -18,7 +17,6 @@ import numpy as np
 from cxlab import capacity, lemmas
 from cxlab.counterexamples import AuditStep, VariantAudit
 from cxlab.hardy import _down_paths, _iistar_paths, _up_paths, hardy_up_table, kernel
-from cxlab.lemmas import EXACT, FLOAT
 from cxlab.trees import (
     DomainError, PreconditionError, ResourceError, Scalar, SparseFn, TreeDomain,
     _as_int, _pow, lcp_len,
@@ -83,25 +81,6 @@ def get(f: SparseFn, path: str) -> Fraction:
 def power(f: SparseFn, e: int) -> SparseFn:
     """Pointwise power to an integral exponent."""
     return fn({n: v ** e for n, v in items(f)})
-
-
-def rendered(report: lemmas.LemmaReport, mode: str) -> lemmas.LemmaReport:
-    """A report taken on Fractions as the given mode renders it: unchanged
-    in exact mode; in float mode each Fraction value the correctly rounded
-    float, and the ratio of two Fraction sides the float of the exact
-    ratio."""
-    if mode == EXACT:
-        return report
-
-    def r(v):
-        return float(v) if isinstance(v, Fraction) else v
-
-    ratio = report.ratio
-    return dataclasses.replace(
-        report, lhs=r(report.lhs), rhs=r(report.rhs),
-        params={k: r(v) for k, v in report.params.items()},
-        extra={k: r(v) for k, v in report.extra.items()},
-        rounded_ratio=float(ratio) if isinstance(ratio, Fraction) else None)
 
 
 def rebuild(f: SparseFn, factor: int) -> SparseFn:
@@ -565,10 +544,11 @@ def sup_iistar_support(g: SparseFn) -> Fraction:
 
 # The verifiers in Fraction arithmetic, as cxlab.lemmas ran them before it
 # decided its verdicts on int numerators: every If and II*g value a
-# Fraction, every sum, product, power and max taken on those; a float-mode
-# report is the exact one rendered.  They are the oracles for
-# the int-numerator verifiers; the structure checks they report are the
-# node-walk references above.
+# Fraction, every sum, product, power and max taken on those.  Each report
+# carries its exact values as Fractions, which lemmas.render gives their
+# output form as it does the verifiers' Exact pairs.  They are the oracles
+# for the int-numerator verifiers; the structure checks they report are
+# the node-walk references above.
 
 def hardy_up_scalars(f: SparseFn, paths) -> dict[str, Fraction]:
     """If at every requested path as a Fraction, keyed by path:
@@ -621,8 +601,7 @@ def intersection_nodes(g: SparseFn, f: SparseFn) -> list[str]:
     return [x for x in support(g) if x in f_support]
 
 
-def verify_supadditive_l1linf_fraction(g, h, gamma, d, seed=None,
-                                       mode=EXACT) -> lemmas.LemmaReport:
+def verify_supadditive_l1linf_fraction(g, h, gamma, d, seed=None) -> lemmas.LemmaReport:
     lam = max_hardy_up_on(h, support(g))
     lhs = Fraction(0)
     for node, v in items(g):
@@ -630,17 +609,17 @@ def verify_supadditive_l1linf_fraction(g, h, gamma, d, seed=None,
             lhs += v * get(h, node)
     rhs = lam * get(g, gamma)
     holds = lhs <= rhs
-    return rendered(lemmas.LemmaReport(
+    return lemmas.LemmaReport(
         name="supadditive_l1linf",
         params={"lambda": lam, "gamma": gamma},
         lhs=lhs, rhs=rhs, holds=holds,
         witness=None if holds else gamma,
-        mode=mode, seed=seed, degenerate=rhs == 0 and lhs > 0,
+        seed=seed, degenerate=rhs == 0 and lhs > 0,
         extra={"superadditive": is_superadditive_nodes(g, d)[0]},
-    ), mode)
+    )
 
 
-def verify_I2_positive_fraction(f, g, d, seed=None, mode=EXACT) -> lemmas.LemmaReport:
+def verify_I2_positive_fraction(f, g, d, seed=None) -> lemmas.LemmaReport:
     for n in (*support(f), *support(g)):
         d.require([n])
     table = hardy_up_scalars(f, support(g))
@@ -648,39 +627,39 @@ def verify_I2_positive_fraction(f, g, d, seed=None, mode=EXACT) -> lemmas.LemmaR
     (sup, arg), (coarse, _) = sup_iistar_nodes(g, refined_nodes(g, f), support(g))
     sum_f2 = sum((v * v for _, v in items(f)), Fraction(0))
     rhs = sup * sum_f2
-    return rendered(lemmas.LemmaReport(
+    return lemmas.LemmaReport(
         name="I2_positive", params={"sup_iistar": sup},
         lhs=lhs, rhs=rhs, holds=lhs <= rhs,
-        witness=arg, mode=mode, seed=seed, extra={"coarse_sup": coarse},
-    ), mode)
+        witness=arg, seed=seed, extra={"coarse_sup": coarse},
+    )
 
 
-def verify_inter_fraction(f, g, p, d, seed=None, mode=EXACT) -> lemmas.LemmaReport:
+def verify_inter_fraction(f, g, p, d, seed=None) -> lemmas.LemmaReport:
     if p < 1:
         raise ValueError("p must be at least 1")
     delta = max_hardy_up_on(g, support(f))
     lam = max_hardy_up_on(g, support(g) + [""])
     sum_fp = sum((_pow(v, p) for _, v in items(f)), Fraction(0))
     if sum_fp == 0:
-        return rendered(lemmas.LemmaReport(
+        return lemmas.LemmaReport(
             name="inter", params={"p": p, "delta": delta, "lambda": lam},
             lhs=Fraction(0), rhs=Fraction(0), holds=True,
-            mode=mode, seed=seed, degenerate=True,
-        ), mode)
+            seed=seed, degenerate=True,
+        )
     table = hardy_up_scalars(f, support(g))
     sum_ifg_p = sum((_pow(table[n] * v, p) for n, v in items(g)), Fraction(0))
     pf = float(p)
     lhs = float(sum_ifg_p) ** (1.0 / pf)
     rhs = float(delta) ** ((pf - 1.0) / pf) * float(lam) ** (1.0 / pf) * float(sum_fp) ** (1.0 / pf)
-    return rendered(lemmas.LemmaReport(
+    return lemmas.LemmaReport(
         name="inter", params={"p": p, "delta": delta, "lambda": lam},
-        lhs=lhs, rhs=rhs, holds=lhs <= rhs, mode=FLOAT, seed=seed,
+        lhs=lhs, rhs=rhs, holds=lhs <= rhs, seed=seed,
         extra={"sum_ifg_p": sum_ifg_p, "sum_fp": sum_fp,
                "superadditive": is_superadditive_nodes(g, d)[0]},
-    ), mode)
+    )
 
 
-def verify_linf_fraction(f, g, d, seed=None, mode=EXACT) -> lemmas.LemmaReport:
+def verify_linf_fraction(f, g, d, seed=None) -> lemmas.LemmaReport:
     table = hardy_up_scalars(f, support(g))
     lhs, arg = Fraction(0), None
     for node, v in items(g):
@@ -690,15 +669,15 @@ def verify_linf_fraction(f, g, d, seed=None, mode=EXACT) -> lemmas.LemmaReport:
     sup, sup_arg = sup_iistar_nodes(g, intersection_nodes(g, f))[0]
     f_max = max((v for _, v in items(f)), default=Fraction(0))
     rhs = sup * f_max
-    return rendered(lemmas.LemmaReport(
+    return lemmas.LemmaReport(
         name="linf", params={"sup_iistar": sup},
         lhs=lhs, rhs=rhs, holds=lhs <= rhs,
-        witness=arg if lhs > rhs else sup_arg, mode=mode, seed=seed,
+        witness=arg if lhs > rhs else sup_arg, seed=seed,
         extra={"increasing": is_increasing_nodes(g, d)[0]},
-    ), mode)
+    )
 
 
-def verify_new23_fraction(f, g, p, d, seed=None, mode=EXACT) -> lemmas.LemmaReport:
+def verify_new23_fraction(f, g, p, d, seed=None) -> lemmas.LemmaReport:
     if p < 1:
         raise ValueError("p must be at least 1")
     table = hardy_up_scalars(f, support(g))
@@ -707,17 +686,17 @@ def verify_new23_fraction(f, g, p, d, seed=None, mode=EXACT) -> lemmas.LemmaRepo
     sum_fp = sum((_pow(v, p) for _, v in items(f)), Fraction(0))
     rhs = sup * sum_fp
     exact = _as_int(p) is not None
-    return rendered(lemmas.LemmaReport(
+    return lemmas.LemmaReport(
         name="new23", params={"p": p, "sup_iistar": sup},
         lhs=lhs, rhs=rhs, holds=lhs <= rhs * (1 if exact else 1 + 1e-12),
-        witness=arg, mode=mode if exact else FLOAT, seed=seed,
+        witness=arg, seed=seed,
         extra={"coarse_sup": coarse,
                "increasing": is_increasing_nodes(g, d)[0],
                "superadditive": is_superadditive_nodes(g, d)[0]},
-    ), mode)
+    )
 
 
-def verify_gest_fraction(g, gamma, p, d, seed=None, mode=EXACT) -> lemmas.LemmaReport:
+def verify_gest_fraction(g, gamma, p, d, seed=None) -> lemmas.LemmaReport:
     if p <= 1:
         raise ValueError(f"p must exceed 1, got {p}")
     if _as_int(p - 1) is None:
@@ -729,13 +708,13 @@ def verify_gest_fraction(g, gamma, p, d, seed=None, mode=EXACT) -> lemmas.LemmaR
     lhs = sum((_pow(v, p) for n, v in items(g) if contains(gamma, n)), Fraction(0))
     rhs = lam * _pow(get(g, gamma), p - 1)
     holds = lhs <= rhs
-    return rendered(lemmas.LemmaReport(
+    return lemmas.LemmaReport(
         name="gest", params={"p": p, "lambda": lam, "gamma": gamma},
         lhs=lhs, rhs=rhs, holds=holds,
         witness=None if holds else gamma,
-        mode=mode, seed=seed,
+        seed=seed,
         degenerate=rhs == 0 and lhs > 0,
-    ), mode)
+    )
 
 
 # The phi construction over scalar dicts: the oracles for the heap
@@ -761,7 +740,7 @@ def phi_instance_dict(rng: random.Random, d: TreeDomain):
 
 def build_phi_dict(
     w: SparseFn, g: SparseFn, f: SparseFn, lam: Scalar, delta: Scalar,
-    d: TreeDomain, seed=None, mode=EXACT,
+    d: TreeDomain, seed=None,
 ):
     """build_phi with every I a hardy_up_scalars dict and check (a) a walk
     over every node of d."""
@@ -810,7 +789,7 @@ def build_phi_dict(
     report = lemmas.LemmaReport(
         name="build_phi", params=params,
         lhs=sum_wphi2, rhs=b_rhs, holds=a_ok and b_ok,
-        witness=a_witness, mode=mode, seed=seed,
+        witness=a_witness, seed=seed,
         extra={
             "lower_check_ok": a_ok,
             "energy_check_ok": b_ok,
@@ -819,7 +798,7 @@ def build_phi_dict(
             "energy_const": lemmas.PHI_ENERGY_CONST,
         },
     )
-    return phi, rendered(report, mode)
+    return phi, report
 
 
 # The generators as the stdlib's randint, randrange and choice draw them,
@@ -1043,17 +1022,17 @@ def search_new23_stdlib(p: Scalar, depth: int, budget: int, seed: int) -> lemmas
     if best_trial is None:
         return lemmas.LemmaReport(
             name="search_new23", params={"p": p, "depth": depth, "budget": budget},
-            lhs=0.0, rhs=0.0, holds=True, mode=FLOAT, seed=seed, degenerate=True,
+            lhs=0.0, rhs=0.0, holds=True, mode=lemmas.FLOAT, seed=seed, degenerate=True,
         )
     rng = random.Random(f"{seed}:{best_trial}")
     gv = _random_increasing_paths(rng, depth, cap=12)
     fv = _random_f_paths(rng, depth, list(gv))
     d = TreeDomain(depth + 1)
-    report = lemmas.verify_new23(fn(fv), fn(gv), float(p), d, seed=seed, mode=FLOAT)
+    report = lemmas.verify_new23(fn(fv), fn(gv), float(p), d, seed=seed)
     report.name = "search_new23"
     report.params.update({"depth": depth, "budget": budget, "best_trial": best_trial,
                           "best_fast_ratio": best_ratio})
-    return report
+    return lemmas.render(report, lemmas.FLOAT)
 
 
 # cxlab.randgen's generators by name, as the stdlib draws them

@@ -21,6 +21,7 @@ import pytest
 import cxlab
 from cxlab.capacity import _NO_SYMMETRY_MAX_FAMILY, ADMISSIBLE_N
 from cxlab.cli import main
+from cxlab.experiments import VERIFY_NAMES
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -128,3 +129,15 @@ def test_counted_layers_resolve(monkeypatch):
             # "randgen" is the module, whose functions' self times add up
             found = _resolve(key)
             assert callable(found) or inspect.ismodule(found), key
+
+
+def test_bench_screen_calls_the_suites(monkeypatch, capsys):
+    """bench/screen.py runs each verify suite through the positional call
+    run_verify_suite(name, 1, DEPTH, seed, mode) in both modes; on the
+    first five trial seeds no suite reports a violation."""
+    monkeypatch.setattr(sys, "path", [str(ROOT / "bench"), *sys.path])  # screen imports workloads
+    screen = _load("bench_screen", ROOT / "bench" / "screen.py")
+    monkeypatch.setattr(screen, "POOL", 5)
+    assert screen.main() == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == [f"{name} []" for name in VERIFY_NAMES]

@@ -10,6 +10,7 @@ import pytest
 from cxlab import capacity, cli, randgen
 from cxlab import counterexamples as cex
 from cxlab.cli import main
+from cxlab.lemmas import LemmaReport
 from cxlab.trees import SparseFn
 from cxlab.experiments import EXPERIMENTS, run_cell
 
@@ -115,6 +116,16 @@ class TestCex:
         code, out = run_cli(capsys, "cex", "search-new23", "--p", "2",
                             "--depth", "6", "--budget", "50", "--seed", "1")
         assert code == 0
+
+    def test_search_exit_code_is_the_verdict(self, capsys, monkeypatch):
+        # a violation at p <= 2 exits 1, however close its ratio is to 1
+        def winner(p, depth, budget, seed):
+            return LemmaReport(name="search_new23", params={"p": p}, lhs=1 + 1e-10, rhs=1.0,
+                               holds=False, mode="float", seed=seed)
+        monkeypatch.setattr(cex, "search_new23", winner)
+        code, out = run_cli(capsys, "cex", "search-new23", "--p", "2")
+        assert code == 1
+        assert json.loads(out)["ratio"] == 1 + 1e-10
 
     @pytest.fixture
     def no_draws(self, monkeypatch):

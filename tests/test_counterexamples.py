@@ -9,7 +9,7 @@ from math import comb
 import pytest
 
 from cxlab.trees import ResourceError, TreeDomain, _as_int, _pow
-from cxlab.lemmas import scalar_repr, verify_new23
+from cxlab.lemmas import EXACT, render, scalar_repr, verify_new23
 from cxlab import counterexamples as cex
 from cxlab.counterexamples import (
     _MAX_FLOAT_N,
@@ -347,7 +347,7 @@ class TestNew23Audit:
         u_last = "0" * (N - 1)
         brute_sup = sum(eval_hardy_down(g, a) for a in ancestors(u_last))
         assert audits["halving"].sup_iistar == brute_sup
-        r = verify_new23(f, g, p, TreeDomain(N))
+        r = render(verify_new23(f, g, p, TreeDomain(N)), EXACT)
         assert r.rhs == audits["halving"].lemma_rhs
         assert r.holds == audits["halving"].lemma_holds
 
@@ -475,7 +475,7 @@ class TestSearchNew23:
         # ratio 1.0 and holds, not a last-bit rounding of two float sums
         r = search_new23(2, 10, 2000, seed=3)
         gv, fv, _ = _trial(cex, 3, r.params["best_trial"], 10)
-        exact = verify_new23(fn(fv), fn(gv), 2, TreeDomain(11))
+        exact = render(verify_new23(fn(fv), fn(gv), 2, TreeDomain(11)), EXACT)
         assert exact.lhs == exact.rhs and exact.holds
         assert (r.lhs, r.rhs, r.ratio, r.holds, r.mode) == \
             (float(exact.lhs), float(exact.rhs), 1.0, True, "float")

@@ -1,3 +1,4 @@
+import copy
 import random
 import sys
 from fractions import Fraction
@@ -17,7 +18,10 @@ from cxlab.lemmas import (
     FLOAT,
     PHI_ENERGY_CONST,
     PHI_LOWER_CONST,
+    Exact,
     build_phi,
+    render,
+    render_value,
     verify_I2_positive,
     verify_gest,
     verify_inter,
@@ -61,14 +65,26 @@ def _typed(v):
     return type(v).__name__, v
 
 
-def _outcome(verifier, *args, **kwargs):
-    """The typed to_dict() of a verifier's report, or the type and message
-    of the ValueError (a failed precondition included) it raised."""
+def _report(result):
+    """The report of a verifier's result: build_phi's is its second item."""
+    return result[1] if isinstance(result, tuple) else result
+
+
+def _outcome(verifier, *args, mode=EXACT, **kwargs):
+    """The typed to_dict() of a verifier's report rendered in the given
+    mode, or the type and message of the ValueError (a failed precondition
+    included) it raised."""
     try:
-        report = verifier(*args, **kwargs)
+        report = _report(verifier(*args, **kwargs))
     except ValueError as exc:
         return type(exc).__name__, str(exc)
-    return _typed((report[1] if isinstance(report, tuple) else report).to_dict())
+    return _typed(render(report, mode).to_dict())
+
+
+def _exact(report):
+    """A copy of the report, rendered in exact mode; the report itself is
+    left as the verifier gave it."""
+    return render(copy.deepcopy(report), EXACT)
 
 
 def _fraction_codes() -> set:
@@ -188,16 +204,15 @@ class TestSupRefinements:
             f = randgen.random_sparse(rng, d)
             coarse = sup_iistar_support(g)
             for report, (sup, arg) in (
-                    (verify_new23(f, g, 2, d, mode=mode), sup_iistar_intersection(g, f)),
-                    (verify_I2_positive(f, g, d, mode=mode), sup_iistar_refined(g, f))):
+                    (render(verify_new23(f, g, 2, d), mode), sup_iistar_intersection(g, f)),
+                    (render(verify_I2_positive(f, g, d), mode), sup_iistar_refined(g, f))):
                 got = (report.params["sup_iistar"], report.witness, report.extra["coarse_sup"])
                 want = (sup, arg, coarse) if mode == EXACT else (float(sup), arg, float(coarse))
                 assert [(type(v), v) for v in got] == [(type(v), v) for v in want]
 
     def test_exact_sweeps_run_on_ints(self, monkeypatch):
         # every If table and II*g sweep the verifiers take runs through
-        # hardy's module attributes, on ints, and hands them ints, in both
-        # modes
+        # hardy's module attributes, on ints, and hands them ints
         seen = {"_up_paths": [], "_down_paths": []}
         calls = {"_up_paths": 0, "_down_paths": 0}
         for name in seen:
@@ -219,8 +234,7 @@ class TestSupRefinements:
         monkeypatch.setattr(lemmas, "hardy_up_table", table_spy)
         monkeypatch.setattr(lemmas, "_iistar_paths", iistar_spy)
         for suite in ("l1linf", "i2pos", "inter", "linf", "new23", "gest"):
-            for mode in (EXACT, FLOAT):
-                experiments.run_verify_suite(suite, trials=20, depth=8, seed=1, mode=mode)
+            experiments.run_verify_suite(suite, trials=40, depth=8, seed=1)
         assert len(seen["_up_paths"]) > 200 and len(seen["_down_paths"]) > 200
         assert set(seen["_up_paths"]) == set(seen["_down_paths"]) == {int}
         # one _up_paths sweep per table and per II*g, one _down_paths per II*g
@@ -258,7 +272,7 @@ class TestL1Linf:
         d = TreeDomain(3)
         g = fn({"": 1, "0": Fraction(1, 2)})
         h = fn({"": 2, "0": 1})
-        r = verify_supadditive_l1linf(g, h, "", d)
+        r = _exact(verify_supadditive_l1linf(g, h, "", d))
         # lambda = max Ih on supp g = 3; lhs = 1*2 + 1/2*1 = 5/2; rhs = 3
         assert r.params["lambda"] == 3
         assert r.lhs == Fraction(5, 2)
@@ -273,8 +287,8 @@ class TestL1Linf:
                 g = randgen.random_superadditive(rng, d)
                 h = randgen.random_sparse(rng, d)
                 gamma = sorted(support(g))[0]
-                base = verify_supadditive_l1linf(g, h, gamma, d)
-                scaled = verify_supadditive_l1linf(scale(g, t), h, gamma, d)
+                base = _exact(verify_supadditive_l1linf(g, h, gamma, d))
+                scaled = _exact(verify_supadditive_l1linf(scale(g, t), h, gamma, d))
                 assert scaled.lhs == t * base.lhs
                 assert scaled.rhs == t * base.rhs
                 assert scaled.holds == base.holds
@@ -287,7 +301,7 @@ class TestI2Positive:
         d = TreeDomain(4)
         g = fn({"000": 1})
         f = fn({"": 1})
-        r = verify_I2_positive(f, g, d)
+        r = _exact(verify_I2_positive(f, g, d))
         assert r.params["sup_iistar"] == 1       # II*g at the root
         assert r.extra["coarse_sup"] == 4        # II*g at the support node
         assert r.holds
@@ -305,6 +319,27 @@ class TestI2Positive:
             with pytest.raises(DomainError, match=f"node at depth {depth} outside 2-level tree"):
                 verify_I2_positive(*args, d)
         assert verify_I2_positive(inside, inside, d).holds
+
+    # the other verifiers, each called as (f, g, d); l1linf takes f as its h
+    VERIFIERS = {
+        "l1linf": lambda f, g, d: verify_supadditive_l1linf(g, f, "", d),
+        "linf": lambda f, g, d: verify_linf(f, g, d),
+        "new23": lambda f, g, d: verify_new23(f, g, 2, d),
+        "inter": lambda f, g, d: verify_inter(f, g, 2, d),
+    }
+
+    @pytest.mark.parametrize("verifier", sorted(VERIFIERS))
+    def test_other_verifiers_reject_nodes_outside_the_domain(self, verifier):
+        # every function argument is checked before any sweep, so a node of
+        # supp f outside d is not read as zero
+        run = self.VERIFIERS[verifier]
+        d = TreeDomain(2)
+        inside = fn({"": 1, "0": Fraction(1, 2)})
+        for outside, depth in ((fn({"00000": 1}), 5), (fn({"0000000": 1}), 7)):
+            for f, g in ((outside, inside), (inside, outside)):
+                with pytest.raises(DomainError, match=f"node at depth {depth} outside 2-level tree"):
+                    run(f, g, d)
+        assert run(inside, inside, d).holds
 
 
 class TestBuildPhi:
@@ -375,7 +410,8 @@ class TestBuildPhi:
             phi, report = build_phi(w, g, f, lam, delta, d)
             phi_f, report_f = build_phi(w, g, f, lam, float(delta), d)
             assert items(phi_f) == items(phi)
-            assert (report_f.witness, report_f.extra) == (report.witness, report.extra)
+            assert (report_f.witness, _exact(report_f).extra) == \
+                (report.witness, _exact(report).extra)
 
     @pytest.mark.parametrize("mode", [EXACT, FLOAT])
     def test_given_table_matches_own_sweep(self, mode):
@@ -389,10 +425,10 @@ class TestBuildPhi:
             _, w, g, f, lam, delta, _ = self._instance(levels=8, seed=seed)
             instances.append((w, g, f, lam, delta, self._heap_table(w, g, d)))
             for w, g, f, lam, delta, iwg in instances:
-                phi, report = build_phi(w, g, f, lam, delta, d, mode=mode)
-                phi_t, report_t = build_phi(w, g, f, lam, delta, d, iwg=iwg, mode=mode)
+                phi, report = build_phi(w, g, f, lam, delta, d)
+                phi_t, report_t = build_phi(w, g, f, lam, delta, d, iwg=iwg)
                 assert dict(items(phi_t)) == dict(items(phi))
-                assert report_t.to_dict() == report.to_dict()
+                assert render(report_t, mode).to_dict() == render(report, mode).to_dict()
                 banded += report.extra["worst_lower_ratio"] is not None and bool(phi)
         assert banded > 0  # some instance has a nonzero phi and a node for check (a)
 
@@ -404,7 +440,7 @@ class TestBuildPhi:
         phi, report = build_phi(w, g, f, lam, delta, d)
         phi_t, report_t = build_phi(w, g, f, lam, delta, d, iwg=(up, den))
         assert dict(items(phi_t)) == dict(items(phi))
-        assert report_t.to_dict() == report.to_dict()
+        assert _exact(report_t).to_dict() == _exact(report).to_dict()
         for short in (up[:-1], up + [up[-1]]):
             with pytest.raises(ValueError, match="iwg"):
                 build_phi(w, g, f, lam, delta, d, iwg=(short, den))
@@ -437,12 +473,11 @@ class TestBuildPhi:
         monkeypatch.setattr(lemmas, "hardy_up_table", counted_dict)
         monkeypatch.setattr(lemmas, "_up_heap", counted_heap)
         monkeypatch.setattr(experiments, "_up_heap", counted_heap)
-        for mode in (EXACT, FLOAT):
-            experiments.run_verify_suite("phi", trials=1, depth=8, seed=0, mode=mode)
+        experiments.run_verify_suite("phi", trials=1, depth=8, seed=0)
         # I(wg) once for the trial's delta, then I(wf) and I(w phi) in
         # build_phi, each over the 255 nodes in heap order
         assert dict_sweeps == []
-        assert heap_sweeps == [256] * 6
+        assert heap_sweeps == [256] * 3
 
     @pytest.mark.parametrize("mode", [EXACT, FLOAT])
     def test_heap_matches_dict_oracle(self, mode):
@@ -456,20 +491,21 @@ class TestBuildPhi:
             d = TreeDomain(levels)
             key = f"oracle:{levels}:{seed}"
             w, g, f, lam, delta = phi_instance_dict(random.Random(key), d)
-            phi_o, report_o = build_phi_dict(w, g, f, lam, delta, d, seed=seed, mode=mode)
-            phi, report = build_phi(w, g, f, lam, delta, d, seed=seed, mode=mode)
+            phi_o, report_o = build_phi_dict(w, g, f, lam, delta, d, seed=seed)
+            phi, report = build_phi(w, g, f, lam, delta, d, seed=seed)
             assert [(n, type(v), v) for n, v in items(phi)] == \
                 [(n, type(v), v) for n, v in items(phi_o)]
-            assert report.to_dict() == report_o.to_dict()
-            trial = experiments._trial_phi(random.Random(key), d, mode, seed)
-            assert trial.to_dict() == report_o.to_dict()
+            want = render(report_o, mode).to_dict()
+            assert render(report, mode).to_dict() == want
+            trial = experiments._trial_phi(random.Random(key), d, seed)
+            assert render(trial, mode).to_dict() == want
         for levels, seed in [(8, seed) for seed in range(40)] + [(12, 0), (12, 1), (13, 0)]:
             d, w, g, f, lam, delta, _ = self._instance(levels=levels, seed=seed)
-            phi_o, report_o = build_phi_dict(w, g, f, lam, delta, d, mode=mode)
-            phi, report = build_phi(w, g, f, lam, delta, d, mode=mode)
+            phi_o, report_o = build_phi_dict(w, g, f, lam, delta, d)
+            phi, report = build_phi(w, g, f, lam, delta, d)
             assert [(n, type(v), v) for n, v in items(phi)] == \
                 [(n, type(v), v) for n, v in items(phi_o)]
-            assert report.to_dict() == report_o.to_dict()
+            assert render(report, mode).to_dict() == render(report_o, mode).to_dict()
             banded += report.extra["worst_lower_ratio"] is not None
         assert banded > 0
 
@@ -482,9 +518,9 @@ class TestBuildPhi:
             monkeypatch.setattr(lemmas, "PHI_LOWER_CONST", const)
             for seed in range(30):
                 d, w, g, f, lam, delta, _ = self._instance(levels=6, seed=seed)
-                report_o = build_phi_dict(w, g, f, lam, delta, d, mode=mode)[1]
-                report = build_phi(w, g, f, lam, delta, d, mode=mode)[1]
-                assert report.to_dict() == report_o.to_dict()
+                report_o = build_phi_dict(w, g, f, lam, delta, d)[1]
+                report = build_phi(w, g, f, lam, delta, d)[1]
+                assert render(report, mode).to_dict() == render(report_o, mode).to_dict()
                 failed += not report.extra["lower_check_ok"]
         assert failed > 0
         # a bar equal to the least ratio is met: check (a) is strict
@@ -493,14 +529,14 @@ class TestBuildPhi:
             d, w, g, f, lam, delta, _ = self._instance(levels=6, seed=seed)
             monkeypatch.setattr(lemmas, "PHI_LOWER_CONST", PHI_LOWER_CONST)
             # the exact least ratio, which float mode reports rounded
-            worst = build_phi(w, g, f, lam, delta, d)[1].extra["worst_lower_ratio"]
+            worst = _exact(build_phi(w, g, f, lam, delta, d)[1]).extra["worst_lower_ratio"]
             if worst is None:
                 continue
             monkeypatch.setattr(lemmas, "PHI_LOWER_CONST", worst)
-            report = build_phi(w, g, f, lam, delta, d, mode=mode)[1]
+            report = build_phi(w, g, f, lam, delta, d)[1]
             assert report.extra["lower_check_ok"]
-            assert report.to_dict() == \
-                build_phi_dict(w, g, f, lam, delta, d, mode=mode)[1].to_dict()
+            assert render(report, mode).to_dict() == \
+                render(build_phi_dict(w, g, f, lam, delta, d)[1], mode).to_dict()
             tied += 1
         assert tied > 0
 
@@ -522,7 +558,7 @@ class TestBuildPhi:
                     phi_o, report_o = build_phi_dict(w, g, f, lam, delta, d)
                     phi, report = build_phi(w, g, f, lam, delta, d)
                     assert dict(items(phi)) == dict(items(phi_o))
-                    assert report.to_dict() == report_o.to_dict()
+                    assert _exact(report).to_dict() == _exact(report_o).to_dict()
                     checked += 1
         assert checked > 20
 
@@ -556,7 +592,7 @@ class TestInter:
         d = TreeDomain(4)
         g = fn({"": 1, "0": Fraction(1, 2)})
         f = fn({"0": 1})
-        r = verify_inter(f, g, 2, d)
+        r = _exact(verify_inter(f, g, 2, d))
         assert r.params["delta"] == Fraction(3, 2)   # Ig at supp f
         assert r.params["lambda"] == Fraction(3, 2)  # max Ig over the tree
 
@@ -566,7 +602,7 @@ class TestLinf:
         d = TreeDomain(3)
         g = fn({"": 1, "0": Fraction(1, 2)})
         f = fn({"": 2})
-        r = verify_linf(f, g, d)
+        r = _exact(verify_linf(f, g, d))
         # lhs = max(If*g) = 2 at the root; sup II*g at the root = 3/2+... :
         # I*g(root) = 3/2, II*g(root) = 3/2; rhs = 3/2 * 2 = 3
         assert r.lhs == 2
@@ -582,8 +618,8 @@ class TestNew23:
             for _ in range(20):
                 g = randgen.random_increasing(rng, d)
                 f = randgen.random_sparse(rng, d)
-                base = verify_new23(f, g, 2, d)
-                scaled = verify_new23(f, scale(g, t), 2, d)
+                base = _exact(verify_new23(f, g, 2, d))
+                scaled = _exact(verify_new23(f, scale(g, t), 2, d))
                 assert scaled.lhs == t * base.lhs
                 assert scaled.rhs == t * base.rhs
                 assert scaled.holds == base.holds
@@ -606,14 +642,15 @@ class TestGest:
         d = TreeDomain(3)
         g = fn({"": 1, "0": Fraction(1, 2),
                       "1": Fraction(1, 2)})
-        r = verify_gest(g, "", 2, d)
+        r = _exact(verify_gest(g, "", 2, d))
         assert r.holds
         assert r.mode == EXACT
 
 
 class TestFractionOracles:
-    """Every report equals, value and type, the one the verifiers gave when
-    they took their sums, powers and maxima on Fractions (tests/helpers.py).
+    """Every report, rendered, equals, value and type, the one the verifiers
+    gave when they took their sums, powers and maxima on Fractions
+    (tests/helpers.py), rendered in the same mode.
     A suite golden prints only its first or failing reports, so this is what
     covers the rest."""
 
@@ -623,7 +660,7 @@ class TestFractionOracles:
 
         def on_call(name, real, args, kwargs):
             report = real(*args, **kwargs)
-            got = _typed((report[1] if isinstance(report, tuple) else report).to_dict())
+            got = _typed(_exact(_report(report)).to_dict())
             assert got == _outcome(ORACLES[name], *args, **kwargs), (name, args)
             compared[name] = compared.get(name, 0) + 1
             return report
@@ -735,8 +772,9 @@ class TestFloatModeRendersExact:
 
 
 class TestReportMode:
-    """The report mode is an argument of the verifiers, as the seed is; a
-    mode other than exact and float raises ValueError."""
+    """The report mode is applied once, by render, to a report that a
+    verifier returns without one; a mode other than exact and float raises
+    ValueError."""
 
     # each entry point, called on one phi instance; inter and new23 also at
     # the float p-th roots and non-integral p, and inter with an empty f
@@ -757,10 +795,11 @@ class TestReportMode:
     def test_unknown_mode_rejected(self, call):
         d, w, g, f, lam, delta, _ = TestBuildPhi._instance()
         verifier, *args = self.CALLS[call](d, w, g, f, lam, delta)
+        report = _report(verifier(*args))
         for mode in (EXACT, FLOAT):
-            verifier(*args, mode=mode)
+            render(copy.deepcopy(report), mode)
         with pytest.raises(ValueError, match="unknown report mode 'decimal'"):
-            verifier(*args, mode="decimal")
+            render(report, "decimal")
 
     @pytest.mark.parametrize("suite", experiments.VERIFY_NAMES)
     def test_unknown_mode_rejected_by_the_suite(self, suite):
@@ -815,7 +854,9 @@ class TestValueForm:
             if name == "build_phi":
                 assert items(again[0]) == items(report[0])
                 report, again = report[1], again[1]
-            assert again.to_dict() == report.to_dict(), (name, args)
+            for mode in (EXACT, FLOAT):
+                assert render(copy.deepcopy(again), mode).to_dict() == \
+                    render(copy.deepcopy(report), mode).to_dict(), (name, args)
             drawn.extend(a for a in args if isinstance(a, SparseFn))
             checked[name] = checked.get(name, 0) + 1
             return result
@@ -829,5 +870,5 @@ class TestValueForm:
         for f in drawn:
             want = {path: float(Fraction(v, f.den)) for path, v in f.values.items()}
             for h in (f, rebuild(f, 3)):
-                assert {path: lemmas._value(v, h.den, FLOAT)
+                assert {path: render_value(Exact(v, h.den), FLOAT)
                         for path, v in h.values.items()} == want

@@ -1,6 +1,6 @@
 """Every function and method in src/cxlab is entered by some command,
 every name a module of src/cxlab or of the tests imports is used there, and
-the value layer names no report mode.
+the value layer names no report mode, nor does a verifier take one.
 
 A short fixed list of CLI commands runs in a fresh interpreter (the parser
 is cached per process) under sys.setprofile, in a temporary working
@@ -11,6 +11,7 @@ __repr__ and the methods of exception classes are exempt.
 
 import ast
 import importlib
+import inspect
 import io
 import json
 import os
@@ -165,3 +166,17 @@ def test_mode_names_are_found():
 @pytest.mark.parametrize("stem", _MODE_FREE)
 def test_value_layer_names_no_mode(stem):
     assert _mode_names((SRC / f"{stem}.py").read_text()) == []
+
+
+def test_verifiers_take_no_mode():
+    # the verifiers, build_phi and the trials leave their values exact, and
+    # the cex generators and helpers render at their own output, so none
+    # takes the report mode
+    from cxlab import counterexamples, experiments, lemmas
+    fns = [v for k, v in vars(lemmas).items() if k.startswith("verify_")]
+    fns += [lemmas.build_phi, lemmas._phi_heap]
+    fns += [v for k, v in vars(experiments).items() if k.startswith("_trial_")]
+    assert len(fns) == 6 + 2 + 7
+    fns += [v for v in vars(counterexamples).values()
+            if inspect.isfunction(v) and v.__module__ == counterexamples.__name__]
+    assert [f.__name__ for f in fns if "mode" in inspect.signature(f).parameters] == []

@@ -205,5 +205,5 @@ class TestSpecialForm:
         assert {type(v) for _, v in items(g)} == {Fraction}
         assert items(g3) == items(g)
         assert [(n, type(v), v) for n, v in g.values.items()
-                for v in [lemmas._value(v, g.den, FLOAT)]] == \
+                for v in [lemmas.render_value(lemmas.Exact(v, g.den), FLOAT)]] == \
             [(n, float, float(v)) for n, v in items(g)]
