@@ -48,6 +48,7 @@ class Exact:
     def __float__(self) -> float:
         return render_value(self, FLOAT)
 
+
 # Explicit constants traced through the proof of the phi-construction lemma:
 # (lambda/2 - delta)/lambda >= 1/4 once lambda >= 4 delta, and the energy
 # chain closes with 2*lambda*delta/lambda^2.
